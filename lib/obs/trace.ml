@@ -19,12 +19,16 @@ type event = {
   label : string;
 }
 
-let dummy =
-  { seq = -1; time = 0.0; kind = Note; node = -1; peer = -1; msg_id = -1;
-    span = -1; label = "" }
-
+(* Columnar ring: one array per field, written in place; event records
+   are only built on read.  Record [seq] lives at index [seq mod cap]. *)
 type t = {
-  buf : event array;
+  times : Float.Array.t;
+  kinds : kind array;
+  nodes : int array;
+  peers : int array;
+  msg_ids : int array;
+  spans : int array;
+  labels : string array;
   cap : int;
   on_drop : unit -> unit;
   prof : Prof.t;
@@ -34,8 +38,16 @@ type t = {
 let create ?(capacity = 8192) ?(on_drop = fun () -> ()) ?(prof = Prof.null) ()
     =
   if capacity < 0 then invalid_arg "Trace.create: capacity";
+  let n = max capacity 1 in
+  let ints () = Array.make n (-1) in
   {
-    buf = Array.make (max capacity 1) dummy;
+    times = Float.Array.make n 0.0;
+    kinds = Array.make n Note;
+    nodes = ints ();
+    peers = ints ();
+    msg_ids = ints ();
+    spans = ints ();
+    labels = Array.make n "";
     cap = capacity;
     on_drop;
     prof;
@@ -54,16 +66,36 @@ let record t ~time ~node ?(peer = -1) ?(msg_id = -1) ?(span = -1)
     Prof.enter t.prof Prof.Trace;
     let seq = t.next_seq in
     if seq >= t.cap then t.on_drop ();
-    t.buf.(seq mod t.cap) <-
-      { seq; time; kind; node; peer; msg_id; span; label };
+    let i = seq mod t.cap in
+    Float.Array.set t.times i time;
+    t.kinds.(i) <- kind;
+    t.nodes.(i) <- node;
+    t.peers.(i) <- peer;
+    t.msg_ids.(i) <- msg_id;
+    t.spans.(i) <- span;
+    (* Labels are mostly the shared [""]: skip the write barrier then. *)
+    if t.labels.(i) != label then t.labels.(i) <- label;
     t.next_seq <- seq + 1;
     Prof.leave t.prof Prof.Trace
   end
 
+let get t seq =
+  let i = seq mod t.cap in
+  {
+    seq;
+    time = Float.Array.get t.times i;
+    kind = t.kinds.(i);
+    node = t.nodes.(i);
+    peer = t.peers.(i);
+    msg_id = t.msg_ids.(i);
+    span = t.spans.(i);
+    label = t.labels.(i);
+  }
+
 let iter t f =
   let first = t.next_seq - length t in
   for seq = first to t.next_seq - 1 do
-    f t.buf.(seq mod t.cap)
+    f (get t seq)
   done
 
 let to_list t =

@@ -10,11 +10,13 @@
     causal context they were emitted under, which is what
     {!Trace_analysis} uses to rebuild per-operation critical paths.
 
-    The buffer is a fixed-capacity ring: recording never allocates
-    beyond the initial array and never slows down a long run; once full,
-    the oldest events are overwritten ({!dropped} counts them, and
-    [on_drop] fires once per overwritten event so an owner can meter
-    the loss).  A capacity of [0] disables recording entirely
+    The buffer is a fixed-capacity columnar ring — one preallocated
+    array per field, written in place — so recording never allocates
+    and never slows down a long run; {!event} records are built only
+    when read ({!iter}, {!to_list}).  Once full, the oldest events are
+    overwritten ({!dropped} counts them, and [on_drop] fires once per
+    overwritten event so an owner can meter the loss).  A capacity of
+    [0] disables recording entirely
     ({!record} becomes a no-op), which is how metrics-only runs avoid
     trace overhead. *)
 
@@ -47,9 +49,9 @@ val create :
     receives an [obs.trace] probe around every recorded event.
 
     Note for zero-allocation call sites: supplying {!record}'s optional
-    arguments boxes them at the call regardless of capacity, so hot
-    paths that want a true no-op when tracing is off should guard on
-    [capacity t > 0] before calling. *)
+    arguments boxes them at the call regardless of capacity (the ring
+    itself allocates nothing), so hot paths that want a true no-op when
+    tracing is off should guard on [capacity t > 0] before calling. *)
 
 val capacity : t -> int
 

@@ -10,16 +10,14 @@ let labels_dead_dst = [ ("reason", "dead_dst") ]
 let labels_amnesia_true = [ ("amnesia", "true") ]
 let labels_amnesia_false = [ ("amnesia", "false") ]
 
-type 'msg event =
-  | Deliver of { src : int; dst : int; msg : 'msg; uid : int }
-      (** [uid] identifies the message for trace causality links; [-1]
-          for background traffic, which is metered but not traced. *)
-  | Timer of { node : int; tag : int; ctx : int }
-      (** [ctx] is the span context captured when the timer was set, so
-          retransmit timers fire under the operation that armed them. *)
-  | Crash of int
-  | Recover of { node : int; amnesia : bool }
-  | Thunk of { f : unit -> unit; ctx : int }
+(* Event kinds.  A slot's [meta] packs the kind with the background flag
+   in bit 0: [meta = kind lsl 1 lor background]. *)
+let k_deliver = 0
+let k_timer = 1
+let k_crash = 2
+let k_recover = 3
+let k_thunk = 4
+let no_thunk () = ()
 
 type 'msg handlers = {
   on_message : 'msg t -> node:int -> src:int -> 'msg -> unit;
@@ -37,19 +35,37 @@ and instruments = {
   m_recoveries : Metrics.counter;
 }
 
+(* The event queue is an arena of struct-of-arrays slots under a 4-ary
+   min-heap of slot ids ordered by [(time, seq)]; freed slots are
+   threaded through [a] as a free list.  Per kind, [a]/[b] hold
+   src/dst (deliver), node/tag (timer), node (crash) and node/amnesia
+   (recover); [ctxs] is the span context the handler runs under —
+   captured at send/arm/schedule time, -1 for background messages. *)
 and 'msg t = {
   n : int;
-  queue : ('msg event * bool) Heap.t;  (** event, is_background *)
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable meta : int array;
+  mutable a : int array;
+  mutable b : int array;
+  mutable uids : int array;  (** trace causality link; -1 = untraced *)
+  mutable ctxs : int array;
+  mutable msgs : 'msg array;  (** empty until the first send fills it *)
+  mutable thunks : (unit -> unit) array;
+  mutable heap : int array;  (** slot ids; the first [size] are queued *)
+  mutable size : int;
+  mutable free : int;  (** head of the free-slot list; -1 = none *)
+  mutable next_seq : int;
   live : bool array;
   network : Network.t;
   net_rng : Rng.t;
   proto_rng : Rng.t;
   handlers : 'msg handlers;
   obs : Obs.t;
+  ring : Trace.t;
   ins : instruments;
   prof : Prof.t;
   tracing : bool;  (** trace ring has capacity; guards record call sites *)
-  msg_ctx : (int, int) Hashtbl.t;  (** uid -> span ctx, in-flight only *)
   mutable ctx : int;  (** ambient span context; -1 = none *)
   mutable next_uid : int;
   mutable time : float;
@@ -89,17 +105,29 @@ let create ~seed ~nodes ?network ?obs handlers =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   {
     n = nodes;
-    queue = Heap.create ();
+    times = Float.Array.create 0;
+    seqs = [||];
+    meta = [||];
+    a = [||];
+    b = [||];
+    uids = [||];
+    ctxs = [||];
+    msgs = [||];
+    thunks = [||];
+    heap = [||];
+    size = 0;
+    free = -1;
+    next_seq = 0;
     live = Array.make nodes true;
     network = (match network with Some n -> n | None -> Network.create ());
     net_rng = Rng.split root;
     proto_rng = Rng.split root;
     handlers;
     obs;
+    ring = Obs.trace obs;
     ins = make_instruments (Obs.metrics obs);
     prof = Obs.prof obs;
     tracing = Trace.capacity (Obs.trace obs) > 0;
-    msg_ctx = Hashtbl.create 64;
     ctx = -1;
     next_uid = 0;
     time = 0.0;
@@ -124,8 +152,6 @@ let live_set t =
   Array.iteri (fun i alive -> if alive then Bitset.add s i) t.live;
   s
 
-let trace t = Obs.trace t.obs
-
 (* Span context: an ambient span id that send/set_timer/schedule capture
    and dispatch restores around handlers, so causality crosses both the
    network and the event queue without protocols threading it by hand. *)
@@ -137,28 +163,128 @@ let with_span_ctx t ctx f =
   t.ctx <- ctx;
   Fun.protect ~finally:(fun () -> t.ctx <- saved) f
 
-let ctx_of_uid t uid =
-  match Hashtbl.find_opt t.msg_ctx uid with Some c -> c | None -> -1
-
-let forget_uid t uid = if uid >= 0 then Hashtbl.remove t.msg_ctx uid
-
 let note ?(label = "") t ~node =
   if t.tracing then
-    Trace.record (trace t) ~time:t.time ~node ~span:t.ctx ~label Trace.Note
+    Trace.record t.ring ~time:t.time ~node ~span:t.ctx ~label Trace.Note
 
-let enqueue t ~time ~background ev =
-  if not background then t.foreground <- t.foreground + 1;
+(* --- Arena and heap --------------------------------------------------- *)
+
+(* Double every slot array (the first call allocates them) and thread
+   the new slots onto the empty free list, lowest first. *)
+let grow t =
+  let cap = Array.length t.seqs in
+  let cap' = max 64 (2 * cap) in
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  let times = Float.Array.make cap' 0.0 in
+  Float.Array.blit t.times 0 times 0 cap;
+  t.times <- times;
+  t.seqs <- extend t.seqs 0;
+  t.meta <- extend t.meta 0;
+  t.a <- extend t.a 0;
+  t.b <- extend t.b 0;
+  t.uids <- extend t.uids 0;
+  t.ctxs <- extend t.ctxs 0;
+  t.heap <- extend t.heap 0;
+  if Array.length t.msgs > 0 then t.msgs <- extend t.msgs t.msgs.(0);
+  t.thunks <- extend t.thunks no_thunk;
+  for s = cap' - 1 downto cap do
+    t.a.(s) <- t.free;
+    t.free <- s
+  done
+
+let alloc_slot t =
+  if t.free < 0 then grow t;
+  let s = t.free in
+  t.free <- t.a.(s);
+  s
+
+let free_slot t s =
+  t.a.(s) <- t.free;
+  t.free <- s
+
+let[@inline] before t i j =
+  let ti = Float.Array.get t.times i and tj = Float.Array.get t.times j in
+  ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
+
+(* Move slot [s] up from heap position [i] to its place. *)
+let rec sift_up t s i =
+  if i = 0 then t.heap.(0) <- s
+  else
+    let p = (i - 1) / 4 in
+    let ps = t.heap.(p) in
+    if before t s ps then begin
+      t.heap.(i) <- ps;
+      sift_up t s p
+    end
+    else t.heap.(i) <- s
+
+(* Move slot [s] down from heap position [i] to its place. *)
+let rec sift_down t s i =
+  let first = (4 * i) + 1 in
+  if first >= t.size then t.heap.(i) <- s
+  else begin
+    let m = ref first in
+    for c = first + 1 to min (first + 3) (t.size - 1) do
+      if before t t.heap.(c) t.heap.(!m) then m := c
+    done;
+    let ms = t.heap.(!m) in
+    if before t ms s then begin
+      t.heap.(i) <- ms;
+      sift_down t s !m
+    end
+    else t.heap.(i) <- s
+  end
+
+let remove_min t =
+  t.size <- t.size - 1;
+  if t.size > 0 then sift_down t t.heap.(t.size) 0
+
+(* Inlined so [time] stays unboxed from the caller's arithmetic into
+   the slot. *)
+let[@inline] push t ~time ~kind ~background ~a ~b ~uid ~ctx =
   Prof.enter t.prof Prof.Heap;
-  Heap.push t.queue ~time (ev, background);
-  Prof.leave t.prof Prof.Heap
+  let s = alloc_slot t in
+  Float.Array.set t.times s time;
+  t.seqs.(s) <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.meta.(s) <- (kind lsl 1) lor Bool.to_int background;
+  t.a.(s) <- a;
+  t.b.(s) <- b;
+  t.uids.(s) <- uid;
+  t.ctxs.(s) <- ctx;
+  sift_up t s t.size;
+  t.size <- t.size + 1;
+  if not background then t.foreground <- t.foreground + 1;
+  Prof.leave t.prof Prof.Heap;
+  s
 
-let push t ~delay ?(background = false) ev =
-  if delay < 0.0 then invalid_arg "Engine: negative delay";
-  enqueue t ~time:(t.time +. delay) ~background ev
+let check_delay delay =
+  if delay < 0.0 then invalid_arg "Engine: negative delay"
+
+let check_time t time =
+  if time < t.time then invalid_arg "Engine: scheduling in the past"
+
+(* --- Scheduling ------------------------------------------------------- *)
 
 let drop t ~labels =
   t.dropped <- t.dropped + 1;
   Metrics.incr t.ins.m_dropped ~labels
+
+let push_deliver t ~delay ~background ~src ~dst ~uid msg =
+  check_delay delay;
+  (* Background messages run their handler under no context. *)
+  let ctx = if background then -1 else t.ctx in
+  let s =
+    push t ~time:(t.time +. delay) ~kind:k_deliver ~background ~a:src ~b:dst
+      ~uid ~ctx
+  in
+  if Array.length t.msgs = 0 then
+    t.msgs <- Array.make (Array.length t.seqs) msg
+  else t.msgs.(s) <- msg
 
 let send ?(background = false) t ~src ~dst msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
@@ -179,28 +305,20 @@ let send ?(background = false) t ~src ~dst msg =
         let uid = t.next_uid in
         t.next_uid <- uid + 1;
         if t.tracing then
-          Trace.record (trace t) ~time:t.time ~node:src ~peer:dst ~msg_id:uid
+          Trace.record t.ring ~time:t.time ~node:src ~peer:dst ~msg_id:uid
             ~span:t.ctx Trace.Send;
-        (* -1 means "no context" and is the lookup default; anything
-           else — including the sampled-out sentinel — must ride along
-           so the receiver's children share the root's sampling fate. *)
-        if t.ctx <> -1 then Hashtbl.replace t.msg_ctx uid t.ctx;
         uid
       end
     in
-    if src = dst then
-      push t ~delay:0.0 ~background (Deliver { src; dst; msg; uid })
+    if src = dst then push_deliver t ~delay:0.0 ~background ~src ~dst ~uid msg
     else
       match Network.delay t.network t.net_rng ~src ~dst with
       | None ->
           drop t ~labels:labels_net;
-          if not background then begin
-            if t.tracing then
-              Trace.record (trace t) ~time:t.time ~node:src ~peer:dst
-                ~msg_id:uid ~span:t.ctx ~label:"net" Trace.Drop;
-            forget_uid t uid
-          end
-      | Some d -> push t ~delay:d ~background (Deliver { src; dst; msg; uid })
+          if (not background) && t.tracing then
+            Trace.record t.ring ~time:t.time ~node:src ~peer:dst ~msg_id:uid
+              ~span:t.ctx ~label:"net" Trace.Drop
+      | Some delay -> push_deliver t ~delay ~background ~src ~dst ~uid msg
   end
 
 let broadcast ?(background = false) t ~src ~dsts msg =
@@ -208,19 +326,29 @@ let broadcast ?(background = false) t ~src ~dsts msg =
 
 let set_timer ?(background = false) t ~node ~delay ~tag =
   if node < 0 || node >= t.n then invalid_arg "Engine.set_timer: bad node";
-  push t ~delay ~background (Timer { node; tag; ctx = t.ctx })
+  check_delay delay;
+  ignore
+    (push t ~time:(t.time +. delay) ~kind:k_timer ~background ~a:node ~b:tag
+       ~uid:(-1) ~ctx:t.ctx)
 
-let at_absolute t ~time ~background ev =
-  if time < t.time then invalid_arg "Engine: scheduling in the past";
-  enqueue t ~time ~background ev
-
-let crash_at t ~time ~node = at_absolute t ~time ~background:false (Crash node)
+let crash_at t ~time ~node =
+  check_time t time;
+  ignore
+    (push t ~time ~kind:k_crash ~background:false ~a:node ~b:0 ~uid:(-1)
+       ~ctx:(-1))
 
 let recover_at ?(amnesia = false) t ~time ~node =
-  at_absolute t ~time ~background:false (Recover { node; amnesia })
+  check_time t time;
+  ignore
+    (push t ~time ~kind:k_recover ~background:false ~a:node
+       ~b:(Bool.to_int amnesia) ~uid:(-1) ~ctx:(-1))
 
 let schedule ?(background = false) t ~time thunk =
-  at_absolute t ~time ~background (Thunk { f = thunk; ctx = t.ctx })
+  check_time t time;
+  let s =
+    push t ~time ~kind:k_thunk ~background ~a:(-1) ~b:0 ~uid:(-1) ~ctx:t.ctx
+  in
+  t.thunks.(s) <- thunk
 
 let messages_sent t = t.sent
 let messages_background t = t.background_sent
@@ -228,6 +356,8 @@ let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let events_dispatched t = t.dispatched
 let budget_exhaustions t = t.budget_hits
+
+(* --- Dispatch --------------------------------------------------------- *)
 
 (* Restore the saved ambient context and close the probe on the handler's
    exception path; the happy path inlines the same two steps.  Written
@@ -239,82 +369,106 @@ let[@inline] reraise t cat saved e =
   Prof.leave t.prof cat;
   Printexc.raise_with_backtrace e bt
 
-let dispatch t ~background = function
-  | Deliver { src; dst; msg; uid } ->
-      let ctx = ctx_of_uid t uid in
-      forget_uid t uid;
-      if t.live.(dst) then begin
-        t.delivered <- t.delivered + 1;
-        Metrics.incr t.ins.m_delivered;
-        if not background && t.tracing then
-          Trace.record (trace t) ~time:t.time ~node:dst ~peer:src ~msg_id:uid
-            ~span:ctx Trace.Deliver;
-        (* The handler runs under the sender's span context: replies it
-           sends (and timers it arms) inherit the operation that caused
-           this delivery. *)
-        let saved = t.ctx in
-        t.ctx <- ctx;
-        Prof.enter t.prof Prof.Dispatch_msg;
-        (try t.handlers.on_message t ~node:dst ~src msg
-         with e -> reraise t Prof.Dispatch_msg saved e);
-        t.ctx <- saved;
-        Prof.leave t.prof Prof.Dispatch_msg
-      end
-      else begin
-        drop t ~labels:labels_dead_dst;
-        if not background && t.tracing then
-          Trace.record (trace t) ~time:t.time ~node:dst ~peer:src ~msg_id:uid
-            ~span:ctx ~label:"dead_dst" Trace.Drop
-      end
-  | Timer { node; tag; ctx } ->
-      if t.live.(node) then begin
-        let saved = t.ctx in
-        t.ctx <- ctx;
-        Prof.enter t.prof Prof.Dispatch_timer;
-        (try t.handlers.on_timer t ~node ~tag
-         with e -> reraise t Prof.Dispatch_timer saved e);
-        t.ctx <- saved;
-        Prof.leave t.prof Prof.Dispatch_timer
-      end
-  | Crash node ->
-      if t.live.(node) then begin
-        t.live.(node) <- false;
-        Metrics.incr t.ins.m_crashes;
-        if t.tracing then
-          Trace.record (trace t) ~time:t.time ~node Trace.Crash;
-        let saved = t.ctx in
-        t.ctx <- -1;
-        Prof.enter t.prof Prof.Dispatch_recovery;
-        (try t.handlers.on_crash t ~node
-         with e -> reraise t Prof.Dispatch_recovery saved e);
-        t.ctx <- saved;
-        Prof.leave t.prof Prof.Dispatch_recovery
-      end
-  | Recover { node; amnesia } ->
-      if not t.live.(node) then begin
-        t.live.(node) <- true;
-        Metrics.incr t.ins.m_recoveries
-          ~labels:(if amnesia then labels_amnesia_true else labels_amnesia_false);
-        if t.tracing then
-          if amnesia then
-            Trace.record (trace t) ~time:t.time ~node ~label:"amnesia"
-              Trace.Recover
-          else Trace.record (trace t) ~time:t.time ~node Trace.Recover;
-        let saved = t.ctx in
-        t.ctx <- -1;
-        Prof.enter t.prof Prof.Dispatch_recovery;
-        (try t.handlers.on_recover t ~node ~amnesia
-         with e -> reraise t Prof.Dispatch_recovery saved e);
-        t.ctx <- saved;
-        Prof.leave t.prof Prof.Dispatch_recovery
-      end
-  | Thunk { f; ctx } ->
-      let saved = t.ctx in
-      t.ctx <- ctx;
-      Prof.enter t.prof Prof.Thunk;
-      (try f () with e -> reraise t Prof.Thunk saved e);
-      t.ctx <- saved;
-      Prof.leave t.prof Prof.Thunk
+let deliver t ~background ~src ~dst ~uid ~ctx msg =
+  if t.live.(dst) then begin
+    t.delivered <- t.delivered + 1;
+    Metrics.incr t.ins.m_delivered;
+    if (not background) && t.tracing then
+      Trace.record t.ring ~time:t.time ~node:dst ~peer:src ~msg_id:uid
+        ~span:ctx Trace.Deliver;
+    (* The handler runs under the sender's span context: replies it
+       sends (and timers it arms) inherit the operation that caused
+       this delivery. *)
+    let saved = t.ctx in
+    t.ctx <- ctx;
+    Prof.enter t.prof Prof.Dispatch_msg;
+    (try t.handlers.on_message t ~node:dst ~src msg
+     with e -> reraise t Prof.Dispatch_msg saved e);
+    t.ctx <- saved;
+    Prof.leave t.prof Prof.Dispatch_msg
+  end
+  else begin
+    drop t ~labels:labels_dead_dst;
+    if (not background) && t.tracing then
+      Trace.record t.ring ~time:t.time ~node:dst ~peer:src ~msg_id:uid
+        ~span:ctx ~label:"dead_dst" Trace.Drop
+  end
+
+let fire_timer t ~node ~tag ~ctx =
+  if t.live.(node) then begin
+    let saved = t.ctx in
+    t.ctx <- ctx;
+    Prof.enter t.prof Prof.Dispatch_timer;
+    (try t.handlers.on_timer t ~node ~tag
+     with e -> reraise t Prof.Dispatch_timer saved e);
+    t.ctx <- saved;
+    Prof.leave t.prof Prof.Dispatch_timer
+  end
+
+let crash t ~node =
+  if t.live.(node) then begin
+    t.live.(node) <- false;
+    Metrics.incr t.ins.m_crashes;
+    if t.tracing then Trace.record t.ring ~time:t.time ~node Trace.Crash;
+    let saved = t.ctx in
+    t.ctx <- -1;
+    Prof.enter t.prof Prof.Dispatch_recovery;
+    (try t.handlers.on_crash t ~node
+     with e -> reraise t Prof.Dispatch_recovery saved e);
+    t.ctx <- saved;
+    Prof.leave t.prof Prof.Dispatch_recovery
+  end
+
+let recover t ~node ~amnesia =
+  if not t.live.(node) then begin
+    t.live.(node) <- true;
+    Metrics.incr t.ins.m_recoveries
+      ~labels:(if amnesia then labels_amnesia_true else labels_amnesia_false);
+    if t.tracing then
+      if amnesia then
+        Trace.record t.ring ~time:t.time ~node ~label:"amnesia" Trace.Recover
+      else Trace.record t.ring ~time:t.time ~node Trace.Recover;
+    let saved = t.ctx in
+    t.ctx <- -1;
+    Prof.enter t.prof Prof.Dispatch_recovery;
+    (try t.handlers.on_recover t ~node ~amnesia
+     with e -> reraise t Prof.Dispatch_recovery saved e);
+    t.ctx <- saved;
+    Prof.leave t.prof Prof.Dispatch_recovery
+  end
+
+let run_thunk t f ~ctx =
+  let saved = t.ctx in
+  t.ctx <- ctx;
+  Prof.enter t.prof Prof.Thunk;
+  (try f () with e -> reraise t Prof.Thunk saved e);
+  t.ctx <- saved;
+  Prof.leave t.prof Prof.Thunk
+
+(* The slot is read out and freed before its handler runs, so a handler
+   that raises leaves the arena consistent and pushes made from inside
+   handlers can reuse it. *)
+let dispatch t s =
+  let meta = t.meta.(s) and a = t.a.(s) and b = t.b.(s) in
+  let kind = meta lsr 1 and background = meta land 1 = 1 and ctx = t.ctxs.(s) in
+  if not background then t.foreground <- t.foreground - 1;
+  if kind = k_deliver then begin
+    let uid = t.uids.(s) and msg = t.msgs.(s) in
+    free_slot t s;
+    deliver t ~background ~src:a ~dst:b ~uid ~ctx msg
+  end
+  else if kind = k_thunk then begin
+    let f = t.thunks.(s) in
+    t.thunks.(s) <- no_thunk;
+    free_slot t s;
+    run_thunk t f ~ctx
+  end
+  else begin
+    free_slot t s;
+    if kind = k_timer then fire_timer t ~node:a ~tag:b ~ctx
+    else if kind = k_crash then crash t ~node:a
+    else recover t ~node:a ~amnesia:(b = 1)
+  end
 
 let run_status ?until ?(max_events = 10_000_000) t =
   let clamp_until () =
@@ -325,38 +479,29 @@ let run_status ?until ?(max_events = 10_000_000) t =
       t.budget_hits <- t.budget_hits + 1;
       Budget_exhausted
     end
-    else if t.foreground = 0 then begin
+    else if t.foreground = 0 || t.size = 0 then begin
       (* Only background events (heartbeats, ...) remain: the
          simulation's real work has drained. *)
       clamp_until ();
       Drained
     end
     else
-      match Heap.peek_time t.queue with
-      | None ->
-          clamp_until ();
-          Drained
-      | Some time ->
-          let stop = match until with Some u -> time > u | None -> false in
-          if stop then begin
-            clamp_until ();
-            Reached_until
-          end
-          else begin
-            Prof.enter t.prof Prof.Heap;
-            let popped = Heap.pop t.queue in
-            Prof.leave t.prof Prof.Heap;
-            match popped with
-            | None ->
-                clamp_until ();
-                Drained
-            | Some (time, (ev, background)) ->
-                if not background then t.foreground <- t.foreground - 1;
-                t.time <- time;
-                t.dispatched <- t.dispatched + 1;
-                dispatch t ~background ev;
-                loop (budget - 1)
-          end
+      let s = t.heap.(0) in
+      let time = Float.Array.get t.times s in
+      let stop = match until with Some u -> time > u | None -> false in
+      if stop then begin
+        clamp_until ();
+        Reached_until
+      end
+      else begin
+        Prof.enter t.prof Prof.Heap;
+        remove_min t;
+        Prof.leave t.prof Prof.Heap;
+        t.time <- time;
+        t.dispatched <- t.dispatched + 1;
+        dispatch t s;
+        loop (budget - 1)
+      end
   in
   (* The loop probe brackets the whole drain, so every category of a
      profiled run nests inside it and the report's total is the run's

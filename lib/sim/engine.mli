@@ -15,6 +15,16 @@
     prevent a run from draining.  [run] without [~until] returns as
     soon as only background events remain.
 
+    Events are dispatched in [(time, push order)]: simultaneous events
+    run first-scheduled first.  The queue is an arena of preallocated
+    struct-of-arrays event slots (an unboxed float array of times, int
+    arrays for the per-kind fields and span context, a payload array and
+    a thunk array) under a 4-ary min-heap of slot ids with a free list,
+    so the queue itself allocates nothing per event once the arena has
+    grown to the run's peak queue length.  A slot is freed before its
+    handler runs: a handler that raises leaves the queue consistent,
+    and the next {!run} continues with the following event.
+
     Every engine carries an {!Obs.t}: message, crash and drop counters
     land in its metrics registry, and foreground message lifecycles
     (send, deliver, drop — linked by a per-message uid) plus crash /

@@ -50,10 +50,13 @@ let set_link_loss t ~src ~dst p =
   if p = 0.0 then Hashtbl.remove t.link_loss (src, dst)
   else Hashtbl.replace t.link_loss (src, dst) p
 
+(* Calm networks skip the lookups (and the key tuple they allocate). *)
 let link_loss t ~src ~dst =
-  match Hashtbl.find_opt t.link_loss (src, dst) with
-  | Some p -> p
-  | None -> 0.0
+  if Hashtbl.length t.link_loss = 0 then 0.0
+  else
+    match Hashtbl.find_opt t.link_loss (src, dst) with
+    | Some p -> p
+    | None -> 0.0
 
 let set_slowdown t ~node extra =
   if extra < 0.0 then invalid_arg "Network.set_slowdown";
@@ -61,11 +64,14 @@ let set_slowdown t ~node extra =
   else Hashtbl.replace t.slowdown node extra
 
 let slowdown t ~node =
-  match Hashtbl.find_opt t.slowdown node with Some s -> s | None -> 0.0
+  if Hashtbl.length t.slowdown = 0 then 0.0
+  else match Hashtbl.find_opt t.slowdown node with Some s -> s | None -> 0.0
 
 let delay t rng ~src ~dst =
   let blocked =
-    List.exists (fun (_, side) -> side src <> side dst) t.cuts
+    match t.cuts with
+    | [] -> false
+    | cuts -> List.exists (fun (_, side) -> side src <> side dst) cuts
   in
   if blocked then None
   else begin

@@ -1,4 +1,5 @@
 module Rng = Quorum.Rng
+module Bitset = Quorum.Bitset
 module Metrics = Obs.Metrics
 module Trace = Obs.Trace
 module Prof = Obs.Prof
@@ -36,9 +37,11 @@ type ('a, 'wire) t = {
   mutable engine : 'wire Engine.t option;
   mutable ins : instruments option;
   mutable prof : Prof.t;
+  mutable tracing : bool;  (** the engine's trace ring has capacity *)
+  mutable node_labels : (string * string) list array;  (** [node=i] *)
   mutable next_seq : int;
   inflight : (int, 'a inflight) Hashtbl.t;  (** seq -> record *)
-  seen : (int, unit) Hashtbl.t;  (** seqs already delivered *)
+  mutable seen : Bitset.t;  (** seqs already delivered *)
   mutable retransmissions : int;
   mutable duplicates : int;
   mutable dead : int;
@@ -63,9 +66,11 @@ let create ?(timeout = 2.0) ?(backoff = 1.6) ?(jitter = 0.3) ?cap
     engine = None;
     ins = None;
     prof = Prof.null;
+    tracing = false;
+    node_labels = [||];
     next_seq = 0;
     inflight = Hashtbl.create 64;
-    seen = Hashtbl.create 256;
+    seen = Bitset.create 256;
     retransmissions = 0;
     duplicates = 0;
     dead = 0;
@@ -80,6 +85,10 @@ let engine_exn t =
 let bind t engine =
   t.engine <- Some engine;
   t.prof <- Obs.prof (Engine.obs engine);
+  t.tracing <- Trace.capacity (Obs.trace (Engine.obs engine)) > 0;
+  (* Built once: retransmits and dead letters label by sender node. *)
+  t.node_labels <-
+    Array.init (Engine.nodes engine) (fun i -> [ ("node", string_of_int i) ]);
   let m = Obs.metrics (Engine.obs engine) in
   t.ins <-
     Some
@@ -106,7 +115,18 @@ let ins_exn t =
   | Some i -> i
   | None -> invalid_arg "Rpc: bind the engine first"
 
-let node_label node = [ ("node", string_of_int node) ]
+(* Receiver-side dedup, grown on demand.  Seqs are dense from 0, so
+   this stays one bit per rpc ever sent. *)
+let already_seen t seq = seq < Bitset.capacity t.seen && Bitset.mem t.seen seq
+
+let mark_seen t seq =
+  let cap = Bitset.capacity t.seen in
+  if seq >= cap then begin
+    let grown = Bitset.create (max (seq + 1) (2 * cap)) in
+    Bitset.iter (Bitset.add grown) t.seen;
+    t.seen <- grown
+  end;
+  Bitset.add t.seen seq
 
 let retransmissions t = t.retransmissions
 let duplicates_suppressed t = t.duplicates
@@ -154,13 +174,13 @@ let on_message t ~node ~src msg ~deliver =
       Prof.enter t.prof Prof.Rpc;
       (* Always (re-)ack: the previous ack may have been lost. *)
       Engine.send engine ~src:node ~dst:src (t.wrap (Ack { seq }));
-      if Hashtbl.mem t.seen seq then begin
+      if already_seen t seq then begin
         t.duplicates <- t.duplicates + 1;
         Metrics.incr (ins_exn t).i_duplicates;
         Prof.leave t.prof Prof.Rpc
       end
       else begin
-        Hashtbl.replace t.seen seq ();
+        mark_seen t seq;
         (* Leave before handing off: the protocol's work must charge to
            the dispatch category, not to rpc bookkeeping. *)
         Prof.leave t.prof Prof.Rpc;
@@ -182,13 +202,15 @@ let on_timer t ~node ~tag =
         if m.attempts >= t.max_attempts then begin
           Hashtbl.remove t.inflight seq;
           t.dead <- t.dead + 1;
-          Metrics.incr (ins_exn t).i_dead ~labels:(node_label m.src);
-          let engine = engine_exn t in
-          Trace.record
-            (Obs.trace (Engine.obs engine))
-            ~time:(Engine.now engine) ~node:m.src ~peer:m.dst
-            ~span:(Engine.span_ctx engine) ~label:"rpc.dead_letter"
-            Trace.Note;
+          Metrics.incr (ins_exn t).i_dead ~labels:t.node_labels.(m.src);
+          if t.tracing then begin
+            let engine = engine_exn t in
+            Trace.record
+              (Obs.trace (Engine.obs engine))
+              ~time:(Engine.now engine) ~node:m.src ~peer:m.dst
+              ~span:(Engine.span_ctx engine) ~label:"rpc.dead_letter"
+              Trace.Note
+          end;
           t.on_dead_letter ~src:m.src ~dst:m.dst m.payload
         end
         else begin
@@ -196,15 +218,17 @@ let on_timer t ~node ~tag =
           m.attempts <- m.attempts + 1;
           m.rto <- next_backoff t (Engine.rng engine) ~prev:m.rto;
           t.retransmissions <- t.retransmissions + 1;
-          Metrics.incr (ins_exn t).i_retransmits ~labels:(node_label node);
+          Metrics.incr (ins_exn t).i_retransmits
+            ~labels:t.node_labels.(node);
           (* The Note marks the retransmission instant inside the op's
              span window, which is what lets the critical-path analysis
              attribute the ensuing wait to "retransmit", not "queueing". *)
-          Trace.record
-            (Obs.trace (Engine.obs engine))
-            ~time:(Engine.now engine) ~node ~peer:m.dst
-            ~span:(Engine.span_ctx engine) ~label:"rpc.retransmit"
-            Trace.Note;
+          if t.tracing then
+            Trace.record
+              (Obs.trace (Engine.obs engine))
+              ~time:(Engine.now engine) ~node ~peer:m.dst
+              ~span:(Engine.span_ctx engine) ~label:"rpc.retransmit"
+              Trace.Note;
           Engine.send engine ~src:node ~dst:m.dst
             (t.wrap (Data { seq; payload = m.payload }));
           Engine.set_timer engine ~node ~delay:m.rto ~tag

@@ -166,6 +166,76 @@ let test_causality_detects_orphan () =
   check_int "one orphan" 1 (List.length bad);
   check_int "orphan id" 7 (List.hd bad).T.msg_id
 
+let test_full_ring_records_without_allocating () =
+  let t = T.create ~capacity:8 () in
+  for i = 0 to 7 do
+    T.record t ~time:(float i) ~node:i T.Note
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    T.record t ~time:1.5 ~node:2 ~peer:3 ~msg_id:4 ~span:5 ~label:"x" T.Send
+  done;
+  let w1 = Gc.minor_words () in
+  check_float "minor words while overwriting" 0.0 (w1 -. w0);
+  check_int "all overwrites counted" 10_000 (T.dropped t)
+
+(* The ring against a list model: whatever was recorded, [to_list] is
+   the newest [capacity] events, [iter] agrees, and causality verdicts
+   match the model's, across any number of wrap-arounds. *)
+let ring_matches_model =
+  let ev =
+    QCheck.Gen.(
+      map
+        (fun (k, node, id) ->
+          let kind = [| T.Send; T.Deliver; T.Drop; T.Note |].(k) in
+          (kind, node, id))
+        (triple (int_bound 3) (int_bound 4) (int_bound 30)))
+  in
+  QCheck.Test.make ~name:"columnar ring matches a list model" ~count:300
+    (QCheck.make QCheck.Gen.(pair (int_range 1 16) (list_size (int_bound 60) ev)))
+    (fun (cap, evs) ->
+      let t = T.create ~capacity:cap () in
+      let model =
+        List.mapi
+          (fun seq (kind, node, msg_id) ->
+            let time = float_of_int seq /. 2.0 and label = string_of_int node in
+            T.record t ~time ~node ~peer:(node + 1) ~msg_id ~span:(msg_id * 2)
+              ~label kind;
+            { T.seq; time; kind; node; peer = node + 1; msg_id;
+              span = msg_id * 2; label })
+          evs
+      in
+      let n = List.length model in
+      let kept = List.filteri (fun i _ -> i >= n - cap) model in
+      let iterated = ref [] in
+      T.iter t (fun e -> iterated := e :: !iterated);
+      let model_violations =
+        let evicted = n > cap in
+        List.filter
+          (fun (e : T.event) ->
+            let earlier_sends =
+              List.filter
+                (fun (s : T.event) -> s.kind = T.Send && s.seq < e.seq)
+                kept
+            in
+            let oldest =
+              List.fold_left
+                (fun acc (s : T.event) -> min acc s.msg_id)
+                max_int earlier_sends
+            in
+            e.kind = T.Deliver
+            && (not
+                  (List.exists
+                     (fun (s : T.event) -> s.msg_id = e.msg_id)
+                     earlier_sends))
+            && not (evicted && e.msg_id < oldest))
+          kept
+      in
+      T.to_list t = kept
+      && List.rev !iterated = kept
+      && T.dropped t = max 0 (n - cap)
+      && T.causality_violations t = model_violations)
+
 (* --- Engine integration ---------------------------------------------- *)
 
 type msg = Ping | Pong
@@ -368,6 +438,9 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "ring eviction" `Quick test_trace_ring_eviction;
+          Alcotest.test_case "full ring allocates nothing" `Quick
+            test_full_ring_records_without_allocating;
+          QCheck_alcotest.to_alcotest ring_matches_model;
           Alcotest.test_case "capacity zero" `Quick
             test_trace_capacity_zero_disables;
           Alcotest.test_case "orphan deliver" `Quick

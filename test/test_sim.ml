@@ -1,44 +1,11 @@
 (* Tests for the discrete-event simulation substrate. *)
 
 module Engine = Sim.Engine
-module Heap = Sim.Heap
 module Network = Sim.Network
 module Rng = Quorum.Rng
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* --- Heap ----------------------------------------------------------- *)
-
-let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun t -> Heap.push h ~time:t (int_of_float t)) [ 3.0; 1.0; 2.0 ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> -1 in
-  check_int "first" 1 (pop ());
-  check_int "second" 2 (pop ());
-  check_int "third" 3 (pop ());
-  check "empty" true (Heap.pop h = None)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~time:1.0 v) [ 10; 20; 30 ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> -1 in
-  check_int "tie fifo 1" 10 (pop ());
-  check_int "tie fifo 2" 20 (pop ());
-  check_int "tie fifo 3" 30 (pop ())
-
-let heap_sorts =
-  QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
-    QCheck.(list (float_bound_inclusive 100.0))
-    (fun times ->
-      let h = Heap.create () in
-      List.iter (fun t -> Heap.push h ~time:t ()) times;
-      let rec drain last =
-        match Heap.pop h with
-        | None -> true
-        | Some (t, ()) -> t >= last && drain t
-      in
-      drain neg_infinity)
 
 (* --- Network -------------------------------------------------------- *)
 
@@ -267,6 +234,213 @@ let test_engine_budget_reported () =
      with Failure _ -> true);
   check_int "counted again" 2 (Engine.budget_exhaustions e)
 
+(* --- Event queue ------------------------------------------------------ *)
+
+(* Timers whose handler logs its tag; [on_fire] runs after the log. *)
+let timer_log ?(on_fire = fun _ ~node:_ ~tag:_ -> ()) () =
+  let log = ref [] in
+  let handlers : probe_msg Engine.handlers =
+    {
+      on_message = (fun _ ~node:_ ~src:_ _ -> ());
+      on_timer =
+        (fun e ~node ~tag ->
+          log := tag :: !log;
+          on_fire e ~node ~tag);
+      on_crash = (fun _ ~node:_ -> ());
+      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+    }
+  in
+  (log, handlers)
+
+let test_heap_order () =
+  let log, handlers = timer_log () in
+  let e = Engine.create ~seed:1 ~nodes:1 handlers in
+  List.iter
+    (fun d -> Engine.set_timer e ~node:0 ~delay:d ~tag:(int_of_float d))
+    [ 3.0; 1.0; 2.0 ];
+  check "drained" true (Engine.run_status e = Engine.Drained);
+  check "earliest first" true (List.rev !log = [ 1; 2; 3 ]);
+  check_int "nothing left" 3 (Engine.events_dispatched e)
+
+let test_heap_fifo_ties () =
+  let log, handlers = timer_log () in
+  let e = Engine.create ~seed:1 ~nodes:1 handlers in
+  List.iter
+    (fun tag -> Engine.set_timer e ~node:0 ~delay:1.0 ~tag)
+    [ 10; 20; 30 ];
+  Engine.run e;
+  check "ties in push order" true (List.rev !log = [ 10; 20; 30 ])
+
+let heap_sorts =
+  QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
+    QCheck.(list (float_bound_inclusive 100.0))
+    (fun delays ->
+      let times = ref [] in
+      let _, handlers =
+        timer_log
+          ~on_fire:(fun e ~node:_ ~tag:_ -> times := Engine.now e :: !times)
+          ()
+      in
+      let e = Engine.create ~seed:1 ~nodes:1 handlers in
+      List.iter (fun delay -> Engine.set_timer e ~node:0 ~delay ~tag:0) delays;
+      Engine.run e;
+      let fired = List.rev !times in
+      List.length fired = List.length delays
+      && fired = List.sort compare fired)
+
+(* Random interleavings of every push kind, including pushes made from
+   inside handlers and equal-time ties: dispatch must follow
+   [(time, push order)].  Each event carries its push index as its
+   identity, so the reference is a plain sort of every push made.  The
+   network has a fixed latency of 1, so a send's delivery time is known
+   at push time; each crash targets a fresh node so its dispatch is
+   observable and no other event is lost to it. *)
+type push_op =
+  | Send of int * int
+  | Timer of int * int
+  | Sched of int
+  | Crash of int
+
+let gen_push_op =
+  QCheck.Gen.(
+    let node = int_bound 3 and delay = int_bound 3 in
+    oneof
+      [
+        map2 (fun s d -> Send (s, d)) node node;
+        map2 (fun n d -> Timer (n, d)) node delay;
+        map (fun d -> Sched d) delay;
+        map (fun d -> Crash d) delay;
+      ])
+
+let show_push_op = function
+  | Send (s, d) -> Printf.sprintf "send %d->%d" s d
+  | Timer (n, d) -> Printf.sprintf "timer %d+%d" n d
+  | Sched d -> Printf.sprintf "sched +%d" d
+  | Crash d -> Printf.sprintf "crash +%d" d
+
+let dispatch_follows_push_order =
+  let plan =
+    QCheck.make
+      ~print:QCheck.Print.(list (pair show_push_op (list show_push_op)))
+      (* Up to 120 events: enough to grow the arena past its first size. *)
+      QCheck.Gen.(
+        list_size (int_range 1 40)
+          (pair gen_push_op (list_size (int_bound 2) gen_push_op)))
+  in
+  QCheck.Test.make ~name:"dispatch follows (time, push order)" ~count:300 plan
+    (fun plan ->
+      let pushed = ref [] and dispatched = ref [] in
+      let next_id = ref 0 and next_crash = ref 4 in
+      let children = Hashtbl.create 16 and crash_ids = Hashtbl.create 16 in
+      let rec push e (op, kids) =
+        let id = !next_id in
+        incr next_id;
+        Hashtbl.replace children id kids;
+        let at d = Engine.now e +. float_of_int d in
+        let time =
+          match op with
+          | Send (s, d) ->
+              Engine.send e ~src:s ~dst:d id;
+              at (if s = d then 0 else 1)
+          | Timer (n, d) ->
+              Engine.set_timer e ~node:n ~delay:(float_of_int d) ~tag:id;
+              at d
+          | Sched d ->
+              Engine.schedule e ~time:(at d) (fun () -> fire e id);
+              at d
+          | Crash d ->
+              let node = !next_crash in
+              incr next_crash;
+              Hashtbl.replace crash_ids node id;
+              Engine.crash_at e ~time:(at d) ~node;
+              at d
+        in
+        pushed := (time, id) :: !pushed
+      and fire e id =
+        dispatched := id :: !dispatched;
+        List.iter (fun op -> push e (op, [])) (Hashtbl.find children id)
+      in
+      let handlers : int Engine.handlers =
+        {
+          on_message = (fun e ~node:_ ~src:_ id -> fire e id);
+          on_timer = (fun e ~node:_ ~tag -> fire e tag);
+          on_crash = (fun e ~node -> fire e (Hashtbl.find crash_ids node));
+          on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+        }
+      in
+      let network = Network.create ~base_latency:1.0 ~jitter:0.0 () in
+      let e = Engine.create ~seed:3 ~nodes:128 ~network handlers in
+      List.iter (push e) plan;
+      Engine.run e;
+      List.rev !dispatched = List.map snd (List.sort compare !pushed))
+
+let test_raise_leaves_queue_consistent () =
+  (* A raising handler escapes [run]; the next [run] picks up where it
+     left off: the raiser's slot is free, events it pushed before
+     raising are queued, and the foreground count still lets a run with
+     a perpetual background heartbeat drain. *)
+  let delivered = ref [] in
+  let handlers : int Engine.handlers =
+    {
+      on_message =
+        (fun e ~node ~src:_ v ->
+          delivered := v :: !delivered;
+          if v < 0 then begin
+            Engine.send e ~src:node ~dst:0 (-v);
+            raise Exit
+          end);
+      on_timer =
+        (fun e ~node ~tag ->
+          Engine.set_timer ~background:true e ~node ~delay:1.0 ~tag);
+      on_crash = (fun _ ~node:_ -> ());
+      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+    }
+  in
+  let e = Engine.create ~seed:4 ~nodes:2 handlers in
+  Engine.set_timer ~background:true e ~node:1 ~delay:0.5 ~tag:0;
+  for round = 1 to 100 do
+    Engine.send e ~src:0 ~dst:1 (-round);
+    check "handler raise escapes run" true
+      (try
+         Engine.run e;
+         false
+       with Exit -> true);
+    check "next run drains" true
+      (Engine.run_status ~max_events:1000 e = Engine.Drained);
+    check "payloads intact" true (List.hd !delivered = round)
+  done;
+  check_int "every message delivered once" 200 (List.length !delivered)
+
+let test_span_ctx_rides_messages () =
+  let seen = ref [] in
+  let handlers : probe_msg Engine.handlers =
+    {
+      on_message =
+        (fun e ~node ~src msg ->
+          seen := (node, Engine.span_ctx e) :: !seen;
+          match msg with
+          | Ping -> Engine.send e ~src:node ~dst:src Pong
+          | Pong -> ());
+      on_timer =
+        (fun e ~node ~tag:_ -> seen := (node, Engine.span_ctx e) :: !seen);
+      on_crash = (fun _ ~node:_ -> ());
+      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+    }
+  in
+  let e = Engine.create ~seed:5 ~nodes:4 handlers in
+  Engine.set_span_ctx e 7;
+  Engine.send e ~src:0 ~dst:1 Ping;
+  Engine.send ~background:true e ~src:0 ~dst:2 Pong;
+  Engine.set_timer e ~node:3 ~delay:0.1 ~tag:0;
+  Engine.set_span_ctx e (-1);
+  Engine.run e;
+  let ctx_at node = List.assoc node !seen in
+  check_int "receiver runs under the sender's context" 7 (ctx_at 1);
+  check_int "the reply inherits it" 7 (ctx_at 0);
+  check_int "background traffic runs under none" (-1) (ctx_at 2);
+  check_int "timers fire under the arming context" 7 (ctx_at 3);
+  check_int "ambient context restored" (-1) (Engine.span_ctx e)
+
 (* --- Failure injector ------------------------------------------------ *)
 
 let test_iid_faults_fraction () =
@@ -395,6 +569,11 @@ let () =
             test_engine_background_drains;
           Alcotest.test_case "budget reported" `Quick
             test_engine_budget_reported;
+          QCheck_alcotest.to_alcotest dispatch_follows_push_order;
+          Alcotest.test_case "raising handler" `Quick
+            test_raise_leaves_queue_consistent;
+          Alcotest.test_case "span context in flight" `Quick
+            test_span_ctx_rides_messages;
         ] );
       ( "failure injector",
         [
