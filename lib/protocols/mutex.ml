@@ -28,7 +28,7 @@ type app =
           state; grants and queue entries for its requests with
           timestamps [<= ts] are void. *)
 
-type msg = Beat | App of app Rpc.msg
+type msg = app Rpc.msg
 
 (* Timer tags: [-1] heartbeats, [<= -2] rpc retransmissions,
    [ts] critical-section exit, [ts + wd_offset] the waiting watchdog,
@@ -123,12 +123,12 @@ let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
       Rpc.create ~timeout:config.Client_config.rpc.timeout
         ~backoff:config.Client_config.rpc.backoff
         ~max_attempts:config.Client_config.rpc.attempts
-        ~wrap:(fun m -> App m)
+        ~wrap:Fun.id
         ();
     fd =
       Failure_detector.create ~period:config.Client_config.fd.period
         ~timeout:config.Client_config.fd.timeout
-        ~mode:(Client_config.fd_mode config) ~nodes:n ~beat:Beat ();
+        ~mode:(Client_config.fd_mode config) ~nodes:n ();
     durability = config.Client_config.durability;
     dur = None;
     granted = None;
@@ -683,11 +683,8 @@ let handlers t : msg Engine.handlers =
   {
     on_message =
       (fun _engine ~node ~src msg ->
-        match msg with
-        | Beat -> Failure_detector.heard t.fd ~node ~from:src
-        | App envelope ->
-            Rpc.on_message t.rpc ~node ~src envelope
-              ~deliver:(fun ~src payload -> dispatch_app t ~node ~src payload));
+        Rpc.on_message t.rpc ~node ~src msg ~deliver:(fun ~src payload ->
+            dispatch_app t ~node ~src payload));
     on_timer =
       (fun _engine ~node ~tag ->
         if Failure_detector.on_timer t.fd ~node ~tag then ()

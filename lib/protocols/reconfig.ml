@@ -17,7 +17,6 @@ type msg =
   | Announce of { epoch : int }
   | Epoch_req  (** an amnesiac replica asking peers for their epoch *)
   | Epoch_rep of { epoch : int }
-  | Beat  (** failure-detector heartbeat (only with [with_fd]) *)
 
 (* Timer tags: op ids are >= 0; tag -1 is the failure detector's; the
    coordinator's switch-retry tick, the replicas' unseal self-heal tick
@@ -130,7 +129,7 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
     ?(skew = 0.5) ?switch_retry ~initial ~universe () =
   (* [durability] and [timeout] of the record always apply; [fd] and
      [routing] only when [with_fd] opts into the failure-detector
-     layer (off by default: no Beat traffic, omniscient selection —
+     layer (off by default: no heartbeats, omniscient selection —
      bit-identical to the historical register). *)
   let durability = config.Client_config.durability in
   let timeout = config.Client_config.timeout in
@@ -148,7 +147,7 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
         (Failure_detector.create
            ~period:config.Client_config.fd.Client_config.period
            ~timeout:config.Client_config.fd.Client_config.timeout
-           ~mode:(Client_config.fd_mode config) ~nodes:universe ~beat:Beat ())
+           ~mode:(Client_config.fd_mode config) ~nodes:universe ())
     else None
   in
   {
@@ -979,11 +978,7 @@ let handlers t : msg Engine.handlers =
               r.r_epoch <- epoch;
               r.sealed <- false;
               ignore (persist t ~node)
-            end
-        | Beat -> (
-            match t.fd with
-            | Some fd -> Failure_detector.heard fd ~node ~from:src
-            | None -> ()));
+            end);
     on_timer =
       (fun engine ~node ~tag ->
         if

@@ -99,14 +99,14 @@ val of_config :
     with [with_fd] (below) — the register has no rpc layer of its own.
 
     [with_fd] (default [false]) attaches a {!Sim.Failure_detector}:
-    heartbeats ride the register's wire type as background [Beat]
-    traffic, quorum selection and the coordinator's reachability check
-    use the {e selecting node's} suspected-live view instead of the
-    engine's omniscient live-set, and [config.routing.hedge] enables
+    every process heartbeats every other, quorum selection and the
+    coordinator's reachability check use the {e selecting node's}
+    suspected-live view instead of the engine's omniscient live-set,
+    and [config.routing.hedge] enables
     hedged client requests (stragglers duplicated to a distinct backup
     member after an adaptive per-peer latency quantile, deduped by op
     id; completion then needs any full quorum's worth of acks — safe
-    by intersection).  Off, no Beat traffic exists and the register is
+    by intersection).  Off, no heartbeats exist and the register is
     bit-identical to the historical omniscient one.
 
     [universe] is the engine size and must accommodate every future

@@ -23,7 +23,7 @@ type app =
           one durable flush *)
   | Batch_rep of { reps : app list }  (** their replies, also batched *)
 
-type msg = Beat | App of app Rpc.msg
+type msg = app Rpc.msg
 
 type phase =
   | Reading of {
@@ -56,6 +56,7 @@ type pending = {
 type session = {
   ses_id : int;
   ses_client : int;
+  ses_labels : (string * string) list;  (** [client=i], built once *)
   window : int;
   max_queue : int;
   batcher : app Batcher.t option;  (** [None]: unbatched, send directly *)
@@ -212,13 +213,13 @@ let of_config ?(config = Client_config.default) ?router
       Rpc.create ~timeout:config.Client_config.rpc.Client_config.timeout
         ~backoff:config.Client_config.rpc.Client_config.backoff
         ~max_attempts:config.Client_config.rpc.Client_config.attempts
-        ~wrap:(fun m -> App m)
+        ~wrap:Fun.id
         ();
     fd =
       Failure_detector.create
         ~period:config.Client_config.fd.Client_config.period
         ~timeout:config.Client_config.fd.Client_config.timeout
-        ~mode:(Client_config.fd_mode config) ~nodes:n ~beat:Beat ();
+        ~mode:(Client_config.fd_mode config) ~nodes:n ();
     engine = None;
     dur = None;
     ops = Hashtbl.create 64;
@@ -679,6 +680,7 @@ module Session = struct
     {
       ses_id = id;
       ses_client = client;
+      ses_labels = [ ("client", string_of_int client) ];
       window;
       max_queue;
       batcher;
@@ -701,8 +703,7 @@ module Session = struct
     if key < 0 then invalid_arg "Session.submit: key";
     let ins = ins_exn t in
     s.submitted <- s.submitted + 1;
-    Metrics.incr ins.st_submitted
-      ~labels:[ ("client", string_of_int s.ses_client) ];
+    Metrics.incr ins.st_submitted ~labels:s.ses_labels;
     if s.in_flight < s.window && not (Hashtbl.mem s.keys_busy key) then begin
       s.in_flight <- s.in_flight + 1;
       Hashtbl.replace s.keys_busy key 1;
@@ -714,8 +715,7 @@ module Session = struct
          growing without limit. *)
       s.shed <- s.shed + 1;
       t.shed <- t.shed + 1;
-      Metrics.incr ins.st_shed
-        ~labels:[ ("client", string_of_int s.ses_client) ];
+      Metrics.incr ins.st_shed ~labels:s.ses_labels;
       false
     end
     else begin
@@ -724,8 +724,7 @@ module Session = struct
       s.backlog_len <- s.backlog_len + 1;
       if s.backlog_len > s.peak_backlog then begin
         s.peak_backlog <- s.backlog_len;
-        Metrics.set_max ins.st_backlog_peak
-          ~labels:[ ("client", string_of_int s.ses_client) ]
+        Metrics.set_max ins.st_backlog_peak ~labels:s.ses_labels
           (float_of_int s.backlog_len)
       end;
       true
@@ -1275,12 +1274,8 @@ let handlers t : msg Engine.handlers =
   {
     on_message =
       (fun engine ~node ~src msg ->
-        match msg with
-        | Beat -> Failure_detector.heard t.fd ~node ~from:src
-        | App envelope ->
-            Rpc.on_message t.rpc ~node ~src envelope
-              ~deliver:(fun ~src payload ->
-                dispatch_app t engine ~node ~src payload));
+        Rpc.on_message t.rpc ~node ~src msg ~deliver:(fun ~src payload ->
+            dispatch_app t engine ~node ~src payload));
     on_timer =
       (fun engine ~node ~tag ->
         if Failure_detector.on_timer t.fd ~node ~tag then ()

@@ -19,6 +19,23 @@ let k_recover = 3
 let k_thunk = 4
 let no_thunk () = ()
 
+(* Heartbeats not yet taken by their receiver, sorted by [(time, seq)]:
+   positions [head, size) of parallel arrays of arrival time, reserved
+   seq and source. *)
+type inbox = {
+  mutable i_times : Float.Array.t;
+  mutable i_seqs : int array;
+  mutable i_srcs : int array;
+  mutable i_head : int;
+  mutable i_size : int;
+}
+
+type beats = {
+  mutable count : int;
+  mutable times : Float.Array.t;
+  mutable srcs : int array;
+}
+
 type 'msg handlers = {
   on_message : 'msg t -> node:int -> src:int -> 'msg -> unit;
   on_timer : 'msg t -> node:int -> tag:int -> unit;
@@ -76,6 +93,19 @@ and 'msg t = {
   mutable dispatched : int;  (** events handed to [dispatch] *)
   mutable foreground : int;  (** queued events that keep [run] alive *)
   mutable budget_hits : int;
+  (* Heartbeats (see [beat]).  The dispatch position is the [(time,
+     seq)] of the event being dispatched, or of the last one between
+     runs; a heartbeat counts as arrived once the position has passed
+     its own.  [down_*]/[up_*] hold each node's last crash and
+     recovery position (-infinity: never). *)
+  inboxes : inbox array;  (** per receiver *)
+  taken : beats;  (** what [take_beats] returned last *)
+  pos_time : Float.Array.t;  (** one cell: the position's time *)
+  mutable pos_seq : int;
+  down_time : Float.Array.t;
+  down_seq : int array;
+  up_time : Float.Array.t;
+  up_seq : int array;
 }
 
 type outcome = Drained | Reached_until | Budget_exhausted
@@ -138,6 +168,22 @@ let create ~seed ~nodes ?network ?obs handlers =
     dispatched = 0;
     foreground = 0;
     budget_hits = 0;
+    inboxes =
+      Array.init nodes (fun _ ->
+          {
+            i_times = Float.Array.create 0;
+            i_seqs = [||];
+            i_srcs = [||];
+            i_head = 0;
+            i_size = 0;
+          });
+    taken = { count = 0; times = Float.Array.create 0; srcs = [||] };
+    pos_time = Float.Array.make 1 neg_infinity;
+    pos_seq = -1;
+    down_time = Float.Array.make nodes neg_infinity;
+    down_seq = Array.make nodes (-1);
+    up_time = Float.Array.make nodes neg_infinity;
+    up_seq = Array.make nodes (-1);
   }
 
 let nodes t = t.n
@@ -350,6 +396,118 @@ let schedule ?(background = false) t ~time thunk =
   in
   t.thunks.(s) <- thunk
 
+(* --- Heartbeats ------------------------------------------------------- *)
+
+(* Copies of [a] with room for [cap] elements. *)
+let resize_floats a cap =
+  let a' = Float.Array.make cap 0.0 in
+  Float.Array.blit a 0 a' 0 (Float.Array.length a);
+  a'
+
+let resize_ints a cap =
+  let a' = Array.make cap 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Called when the arrays are full: slide the records to the front if
+   that frees at least half, else double the arrays. *)
+let make_room b =
+  let len = b.i_size - b.i_head in
+  if b.i_head > 0 && 2 * b.i_head >= Array.length b.i_seqs then begin
+    Float.Array.blit b.i_times b.i_head b.i_times 0 len;
+    Array.blit b.i_seqs b.i_head b.i_seqs 0 len;
+    Array.blit b.i_srcs b.i_head b.i_srcs 0 len;
+    b.i_head <- 0;
+    b.i_size <- len
+  end
+  else begin
+    let cap = max 16 (2 * Array.length b.i_seqs) in
+    b.i_times <- resize_floats b.i_times cap;
+    b.i_seqs <- resize_ints b.i_seqs cap;
+    b.i_srcs <- resize_ints b.i_srcs cap
+  end
+
+(* Everything [send ~background:true] does up to the queue push, in the
+   same order and with the same RNG draws; the seq the delivery event
+   would have taken is reserved, so the events around it keep their
+   relative order. *)
+let beat t ~src ~dst =
+  if src < 0 || src >= t.n || dst < 0 || dst >= t.n || src = dst then
+    invalid_arg "Engine.beat: bad node id";
+  if t.live.(src) then begin
+    t.background_sent <- t.background_sent + 1;
+    Metrics.incr t.ins.m_background;
+    match Network.delay t.network t.net_rng ~src ~dst with
+    | None -> drop t ~labels:labels_net
+    | Some delay ->
+        check_delay delay;
+        let seq = t.next_seq in
+        t.next_seq <- seq + 1;
+        let time = t.time +. delay in
+        let b = t.inboxes.(dst) in
+        if b.i_size = Array.length b.i_seqs then make_room b;
+        (* Insert from the tail.  The new seq is the largest yet, so
+           only a later arrival moves up; most beats arrive last. *)
+        let i = ref b.i_size in
+        while !i > b.i_head && time < Float.Array.get b.i_times (!i - 1) do
+          Float.Array.set b.i_times !i (Float.Array.get b.i_times (!i - 1));
+          b.i_seqs.(!i) <- b.i_seqs.(!i - 1);
+          b.i_srcs.(!i) <- b.i_srcs.(!i - 1);
+          decr i
+        done;
+        Float.Array.set b.i_times !i time;
+        b.i_seqs.(!i) <- seq;
+        b.i_srcs.(!i) <- src;
+        b.i_size <- b.i_size + 1
+  end
+
+(* Was [node] live when the dispatch loop passed [(time, seq)]?  Judged
+   from its last crash and last recovery alone, so exact for arrivals
+   after its next-to-last recovery; taking a node's beats at each of
+   its recoveries leaves no older ones (see engine.mli). *)
+let[@inline] live_at t node time seq =
+  let dt = Float.Array.get t.down_time node in
+  let before_down = time < dt || (time = dt && seq < t.down_seq.(node)) in
+  if t.live.(node) then
+    let ut = Float.Array.get t.up_time node in
+    before_down || time > ut || (time = ut && seq > t.up_seq.(node))
+  else before_down
+
+let take_beats t ~node =
+  let out = t.taken in
+  out.count <- 0;
+  let b = t.inboxes.(node) in
+  let pt = Float.Array.get t.pos_time 0 and ps = t.pos_seq in
+  while
+    b.i_head < b.i_size
+    &&
+    let time = Float.Array.get b.i_times b.i_head in
+    time < pt || (time = pt && b.i_seqs.(b.i_head) < ps)
+  do
+    let k = b.i_head in
+    let time = Float.Array.get b.i_times k in
+    b.i_head <- k + 1;
+    if live_at t node time b.i_seqs.(k) then begin
+      if out.count = Array.length out.srcs then begin
+        let cap = max 16 (2 * out.count) in
+        out.times <- resize_floats out.times cap;
+        out.srcs <- resize_ints out.srcs cap
+      end;
+      Float.Array.set out.times out.count time;
+      out.srcs.(out.count) <- b.i_srcs.(k);
+      out.count <- out.count + 1
+    end
+  done;
+  if b.i_head = b.i_size then begin
+    b.i_head <- 0;
+    b.i_size <- 0
+  end;
+  out
+
+let beats_pending t ~node =
+  let b = t.inboxes.(node) in
+  b.i_size - b.i_head
+
 let messages_sent t = t.sent
 let messages_background t = t.background_sent
 let messages_delivered t = t.delivered
@@ -408,6 +566,8 @@ let fire_timer t ~node ~tag ~ctx =
 let crash t ~node =
   if t.live.(node) then begin
     t.live.(node) <- false;
+    Float.Array.set t.down_time node t.time;
+    t.down_seq.(node) <- t.pos_seq;
     Metrics.incr t.ins.m_crashes;
     if t.tracing then Trace.record t.ring ~time:t.time ~node Trace.Crash;
     let saved = t.ctx in
@@ -422,6 +582,8 @@ let crash t ~node =
 let recover t ~node ~amnesia =
   if not t.live.(node) then begin
     t.live.(node) <- true;
+    Float.Array.set t.up_time node t.time;
+    t.up_seq.(node) <- t.pos_seq;
     Metrics.incr t.ins.m_recoveries
       ~labels:(if amnesia then labels_amnesia_true else labels_amnesia_false);
     if t.tracing then
@@ -491,6 +653,13 @@ let run_status ?until ?(max_events = 10_000_000) t =
       let stop = match until with Some u -> time > u | None -> false in
       if stop then begin
         clamp_until ();
+        (* Heartbeats arriving by [until] count as arrived: a queued
+           delivery would have been dispatched before the stop. *)
+        (match until with
+        | Some u when u >= Float.Array.get t.pos_time 0 ->
+            Float.Array.set t.pos_time 0 u;
+            t.pos_seq <- max_int
+        | Some _ | None -> ());
         Reached_until
       end
       else begin
@@ -498,6 +667,8 @@ let run_status ?until ?(max_events = 10_000_000) t =
         remove_min t;
         Prof.leave t.prof Prof.Heap;
         t.time <- time;
+        Float.Array.set t.pos_time 0 time;
+        t.pos_seq <- t.seqs.(s);
         t.dispatched <- t.dispatched + 1;
         dispatch t s;
         loop (budget - 1)

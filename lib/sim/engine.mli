@@ -10,8 +10,8 @@
 
     Events come in two flavours.  {e Foreground} events (the default)
     represent protocol work and keep {!run} alive; {e background}
-    events ([~background:true]) are maintenance traffic — failure
-    detector heartbeats, periodic probes — that should not by itself
+    events ([~background:true]) are maintenance traffic — the failure
+    detector's beat rounds, periodic probes — that should not by itself
     prevent a run from draining.  [run] without [~until] returns as
     soon as only background events remain.
 
@@ -29,10 +29,10 @@
     land in its metrics registry, and foreground message lifecycles
     (send, deliver, drop — linked by a per-message uid) plus crash /
     recover transitions are appended to its trace ring.  Background
-    traffic is metered but never traced, so heartbeats cannot evict the
-    protocol events a causality check needs.  Observability never
-    touches the engine's RNG streams: runs are bit-identical with or
-    without a trace attached. *)
+    messages and heartbeats are metered but never traced, so they
+    cannot evict the protocol events a causality check needs.
+    Observability never touches the engine's RNG streams: runs are
+    bit-identical with or without a trace attached. *)
 
 type 'msg t
 
@@ -138,25 +138,74 @@ val schedule : ?background:bool -> 'msg t -> time:float -> (unit -> unit) -> uni
     injection).  [~background:true] schedules maintenance work that
     should not keep {!run} alive on its own. *)
 
+(** {2 Heartbeats}
+
+    A heartbeat carries no payload: all its receiver learns is who sent
+    it and when it arrived.  So it never enters the event queue.
+    {!beat} does the sending half of [send ~background:true] — the
+    [sim.messages_background] count, the network's cut, loss and jitter
+    draws on the engine's RNG, and the [sim.messages_dropped{reason=net}]
+    count on loss — and reserves the seq the delivery event would have
+    taken.  The arrival becomes a record in the receiver's inbox
+    instead.
+
+    {!take_beats} hands a receiver the records that have {e arrived}:
+    those the dispatch loop has passed in [(time, seq)] order — the
+    event being dispatched, or between runs the last one dispatched
+    (after a run that stopped at [until], everything due by [until]) —
+    and that found the receiver live, judged from its last crash and
+    last recovery.  Applied in the order returned, they give exactly
+    the state a handler would have built had each arrival been a
+    dispatched event.  The liveness judgement is exact when the
+    receiver's records are taken at each of its recoveries, before its
+    state is reset; {!Failure_detector.on_recover} does.
+
+    Heartbeats are not events: they are not counted by
+    {!events_dispatched}, {!messages_delivered} or
+    [sim.messages_delivered], a receiver found dead is not counted as a
+    [dead_dst] drop, and they do not use up [max_events]. *)
+
+type beats = private {
+  mutable count : int;
+  mutable times : Float.Array.t;  (** arrival times, first [count] *)
+  mutable srcs : int array;  (** senders, first [count] *)
+}
+(** Heartbeat arrivals, earliest first.  Engine-owned: valid until the
+    next {!take_beats} on the same engine. *)
+
+val beat : 'msg t -> src:int -> dst:int -> unit
+(** Send a heartbeat from [src] to [dst] ([src <> dst]); nothing when
+    [src] is dead. *)
+
+val take_beats : 'msg t -> node:int -> beats
+(** Remove and return the heartbeats that have arrived at [node] since
+    the last call. *)
+
+val beats_pending : 'msg t -> node:int -> int
+(** Heartbeats addressed to [node] and not yet taken: still in flight,
+    or arrived and waiting for {!take_beats}. *)
+
 val messages_sent : 'msg t -> int
 (** Foreground messages sent (protocol traffic, including
     retransmissions and acks). *)
 
 val messages_background : 'msg t -> int
-(** Background messages sent (heartbeats etc.), counted separately so
-    per-operation message metrics stay meaningful. *)
+(** Background messages sent, heartbeats included, counted separately
+    so per-operation message metrics stay meaningful. *)
 
 val messages_delivered : 'msg t -> int
+(** Messages handed to [on_message]; heartbeats are not. *)
 
 val messages_dropped : 'msg t -> int
 (** Messages lost in flight — by the network or to a dead destination
-    (see the [sim.messages_dropped{reason=..}] metric for the split). *)
+    (see the [sim.messages_dropped{reason=..}] metric for the split).
+    Heartbeats count when the network drops them only. *)
 
 val events_dispatched : 'msg t -> int
 (** Events popped off the queue and dispatched over this engine's
-    lifetime (messages, timers, crashes, recoveries, thunks) — the
-    denominator for events/sec and allocations/event in
-    [bench engine]. *)
+    lifetime (messages, timers, crashes, recoveries, thunks; not
+    heartbeats) — the denominator for events/sec and allocations/event
+    in [bench engine]. *)
 
 type outcome =
   | Drained  (** no foreground events left *)
@@ -166,8 +215,9 @@ type outcome =
 val run_status : ?until:float -> ?max_events:int -> 'msg t -> outcome
 (** Drain the event queue up to time [until] (default: until no
     foreground event remains).  [max_events] (default 10 million)
-    guards against runaway protocols — e.g. a retransmission loop that
-    never gives up; exhaustion is reported (and counted, see
+    counts dispatched events, heartbeats excluded, and guards against
+    runaway protocols — e.g. a retransmission loop that never gives
+    up; exhaustion is reported (and counted, see
     {!budget_exhaustions}) rather than raised. *)
 
 val run : ?until:float -> ?max_events:int -> 'msg t -> unit

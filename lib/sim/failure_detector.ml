@@ -37,11 +37,13 @@ type 'wire t = {
   timeout : float;
   mode : mode;
   n : int;
-  beat : 'wire;
   mutable engine : 'wire Engine.t option;
   mutable ins : instruments option;
+  mutable node_labels : (string * string) list array;
+      (** [node=i], built once at [bind] *)
   last_heard : float array array;
-      (** [last_heard.(i).(j)]: when [i] last heard from [j]. *)
+      (** [last_heard.(i).(j)]: when [i] last heard from [j], as of the
+          last [settle] of [i]. *)
   next_due : float array;
       (** the one legitimate heartbeat chain per node; stale chains
           (pre-crash timers still in the queue) are dropped by
@@ -67,7 +69,7 @@ type 'wire t = {
   s_trans : int array;
 }
 
-let create ?(period = 1.0) ?(timeout = 5.0) ?mode ~nodes ~beat () =
+let create ?(period = 1.0) ?(timeout = 5.0) ?mode ~nodes () =
   if period <= 0.0 then invalid_arg "Failure_detector.create: period";
   if nodes <= 0 then invalid_arg "Failure_detector.create: nodes";
   let mode = Option.value mode ~default:(Fixed_timeout timeout) in
@@ -92,9 +94,9 @@ let create ?(period = 1.0) ?(timeout = 5.0) ?mode ~nodes ~beat () =
     timeout;
     mode;
     n = nodes;
-    beat;
     engine = None;
     ins = None;
+    node_labels = [||];
     last_heard = Array.make_matrix nodes nodes 0.0;
     next_due = Array.make nodes infinity;
     ring =
@@ -123,6 +125,7 @@ let bind t engine =
   if Engine.nodes engine <> t.n then
     invalid_arg "Failure_detector.bind: engine size mismatch";
   t.engine <- Some engine;
+  t.node_labels <- Array.init t.n (fun i -> [ ("node", string_of_int i) ]);
   let m = Obs.metrics (Engine.obs engine) in
   t.ins <-
     Some
@@ -177,6 +180,36 @@ let start t =
       ~delay:(t.period *. (0.25 +. (0.75 *. float_of_int i /. float_of_int t.n)))
   done
 
+(* Apply the heartbeats that have arrived at [node], earliest first,
+   each as if handled at its arrival instant.  Every read of [node]'s
+   opinions settles first. *)
+let settle t engine ~node =
+  let beats = Engine.take_beats engine ~node in
+  let times = beats.Engine.times and srcs = beats.Engine.srcs in
+  for k = 0 to beats.Engine.count - 1 do
+    let now = Float.Array.get times k and from = srcs.(k) in
+    (match t.mode with
+    | Fixed_timeout _ -> ()
+    | Accrual { window; _ } ->
+        let interval = now -. t.last_heard.(node).(from) in
+        (* Record the inter-arrival, skipping silences past the fallback
+           timeout: those are failures (crash, cut, long gray window),
+           not latency variation, and folding them into the mean would
+           blunt detection of the *next* failure. *)
+        if interval > 0.0 && interval <= t.timeout then begin
+          let ring = t.ring.(node).(from) in
+          let len = t.ring_len.(node).(from) in
+          let pos = t.ring_pos.(node).(from) in
+          if len < window then t.ring_len.(node).(from) <- len + 1
+          else
+            t.ring_sum.(node).(from) <- t.ring_sum.(node).(from) -. ring.(pos);
+          ring.(pos) <- interval;
+          t.ring_sum.(node).(from) <- t.ring_sum.(node).(from) +. interval;
+          t.ring_pos.(node).(from) <- (pos + 1) mod window
+        end);
+    t.last_heard.(node).(from) <- now
+  done
+
 let mean_interarrival t ~node j =
   let len = t.ring_len.(node).(j) in
   if len = 0 then 0.0 else t.ring_sum.(node).(j) /. float_of_int len
@@ -185,6 +218,7 @@ let suspicion t ~node j =
   if j = node then 0.0
   else begin
     let engine = engine_exn t in
+    settle t engine ~node;
     let elapsed = Engine.now engine -. t.last_heard.(node).(j) in
     match t.mode with
     | Fixed_timeout timeout -> elapsed /. timeout
@@ -196,10 +230,10 @@ let suspicion t ~node j =
           else log10_e *. elapsed /. mean /. threshold
   end
 
-let suspects t ~node j =
+(* [suspects] on a settled [node]. *)
+let suspects_settled t engine ~node j =
   if j = node then false
   else begin
-    let engine = engine_exn t in
     let elapsed = Engine.now engine -. t.last_heard.(node).(j) in
     match t.mode with
     | Fixed_timeout timeout -> elapsed > timeout
@@ -211,6 +245,13 @@ let suspects t ~node j =
           else log10_e *. elapsed /. mean >= threshold
   end
 
+let suspects t ~node j =
+  j <> node
+  &&
+  let engine = engine_exn t in
+  settle t engine ~node;
+  suspects_settled t engine ~node j
+
 (* Detector accuracy, sampled once per beat period at the observing
    node, against the simulation's omniscient oracle: suspected-peer
    gauge, per-sample false suspicions (historical), plus
@@ -221,6 +262,7 @@ let suspects t ~node j =
    within one beat period; good enough for the detection-time vs
    accuracy tradeoffs the bench sweeps. *)
 let sample_accuracy t ~node engine =
+  settle t engine ~node;
   let now = Engine.now engine in
   (* Advance the oracle's global liveness clock. *)
   for j = 0 to t.n - 1 do
@@ -238,7 +280,7 @@ let sample_accuracy t ~node engine =
   for j = 0 to t.n - 1 do
     if j <> node then begin
       let live = Engine.is_live engine j in
-      let sus = suspects t ~node j in
+      let sus = suspects_settled t engine ~node j in
       if sus then begin
         incr suspected;
         if live then
@@ -291,8 +333,7 @@ let sample_accuracy t ~node engine =
   match t.ins with
   | None -> ()
   | Some ins ->
-      Metrics.set ins.f_suspected
-        ~labels:[ ("node", string_of_int node) ]
+      Metrics.set ins.f_suspected ~labels:t.node_labels.(node)
         (float_of_int !suspected)
 
 let on_timer t ~node ~tag =
@@ -307,7 +348,11 @@ let on_timer t ~node ~tag =
           (match t.ins with
           | Some ins -> Metrics.incr ins.f_beats
           | None -> ());
-          Engine.send ~background:true engine ~src:node ~dst t.beat
+          (* A dead observer runs no beat rounds of its own, so nothing
+             settles it until it recovers: settle it as beats reach
+             it, so its inbox stays bounded. *)
+          if not (Engine.is_live engine dst) then settle t engine ~node:dst;
+          Engine.beat engine ~src:node ~dst
         end
       done;
       sample_accuracy t ~node engine;
@@ -316,31 +361,11 @@ let on_timer t ~node ~tag =
     true
   end
 
-let heard t ~node ~from =
-  let engine = engine_exn t in
-  let now = Engine.now engine in
-  (match t.mode with
-  | Fixed_timeout _ -> ()
-  | Accrual { window; _ } ->
-      let interval = now -. t.last_heard.(node).(from) in
-      (* Record the inter-arrival, skipping silences past the fallback
-         timeout: those are failures (crash, cut, long gray window),
-         not latency variation, and folding them into the mean would
-         blunt detection of the *next* failure. *)
-      if interval > 0.0 && interval <= t.timeout then begin
-        let ring = t.ring.(node).(from) in
-        let len = t.ring_len.(node).(from) in
-        let pos = t.ring_pos.(node).(from) in
-        if len < window then t.ring_len.(node).(from) <- len + 1
-        else t.ring_sum.(node).(from) <- t.ring_sum.(node).(from) -. ring.(pos);
-        ring.(pos) <- interval;
-        t.ring_sum.(node).(from) <- t.ring_sum.(node).(from) +. interval;
-        t.ring_pos.(node).(from) <- (pos + 1) mod window
-      end);
-  t.last_heard.(node).(from) <- now
-
 let on_recover t ~node =
   let engine = engine_exn t in
+  (* Beats that arrived before the crash still count (the accrual ring
+     outlives it); the reset below must come after them. *)
+  settle t engine ~node;
   let now = Engine.now engine in
   (* Fresh start: the recovered node presumes everyone live again and
      resumes its own heartbeat chain. *)
@@ -351,16 +376,20 @@ let on_recover t ~node =
   schedule_beat t ~node ~delay:(t.period *. 0.5)
 
 let view t ~node =
+  let engine = engine_exn t in
+  settle t engine ~node;
   let s = Bitset.create t.n in
   for j = 0 to t.n - 1 do
-    if not (suspects t ~node j) then Bitset.add s j
+    if not (suspects_settled t engine ~node j) then Bitset.add s j
   done;
   s
 
 let suspected_count t ~node =
+  let engine = engine_exn t in
+  settle t engine ~node;
   let c = ref 0 in
   for j = 0 to t.n - 1 do
-    if suspects t ~node j then incr c
+    if suspects_settled t engine ~node j then incr c
   done;
   !c
 

@@ -44,15 +44,21 @@
     The oracle's crash clock advances at beat granularity, so
     latencies are accurate to within one period.
 
-    Heartbeats ride the engine as {e background} traffic: they do not
-    keep [Engine.run] alive and are counted in
-    [Engine.messages_background], not [messages_sent].
+    Heartbeats do not ride the event queue.  Each node's beat round is
+    a {e background} engine timer (it does not keep [Engine.run]
+    alive) that sends one {!Engine.beat} per peer, counted in
+    [Engine.messages_background], not [messages_sent].  Each arrival
+    waits in the engine until the receiver next reads its own
+    opinions: every query below first applies the receiver's arrivals
+    so far ({!Engine.take_beats}), earliest first, exactly as if each
+    had been handled when it arrived.  A dead observer's arrivals are
+    applied whenever a beat is addressed to it, so its backlog stays
+    bounded.
 
-    Wiring: embed a beat constructor in the protocol's wire type, pass
-    the constant as [beat], call {!heard} when it arrives, route
-    [on_timer] through {!on_timer} (tag [-1] is reserved) and call
-    {!on_recover} from the engine's recovery handler so the node's
-    heartbeat chain restarts and its stale opinions reset. *)
+    Wiring: route [on_timer] through {!on_timer} (tag [-1] is reserved)
+    and call {!on_recover} from the engine's recovery handler so the
+    node's heartbeat chain restarts and its stale opinions reset.
+    Heartbeats never reach the protocol's [on_message]. *)
 
 type 'wire t
 
@@ -69,7 +75,6 @@ val create :
   ?timeout:float ->
   ?mode:mode ->
   nodes:int ->
-  beat:'wire ->
   unit ->
   'wire t
 (** [period] defaults to 1.0, [timeout] to 5.0; [timeout] must exceed
@@ -85,16 +90,14 @@ val start : 'wire t -> unit
 (** Begin heartbeating (staggered across nodes).  Call once, after
     {!bind}. *)
 
-val heard : 'wire t -> node:int -> from:int -> unit
-(** Record that [node] received [from]'s heartbeat now. *)
-
 val on_timer : 'wire t -> node:int -> tag:int -> bool
 (** Handle a heartbeat timer; [false] when [tag] is not the detector's
     (protocol should handle it). *)
 
 val on_recover : 'wire t -> node:int -> unit
 (** Restart the recovered node's heartbeat chain and reset its
-    suspicions (it presumes everyone live until proven otherwise). *)
+    suspicions (it presumes everyone live until proven otherwise),
+    after applying the beats that reached it before it crashed. *)
 
 val suspects : 'wire t -> node:int -> int -> bool
 (** [suspects t ~node j]: does [node] currently suspect [j]?  A node

@@ -13,19 +13,18 @@ module Chaos = Protocols.Chaos
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-type wire = Beat
-
-let make_world ?(seed = 5) ?mode ?(period = 1.0) ?(timeout = 4.0) ~nodes () =
-  let fd = Fd.create ~period ~timeout ?mode ~nodes ~beat:Beat () in
-  let handlers : wire Engine.handlers =
+let make_world ?(seed = 5) ?mode ?(period = 1.0) ?(timeout = 4.0) ?network
+    ~nodes () =
+  let fd = Fd.create ~period ~timeout ?mode ~nodes () in
+  let handlers : unit Engine.handlers =
     {
-      on_message = (fun _ ~node ~src Beat -> Fd.heard fd ~node ~from:src);
+      on_message = (fun _ ~node:_ ~src:_ () -> ());
       on_timer = (fun _ ~node ~tag -> ignore (Fd.on_timer fd ~node ~tag));
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
     }
   in
-  let engine = Engine.create ~seed ~nodes handlers in
+  let engine = Engine.create ~seed ~nodes ?network handlers in
   Fd.bind fd engine;
   Fd.start fd;
   (fd, engine)
@@ -152,7 +151,7 @@ let suspicion_normalized =
 (* --- Accrual mode: unit tests ---------------------------------------- *)
 
 let test_accrual_create_validates () =
-  let mk mode = ignore (Fd.create ~mode ~nodes:3 ~beat:Beat ()) in
+  let mk mode = ignore (Fd.create ~mode ~nodes:3 ()) in
   let raises f = try f (); false with Invalid_argument _ -> true in
   check "threshold must be positive" true
     (raises (fun () ->
@@ -165,7 +164,7 @@ let test_accrual_create_validates () =
          mk (Fd.Accrual { threshold = 1.0; window = 4; min_samples = 5 })));
   check "timeout must exceed period" true
     (raises (fun () ->
-         ignore (Fd.create ~period:2.0 ~timeout:1.0 ~nodes:3 ~beat:Beat ())))
+         ignore (Fd.create ~period:2.0 ~timeout:1.0 ~nodes:3 ())))
 
 let test_accrual_detects_and_heals () =
   let mode = Fd.Accrual { threshold = 1.5; window = 16; min_samples = 3 } in
@@ -203,10 +202,365 @@ let test_accrual_stats_measure_detection () =
 
 let test_mode_accessors () =
   let mode = Fd.Accrual { threshold = 2.0; window = 8; min_samples = 2 } in
-  let fd = Fd.create ~period:0.5 ~timeout:3.0 ~mode ~nodes:3 ~beat:Beat () in
+  let fd = Fd.create ~period:0.5 ~timeout:3.0 ~mode ~nodes:3 () in
   check "mode is accrual" true (Fd.mode fd = mode);
   Alcotest.(check (float 1e-9)) "period" 0.5 (Fd.period fd);
   Alcotest.(check (float 1e-9)) "timeout kept as fallback" 3.0 (Fd.timeout fd)
+
+(* --- Lazy arrivals against an eager reference ------------------------ *)
+
+(* The detector as it would be with every heartbeat a queued background
+   message: [Beat] is sent with [Engine.send ~background:true] and
+   [last_heard] and the accrual ring are updated when it is delivered.
+   Same beat chain (stagger, next-due check, recovery restart), same
+   suspicion arithmetic. *)
+module Eager = struct
+  type wire = Beat
+
+  type t = {
+    period : float;
+    timeout : float;
+    mode : Fd.mode;
+    n : int;
+    last_heard : float array array;
+    next_due : float array;
+    ring : float array array array;
+    ring_len : int array array;
+    ring_pos : int array array;
+    ring_sum : float array array;
+  }
+
+  let create ~period ~timeout ~mode ~nodes =
+    let window =
+      match mode with Fd.Fixed_timeout _ -> 1 | Fd.Accrual a -> a.window
+    in
+    {
+      period;
+      timeout;
+      mode;
+      n = nodes;
+      last_heard = Array.make_matrix nodes nodes 0.0;
+      next_due = Array.make nodes infinity;
+      ring = Array.init nodes (fun _ -> Array.make_matrix nodes window 0.0);
+      ring_len = Array.make_matrix nodes nodes 0;
+      ring_pos = Array.make_matrix nodes nodes 0;
+      ring_sum = Array.make_matrix nodes nodes 0.0;
+    }
+
+  let schedule_beat t engine ~node ~delay =
+    t.next_due.(node) <- Engine.now engine +. delay;
+    Engine.set_timer engine ~background:true ~node ~delay ~tag:(-1)
+
+  let start t engine =
+    for i = 0 to t.n - 1 do
+      schedule_beat t engine ~node:i
+        ~delay:
+          (t.period *. (0.25 +. (0.75 *. float_of_int i /. float_of_int t.n)))
+    done
+
+  let on_timer t engine ~node =
+    if abs_float (Engine.now engine -. t.next_due.(node)) <= 1e-9 then begin
+      for dst = 0 to t.n - 1 do
+        if dst <> node then Engine.send ~background:true engine ~src:node ~dst Beat
+      done;
+      schedule_beat t engine ~node ~delay:t.period
+    end
+
+  let heard t engine ~node ~from =
+    let now = Engine.now engine in
+    (match t.mode with
+    | Fd.Fixed_timeout _ -> ()
+    | Fd.Accrual { window; _ } ->
+        let interval = now -. t.last_heard.(node).(from) in
+        if interval > 0.0 && interval <= t.timeout then begin
+          let ring = t.ring.(node).(from) in
+          let len = t.ring_len.(node).(from) in
+          let pos = t.ring_pos.(node).(from) in
+          if len < window then t.ring_len.(node).(from) <- len + 1
+          else
+            t.ring_sum.(node).(from) <- t.ring_sum.(node).(from) -. ring.(pos);
+          ring.(pos) <- interval;
+          t.ring_sum.(node).(from) <- t.ring_sum.(node).(from) +. interval;
+          t.ring_pos.(node).(from) <- (pos + 1) mod window
+        end);
+    t.last_heard.(node).(from) <- now
+
+  let on_recover t engine ~node =
+    for j = 0 to t.n - 1 do
+      t.last_heard.(node).(j) <- Engine.now engine
+    done;
+    schedule_beat t engine ~node ~delay:(t.period *. 0.5)
+
+  let suspicion t engine ~node j =
+    if j = node then 0.0
+    else
+      let elapsed = Engine.now engine -. t.last_heard.(node).(j) in
+      let len = t.ring_len.(node).(j) in
+      match t.mode with
+      | Fd.Fixed_timeout timeout -> elapsed /. timeout
+      | Fd.Accrual { threshold; min_samples; _ } ->
+          let mean =
+            if len = 0 then 0.0 else t.ring_sum.(node).(j) /. float_of_int len
+          in
+          if len < min_samples || mean <= 0.0 then elapsed /. t.timeout
+          else 0.4342944819032518 *. elapsed /. mean /. threshold
+
+  let suspects t engine ~node j =
+    j <> node
+    &&
+    let elapsed = Engine.now engine -. t.last_heard.(node).(j) in
+    let len = t.ring_len.(node).(j) in
+    match t.mode with
+    | Fd.Fixed_timeout timeout -> elapsed > timeout
+    | Fd.Accrual { threshold; min_samples; _ } ->
+        let mean =
+          if len = 0 then 0.0 else t.ring_sum.(node).(j) /. float_of_int len
+        in
+        if len < min_samples || mean <= 0.0 then elapsed > t.timeout
+        else 0.4342944819032518 *. elapsed /. mean >= threshold
+
+  let view t engine ~node =
+    List.filter (fun j -> not (suspects t engine ~node j)) (List.init t.n Fun.id)
+end
+
+type fault =
+  | Crash of int * float * float option * bool
+      (** node, crash time, recovery time, amnesia *)
+  | Cut of int list * float * float  (** group, from, heal *)
+  | Link of int * int * float * float * float  (** src, dst, loss, from, to *)
+  | Slow of int * float * float * float  (** node, extra latency, from, to *)
+
+type diff_case = {
+  d_nodes : int;
+  d_seed : int;
+  d_accrual : bool;
+  d_jitter : float;
+  d_faults : fault list;
+  d_probes : float list;
+  d_split : float;  (** [run ~until] stops here; probed between runs *)
+}
+
+let show_fault = function
+  | Crash (i, t, r, a) ->
+      Printf.sprintf "crash %d@%g%s%s" i t
+        (match r with Some r -> Printf.sprintf " up@%g" r | None -> "")
+        (if a then " amnesia" else "")
+  | Cut (g, a, b) ->
+      Printf.sprintf "cut [%s] %g-%g" (String.concat "," (List.map string_of_int g)) a b
+  | Link (s, d, p, a, b) -> Printf.sprintf "link %d->%d %g %g-%g" s d p a b
+  | Slow (i, x, a, b) -> Printf.sprintf "slow %d +%g %g-%g" i x a b
+
+(* Times on a 1/16 grid: with zero jitter, staggered beat rounds and
+   arrivals land on it too, so probes and faults tie with arrivals and
+   the seq order decides. *)
+let diff_gen =
+  QCheck.Gen.(
+    let* nodes = int_range 3 6 in
+    let node = int_bound (nodes - 1) in
+    let at = map (fun k -> float_of_int k /. 16.0) (int_range 8 (16 * 24)) in
+    let span = map (fun k -> float_of_int k /. 16.0) (int_range 1 (16 * 8)) in
+    let fault =
+      oneof
+        [
+          map4
+            (fun i t r a -> Crash (i, t, Option.map (( +. ) t) r, a))
+            node at (opt span) bool;
+          map3
+            (fun g t d -> Cut (List.sort_uniq compare g, t, t +. d))
+            (list_size (int_range 1 (nodes - 1)) node) at span;
+          (let* s = node and* d = node and* p = float_range 0.1 0.9 in
+           let* t = at and* len = span in
+           return (Link (s, d, p, t, t +. len)));
+          map4 (fun i x t d -> Slow (i, x, t, t +. d)) node (float_range 0.5 3.0) at span;
+        ]
+    in
+    let* seed = int_bound 9999 and* accrual = bool in
+    let* jitter = oneofl [ 0.0; 0.0; 0.2 ] in
+    let* faults = list_size (int_range 0 6) fault in
+    let* probes = list_size (int_range 1 30) at in
+    let* split = at in
+    return
+      {
+        d_nodes = nodes;
+        d_seed = seed;
+        d_accrual = accrual;
+        d_jitter = jitter;
+        d_faults = faults;
+        d_probes = probes;
+        d_split = split;
+      })
+
+let diff_arb =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "n=%d seed=%d %s jitter=%g split=%g faults=[%s] probes=[%s]"
+        c.d_nodes c.d_seed
+        (if c.d_accrual then "accrual" else "fixed")
+        c.d_jitter c.d_split
+        (String.concat "; " (List.map show_fault c.d_faults))
+        (String.concat " " (List.map string_of_float c.d_probes)))
+    diff_gen
+
+(* Run one detector world over the case's schedule; each probe logs
+   every observer's suspicion of every peer and its view.  Fault and
+   probe events are pushed in the same order in both worlds, so they
+   get the same seqs. *)
+let diff_world c ~install =
+  let network = Sim.Network.create ~jitter:c.d_jitter () in
+  let period = 1.0 and timeout = 3.0 in
+  let mode =
+    if c.d_accrual then Fd.Accrual { threshold = 1.5; window = 6; min_samples = 2 }
+    else Fd.Fixed_timeout timeout
+  in
+  let log = ref [] in
+  let engine, read = install ~network ~period ~timeout ~mode in
+  let probe () =
+    for i = 0 to c.d_nodes - 1 do
+      let sus, view = read ~node:i in
+      log := (Engine.now engine, i, sus, view) :: !log
+    done
+  in
+  let at time f = Engine.schedule engine ~time f in
+  List.iter
+    (function
+      | Crash (i, t, r, amnesia) ->
+          Engine.crash_at engine ~time:t ~node:i;
+          Option.iter (fun r -> Engine.recover_at ~amnesia engine ~time:r ~node:i) r
+      | Cut (group_a, a, b) ->
+          let net = Engine.network engine in
+          let cut = ref None in
+          at a (fun () -> cut := Some (Sim.Network.partition net ~group_a));
+          at b (fun () -> Option.iter (Sim.Network.heal net) !cut)
+      | Link (src, dst, p, a, b) ->
+          let net = Engine.network engine in
+          at a (fun () -> Sim.Network.set_link_loss net ~src ~dst p);
+          at b (fun () -> Sim.Network.set_link_loss net ~src ~dst 0.0)
+      | Slow (i, x, a, b) ->
+          let net = Engine.network engine in
+          at a (fun () -> Sim.Network.set_slowdown net ~node:i x);
+          at b (fun () -> Sim.Network.set_slowdown net ~node:i 0.0))
+    c.d_faults;
+  List.iter (fun t -> at t probe) c.d_probes;
+  Engine.set_timer engine ~node:0 ~delay:26.0 ~tag:0;
+  Engine.run ~until:c.d_split engine;
+  probe ();
+  Engine.run engine;
+  probe ();
+  List.rev !log
+
+let lazy_world c =
+  diff_world c ~install:(fun ~network ~period ~timeout ~mode ->
+      let fd, engine =
+        make_world ~seed:c.d_seed ~mode ~period ~timeout ~network
+          ~nodes:c.d_nodes ()
+      in
+      ( engine,
+        fun ~node ->
+          ( List.init c.d_nodes (fun j -> Fd.suspicion fd ~node j),
+            Quorum.Bitset.to_list (Fd.view fd ~node) ) ))
+
+let eager_world c =
+  diff_world c ~install:(fun ~network ~period ~timeout ~mode ->
+      let r = Eager.create ~period ~timeout ~mode ~nodes:c.d_nodes in
+      let handlers : Eager.wire Engine.handlers =
+        {
+          on_message =
+            (fun e ~node ~src Eager.Beat -> Eager.heard r e ~node ~from:src);
+          on_timer =
+            (fun e ~node ~tag -> if tag = -1 then Eager.on_timer r e ~node);
+          on_crash = (fun _ ~node:_ -> ());
+          on_recover = (fun e ~node ~amnesia:_ -> Eager.on_recover r e ~node);
+        }
+      in
+      let engine =
+        Engine.create ~seed:c.d_seed ~nodes:c.d_nodes ~network handlers
+      in
+      Eager.start r engine;
+      ( engine,
+        fun ~node ->
+          ( List.init c.d_nodes (fun j -> Eager.suspicion r engine ~node j),
+            Eager.view r engine ~node ) ))
+
+let lazy_matches_eager =
+  QCheck.Test.make
+    ~name:"lazy arrivals match eager heartbeat delivery" ~count:150 diff_arb
+    (fun c ->
+      let a = lazy_world c and b = eager_world c in
+      if a = b then true
+      else
+        let t, i, _, _ =
+          List.find (fun (x, y) -> x <> y) (List.combine a b) |> fst
+        in
+        QCheck.Test.fail_reportf "first difference: observer %d at t=%g" i t)
+
+(* --- Lazy arrivals: the edge cases, one by one ----------------------- *)
+
+(* Zero jitter and unit latency: node 0's beat rounds start at 0.25, so
+   its first beat reaches everyone at exactly 1.25.  The fixed-mode
+   suspicion is [elapsed / 4]. *)
+let exact_world ?(nodes = 3) ?(latency = 1.0) () =
+  let network = Sim.Network.create ~base_latency:latency ~jitter:0.0 () in
+  let fd, engine = make_world ~network ~timeout:4.0 ~nodes () in
+  Engine.set_timer engine ~node:0 ~delay:100.0 ~tag:0;
+  (fd, engine)
+
+let check_float = Alcotest.(check (float 1e-12))
+
+let test_inflight_across_crash () =
+  let fd, engine = exact_world () in
+  Engine.crash_at engine ~time:1.0 ~node:1;
+  Engine.crash_at engine ~time:1.5 ~node:2;
+  Engine.run ~until:2.0 engine;
+  check_float "crashed before the arrival: not heard" (2.0 /. 4.0)
+    (Fd.suspicion fd ~node:1 0);
+  check_float "crashed after the arrival: heard" (0.75 /. 4.0)
+    (Fd.suspicion fd ~node:2 0)
+
+let test_inflight_across_recovery () =
+  let fd, engine = exact_world () in
+  Engine.crash_at engine ~time:1.0 ~node:1;
+  Engine.recover_at engine ~time:1.1 ~node:1;
+  Engine.crash_at engine ~time:1.0 ~node:2;
+  Engine.recover_at engine ~time:1.5 ~node:2;
+  Engine.run ~until:2.0 engine;
+  check_float "arrives after the recovery: heard" (0.75 /. 4.0)
+    (Fd.suspicion fd ~node:1 0);
+  check_float "arrives while down: the recovery reset stands" (0.5 /. 4.0)
+    (Fd.suspicion fd ~node:2 0)
+
+let test_until_leaves_later_arrivals () =
+  (* Latency 0.625: the first beat arrives at 0.875, when no event is
+     due, so only the horizon can make it count. *)
+  let fd, engine = exact_world ~latency:0.625 () in
+  Engine.run ~until:0.8125 engine;
+  check_float "not yet arrived" (0.8125 /. 4.0) (Fd.suspicion fd ~node:1 0);
+  Engine.run ~until:0.875 engine;
+  check_float "arrived at the horizon" 0.0 (Fd.suspicion fd ~node:1 0)
+
+let test_arrival_ties_in_push_order () =
+  let fd, engine = exact_world () in
+  let seen = ref [] in
+  let probe () = seen := Fd.suspicion fd ~node:1 0 :: !seen in
+  (* Pushed before node 0's beat round: runs before the arrival. *)
+  Engine.schedule engine ~time:1.25 probe;
+  (* Pushed after it: runs after the arrival. *)
+  Engine.schedule engine ~time:0.5 (fun () ->
+      Engine.schedule engine ~time:1.25 probe);
+  Engine.run ~until:2.0 engine;
+  Alcotest.(check (list (float 1e-12)))
+    "earlier push first" [ 1.25 /. 4.0; 0.0 ] (List.rev !seen)
+
+let test_dead_observer_bounded () =
+  let nodes = 5 in
+  let _fd, engine = make_world ~nodes () in
+  Engine.crash_at engine ~time:2.0 ~node:1;
+  Engine.set_timer engine ~node:0 ~delay:300.0 ~tag:0;
+  Engine.run engine;
+  let pending = Engine.beats_pending engine ~node:1 in
+  check
+    (Printf.sprintf "%d beats held for a node dead for 298 periods" pending)
+    true
+    (pending <= 4 * (nodes - 1))
 
 (* --- Safety smoke over the fd stress scenarios ----------------------- *)
 
@@ -288,6 +642,20 @@ let () =
           Alcotest.test_case "stats measure detection" `Quick
             test_accrual_stats_measure_detection;
           Alcotest.test_case "mode accessors" `Quick test_mode_accessors;
+        ] );
+      ( "arrivals",
+        [
+          QCheck_alcotest.to_alcotest lazy_matches_eager;
+          Alcotest.test_case "in flight across a crash" `Quick
+            test_inflight_across_crash;
+          Alcotest.test_case "in flight across a recovery" `Quick
+            test_inflight_across_recovery;
+          Alcotest.test_case "run until leaves later arrivals" `Quick
+            test_until_leaves_later_arrivals;
+          Alcotest.test_case "arrivals tie in push order" `Quick
+            test_arrival_ties_in_push_order;
+          Alcotest.test_case "dead observer stays bounded" `Quick
+            test_dead_observer_bounded;
         ] );
       ( "scenarios",
         [

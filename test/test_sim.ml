@@ -441,6 +441,83 @@ let test_span_ctx_rides_messages () =
   check_int "timers fire under the arming context" 7 (ctx_at 3);
   check_int "ambient context restored" (-1) (Engine.span_ctx e)
 
+(* [Engine.beat] is [send ~background:true] without the queue.  Over a
+   lossy, jittery network, two engines on one seed lose the same beats,
+   move the same counters and leave the RNG in the same place (the
+   foreground pings after each round take the same delays), and the
+   arrivals [take_beats] hands each node are the deliveries the queued
+   path made to it, in order. *)
+let test_beat_draws_like_background_send () =
+  let nodes = 4 in
+  let world ~queued =
+    let beats = ref [] and pings = ref [] in
+    let handlers : probe_msg Engine.handlers =
+      {
+        on_message =
+          (fun e ~node ~src msg ->
+            match msg with
+            | Pong -> beats := (node, Engine.now e, src) :: !beats
+            | Ping -> pings := Engine.now e :: !pings);
+        on_timer = (fun _ ~node:_ ~tag:_ -> ());
+        on_crash = (fun _ ~node:_ -> ());
+        on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+      }
+    in
+    let network = Network.create ~loss:0.3 ~jitter:0.2 () in
+    let e = Engine.create ~seed:17 ~nodes ~network handlers in
+    for round = 0 to 5 do
+      Engine.schedule e ~time:(float_of_int round) (fun () ->
+          for src = 0 to nodes - 1 do
+            for dst = 0 to nodes - 1 do
+              if src <> dst then
+                if queued then Engine.send ~background:true e ~src ~dst Pong
+                else Engine.beat e ~src ~dst
+            done
+          done;
+          Engine.send e ~src:0 ~dst:1 Ping)
+    done;
+    Engine.run e;
+    let arrived node =
+      if queued then
+        List.rev !beats
+        |> List.filter_map (fun (n, time, src) ->
+               if n = node then Some (time, src) else None)
+      else
+        let b = Engine.take_beats e ~node in
+        List.init b.Engine.count (fun k ->
+            (Float.Array.get b.Engine.times k, b.Engine.srcs.(k)))
+    in
+    ( List.init nodes arrived,
+      List.rev !pings,
+      ( Engine.messages_sent e,
+        Engine.messages_background e,
+        Engine.messages_dropped e ) )
+  in
+  let q_arrivals, q_pings, q_counts = world ~queued:true in
+  let b_arrivals, b_pings, b_counts = world ~queued:false in
+  check "same counters" true (q_counts = b_counts);
+  let _, background, dropped = b_counts in
+  check_int "some beats lost" 1 (min 1 dropped);
+  check "not all" true (dropped < background);
+  check "same foreground delays" true (q_pings = b_pings);
+  check_int "every ping delivered" 6 (List.length b_pings);
+  check "same arrivals, in the same order" true (q_arrivals = b_arrivals)
+
+(* An arrival holds the seq its delivery event would have had: of two
+   events for the same instant, the one pushed before the beat runs
+   before the arrival, the one pushed after runs after it. *)
+let test_beat_reserves_its_seq () =
+  let network = Network.create ~base_latency:1.0 ~jitter:0.0 () in
+  let _, handlers = timer_log () in
+  let e = Engine.create ~seed:1 ~nodes:2 ~network handlers in
+  let seen = ref [] in
+  let probe () = seen := (Engine.take_beats e ~node:1).Engine.count :: !seen in
+  Engine.schedule e ~time:1.0 probe;
+  Engine.beat e ~src:0 ~dst:1;
+  Engine.schedule e ~time:1.0 probe;
+  Engine.run e;
+  check "not yet, then arrived" true (List.rev !seen = [ 0; 1 ])
+
 (* --- Failure injector ------------------------------------------------ *)
 
 let test_iid_faults_fraction () =
@@ -574,6 +651,10 @@ let () =
             test_raise_leaves_queue_consistent;
           Alcotest.test_case "span context in flight" `Quick
             test_span_ctx_rides_messages;
+          Alcotest.test_case "beat draws like a background send" `Quick
+            test_beat_draws_like_background_send;
+          Alcotest.test_case "beat reserves its seq" `Quick
+            test_beat_reserves_its_seq;
         ] );
       ( "failure injector",
         [
