@@ -21,16 +21,24 @@
    time and allocation shares must sum to ~100% of the probed totals
    (also asserted).
 
+   The relay runs no failure detector, so a heartbeats row measures the
+   detector alone on the same seed: 15 nodes beating all-to-all at 5%
+   network loss, no protocol traffic — the beat rounds' draws, the
+   arrivals' filing and the per-round accuracy samples — as beats/sec
+   and minor words per beat.
+
    Everything lands in BENCH_engine.json.  With --gate FILE the rows
-   are compared against a committed baseline: allocations/event is
-   deterministic for a given compiler and gated at +10%; events/sec is
-   machine-dependent, so the gate uses the ratio to an in-process
-   calibration loop (events per calibration op) and allows -15%. *)
+   are compared against a committed baseline: allocations per event
+   (per beat) are deterministic for a given compiler and gated at
+   +10%; events/sec (beats/sec) is machine-dependent, so the gate uses
+   the ratio to an in-process calibration loop (events per calibration
+   op) and allows -15%. *)
 
 module Engine = Sim.Engine
 module Rpc = Sim.Rpc
 module Durable = Sim.Durable
 module Network = Sim.Network
+module Fd = Sim.Failure_detector
 
 type wire = P of int Rpc.msg
 
@@ -171,6 +179,51 @@ let measure cfg =
     words_per_event = !words /. float_of_int (max 1 !events);
   }
 
+(* --- Heartbeats ------------------------------------------------------ *)
+
+let beat_loss = 0.05
+let beat_horizon () = if !Util.fast then 1000.0 else 10000.0
+
+type heartbeats = { beats : int; beats_dt : float; words_per_beat : float }
+
+(* One pinned detector-only run: the beats sent, and the wall seconds
+   and minor words of the drain. *)
+let run_heartbeats () =
+  let fd = Fd.create ~nodes:n_nodes () in
+  let handlers =
+    {
+      Engine.on_message = (fun _ ~node:_ ~src:_ () -> ());
+      on_timer = (fun _ ~node ~tag -> ignore (Fd.on_timer fd ~node ~tag));
+      on_crash = (fun _ ~node:_ -> ());
+      on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
+    }
+  in
+  let network = Network.create ~loss:beat_loss () in
+  let obs = Obs.create ~trace_capacity:0 () in
+  let e = Engine.create ~seed ~nodes:n_nodes ~network ~obs handlers in
+  Fd.bind fd e;
+  Fd.start fd;
+  (* Beat rounds are background events: one foreground event at the
+     horizon keeps the run going until then. *)
+  Engine.schedule e ~time:(beat_horizon ()) ignore;
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  Engine.run e;
+  let dt = Unix.gettimeofday () -. t0 in
+  (Engine.messages_background e, dt, Gc.minor_words () -. w0)
+
+let measure_heartbeats () =
+  let reps = if !Util.fast then 2 else 3 in
+  let beats, dt, words = run_heartbeats () in
+  let best = ref dt in
+  for _ = 2 to reps do
+    let b, dt, w = run_heartbeats () in
+    (* Pinned, like the relay: every rep replays exactly. *)
+    assert (b = beats && w = words);
+    if dt < !best then best := dt
+  done;
+  { beats; beats_dt = !best; words_per_beat = words /. float_of_int beats }
+
 (* Machine-speed yardstick: a fixed pure-OCaml mixing loop, so the
    committed events/sec baseline survives CI runners of a different
    speed as a ratio (events per calibration op). *)
@@ -202,6 +255,17 @@ let config_json ~calib m =
      \"events_per_calib_op\": %.6f, \"minor_words_per_event\": %.2f}"
     m.m_cfg.cname m.events m.sent m.best_dt rate (rate /. calib *. 1000.0)
     m.words_per_event
+
+let heartbeats_json ~calib h =
+  let rate = float_of_int h.beats /. h.beats_dt in
+  Printf.sprintf
+    "{\"name\": \"heartbeats\", \"nodes\": %d, \"loss\": %.2f, \
+     \"horizon\": %.0f, \"beats\": %d, \"seconds_best\": %.4f, \
+     \"beats_per_sec\": %.0f, \"beats_per_calib_op\": %.6f, \
+     \"minor_words_per_beat\": %.2f}"
+    n_nodes beat_loss (beat_horizon ()) h.beats h.beats_dt rate
+    (rate /. calib *. 1000.0)
+    h.words_per_beat
 
 let profile_json (r : Obs.Prof.report) =
   let rows =
@@ -271,7 +335,18 @@ let read_file path =
   close_in ic;
   s
 
-let gate ~baseline_path ~calib measured =
+(* One gated row: its name in the baseline, its calibrated rate and
+   its words per unit (event or beat), with the baseline keys of
+   both. *)
+type gated = {
+  row : string;
+  rel : float;
+  rel_key : string;
+  words : float;
+  words_key : string;
+}
+
+let gate ~baseline_path rows =
   let baseline =
     try read_file baseline_path
     with Sys_error msg ->
@@ -291,31 +366,27 @@ let gate ~baseline_path ~calib measured =
   Printf.printf "\n  gate vs %s (rate -%.0f%%, allocs +%.0f%%):\n"
     baseline_path (100.0 *. rate_tol) (100.0 *. alloc_tol);
   List.iter
-    (fun m ->
-      let anchor = Printf.sprintf "\"name\": %S" m.m_cfg.cname in
-      let b_rel = scan_number baseline ~anchor ~key:"events_per_calib_op" in
-      let b_words = scan_number baseline ~anchor ~key:"minor_words_per_event" in
+    (fun g ->
+      let anchor = Printf.sprintf "\"name\": %S" g.row in
+      let b_rel = scan_number baseline ~anchor ~key:g.rel_key in
+      let b_words = scan_number baseline ~anchor ~key:g.words_key in
       match (b_rel, b_words) with
       | None, _ | _, None ->
-          Printf.eprintf "error: engine gate: config %s missing in baseline\n"
-            m.m_cfg.cname;
+          Printf.eprintf "error: engine gate: row %s missing in baseline\n"
+            g.row;
           failed := true
       | Some b_rel, Some b_words ->
-          let rate = float_of_int m.events /. m.best_dt in
-          let rel = rate /. calib *. 1000.0 in
-          let rate_ok = rel >= b_rel *. (1.0 -. rate_tol) in
-          let words_ok =
-            m.words_per_event <= b_words *. (1.0 +. alloc_tol)
-          in
+          let rate_ok = g.rel >= b_rel *. (1.0 -. rate_tol) in
+          let words_ok = g.words <= b_words *. (1.0 +. alloc_tol) in
           Printf.printf
-            "    %-14s events/calib-op %8.3f vs %8.3f %s   words/event \
-             %8.2f vs %8.2f %s\n"
-            m.m_cfg.cname rel b_rel
+            "    %-14s per calib-op %8.3f vs %8.3f %s   words %8.2f vs \
+             %8.2f %s\n"
+            g.row g.rel b_rel
             (if rate_ok then "ok  " else "FAIL")
-            m.words_per_event b_words
+            g.words b_words
             (if words_ok then "ok" else "FAIL");
           if not (rate_ok && words_ok) then failed := true)
-    measured;
+    rows;
   if !failed then begin
     Printf.eprintf
       "error: engine bench regressed against the committed baseline\n";
@@ -358,6 +429,12 @@ let run () =
         (float_of_int m.events /. m.best_dt)
         m.words_per_event)
     measured;
+  let hb = measure_heartbeats () in
+  Printf.printf
+    "  %-14s %9d beats   %12.0f beats/sec   %8.2f minor words/beat\n"
+    "heartbeats" hb.beats
+    (float_of_int hb.beats /. hb.beats_dt)
+    hb.words_per_beat;
   (* Profiled run: where do the full-trace run's time and words go? *)
   let prof_cfg = List.find (fun c -> c.cname = "full-trace") configs in
   let _e, obs, _dt, _dw = run_once prof_cfg ~profile:true in
@@ -402,13 +479,36 @@ let run () =
     \  \"fast\": %b,\n\
     \  \"calibration_ops_per_sec\": %.0f,\n\
     \  \"configs\": [\n%s\n  ],\n\
+    \  \"heartbeats\": %s,\n\
      %s\n\
      }\n"
     seed n_nodes (ops ()) hops !Util.fast calib
     (String.concat ",\n" (List.map (config_json ~calib) measured))
+    (heartbeats_json ~calib hb)
     (profile_json r);
   close_out oc;
   Printf.printf "\n  wrote BENCH_engine.json (seed %d)\n" seed;
   match !Util.gate with
-  | Some path -> gate ~baseline_path:path ~calib measured
+  | Some path ->
+      let per_calib_op count dt = float_of_int count /. dt /. calib *. 1000.0 in
+      gate ~baseline_path:path
+        (List.map
+           (fun m ->
+             {
+               row = m.m_cfg.cname;
+               rel = per_calib_op m.events m.best_dt;
+               rel_key = "events_per_calib_op";
+               words = m.words_per_event;
+               words_key = "minor_words_per_event";
+             })
+           measured
+        @ [
+            {
+              row = "heartbeats";
+              rel = per_calib_op hb.beats hb.beats_dt;
+              rel_key = "beats_per_calib_op";
+              words = hb.words_per_beat;
+              words_key = "minor_words_per_beat";
+            };
+          ])
   | None -> ()

@@ -192,48 +192,108 @@ let unlabeled f =
 (* Read path: never allocates a cell. *)
 let peek f labels = Hashtbl.find_opt f.cells (canon labels)
 
+(* Every update runs only while the registry is on, inside the
+   [obs.metrics] probe, on the cell it targets. *)
+let[@inline] enter f =
+  !(f.fon)
+  && begin
+       Prof.enter f.fprof Prof.Metrics;
+       true
+     end
+
+let[@inline] leave f = Prof.leave f.fprof Prof.Metrics
+let target f labels = if labels == [] then unlabeled f else cell f labels
+
+let bump c by =
+  match c with Ccounter r -> r := !r + by | Cgauge _ | Chist _ -> assert false
+
+let store c v =
+  match c with Cgauge r -> r := v | Ccounter _ | Chist _ -> assert false
+
+let raise_to c v =
+  match c with
+  | Cgauge r -> if v > !r then r := v
+  | Ccounter _ | Chist _ -> assert false
+
+let record c x =
+  match c with Chist h -> hist_add h x | Ccounter _ | Cgauge _ -> assert false
+
+let check_by by = if by < 0 then invalid_arg "Metrics.incr: by < 0"
+
 let incr ?(labels = []) ?(by = 1) f =
-  if by < 0 then invalid_arg "Metrics.incr: by < 0";
-  if !(f.fon) then begin
-    Prof.enter f.fprof Prof.Metrics;
-    (match (if labels == [] then unlabeled f else cell f labels) with
-    | Ccounter r -> r := !r + by
-    | Cgauge _ | Chist _ -> assert false);
-    Prof.leave f.fprof Prof.Metrics
+  check_by by;
+  if enter f then begin
+    bump (target f labels) by;
+    leave f
   end
 
 let counter_value ?(labels = []) f =
   match peek f labels with Some (Ccounter r) -> !r | _ -> 0
 
 let set ?(labels = []) f v =
-  if !(f.fon) then begin
-    Prof.enter f.fprof Prof.Metrics;
-    (match (if labels == [] then unlabeled f else cell f labels) with
-    | Cgauge r -> r := v
-    | Ccounter _ | Chist _ -> assert false);
-    Prof.leave f.fprof Prof.Metrics
+  if enter f then begin
+    store (target f labels) v;
+    leave f
   end
 
 let set_max ?(labels = []) f v =
-  if !(f.fon) then begin
-    Prof.enter f.fprof Prof.Metrics;
-    (match (if labels == [] then unlabeled f else cell f labels) with
-    | Cgauge r -> if v > !r then r := v
-    | Ccounter _ | Chist _ -> assert false);
-    Prof.leave f.fprof Prof.Metrics
+  if enter f then begin
+    raise_to (target f labels) v;
+    leave f
   end
 
 let gauge_value ?(labels = []) f =
   match peek f labels with Some (Cgauge r) -> !r | _ -> 0.0
 
 let observe ?(labels = []) f x =
-  if !(f.fon) then begin
-    Prof.enter f.fprof Prof.Metrics;
-    (match (if labels == [] then unlabeled f else cell f labels) with
-    | Chist h -> hist_add h x
-    | Ccounter _ | Cgauge _ -> assert false);
-    Prof.leave f.fprof Prof.Metrics
+  if enter f then begin
+    record (target f labels) x;
+    leave f
   end
+
+module Handle = struct
+  (* The label list is canonicalized once; the cell is looked up (or
+     created) on the first update and cached. *)
+  type 'kind t = { fam : family; key : labels; mutable c : cell option }
+
+  let make fam labels = { fam; key = canon labels; c = None }
+  let counter = make
+  let gauge = make
+  let histogram = make
+
+  let bound h =
+    match h.c with
+    | Some c -> c
+    | None ->
+        let c = cell h.fam h.key in
+        h.c <- Some c;
+        c
+
+  let incr ?(by = 1) h =
+    check_by by;
+    if enter h.fam then begin
+      bump (bound h) by;
+      leave h.fam
+    end
+
+  let set h v =
+    if enter h.fam then begin
+      store (bound h) v;
+      leave h.fam
+    end
+
+  let set_max h v =
+    if enter h.fam then begin
+      raise_to (bound h) v;
+      leave h.fam
+    end
+
+  let observe h x =
+    if enter h.fam then begin
+      record (bound h) x;
+      leave h.fam
+    end
+end
 
 let hist_of ?(labels = []) f =
   match peek f labels with Some (Chist h) -> Some h | _ -> None

@@ -82,6 +82,37 @@ val set_max : ?labels:labels -> gauge -> float -> unit
 val observe : ?labels:labels -> histogram -> float -> unit
 (** Record one sample (e.g. a latency). *)
 
+(** {2 Labeled-cell handles}
+
+    A handle binds a family to one label set, once — at [bind] or
+    session creation — so a hot update skips what a labeled update does
+    every time: sort the label list, hash it and compare it against the
+    family's keys.  An update through a handle lands in exactly the cell
+    the same labeled update would, with the same value.
+
+    The cell is looked up (or created) on the handle's first update,
+    not when the handle is made: a handle that is never updated, or
+    only updated while the registry is disabled, adds no cell, so
+    snapshots list exactly the cells the labeled calls would have
+    made. *)
+
+module Handle : sig
+  type 'kind t
+  (** A handle on one labeled cell of a ['kind] family. *)
+
+  val counter : counter -> labels -> counter t
+  val gauge : gauge -> labels -> gauge t
+  val histogram : histogram -> labels -> histogram t
+
+  val incr : ?by:int -> counter t -> unit
+  (** [incr ~by h] is [Metrics.incr ~labels ~by f] for [h]'s family [f]
+      and labels. *)
+
+  val set : gauge t -> float -> unit
+  val set_max : gauge t -> float -> unit
+  val observe : histogram t -> float -> unit
+end
+
 (** {2 Reads} *)
 
 val counter_value : ?labels:labels -> counter -> int

@@ -56,7 +56,9 @@ type pending = {
 type session = {
   ses_id : int;
   ses_client : int;
-  ses_labels : (string * string) list;  (** [client=i], built once *)
+  ses_submitted : Metrics.counter Metrics.Handle.t;  (** [client=i] *)
+  ses_shed : Metrics.counter Metrics.Handle.t;
+  ses_backlog_peak : Metrics.gauge Metrics.Handle.t;
   window : int;
   max_queue : int;
   batcher : app Batcher.t option;  (** [None]: unbatched, send directly *)
@@ -108,6 +110,8 @@ type instruments = {
   st_rejoins : Metrics.counter;
   st_refusals : Metrics.counter;
   st_latency : Metrics.histogram;
+  st_read_latency : Metrics.histogram Metrics.Handle.t;  (** [op=read] *)
+  st_write_latency : Metrics.histogram Metrics.Handle.t;  (** [op=write] *)
   st_sessions : Metrics.counter;
   st_submitted : Metrics.counter;
   st_shed : Metrics.counter;
@@ -598,9 +602,7 @@ and finish t op outcome =
   | `Read_done (version, value) ->
       t.reads_ok <- t.reads_ok + 1;
       Metrics.incr ins.st_reads_ok;
-      Metrics.observe ins.st_latency
-        ~labels:[ ("op", "read") ]
-        (now -. op.started);
+      Metrics.Handle.observe ins.st_read_latency (now -. op.started);
       close Span.Ok;
       record_hop ~is_write:false version;
       if version < committed_version_before t op.key op.started then begin
@@ -611,9 +613,7 @@ and finish t op outcome =
   | `Write_done version ->
       t.writes_ok <- t.writes_ok + 1;
       Metrics.incr ins.st_writes_ok;
-      Metrics.observe ins.st_latency
-        ~labels:[ ("op", "write") ]
-        (now -. op.started);
+      Metrics.Handle.observe ins.st_write_latency (now -. op.started);
       close Span.Ok;
       record_hop ~is_write:true version;
       let history =
@@ -677,10 +677,13 @@ module Session = struct
                rsend t ~src:client ~dst (Batch_req { reqs }))
              ())
     in
+    let labels = [ ("client", string_of_int client) ] in
     {
       ses_id = id;
       ses_client = client;
-      ses_labels = [ ("client", string_of_int client) ];
+      ses_submitted = Metrics.Handle.counter ins.st_submitted labels;
+      ses_shed = Metrics.Handle.counter ins.st_shed labels;
+      ses_backlog_peak = Metrics.Handle.gauge ins.st_backlog_peak labels;
       window;
       max_queue;
       batcher;
@@ -701,9 +704,8 @@ module Session = struct
       | Put { key; value } -> (key, Write_op value)
     in
     if key < 0 then invalid_arg "Session.submit: key";
-    let ins = ins_exn t in
     s.submitted <- s.submitted + 1;
-    Metrics.incr ins.st_submitted ~labels:s.ses_labels;
+    Metrics.Handle.incr s.ses_submitted;
     if s.in_flight < s.window && not (Hashtbl.mem s.keys_busy key) then begin
       s.in_flight <- s.in_flight + 1;
       Hashtbl.replace s.keys_busy key 1;
@@ -715,7 +717,7 @@ module Session = struct
          growing without limit. *)
       s.shed <- s.shed + 1;
       t.shed <- t.shed + 1;
-      Metrics.incr ins.st_shed ~labels:s.ses_labels;
+      Metrics.Handle.incr s.ses_shed;
       false
     end
     else begin
@@ -724,7 +726,7 @@ module Session = struct
       s.backlog_len <- s.backlog_len + 1;
       if s.backlog_len > s.peak_backlog then begin
         s.peak_backlog <- s.backlog_len;
-        Metrics.set_max ins.st_backlog_peak ~labels:s.ses_labels
+        Metrics.Handle.set_max s.ses_backlog_peak
           (float_of_int s.backlog_len)
       end;
       true
@@ -1036,6 +1038,11 @@ let bind t engine =
     invalid_arg "Replicated_store.bind: engine size mismatch";
   t.engine <- Some engine;
   let m = Obs.metrics (Engine.obs engine) in
+  let latency =
+    Metrics.histogram m
+      ~help:"operation latency (simulated time), by op=read|write"
+      "store.op_latency"
+  in
   t.ins <-
     Some
       {
@@ -1061,10 +1068,10 @@ let bind t engine =
           Metrics.counter m
             ~help:"requests nacked by a replica still re-joining"
             "store.rejoin_refusals";
-        st_latency =
-          Metrics.histogram m
-            ~help:"operation latency (simulated time), by op=read|write"
-            "store.op_latency";
+        st_latency = latency;
+        st_read_latency = Metrics.Handle.histogram latency [ ("op", "read") ];
+        st_write_latency =
+          Metrics.Handle.histogram latency [ ("op", "write") ];
         st_sessions =
           Metrics.counter m ~help:"client sessions opened" "store.sessions";
         st_submitted =

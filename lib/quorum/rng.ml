@@ -1,28 +1,39 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64]
+   record field would box a fresh [Int64] on every step. *)
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64 constants. *)
 let gamma = 0x9E3779B97F4A7C15L
 let mix_mul1 = 0xBF58476D1CE4E5B9L
 let mix_mul2 = 0x94D049BB133111EBL
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64u t 0 s;
+  t
 
-let mix64 z =
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
+
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) mix_mul1 in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) mix_mul2 in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get64u t 0) gamma in
+  set64u t 0 s;
+  mix64 s
 
-let split t =
-  let seed = bits64 t in
-  { state = mix64 seed }
+let split t = of_state (mix64 (bits64 t))
 
 (* Top 62 bits as a non-negative OCaml int. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -34,10 +45,8 @@ let int t bound =
   in
   loop ()
 
-let float t =
-  (* 53 random bits scaled to [0,1). *)
-  let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
-  float_of_int r *. 0x1.0p-53
+(* 53 random bits scaled to [0,1). *)
+let[@inline] float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t < p

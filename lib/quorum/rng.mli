@@ -6,7 +6,16 @@
     64-bit state advanced by a Weyl sequence and finalized with a strong
     mixer.  It is not cryptographic; it is fast, has period 2^64 and
     passes BigCrush, which is ample for Monte-Carlo estimation and
-    discrete-event simulation. *)
+    discrete-event simulation.
+
+    The state is 8 bytes read and written in place, so advancing it
+    allocates nothing.  Results box where OCaml boxes them: the [int64]
+    of {!bits64}, and the floats of {!float} and {!exponential} when the
+    call is not inlined — ocamlopt boxes float arguments and results of
+    such calls, and builds with [-opaque] inline nothing across modules.
+    Code in other modules that needs a uniform, Bernoulli or exponential
+    draw without a boxed float takes {!bits53} and scales it itself:
+    [float_of_int (bits53 t) *. 0x1.0p-53] is exactly [float t]. *)
 
 type t
 (** Mutable generator state. *)
@@ -26,6 +35,11 @@ val split : t -> t
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
+
+val bits53 : t -> int
+(** The top 53 bits of the next {!bits64} output, in [\[0, 2^53)]:
+    one step, the draw behind {!float}, {!bernoulli} and
+    {!exponential}. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be

@@ -159,7 +159,7 @@ let crash t ~node ~now =
 type 'a cell = {
   c_cfg : config;
   c_ins : ins;
-  c_name : string;
+  c_writes : Metrics.counter Metrics.Handle.t;  (** [cell=name] *)
   pending : (float * 'a) list array;  (** newest first *)
   durable : 'a option array;
 }
@@ -175,7 +175,7 @@ let cell (type a) t ~name : a cell =
     {
       c_cfg = t.cfg;
       c_ins = t.ins;
-      c_name = name;
+      c_writes = Metrics.Handle.counter t.ins.d_cell_writes [ ("cell", name) ];
       pending = (Array.make t.n [] : (float * a) list array);
       durable = Array.make t.n None;
     }
@@ -192,7 +192,7 @@ let cell (type a) t ~name : a cell =
 
 let set c ~node ~now v =
   Prof.enter c.c_ins.d_prof Prof.Durable;
-  Metrics.incr c.c_ins.d_cell_writes ~labels:[ ("cell", c.c_name) ];
+  Metrics.Handle.incr c.c_writes;
   let durable_at =
     if c.c_cfg.fsync_latency = 0.0 then begin
       c.durable.(node) <- Some v;

@@ -4,12 +4,6 @@ module Metrics = Obs.Metrics
 module Trace = Obs.Trace
 module Prof = Obs.Prof
 
-(* Built once: hot paths must not allocate a label list per event. *)
-let labels_net = [ ("reason", "net") ]
-let labels_dead_dst = [ ("reason", "dead_dst") ]
-let labels_amnesia_true = [ ("amnesia", "true") ]
-let labels_amnesia_false = [ ("amnesia", "false") ]
-
 (* Event kinds.  A slot's [meta] packs the kind with the background flag
    in bit 0: [meta = kind lsl 1 lor background]. *)
 let k_deliver = 0
@@ -47,9 +41,11 @@ and instruments = {
   m_sent : Metrics.counter;
   m_background : Metrics.counter;
   m_delivered : Metrics.counter;
-  m_dropped : Metrics.counter;
+  m_drop_net : Metrics.counter Metrics.Handle.t;
+  m_drop_dead : Metrics.counter Metrics.Handle.t;
   m_crashes : Metrics.counter;
-  m_recoveries : Metrics.counter;
+  m_recover_amnesia : Metrics.counter Metrics.Handle.t;
+  m_recover_plain : Metrics.counter Metrics.Handle.t;
 }
 
 (* The event queue is an arena of struct-of-arrays slots under a 4-ary
@@ -75,6 +71,7 @@ and 'msg t = {
   mutable next_seq : int;
   live : bool array;
   network : Network.t;
+  lat : Float.Array.t;  (** one cell: the latency [Network.draw] wrote *)
   net_rng : Rng.t;
   proto_rng : Rng.t;
   handlers : 'msg handlers;
@@ -93,7 +90,8 @@ and 'msg t = {
   mutable dispatched : int;  (** events handed to [dispatch] *)
   mutable foreground : int;  (** queued events that keep [run] alive *)
   mutable budget_hits : int;
-  (* Heartbeats (see [beat]).  The dispatch position is the [(time,
+  mutable flips : int;  (** crash and recovery transitions *)
+  (* Heartbeats (see [beat_round]).  The dispatch position is the [(time,
      seq)] of the event being dispatched, or of the last one between
      runs; a heartbeat counts as arrived once the position has passed
      its own.  [down_*]/[up_*] hold each node's last crash and
@@ -111,6 +109,13 @@ and 'msg t = {
 type outcome = Drained | Reached_until | Budget_exhausted
 
 let make_instruments m =
+  let dropped =
+    Metrics.counter m
+      ~help:"messages lost in flight, by reason (net | dead_dst)"
+      "sim.messages_dropped"
+  and recoveries =
+    Metrics.counter m ~help:"node recovery events" "sim.recoveries"
+  in
   {
     m_sent =
       Metrics.counter m ~help:"foreground messages sent" "sim.messages_sent";
@@ -120,13 +125,13 @@ let make_instruments m =
     m_delivered =
       Metrics.counter m ~help:"messages handed to on_message"
         "sim.messages_delivered";
-    m_dropped =
-      Metrics.counter m
-        ~help:"messages lost in flight, by reason (net | dead_dst)"
-        "sim.messages_dropped";
+    m_drop_net = Metrics.Handle.counter dropped [ ("reason", "net") ];
+    m_drop_dead = Metrics.Handle.counter dropped [ ("reason", "dead_dst") ];
     m_crashes = Metrics.counter m ~help:"node crash events" "sim.crashes";
-    m_recoveries =
-      Metrics.counter m ~help:"node recovery events" "sim.recoveries";
+    m_recover_amnesia =
+      Metrics.Handle.counter recoveries [ ("amnesia", "true") ];
+    m_recover_plain =
+      Metrics.Handle.counter recoveries [ ("amnesia", "false") ];
   }
 
 let create ~seed ~nodes ?network ?obs handlers =
@@ -150,6 +155,7 @@ let create ~seed ~nodes ?network ?obs handlers =
     next_seq = 0;
     live = Array.make nodes true;
     network = (match network with Some n -> n | None -> Network.create ());
+    lat = Float.Array.make 1 0.0;
     net_rng = Rng.split root;
     proto_rng = Rng.split root;
     handlers;
@@ -168,6 +174,7 @@ let create ~seed ~nodes ?network ?obs handlers =
     dispatched = 0;
     foreground = 0;
     budget_hits = 0;
+    flips = 0;
     inboxes =
       Array.init nodes (fun _ ->
           {
@@ -308,7 +315,7 @@ let[@inline] push t ~time ~kind ~background ~a ~b ~uid ~ctx =
   Prof.leave t.prof Prof.Heap;
   s
 
-let check_delay delay =
+let[@inline] check_delay delay =
   if delay < 0.0 then invalid_arg "Engine: negative delay"
 
 let check_time t time =
@@ -316,11 +323,13 @@ let check_time t time =
 
 (* --- Scheduling ------------------------------------------------------- *)
 
-let drop t ~labels =
+let drop t reason =
   t.dropped <- t.dropped + 1;
-  Metrics.incr t.ins.m_dropped ~labels
+  Metrics.Handle.incr reason
 
-let push_deliver t ~delay ~background ~src ~dst ~uid msg =
+(* Inlined so [delay] stays unboxed from the network's cell into the
+   slot. *)
+let[@inline] push_deliver t ~delay ~background ~src ~dst ~uid msg =
   check_delay delay;
   (* Background messages run their handler under no context. *)
   let ctx = if background then -1 else t.ctx in
@@ -357,14 +366,16 @@ let send ?(background = false) t ~src ~dst msg =
       end
     in
     if src = dst then push_deliver t ~delay:0.0 ~background ~src ~dst ~uid msg
-    else
-      match Network.delay t.network t.net_rng ~src ~dst with
-      | None ->
-          drop t ~labels:labels_net;
-          if (not background) && t.tracing then
-            Trace.record t.ring ~time:t.time ~node:src ~peer:dst ~msg_id:uid
-              ~span:t.ctx ~label:"net" Trace.Drop
-      | Some delay -> push_deliver t ~delay ~background ~src ~dst ~uid msg
+    else if Network.draw t.network t.net_rng ~src ~dst t.lat then
+      push_deliver t
+        ~delay:(Float.Array.get t.lat 0)
+        ~background ~src ~dst ~uid msg
+    else begin
+      drop t t.ins.m_drop_net;
+      if (not background) && t.tracing then
+        Trace.record t.ring ~time:t.time ~node:src ~peer:dst ~msg_id:uid
+          ~span:t.ctx ~label:"net" Trace.Drop
+    end
   end
 
 let broadcast ?(background = false) t ~src ~dsts msg =
@@ -427,38 +438,52 @@ let make_room b =
     b.i_srcs <- resize_ints b.i_srcs cap
   end
 
-(* Everything [send ~background:true] does up to the queue push, in the
-   same order and with the same RNG draws; the seq the delivery event
-   would have taken is reserved, so the events around it keep their
-   relative order. *)
-let beat t ~src ~dst =
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n || src = dst then
-    invalid_arg "Engine.beat: bad node id";
+(* Insert an arrival from the tail.  Its seq is the largest yet, so
+   only a later arrival moves up; most beats arrive last. *)
+let[@inline] file b time seq src =
+  if b.i_size = Array.length b.i_seqs then make_room b;
+  let i = ref b.i_size in
+  while !i > b.i_head && time < Float.Array.get b.i_times (!i - 1) do
+    Float.Array.set b.i_times !i (Float.Array.get b.i_times (!i - 1));
+    b.i_seqs.(!i) <- b.i_seqs.(!i - 1);
+    b.i_srcs.(!i) <- b.i_srcs.(!i - 1);
+    decr i
+  done;
+  Float.Array.set b.i_times !i time;
+  b.i_seqs.(!i) <- seq;
+  b.i_srcs.(!i) <- src;
+  b.i_size <- b.i_size + 1
+
+(* One [send ~background:true] per peer, ascending [dst], up to the
+   queue push: the same network draws on the same RNG, and each arrival
+   filed under the seq its delivery event would have taken, so the
+   events around it keep their relative order.  The counts are added
+   once per round, and only when positive, so a round adds no metric
+   cell a per-beat count would not have. *)
+let beat_round t ~src =
+  if src < 0 || src >= t.n then invalid_arg "Engine.beat_round: bad node id";
   if t.live.(src) then begin
-    t.background_sent <- t.background_sent + 1;
-    Metrics.incr t.ins.m_background;
-    match Network.delay t.network t.net_rng ~src ~dst with
-    | None -> drop t ~labels:labels_net
-    | Some delay ->
-        check_delay delay;
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
-        let time = t.time +. delay in
-        let b = t.inboxes.(dst) in
-        if b.i_size = Array.length b.i_seqs then make_room b;
-        (* Insert from the tail.  The new seq is the largest yet, so
-           only a later arrival moves up; most beats arrive last. *)
-        let i = ref b.i_size in
-        while !i > b.i_head && time < Float.Array.get b.i_times (!i - 1) do
-          Float.Array.set b.i_times !i (Float.Array.get b.i_times (!i - 1));
-          b.i_seqs.(!i) <- b.i_seqs.(!i - 1);
-          b.i_srcs.(!i) <- b.i_srcs.(!i - 1);
-          decr i
-        done;
-        Float.Array.set b.i_times !i time;
-        b.i_seqs.(!i) <- seq;
-        b.i_srcs.(!i) <- src;
-        b.i_size <- b.i_size + 1
+    let lost = ref 0 in
+    for dst = 0 to t.n - 1 do
+      if dst <> src then
+        if Network.draw t.network t.net_rng ~src ~dst t.lat then begin
+          let delay = Float.Array.get t.lat 0 in
+          check_delay delay;
+          let seq = t.next_seq in
+          t.next_seq <- seq + 1;
+          file t.inboxes.(dst) (t.time +. delay) seq src
+        end
+        else incr lost
+    done;
+    let sent = t.n - 1 in
+    if sent > 0 then begin
+      t.background_sent <- t.background_sent + sent;
+      Metrics.incr ~by:sent t.ins.m_background
+    end;
+    if !lost > 0 then begin
+      t.dropped <- t.dropped + !lost;
+      Metrics.Handle.incr ~by:!lost t.ins.m_drop_net
+    end
   end
 
 (* Was [node] live when the dispatch loop passed [(time, seq)]?  Judged
@@ -513,6 +538,7 @@ let messages_background t = t.background_sent
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let events_dispatched t = t.dispatched
+let liveness_changes t = t.flips
 let budget_exhaustions t = t.budget_hits
 
 (* --- Dispatch --------------------------------------------------------- *)
@@ -546,7 +572,7 @@ let deliver t ~background ~src ~dst ~uid ~ctx msg =
     Prof.leave t.prof Prof.Dispatch_msg
   end
   else begin
-    drop t ~labels:labels_dead_dst;
+    drop t t.ins.m_drop_dead;
     if (not background) && t.tracing then
       Trace.record t.ring ~time:t.time ~node:dst ~peer:src ~msg_id:uid
         ~span:ctx ~label:"dead_dst" Trace.Drop
@@ -566,6 +592,7 @@ let fire_timer t ~node ~tag ~ctx =
 let crash t ~node =
   if t.live.(node) then begin
     t.live.(node) <- false;
+    t.flips <- t.flips + 1;
     Float.Array.set t.down_time node t.time;
     t.down_seq.(node) <- t.pos_seq;
     Metrics.incr t.ins.m_crashes;
@@ -582,10 +609,11 @@ let crash t ~node =
 let recover t ~node ~amnesia =
   if not t.live.(node) then begin
     t.live.(node) <- true;
+    t.flips <- t.flips + 1;
     Float.Array.set t.up_time node t.time;
     t.up_seq.(node) <- t.pos_seq;
-    Metrics.incr t.ins.m_recoveries
-      ~labels:(if amnesia then labels_amnesia_true else labels_amnesia_false);
+    Metrics.Handle.incr
+      (if amnesia then t.ins.m_recover_amnesia else t.ins.m_recover_plain);
     if t.tracing then
       if amnesia then
         Trace.record t.ring ~time:t.time ~node ~label:"amnesia" Trace.Recover

@@ -141,13 +141,18 @@ val schedule : ?background:bool -> 'msg t -> time:float -> (unit -> unit) -> uni
 (** {2 Heartbeats}
 
     A heartbeat carries no payload: all its receiver learns is who sent
-    it and when it arrived.  So it never enters the event queue.
-    {!beat} does the sending half of [send ~background:true] — the
-    [sim.messages_background] count, the network's cut, loss and jitter
-    draws on the engine's RNG, and the [sim.messages_dropped{reason=net}]
-    count on loss — and reserves the seq the delivery event would have
-    taken.  The arrival becomes a record in the receiver's inbox
-    instead.
+    it and when it arrived.  So it never enters the event queue.  A
+    failure detector's beat round is one {!beat_round}: for every peer,
+    in ascending order, it does the sending half of
+    [send ~background:true] — the network's cut, loss and jitter draws
+    on the engine's RNG ({!Network.draw}) — and reserves the seq the
+    delivery event would have taken.  Each arrival becomes a record in
+    the receiver's inbox instead.  The round's counts are added once,
+    and only when positive: [n - 1] to [sim.messages_background] and
+    {!messages_background}, and the beats the network lost to
+    [sim.messages_dropped{reason=net}] and {!messages_dropped}.  So a
+    round moves every counter exactly as [n - 1] background sends
+    would, and creates no metric cell they would not have.
 
     {!take_beats} hands a receiver the records that have {e arrived}:
     those the dispatch loop has passed in [(time, seq)] order — the
@@ -158,7 +163,10 @@ val schedule : ?background:bool -> 'msg t -> time:float -> (unit -> unit) -> uni
     the state a handler would have built had each arrival been a
     dispatched event.  The liveness judgement is exact when the
     receiver's records are taken at each of its recoveries, before its
-    state is reset; {!Failure_detector.on_recover} does.
+    state is reset; {!Failure_detector.on_recover} does.  Every beat of
+    a round takes a fresh seq, so none of them has arrived when the
+    round returns: a receiver's records taken just before a round and
+    just after it are the same.
 
     Heartbeats are not events: they are not counted by
     {!events_dispatched}, {!messages_delivered} or
@@ -173,9 +181,9 @@ type beats = private {
 (** Heartbeat arrivals, earliest first.  Engine-owned: valid until the
     next {!take_beats} on the same engine. *)
 
-val beat : 'msg t -> src:int -> dst:int -> unit
-(** Send a heartbeat from [src] to [dst] ([src <> dst]); nothing when
-    [src] is dead. *)
+val beat_round : 'msg t -> src:int -> unit
+(** Send a heartbeat from [src] to every other node, in ascending
+    order of receiver; nothing when [src] is dead. *)
 
 val take_beats : 'msg t -> node:int -> beats
 (** Remove and return the heartbeats that have arrived at [node] since
@@ -206,6 +214,12 @@ val events_dispatched : 'msg t -> int
     lifetime (messages, timers, crashes, recoveries, thunks; not
     heartbeats) — the denominator for events/sec and allocations/event
     in [bench engine]. *)
+
+val liveness_changes : 'msg t -> int
+(** Crash and recovery transitions so far, each of which changed one
+    node's {!is_live}.  Unchanged between two reads means every node's
+    liveness is unchanged too, so an observer that mirrors the liveness
+    of all nodes re-reads it only when this moves. *)
 
 type outcome =
   | Drained  (** no foreground events left *)

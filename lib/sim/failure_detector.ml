@@ -15,7 +15,7 @@ type mode =
 
 type instruments = {
   f_beats : Metrics.counter;
-  f_suspected : Metrics.gauge;
+  f_suspected : Metrics.gauge Metrics.Handle.t array;  (** [node=i] *)
   f_false : Metrics.counter;
   f_fp : Metrics.counter;
   f_missed : Metrics.counter;
@@ -39,8 +39,6 @@ type 'wire t = {
   n : int;
   mutable engine : 'wire Engine.t option;
   mutable ins : instruments option;
-  mutable node_labels : (string * string) list array;
-      (** [node=i], built once at [bind] *)
   last_heard : float array array;
       (** [last_heard.(i).(j)]: when [i] last heard from [j], as of the
           last [settle] of [i]. *)
@@ -57,7 +55,9 @@ type 'wire t = {
   ring_sum : float array array;
   (* Oracle-side accuracy bookkeeping, sampled at beat granularity in
      [sample_accuracy]; pure observation — touches no RNG, schedules
-     no events. *)
+     no events.  [was_live] mirrors the engine's liveness as of
+     [seen_flips] of its transitions (see [sync_liveness]). *)
+  mutable seen_flips : int;
   was_live : bool array;
   down_since : float array;
   prev_suspected : bool array array;
@@ -96,7 +96,6 @@ let create ?(period = 1.0) ?(timeout = 5.0) ?mode ~nodes () =
     n = nodes;
     engine = None;
     ins = None;
-    node_labels = [||];
     last_heard = Array.make_matrix nodes nodes 0.0;
     next_due = Array.make nodes infinity;
     ring =
@@ -105,6 +104,7 @@ let create ?(period = 1.0) ?(timeout = 5.0) ?mode ~nodes () =
     ring_len = Array.make_matrix nodes nodes 0;
     ring_pos = Array.make_matrix nodes nodes 0;
     ring_sum = Array.make_matrix nodes nodes 0.0;
+    seen_flips = 0;
     was_live = Array.make nodes true;
     down_since = Array.make nodes nan;
     prev_suspected = Array.make_matrix nodes nodes false;
@@ -125,16 +125,18 @@ let bind t engine =
   if Engine.nodes engine <> t.n then
     invalid_arg "Failure_detector.bind: engine size mismatch";
   t.engine <- Some engine;
-  t.node_labels <- Array.init t.n (fun i -> [ ("node", string_of_int i) ]);
   let m = Obs.metrics (Engine.obs engine) in
+  let suspected =
+    Metrics.gauge m ~help:"peers currently suspected, sampled each beat period"
+      "fd.suspected"
+  in
   t.ins <-
     Some
       {
         f_beats = Metrics.counter m ~help:"heartbeats sent" "fd.beats_sent";
         f_suspected =
-          Metrics.gauge m
-            ~help:"peers currently suspected, sampled each beat period"
-            "fd.suspected";
+          Array.init t.n (fun i ->
+              Metrics.Handle.gauge suspected [ ("node", string_of_int i) ]);
         f_false =
           Metrics.counter m
             ~help:"suspicion samples where the suspect was actually live"
@@ -230,11 +232,11 @@ let suspicion t ~node j =
           else log10_e *. elapsed /. mean /. threshold
   end
 
-(* [suspects] on a settled [node]. *)
-let suspects_settled t engine ~node j =
+(* [suspects] on a settled [node], at time [now]. *)
+let suspects_settled t ~node ~now j =
   if j = node then false
   else begin
-    let elapsed = Engine.now engine -. t.last_heard.(node).(j) in
+    let elapsed = now -. t.last_heard.(node).(j) in
     match t.mode with
     | Fixed_timeout timeout -> elapsed > timeout
     | Accrual { threshold; min_samples; _ } ->
@@ -250,61 +252,59 @@ let suspects t ~node j =
   &&
   let engine = engine_exn t in
   settle t engine ~node;
-  suspects_settled t engine ~node j
+  suspects_settled t ~node ~now:(Engine.now engine) j
+
+(* The oracle's liveness mirror, [was_live], and its crash clock,
+   [down_since]: the first sync after a crash stamps it, so it advances
+   at beat granularity.  The engine is re-read only when some node's
+   liveness has changed since the last sync. *)
+let sync_liveness t engine ~now =
+  let flips = Engine.liveness_changes engine in
+  if flips <> t.seen_flips then begin
+    t.seen_flips <- flips;
+    for j = 0 to t.n - 1 do
+      let live = Engine.is_live engine j in
+      if live && not t.was_live.(j) then begin
+        t.was_live.(j) <- true;
+        t.down_since.(j) <- nan
+      end
+      else if (not live) && t.was_live.(j) then begin
+        t.was_live.(j) <- false;
+        t.down_since.(j) <- now
+      end
+    done
+  end
 
 (* Detector accuracy, sampled once per beat period at the observing
-   node, against the simulation's omniscient oracle: suspected-peer
+   node, against the oracle mirrored by [sync_liveness]: suspected-peer
    gauge, per-sample false suspicions (historical), plus
    transition-based false positives, detection latency (crash -> first
-   suspicion) and missed-detection samples.  The oracle's crash clock
-   [down_since] is itself advanced at beat granularity — the first
-   sampler after a crash stamps it — so latencies are accurate to
-   within one beat period; good enough for the detection-time vs
-   accuracy tradeoffs the bench sweeps. *)
-let sample_accuracy t ~node engine =
+   suspicion) and missed-detection samples.  Latencies are accurate to
+   within one beat period, the oracle clock's granularity; good enough
+   for the detection-time vs accuracy tradeoffs the bench sweeps.  The
+   counts of the round are added once, and only when positive, so no
+   metric cell appears that per-peer updates would not have made. *)
+let sample_accuracy t engine ~node ~now =
   settle t engine ~node;
-  let now = Engine.now engine in
-  (* Advance the oracle's global liveness clock. *)
-  for j = 0 to t.n - 1 do
-    let live = Engine.is_live engine j in
-    if live && not t.was_live.(j) then begin
-      t.was_live.(j) <- true;
-      t.down_since.(j) <- nan
-    end
-    else if (not live) && t.was_live.(j) then begin
-      t.was_live.(j) <- false;
-      t.down_since.(j) <- now
-    end
-  done;
-  let suspected = ref 0 in
+  let prev = t.prev_suspected.(node) in
+  let suspected = ref 0 and false_sus = ref 0 and trans = ref 0 in
+  let fp = ref 0 and missed = ref 0 in
   for j = 0 to t.n - 1 do
     if j <> node then begin
-      let live = Engine.is_live engine j in
-      let sus = suspects_settled t engine ~node j in
+      let live = t.was_live.(j) in
+      let sus = suspects_settled t ~node ~now j in
       if sus then begin
         incr suspected;
-        if live then
-          match t.ins with
-          | Some ins -> Metrics.incr ins.f_false
-          | None -> ()
+        if live then incr false_sus
       end;
-      if sus <> t.prev_suspected.(node).(j) then begin
-        t.prev_suspected.(node).(j) <- sus;
-        t.s_trans.(node) <- t.s_trans.(node) + 1;
-        (match t.ins with
-        | Some ins -> Metrics.incr ins.f_trans
-        | None -> ());
+      if sus <> prev.(j) then begin
+        prev.(j) <- sus;
+        incr trans;
         if sus then
-          if live then begin
-            t.s_fp.(node) <- t.s_fp.(node) + 1;
-            match t.ins with
-            | Some ins -> Metrics.incr ins.f_fp
-            | None -> ()
-          end
+          if live then incr fp
           else begin
             let since = t.down_since.(j) in
-            if Float.is_nan since then ()
-            else begin
+            if not (Float.is_nan since) then begin
               let lat = now -. since in
               t.s_detections.(node) <- t.s_detections.(node) + 1;
               t.s_detect_sum.(node) <- t.s_detect_sum.(node) +. lat;
@@ -322,19 +322,21 @@ let sample_accuracy t ~node engine =
         (not sus) && (not live)
         && (not (Float.is_nan t.down_since.(j)))
         && now -. t.down_since.(j) > t.timeout +. t.period
-      then begin
-        t.s_missed.(node) <- t.s_missed.(node) + 1;
-        match t.ins with
-        | Some ins -> Metrics.incr ins.f_missed
-        | None -> ()
-      end
+      then incr missed
     end
   done;
+  t.s_trans.(node) <- t.s_trans.(node) + !trans;
+  t.s_fp.(node) <- t.s_fp.(node) + !fp;
+  t.s_missed.(node) <- t.s_missed.(node) + !missed;
   match t.ins with
   | None -> ()
   | Some ins ->
-      Metrics.set ins.f_suspected ~labels:t.node_labels.(node)
-        (float_of_int !suspected)
+      let add c k = if k > 0 then Metrics.incr ~by:k c in
+      add ins.f_false !false_sus;
+      add ins.f_trans !trans;
+      add ins.f_fp !fp;
+      add ins.f_missed !missed;
+      Metrics.Handle.set ins.f_suspected.(node) (float_of_int !suspected)
 
 let on_timer t ~node ~tag =
   if tag <> fd_tag then false
@@ -343,19 +345,19 @@ let on_timer t ~node ~tag =
     let now = Engine.now engine in
     (* Drop duplicate chains left over from crash/recovery races. *)
     if abs_float (now -. t.next_due.(node)) <= eps then begin
+      sync_liveness t engine ~now;
+      (* A dead observer runs no beat rounds of its own, so nothing
+         settles it until it recovers: settle it as beats reach it, so
+         its inbox stays bounded.  Settling before the round is settling
+         between its beats: none of them has arrived when it returns. *)
       for dst = 0 to t.n - 1 do
-        if dst <> node then begin
-          (match t.ins with
-          | Some ins -> Metrics.incr ins.f_beats
-          | None -> ());
-          (* A dead observer runs no beat rounds of its own, so nothing
-             settles it until it recovers: settle it as beats reach
-             it, so its inbox stays bounded. *)
-          if not (Engine.is_live engine dst) then settle t engine ~node:dst;
-          Engine.beat engine ~src:node ~dst
-        end
+        if dst <> node && not t.was_live.(dst) then settle t engine ~node:dst
       done;
-      sample_accuracy t ~node engine;
+      Engine.beat_round engine ~src:node;
+      (match t.ins with
+      | Some ins when t.n > 1 -> Metrics.incr ~by:(t.n - 1) ins.f_beats
+      | Some _ | None -> ());
+      sample_accuracy t engine ~node ~now;
       schedule_beat t ~node ~delay:t.period
     end;
     true
@@ -378,18 +380,20 @@ let on_recover t ~node =
 let view t ~node =
   let engine = engine_exn t in
   settle t engine ~node;
+  let now = Engine.now engine in
   let s = Bitset.create t.n in
   for j = 0 to t.n - 1 do
-    if not (suspects_settled t engine ~node j) then Bitset.add s j
+    if not (suspects_settled t ~node ~now j) then Bitset.add s j
   done;
   s
 
 let suspected_count t ~node =
   let engine = engine_exn t in
   settle t engine ~node;
+  let now = Engine.now engine in
   let c = ref 0 in
   for j = 0 to t.n - 1 do
-    if suspects_settled t engine ~node j then incr c
+    if suspects_settled t ~node ~now j then incr c
   done;
   !c
 

@@ -46,14 +46,20 @@
 
     Heartbeats do not ride the event queue.  Each node's beat round is
     a {e background} engine timer (it does not keep [Engine.run]
-    alive) that sends one {!Engine.beat} per peer, counted in
-    [Engine.messages_background], not [messages_sent].  Each arrival
-    waits in the engine until the receiver next reads its own
-    opinions: every query below first applies the receiver's arrivals
-    so far ({!Engine.take_beats}), earliest first, exactly as if each
-    had been handled when it arrived.  A dead observer's arrivals are
-    applied whenever a beat is addressed to it, so its backlog stays
-    bounded.
+    alive) that makes one {!Engine.beat_round}: a beat to every peer,
+    counted in [Engine.messages_background], not [messages_sent].
+    Each arrival waits in the engine until the receiver next reads its
+    own opinions: every query below first applies the receiver's
+    arrivals so far ({!Engine.take_beats}), earliest first, exactly as
+    if each had been handled when it arrived.  A dead observer's
+    arrivals are applied at the start of every round that beats to it,
+    so its backlog stays bounded.  The round then samples the
+    observer's accuracy once: the oracle's liveness is re-read from the
+    engine only when some node crashed or recovered since the last
+    sample ({!Engine.liveness_changes}), and the round's counts reach
+    the metrics once each ([fd.beats_sent] and the accuracy counters,
+    only when positive; [fd.suspected{node=..}] through a handle
+    bound at {!bind}).
 
     Wiring: route [on_timer] through {!on_timer} (tag [-1] is reserved)
     and call {!on_recover} from the engine's recovery handler so the

@@ -67,13 +67,18 @@ let slowdown t ~node =
   if Hashtbl.length t.slowdown = 0 then 0.0
   else match Hashtbl.find_opt t.slowdown node with Some s -> s | None -> 0.0
 
-let delay t rng ~src ~dst =
-  let blocked =
-    match t.cuts with
-    | [] -> false
-    | cuts -> List.exists (fun (_, side) -> side src <> side dst) cuts
-  in
-  if blocked then None
+(* Whether any cut separates [src] and [dst]; a loop rather than
+   [List.exists] so no closure is built per message. *)
+let rec crosses src dst = function
+  | [] -> false
+  | (_, side) :: cuts -> side src <> side dst || crosses src dst cuts
+
+(* [Rng.float], computed here so no boxed float crosses the module
+   boundary. *)
+let[@inline] uniform rng = float_of_int (Quorum.Rng.bits53 rng) *. 0x1.0p-53
+
+let draw t rng ~src ~dst latency =
+  if crosses src dst t.cuts then false
   else begin
     (* Independent drop causes compose into one Bernoulli draw; no RNG
        is consumed when the message cannot be dropped, so loss-free
@@ -82,14 +87,15 @@ let delay t rng ~src ~dst =
       (1.0 -. t.loss) *. (1.0 -. t.extra_loss)
       *. (1.0 -. link_loss t ~src ~dst)
     in
-    if keep < 1.0 && Quorum.Rng.bernoulli rng (1.0 -. keep) then None
+    if keep < 1.0 && uniform rng < 1.0 -. keep then false
     else begin
+      (* [Rng.exponential ~mean:t.jitter], inlined. *)
       let jitter =
-        if t.jitter = 0.0 then 0.0
-        else Quorum.Rng.exponential rng ~mean:t.jitter
+        if t.jitter = 0.0 then 0.0 else -.t.jitter *. log (1.0 -. uniform rng)
       in
-      Some
+      Float.Array.set latency 0
         (t.base_latency +. t.latency_of src dst +. jitter
-        +. slowdown t ~node:src +. slowdown t ~node:dst)
+        +. slowdown t ~node:src +. slowdown t ~node:dst);
+      true
     end
   end

@@ -61,5 +61,21 @@ val set_slowdown : t -> node:int -> float -> unit
 
 val slowdown : t -> node:int -> float
 
-val delay : t -> Quorum.Rng.t -> src:int -> dst:int -> float option
-(** Latency for one message, or [None] if dropped / blocked. *)
+val draw : t -> Quorum.Rng.t -> src:int -> dst:int -> Float.Array.t -> bool
+(** [draw t rng ~src ~dst latency] decides one message's fate: [false]
+    when a cut separates [src] and [dst] or the message is lost;
+    otherwise [true], with its latency written to [latency.(0)].  It
+    allocates nothing and returns no float, so callers in other modules
+    pay no boxing (see {!Quorum.Rng}).
+
+    The draws are fixed: every send that has ever used the network
+    makes them, in this order, so pinned-seed runs replay exactly.
+    - The cut check draws nothing.
+    - The survival probability is the product
+      [(1 - loss) * (1 - extra_loss) * (1 - link_loss src dst)], in
+      that order; only when it is below 1 does one uniform [u] decide
+      the loss, [u < 1 - keep].
+    - Only when [jitter > 0] does a second uniform [u] give the jitter
+      [-jitter * log (1 - u)] ({!Quorum.Rng.exponential}).
+    - The latency is [base_latency + latency_of src dst + jitter +
+      slowdown src + slowdown dst], summed left to right. *)

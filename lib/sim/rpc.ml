@@ -8,9 +8,9 @@ type 'a msg = Data of { seq : int; payload : 'a } | Ack of { seq : int }
 
 type instruments = {
   i_sends : Metrics.counter;
-  i_retransmits : Metrics.counter;
+  i_retransmits : Metrics.counter Metrics.Handle.t array;  (** [node=i] *)
   i_duplicates : Metrics.counter;
-  i_dead : Metrics.counter;
+  i_dead : Metrics.counter Metrics.Handle.t array;  (** [node=i] *)
 }
 
 (* Timer-tag namespace: tag = -seq - 2, so every rpc tag is <= -2.
@@ -38,7 +38,6 @@ type ('a, 'wire) t = {
   mutable ins : instruments option;
   mutable prof : Prof.t;
   mutable tracing : bool;  (** the engine's trace ring has capacity *)
-  mutable node_labels : (string * string) list array;  (** [node=i] *)
   mutable next_seq : int;
   inflight : (int, 'a inflight) Hashtbl.t;  (** seq -> record *)
   mutable seen : Bitset.t;  (** seqs already delivered *)
@@ -67,7 +66,6 @@ let create ?(timeout = 2.0) ?(backoff = 1.6) ?(jitter = 0.3) ?cap
     ins = None;
     prof = Prof.null;
     tracing = false;
-    node_labels = [||];
     next_seq = 0;
     inflight = Hashtbl.create 64;
     seen = Bitset.create 256;
@@ -86,10 +84,12 @@ let bind t engine =
   t.engine <- Some engine;
   t.prof <- Obs.prof (Engine.obs engine);
   t.tracing <- Trace.capacity (Obs.trace (Engine.obs engine)) > 0;
-  (* Built once: retransmits and dead letters label by sender node. *)
-  t.node_labels <-
-    Array.init (Engine.nodes engine) (fun i -> [ ("node", string_of_int i) ]);
   let m = Obs.metrics (Engine.obs engine) in
+  (* Retransmits and dead letters label by sender node. *)
+  let per_node f =
+    Array.init (Engine.nodes engine) (fun i ->
+        Metrics.Handle.counter f [ ("node", string_of_int i) ])
+  in
   t.ins <-
     Some
       {
@@ -97,15 +97,17 @@ let bind t engine =
           Metrics.counter m ~help:"rpc sends (first transmissions)"
             "rpc.sends";
         i_retransmits =
-          Metrics.counter m ~help:"rpc retransmissions, by sender node"
-            "rpc.retransmits";
+          per_node
+            (Metrics.counter m ~help:"rpc retransmissions, by sender node"
+               "rpc.retransmits");
         i_duplicates =
           Metrics.counter m ~help:"duplicate deliveries suppressed"
             "rpc.duplicates_suppressed";
         i_dead =
-          Metrics.counter m
-            ~help:"messages abandoned after max_attempts, by sender node"
-            "rpc.dead_letters";
+          per_node
+            (Metrics.counter m
+               ~help:"messages abandoned after max_attempts, by sender node"
+               "rpc.dead_letters");
       }
 
 let set_dead_letter_handler t f = t.on_dead_letter <- f
@@ -202,7 +204,7 @@ let on_timer t ~node ~tag =
         if m.attempts >= t.max_attempts then begin
           Hashtbl.remove t.inflight seq;
           t.dead <- t.dead + 1;
-          Metrics.incr (ins_exn t).i_dead ~labels:t.node_labels.(m.src);
+          Metrics.Handle.incr (ins_exn t).i_dead.(m.src);
           if t.tracing then begin
             let engine = engine_exn t in
             Trace.record
@@ -218,8 +220,7 @@ let on_timer t ~node ~tag =
           m.attempts <- m.attempts + 1;
           m.rto <- next_backoff t (Engine.rng engine) ~prev:m.rto;
           t.retransmissions <- t.retransmissions + 1;
-          Metrics.incr (ins_exn t).i_retransmits
-            ~labels:t.node_labels.(node);
+          Metrics.Handle.incr (ins_exn t).i_retransmits.(node);
           (* The Note marks the retransmission instant inside the op's
              span window, which is what lets the critical-path analysis
              attribute the ensuing wait to "retransmit", not "queueing". *)

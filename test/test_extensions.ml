@@ -328,12 +328,15 @@ let test_geo_network_delay () =
   let line = Sim.Topology.line ~n:3 ~spacing:5.0 in
   let net = Sim.Topology.network ~base_latency:1.0 ~jitter:0.0 line in
   let rng = Rng.create 10 in
-  (match Sim.Network.delay net rng ~src:0 ~dst:2 with
-  | Some d -> Alcotest.(check (float 1e-9)) "base + distance" 11.0 d
-  | None -> Alcotest.fail "dropped");
-  match Sim.Network.delay net rng ~src:1 ~dst:1 with
-  | Some d -> Alcotest.(check (float 1e-9)) "self" 1.0 d
-  | None -> Alcotest.fail "dropped"
+  let latency = Float.Array.make 1 nan in
+  if Sim.Network.draw net rng ~src:0 ~dst:2 latency then
+    Alcotest.(check (float 1e-9))
+      "base + distance" 11.0
+      (Float.Array.get latency 0)
+  else Alcotest.fail "dropped";
+  if Sim.Network.draw net rng ~src:1 ~dst:1 latency then
+    Alcotest.(check (float 1e-9)) "self" 1.0 (Float.Array.get latency 0)
+  else Alcotest.fail "dropped"
 
 let () =
   Alcotest.run "extensions"

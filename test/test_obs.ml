@@ -418,6 +418,100 @@ let test_chaos_run_causality_and_metrics () =
   check_int "per-node retransmit cells sum to report"
     report.Protocols.Chaos.retransmissions total_retr
 
+(* --- Labeled-cell handles vs labeled calls ----------------------------- *)
+
+type metric_op =
+  | Incr of int * int  (** label set, by *)
+  | Set of int * float
+  | Set_max of int * float
+  | Observe of int * float
+  | Toggle  (** flip [set_enabled] *)
+
+(* The last two name the same cell; the fifth is never updated. *)
+let label_sets =
+  [|
+    [];
+    [ ("node", "1") ];
+    [ ("node", "2"); ("op", "read") ];
+    [ ("op", "read"); ("node", "2") ];
+    [ ("node", "9") ];
+  |]
+
+let print_metric_op = function
+  | Incr (l, by) -> Printf.sprintf "incr %d by %d" l by
+  | Set (l, v) -> Printf.sprintf "set %d %h" l v
+  | Set_max (l, v) -> Printf.sprintf "set_max %d %h" l v
+  | Observe (l, v) -> Printf.sprintf "observe %d %h" l v
+  | Toggle -> "toggle"
+
+(* The same updates, through labeled calls on one registry and through
+   handles made up front for every label set on another, leave equal
+   snapshots: same cells with the same values, so a handle that is
+   never updated, or only while the registry is off, adds no cell. *)
+let handles_match_labeled_calls =
+  let gen =
+    let open QCheck.Gen in
+    let l = int_range 0 3 and v = float_range (-5.0) 5.0 in
+    list_size (int_range 0 80)
+      (oneof
+         [
+           map2 (fun l by -> Incr (l, by)) l (int_range 0 3);
+           map2 (fun l v -> Set (l, v)) l v;
+           map2 (fun l v -> Set_max (l, v)) l v;
+           map2 (fun l v -> Observe (l, v)) l v;
+           return Toggle;
+         ])
+  in
+  let print ops = String.concat "; " (List.map print_metric_op ops) in
+  QCheck.Test.make ~name:"handles update the cells labeled calls do"
+    ~count:300 (QCheck.make ~print gen) (fun ops ->
+      let registry () =
+        let m = M.create () in
+        (m, M.counter m "t.c", M.gauge m "t.g", M.histogram m ~max_samples:4 "t.h")
+      in
+      let m1, c1, g1, h1 = registry () and m2, c2, g2, h2 = registry () in
+      let each f = Array.map f label_sets in
+      let hc = each (M.Handle.counter c2)
+      and hg = each (M.Handle.gauge g2)
+      and hh = each (M.Handle.histogram h2) in
+      let on = ref true in
+      List.iter
+        (fun op ->
+          let labels l = label_sets.(l) in
+          match op with
+          | Incr (l, by) ->
+              M.incr ~labels:(labels l) ~by c1;
+              M.Handle.incr ~by hc.(l)
+          | Set (l, v) ->
+              M.set ~labels:(labels l) g1 v;
+              M.Handle.set hg.(l) v
+          | Set_max (l, v) ->
+              M.set_max ~labels:(labels l) g1 v;
+              M.Handle.set_max hg.(l) v
+          | Observe (l, v) ->
+              M.observe ~labels:(labels l) h1 v;
+              M.Handle.observe hh.(l) v
+          | Toggle ->
+              on := not !on;
+              M.set_enabled m1 !on;
+              M.set_enabled m2 !on)
+        ops;
+      M.snapshot m1 = M.snapshot m2)
+
+let test_handle_adds_no_cell () =
+  let m = M.create () in
+  let c = M.counter m "t.c" in
+  let h = M.Handle.counter c [ ("node", "3") ] in
+  check_int "a new handle adds no cell" 0 (List.length (M.snapshot m));
+  M.set_enabled m false;
+  M.Handle.incr h;
+  check_int "nor an update while disabled" 0 (List.length (M.snapshot m));
+  M.set_enabled m true;
+  M.Handle.incr ~by:2 h;
+  check_int "the first update adds it" 2
+    (M.counter_value ~labels:[ ("node", "3") ] c);
+  check "by:-1 raises" true (raises_invalid (fun () -> M.Handle.incr ~by:(-1) h))
+
 let () =
   Alcotest.run "obs"
     [
@@ -434,6 +528,9 @@ let () =
             test_registration_idempotent_and_kind_clash;
           Alcotest.test_case "gauge" `Quick test_gauge_last_wins;
           Alcotest.test_case "snapshot" `Quick test_snapshot_deterministic;
+          QCheck_alcotest.to_alcotest handles_match_labeled_calls;
+          Alcotest.test_case "handle adds no cell" `Quick
+            test_handle_adds_no_cell;
         ] );
       ( "trace",
         [

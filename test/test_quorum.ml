@@ -153,6 +153,121 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 (fun i -> i)) sorted
 
+(* Reference splitmix64, its state in a [mutable int64] record field —
+   the representation [Rng] had before its state moved into bytes.
+   Every draw is written out from the definitions, not from [Rng]. *)
+module Ref_rng = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = Int64.of_int seed }
+  let copy t = { state = t.state }
+
+  let mix64 z =
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
+        0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
+        0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let bits64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    mix64 t.state
+
+  let split t =
+    let seed = bits64 t in
+    { state = mix64 seed }
+
+  let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+  let int t bound =
+    let rec loop () =
+      let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+      let v = r mod bound in
+      if r - v > max_int - bound + 1 then loop () else v
+    in
+    loop ()
+
+  let float t =
+    let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
+    float_of_int r *. 0x1.0p-53
+
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+  let bernoulli t p = float t < p
+  let exponential t ~mean = -.mean *. log (1.0 -. float t)
+end
+
+type rng_op =
+  | Bits64
+  | Bits53
+  | Int of int
+  | Float
+  | Bool
+  | Bernoulli of float
+  | Exponential of float
+  | Split
+  | Copy
+
+let print_rng_op = function
+  | Bits64 -> "bits64"
+  | Bits53 -> "bits53"
+  | Int b -> Printf.sprintf "int %d" b
+  | Float -> "float"
+  | Bool -> "bool"
+  | Bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | Exponential m -> Printf.sprintf "exponential %h" m
+  | Split -> "split"
+  | Copy -> "copy"
+
+(* Each draw's result as the bits of an [int64], so floats compare
+   bit for bit. *)
+let rng_matches_reference =
+  let open QCheck.Gen in
+  let op =
+    oneof
+      [
+        oneofl [ Bits64; Bits53; Float; Bool; Split; Copy ];
+        map (fun b -> Int b) (oneof [ int_range 1 10; int_range 1 max_int ]);
+        map (fun p -> Bernoulli p) (float_range 0.0 1.0);
+        map (fun m -> Exponential m) (float_range 0.0 10.0);
+      ]
+  in
+  let gen = pair int (list_size (int_range 0 60) op) in
+  let print (seed, ops) =
+    Printf.sprintf "seed %d: %s" seed
+      (String.concat "; " (List.map print_rng_op ops))
+  in
+  QCheck.Test.make ~name:"every draw matches a reference splitmix64"
+    ~count:500 (QCheck.make ~print gen) (fun (seed, ops) ->
+      let r = Rng.create seed and m = Ref_rng.create seed in
+      let of_bool b = if b then 1L else 0L in
+      let step = function
+        | Bits64 -> (Rng.bits64 r, Ref_rng.bits64 m)
+        | Bits53 -> (Int64.of_int (Rng.bits53 r), Int64.of_int (Ref_rng.bits53 m))
+        | Int b -> (Int64.of_int (Rng.int r b), Int64.of_int (Ref_rng.int m b))
+        | Float ->
+            (Int64.bits_of_float (Rng.float r), Int64.bits_of_float (Ref_rng.float m))
+        | Bool -> (of_bool (Rng.bool r), of_bool (Ref_rng.bool m))
+        | Bernoulli p -> (of_bool (Rng.bernoulli r p), of_bool (Ref_rng.bernoulli m p))
+        | Exponential mean ->
+            ( Int64.bits_of_float (Rng.exponential r ~mean),
+              Int64.bits_of_float (Ref_rng.exponential m ~mean) )
+        | Split ->
+            (* The child's first draw; the parent has advanced once. *)
+            (Rng.bits64 (Rng.split r), Ref_rng.bits64 (Ref_rng.split m))
+        | Copy ->
+            (* The copy draws what the original will draw next, and
+               drawing from it leaves the original where it was. *)
+            let c = Rng.copy r and cm = Ref_rng.copy m in
+            let x = Rng.bits64 c in
+            if x <> Ref_rng.bits64 cm then (x, Int64.lognot x) else (x, x)
+      in
+      List.for_all (fun o -> let a, b = step o in a = b) ops
+      && Rng.bits64 r = Ref_rng.bits64 m)
+
 (* --- Failure_poly --------------------------------------------------- *)
 
 let test_binomial () =
@@ -315,6 +430,7 @@ let () =
           Alcotest.test_case "pick_weighted" `Quick test_rng_pick_weighted;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutation;
+          QCheck_alcotest.to_alcotest rng_matches_reference;
         ];
       qsuite "failure_poly"
         [

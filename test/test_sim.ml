@@ -9,11 +9,19 @@ let check_int = Alcotest.(check int)
 
 (* --- Network -------------------------------------------------------- *)
 
+(* One message's latency through [Network.draw], [None] when it is lost
+   or blocked. *)
+let delay net rng ~src ~dst =
+  let latency = Float.Array.make 1 nan in
+  if Network.draw net rng ~src ~dst latency then
+    Some (Float.Array.get latency 0)
+  else None
+
 let test_network_latency_positive () =
   let net = Network.create ~base_latency:2.0 ~jitter:0.5 () in
   let rng = Rng.create 1 in
   for _ = 1 to 100 do
-    match Network.delay net rng ~src:0 ~dst:1 with
+    match delay net rng ~src:0 ~dst:1 with
     | Some d -> check "latency >= base" true (d >= 2.0)
     | None -> Alcotest.fail "lossless network dropped"
   done
@@ -23,7 +31,7 @@ let test_network_loss () =
   let rng = Rng.create 2 in
   let dropped = ref 0 in
   for _ = 1 to 2000 do
-    if Network.delay net rng ~src:0 ~dst:1 = None then incr dropped
+    if delay net rng ~src:0 ~dst:1 = None then incr dropped
   done;
   let rate = float_of_int !dropped /. 2000.0 in
   check "loss near 0.5" true (abs_float (rate -. 0.5) < 0.05)
@@ -32,11 +40,11 @@ let test_network_partition () =
   let net = Network.create () in
   let cut = Network.partition net ~group_a:[ 0; 1 ] in
   let rng = Rng.create 3 in
-  check "cross-cut blocked" true (Network.delay net rng ~src:0 ~dst:2 = None);
-  check "same side ok" true (Network.delay net rng ~src:0 ~dst:1 <> None);
-  check "other side ok" true (Network.delay net rng ~src:2 ~dst:3 <> None);
+  check "cross-cut blocked" true (delay net rng ~src:0 ~dst:2 = None);
+  check "same side ok" true (delay net rng ~src:0 ~dst:1 <> None);
+  check "other side ok" true (delay net rng ~src:2 ~dst:3 <> None);
   Network.heal net cut;
-  check "healed" true (Network.delay net rng ~src:0 ~dst:2 <> None)
+  check "healed" true (delay net rng ~src:0 ~dst:2 <> None)
 
 let test_network_overlapping_cuts () =
   (* Two overlapping cuts heal independently; a link crosses only when
@@ -45,20 +53,20 @@ let test_network_overlapping_cuts () =
   let rng = Rng.create 4 in
   let c1 = Network.partition net ~group_a:[ 0 ] in
   let c2 = Network.partition net ~group_a:[ 0; 1 ] in
-  check "blocked by both" true (Network.delay net rng ~src:0 ~dst:2 = None);
+  check "blocked by both" true (delay net rng ~src:0 ~dst:2 = None);
   Network.heal net c1;
   check "still one cut" true (Network.partitioned net);
   check "0-2 still blocked by c2" true
-    (Network.delay net rng ~src:0 ~dst:2 = None);
+    (delay net rng ~src:0 ~dst:2 = None);
   check "0-1 freed by healing c1" true
-    (Network.delay net rng ~src:0 ~dst:1 <> None);
+    (delay net rng ~src:0 ~dst:1 <> None);
   Network.heal net c1;
   (* double-heal is a no-op *)
   check "0-2 blocked after double heal" true
-    (Network.delay net rng ~src:0 ~dst:2 = None);
+    (delay net rng ~src:0 ~dst:2 = None);
   Network.heal net c2;
   check "all healed" false (Network.partitioned net);
-  check "0-2 open" true (Network.delay net rng ~src:0 ~dst:2 <> None)
+  check "0-2 open" true (delay net rng ~src:0 ~dst:2 <> None)
 
 let test_network_heal_all () =
   let net = Network.create () in
@@ -67,38 +75,139 @@ let test_network_heal_all () =
   let _ = Network.partition net ~group_a:[ 1 ] in
   Network.heal_all net;
   check "heal_all removes every cut" false (Network.partitioned net);
-  check "traffic flows" true (Network.delay net rng ~src:0 ~dst:1 <> None)
+  check "traffic flows" true (delay net rng ~src:0 ~dst:1 <> None)
 
 let test_network_link_loss () =
   let net = Network.create () in
   let rng = Rng.create 6 in
   Network.set_link_loss net ~src:0 ~dst:1 1.0;
-  check "lossy direction drops" true (Network.delay net rng ~src:0 ~dst:1 = None);
+  check "lossy direction drops" true (delay net rng ~src:0 ~dst:1 = None);
   check "reverse direction flows" true
-    (Network.delay net rng ~src:1 ~dst:0 <> None);
+    (delay net rng ~src:1 ~dst:0 <> None);
   Network.set_link_loss net ~src:0 ~dst:1 0.0;
-  check "cleared" true (Network.delay net rng ~src:0 ~dst:1 <> None)
+  check "cleared" true (delay net rng ~src:0 ~dst:1 <> None)
 
 let test_network_slowdown () =
   (* A gray node inflates latency on every adjacent link, both ways. *)
   let net = Network.create ~jitter:0.0 () in
   let rng = Rng.create 7 in
   let base =
-    match Network.delay net rng ~src:1 ~dst:2 with
+    match delay net rng ~src:1 ~dst:2 with
     | Some d -> d
     | None -> Alcotest.fail "unexpected drop"
   in
   Network.set_slowdown net ~node:1 10.0;
-  (match Network.delay net rng ~src:1 ~dst:2 with
+  (match delay net rng ~src:1 ~dst:2 with
   | Some d -> check "outbound slowed" true (d >= base +. 10.0)
   | None -> Alcotest.fail "unexpected drop");
-  (match Network.delay net rng ~src:0 ~dst:1 with
+  (match delay net rng ~src:0 ~dst:1 with
   | Some d -> check "inbound slowed" true (d >= base +. 10.0)
   | None -> Alcotest.fail "unexpected drop");
   Network.set_slowdown net ~node:1 0.0;
-  match Network.delay net rng ~src:1 ~dst:2 with
+  match delay net rng ~src:1 ~dst:2 with
   | Some d -> check "slowdown cleared" true (d < base +. 10.0)
   | None -> Alcotest.fail "unexpected drop"
+
+(* [Network.delay] as it was before [Network.draw] replaced it,
+   verbatim but for reading the network through its accessors and the
+   cuts from the test's own list of [group_a]s. *)
+let reference_delay ~cuts ~loss ~base ~jitter ~latency_of net rng ~src ~dst =
+  let blocked =
+    List.exists
+      (fun group_a -> List.mem src group_a <> List.mem dst group_a)
+      cuts
+  in
+  if blocked then None
+  else begin
+    let keep =
+      (1.0 -. loss) *. (1.0 -. Network.extra_loss net)
+      *. (1.0 -. Network.link_loss net ~src ~dst)
+    in
+    if keep < 1.0 && Rng.bernoulli rng (1.0 -. keep) then None
+    else begin
+      let jitter =
+        if jitter = 0.0 then 0.0 else Rng.exponential rng ~mean:jitter
+      in
+      Some
+        (base +. latency_of src dst +. jitter
+        +. Network.slowdown net ~node:src
+        +. Network.slowdown net ~node:dst)
+    end
+  end
+
+type net_case = {
+  seed : int;
+  base : float;
+  jitter : float;
+  loss : float;
+  extra : float;
+  cuts : int list list;
+  links : (int * int * float) list;
+  slow : (int * float) list;
+  topo : bool;  (** a per-pair [latency_of], else the default *)
+  draws : (int * int) list;
+}
+
+let print_net_case c =
+  Printf.sprintf
+    "seed %d base %h jitter %h loss %h extra %h topo %b cuts [%s] links \
+     [%s] slow [%s] draws [%s]"
+    c.seed c.base c.jitter c.loss c.extra c.topo
+    (String.concat "; "
+       (List.map (fun g -> String.concat "," (List.map string_of_int g)) c.cuts))
+    (String.concat "; "
+       (List.map (fun (s, d, p) -> Printf.sprintf "%d>%d %h" s d p) c.links))
+    (String.concat "; "
+       (List.map (fun (n, x) -> Printf.sprintf "%d %h" n x) c.slow))
+    (String.concat "; "
+       (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) c.draws))
+
+(* The same results, bit for bit, and the RNG left in the same place,
+   over random cuts, loss sources, slowdowns, jitter 0 and > 0, and
+   both kinds of [latency_of]. *)
+let draw_matches_delay =
+  let gen =
+    let open QCheck.Gen in
+    let node = int_bound 4 in
+    let maybe g = oneof [ return 0.0; g ] in
+    let* seed = int and* base = float_range 0.0 3.0
+    and* jitter = maybe (float_range 0.01 1.0)
+    and* loss = maybe (float_range 0.0 0.9)
+    and* extra = maybe (float_range 0.0 0.9)
+    and* cuts = list_size (int_range 0 2) (list_size (int_range 0 3) node)
+    and* links =
+      list_size (int_range 0 4)
+        (triple node node (oneof [ float_range 0.0 1.0; return 1.0 ]))
+    and* slow = list_size (int_range 0 3) (pair node (float_range 0.0 5.0))
+    and* topo = bool
+    and* draws = list_size (int_range 1 40) (pair node node) in
+    return { seed; base; jitter; loss; extra; cuts; links; slow; topo; draws }
+  in
+  QCheck.Test.make ~name:"draw matches the old delay" ~count:500
+    (QCheck.make ~print:print_net_case gen) (fun c ->
+      let latency_of src dst = float_of_int ((5 * src) + dst) *. 0.37 in
+      let net =
+        if c.topo then
+          Network.create ~base_latency:c.base ~jitter:c.jitter ~loss:c.loss
+            ~latency_of ()
+        else
+          Network.create ~base_latency:c.base ~jitter:c.jitter ~loss:c.loss ()
+      in
+      let latency_of = if c.topo then latency_of else fun _ _ -> 0.0 in
+      Network.set_extra_loss net c.extra;
+      List.iter (fun group_a -> ignore (Network.partition net ~group_a)) c.cuts;
+      List.iter (fun (src, dst, p) -> Network.set_link_loss net ~src ~dst p) c.links;
+      List.iter (fun (node, x) -> Network.set_slowdown net ~node x) c.slow;
+      let r = Rng.create c.seed and m = Rng.create c.seed in
+      let bits = Option.map Int64.bits_of_float in
+      List.for_all
+        (fun (src, dst) ->
+          bits (delay net r ~src ~dst)
+          = bits
+              (reference_delay ~cuts:c.cuts ~loss:c.loss ~base:c.base
+                 ~jitter:c.jitter ~latency_of net m ~src ~dst))
+        c.draws
+      && Rng.bits64 r = Rng.bits64 m)
 
 (* --- Engine --------------------------------------------------------- *)
 
@@ -441,15 +550,19 @@ let test_span_ctx_rides_messages () =
   check_int "timers fire under the arming context" 7 (ctx_at 3);
   check_int "ambient context restored" (-1) (Engine.span_ctx e)
 
-(* [Engine.beat] is [send ~background:true] without the queue.  Over a
-   lossy, jittery network, two engines on one seed lose the same beats,
-   move the same counters and leave the RNG in the same place (the
-   foreground pings after each round take the same delays), and the
-   arrivals [take_beats] hands each node are the deliveries the queued
-   path made to it, in order. *)
+(* [Engine.beat_round] is one [send ~background:true] per peer, in
+   ascending order, without the queue.  Over a network lossy for the
+   beats, jittery or jitter-free (so a round's arrivals tie), with a
+   receiver that dies mid-run, two engines on one seed lose the same
+   beats, move the same counters and leave the RNG in the same place
+   (the foreground pings after each round take the same delays), and
+   the arrivals [take_beats] hands each node are the deliveries the
+   queued path made to it, in order.  The queued path counts deliveries
+   to the dead receiver as [dead_dst] drops; beats are not counted
+   there. *)
 let test_beat_draws_like_background_send () =
   let nodes = 4 in
-  let world ~queued =
+  let world ~jitter ~queued =
     let beats = ref [] and pings = ref [] in
     let handlers : probe_msg Engine.handlers =
       {
@@ -463,17 +576,21 @@ let test_beat_draws_like_background_send () =
         on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
       }
     in
-    let network = Network.create ~loss:0.3 ~jitter:0.2 () in
+    let network = Network.create ~jitter () in
     let e = Engine.create ~seed:17 ~nodes ~network handlers in
+    Engine.crash_at e ~time:2.5 ~node:3;
     for round = 0 to 5 do
       Engine.schedule e ~time:(float_of_int round) (fun () ->
+          (* Lossy for the beats only, so every ping gets through. *)
+          Network.set_extra_loss network 0.3;
           for src = 0 to nodes - 1 do
-            for dst = 0 to nodes - 1 do
-              if src <> dst then
-                if queued then Engine.send ~background:true e ~src ~dst Pong
-                else Engine.beat e ~src ~dst
-            done
+            if queued then
+              for dst = 0 to nodes - 1 do
+                if src <> dst then Engine.send ~background:true e ~src ~dst Pong
+              done
+            else Engine.beat_round e ~src
           done;
+          Network.set_extra_loss network 0.0;
           Engine.send e ~src:0 ~dst:1 Ping)
     done;
     Engine.run e;
@@ -487,24 +604,38 @@ let test_beat_draws_like_background_send () =
         List.init b.Engine.count (fun k ->
             (Float.Array.get b.Engine.times k, b.Engine.srcs.(k)))
     in
+    let dropped reason =
+      Obs.Metrics.counter_value
+        ~labels:[ ("reason", reason) ]
+        (Obs.Metrics.counter (Obs.metrics (Engine.obs e)) "sim.messages_dropped")
+    in
     ( List.init nodes arrived,
       List.rev !pings,
       ( Engine.messages_sent e,
         Engine.messages_background e,
-        Engine.messages_dropped e ) )
+        dropped "net",
+        Engine.messages_dropped e - dropped "dead_dst" ) )
   in
-  let q_arrivals, q_pings, q_counts = world ~queued:true in
-  let b_arrivals, b_pings, b_counts = world ~queued:false in
-  check "same counters" true (q_counts = b_counts);
-  let _, background, dropped = b_counts in
-  check_int "some beats lost" 1 (min 1 dropped);
-  check "not all" true (dropped < background);
-  check "same foreground delays" true (q_pings = b_pings);
-  check_int "every ping delivered" 6 (List.length b_pings);
-  check "same arrivals, in the same order" true (q_arrivals = b_arrivals)
+  List.iter
+    (fun jitter ->
+      let q_arrivals, q_pings, q_counts = world ~jitter ~queued:true in
+      let b_arrivals, b_pings, b_counts = world ~jitter ~queued:false in
+      check "same counters" true (q_counts = b_counts);
+      let _, background, dropped, _ = b_counts in
+      let _, _, _, q_net = q_counts in
+      check_int "dropped = net drops" dropped q_net;
+      check_int "some beats lost" 1 (min 1 dropped);
+      check "not all" true (dropped < background);
+      check "same foreground delays" true (q_pings = b_pings);
+      check_int "every ping delivered" 6 (List.length b_pings);
+      check "same arrivals, in the same order" true (q_arrivals = b_arrivals);
+      check "the dead receiver missed some" true
+        (List.length (List.nth b_arrivals 3)
+        < List.length (List.nth b_arrivals 2)))
+    [ 0.2; 0.0 ]
 
 (* An arrival holds the seq its delivery event would have had: of two
-   events for the same instant, the one pushed before the beat runs
+   events for the same instant, the one pushed before the round runs
    before the arrival, the one pushed after runs after it. *)
 let test_beat_reserves_its_seq () =
   let network = Network.create ~base_latency:1.0 ~jitter:0.0 () in
@@ -513,7 +644,7 @@ let test_beat_reserves_its_seq () =
   let seen = ref [] in
   let probe () = seen := (Engine.take_beats e ~node:1).Engine.count :: !seen in
   Engine.schedule e ~time:1.0 probe;
-  Engine.beat e ~src:0 ~dst:1;
+  Engine.beat_round e ~src:0;
   Engine.schedule e ~time:1.0 probe;
   Engine.run e;
   check "not yet, then arrived" true (List.rev !seen = [ 0; 1 ])
@@ -632,6 +763,7 @@ let () =
           Alcotest.test_case "heal all" `Quick test_network_heal_all;
           Alcotest.test_case "link loss" `Quick test_network_link_loss;
           Alcotest.test_case "slowdown" `Quick test_network_slowdown;
+          QCheck_alcotest.to_alcotest draw_matches_delay;
         ] );
       ( "engine",
         [
