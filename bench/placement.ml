@@ -69,7 +69,11 @@ let geo_simulation () =
       let rng = Rng.create 44 in
       let topology = three_clusters rng system.Quorum.System.n in
       let network = Topology.network ~base_latency:0.5 ~jitter:0.1 topology in
-      let mx = Protocols.Mutex.create ~system ~cs_duration:0.5 () in
+      let mx =
+        Protocols.Mutex.of_config
+          ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
+          ~system ~cs_duration:0.5 ()
+      in
       let engine =
         Sim.Engine.create ~seed:45 ~nodes:system.Quorum.System.n ~network
           (Protocols.Mutex.handlers mx)

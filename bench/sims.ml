@@ -16,7 +16,11 @@ let mutex_comparison () =
   List.iter
     (fun spec ->
       let system = Util.system spec in
-      let mx = Protocols.Mutex.create ~system ~cs_duration:0.5 () in
+      let mx =
+        Protocols.Mutex.of_config
+          ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
+          ~system ~cs_duration:0.5 ()
+      in
       let engine =
         Engine.create ~seed:101 ~nodes:system.Quorum.System.n
           (Protocols.Mutex.handlers mx)
@@ -53,8 +57,11 @@ let store_comparison () =
   let run_store spec retries =
     let system = Util.system spec in
     let store =
-      Protocols.Replicated_store.create ~retries ~read_system:system
-        ~write_system:system ~timeout:30.0 ()
+      Protocols.Replicated_store.of_config
+        ~config:
+          Protocols.Client_config.(
+            default |> with_timeout 30.0 |> with_retries retries)
+        ~read_system:system ~write_system:system ()
     in
     let engine =
       Engine.create ~seed:77 ~nodes:system.Quorum.System.n
@@ -63,17 +70,13 @@ let store_comparison () =
     Protocols.Replicated_store.bind store engine;
     Sim.Failure_injector.iid_faults engine ~rng:(Rng.create 13) ~p:0.15
       ~mean_downtime:15.0 ~horizon:600.0;
-    let workload =
-      Util.ok_or_die (Analysis.Workload.make ~read_fraction:0.6 ())
-    in
     let issued =
-      Util.ok_or_die
-        (Protocols.Workload.read_write_mix_w engine ~rng:(Rng.create 14)
-           ~rate:1.0 ~horizon:600.0 ~workload ~keys:4
-           ~read:(fun ~client ~key ->
-             Protocols.Replicated_store.read store ~client ~key)
-           ~write:(fun ~client ~key ~value ->
-             Protocols.Replicated_store.write store ~client ~key ~value))
+      Protocols.Workload.read_write_mix engine ~rng:(Rng.create 14) ~rate:1.0
+        ~horizon:600.0 ~read_fraction:0.6 ~keys:4
+        ~read:(fun ~client ~key ->
+          Protocols.Replicated_store.read store ~client ~key)
+        ~write:(fun ~client ~key ~value ->
+          Protocols.Replicated_store.write store ~client ~key ~value)
     in
     Engine.run engine;
     let ok =
@@ -99,23 +102,21 @@ let store_comparison () =
   let read_system = Util.system "hgrid-read(4x4)" in
   let write_system = Util.system "hgrid-write(4x4)" in
   let store =
-    Protocols.Replicated_store.create ~read_system ~write_system ~timeout:30.0 ()
+    Protocols.Replicated_store.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 30.0)
+      ~read_system ~write_system ()
   in
   let engine =
     Engine.create ~seed:78 ~nodes:16 (Protocols.Replicated_store.handlers store)
   in
   Protocols.Replicated_store.bind store engine;
-  let workload =
-    Util.ok_or_die (Analysis.Workload.make ~read_fraction:0.8 ())
-  in
   let issued =
-    Util.ok_or_die
-      (Protocols.Workload.read_write_mix_w engine ~rng:(Rng.create 15)
-         ~rate:1.0 ~horizon:300.0 ~workload ~keys:4
-         ~read:(fun ~client ~key ->
-           Protocols.Replicated_store.read store ~client ~key)
-         ~write:(fun ~client ~key ~value ->
-           Protocols.Replicated_store.write store ~client ~key ~value))
+    Protocols.Workload.read_write_mix engine ~rng:(Rng.create 15) ~rate:1.0
+      ~horizon:300.0 ~read_fraction:0.8 ~keys:4
+      ~read:(fun ~client ~key ->
+        Protocols.Replicated_store.read store ~client ~key)
+      ~write:(fun ~client ~key ~value ->
+        Protocols.Replicated_store.write store ~client ~key ~value)
   in
   Engine.run engine;
   Printf.printf

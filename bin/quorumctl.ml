@@ -298,7 +298,11 @@ let simulate_cmd =
   in
   let run spec requests fault_p =
     with_system spec (fun system ->
-        let mx = Protocols.Mutex.create ~system ~cs_duration:1.0 () in
+        let mx =
+          Protocols.Mutex.of_config
+            ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
+            ~system ~cs_duration:1.0 ()
+        in
         let engine =
           Sim.Engine.create ~seed:1 ~nodes:system.Quorum.System.n
             (Protocols.Mutex.handlers mx)
@@ -385,13 +389,8 @@ let chaos_cmd =
       Printf.eprintf "error: --horizon must be positive (got %g)\n" horizon;
       exit 1
     end;
-    (* The read fraction travels as a validated Analysis.Workload.t —
-       the same record the optimizer consumes. *)
-    let workload =
-      match Analysis.Workload.make ~read_fraction:rf () with
-      | Ok w -> w
-      | Error msg -> die msg
-    in
+    if rf < 0.0 || rf > 1.0 then
+      die (Printf.sprintf "--read-fraction %g not in [0,1]" rf);
     with_system spec (fun system ->
         let next_spec = Option.value next ~default:spec in
         (match (protocol, next) with
@@ -432,7 +431,7 @@ let chaos_cmd =
               fun s ->
                 let system = fresh_system spec in
                 Protocols.Chaos.store_row
-                  (Protocols.Chaos.run_store ~seed ~workload
+                  (Protocols.Chaos.run_store ~seed ~read_fraction:rf
                      ~read_system:system ~write_system:system
                      ~name:system.Quorum.System.name s)
           | `Reconfig ->

@@ -30,7 +30,9 @@ let () =
     ];
   let universe = 21 in
   let rc =
-    Reconfig.create ~initial:(Core.Htriang.system t0) ~universe ~timeout:40.0 ()
+    Reconfig.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 40.0)
+      ~initial:(Core.Htriang.system t0) ~universe ()
   in
   let engine = Engine.create ~seed:3 ~nodes:universe (Reconfig.handlers rc) in
   Reconfig.bind rc engine;

@@ -19,9 +19,11 @@ let build_system spec =
       Printf.eprintf "error: %s\n" msg;
       exit 1
 
+let config = Protocols.Client_config.(default |> with_timeout 1000.0)
+
 let run ~label ~faults ~requests =
   let system = build_system "htriang(15)" in
-  let mx = Protocols.Mutex.create ~system ~cs_duration:1.0 () in
+  let mx = Protocols.Mutex.of_config ~config ~system ~cs_duration:1.0 () in
   let engine = Engine.create ~seed:7 ~nodes:15 (Protocols.Mutex.handlers mx) in
   Protocols.Mutex.bind mx engine;
   Sim.Failure_injector.scripted engine faults;
@@ -60,7 +62,7 @@ let () =
   (* For contrast: the singleton coterie is a single point of failure;
      crash its only member and nothing can be served. *)
   let system = build_system "singleton(15)" in
-  let mx = Protocols.Mutex.create ~system ~cs_duration:1.0 () in
+  let mx = Protocols.Mutex.of_config ~config ~system ~cs_duration:1.0 () in
   let engine = Engine.create ~seed:8 ~nodes:15 (Protocols.Mutex.handlers mx) in
   Protocols.Mutex.bind mx engine;
   Sim.Failure_injector.scripted engine [ (0.0, Sim.Failure_injector.Crash 0) ];

@@ -23,9 +23,7 @@ let build_system spec =
       exit 1
 
 let run ~label ~read_system ~write_system =
-  let store =
-    Protocols.Replicated_store.create ~read_system ~write_system ~timeout:25.0 ()
-  in
+  let store = Protocols.Replicated_store.of_config ~read_system ~write_system () in
   let n = read_system.Quorum.System.n in
   let engine =
     Engine.create ~seed:5 ~nodes:n (Protocols.Replicated_store.handlers store)
@@ -34,27 +32,13 @@ let run ~label ~read_system ~write_system =
   (* Transient crashes: every replica spends ~10% of its life down. *)
   Sim.Failure_injector.iid_faults engine ~rng:(Rng.create 3) ~p:0.10
     ~mean_downtime:8.0 ~horizon:500.0;
-  (* The unified workload spec; [Error] rendered rather than raised. *)
-  let workload =
-    match Analysis.Workload.make ~read_fraction:0.8 () with
-    | Ok w -> w
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-  in
   let issued =
-    match
-      Protocols.Workload.read_write_mix_w engine ~rng:(Rng.create 4) ~rate:2.0
-        ~horizon:500.0 ~workload ~keys:8
-        ~read:(fun ~client ~key ->
-          Protocols.Replicated_store.read store ~client ~key)
-        ~write:(fun ~client ~key ~value ->
-          Protocols.Replicated_store.write store ~client ~key ~value)
-    with
-    | Ok n -> n
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
+    Protocols.Workload.read_write_mix engine ~rng:(Rng.create 4) ~rate:2.0
+      ~horizon:500.0 ~read_fraction:0.8 ~keys:8
+      ~read:(fun ~client ~key ->
+        Protocols.Replicated_store.read store ~client ~key)
+      ~write:(fun ~client ~key ~value ->
+        Protocols.Replicated_store.write store ~client ~key ~value)
   in
   Engine.run engine;
   let reads = Protocols.Replicated_store.reads_ok store in

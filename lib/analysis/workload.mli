@@ -17,12 +17,12 @@
       under {e every} crash set of size [f].
 
     Consumers: {!Failure.of_workload} (availability under the failure
-    model), {!Optimizer.sweep} (the catalogue search),
-    [Protocols.Workload.read_write_mix_w] and [Protocols.Chaos]'s
-    [?workload] (simulated operation mixes).  The scattered
-    positional/optional variants those modules used to take
-    ([~read_fraction], [~p_of], [~p]) remain as thin compatibility
-    shims over this record. *)
+    model) and {!Optimizer.sweep} (the catalogue search).  The
+    scattered [~p_of] / [~p] variants {!Failure} used to take remain
+    as thin compatibility shims over this record.  The simulated
+    operation mixes ([Protocols.Workload.read_write_mix],
+    [Protocols.Chaos.run_store]) take a bare [~read_fraction]: it is
+    the one field they use. *)
 
 type failure_model =
   | Iid of float  (** every process crashes independently with this p *)

@@ -367,17 +367,9 @@ type store_report = {
   budget_hit : bool;
 }
 
-let run_store_h ?(seed = 7) ?(rate = 2.0) ?read_fraction ?workload ?(keys = 4)
+let run_store_h ?(seed = 7) ?(rate = 2.0) ?(read_fraction = 0.7) ?(keys = 4)
     ?(op_timeout = 25.0) ?(retries = 2) ?obs ~read_system ~write_system ~name
     scenario =
-  (* ?workload is the unified spec; ?read_fraction remains as the
-     compatibility shim (ignored when both are given). *)
-  let read_fraction =
-    match (workload, read_fraction) with
-    | Some (w : Analysis.Workload.t), _ -> w.Analysis.Workload.read_fraction
-    | None, Some fr -> fr
-    | None, None -> 0.7
-  in
   let n = read_system.Quorum.System.n in
   let rng = Rng.create seed in
   let network = Network.create ~loss:scenario.plan.loss () in
@@ -435,11 +427,11 @@ let run_store_h ?(seed = 7) ?(rate = 2.0) ?read_fraction ?workload ?(keys = 4)
     },
     store )
 
-let run_store ?seed ?rate ?read_fraction ?workload ?keys ?op_timeout ?retries
-    ?obs ~read_system ~write_system ~name scenario =
+let run_store ?seed ?rate ?read_fraction ?keys ?op_timeout ?retries ?obs
+    ~read_system ~write_system ~name scenario =
   fst
-    (run_store_h ?seed ?rate ?read_fraction ?workload ?keys ?op_timeout
-       ?retries ?obs ~read_system ~write_system ~name scenario)
+    (run_store_h ?seed ?rate ?read_fraction ?keys ?op_timeout ?retries ?obs
+       ~read_system ~write_system ~name scenario)
 
 (* --- Failure detection under chaos ----------------------------------- *)
 

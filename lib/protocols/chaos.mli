@@ -160,7 +160,6 @@ val run_store :
   ?seed:int ->
   ?rate:float ->
   ?read_fraction:float ->
-  ?workload:Analysis.Workload.t ->
   ?keys:int ->
   ?op_timeout:float ->
   ?retries:int ->
@@ -172,16 +171,13 @@ val run_store :
   store_report
 (** One seeded replicated-store run: a read/write mix at [rate] ops
     per time unit; [name] labels the (read, write) system pair in the
-    report.  The mix's read fraction comes from [?workload] (the
-    unified [Analysis.Workload.t] spec) when given; [?read_fraction]
-    is the bare-float compatibility shim (default 0.7, ignored when
-    both are passed). *)
+    report.  [read_fraction] (default 0.7) is the mix's share of reads;
+    see {!Workload.read_write_mix}. *)
 
 val run_store_h :
   ?seed:int ->
   ?rate:float ->
   ?read_fraction:float ->
-  ?workload:Analysis.Workload.t ->
   ?keys:int ->
   ?op_timeout:float ->
   ?retries:int ->

@@ -3,12 +3,7 @@ module Durable = Sim.Durable
 type rpc = { timeout : float; backoff : float; attempts : int }
 type fd = { period : float; timeout : float; accrual : float option }
 
-type routing = {
-  hedge : bool;
-  hedge_quantile : float;
-  hedge_floor : float;
-  degraded_reads : bool;
-}
+type routing = { hedge : bool; degraded_reads : bool }
 
 type t = {
   rpc : rpc;
@@ -23,13 +18,7 @@ let default =
   {
     rpc = { timeout = 4.0; backoff = 1.6; attempts = 6 };
     fd = { period = 1.0; timeout = 5.0; accrual = None };
-    routing =
-      {
-        hedge = false;
-        hedge_quantile = 0.9;
-        hedge_floor = 2.0;
-        degraded_reads = false;
-      };
+    routing = { hedge = false; degraded_reads = false };
     durability = Durable.instant;
     timeout = 25.0;
     retries = 2;
@@ -58,15 +47,12 @@ let with_fd ?period ?timeout ?accrual t =
       };
   }
 
-let with_routing ?hedge ?hedge_quantile ?hedge_floor ?degraded_reads t =
+let with_routing ?hedge ?degraded_reads t =
   {
     t with
     routing =
       {
         hedge = Option.value hedge ~default:t.routing.hedge;
-        hedge_quantile =
-          Option.value hedge_quantile ~default:t.routing.hedge_quantile;
-        hedge_floor = Option.value hedge_floor ~default:t.routing.hedge_floor;
         degraded_reads =
           Option.value degraded_reads ~default:t.routing.degraded_reads;
       };
@@ -94,11 +80,6 @@ let validate t =
     Error "Client_config: fd timeout must exceed its period"
   else if (match t.fd.accrual with Some x -> x <= 0.0 | None -> false) then
     Error "Client_config: fd accrual threshold must be > 0"
-  else if
-    t.routing.hedge_quantile <= 0.0 || t.routing.hedge_quantile >= 1.0
-  then Error "Client_config: hedge quantile must lie in (0, 1)"
-  else if t.routing.hedge_floor < 0.0 then
-    Error "Client_config: hedge floor must be >= 0"
   else if t.timeout <= 0.0 then
     Error "Client_config: operation timeout must be > 0"
   else if t.retries < 0 then Error "Client_config: retries must be >= 0"

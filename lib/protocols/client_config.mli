@@ -1,13 +1,7 @@
 (** The one client-facing configuration record shared by every quorum
-    protocol ({!Replicated_store}, {!Mutex}, {!Reconfig}).
-
-    Historically each protocol's [create] grew its own sprawl of nine
-    optional keyword arguments (rpc timeout/backoff/attempts, failure
-    detector period/timeout, durability, operation timeout, retries);
-    this record is now the primary entry — build one with {!default}
-    and the [with_*] builders, hand it to the protocol's [of_config],
-    and reserve the old keyword [create]s (kept as one-deep shims) for
-    existing call sites.
+    protocol ({!Replicated_store}, {!Mutex}, {!Reconfig}): build one
+    with {!default} and the [with_*] builders and hand it to the
+    protocol's [of_config], its only constructor.
 
     {[
       let cfg =
@@ -20,11 +14,12 @@
       let store = Replicated_store.of_config ~config:cfg ~read_system ~write_system ()
     ]}
 
-    Not every field is meaningful to every protocol: {!Mutex} reads
-    [timeout] as its acquire timeout and ignores [retries] (requests
-    queue at the arbiters instead of retrying); {!Reconfig} has no rpc
-    or failure-detector layer of its own and uses only [durability]
-    and [timeout].  Each protocol's [.mli] states which fields it
+    Not every field is meaningful to every protocol: only
+    {!Replicated_store} reads [routing]; {!Mutex} reads [timeout] as
+    its acquire timeout and ignores [retries] (requests queue at the
+    arbiters instead of retrying); {!Reconfig} has no rpc layer of its
+    own and uses [durability] and [timeout], plus [fd] when it runs a
+    failure detector.  Each protocol's [.mli] states which fields it
     honours. *)
 
 type rpc = { timeout : float; backoff : float; attempts : int }
@@ -40,30 +35,27 @@ type fd = { period : float; timeout : float; accrual : float option }
 
 type routing = {
   hedge : bool;
-      (** hedge straggling quorum requests to a backup replica; off by
-          default — hedging changes the event schedule, so the default
-          keeps runs bit-identical to the pre-hedging protocols *)
-  hedge_quantile : float;
-      (** per-peer latency quantile after which a request is hedged
-          (default 0.9); also the graded-suspicion level at which the
-          mutex watchdog reselects early *)
-  hedge_floor : float;
-      (** never hedge before this many time units (default 2.0) — the
-          cold-start guard while latency samples accumulate *)
+      (** hedge straggling quorum requests to a backup replica after
+          the worst 0.9 quantile of the awaited members' recent reply
+          latencies, never before 2.0 time units (the cold-start guard
+          while samples accumulate); off by default — hedging changes
+          the event schedule, so the default keeps runs bit-identical
+          to the pre-hedging store *)
   degraded_reads : bool;
       (** when no unsuspected write quorum exists, refuse writes
           immediately (degraded read-only mode) instead of burning the
           attempt timeout; reads keep flowing.  Off by default. *)
 }
-(** Suspicion-aware routing and hedged requests.  With every field at
-    its default the protocols are bit-identical to their pre-routing
-    behaviour: no hedge timers are scheduled, no extra sends happen,
-    and completion remains "every originally-selected member acked". *)
+(** The store's suspicion-aware routing: hedged requests and degraded
+    read-only mode.  With both off the store is bit-identical to its
+    pre-routing behaviour: no hedge timers are scheduled, no extra
+    sends happen, and completion remains "every selected member
+    acked". *)
 
 type t = {
   rpc : rpc;
   fd : fd;
-  routing : routing;  (** hedging + degraded-mode knobs *)
+  routing : routing;  (** the store's hedging + degraded-mode knobs *)
   durability : Sim.Durable.config;  (** write-ahead fsync model *)
   timeout : float;  (** per-operation (or acquire) timeout *)
   retries : int;  (** quorum re-selection attempts after a timeout *)
@@ -73,20 +65,13 @@ val default : t
 (** The values the protocols have always defaulted to: rpc
     [{timeout = 4.0; backoff = 1.6; attempts = 6}], fd
     [{period = 1.0; timeout = 5.0; accrual = None}], routing all off
-    ([{hedge = false; hedge_quantile = 0.9; hedge_floor = 2.0;
-    degraded_reads = false}]), instant durability, [timeout = 25.0],
-    [retries = 2]. *)
+    ([{hedge = false; degraded_reads = false}]), instant durability,
+    [timeout = 25.0], [retries = 2]. *)
 
 val with_rpc : ?timeout:float -> ?backoff:float -> ?attempts:int -> t -> t
 val with_fd : ?period:float -> ?timeout:float -> ?accrual:float -> t -> t
 
-val with_routing :
-  ?hedge:bool ->
-  ?hedge_quantile:float ->
-  ?hedge_floor:float ->
-  ?degraded_reads:bool ->
-  t ->
-  t
+val with_routing : ?hedge:bool -> ?degraded_reads:bool -> t -> t
 
 val with_durability : Sim.Durable.config -> t -> t
 val with_timeout : float -> t -> t

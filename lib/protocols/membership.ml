@@ -21,7 +21,6 @@ type t = {
   mutable grows : int;
   mutable shrinks : int;
   mutable replacements : int;
-  mutable skipped : int;
   mutable false_evictions : int;
       (* proposals that dropped a node the engine oracle knew was live *)
 }
@@ -48,25 +47,20 @@ let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
     invalid_arg "Membership.create: universe smaller than the triangle";
   let place = Array.init tri.Htriang.n Fun.id in
   let initial = remap_system ~universe tri place in
+  let config = Client_config.(default |> with_timeout timeout) in
+  let config =
+    match durability with
+    | Some d -> Client_config.with_durability d config
+    | None -> config
+  in
+  let config =
+    match fd with
+    | Some f -> { config with Client_config.fd = f }
+    | None -> config
+  in
   let reconfig =
-    match view with
-    | Omniscient ->
-        Reconfig.create ?durability ?lease ?skew ?switch_retry ~initial
-          ~universe ~timeout ()
-    | Fd _ ->
-        let config = Client_config.(default |> with_timeout timeout) in
-        let config =
-          match durability with
-          | Some d -> Client_config.with_durability d config
-          | None -> config
-        in
-        let config =
-          match fd with
-          | Some f -> { config with Client_config.fd = f }
-          | None -> config
-        in
-        Reconfig.of_config ~config ~with_fd:true ?lease ?skew ?switch_retry
-          ~initial ~universe ()
+    Reconfig.of_config ~config ~with_fd:(view <> Omniscient) ?lease ?skew
+      ?switch_retry ~initial ~universe ()
   in
   {
     reconfig;
@@ -86,7 +80,6 @@ let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
     grows = 0;
     shrinks = 0;
     replacements = 0;
-    skipped = 0;
     false_evictions = 0;
   }
 
@@ -123,9 +116,7 @@ let proposals t = t.proposals
 let grows t = t.grows
 let shrinks t = t.shrinks
 let replacements t = t.replacements
-let skipped_ticks t = t.skipped
 let false_evictions t = t.false_evictions
-let view_mode t = t.view
 
 (* The liveness opinion a tick acts on.  [Omniscient] is the engine's
    oracle (the historical controller, bit-identical).  [Fd] reads the
@@ -214,7 +205,7 @@ let first_of (fs : (Htriang.t -> Htriang.t option) list) tri =
 
 let tick t engine =
   refresh t;
-  if Reconfig.switch_in_flight t.reconfig then t.skipped <- t.skipped + 1
+  if Reconfig.switch_in_flight t.reconfig then ()
   else
     let live = controller_view t engine in
     let live_count = Bitset.cardinal live in
@@ -278,7 +269,7 @@ let tick t engine =
       (* The old configuration runs the seal, so the coordinator must
          be a live member of it; with none, wait for the next tick. *)
       match Array.to_list t.place |> List.find_opt (Bitset.mem live) with
-      | None -> t.skipped <- t.skipped + 1
+      | None -> ()
       | Some coordinator ->
           (* Oracle check (measurement only, never steering): an
              evicted member the engine knows is live is a false

@@ -19,8 +19,7 @@
       triangle, one shrink rule is applied and the placement contracts.
 
     A background controller tick runs the policy: at most one proposal
-    is in flight at a time (ticks during a switch are counted and
-    skipped), and a proposed (triangle, placement) is {e adopted} only
+    is in flight at a time (ticks during a switch are skipped), and a proposed (triangle, placement) is {e adopted} only
     once the epoch has actually advanced — an abandoned switch leaves
     the adopted configuration untouched.  New members are admitted by
     the switch itself: the install step writes the freshest sealed
@@ -80,8 +79,9 @@ val create :
     falls below [margin/2].  The gap between the two thresholds
     prevents grow/shrink oscillation; under churn a generous margin
     keeps the replacement-switch duty cycle low.
-    [lease]/[skew]/[switch_retry]/[durability] are passed through to
-    {!Reconfig.create} ([lease] turns the register timed).
+    [lease]/[skew]/[switch_retry]/[durability] and [timeout] are
+    passed through to {!Reconfig.of_config} ([lease] turns the
+    register timed).
 
     [view] (default [Omniscient]) selects the controller's liveness
     source (see above); with [Fd _] the register is built with a
@@ -124,14 +124,8 @@ val shrinks : t -> int
 val replacements : t -> int
 (** Proposals by kind ([replacements] = same triangle, new placement). *)
 
-val skipped_ticks : t -> int
-(** Ticks that found a switch already in flight, or no live member able
-    to coordinate. *)
-
 val false_evictions : t -> int
 (** Proposals that dropped a member the engine oracle knew was live
     while the controller's view believed it dead — the availability
     cost of wrong suspicions ([Fd] views only; always 0 under
     [Omniscient]). *)
-
-val view_mode : t -> view

@@ -62,7 +62,7 @@ type arbiter = {
       (** (ts, client) of releases that overtook their request *)
   alive_floor : int array;
       (** per client: highest Alive watermark seen; requests at or
-          below it are from a previous incarnation and are dropped *)
+          below it predate the client's last recovery and are dropped *)
 }
 
 type instruments = {
@@ -79,7 +79,6 @@ type t = {
   capacity : int;
   cs_duration : float;
   acquire_timeout : float;
-  routing : Client_config.routing;
   rpc : (app, msg) Rpc.t;
   fd : msg Failure_detector.t;
   durability : Durable.config;
@@ -87,8 +86,6 @@ type t = {
       (** durable log of tombstones [(ts, client)] per arbiter *)
   mutable granted : req option Durable.cell option;
       (** durable register of each arbiter's current grant *)
-  incarnation : int array;
-      (** bumped on crash to retire fsync-gated scheduled sends *)
   mutable engine : msg Engine.t option;
   mutable clock : int;  (** request timestamp source *)
   clients : client_phase array;
@@ -109,16 +106,15 @@ type t = {
 
 let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
     ~cs_duration () =
-  if capacity < 1 then invalid_arg "Mutex.create: capacity >= 1";
+  if capacity < 1 then invalid_arg "Mutex.of_config: capacity >= 1";
   if config.Client_config.timeout <= 0.0 then
-    invalid_arg "Mutex.create: acquire_timeout";
+    invalid_arg "Mutex.of_config: acquire_timeout";
   let n = system.Quorum.System.n in
   {
     system;
     capacity;
     cs_duration;
     acquire_timeout = config.Client_config.timeout;
-    routing = config.Client_config.routing;
     rpc =
       Rpc.create ~timeout:config.Client_config.rpc.timeout
         ~backoff:config.Client_config.rpc.backoff
@@ -132,7 +128,6 @@ let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
     durability = config.Client_config.durability;
     dur = None;
     granted = None;
-    incarnation = Array.make n 0;
     engine = None;
     clock = 0;
     clients = Array.make n Idle;
@@ -157,23 +152,6 @@ let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
     abandoned = 0;
     ins = None;
   }
-
-let create ?capacity ?(acquire_timeout = 1000.0) ?rpc_timeout ?rpc_backoff
-    ?rpc_attempts ?fd_period ?fd_timeout ?durability ~system ~cs_duration () =
-  let config =
-    Client_config.(
-      default
-      |> with_rpc ?timeout:rpc_timeout ?backoff:rpc_backoff
-           ?attempts:rpc_attempts
-      |> with_fd ?period:fd_period ?timeout:fd_timeout
-      |> with_timeout acquire_timeout)
-  in
-  let config =
-    match durability with
-    | Some d -> Client_config.with_durability d config
-    | None -> config
-  in
-  of_config ~config ?capacity ~system ~cs_duration ()
 
 let engine_exn t =
   match t.engine with
@@ -237,6 +215,9 @@ let arbiter_grant t ~arbiter_id a req =
   in
   if durable_at <= now then rsend t ~src:arbiter_id ~dst:req.client (Grant req)
   else begin
+    (* [Durable.send_when_durable] plus one more condition: the grant
+       must still be the arbiter's current one when it leaves, and a
+       dropped grant reports "superseded". *)
     let parent = Engine.span_ctx engine in
     let fspan =
       if parent >= 0 then
@@ -244,7 +225,7 @@ let arbiter_grant t ~arbiter_id a req =
           "mutex.fsync"
       else -1
     in
-    let inc = t.incarnation.(arbiter_id) in
+    let crashes = Engine.crashes engine ~node:arbiter_id in
     Engine.schedule engine ~time:durable_at (fun () ->
         let still_current =
           match a.granted_to with
@@ -252,7 +233,7 @@ let arbiter_grant t ~arbiter_id a req =
           | None -> false
         in
         let send =
-          t.incarnation.(arbiter_id) = inc
+          Engine.crashes engine ~node:arbiter_id = crashes
           && Engine.is_live engine arbiter_id
           && still_current
         in
@@ -460,25 +441,6 @@ let client_on_failed t ~node req =
 let release_quorum t ~node req quorum =
   List.iter (fun j -> rsend t ~src:node ~dst:j (Release req)) quorum
 
-(* The mutex's safe embodiment of hedging: grants are stateful, so a
-   request is never duplicated to a second quorum in parallel — that
-   would double the grant traffic and deadlock odds.  Instead, with
-   [routing.hedge] on the waiting watchdog fires early (each beat
-   period, floored by [hedge_floor] instead of the full suspicion
-   timeout) and treats a quorum member whose {e graded} suspicion
-   level has reached [hedge_quantile] as blocked, reselecting around
-   it before the detector fully suspects it.  With hedging off both
-   knobs collapse to the historical watchdog. *)
-let wd_delay t =
-  if t.routing.hedge then
-    Float.max t.routing.hedge_floor (Failure_detector.period t.fd)
-  else Failure_detector.timeout t.fd
-
-let member_blocked t ~node j =
-  if t.routing.hedge then
-    Failure_detector.suspicion t.fd ~node j >= t.routing.hedge_quantile
-  else Failure_detector.suspects t.fd ~node j
-
 (* Issue a fresh request from [node], choosing the quorum among the
    nodes its failure detector currently trusts. *)
 let rec issue_request t ~node =
@@ -510,7 +472,8 @@ let rec issue_request t ~node =
           };
       Engine.with_span_ctx engine span (fun () ->
           List.iter (fun j -> rsend t ~src:node ~dst:j (Request req)) quorum;
-          Engine.set_timer engine ~node ~delay:(wd_delay t)
+          Engine.set_timer engine ~node
+            ~delay:(Failure_detector.timeout t.fd)
             ~tag:(req.ts + wd_offset))
 
 (* Abandon the current attempt (releasing any grants collected and any
@@ -564,12 +527,14 @@ let client_watchdog t ~node ~ts =
         let blocked =
           List.exists
             (fun j ->
-              (not (Bitset.mem w.grants j)) && member_blocked t ~node j)
+              (not (Bitset.mem w.grants j))
+              && Failure_detector.suspects t.fd ~node j)
             w.quorum
         in
         if blocked then abort_attempt t ~node w ~retry:true
         else
-          Engine.set_timer engine ~node ~delay:(wd_delay t)
+          Engine.set_timer engine ~node
+            ~delay:(Failure_detector.timeout t.fd)
             ~tag:(ts + wd_offset)
       end
   | Waiting _ | Idle | In_cs _ -> ()
@@ -639,37 +604,6 @@ let bind t engine =
     schedule_probe t engine ~node
   done
 
-let debug_dump t =
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun i phase ->
-      let desc =
-        match phase with
-        | Idle -> "idle"
-        | In_cs { req; _ } -> Printf.sprintf "IN-CS(ts=%d)" req.ts
-        | Waiting w ->
-            Printf.sprintf "waiting(ts=%d grants=%s failed=%b inq=[%s] q=[%s])"
-              w.req.ts
-              (String.concat "," (List.map string_of_int (Bitset.to_list w.grants)))
-              w.got_failed
-              (String.concat "," (List.map string_of_int w.pending_inquires))
-              (String.concat "," (List.map string_of_int w.quorum))
-      in
-      Buffer.add_string buf (Printf.sprintf "client %d: %s pend=%d\n" i desc t.pending.(i)))
-    t.clients;
-  Array.iteri
-    (fun j a ->
-      Buffer.add_string buf
-        (Printf.sprintf "arbiter %d: granted=%s inq=%b queue=[%s]\n" j
-           (match a.granted_to with
-            | None -> "-"
-            | Some r -> Printf.sprintf "ts%d/c%d" r.ts r.client)
-           a.inquired
-           (String.concat ";"
-              (List.map (fun r -> Printf.sprintf "ts%d/c%d" r.ts r.client) a.queue))))
-    t.arbiters;
-  Buffer.contents buf
-
 let dispatch_app t ~node ~src = function
   | Request req -> arbiter_on_request t ~node req
   | Grant req -> client_on_grant t ~node ~src req
@@ -706,7 +640,6 @@ let handlers t : msg Engine.handlers =
            recovers — see [on_recover]).  The node's unacked sends die
            with it. *)
         Rpc.on_crash t.rpc ~node;
-        t.incarnation.(node) <- t.incarnation.(node) + 1;
         Durable.crash (dur_exn t) ~node ~now:(Engine.now engine);
         (match t.clients.(node) with
         | In_cs _ -> t.in_cs_count <- t.in_cs_count - 1

@@ -58,7 +58,7 @@
 
     Usage:
     {[
-      let mx = Mutex.create ~system ~cs_duration:1.0 () in
+      let mx = Mutex.of_config ~system ~cs_duration:1.0 () in
       let engine = Engine.create ~seed ~nodes:system.n (Mutex.handlers mx) in
       Mutex.bind mx engine;
       Engine.schedule engine ~time:3.0 (fun () -> Mutex.request mx ~node:2);
@@ -75,8 +75,8 @@ val of_config :
   cs_duration:float ->
   unit ->
   t
-(** The primary constructor: client tunables live in the
-    {!Client_config.t} record.  Honoured fields: [rpc] (the
+(** The constructor: client tunables live in the {!Client_config.t}
+    record (default {!Client_config.default}).  Honoured fields: [rpc] (the
     reliable-delivery layer, see {!Sim.Rpc.create}), [fd] (the
     failure detector, see {!Sim.Failure_detector.create}),
     [durability] (the arbiters' durable store — a non-zero fsync
@@ -84,38 +84,14 @@ val of_config :
     tombstone on crash), and [timeout], read as the {e acquire}
     timeout: how long a node keeps retrying an acquisition (across
     quorum re-selections) before abandoning it.  [retries] is ignored
-    — requests queue at the arbiters instead of retrying.
-
-    [routing.hedge] is the mutex's safe embodiment of hedged requests:
-    grants are stateful, so instead of duplicating a request to a
-    parallel quorum, the waiting watchdog fires early (each beat
-    period, floored by [hedge_floor]) and reselects around any
-    ungranted member whose {e graded} suspicion level (see
-    {!Sim.Failure_detector.suspicion}) has reached [hedge_quantile] —
-    before the detector fully suspects it.  Off (the default) keeps
-    the historical watchdog exactly.
+    — requests queue at the arbiters instead of retrying — and so is
+    [routing]: grants are stateful, so the mutex never duplicates a
+    request to a backup; its watchdog reselects around suspected
+    members instead.
 
     [capacity] (default 1) is the number of simultaneous critical
     sections the system is supposed to allow: 1 for a coterie, [k]
     for a k-coterie (see [Systems.K_coterie]). *)
-
-val create :
-  ?capacity:int ->
-  ?acquire_timeout:float ->
-  ?rpc_timeout:float ->
-  ?rpc_backoff:float ->
-  ?rpc_attempts:int ->
-  ?fd_period:float ->
-  ?fd_timeout:float ->
-  ?durability:Sim.Durable.config ->
-  system:Quorum.System.t ->
-  cs_duration:float ->
-  unit ->
-  t
-(** Compatibility shim over {!of_config}: packs the historical
-    keyword arguments (defaults unchanged — [acquire_timeout]
-    defaults to 1000., not the record's 25.) into a
-    {!Client_config.t}.  New code should build the record instead. *)
 
 val handlers : t -> msg Sim.Engine.handlers
 
@@ -159,6 +135,3 @@ val acquire_latency : t -> Obs.Metrics.histogram
 (** Request-to-entry latency samples ([mutex.acquire_latency] in the
     engine's metrics registry).  Raises [Invalid_argument] before
     {!bind}: instruments live in the engine's {!Obs.t}. *)
-
-val debug_dump : t -> string
-(** Human-readable dump of client and arbiter states (diagnostics). *)

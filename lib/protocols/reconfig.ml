@@ -36,9 +36,7 @@ type op = {
   started : float;
   mutable epoch : int;
   mutable waiting_for : Bitset.t;
-  mutable targets : Bitset.t;  (** everyone ever asked this phase *)
-  mutable acked : Bitset.t;  (** everyone who replied this phase *)
-  mutable last_send : float;
+      (** the phase's selected quorum, less the members that replied *)
   mutable best : int * int;
   mutable write_version : int;
   mutable phase : phase;
@@ -95,16 +93,10 @@ type t = {
   mutable dur : unit Durable.t option;
   mutable cell : (int * bool * (int * int)) Durable.cell option;
       (** per replica: (r_epoch, sealed, state) *)
-  incarnation : int array;
   mutable engine : msg Engine.t option;
   fd : msg Failure_detector.t option;
       (** per-node suspected-live views; [None] keeps the historical
           omniscient [Engine.live_set] selection *)
-  routing : Client_config.routing;
-  lat_ring : float array array;  (** per-peer reply-latency samples *)
-  lat_len : int array;
-  lat_pos : int array;
-  mutable hedges : int;
   mutable configs : System.t list;  (** index = epoch *)
   mutable epoch : int;  (** latest announced epoch (global knowledge) *)
   replicas : replica array;
@@ -127,20 +119,20 @@ type t = {
 
 let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
     ?(skew = 0.5) ?switch_retry ~initial ~universe () =
-  (* [durability] and [timeout] of the record always apply; [fd] and
-     [routing] only when [with_fd] opts into the failure-detector
-     layer (off by default: no heartbeats, omniscient selection —
-     bit-identical to the historical register). *)
+  (* [durability] and [timeout] of the record always apply; [fd] only
+     when [with_fd] opts into the failure-detector layer (off by
+     default: no heartbeats, omniscient selection — bit-identical to
+     the historical register). *)
   let durability = config.Client_config.durability in
   let timeout = config.Client_config.timeout in
   if initial.System.n > universe then
-    invalid_arg "Reconfig.create: configuration exceeds universe";
+    invalid_arg "Reconfig.of_config: configuration exceeds universe";
   let switch_retry = Option.value switch_retry ~default:timeout in
-  if switch_retry <= 0.0 then invalid_arg "Reconfig.create: switch_retry";
+  if switch_retry <= 0.0 then invalid_arg "Reconfig.of_config: switch_retry";
   (match lease with
-  | Some d when d <= 0.0 -> invalid_arg "Reconfig.create: lease"
+  | Some d when d <= 0.0 -> invalid_arg "Reconfig.of_config: lease"
   | _ -> ());
-  if skew < 0.0 then invalid_arg "Reconfig.create: skew";
+  if skew < 0.0 then invalid_arg "Reconfig.of_config: skew";
   let fd =
     if with_fd then
       Some
@@ -159,14 +151,8 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
     durability;
     dur = None;
     cell = None;
-    incarnation = Array.make universe 0;
     engine = None;
     fd;
-    routing = config.Client_config.routing;
-    lat_ring = Array.init universe (fun _ -> Array.make 32 0.0);
-    lat_len = Array.make universe 0;
-    lat_pos = Array.make universe 0;
-    hedges = 0;
     configs = [ initial ];
     epoch = 0;
     replicas =
@@ -194,16 +180,6 @@ let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
     committed = [];
     history = [];
   }
-
-let create ?durability ?lease ?skew ?switch_retry ~initial ~universe ~timeout
-    () =
-  let config = Client_config.(default |> with_timeout timeout) in
-  let config =
-    match durability with
-    | Some d -> Client_config.with_durability d config
-    | None -> config
-  in
-  of_config ~config ?lease ?skew ?switch_retry ~initial ~universe ()
 
 let engine_exn t =
   match t.engine with
@@ -259,26 +235,10 @@ let persist t ~node =
    so no acknowledged transition is ever lost to an amnesiac crash. *)
 let reply_after_fsync t engine ~node ~dst msg =
   let durable_at = persist t ~node in
-  let now = Engine.now engine in
-  if durable_at <= now then Engine.send engine ~src:node ~dst msg
-  else begin
-    let inc = t.incarnation.(node) in
-    (* The wait for the fsync is a span of its own, child of whatever
-       operation the triggering message belonged to. *)
-    let parent = Engine.span_ctx engine in
-    let fspan =
-      if parent >= 0 then
-        Span.start (spans_exn t) ~time:now ~node ~parent "reconfig.fsync"
-      else -1
-    in
-    Engine.schedule engine ~time:durable_at (fun () ->
-        let ok = t.incarnation.(node) = inc && Engine.is_live engine node in
-        if fspan >= 0 then
-          Span.finish (spans_exn t) ~time:durable_at
-            ~status:(if ok then Span.Ok else Span.Error "crash")
-            fspan;
-        if ok then Engine.send engine ~src:node ~dst msg)
-  end
+  if durable_at <= Engine.now engine then Engine.send engine ~src:node ~dst msg
+  else
+    Durable.send_when_durable engine ~node ~durable_at ~span:"reconfig.fsync"
+      (fun () -> Engine.send engine ~src:node ~dst msg)
 
 let current_epoch t = t.epoch
 let epoch_switches t = t.epoch_switches
@@ -292,19 +252,9 @@ let retries t = t.retries
 let failed t = t.failed
 let client_crash_kills t = t.crash_kills
 let stale_reads t = t.stale_reads
-let hedges t = t.hedges
-let has_fd t = Option.is_some t.fd
 
 let fd_view t ~node =
   Option.map (fun fd -> Failure_detector.view fd ~node) t.fd
-
-let fd_stats t ~node =
-  Option.map (fun fd -> Failure_detector.stats fd ~node) t.fd
-
-let fd_suspicion t ~node j =
-  match t.fd with
-  | Some fd -> Failure_detector.suspicion fd ~node j
-  | None -> 0.0
 
 let config_of_epoch t epoch =
   (* configs is newest-first. *)
@@ -336,34 +286,6 @@ let select_live_quorum t engine ~node (system : System.t) =
 
 (* --- Client side ---------------------------------------------------- *)
 
-(* Per-peer reply-latency ring (32 samples), only maintained when
-   hedging is on: the hedge fires at the worst [hedge_quantile] of the
-   quorum's members, floored by [hedge_floor]. *)
-let record_latency t ~peer sample =
-  if t.routing.Client_config.hedge then begin
-    t.lat_ring.(peer).(t.lat_pos.(peer)) <- sample;
-    t.lat_pos.(peer) <- (t.lat_pos.(peer) + 1) mod 32;
-    if t.lat_len.(peer) < 32 then t.lat_len.(peer) <- t.lat_len.(peer) + 1
-  end
-
-let hedge_delay t waiting =
-  let q = t.routing.Client_config.hedge_quantile in
-  let worst = ref 0.0 in
-  Bitset.iter
-    (fun j ->
-      let len = t.lat_len.(j) in
-      if len > 0 then begin
-        let samples = Array.sub t.lat_ring.(j) 0 len in
-        Array.sort compare samples;
-        let idx =
-          max 0
-            (min (len - 1) (int_of_float (ceil (q *. float_of_int len)) - 1))
-        in
-        if samples.(idx) > !worst then worst := samples.(idx)
-      end)
-    waiting;
-  Float.max t.routing.Client_config.hedge_floor !worst
-
 (* Select a quorum in the configuration of the client's current view
    and start (or restart) the version phase of [op].  Transient
    unavailability (no live quorum right now — e.g. churn ahead of the
@@ -380,17 +302,13 @@ let rec launch t (op : op) =
       op.best <- (0, 0);
       op.nacked <- false;
       op.waiting_for <- Bitset.copy quorum;
-      op.targets <- Bitset.copy quorum;
-      op.acked <- Bitset.create system.System.n;
-      op.last_send <- Engine.now engine;
       Engine.with_span_ctx engine op.span (fun () ->
           Bitset.iter
             (fun j ->
               Engine.send engine ~src:op.client ~dst:j
                 (Op_req { op = op.id; epoch = op.epoch; write = None }))
             quorum);
-      arm_progress_check t op;
-      arm_hedge t op
+      arm_progress_check t op
 
 (* A round of requests can be silently swallowed (message loss, a
    replica dying before replying): if the attempt armed here is still
@@ -429,59 +347,6 @@ and retry_later t (op : op) =
       (fun () -> if Hashtbl.mem t.ops op.id then launch t op)
   end
 
-(* Hedged requests: one timer per phase attempt, armed at the worst
-   per-peer latency quantile of the selected quorum.  When it fires,
-   every member still unheard-from has its request duplicated to a
-   distinct backup member from the client's live view; replicas are
-   idempotent (reads are pure, installs take the max version) and the
-   client dedups by the [acked] set, so duplicates cost messages,
-   never safety.  Off by default — with [routing.hedge = false] no
-   timer is ever scheduled and the schedule is bit-identical. *)
-and arm_hedge t (op : op) =
-  if t.routing.Client_config.hedge then begin
-    let engine = engine_exn t in
-    let attempt = op.attempt in
-    let phase = op.phase in
-    let delay = hedge_delay t op.waiting_for in
-    Engine.schedule engine
-      ~time:(Engine.now engine +. delay)
-      (fun () ->
-        match Hashtbl.find_opt t.ops op.id with
-        | Some op'
-          when op' == op && op.attempt = attempt && op.phase = phase
-               && (not op.nacked)
-               && not (Bitset.is_empty op.waiting_for) ->
-            hedge_round t op
-        | Some _ | None -> ())
-  end
-
-and hedge_round t (op : op) =
-  let engine = engine_exn t in
-  let system = config_of_epoch t op.epoch in
-  let view = live_view t engine ~node:op.client in
-  let payload =
-    match (op.phase, op.kind) with
-    | Install_phase, Write_op value -> Some (op.write_version, value)
-    | _ -> None
-  in
-  let cursor = ref 0 in
-  Bitset.iter
-    (fun _straggler ->
-      let found = ref false in
-      while (not !found) && !cursor < system.System.n do
-        let j = !cursor in
-        incr cursor;
-        if Bitset.mem view j && not (Bitset.mem op.targets j) then begin
-          found := true;
-          Bitset.add op.targets j;
-          t.hedges <- t.hedges + 1;
-          Engine.with_span_ctx engine op.span (fun () ->
-              Engine.send engine ~src:op.client ~dst:j
-                (Op_req { op = op.id; epoch = op.epoch; write = payload }))
-        end
-      done)
-    op.waiting_for
-
 let start t ~client kind =
   let engine = engine_exn t in
   if not (Engine.is_live engine client) then t.failed <- t.failed + 1
@@ -496,9 +361,6 @@ let start t ~client kind =
         started = Engine.now engine;
         epoch = t.epoch;
         waiting_for = Bitset.create t.universe;
-        targets = Bitset.create t.universe;
-        acked = Bitset.create t.universe;
-        last_send = 0.0;
         best = (0, 0);
         write_version = 0;
         phase = Version_phase;
@@ -560,9 +422,6 @@ let begin_install t (op : op) =
           op.write_version <- version;
           op.phase <- Install_phase;
           op.waiting_for <- Bitset.copy wq;
-          op.targets <- Bitset.copy wq;
-          op.acked <- Bitset.create system.System.n;
-          op.last_send <- Engine.now engine;
           Engine.with_span_ctx engine op.span (fun () ->
               Bitset.iter
                 (fun j ->
@@ -574,8 +433,7 @@ let begin_install t (op : op) =
                          write = Some (version, value);
                        }))
                 wq);
-          arm_progress_check t op;
-          arm_hedge t op)
+          arm_progress_check t op)
 
 (* --- Reconfiguration -------------------------------------------------- *)
 
@@ -880,25 +738,17 @@ let handlers t : msg Engine.handlers =
             (match Hashtbl.find_opt t.ops op_id with
             | None -> ()
             | Some op ->
-                if Bitset.mem op.targets src && not (Bitset.mem op.acked src)
+                (* A reply counts once, from a member the phase still
+                   awaits; the phase completes when none is left.  A
+                   straggler from a round under a larger system may lie
+                   beyond the current round's set: ignore it. *)
+                if
+                  src < Bitset.capacity op.waiting_for
+                  && Bitset.mem op.waiting_for src
                 then begin
-                  record_latency t ~peer:src
-                    (Engine.now engine -. op.last_send);
-                  Bitset.add op.acked src;
-                  if Bitset.mem op.waiting_for src then
-                    Bitset.remove op.waiting_for src;
+                  Bitset.remove op.waiting_for src;
                   if version > fst op.best then op.best <- (version, value);
-                  (* With hedging the phase completes on {e any} full
-                     quorum's worth of acks (quorum intersection makes
-                     the acked set as good as the selected one); off,
-                     completion is exactly "every selected member
-                     acked" — the historical rule. *)
-                  let complete =
-                    if t.routing.Client_config.hedge then
-                      (config_of_epoch t op.epoch).System.avail op.acked
-                    else Bitset.is_empty op.waiting_for
-                  in
-                  if complete && not op.nacked then
+                  if Bitset.is_empty op.waiting_for && not op.nacked then
                     match op.phase with
                     | Version_phase -> begin_install t op
                     | Install_phase ->
@@ -999,7 +849,6 @@ let handlers t : msg Engine.handlers =
           | None -> ());
     on_crash =
       (fun engine ~node ->
-        t.incarnation.(node) <- t.incarnation.(node) + 1;
         Durable.crash (dur_exn t) ~node ~now:(Engine.now engine);
         (* A crashed coordinator takes its switch down with it; sealed
            replicas self-heal through their unseal tick. *)

@@ -94,20 +94,17 @@ val of_config :
   universe:int ->
   unit ->
   t
-(** The primary constructor.  Of the {!Client_config.t} record
-    [durability] and [timeout] always apply; [fd] and [routing] only
-    with [with_fd] (below) — the register has no rpc layer of its own.
+(** The constructor.  Of the {!Client_config.t} record (default
+    {!Client_config.default}) [durability] and [timeout] always apply
+    and [fd] only with [with_fd] (below); the register has no rpc
+    layer of its own and ignores [rpc], [retries] and [routing].
 
     [with_fd] (default [false]) attaches a {!Sim.Failure_detector}:
-    every process heartbeats every other, quorum selection and the
+    every process heartbeats every other, and quorum selection and the
     coordinator's reachability check use the {e selecting node's}
-    suspected-live view instead of the engine's omniscient live-set,
-    and [config.routing.hedge] enables
-    hedged client requests (stragglers duplicated to a distinct backup
-    member after an adaptive per-peer latency quantile, deduped by op
-    id; completion then needs any full quorum's worth of acks — safe
-    by intersection).  Off, no heartbeats exist and the register is
-    bit-identical to the historical omniscient one.
+    suspected-live view instead of the engine's omniscient live-set.
+    Off, no heartbeats exist and the register is bit-identical to the
+    historical omniscient one.
 
     [universe] is the engine size and must accommodate every future
     configuration ([initial.n <= universe]); processes beyond the
@@ -127,20 +124,6 @@ val of_config :
     phase), so a participant dying mid-switch is routed around instead
     of stalling the switch.  Smaller values make switches converge
     faster under churn at the cost of extra maintenance traffic. *)
-
-val create :
-  ?durability:Sim.Durable.config ->
-  ?lease:float ->
-  ?skew:float ->
-  ?switch_retry:float ->
-  initial:Quorum.System.t ->
-  universe:int ->
-  timeout:float ->
-  unit ->
-  t
-(** Compatibility shim over {!of_config}: packs [durability] and
-    [timeout] into a {!Client_config.t}.  New code should build the
-    record instead. *)
 
 val handlers : t -> msg Sim.Engine.handlers
 val bind : t -> msg Sim.Engine.t -> unit
@@ -185,24 +168,9 @@ val stale_reads : t -> int
 (** Must be 0: reads never miss writes committed before they started,
     across reconfigurations. *)
 
-val hedges : t -> int
-(** Hedge requests sent to backup members ([with_fd] +
-    [routing.hedge] only; otherwise 0). *)
-
-val has_fd : t -> bool
-(** Whether the register carries a failure detector ([with_fd]). *)
-
 val fd_view : t -> node:int -> Quorum.Bitset.t option
 (** [node]'s suspected-live view, [None] without [with_fd].  This is
     the view {!Membership} consumes in failure-detector-driven mode. *)
-
-val fd_stats : t -> node:int -> Sim.Failure_detector.stats option
-(** [node]'s detection-accuracy totals against the engine's oracle
-    (see {!Sim.Failure_detector.stats}), [None] without [with_fd]. *)
-
-val fd_suspicion : t -> node:int -> int -> float
-(** Graded suspicion of [j] as seen by [node]; [0.0] without
-    [with_fd]. *)
 
 val history : t -> Obs.Trace_analysis.hop list
 (** Completed client operations in completion order, ready for

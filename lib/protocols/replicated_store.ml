@@ -160,8 +160,6 @@ type t = {
   replicas : (int, int * int) Hashtbl.t array;  (** key -> (version, value) *)
   rejoining : bool array;
       (** amnesiac recoverers that have not completed their sync yet *)
-  incarnation : int array;
-      (** bumped on crash: retires acks scheduled behind an fsync *)
   busy_until : float array;
       (** replica service model: instant each node's processor frees up *)
   syncs : sync option array;
@@ -231,7 +229,6 @@ let of_config ?(config = Client_config.default) ?router
     next_session = 0;
     replicas = Array.init n (fun _ -> Hashtbl.create 16);
     rejoining = Array.make n false;
-    incarnation = Array.make n 0;
     busy_until = Array.make n 0.0;
     syncs = Array.make n None;
     next_sync = 0;
@@ -256,29 +253,6 @@ let of_config ?(config = Client_config.default) ?router
     history = [];
     ins = None;
   }
-
-(* The historical keyword entry, now a shim over the record. *)
-let create ?(retries = 2) ?(rpc_timeout = 4.0) ?(rpc_backoff = 1.6)
-    ?(rpc_attempts = 6) ?(fd_period = 1.0) ?(fd_timeout = 5.0)
-    ?(durability = Durable.instant) ~read_system ~write_system ~timeout () =
-  let config =
-    {
-      Client_config.rpc =
-        {
-          Client_config.timeout = rpc_timeout;
-          backoff = rpc_backoff;
-          attempts = rpc_attempts;
-        };
-      fd =
-        { Client_config.period = fd_period; timeout = fd_timeout;
-          accrual = None };
-      routing = Client_config.default.Client_config.routing;
-      durability;
-      timeout;
-      retries;
-    }
-  in
-  of_config ~config ~read_system ~write_system ()
 
 let engine_exn t =
   match t.engine with
@@ -311,7 +285,6 @@ let hedges t = t.hedges
 let degraded_writes t = t.degraded_writes
 let degraded t = t.degraded
 let fd_stats t ~node = Failure_detector.stats t.fd ~node
-let fd_suspicion t ~node j = Failure_detector.suspicion t.fd ~node j
 
 let replica_value t ~node ~key = Hashtbl.find_opt t.replicas.(node) key
 
@@ -355,6 +328,12 @@ let emit t (op : op) ~dst payload =
 (* Hedge timers live in their own tag space above the op-id tags. *)
 let hedge_offset = 0x1000_0000
 
+(* A straggler is hedged after the worst [straggler_quantile] of the
+   awaited members' recent reply latencies, never before
+   [min_hedge_delay] (the cold-start guard while samples accumulate). *)
+let straggler_quantile = 0.9
+let min_hedge_delay = 2.0
+
 let record_latency t ~peer sample =
   let ring = t.lat_ring.(peer) in
   let cap = Array.length ring in
@@ -366,7 +345,6 @@ let record_latency t ~peer sample =
    across the members we are waiting on, floored by the cold-start
    guard.  Nearest-rank on the peer's recent samples. *)
 let hedge_delay t waiting =
-  let q = t.routing.hedge_quantile in
   let worst = ref 0.0 in
   Bitset.iter
     (fun j ->
@@ -374,12 +352,15 @@ let hedge_delay t waiting =
       if len > 0 then begin
         let a = Array.sub t.lat_ring.(j) 0 len in
         Array.sort compare a;
-        let idx = min (len - 1) (int_of_float (ceil (q *. float_of_int len)) - 1) in
+        let idx =
+          min (len - 1)
+            (int_of_float (ceil (straggler_quantile *. float_of_int len)) - 1)
+        in
         let idx = max 0 idx in
         if a.(idx) > !worst then worst := a.(idx)
       end)
     waiting;
-  Float.max t.routing.hedge_floor !worst
+  Float.max min_hedge_delay !worst
 
 (* Degraded read-only mode: latched while the client's view holds no
    write quorum, cleared the first time a write finds one again. *)
@@ -746,9 +727,8 @@ module Session = struct
   let peak_queue (s : t) = s.peak_backlog
 end
 
-(* The historical one-op-at-a-time entries: one-deep shims over a
-   fresh window-1, unbatched session — the same code path, op ids, RNG
-   draws and events as before sessions existed. *)
+(* One op through a fresh window-1, unbatched session — the same code
+   path, op ids, RNG draws and events as before sessions existed. *)
 let read t ~client ~key =
   let s = Session.create t ~client () in
   ignore (Session.submit t s (Get { key }) : bool)
@@ -1133,10 +1113,10 @@ let with_service t engine ~node ~k process =
     let start = Float.max now t.busy_until.(node) in
     let finish = start +. cost in
     t.busy_until.(node) <- finish;
-    let inc = t.incarnation.(node) in
+    let crashes = Engine.crashes engine ~node in
     Engine.schedule engine ~time:finish (fun () ->
-        if t.incarnation.(node) = inc && Engine.is_live engine node then
-          process ~now:finish)
+        if Engine.crashes engine ~node = crashes && Engine.is_live engine node
+        then process ~now:finish)
   end
 
 (* Serve one version request against the replica table (the caller has
@@ -1185,25 +1165,11 @@ let process_batch t engine ~node ~src ~now reqs =
           Durable.append_batch (dur_exn t) ~node ~now records
         in
         if durable_at <= now then instant := !acks @ !instant
-        else begin
-          let parent = Engine.span_ctx engine in
-          let fspan =
-            if parent >= 0 then
-              Span.start (spans_exn t) ~time:now ~node ~parent "store.fsync"
-            else -1
-          in
-          let inc = t.incarnation.(node) in
+        else
           let reps = List.rev !acks in
-          Engine.schedule engine ~time:durable_at (fun () ->
-              let alive =
-                t.incarnation.(node) = inc && Engine.is_live engine node
-              in
-              if fspan >= 0 then
-                Span.finish (spans_exn t) ~time:durable_at
-                  ~status:(if alive then Span.Ok else Span.Error "crash")
-                  fspan;
-              if alive then rsend t ~src:node ~dst:src (Batch_rep { reps }))
-        end);
+          Durable.send_when_durable engine ~node ~durable_at
+            ~span:"store.fsync" (fun () ->
+              rsend t ~src:node ~dst:src (Batch_rep { reps })));
     match List.rev !instant with
     | [] -> ()
     | reps -> rsend t ~src:node ~dst:src (Batch_rep { reps })
@@ -1230,29 +1196,10 @@ let rec dispatch_app t engine ~node ~src = function
             in
             if durable_at <= now then
               rsend t ~src:node ~dst:src (Write_ack { op })
-            else begin
-              (* The wait for the fsync is a span of its own, child of the
-                 ambient attempt context, so the latency breakdown can
-                 attribute the ack delay to durability rather than
-                 queueing. *)
-              let parent = Engine.span_ctx engine in
-              let fspan =
-                if parent >= 0 then
-                  Span.start (spans_exn t) ~time:now ~node ~parent
-                    "store.fsync"
-                else -1
-              in
-              let inc = t.incarnation.(node) in
-              Engine.schedule engine ~time:durable_at (fun () ->
-                  let alive =
-                    t.incarnation.(node) = inc && Engine.is_live engine node
-                  in
-                  if fspan >= 0 then
-                    Span.finish (spans_exn t) ~time:durable_at
-                      ~status:(if alive then Span.Ok else Span.Error "crash")
-                      fspan;
-                  if alive then rsend t ~src:node ~dst:src (Write_ack { op }))
-            end
+            else
+              Durable.send_when_durable engine ~node ~durable_at
+                ~span:"store.fsync" (fun () ->
+                  rsend t ~src:node ~dst:src (Write_ack { op }))
           end)
   | Write_ack { op } -> on_write_ack t op ~node:src
   | Recovering { op } -> on_recovering t ~node ~src op
@@ -1300,7 +1247,6 @@ let handlers t : msg Engine.handlers =
     on_crash =
       (fun engine ~node ->
         Rpc.on_crash t.rpc ~node;
-        t.incarnation.(node) <- t.incarnation.(node) + 1;
         t.busy_until.(node) <- 0.0;
         Durable.crash (dur_exn t) ~node ~now:(Engine.now engine);
         t.syncs.(node) <- None;

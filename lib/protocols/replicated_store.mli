@@ -37,9 +37,9 @@
     [batch_delay].  A replica serves a batch in one rpc exchange and
     persists all its writes through {e one}
     {!Sim.Durable.append_batch} flush — k writes, one fsync, one
-    batched ack.  {!read} and {!write} remain as one-deep shims over a
-    fresh window-1 unbatched session and reproduce the historical
-    per-op code path exactly (same op ids, RNG draws and events).
+    batched ack.  {!read} and {!write} submit one op through a fresh
+    window-1 unbatched session each, the historical per-op code path
+    (same op ids, RNG draws and events).
 
     {2 Sharding}
 
@@ -112,23 +112,6 @@ val of_config :
     chance to push a message through before the whole attempt is
     abandoned. *)
 
-val create :
-  ?retries:int ->
-  ?rpc_timeout:float ->
-  ?rpc_backoff:float ->
-  ?rpc_attempts:int ->
-  ?fd_period:float ->
-  ?fd_timeout:float ->
-  ?durability:Sim.Durable.config ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  timeout:float ->
-  unit ->
-  t
-(** Compatibility shim over {!of_config}: packs the historical
-    keyword arguments into a {!Client_config.t}.  New code should
-    build the record instead. *)
-
 val retried : t -> int
 (** Attempts that failed (timeout or dead-letter) and were retried. *)
 
@@ -196,8 +179,9 @@ end
 
 val read : t -> client:int -> key:int -> unit
 val write : t -> client:int -> key:int -> value:int -> unit
-(** Fire-and-record one-deep shims over a fresh window-1 unbatched
-    {!Session}: results land in the statistics below. *)
+(** Fire-and-record: one op through a fresh window-1 unbatched
+    {!Session} (a shared session would change per-key FIFO order);
+    results land in the statistics below. *)
 
 val reads_ok : t -> int
 val writes_ok : t -> int
@@ -222,9 +206,9 @@ val shed : t -> int
 (** {2 Suspicion-aware routing}
 
     With [config.routing.hedge] on (see {!Client_config.routing}), an
-    unbatched attempt arms one hedge timer at the worst per-peer
-    latency quantile of its quorum (floored by [hedge_floor]); when it
-    fires, every member still unheard-from has its request duplicated
+    unbatched attempt arms one hedge timer at the worst 0.9 quantile
+    of the recent reply latencies of its quorum's members, never
+    earlier than 2.0 time units; when it fires, every member still unheard-from has its request duplicated
     to a distinct backup replica from the client's unsuspected view,
     and the attempt completes as soon as the {e acked} set contains a
     full quorum of the phase's system — replicas are idempotent and
@@ -251,10 +235,6 @@ val degraded : t -> bool
 val fd_stats : t -> node:int -> Sim.Failure_detector.stats
 (** [node]'s failure-detection accuracy totals against the engine's
     oracle (see {!Sim.Failure_detector.stats}). *)
-
-val fd_suspicion : t -> node:int -> int -> float
-(** Graded suspicion of [j] as seen by [node] (see
-    {!Sim.Failure_detector.suspicion}). *)
 
 val dead_letters : t -> int
 (** Messages the rpc layer gave up on. *)

@@ -18,10 +18,6 @@ let poisson_ops engine ~rng ~rate ~horizon issue =
     times;
   List.length times
 
-let arrival_times rng ~rate ~horizon =
-  if rate <= 0.0 || horizon <= 0.0 then invalid_arg "Workload.arrival_times";
-  poisson_times rng ~rate ~horizon
-
 let open_loop engine ~rng ~rate ~horizon issue =
   if rate <= 0.0 || horizon <= 0.0 then invalid_arg "Workload.open_loop";
   let times = poisson_times rng ~rate ~horizon in
@@ -83,16 +79,3 @@ let read_write_mix engine ~rng ~rate ~horizon ~read_fraction ~keys ~read
           if is_read then read ~client ~key else write ~client ~key ~value))
     times;
   List.length times
-
-let read_write_mix_w engine ~rng ~rate ~horizon ~workload ~keys ~read ~write =
-  match Analysis.Workload.validate workload ~n:(Engine.nodes engine) with
-  | Error _ as e -> e
-  | Ok () ->
-      if keys <= 0 then Error "Workload.read_write_mix_w: keys must be positive"
-      else if rate <= 0.0 || horizon <= 0.0 then
-        Error "Workload.read_write_mix_w: rate and horizon must be positive"
-      else
-        Ok
-          (read_write_mix engine ~rng ~rate ~horizon
-             ~read_fraction:workload.Analysis.Workload.read_fraction ~keys
-             ~read ~write)

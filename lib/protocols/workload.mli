@@ -11,13 +11,6 @@ val poisson_ops :
     unit over [\[0, horizon)]; each op is issued by a uniformly random
     client node.  Returns the number of scheduled ops. *)
 
-val arrival_times :
-  Quorum.Rng.t -> rate:float -> horizon:float -> float list
-(** The raw Poisson arrival instants behind {!poisson_ops} /
-    {!open_loop}, ascending — for callers that schedule the work
-    themselves.  Raises [Invalid_argument] on a non-positive rate or
-    horizon. *)
-
 val open_loop :
   'msg Sim.Engine.t ->
   rng:Quorum.Rng.t ->
@@ -69,21 +62,9 @@ val read_write_mix :
   read:(client:int -> key:int -> unit) ->
   write:(client:int -> key:int -> value:int -> unit) ->
   int
-(** Poisson arrivals of reads/writes over a small key space.
-    Compatibility shim over {!read_write_mix_w} for callers with a bare
-    read fraction; raises [Invalid_argument] on bad parameters — new
-    code should pass an [Analysis.Workload.t] instead. *)
-
-val read_write_mix_w :
-  'msg Sim.Engine.t ->
-  rng:Quorum.Rng.t ->
-  rate:float ->
-  horizon:float ->
-  workload:Analysis.Workload.t ->
-  keys:int ->
-  read:(client:int -> key:int -> unit) ->
-  write:(client:int -> key:int -> value:int -> unit) ->
-  (int, string) result
-(** {!read_write_mix} driven by the unified workload spec: the mix uses
-    [workload.read_fraction], and the workload is validated against the
-    engine's node count first.  [Error] instead of raising. *)
+(** Poisson arrivals of reads/writes over [keys] keys: each arrival
+    draws a uniformly random client, a key, and whether it reads (with
+    probability [read_fraction]); writes carry distinct increasing
+    values.  Returns the number of scheduled ops.  Raises
+    [Invalid_argument] when [read_fraction] is outside [\[0, 1\]] or
+    [keys <= 0]. *)

@@ -1,5 +1,6 @@
 module Metrics = Obs.Metrics
 module Prof = Obs.Prof
+module Span = Obs.Span
 
 type config = { fsync_latency : float; torn_tail : bool }
 
@@ -216,3 +217,29 @@ let get c ~node =
 let durable_value c ~node ~now =
   settle c node ~now;
   c.durable.(node)
+
+(* --- Write-ahead replies -------------------------------------------- *)
+
+let send_when_durable engine ~node ~durable_at ~span send =
+  let now = Engine.now engine in
+  (* The wait for the fsync is a span of its own, child of the operation
+     the triggering message belongs to, so a latency breakdown can
+     attribute the delay to durability rather than queueing. *)
+  let parent = Engine.span_ctx engine in
+  let fspan =
+    if parent >= 0 then
+      Span.start (Obs.spans (Engine.obs engine)) ~time:now ~node ~parent span
+    else -1
+  in
+  let crashes = Engine.crashes engine ~node in
+  Engine.schedule engine ~time:durable_at (fun () ->
+      let ok =
+        Engine.crashes engine ~node = crashes && Engine.is_live engine node
+      in
+      if fspan >= 0 then
+        Span.finish
+          (Obs.spans (Engine.obs engine))
+          ~time:durable_at
+          ~status:(if ok then Span.Ok else Span.Error "crash")
+          fspan;
+      if ok then send ())

@@ -91,3 +91,26 @@ val get : 'a cell -> node:int -> 'a option
 val durable_value : 'a cell -> node:int -> now:float -> 'a option
 (** The newest write whose fsync completed by [now] — what an
     amnesiac recovery at [now] finds on disk. *)
+
+(** {1 Write-ahead replies} *)
+
+val send_when_durable :
+  'msg Engine.t ->
+  node:int ->
+  durable_at:float ->
+  span:string ->
+  (unit -> unit) ->
+  unit
+(** [send_when_durable engine ~node ~durable_at ~span send] runs [send]
+    at [durable_at] — the instant {!append}, {!append_batch} or {!set}
+    returned — provided [node] is live then and has not crashed in
+    between (see {!Engine.crashes}): a reply never acknowledges a write
+    that a crash could still have lost, even once the node has
+    recovered.  The wait is an {!Obs.Span} named [span], opened as a
+    child of the ambient span context (none without one) and closed
+    [Ok] when [send] runs, [Error "crash"] otherwise.  [send] runs
+    under the ambient context of the call.
+
+    Callers send inline when [durable_at <= now] and call this only
+    for a write still inside its fsync window, so the synchronous path
+    allocates no closure. *)

@@ -70,6 +70,7 @@ and 'msg t = {
   mutable free : int;  (** head of the free-slot list; -1 = none *)
   mutable next_seq : int;
   live : bool array;
+  crash_counts : int array;  (** per node: crashes of a live node *)
   network : Network.t;
   lat : Float.Array.t;  (** one cell: the latency [Network.draw] wrote *)
   net_rng : Rng.t;
@@ -154,6 +155,7 @@ let create ~seed ~nodes ?network ?obs handlers =
     free = -1;
     next_seq = 0;
     live = Array.make nodes true;
+    crash_counts = Array.make nodes 0;
     network = (match network with Some n -> n | None -> Network.create ());
     lat = Float.Array.make 1 0.0;
     net_rng = Rng.split root;
@@ -199,6 +201,7 @@ let rng t = t.proto_rng
 let network t = t.network
 let obs t = t.obs
 let is_live t i = t.live.(i)
+let crashes t ~node = t.crash_counts.(node)
 
 let live_set t =
   let s = Bitset.create t.n in
@@ -592,6 +595,7 @@ let fire_timer t ~node ~tag ~ctx =
 let crash t ~node =
   if t.live.(node) then begin
     t.live.(node) <- false;
+    t.crash_counts.(node) <- t.crash_counts.(node) + 1;
     t.flips <- t.flips + 1;
     Float.Array.set t.down_time node t.time;
     t.down_seq.(node) <- t.pos_seq;

@@ -113,6 +113,14 @@ val live_set : 'msg t -> Quorum.Bitset.t
     simulation-level knowledge: protocols that claim realistic fault
     handling should consult a {!Failure_detector.t} instead. *)
 
+val crashes : 'msg t -> node:int -> int
+(** How many times [node] has crashed.  It moves exactly when
+    [on_crash] runs: a crash scheduled for a node that is already down
+    changes nothing.  Work deferred on a node's behalf (an ack waiting
+    for its fsync, a request waiting for the processor) compares the
+    count at scheduling and at firing to tell whether the node crashed
+    in between, even if it has since recovered. *)
+
 val send : ?background:bool -> 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Enqueue a message; it is silently lost if dropped by the network,
     the source is dead now, or the destination is dead at delivery

@@ -81,7 +81,11 @@ let test_copies_select_spreads () =
 (* --- k-mutual exclusion ---------------------------------------------- *)
 
 let run_k_mutex ~capacity ~system ~requests =
-  let mx = Protocols.Mutex.create ~capacity ~system ~cs_duration:5.0 () in
+  let mx =
+    Protocols.Mutex.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
+      ~capacity ~system ~cs_duration:5.0 ()
+  in
   let engine =
     Engine.create ~seed:13 ~nodes:system.System.n (Protocols.Mutex.handlers mx)
   in

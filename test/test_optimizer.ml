@@ -286,56 +286,25 @@ let test_sweep_jobs_deterministic () =
             (O.render reference) (O.render r)))
     [ 1; 2; 4 ]
 
-(* --- Protocols: the workload shim ------------------------------------ *)
+(* --- Protocols: a workload's read fraction drives the store mix ------ *)
 
-let test_chaos_workload_equals_read_fraction () =
+let test_store_mix_follows_read_fraction () =
   let system = Registry.build_exn "majority(9)" in
   let scenario = List.hd (Protocols.Chaos.standard ~n:9 ~horizon:120.0) in
-  let via_fraction =
-    Protocols.Chaos.run_store ~seed:23 ~read_fraction:0.7 ~read_system:system
-      ~write_system:system ~name:"majority(9)" scenario
-  in
-  let via_workload =
-    Protocols.Chaos.run_store ~seed:23
-      ~workload:(ok_exn (W.make ~read_fraction:0.7 ()))
+  let run w =
+    Protocols.Chaos.run_store ~seed:23 ~read_fraction:w.W.read_fraction
       ~read_system:system ~write_system:system ~name:"majority(9)" scenario
   in
-  check "identical store report" true (via_fraction = via_workload)
-
-let test_read_write_mix_w_validates () =
-  let system = Registry.build_exn "majority(5)" in
-  ignore system;
-  let engine =
-    Sim.Engine.create ~seed:1 ~nodes:5
-      {
-        Sim.Engine.on_message = (fun _ ~node:_ ~src:_ (_ : unit) -> ());
-        on_timer = (fun _ ~node:_ ~tag:_ -> ());
-        on_crash = (fun _ ~node:_ -> ());
-        on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-      }
-  in
-  let w = ok_exn (W.make ~read_fraction:0.5 ()) in
-  check "keys must be positive" true
-    (is_error
-       (Protocols.Workload.read_write_mix_w engine ~rng:(Rng.create 2)
-          ~rate:1.0 ~horizon:10.0 ~workload:w ~keys:0
-          ~read:(fun ~client:_ ~key:_ -> ())
-          ~write:(fun ~client:_ ~key:_ ~value:_ -> ())));
-  let bad = ok_exn (W.make ~failures:(W.Per_process [| 0.1 |]) ~read_fraction:0.5 ()) in
-  check "workload validated against engine size" true
-    (is_error
-       (Protocols.Workload.read_write_mix_w engine ~rng:(Rng.create 2)
-          ~rate:1.0 ~horizon:10.0 ~workload:bad ~keys:2
-          ~read:(fun ~client:_ ~key:_ -> ())
-          ~write:(fun ~client:_ ~key:_ ~value:_ -> ())));
-  let issued =
-    ok_exn
-      (Protocols.Workload.read_write_mix_w engine ~rng:(Rng.create 2)
-         ~rate:1.0 ~horizon:10.0 ~workload:w ~keys:2
-         ~read:(fun ~client:_ ~key:_ -> ())
-         ~write:(fun ~client:_ ~key:_ ~value:_ -> ()))
-  in
-  check "schedules some operations" true (issued >= 0)
+  let writes = run (ok_exn (W.make ~read_fraction:0.0 ())) in
+  check "write-only mix completes no reads" true (writes.reads_ok = 0);
+  check "write-only mix completes writes" true (writes.writes_ok > 0);
+  let reads = run (ok_exn (W.make ~read_fraction:1.0 ())) in
+  check "read-only mix completes no writes" true (reads.writes_ok = 0);
+  check "read-only mix completes reads" true (reads.reads_ok > 0);
+  let mixed = run (ok_exn (W.make ~read_fraction:0.7 ())) in
+  check "mixed run completes both" true
+    (mixed.reads_ok > 0 && mixed.writes_ok > 0);
+  check_int "no stale reads" 0 mixed.stale_reads
 
 let () =
   Alcotest.run "optimizer"
@@ -378,9 +347,7 @@ let () =
         ] );
       ( "protocols",
         [
-          Alcotest.test_case "chaos ?workload = ?read_fraction" `Quick
-            test_chaos_workload_equals_read_fraction;
-          Alcotest.test_case "read_write_mix_w validates" `Quick
-            test_read_write_mix_w_validates;
+          Alcotest.test_case "store mix follows read_fraction" `Quick
+            test_store_mix_follows_read_fraction;
         ] );
     ]

@@ -8,9 +8,13 @@ module Rng = Quorum.Rng
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let mutex_config = Protocols.Client_config.(default |> with_timeout 1000.0)
+
 let run_mutex ?(seed = 1) ?(requests = 30) ?(spacing = 0.1) ?faults spec =
   let system = Core.Registry.build_exn spec in
-  let mx = Protocols.Mutex.create ~system ~cs_duration:0.8 () in
+  let mx =
+    Protocols.Mutex.of_config ~config:mutex_config ~system ~cs_duration:0.8 ()
+  in
   let engine =
     Engine.create ~seed ~nodes:system.Quorum.System.n
       (Protocols.Mutex.handlers mx)
@@ -55,7 +59,9 @@ let test_mutex_with_dead_nodes () =
     [ (0.0, Sim.Failure_injector.Crash 0); (0.0, Sim.Failure_injector.Crash 7) ]
   in
   let system = Core.Registry.build_exn "htriang(15)" in
-  let mx = Protocols.Mutex.create ~system ~cs_duration:0.5 () in
+  let mx =
+    Protocols.Mutex.of_config ~config:mutex_config ~system ~cs_duration:0.5 ()
+  in
   let engine = Engine.create ~seed:4 ~nodes:15 (Protocols.Mutex.handlers mx) in
   Protocols.Mutex.bind mx engine;
   Sim.Failure_injector.scripted engine faults;
@@ -81,7 +87,9 @@ let make_store ?(seed = 11) spec_read spec_write =
   let read_system = Core.Registry.build_exn spec_read in
   let write_system = Core.Registry.build_exn spec_write in
   let store =
-    Protocols.Replicated_store.create ~read_system ~write_system ~timeout:50.0 ()
+    Protocols.Replicated_store.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 50.0)
+      ~read_system ~write_system ()
   in
   let engine =
     Engine.create ~seed ~nodes:read_system.Quorum.System.n
@@ -127,7 +135,22 @@ let test_store_mixed_workload () =
       ("hgrid-read(4x4)", "hgrid-write(4x4)");
       ("htriang(15)", "htriang(15)");
       ("majority(9)", "majority(9)");
-    ]
+    ];
+  (* Out-of-range mixes are refused before anything is scheduled. *)
+  let _, engine = make_store "majority(9)" "majority(9)" in
+  let mix ~read_fraction ~keys () =
+    ignore
+      (Protocols.Workload.read_write_mix engine ~rng:(Rng.create 5) ~rate:2.0
+         ~horizon:100.0 ~read_fraction ~keys
+         ~read:(fun ~client:_ ~key:_ -> ())
+         ~write:(fun ~client:_ ~key:_ ~value:_ -> ()))
+  in
+  Alcotest.check_raises "no keys"
+    (Invalid_argument "Workload.read_write_mix: keys")
+    (mix ~read_fraction:0.7 ~keys:0);
+  Alcotest.check_raises "read fraction above 1"
+    (Invalid_argument "Workload.read_write_mix: read_fraction")
+    (mix ~read_fraction:1.5 ~keys:4)
 
 let test_store_under_faults () =
   (* iid transient faults: operations may time out or be refused but
@@ -165,8 +188,9 @@ let test_store_retries_improve_availability () =
   let run retries =
     let read_system = Core.Registry.build_exn "htriang(15)" in
     let store =
-      Protocols.Replicated_store.create ~retries ~read_system
-        ~write_system:read_system ~timeout:25.0 ()
+      Protocols.Replicated_store.of_config
+        ~config:Protocols.Client_config.(default |> with_retries retries)
+        ~read_system ~write_system:read_system ()
     in
     let engine =
       Engine.create ~seed:41 ~nodes:15
@@ -208,7 +232,9 @@ let test_store_partition_unavailability () =
   let read_system = Core.Registry.build_exn "majority(9)" in
   let write_system = Core.Registry.build_exn "majority(9)" in
   let store =
-    Protocols.Replicated_store.create ~read_system ~write_system ~timeout:20.0 ()
+    Protocols.Replicated_store.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 20.0)
+      ~read_system ~write_system ()
   in
   let network = Sim.Network.create () in
   let engine =

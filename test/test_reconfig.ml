@@ -7,8 +7,10 @@ module Reconfig = Protocols.Reconfig
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let config = Protocols.Client_config.(default |> with_timeout 40.0)
+
 let setup ~universe ~initial =
-  let rc = Reconfig.create ~initial ~universe ~timeout:40.0 () in
+  let rc = Reconfig.of_config ~config ~initial ~universe () in
   let engine = Engine.create ~seed:31 ~nodes:universe (Reconfig.handlers rc) in
   Reconfig.bind rc engine;
   (rc, engine)
@@ -142,7 +144,9 @@ let test_coordinator_crash_mid_switch () =
      and a fresh coordinator completes the resize afterwards — with
      the pre-crash write still visible in the new configuration. *)
   let initial = Core.Registry.build_exn "htriang(15)" in
-  let rc = Reconfig.create ~switch_retry:3.0 ~initial ~universe:21 ~timeout:40.0 () in
+  let rc =
+    Reconfig.of_config ~config ~switch_retry:3.0 ~initial ~universe:21 ()
+  in
   let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
   Reconfig.bind rc engine;
   Engine.schedule engine ~time:1.0 (fun () ->
@@ -173,8 +177,8 @@ let test_timed_switch () =
      be visible after the install. *)
   let initial = Core.Registry.build_exn "htriang(15)" in
   let rc =
-    Reconfig.create ~lease:4.0 ~switch_retry:3.0 ~initial ~universe:21
-      ~timeout:40.0 ()
+    Reconfig.of_config ~config ~lease:4.0 ~switch_retry:3.0 ~initial
+      ~universe:21 ()
   in
   let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
   Reconfig.bind rc engine;
@@ -195,6 +199,38 @@ let test_timed_switch () =
   check_int "drain-window write visible after install" 0
     (Reconfig.stale_reads rc)
 
+let test_shrink_ignores_straggler () =
+  (* h-triang(21) shrinks to h-triang(15) while node 20 answers three
+     times slower than everyone else.  An op whose round went out under
+     the 21-node system is relaunched under the 15-node one; node 20's
+     late reply to the old round then names a member outside the new
+     round's set, and must be ignored rather than crash the run. *)
+  let initial = Core.Registry.build_exn "htriang(21)" in
+  let rc =
+    Reconfig.of_config
+      ~config:Protocols.Client_config.(default |> with_timeout 60.0)
+      ~initial ~universe:21 ()
+  in
+  let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
+  Reconfig.bind rc engine;
+  Sim.Network.set_slowdown (Engine.network engine) ~node:20 3.0;
+  Engine.schedule engine ~time:1.0 (fun () ->
+      Reconfig.reconfigure rc ~coordinator:0
+        (Core.Registry.build_exn "htriang(15)"));
+  for k = 0 to 59 do
+    let time = 0.5 *. float_of_int (k + 1) in
+    let client = k mod 15 in
+    if k mod 3 = 0 then
+      Engine.schedule engine ~time (fun () ->
+          Reconfig.write rc ~client ~value:(1000 + k))
+    else Engine.schedule engine ~time (fun () -> Reconfig.read rc ~client)
+  done;
+  Engine.run engine;
+  check_int "switched" 1 (Reconfig.epoch_switches rc);
+  check_int "all 60 ops complete" 60
+    (Reconfig.reads_ok rc + Reconfig.writes_ok rc);
+  check_int "no stale read across the shrink" 0 (Reconfig.stale_reads rc)
+
 let () =
   Alcotest.run "reconfig"
     [
@@ -210,5 +246,7 @@ let () =
           Alcotest.test_case "coordinator crash mid-switch" `Quick
             test_coordinator_crash_mid_switch;
           Alcotest.test_case "timed switch" `Quick test_timed_switch;
+          Alcotest.test_case "shrink ignores straggler" `Quick
+            test_shrink_ignores_straggler;
         ] );
     ]

@@ -117,10 +117,11 @@ let test_restarts_validation () =
 let test_amnesiac_replica_refuses_until_synced () =
   let system = Core.Registry.build_exn "majority(5)" in
   let store =
-    Replicated_store.create ~read_system:system ~write_system:system
-      ~timeout:25.0
-      ~durability:(Durable.config ~fsync_latency:0.5 ())
-      ()
+    Replicated_store.of_config
+      ~config:
+        Protocols.Client_config.(
+          default |> with_durability (Durable.config ~fsync_latency:0.5 ()))
+      ~read_system:system ~write_system:system ()
   in
   let engine =
     Engine.create ~seed:101 ~nodes:5 (Replicated_store.handlers store)
@@ -166,8 +167,7 @@ let test_amnesiac_replica_refuses_until_synced () =
 let test_plain_restart_needs_no_rejoin () =
   let system = Core.Registry.build_exn "majority(5)" in
   let store =
-    Replicated_store.create ~read_system:system ~write_system:system
-      ~timeout:25.0 ()
+    Replicated_store.of_config ~read_system:system ~write_system:system ()
   in
   let engine =
     Engine.create ~seed:103 ~nodes:5 (Replicated_store.handlers store)

@@ -276,6 +276,34 @@ let test_engine_recover () =
   (* ping delivered to 1, pong back to 0 *)
   check_int "delivered after recovery" 2 (List.length deliveries)
 
+let test_engine_crash_count () =
+  (* The count moves with [on_crash] and only then: a crash of a node
+     that is already down, and recoveries, leave it alone. *)
+  let seen = ref [] in
+  let handlers : probe_msg Engine.handlers =
+    {
+      on_message = (fun _ ~node:_ ~src:_ _ -> ());
+      on_timer = (fun _ ~node:_ ~tag:_ -> ());
+      on_crash =
+        (fun e ~node -> seen := (node, Engine.crashes e ~node) :: !seen);
+      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+    }
+  in
+  let e = Engine.create ~seed:6 ~nodes:3 handlers in
+  check_int "none at start" 0 (Engine.crashes e ~node:1);
+  Engine.crash_at e ~time:1.0 ~node:1;
+  Engine.crash_at e ~time:2.0 ~node:1;
+  Engine.recover_at e ~time:3.0 ~node:1;
+  Engine.recover_at ~amnesia:true e ~time:3.5 ~node:1;
+  Engine.crash_at e ~time:4.0 ~node:1;
+  Engine.crash_at e ~time:4.0 ~node:2;
+  Engine.run e;
+  check_int "two real crashes of node 1" 2 (Engine.crashes e ~node:1);
+  check_int "one of node 2" 1 (Engine.crashes e ~node:2);
+  check_int "node 0 never crashed" 0 (Engine.crashes e ~node:0);
+  check "on_crash sees the count already moved" true
+    (List.rev !seen = [ (1, 1); (1, 2); (2, 1) ])
+
 let test_engine_until () =
   let log = ref [] in
   let e = Engine.create ~seed:1 ~nodes:1 (probe_handlers log) in
@@ -744,6 +772,77 @@ let test_backoff_deterministic () =
   Alcotest.(check (list (float 1e-12))) "same seed" (draw 9) (draw 9);
   check "different seed differs" true (draw 9 <> draw 10)
 
+(* --- Write-ahead replies ----------------------------------------------- *)
+
+(* Node 1 acknowledges a write whose fsync completes at 1.5: [call] is
+   when the helper runs (under a parent span unless [~root:false]),
+   [faults] the crash and recovery events around it.  Returns when and
+   under which span context the reply was sent (if it was), the parent
+   span, and the fsync spans opened. *)
+let write_ahead ?(root = true) ?(call = 1.0) faults =
+  let obs = Obs.create () in
+  let e = Engine.create ~seed:8 ~nodes:2 ~obs (probe_handlers (ref [])) in
+  let spans = Obs.spans obs in
+  let sent = ref None and parent = ref (-1) in
+  Engine.schedule e ~time:call (fun () ->
+      if root then begin
+        parent := Obs.Span.start spans ~time:call ~node:0 "test.write";
+        Engine.set_span_ctx e !parent
+      end;
+      Sim.Durable.send_when_durable e ~node:1 ~durable_at:1.5
+        ~span:"test.fsync" (fun () ->
+          sent := Some (Engine.now e, Engine.span_ctx e)));
+  List.iter
+    (function
+      | `Crash t -> Engine.crash_at e ~time:t ~node:1
+      | `Recover t -> Engine.recover_at e ~time:t ~node:1)
+    faults;
+  Engine.run e;
+  let fsyncs =
+    List.filter (fun sp -> sp.Obs.Span.name = "test.fsync")
+      (Obs.Span.to_list spans)
+  in
+  (!sent, !parent, fsyncs)
+
+let test_write_ahead_sends_when_durable () =
+  let sent, parent, fsyncs = write_ahead [] in
+  check "sent at durable_at, under the caller's context" true
+    (sent = Some (1.5, parent));
+  match fsyncs with
+  | [ sp ] ->
+      check_int "child of the ambient context" parent sp.Obs.Span.parent;
+      check "on node 1" true (sp.Obs.Span.node = 1);
+      check "from the call to durable_at" true
+        (sp.Obs.Span.start_time = 1.0 && sp.Obs.Span.end_time = 1.5);
+      check "closed Ok" true (sp.Obs.Span.status = Obs.Span.Ok)
+  | _ -> Alcotest.fail "one fsync span"
+
+let test_write_ahead_crash_in_between () =
+  (* Crashed and recovered inside the fsync window: the write may be
+     lost, so no ack, although the node is live again at durable_at. *)
+  let sent, _, fsyncs = write_ahead [ `Crash 1.2; `Recover 1.3 ] in
+  check "no reply" true (sent = None);
+  match fsyncs with
+  | [ sp ] ->
+      check "closed Error crash" true
+        (sp.Obs.Span.status = Obs.Span.Error "crash"
+        && sp.Obs.Span.end_time = 1.5)
+  | _ -> Alcotest.fail "one fsync span"
+
+let test_write_ahead_node_down () =
+  (* Down since before the call and still down at durable_at: no crash
+     in between, but nothing may leave a dead node. *)
+  let sent, _, fsyncs = write_ahead ~call:1.1 [ `Crash 1.0; `Recover 2.0 ] in
+  check "no reply" true (sent = None);
+  check "closed Error crash" true
+    (List.map (fun sp -> sp.Obs.Span.status) fsyncs
+    = [ Obs.Span.Error "crash" ])
+
+let test_write_ahead_no_context () =
+  let sent, _, fsyncs = write_ahead ~root:false [] in
+  check "sent at durable_at" true (sent = Some (1.5, -1));
+  check_int "no span without a parent context" 0 (List.length fsyncs)
+
 let () =
   Alcotest.run "sim"
     [
@@ -772,6 +871,7 @@ let () =
           Alcotest.test_case "crash drops" `Quick
             test_engine_crash_drops_messages;
           Alcotest.test_case "recover" `Quick test_engine_recover;
+          Alcotest.test_case "crash count" `Quick test_engine_crash_count;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "live set" `Quick test_engine_live_set;
           Alcotest.test_case "background drains" `Quick
@@ -787,6 +887,15 @@ let () =
             test_beat_draws_like_background_send;
           Alcotest.test_case "beat reserves its seq" `Quick
             test_beat_reserves_its_seq;
+        ] );
+      ( "durable reply",
+        [
+          Alcotest.test_case "sends when durable" `Quick
+            test_write_ahead_sends_when_durable;
+          Alcotest.test_case "crash in between" `Quick
+            test_write_ahead_crash_in_between;
+          Alcotest.test_case "node down" `Quick test_write_ahead_node_down;
+          Alcotest.test_case "no context" `Quick test_write_ahead_no_context;
         ] );
       ( "failure injector",
         [
