@@ -22,20 +22,14 @@
    is the merged "reconfig.switch" span windows, extracted by
    Obs.Trace_analysis from each run's span collector.
 
-   The seed (45) is pinned and echoed into BENCH_churn.json, so any
-   row is replayed exactly. *)
+   The seed (45) and every other pin are Protocols.Experiment's,
+   echoed into BENCH_churn.json, so any row is replayed exactly by
+   `quorumctl churn --rate R`. *)
 
 module C = Protocols.Chaos
+module E = Protocols.Experiment
 
-let seed = 45
-let universe = 30
-let rows = 5 (* h-triang(15): half the universe spare at t=0 *)
-let mean_downtime = 130.0
-let op_rate = 2.0
-let op_timeout = 30.0
-let period = 8.0
-let lease = 3.0
-let horizon () = if !Util.fast then 150.0 else 300.0
+let horizon () = E.churn_horizon ~fast:!Util.fast
 
 (* Swept churn rates (leave events per time unit): the expected number
    of simultaneously-down processes is rate * mean_downtime (capped by
@@ -44,14 +38,6 @@ let horizon () = if !Util.fast then 150.0 else 300.0
 let rates () = if !Util.fast then [ 0.05; 0.18 ] else [ 0.05; 0.1; 0.18 ]
 
 let modes = [ C.Static; C.Resize; C.Timed; C.Fd ]
-
-let scenario ~rate =
-  let h = horizon () in
-  {
-    C.label = Printf.sprintf "rate=%.2f" rate;
-    horizon = h;
-    plan = { C.calm with loss = 0.02; churn_sustained = Some (rate, mean_downtime) };
-  }
 
 let json ~rate (r : C.churn_report) =
   Printf.sprintf
@@ -79,7 +65,8 @@ let write_json rows_json =
     \  \"mean_downtime\": %g,\n\
     \  \"runs\": [\n%s\n  ]\n\
      }\n"
-    !Util.fast (horizon ()) seed universe rows mean_downtime
+    !Util.fast (horizon ()) E.churn_seed E.churn_universe E.churn_rows
+    E.churn_downtime
     (String.concat ",\n" (List.map (fun j -> "    " ^ j) rows_json));
   close_out oc
 
@@ -87,34 +74,28 @@ let run () =
   Printf.printf
     "\n== churn: availability of static vs dynamic membership ==\n";
   Printf.printf
-    "(universe %d, h-triang %d rows, mean downtime %g, op rate %g)\n" universe
-    rows mean_downtime op_rate;
+    "(universe %d, h-triang %d rows, mean downtime %g, op rate %g)\n"
+    E.churn_universe E.churn_rows E.churn_downtime E.churn_op_rate;
   Printf.printf "%s\n" (C.churn_header ());
-  let tasks =
-    List.concat_map
-      (fun rate ->
-        List.map
-          (fun mode () ->
-            let r =
-              C.run_churn ~seed ~rate:op_rate ~op_timeout ~rows ~period ~lease
-                ~mode ~universe (scenario ~rate)
-            in
-            (* Availability is never bought with safety: any stale read
-               under churn is a bug, and CI runs this bench. *)
-            if r.C.stale_reads > 0 then
-              failwith
-                (Printf.sprintf "churn bench: %d stale reads at %s/%s"
-                   r.C.stale_reads r.C.label r.C.mode);
-            (Printf.sprintf "%s\n" (C.churn_row r), json ~rate r))
-          modes)
+  let cells =
+    List.concat_map (fun rate -> List.map (fun mode -> (rate, mode)) modes)
       (rates ())
   in
-  let outputs =
-    let tasks = Array.of_list tasks in
-    match Util.pool () with
-    | None -> Array.map (fun task -> task ()) tasks
-    | Some pool -> Exec.Pool.map_array pool (fun task -> task ()) tasks
+  let reports =
+    Exec.Pool.map ?pool:(Util.pool ())
+      (fun (rate, mode) ->
+        fst
+          (C.run_churn_h ~seed:E.churn_seed ~rate:E.churn_op_rate
+             ~op_timeout:E.churn_op_timeout ~rows:E.churn_rows
+             ~period:E.churn_period ~lease:E.churn_lease ~mode
+             ~universe:E.churn_universe
+             (E.churn_scenario ~downtime:E.churn_downtime ~horizon:(horizon ())
+                rate)))
+      cells
   in
-  Array.iter (fun (display, _) -> print_string display) outputs;
-  write_json (Array.to_list (Array.map snd outputs));
-  Printf.printf "\n  wrote BENCH_churn.json (seed %d)\n" seed
+  List.iter (fun r -> Printf.printf "%s\n" (C.churn_row r)) reports;
+  (* Availability is never bought with safety: any stale read under
+     churn is a bug, and CI runs this bench. *)
+  Option.iter failwith (List.find_map E.churn_verdict reports);
+  write_json (List.map2 (fun (rate, _) r -> json ~rate r) cells reports);
+  Printf.printf "\n  wrote BENCH_churn.json (seed %d)\n" E.churn_seed

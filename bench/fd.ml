@@ -26,17 +26,16 @@
      on — duplicated stragglers cut the p99 while safety counters stay
      untouched.
 
-   The seed (47) is pinned and echoed into BENCH_fd.json, so any row
-   is replayed exactly. *)
+   The seed (47), horizon and detector timeout are
+   Protocols.Experiment's, and the membership arm runs at the churn
+   bench's pins; the seed is echoed into BENCH_fd.json, so any row is
+   replayed exactly (the detector sweep by `quorumctl fd`). *)
 
 module C = Protocols.Chaos
+module E = Protocols.Experiment
 
-let seed = 47
-let universe = 30
-let mrows = 5
-let mean_downtime = 130.0
 let churn_rate = 0.1
-let horizon () = if !Util.fast then 120.0 else 300.0
+let horizon () = E.fd_horizon ~fast:!Util.fast
 let spec = "htriang(15)"
 
 type detector = Fixed of float | Accrual of float
@@ -55,17 +54,15 @@ let run_one ~det ~hedge scenario =
   let fd_timeout, accrual =
     match det with
     | Fixed tau -> (tau, None)
-    | Accrual phi -> (5.0, Some phi)
+    | Accrual phi -> (E.fd_timeout, Some phi)
   in
-  let r =
-    C.run_fd ~seed ~fd_timeout ?accrual ~hedge ~read_system:system
-      ~write_system:system ~name:spec scenario
-  in
-  if r.C.stale_reads > 0 then
-    failwith
-      (Printf.sprintf "fd bench: %d stale reads at %s/%s" r.C.stale_reads
-         r.C.label r.C.detector);
-  r
+  C.run_fd ~seed:E.fd_seed ~fd_timeout ?accrual ~hedge ~read_system:system
+    ~write_system:system ~name:spec scenario
+
+(* Print the rows, then fail on the first stale read. *)
+let print_checked reports =
+  List.iter (fun r -> Printf.printf "%s\n" (C.fd_row r)) reports;
+  Option.iter failwith (List.find_map E.fd_verdict reports)
 
 let sweep_json ~scenario (r : C.fd_report) =
   Printf.sprintf
@@ -78,19 +75,6 @@ let sweep_json ~scenario (r : C.fd_report) =
     r.C.unavailable r.C.hedges r.C.degraded_writes r.C.detections
     r.C.mean_detect r.C.max_detect r.C.false_positives r.C.missed
     r.C.transitions r.C.p99_latency r.C.budget_hit
-
-let churn_scenario () =
-  let h = horizon () in
-  {
-    C.label = Printf.sprintf "rate=%.2f" churn_rate;
-    horizon = h;
-    plan =
-      {
-        C.calm with
-        loss = 0.02;
-        churn_sustained = Some (churn_rate, mean_downtime);
-      };
-  }
 
 let membership_json (r : C.churn_report) =
   Printf.sprintf
@@ -125,7 +109,7 @@ let write_json ~sweep ~membership ~hedging =
     \  \"membership\": [\n%s\n  ],\n\
     \  \"hedging\": [\n%s\n  ]\n\
      }\n"
-    !Util.fast (horizon ()) seed (block sweep) (block membership)
+    !Util.fast (horizon ()) E.fd_seed (block sweep) (block membership)
     (block hedging);
   close_out oc
 
@@ -135,24 +119,16 @@ let run () =
   Printf.printf "\n== fd: detection time vs accuracy (%s) ==\n" spec;
   Printf.printf "%s\n" (C.fd_header ());
   (* 1. Detector sweep over the fd stress scenarios. *)
-  let sweep_tasks =
-    List.concat_map
-      (fun label ->
+  let sweep =
+    Exec.Pool.map ?pool:(Util.pool ())
+      (fun (label, det) ->
         let scenario = C.scenario_of_label ~n ~horizon:h label in
-        List.map
-          (fun det () ->
-            let r = run_one ~det ~hedge:false scenario in
-            (Printf.sprintf "%s\n" (C.fd_row r), sweep_json ~scenario:label r))
-          (detectors ()))
-      (sweep_labels ())
+        (label, run_one ~det ~hedge:false scenario))
+      (List.concat_map
+         (fun label -> List.map (fun det -> (label, det)) (detectors ()))
+         (sweep_labels ()))
   in
-  let sweep_out =
-    let tasks = Array.of_list sweep_tasks in
-    match Util.pool () with
-    | None -> Array.map (fun task -> task ()) tasks
-    | Some pool -> Exec.Pool.map_array pool (fun task -> task ()) tasks
-  in
-  Array.iter (fun (display, _) -> print_string display) sweep_out;
+  print_checked (List.map snd sweep);
   (* 2. FD-driven vs omniscient membership under Poisson churn. *)
   Printf.printf
     "\n== fd: membership availability, omniscient vs detector-driven ==\n";
@@ -160,31 +136,29 @@ let run () =
   let membership =
     List.map
       (fun mode ->
-        let r =
-          C.run_churn ~seed ~rate:2.0 ~op_timeout:30.0 ~rows:mrows
-            ~period:8.0 ~mode ~universe (churn_scenario ())
-        in
-        if r.C.stale_reads > 0 then
-          failwith
-            (Printf.sprintf "fd bench: %d stale reads in membership/%s"
-               r.C.stale_reads r.C.mode);
-        Printf.printf "%s\n" (C.churn_row r);
-        membership_json r)
+        fst
+          (C.run_churn_h ~seed:E.fd_seed ~rate:E.churn_op_rate
+             ~op_timeout:E.churn_op_timeout ~rows:E.churn_rows
+             ~period:E.churn_period ~lease:E.churn_lease ~mode
+             ~universe:E.churn_universe
+             (E.churn_scenario ~downtime:E.churn_downtime ~horizon:h
+                churn_rate)))
       [ C.Resize; C.Fd ]
   in
+  List.iter (fun r -> Printf.printf "%s\n" (C.churn_row r)) membership;
+  Option.iter failwith (List.find_map E.churn_verdict membership);
   (* 3. Hedging's p99 effect under gray failure. *)
   Printf.printf "\n== fd: hedged requests under gray failure ==\n";
   Printf.printf "%s\n" (C.fd_header ());
   let gray = C.scenario_of_label ~n ~horizon:h "gray" in
   let hedging =
     List.map
-      (fun hedge ->
-        let r = run_one ~det:(Fixed 5.0) ~hedge gray in
-        Printf.printf "%s\n" (C.fd_row r);
-        hedge_json ~hedge r)
+      (fun hedge -> (hedge, run_one ~det:(Fixed E.fd_timeout) ~hedge gray))
       [ false; true ]
   in
+  print_checked (List.map snd hedging);
   write_json
-    ~sweep:(Array.to_list (Array.map snd sweep_out))
-    ~membership ~hedging;
-  Printf.printf "\n  wrote BENCH_fd.json (seed %d)\n" seed
+    ~sweep:(List.map (fun (label, r) -> sweep_json ~scenario:label r) sweep)
+    ~membership:(List.map membership_json membership)
+    ~hedging:(List.map (fun (hedge, r) -> hedge_json ~hedge r) hedging);
+  Printf.printf "\n  wrote BENCH_fd.json (seed %d)\n" E.fd_seed

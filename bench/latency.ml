@@ -5,14 +5,15 @@
    Each profiled operation's critical-path breakdown (network, fsync,
    queueing, retransmit) partitions its end-to-end latency exactly, so
    the per-class component sums in the JSON add up to the summed
-   latency — a consumer can recompute and check.  Seeds match bench
-   chaos (mutex 41, store 42, reconfig 43): a JSON row names the exact
-   run that produced it. *)
+   latency — a consumer can recompute and check.  Seeds and horizon are
+   bench chaos's (Protocols.Experiment): a JSON row names the exact run
+   that produced it. *)
 
+module E = Protocols.Experiment
 module R = Protocols.Run_report
 module Ta = Obs.Trace_analysis
 
-let horizon () = if !Util.fast then 150.0 else 400.0
+let horizon () = E.chaos_horizon ~fast:!Util.fast
 
 (* Scenarios chosen so every breakdown component is exercised: baseline
    (pure network), loss+burst (retransmit), restart (fsync > 0 plus
@@ -53,7 +54,7 @@ let run_one ~protocol ~system ~next ~scenario =
   Printf.sprintf
     "{\"protocol\": %S, \"system\": %S, \"scenario\": %S, \"seed\": %d, \
      \"audit\": %s, \"ops\": [%s]}"
-    (R.protocol_name protocol)
+    (E.protocol_name protocol)
     r.R.system r.R.scenario r.R.seed audit (String.concat ", " ops)
 
 let run () =
@@ -74,7 +75,7 @@ let run () =
           (fun scenario ->
             let row = run_one ~protocol ~system ~next ~scenario in
             Printf.printf "  %-8s %-14s %-11s done\n"
-              (R.protocol_name protocol) spec scenario;
+              (E.protocol_name protocol) spec scenario;
             row)
           scenarios)
       grid

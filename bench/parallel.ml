@@ -19,6 +19,7 @@ module Strategy = Quorum.Strategy
 module Rng = Quorum.Rng
 module Pool = Exec.Pool
 module C = Protocols.Chaos
+module E = Protocols.Experiment
 
 let jobs_list = [ 1; 2; 4 ]
 
@@ -103,21 +104,16 @@ let chaos_case ~metrics =
         let n = (Util.system spec).Quorum.System.n in
         List.map
           (fun scenario () ->
-            let system = Util.system spec in
-            C.mutex_row (C.run_mutex ~seed:41 ~system scenario))
+            let cell = E.Mutex_cell (Util.system spec) in
+            E.row (E.run cell scenario).E.report)
           (C.standard ~n ~horizon))
       specs
-    |> Array.of_list
   in
   measure ~metrics
-    ~label:
-      (Printf.sprintf "chaos mutex sweep (%d runs)" (Array.length tasks))
+    ~label:(Printf.sprintf "chaos mutex sweep (%d runs)" (List.length tasks))
     ~same_as_seq:true
-    (fun pool ->
-      match pool with
-      | None -> Array.map (fun task -> task ()) tasks
-      | Some pool -> Pool.map_array pool (fun task -> task ()) tasks)
-    Array.to_list
+    (fun pool -> Pool.map ?pool (fun task -> task ()) tasks)
+    Fun.id
 
 (* ------------------------------------------------------------------ *)
 

@@ -16,13 +16,7 @@ let three_clusters rng n =
    RNGs), so the sweeps run one spec per pool task under --jobs and
    print the collected lines in spec order. *)
 let spec_lines specs line =
-  let tasks = Array.of_list (List.map (fun spec () -> line spec) specs) in
-  let lines =
-    match Util.pool () with
-    | None -> Array.map (fun task -> task ()) tasks
-    | Some pool -> Exec.Pool.map_array pool (fun task -> task ()) tasks
-  in
-  Array.iter print_string lines
+  List.iter print_string (Exec.Pool.map ?pool:(Util.pool ()) line specs)
 
 let analysis () =
   Util.print_header

@@ -19,54 +19,33 @@
    rows also reports the critical-path breakdown (network / fsync /
    queueing / retransmit) from Obs.Trace_analysis.
 
-   The seed (46) is pinned and echoed into BENCH_throughput.json;
-   repeated runs are bit-identical. *)
+   The seed (46), window, batch, delay, fsync and open-loop load are
+   Protocols.Experiment's, echoed into BENCH_throughput.json, so any
+   row is replayed exactly by `quorumctl throughput`; repeated runs are
+   bit-identical. *)
 
-module C = Protocols.Chaos
+module E = Protocols.Experiment
 module T = Protocols.Throughput
 
-let seed = 46
-let horizon () = if !Util.fast then 80.0 else 200.0
+let horizon () = E.throughput_horizon ~fast:!Util.fast
 let ns () = if !Util.fast then [ 3; 9; 15 ] else [ 3; 5; 7; 9; 12; 15; 20; 25 ]
 let breakdown_n = 15
-let window = 6
-let batch = 4
-let batch_delay = 0.25
-let fsync = 0.2
-let open_n = 15
-let open_rate = 12.0
-let open_queue = 64
 let ablation_sizes = [ 1; 4; 16 ]
 
-let scenario ~label = { C.label; horizon = horizon (); plan = { C.calm with fsync } }
-
-let json (r : T.report) =
-  Printf.sprintf
-    "{\"scenario\": %S, \"system\": %S, \"mode\": %S, \"seed\": %d, \"n\": \
-     %d, \"shards\": %d, \"window\": %d, \"batch\": %d, \"offered\": %g, \
-     \"issued\": %d, \"completed\": %d, \"failed\": %d, \"shed\": %d, \
-     \"ops_per_sec\": %.4f, \"mean_latency\": %.4f, \"p95_latency\": %.4f, \
-     \"peak_backlog\": %d, \"final_backlog\": %d, \"batches\": %d, \
-     \"batched_ops\": %d, \"retransmissions\": %d, \"stale_reads\": %d, \
-     \"breakdown\": {\"network\": %.3f, \"fsync\": %.3f, \"queueing\": \
-     %.3f, \"retransmit\": %.3f}, \"budget_hit\": %b}"
-    r.T.label r.T.system r.T.mode r.T.seed r.T.n r.T.shards r.T.window
-    r.T.batch r.T.offered r.T.issued r.T.completed r.T.failed r.T.shed
-    r.T.ops_per_sec r.T.mean_latency r.T.p95_latency r.T.peak_backlog
-    r.T.final_backlog r.T.batches r.T.batched_ops r.T.retransmissions
-    r.T.stale_reads r.T.breakdown.Obs.Trace_analysis.network
-    r.T.breakdown.Obs.Trace_analysis.fsync
-    r.T.breakdown.Obs.Trace_analysis.queueing
-    r.T.breakdown.Obs.Trace_analysis.retransmit r.T.budget_hit
-
-(* Regular-register semantics is not negotiable at any throughput:
-   this bench runs in CI. *)
-let check (r : T.report) =
-  if r.T.stale_reads > 0 then
-    failwith
-      (Printf.sprintf "throughput bench: %d stale reads at %s n=%d"
-         r.T.stale_reads r.T.system r.T.n);
-  r
+(* One arm under the fsync-0.2 calm scenario labelled [label]: prints
+   its row and fails on a stale read (regular-register semantics is not
+   negotiable at any throughput, and this bench runs in CI). *)
+let run_arm ?obs ?(mode = T.Closed) ?(batch = E.batch) ~label arm =
+  let o =
+    E.run ?obs
+      (E.Throughput_cell { arm; mode; window = E.window; batch })
+      (E.throughput_scenario ~horizon:(horizon ()) label)
+  in
+  Option.iter failwith (E.verdict o.E.report);
+  Printf.printf "%s\n" (E.row o.E.report);
+  match o.E.report with
+  | E.Throughput_report r -> r
+  | _ -> assert false
 
 let write_json sections =
   let oc = open_out (Util.out_path "BENCH_throughput.json") in
@@ -85,7 +64,7 @@ let write_json sections =
     \  \"fsync\": %g,\n\
      %s\n\
      }\n"
-    !Util.fast seed (horizon ()) window batch fsync
+    !Util.fast (E.seed E.Throughput) (horizon ()) E.window E.batch E.fsync
     (String.concat ",\n" (List.map section sections));
   close_out oc
 
@@ -93,26 +72,18 @@ let run () =
   Printf.printf "\n== throughput: sessioned store, flat vs hierarchical ==\n";
   Printf.printf
     "(window %d, batch %d, service per_req 0.3 per_batch 0.1, fsync %g)\n"
-    window batch fsync;
+    E.window E.batch E.fsync;
 
   (* --- closed-loop capacity sweep --------------------------------- *)
   Printf.printf "\nclosed-loop capacity sweep:\n%s\n" (T.header ());
   let sweep =
     List.concat_map
       (fun n ->
-        let arms = Util.ok_or_die (T.arms ~n ()) in
         List.map
           (fun arm ->
             let obs = if n = breakdown_n then Some (Obs.create ()) else None in
-            let r =
-              check
-                (T.run_arm ~seed ~window ~batch_size:batch ~batch_delay ?obs
-                   arm
-                   (scenario ~label:"closed"))
-            in
-            Printf.printf "%s\n" (T.row r);
-            r)
-          arms)
+            run_arm ?obs ~label:"closed" arm)
+          (Util.ok_or_die (T.arms ~n ())))
       (ns ())
   in
   (* The acceptance bar: sharded hierarchical beats flat majority at
@@ -120,14 +91,11 @@ let run () =
   List.iter
     (fun n ->
       if n >= 9 then
-        let ops sys_prefix =
+        let ops prefix =
           match
             List.find_opt
               (fun (r : T.report) ->
-                r.T.n = n
-                && String.length r.T.system >= String.length sys_prefix
-                && String.sub r.T.system 0 (String.length sys_prefix)
-                   = sys_prefix)
+                r.T.n = n && String.starts_with ~prefix r.T.system)
               sweep
           with
           | Some r -> r.T.ops_per_sec
@@ -143,21 +111,13 @@ let run () =
     (ns ());
 
   (* --- open-loop overload ------------------------------------------ *)
-  let n = open_n in
+  let n = E.open_n in
   Printf.printf
     "\nopen-loop overload (n=%d, offered %.1f ops/s, max_queue %d):\n%s\n" n
-    open_rate open_queue (T.header ());
+    E.open_rate E.open_queue (T.header ());
   let overload =
     List.map
-      (fun arm ->
-        let r =
-          check
-            (T.run_arm ~seed ~mode:(T.Open open_rate) ~window
-               ~batch_size:batch ~batch_delay ~max_queue:open_queue arm
-               (scenario ~label:"open"))
-        in
-        Printf.printf "%s\n" (T.row r);
-        r)
+      (run_arm ~mode:(T.Open E.open_rate) ~label:"open")
       (Util.ok_or_die (T.arms ~n ()))
   in
 
@@ -167,14 +127,9 @@ let run () =
   let ablation =
     List.map
       (fun size ->
-        let r =
-          check
-            (T.run_arm ~seed ~window ~batch_size:size ~batch_delay
-               (T.htriang_arm ~n)
-               (scenario ~label:Printf.(sprintf "batch=%d" size)))
-        in
-        Printf.printf "%s\n" (T.row r);
-        r)
+        run_arm ~batch:size
+          ~label:(Printf.sprintf "batch=%d" size)
+          (T.htriang_arm ~n))
       ablation_sizes
   in
 
@@ -197,10 +152,12 @@ let run () =
             b.Obs.Trace_analysis.retransmit)
         instrumented);
 
+  let json r = E.json (E.Throughput_report r) in
   write_json
     [
       ("closed_loop", List.map json sweep);
       ("open_loop", List.map json overload);
       ("batch_ablation", List.map json ablation);
     ];
-  Printf.printf "\n  wrote BENCH_throughput.json (seed %d)\n" seed
+  Printf.printf "\n  wrote BENCH_throughput.json (seed %d)\n"
+    (E.seed E.Throughput)

@@ -332,6 +332,76 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(const run $ spec_arg $ requests_arg $ fault_arg)
 
+(* --- chaos-run flags --------------------------------------------------- *)
+
+(* chaos, metrics, trace, report and profile run Experiment cells, the
+   ones the bench runs, and share these flags; every default is an
+   Experiment pin, so a default invocation replays the bench's rows. *)
+
+module E = Protocols.Experiment
+module C = Protocols.Chaos
+module T = Protocols.Throughput
+
+let protocol_arg ~default =
+  let protocols = List.map (fun p -> (E.protocol_name p, p)) E.protocols in
+  Arg.(
+    value
+    & opt (enum protocols) default
+    & info [ "protocol" ]
+        ~doc:
+          "Protocol to run: $(b,mutex), $(b,store), $(b,reconfig) (a \
+           register switched to another system and back mid-run) or \
+           $(b,throughput) (the sessioned store driven closed-loop).")
+
+let seed_arg =
+  let pins =
+    String.concat ", "
+      (List.map
+         (fun p -> Printf.sprintf "%s %d" (E.protocol_name p) (E.seed p))
+         E.protocols)
+  in
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "seed" ]
+        ~doc:
+          (Printf.sprintf
+             "RNG seed (default: the protocol's pinned bench seed — %s; \
+              same seed = same run, exactly)."
+             pins))
+
+(* The --seed of a sweep with one pinned seed (churn, fd, throughput). *)
+let pinned_seed_arg pin =
+  Arg.(
+    value & opt int pin
+    & info [ "seed" ]
+        ~doc:
+          "RNG seed (default: the pinned bench seed; same seed = same run, \
+           exactly).")
+
+let horizon_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "horizon" ] ~doc:"Workload horizon in simulated time units.")
+
+let chaos_horizon_arg = horizon_arg (E.chaos_horizon ~fast:false)
+
+let next_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "next" ]
+        ~doc:
+          "With --protocol reconfig: the system to switch to mid-run \
+           (default: the spec itself).")
+
+let check_next protocol next =
+  if next <> None && protocol <> E.Reconfig then
+    die "--next only applies to --protocol reconfig"
+
+(* Fail on the first unsafe run, after every row has printed. *)
+let die_unsafe verdicts = Option.iter die (List.find_map Fun.id verdicts)
+
 (* --- chaos ------------------------------------------------------------ *)
 
 let chaos_cmd =
@@ -345,122 +415,46 @@ let chaos_cmd =
              gray, restart, amnesia, amnesia-maj, churn, churn-amnesia, \
              churn-partition) instead of all of them.")
   in
-  let horizon_arg =
-    Arg.(
-      value & opt float 400.0
-      & info [ "horizon" ] ~doc:"Workload horizon in simulated time units.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 41
-      & info [ "seed" ] ~doc:"RNG seed (same seed = same run, exactly).")
-  in
-  let protocol_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("mutex", `Mutex); ("store", `Store); ("reconfig", `Reconfig) ])
-          `Mutex
-      & info [ "protocol" ]
-          ~doc:
-            "Protocol to stress: $(b,mutex), $(b,store) or $(b,reconfig) \
-             (register under epoch switches; see $(b,--next)).")
-  in
-  let next_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "next" ]
-          ~doc:
-            "With --protocol reconfig: the system to switch to mid-run \
-             (default: the spec itself).")
-  in
   let rf_arg =
     Arg.(
-      value & opt float 0.7
+      value
+      & opt float E.store_read_fraction
       & info [ "read-fraction" ]
           ~docv:"FR"
           ~doc:
             "Read fraction of the store workload (with --protocol store).")
   in
   let run spec scenario horizon seed protocol next rf jobs =
-    if horizon <= 0.0 then begin
-      Printf.eprintf "error: --horizon must be positive (got %g)\n" horizon;
-      exit 1
-    end;
+    if horizon <= 0.0 then
+      die (Printf.sprintf "--horizon must be positive (got %g)" horizon);
     if rf < 0.0 || rf > 1.0 then
       die (Printf.sprintf "--read-fraction %g not in [0,1]" rf);
     with_system spec (fun system ->
-        let next_spec = Option.value next ~default:spec in
-        (match (protocol, next) with
-        | (`Mutex | `Store), Some _ ->
-            die "--next only applies to --protocol reconfig"
-        | _ -> ());
+        check_next protocol next;
         (* Fail on a bad --next before any runs start. *)
-        let next_system =
-          match build_extended next_spec with
-          | Ok s -> s
-          | Error msg -> die msg
-        in
-        let n = max system.Quorum.System.n next_system.Quorum.System.n in
+        let next_spec = Option.value next ~default:spec in
+        let next = ok_or_die (build_extended next_spec) in
+        let n = E.universe (E.cell ~next protocol system) in
         let scenarios =
           match scenario with
-          | None ->
-              Protocols.Chaos.standard ~n ~horizon
-              @ Protocols.Chaos.recovery ~n ~horizon
-          | Some label -> (
-              match Protocols.Chaos.scenario_of_label ~n ~horizon label with
-              | s -> [ s ]
-              | exception Invalid_argument msg -> die msg)
+          | None -> E.chaos_scenarios ~n ~horizon
+          | Some label -> [ C.scenario_of_label ~n ~horizon label ]
         in
-        (* One scenario per pool task; each task builds its own system
-           so no mutable state is shared across domains.  Rows are
-           collected and printed in scenario order. *)
-        let fresh_system sp =
-          match build_extended sp with Ok s -> s | Error msg -> die msg
-        in
-        let row =
-          match protocol with
-          | `Mutex ->
-              fun s ->
-                let system = fresh_system spec in
-                Protocols.Chaos.mutex_row
-                  (Protocols.Chaos.run_mutex ~seed ~system s)
-          | `Store ->
-              fun s ->
-                let system = fresh_system spec in
-                Protocols.Chaos.store_row
-                  (Protocols.Chaos.run_store ~seed ~read_fraction:rf
-                     ~read_system:system ~write_system:system
-                     ~name:system.Quorum.System.name s)
-          | `Reconfig ->
-              fun s ->
-                let initial = fresh_system spec in
-                let next = fresh_system next_spec in
-                Protocols.Chaos.reconfig_row
-                  (Protocols.Chaos.run_reconfig ~seed ~initial ~next
-                     ~name:
-                       (initial.Quorum.System.name ^ "->"
-                      ^ next.Quorum.System.name)
-                     s)
-        in
-        let header =
-          match protocol with
-          | `Mutex -> Protocols.Chaos.mutex_header ()
-          | `Store -> Protocols.Chaos.store_header ()
-          | `Reconfig -> Protocols.Chaos.reconfig_header ()
-        in
-        let rows =
+        (* One scenario per pool task; each task builds its own cell so
+           no mutable state is shared across domains. *)
+        let reports =
           with_jobs jobs (fun pool ->
-              match pool with
-              | None -> List.map row scenarios
-              | Some pool ->
-                  Array.to_list
-                    (Exec.Pool.map_array pool row (Array.of_list scenarios)))
+              Exec.Pool.map ?pool
+                (fun s ->
+                  let system = ok_or_die (build_extended spec) in
+                  let next = ok_or_die (build_extended next_spec) in
+                  let cell = E.cell ~next ~read_fraction:rf protocol system in
+                  (E.run ?seed cell s).E.report)
+                scenarios)
         in
-        Printf.printf "%s\n" header;
-        List.iter (fun r -> Printf.printf "%s\n" r) rows)
+        Printf.printf "%s\n" (E.header protocol);
+        List.iter (fun r -> Printf.printf "%s\n" (E.row r)) reports;
+        die_unsafe (List.map E.verdict reports))
   in
   let doc =
     "Run the chaos harness (loss, bursts, partitions, churn, gray failures, \
@@ -469,8 +463,9 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ spec_arg $ scenario_arg $ horizon_arg $ seed_arg
-      $ protocol_arg $ next_arg $ rf_arg $ jobs_arg)
+      const run $ spec_arg $ scenario_arg $ chaos_horizon_arg $ seed_arg
+      $ protocol_arg ~default:E.Mutex
+      $ next_arg $ rf_arg $ jobs_arg)
 
 (* --- churn ------------------------------------------------------------ *)
 
@@ -503,37 +498,27 @@ let churn_cmd =
   in
   let downtime_arg =
     Arg.(
-      value & opt float 130.0
+      value & opt float E.churn_downtime
       & info [ "downtime" ] ~doc:"Mean downtime of a churned-out process.")
   in
   let universe_arg =
     Arg.(
-      value & opt int 30
+      value & opt int E.churn_universe
       & info [ "universe" ] ~doc:"Number of processes in the universe.")
   in
   let rows_arg =
     Arg.(
-      value & opt int 5
+      value & opt int E.churn_rows
       & info [ "rows" ] ~doc:"Initial h-triang rows (n = rows(rows+1)/2).")
-  in
-  let horizon_arg =
-    Arg.(
-      value & opt float 300.0
-      & info [ "horizon" ] ~doc:"Workload horizon in simulated time units.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 45
-      & info [ "seed" ] ~doc:"RNG seed (same seed = same run, exactly).")
   in
   let period_arg =
     Arg.(
-      value & opt float 8.0
+      value & opt float E.churn_period
       & info [ "period" ] ~doc:"Membership controller tick period.")
   in
   let lease_arg =
     Arg.(
-      value & opt float 3.0
+      value & opt float E.churn_lease
       & info [ "lease" ] ~doc:"Lease duration for $(b,timed) mode.")
   in
   let run mode rate downtime universe rows horizon seed period lease =
@@ -541,37 +526,29 @@ let churn_cmd =
       die "rate must be >= 0, downtime and horizon positive";
     let n = rows * (rows + 1) / 2 in
     if n > universe then die "universe smaller than the initial triangle";
-    let scenario =
-      {
-        Protocols.Chaos.label = Printf.sprintf "churn r%g/d%g" rate downtime;
-        horizon;
-        plan =
-          {
-            Protocols.Chaos.calm with
-            loss = 0.02;
-            churn_sustained = Some (rate, downtime);
-          };
-      }
-    in
+    let scenario = E.churn_scenario ~downtime ~horizon rate in
     let modes =
       match mode with
-      | `Static -> [ Protocols.Chaos.Static ]
-      | `Resize -> [ Protocols.Chaos.Resize ]
-      | `Timed -> [ Protocols.Chaos.Timed ]
-      | `Fd -> [ Protocols.Chaos.Fd ]
-      | `All ->
-          [ Protocols.Chaos.Static; Protocols.Chaos.Resize;
-            Protocols.Chaos.Timed; Protocols.Chaos.Fd ]
+      | `Static -> [ C.Static ]
+      | `Resize -> [ C.Resize ]
+      | `Timed -> [ C.Timed ]
+      | `Fd -> [ C.Fd ]
+      | `All -> [ C.Static; C.Resize; C.Timed; C.Fd ]
     in
-    Printf.printf "%s\n" (Protocols.Chaos.churn_header ());
-    List.iter
-      (fun mode ->
-        let r =
-          Protocols.Chaos.run_churn ~seed ~period ~lease ~mode ~universe
-            ~rows scenario
-        in
-        Printf.printf "%s\n" (Protocols.Chaos.churn_row r))
-      modes;
+    Printf.printf "%s\n" (C.churn_header ());
+    let reports =
+      List.map
+        (fun mode ->
+          let r, _ =
+            C.run_churn_h ~seed ~rate:E.churn_op_rate
+              ~op_timeout:E.churn_op_timeout ~rows ~period ~lease ~mode
+              ~universe scenario
+          in
+          Printf.printf "%s\n" (C.churn_row r);
+          r)
+        modes
+    in
+    die_unsafe (List.map E.churn_verdict reports);
     0
   in
   let doc =
@@ -583,7 +560,10 @@ let churn_cmd =
     (Cmd.info "churn" ~doc)
     Term.(
       const run $ mode_arg $ rate_arg $ downtime_arg $ universe_arg
-      $ rows_arg $ horizon_arg $ seed_arg $ period_arg $ lease_arg)
+      $ rows_arg
+      $ horizon_arg (E.churn_horizon ~fast:false)
+      $ pinned_seed_arg E.churn_seed
+      $ period_arg $ lease_arg)
 
 (* --- fd --------------------------------------------------------------- *)
 
@@ -597,22 +577,9 @@ let fd_cmd =
             "Run one scenario instead of the default set (churn-iid plus \
              the fd stress family: gray-flap, asym-link, suspect-burst).")
   in
-  let horizon_arg =
-    Arg.(
-      value & opt float 300.0
-      & info [ "horizon" ] ~doc:"Workload horizon in simulated time units.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 47
-      & info [ "seed" ]
-          ~doc:
-            "RNG seed (default 47, the pinned bench fd seed; same seed = \
-             same run, exactly).")
-  in
   let timeout_arg =
     Arg.(
-      value & opt float 5.0
+      value & opt float E.fd_timeout
       & info [ "timeout" ]
           ~doc:
             "Fixed-timeout detection horizon (also the accrual warm-up \
@@ -650,45 +617,34 @@ let fd_cmd =
         let scenarios =
           match scenario with
           | None ->
-              Protocols.Chaos.scenario_of_label ~n ~horizon "churn-iid"
-              :: Protocols.Chaos.fd_family ~n ~horizon
-          | Some label -> (
-              match Protocols.Chaos.scenario_of_label ~n ~horizon label with
-              | s -> [ s ]
-              | exception Invalid_argument msg -> die msg)
+              C.scenario_of_label ~n ~horizon "churn-iid"
+              :: C.fd_family ~n ~horizon
+          | Some label -> [ C.scenario_of_label ~n ~horizon label ]
         in
-        Printf.printf "%s\n" (Protocols.Chaos.fd_header ());
-        List.iter
-          (fun s ->
-            let r, store =
-              Protocols.Chaos.run_fd_h ~seed ~fd_timeout:timeout ?accrual:phi
-                ~hedge ~read_system:system ~write_system:system
-                ~name:system.Quorum.System.name s
-            in
-            Printf.printf "%s\n" (Protocols.Chaos.fd_row r);
-            if r.Protocols.Chaos.stale_reads > 0 then
-              die
-                (Printf.sprintf "%d stale reads under %s"
-                   r.Protocols.Chaos.stale_reads r.Protocols.Chaos.label);
-            if per_node then begin
-              Printf.printf
-                "  %4s %6s %7s %7s %5s %6s %5s\n" "node" "detect" "meanlat"
-                "maxlat" "fpos" "missed" "flips";
-              for node = 0 to n - 1 do
-                let st =
-                  Protocols.Replicated_store.fd_stats store ~node
-                in
-                Printf.printf
-                  "  %4d %6d %7.2f %7.2f %5d %6d %5d\n" node
-                  st.Sim.Failure_detector.detections
-                  st.Sim.Failure_detector.mean_detect
-                  st.Sim.Failure_detector.max_detect
-                  st.Sim.Failure_detector.false_positives
-                  st.Sim.Failure_detector.missed
-                  st.Sim.Failure_detector.transitions
-              done
-            end)
-          scenarios)
+        Printf.printf "%s\n" (C.fd_header ());
+        let reports =
+          List.map
+            (fun s ->
+              let r =
+                C.run_fd ~seed ~fd_timeout:timeout ?accrual:phi ~hedge
+                  ~read_system:system ~write_system:system
+                  ~name:system.Quorum.System.name s
+              in
+              Printf.printf "%s\n" (C.fd_row r);
+              if per_node then begin
+                Printf.printf "  %4s %6s %7s %7s %5s %6s %5s\n" "node"
+                  "detect" "meanlat" "maxlat" "fpos" "missed" "flips";
+                Array.iteri
+                  (fun node (st : Sim.Failure_detector.stats) ->
+                    Printf.printf "  %4d %6d %7.2f %7.2f %5d %6d %5d\n" node
+                      st.detections st.mean_detect st.max_detect
+                      st.false_positives st.missed st.transitions)
+                  r.C.per_node
+              end;
+              r)
+            scenarios
+        in
+        die_unsafe (List.map E.fd_verdict reports))
   in
   let doc =
     "Failure-detector health under the fd stress scenarios (gray flap, \
@@ -698,7 +654,9 @@ let fd_cmd =
   in
   Cmd.v (Cmd.info "fd" ~doc)
     Term.(
-      const run $ spec_arg $ scenario_arg $ horizon_arg $ seed_arg
+      const run $ spec_arg $ scenario_arg
+      $ horizon_arg (E.fd_horizon ~fast:false)
+      $ pinned_seed_arg E.fd_seed
       $ timeout_arg $ phi_arg $ hedge_arg $ per_node_arg)
 
 (* --- metrics / trace --------------------------------------------------- *)
@@ -715,41 +673,17 @@ let obs_scenario_arg =
            churn-iid, gray, restart, amnesia, amnesia-maj, churn, \
            churn-amnesia or churn-partition.")
 
-let obs_horizon_arg =
-  Arg.(
-    value & opt float 400.0
-    & info [ "horizon" ] ~doc:"Workload horizon in simulated time units.")
-
-let obs_seed_arg =
-  Arg.(
-    value & opt int 41
-    & info [ "seed" ] ~doc:"RNG seed (same seed = same run, exactly).")
-
-let obs_protocol_arg =
-  Arg.(
-    value
-    & opt (enum [ ("mutex", `Mutex); ("store", `Store) ]) `Mutex
-    & info [ "protocol" ] ~doc:"Protocol to run: $(b,mutex) or $(b,store).")
-
 let out_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "out" ] ~doc:"Write the dump to this file instead of stdout.")
 
-let run_chaos_scenario ~obs ~system ~scenario ~horizon ~seed protocol =
-  let n = system.Quorum.System.n in
-  match Protocols.Chaos.scenario_of_label ~n ~horizon scenario with
-  | exception Invalid_argument msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-  | s -> (
-      match protocol with
-      | `Mutex -> ignore (Protocols.Chaos.run_mutex ~seed ~obs ~system s)
-      | `Store ->
-          ignore
-            (Protocols.Chaos.run_store ~seed ~obs ~read_system:system
-               ~write_system:system ~name:system.Quorum.System.name s))
+(* One run of the protocol's cell on the system, recorded into [obs]. *)
+let run_cell ~obs ~system ~scenario ~horizon ~seed protocol =
+  let cell = E.cell protocol system in
+  let s = C.scenario_of_label ~n:(E.universe cell) ~horizon scenario in
+  ignore (E.run ?seed ~obs cell s)
 
 let emit_to out emit =
   match out with
@@ -780,7 +714,7 @@ let metrics_cmd =
   let run spec scenario horizon seed protocol format out =
     with_system spec (fun system ->
         let obs = Obs.create () in
-        run_chaos_scenario ~obs ~system ~scenario ~horizon ~seed protocol;
+        run_cell ~obs ~system ~scenario ~horizon ~seed protocol;
         let m = Obs.metrics obs in
         emit_to out (fun oc ->
             match format with
@@ -795,8 +729,9 @@ let metrics_cmd =
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
-      const run $ spec_arg $ obs_scenario_arg $ obs_horizon_arg $ obs_seed_arg
-      $ obs_protocol_arg $ format_arg $ out_arg)
+      const run $ spec_arg $ obs_scenario_arg $ chaos_horizon_arg $ seed_arg
+      $ protocol_arg ~default:E.Mutex
+      $ format_arg $ out_arg)
 
 let trace_cmd =
   let format_arg =
@@ -818,7 +753,7 @@ let trace_cmd =
         1
     | Ok system ->
         let obs = Obs.create ~trace_capacity:capacity () in
-        run_chaos_scenario ~obs ~system ~scenario ~horizon ~seed protocol;
+        run_cell ~obs ~system ~scenario ~horizon ~seed protocol;
         let tr = Obs.trace obs in
         emit_to out (fun oc ->
             match format with
@@ -861,49 +796,13 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ spec_arg $ obs_scenario_arg $ obs_horizon_arg $ obs_seed_arg
-      $ obs_protocol_arg $ format_arg $ capacity_arg $ out_arg)
+      const run $ spec_arg $ obs_scenario_arg $ chaos_horizon_arg $ seed_arg
+      $ protocol_arg ~default:E.Mutex
+      $ format_arg $ capacity_arg $ out_arg)
 
 (* --- report ----------------------------------------------------------- *)
 
 let report_cmd =
-  let protocol_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("mutex", Protocols.Run_report.Mutex);
-               ("store", Protocols.Run_report.Store);
-               ("reconfig", Protocols.Run_report.Reconfig);
-               ("throughput", Protocols.Run_report.Throughput);
-             ])
-          Protocols.Run_report.Store
-      & info [ "protocol" ]
-          ~doc:
-            "Protocol to report on: $(b,mutex), $(b,store) (default), \
-             $(b,reconfig) or $(b,throughput) (the sessioned store driven \
-             closed-loop).")
-  in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ]
-          ~doc:
-            "RNG seed (default: the protocol's pinned chaos seed — mutex \
-             41, store 42, reconfig 43, throughput 46 — matching the \
-             bench harness).")
-  in
-  let next_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "next" ]
-          ~doc:
-            "With --protocol reconfig: the system to switch to mid-run \
-             (default: the spec itself).")
-  in
   let capacity_arg =
     Arg.(
       value
@@ -915,23 +814,11 @@ let report_cmd =
   in
   let run spec scenario horizon seed protocol next capacity out =
     with_system spec (fun system ->
-        let next =
-          match next with
-          | None -> None
-          | Some _ when protocol <> Protocols.Run_report.Reconfig ->
-              die "--next only applies to --protocol reconfig"
-          | Some sp -> (
-              match build_extended sp with
-              | Ok s -> Some s
-              | Error msg -> die msg)
-        in
+        check_next protocol next;
+        let next = Option.map (fun sp -> ok_or_die (build_extended sp)) next in
         let r =
-          match
-            Protocols.Run_report.run ?seed ~horizon ~trace_capacity:capacity
-              ?next ~protocol ~system ~scenario ()
-          with
-          | r -> r
-          | exception Invalid_argument msg -> die msg
+          Protocols.Run_report.run ?seed ~horizon ~trace_capacity:capacity
+            ?next ~protocol ~system ~scenario ()
         in
         emit_to out (fun oc ->
             output_string oc (Protocols.Run_report.to_markdown r)))
@@ -945,8 +832,9 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ spec_arg $ obs_scenario_arg $ obs_horizon_arg $ seed_arg
-      $ protocol_arg $ next_arg $ capacity_arg $ out_arg)
+      const run $ spec_arg $ obs_scenario_arg $ chaos_horizon_arg $ seed_arg
+      $ protocol_arg ~default:E.Store
+      $ next_arg $ capacity_arg $ out_arg)
 
 (* --- profile ---------------------------------------------------------- *)
 
@@ -965,14 +853,10 @@ let profile_cmd =
   let run spec scenario horizon seed protocol keep out =
     with_system spec (fun system ->
         let obs =
-          match
-            Obs.create ~trace_capacity:(1 lsl 19) ~profile:true
-              ?span_keep_1_in:keep ()
-          with
-          | obs -> obs
-          | exception Invalid_argument msg -> die msg
+          Obs.create ~trace_capacity:(1 lsl 19) ~profile:true
+            ?span_keep_1_in:keep ()
         in
-        run_chaos_scenario ~obs ~system ~scenario ~horizon ~seed protocol;
+        run_cell ~obs ~system ~scenario ~horizon ~seed protocol;
         let p = Obs.prof obs in
         let r = Obs.Prof.report p in
         emit_to out (fun oc ->
@@ -980,7 +864,9 @@ let profile_cmd =
               "Engine self-profile: chaos %s on %s, seed %d, horizon %g\n\
                Real wall time and minor-heap allocation of the simulator \
                itself,\nby subsystem; shares are of the probed total.\n\n"
-              scenario system.Quorum.System.name seed horizon;
+              scenario system.Quorum.System.name
+              (Option.value seed ~default:(E.seed protocol))
+              horizon;
             output_string oc (Obs.Prof.render p));
         if r.Obs.Prof.truncated > 0 || r.Obs.Prof.unbalanced > 0 then
           warn
@@ -999,15 +885,16 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ spec_arg $ obs_scenario_arg $ obs_horizon_arg $ obs_seed_arg
-      $ obs_protocol_arg $ keep_arg $ out_arg)
+      const run $ spec_arg $ obs_scenario_arg $ chaos_horizon_arg $ seed_arg
+      $ protocol_arg ~default:E.Mutex
+      $ keep_arg $ out_arg)
 
 (* --- throughput ------------------------------------------------------- *)
 
 let throughput_cmd =
   let n_arg =
     Arg.(
-      value & opt int 15
+      value & opt int E.open_n
       & info [ "n" ] ~docv:"N" ~doc:"Universe size (one session per node).")
   in
   let shards_arg =
@@ -1030,17 +917,17 @@ let throughput_cmd =
   in
   let rate_arg =
     Arg.(
-      value & opt float 12.0
+      value & opt float E.open_rate
       & info [ "rate" ] ~doc:"Open-loop offered ops per time unit.")
   in
   let window_arg =
     Arg.(
-      value & opt int 6
+      value & opt int E.window
       & info [ "window" ] ~doc:"In-flight ops per session (pipelining).")
   in
   let batch_arg =
     Arg.(
-      value & opt int 4
+      value & opt int E.batch
       & info [ "batch" ]
           ~doc:
             "Requests coalesced per Batch_req envelope (1 = unbatched wire \
@@ -1048,51 +935,43 @@ let throughput_cmd =
   in
   let horizon_arg =
     Arg.(
-      value & opt float 200.0
+      value
+      & opt float (E.throughput_horizon ~fast:false)
       & info [ "horizon" ] ~doc:"Load window in simulated time units.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 46
-      & info [ "seed" ]
-          ~doc:
-            "RNG seed (default 46, the pinned bench throughput seed; same \
-             seed = same run, exactly).")
   in
   let scenario_arg =
     Arg.(
-      value & opt string "baseline"
+      value
+      & opt (some string) None
       & info [ "scenario" ]
-          ~doc:"Chaos scenario to run under (as in $(b,quorumctl chaos)).")
+          ~doc:
+            "Chaos scenario to run under (as in $(b,quorumctl chaos)); the \
+             default is the bench's calm network with fsync latency, \
+             labelled by mode.")
   in
   let run n shards mode rate window batch horizon seed scenario =
     if n < 3 then die "throughput: need n >= 3";
     if horizon <= 0.0 then die "throughput: --horizon must be positive";
+    let mode = match mode with `Closed -> T.Closed | `Open -> T.Open rate in
     let s =
-      match Protocols.Chaos.scenario_of_label ~n ~horizon scenario with
-      | s -> s
-      | exception Invalid_argument msg -> die msg
+      match scenario with
+      | None -> E.throughput_scenario ~horizon (T.mode_label mode)
+      | Some label -> C.scenario_of_label ~n ~horizon label
     in
-    let arms = ok_or_die (Protocols.Throughput.arms ?shards ~n ()) in
-    let mode =
-      match mode with
-      | `Closed -> Protocols.Throughput.Closed
-      | `Open -> Protocols.Throughput.Open rate
+    let arms = ok_or_die (T.arms ?shards ~n ()) in
+    Printf.printf "%s\n" (T.header ());
+    let reports =
+      List.map
+        (fun arm ->
+          let r =
+            (E.run ~seed (E.Throughput_cell { arm; mode; window; batch }) s)
+              .E.report
+          in
+          Printf.printf "%s\n" (E.row r);
+          r)
+        arms
     in
-    Printf.printf "%s\n" (Protocols.Throughput.header ());
-    List.iter
-      (fun arm ->
-        let r =
-          Protocols.Throughput.run_arm ~seed ~mode ~window ~batch_size:batch
-            arm s
-        in
-        Printf.printf "%s\n" (Protocols.Throughput.row r);
-        if r.Protocols.Throughput.stale_reads > 0 then
-          die
-            (Printf.sprintf "%d stale reads in the %s arm"
-               r.Protocols.Throughput.stale_reads
-               r.Protocols.Throughput.system))
-      arms;
+    die_unsafe (List.map E.verdict reports);
     0
   in
   let doc =
@@ -1104,7 +983,9 @@ let throughput_cmd =
   Cmd.v (Cmd.info "throughput" ~doc)
     Term.(
       const run $ n_arg $ shards_arg $ mode_arg $ rate_arg $ window_arg
-      $ batch_arg $ horizon_arg $ seed_arg $ scenario_arg)
+      $ batch_arg $ horizon_arg
+      $ pinned_seed_arg (E.seed E.Throughput)
+      $ scenario_arg)
 
 (* --- nd --------------------------------------------------------------- *)
 
@@ -1311,4 +1192,9 @@ let () =
         | _ -> a)
       Sys.argv
   in
-  exit (Cmd.eval' ~argv main)
+  (* Out-of-range flag values surface as Invalid_argument from the
+     library; they get the same one-line error and exit 1 as any other
+     bad input, wherever they are raised. *)
+  match Cmd.eval' ~catch:false ~argv main with
+  | code -> exit code
+  | exception Invalid_argument msg -> die msg

@@ -21,7 +21,7 @@
     scattered [~p_of] / [~p] variants {!Failure} used to take remain
     as thin compatibility shims over this record.  The simulated
     operation mixes ([Protocols.Workload.read_write_mix],
-    [Protocols.Chaos.run_store]) take a bare [~read_fraction]: it is
+    [Protocols.Chaos.run_store_h]) take a bare [~read_fraction]: it is
     the one field they use. *)
 
 type failure_model =

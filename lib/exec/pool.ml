@@ -188,6 +188,11 @@ let map_chunks t ~chunks f =
 
 let map_array t f a = map_chunks t ~chunks:(Array.length a) (fun i -> f a.(i))
 
+let map ?pool f xs =
+  match pool with
+  | None -> List.map f xs
+  | Some t -> Array.to_list (map_array t f (Array.of_list xs))
+
 let reduce_tree f a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Pool.reduce_tree: empty array";

@@ -88,6 +88,10 @@ val map_chunks : t -> chunks:int -> (int -> 'a) -> 'a array
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** One chunk per element. *)
 
+val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
+(** In-order map: {!map_array} on [pool], plain [List.map] without
+    one; the result is the same either way. *)
+
 val reduce_tree : ('a -> 'a -> 'a) -> 'a array -> 'a
 (** Deterministic balanced-tree fold (adjacent pairs, repeatedly):
     [reduce_tree f [|a; b; c; d; e|]] is

@@ -298,8 +298,12 @@ type mutex_report = {
   budget_hit : bool;
 }
 
-let run_mutex_h ?(seed = 7) ?(rate = 0.4) ?(cs_duration = 1.0)
-    ?(acquire_timeout = 80.0) ?obs ~system scenario =
+(* Each client holds the critical section for [cs_duration] and gives
+   up an acquisition after [acquire_timeout]. *)
+let cs_duration = 1.0
+let acquire_timeout = 80.0
+
+let run_mutex ?(seed = 7) ?(rate = 0.4) ?obs ~system scenario =
   let n = system.Quorum.System.n in
   let rng = Rng.create seed in
   let network = Network.create ~loss:scenario.plan.loss () in
@@ -322,29 +326,25 @@ let run_mutex_h ?(seed = 7) ?(rate = 0.4) ?(cs_duration = 1.0)
   let outcome = Engine.run_status engine in
   let entries = Mutex.entries mx in
   let wait = Mutex.acquire_latency mx in
-  ( {
-      label = scenario.label;
-      system = system.Quorum.System.name;
-      seed;
-      issued;
-      entries;
-      violations = Mutex.violations mx;
-      unavailable = Mutex.unavailable mx;
-      reselections = Mutex.reselections mx;
-      abandoned = Mutex.abandoned mx;
-      dead_letters = Mutex.dead_letters mx;
-      retransmissions = Mutex.retransmissions mx;
-      mean_wait = Obs.Metrics.mean wait;
-      msgs_per_entry =
-        (if entries = 0 then 0.0
-         else
-           float_of_int (Engine.messages_sent engine) /. float_of_int entries);
-      budget_hit = outcome = Engine.Budget_exhausted;
-    },
-    mx )
-
-let run_mutex ?seed ?rate ?cs_duration ?acquire_timeout ?obs ~system scenario =
-  fst (run_mutex_h ?seed ?rate ?cs_duration ?acquire_timeout ?obs ~system scenario)
+  {
+    label = scenario.label;
+    system = system.Quorum.System.name;
+    seed;
+    issued;
+    entries;
+    violations = Mutex.violations mx;
+    unavailable = Mutex.unavailable mx;
+    reselections = Mutex.reselections mx;
+    abandoned = Mutex.abandoned mx;
+    dead_letters = Mutex.dead_letters mx;
+    retransmissions = Mutex.retransmissions mx;
+    mean_wait = Obs.Metrics.mean wait;
+    msgs_per_entry =
+      (if entries = 0 then 0.0
+       else
+         float_of_int (Engine.messages_sent engine) /. float_of_int entries);
+    budget_hit = outcome = Engine.Budget_exhausted;
+  }
 
 (* --- Replicated store under chaos ---------------------------------- *)
 
@@ -367,9 +367,15 @@ type store_report = {
   budget_hit : bool;
 }
 
-let run_store_h ?(seed = 7) ?(rate = 2.0) ?(read_fraction = 0.7) ?(keys = 4)
-    ?(op_timeout = 25.0) ?(retries = 2) ?obs ~read_system ~write_system ~name
-    scenario =
+(* Client constants of the store, fd and reconfig runners: ops spread
+   over [keys] keys and time out after [op_timeout]; the store retries
+   a timed-out op [retries] times. *)
+let keys = 4
+let op_timeout = 25.0
+let retries = 2
+
+let run_store_h ?(seed = 7) ?(rate = 2.0) ?(read_fraction = 0.7) ?obs
+    ~read_system ~write_system ~name scenario =
   let n = read_system.Quorum.System.n in
   let rng = Rng.create seed in
   let network = Network.create ~loss:scenario.plan.loss () in
@@ -427,12 +433,6 @@ let run_store_h ?(seed = 7) ?(rate = 2.0) ?(read_fraction = 0.7) ?(keys = 4)
     },
     store )
 
-let run_store ?seed ?rate ?read_fraction ?keys ?op_timeout ?retries ?obs
-    ~read_system ~write_system ~name scenario =
-  fst
-    (run_store_h ?seed ?rate ?read_fraction ?keys ?op_timeout ?retries ?obs
-       ~read_system ~write_system ~name scenario)
-
 (* --- Failure detection under chaos ----------------------------------- *)
 
 type fd_report = {
@@ -452,6 +452,7 @@ type fd_report = {
   missed : int;
   transitions : int;
   p99_latency : float;
+  per_node : Sim.Failure_detector.stats array;
   budget_hit : bool;
 }
 
@@ -460,10 +461,13 @@ type fd_report = {
    test: the report aggregates every observer's oracle-measured
    accuracy — detection latency, false-positive onsets, missed
    detections, suspicion flips — plus the routing-layer effects
-   (hedges, degraded-mode refusals, tail latency). *)
-let run_fd_h ?(seed = 7) ?(rate = 2.0) ?(keys = 4) ?(op_timeout = 25.0)
-    ?(fd_period = 1.0) ?(fd_timeout = 5.0) ?accrual ?(hedge = false)
-    ?(degraded_reads = false) ?obs ~read_system ~write_system ~name scenario =
+   (hedges, degraded-mode refusals, tail latency).  Ops arrive at
+   [fd_rate]; detectors beat every [fd_period]. *)
+let fd_rate = 2.0
+let fd_period = 1.0
+
+let run_fd ?(seed = 7) ?(fd_timeout = 5.0) ?accrual ?(hedge = false)
+    ?(degraded_reads = false) ~read_system ~write_system ~name scenario =
   ignore name;
   let n = read_system.Quorum.System.n in
   let rng = Rng.create seed in
@@ -480,38 +484,30 @@ let run_fd_h ?(seed = 7) ?(rate = 2.0) ?(keys = 4) ?(op_timeout = 25.0)
     Replicated_store.of_config ~config ~read_system ~write_system ()
   in
   let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs
+    Engine.create ~seed:(seed + 1) ~nodes:n ~network
       (Replicated_store.handlers store)
   in
   Replicated_store.bind store engine;
   apply engine ~rng scenario;
   let issued =
-    Workload.read_write_mix engine ~rng ~rate ~horizon:scenario.horizon
-      ~read_fraction:0.7 ~keys
+    Workload.read_write_mix engine ~rng ~rate:fd_rate
+      ~horizon:scenario.horizon ~read_fraction:0.7 ~keys
       ~read:(fun ~client ~key -> Replicated_store.read store ~client ~key)
       ~write:(fun ~client ~key ~value ->
         Replicated_store.write store ~client ~key ~value)
   in
   let outcome = Engine.run_status engine in
-  let detections = ref 0
-  and fp = ref 0
-  and missed = ref 0
-  and trans = ref 0
-  and dsum = ref 0.0
-  and dmax = ref 0.0 in
-  for node = 0 to n - 1 do
-    let s = Replicated_store.fd_stats store ~node in
-    detections := !detections + s.Sim.Failure_detector.detections;
-    fp := !fp + s.Sim.Failure_detector.false_positives;
-    missed := !missed + s.Sim.Failure_detector.missed;
-    trans := !trans + s.Sim.Failure_detector.transitions;
-    dsum :=
-      !dsum
-      +. s.Sim.Failure_detector.mean_detect
-         *. float_of_int s.Sim.Failure_detector.detections;
-    if s.Sim.Failure_detector.max_detect > !dmax then
-      dmax := s.Sim.Failure_detector.max_detect
-  done;
+  let per_node =
+    Array.init n (fun node -> Replicated_store.fd_stats store ~node)
+  in
+  let total f = Array.fold_left (fun acc s -> acc + f s) 0 per_node in
+  let detections = total (fun s -> s.Sim.Failure_detector.detections) in
+  let dsum =
+    Array.fold_left
+      (fun acc (s : Sim.Failure_detector.stats) ->
+        acc +. (s.mean_detect *. float_of_int s.detections))
+      0.0 per_node
+  in
   let lat = Replicated_store.op_latency store in
   let p99_latency =
     Float.max
@@ -526,34 +522,30 @@ let run_fd_h ?(seed = 7) ?(rate = 2.0) ?(keys = 4) ?(op_timeout = 25.0)
     | None -> Printf.sprintf "fixed(%g)" fd_timeout)
     ^ if hedge then "+hedge" else ""
   in
-  ( {
-      label = scenario.label;
-      detector;
-      seed;
-      issued;
-      ok = Replicated_store.reads_ok store + Replicated_store.writes_ok store;
-      stale_reads = Replicated_store.stale_reads store;
-      unavailable = Replicated_store.unavailable store;
-      hedges = Replicated_store.hedges store;
-      degraded_writes = Replicated_store.degraded_writes store;
-      detections = !detections;
-      mean_detect =
-        (if !detections = 0 then 0.0
-         else !dsum /. float_of_int !detections);
-      max_detect = !dmax;
-      false_positives = !fp;
-      missed = !missed;
-      transitions = !trans;
-      p99_latency;
-      budget_hit = outcome = Engine.Budget_exhausted;
-    },
-    store )
-
-let run_fd ?seed ?rate ?keys ?op_timeout ?fd_period ?fd_timeout ?accrual
-    ?hedge ?degraded_reads ?obs ~read_system ~write_system ~name scenario =
-  fst
-    (run_fd_h ?seed ?rate ?keys ?op_timeout ?fd_period ?fd_timeout ?accrual
-       ?hedge ?degraded_reads ?obs ~read_system ~write_system ~name scenario)
+  {
+    label = scenario.label;
+    detector;
+    seed;
+    issued;
+    ok = Replicated_store.reads_ok store + Replicated_store.writes_ok store;
+    stale_reads = Replicated_store.stale_reads store;
+    unavailable = Replicated_store.unavailable store;
+    hedges = Replicated_store.hedges store;
+    degraded_writes = Replicated_store.degraded_writes store;
+    detections;
+    mean_detect =
+      (if detections = 0 then 0.0 else dsum /. float_of_int detections);
+    max_detect =
+      Array.fold_left
+        (fun acc (s : Sim.Failure_detector.stats) -> Float.max acc s.max_detect)
+        0.0 per_node;
+    false_positives = total (fun s -> s.false_positives);
+    missed = total (fun s -> s.missed);
+    transitions = total (fun s -> s.transitions);
+    p99_latency;
+    per_node;
+    budget_hit = outcome = Engine.Budget_exhausted;
+  }
 
 (* --- Reconfiguration under chaos ------------------------------------ *)
 
@@ -575,8 +567,8 @@ type reconfig_report = {
 (* A register being reconfigured back and forth between two systems
    while the scenario's faults land — with restart windows, restarts
    hit {e during} the seal / install sequence. *)
-let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?(op_timeout = 25.0) ?obs
-    ~initial ~next ~name scenario =
+let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?obs ~initial ~next ~name
+    scenario =
   let universe = max initial.Quorum.System.n next.Quorum.System.n in
   let rng = Rng.create seed in
   let network = Network.create ~loss:scenario.plan.loss () in
@@ -627,9 +619,6 @@ let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?(op_timeout = 25.0) ?obs
     },
     rc )
 
-let run_reconfig ?seed ?rate ?op_timeout ?obs ~initial ~next ~name scenario =
-  fst (run_reconfig_h ?seed ?rate ?op_timeout ?obs ~initial ~next ~name scenario)
-
 (* --- Availability under sustained churn ------------------------------ *)
 
 type churn_mode = Static | Resize | Timed | Fd
@@ -677,10 +666,13 @@ type churn_report = {
 
    Clients are drawn from the {e live} set at issue time — a client
    that is down submits nothing, so availability measures the
-   service's ability to answer, not the workload generator's luck. *)
+   service's ability to answer, not the workload generator's luck.
+   The controller keeps [margin] spares of headroom (its hysteresis,
+   see Membership.create). *)
+let margin = 6
+
 let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
-    ?(period = 8.0) ?(lease = 8.0) ?(margin = 6) ?obs ~mode ~universe scenario
-    =
+    ?(period = 8.0) ?(lease = 8.0) ?obs ~mode ~universe scenario =
   let rng = Rng.create seed in
   let network = Network.create ~loss:scenario.plan.loss () in
   let obs = match obs with Some o -> o | None -> Obs.create () in
@@ -756,33 +748,27 @@ let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
     },
     ms )
 
-let run_churn ?seed ?rate ?op_timeout ?rows ?period ?lease ?margin ?obs
-    ~mode ~universe scenario =
-  fst
-    (run_churn_h ?seed ?rate ?op_timeout ?rows ?period ?lease ?margin ?obs
-       ~mode ~universe scenario)
-
 (* --- Rendering ------------------------------------------------------ *)
 
 let mutex_header () =
-  Printf.sprintf "%-11s %-14s %6s %6s %4s %6s %6s %5s %5s %6s %8s %9s" "scenario"
+  Printf.sprintf "%-15s %-14s %6s %6s %4s %6s %6s %5s %5s %6s %8s %9s" "scenario"
     "system" "issued" "entry" "viol" "unavl" "resel" "aband" "dead" "rexmt"
     "wait" "msgs/ent"
 
 let mutex_row (r : mutex_report) =
-  Printf.sprintf "%-11s %-14s %6d %6d %4d %6d %6d %5d %5d %6d %8.2f %9.1f%s"
+  Printf.sprintf "%-15s %-14s %6d %6d %4d %6d %6d %5d %5d %6d %8.2f %9.1f%s"
     r.label r.system r.issued r.entries r.violations r.unavailable
     r.reselections r.abandoned r.dead_letters r.retransmissions r.mean_wait
     r.msgs_per_entry
     (if r.budget_hit then "  [budget!]" else "")
 
 let store_header () =
-  Printf.sprintf "%-11s %-14s %6s %6s %6s %6s %5s %5s %5s %6s %5s %6s %8s"
+  Printf.sprintf "%-15s %-14s %6s %6s %6s %6s %5s %5s %5s %6s %5s %6s %8s"
     "scenario" "system" "issued" "reads" "writes" "unavl" "tmout" "retry"
     "stale" "rejoin" "dead" "rexmt" "latency"
 
 let store_row (r : store_report) =
-  Printf.sprintf "%-11s %-14s %6d %6d %6d %6d %5d %5d %5d %6d %5d %6d %8.2f%s"
+  Printf.sprintf "%-15s %-14s %6d %6d %6d %6d %5d %5d %5d %6d %5d %6d %8.2f%s"
     r.label r.system r.issued r.reads_ok r.writes_ok r.unavailable r.timeouts
     r.retried r.stale_reads r.rejoins r.dead_letters r.retransmissions
     r.mean_latency
@@ -817,12 +803,12 @@ let fd_row (r : fd_report) =
     (if r.budget_hit then "  [budget!]" else "")
 
 let reconfig_header () =
-  Printf.sprintf "%-11s %-14s %6s %6s %6s %5s %6s %5s %6s %5s" "scenario"
+  Printf.sprintf "%-15s %-17s %6s %6s %6s %5s %6s %5s %6s %5s" "scenario"
     "system" "issued" "reads" "writes" "retry" "failed" "stale" "switch"
     "epoch"
 
 let reconfig_row (r : reconfig_report) =
-  Printf.sprintf "%-11s %-14s %6d %6d %6d %5d %6d %5d %6d %5d%s" r.label
+  Printf.sprintf "%-15s %-17s %6d %6d %6d %5d %6d %5d %6d %5d%s" r.label
     r.system r.issued r.reads_ok r.writes_ok r.retries r.failed r.stale_reads
     r.epoch_switches r.final_epoch
     (if r.budget_hit then "  [budget!]" else "")

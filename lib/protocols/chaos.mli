@@ -67,7 +67,7 @@ val churn : n:int -> horizon:float -> scenario list
     come back amnesiac and must be re-synced on admission) and
     [churn-partition] (churn with a minority cut on top).  These are
     the scenarios the dynamic-membership controller (see
-    {!Membership}) is built for; {!run_churn} runs them. *)
+    {!Membership}) is built for; {!run_churn_h} runs them. *)
 
 val fd_family : n:int -> horizon:float -> scenario list
 (** The failure-detection stress family — each scenario makes a
@@ -109,32 +109,23 @@ type mutex_report = {
   budget_hit : bool;  (** event budget exhausted — run truncated *)
 }
 
-val run_mutex :
-  ?seed:int ->
-  ?rate:float ->
-  ?cs_duration:float ->
-  ?acquire_timeout:float ->
-  ?obs:Obs.t ->
-  system:Quorum.System.t ->
-  scenario ->
-  mutex_report
-(** One seeded mutex run under the scenario: Poisson acquisition
-    requests at [rate] per time unit over the horizon, then drain.
-    Pass [?obs] to keep the run's metrics registry, trace and spans
-    for inspection or dumping; omitted, the run still records into a
-    private one. *)
+(** {2 Runners}
 
-val run_mutex_h :
-  ?seed:int ->
-  ?rate:float ->
-  ?cs_duration:float ->
-  ?acquire_timeout:float ->
-  ?obs:Obs.t ->
-  system:Quorum.System.t ->
-  scenario ->
-  mutex_report * Mutex.t
-(** {!run_mutex}, additionally handing back the protocol instance so
-    post-run state (e.g. for {!Obs.Trace_analysis}) stays reachable. *)
+    One runner per workload: the seed (default 7), the knobs some
+    caller sets, and constants documented with each.  The frozen
+    performance ledger ([bench/e2e]) calls [run_mutex], [run_store_h],
+    [run_reconfig_h] and [run_churn_h], so their names and labels stay;
+    the [_h] forms also hand back the protocol instance. *)
+
+val run_mutex :
+  ?seed:int -> ?rate:float -> ?obs:Obs.t -> system:Quorum.System.t ->
+  scenario -> mutex_report
+(** One seeded mutex run under the scenario: Poisson acquisition
+    requests at [rate] (default 0.4) per time unit over the horizon,
+    then drain.  Each entry holds the critical section for 1 time
+    unit; an acquisition is abandoned after 80.  Pass [?obs] to keep
+    the run's metrics registry, trace and spans for inspection or
+    dumping; omitted, the run still records into a private one. *)
 
 type store_report = {
   label : string;
@@ -156,38 +147,22 @@ type store_report = {
   budget_hit : bool;
 }
 
-val run_store :
-  ?seed:int ->
-  ?rate:float ->
-  ?read_fraction:float ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?retries:int ->
-  ?obs:Obs.t ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  name:string ->
-  scenario ->
-  store_report
-(** One seeded replicated-store run: a read/write mix at [rate] ops
-    per time unit; [name] labels the (read, write) system pair in the
-    report.  [read_fraction] (default 0.7) is the mix's share of reads;
-    see {!Workload.read_write_mix}. *)
-
 val run_store_h :
   ?seed:int ->
   ?rate:float ->
   ?read_fraction:float ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?retries:int ->
   ?obs:Obs.t ->
   read_system:Quorum.System.t ->
   write_system:Quorum.System.t ->
   name:string ->
   scenario ->
   store_report * Replicated_store.t
-(** {!run_store}, additionally handing back the store so its
+(** One seeded replicated-store run: a read/write mix at [rate]
+    (default 2) ops per time unit over 4 keys; [name] labels the
+    (read, write) system pair in the report.  [read_fraction]
+    (default 0.7) is the mix's share of reads; see
+    {!Workload.read_write_mix}.  An op times out after 25 and is
+    retried twice.  The store comes back too, so its
     {!Replicated_store.history} can feed
     {!Obs.Trace_analysis.audit_history}. *)
 
@@ -209,20 +184,17 @@ type fd_report = {
   missed : int;  (** samples with an overdue undetected death *)
   transitions : int;  (** suspicion flips, either direction *)
   p99_latency : float;  (** worse of the read / write p99 *)
+  per_node : Sim.Failure_detector.stats array;
+      (** each observer's own accuracy totals, indexed by node *)
   budget_hit : bool;
 }
 
 val run_fd :
   ?seed:int ->
-  ?rate:float ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?fd_period:float ->
   ?fd_timeout:float ->
   ?accrual:float ->
   ?hedge:bool ->
   ?degraded_reads:bool ->
-  ?obs:Obs.t ->
   read_system:Quorum.System.t ->
   write_system:Quorum.System.t ->
   name:string ->
@@ -230,33 +202,16 @@ val run_fd :
   fd_report
 (** One seeded failure-detection run: a replicated store (clients
     route by detector view) under the scenario, with the detector
-    configuration as the independent variable — [fd_timeout] alone
-    gives the fixed-timeout detector, [accrual] switches to the
-    phi-accrual detector at that threshold, [hedge] /
+    configuration as the independent variable — [fd_timeout] (default
+    5) alone gives the fixed-timeout detector, [accrual] switches to
+    the phi-accrual detector at that threshold, [hedge] /
     [degraded_reads] enable the suspicion-aware routing knobs (see
-    {!Client_config.routing}).  The report aggregates every node's
-    oracle-measured accuracy counters; sweeping [fd_timeout] or
-    [accrual] maps the detection-time vs false-positive tradeoff. *)
-
-val run_fd_h :
-  ?seed:int ->
-  ?rate:float ->
-  ?keys:int ->
-  ?op_timeout:float ->
-  ?fd_period:float ->
-  ?fd_timeout:float ->
-  ?accrual:float ->
-  ?hedge:bool ->
-  ?degraded_reads:bool ->
-  ?obs:Obs.t ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  name:string ->
-  scenario ->
-  fd_report * Replicated_store.t
-(** {!run_fd}, additionally handing back the store so per-node
-    {!Replicated_store.fd_stats} stay reachable (the [quorumctl fd]
-    table). *)
+    {!Client_config.routing}).  The workload is the store's: 2 ops
+    per time unit, 70% reads over 4 keys, op timeout 25; detectors
+    beat every time unit.  The report aggregates every node's
+    oracle-measured accuracy counters and keeps each node's own in
+    [per_node]; sweeping [fd_timeout] or [accrual] maps the
+    detection-time vs false-positive tradeoff. *)
 
 type reconfig_report = {
   label : string;
@@ -273,33 +228,22 @@ type reconfig_report = {
   budget_hit : bool;
 }
 
-val run_reconfig :
-  ?seed:int ->
-  ?rate:float ->
-  ?op_timeout:float ->
-  ?obs:Obs.t ->
-  initial:Quorum.System.t ->
-  next:Quorum.System.t ->
-  name:string ->
-  scenario ->
-  reconfig_report
-(** One seeded reconfiguration run: a read/write mix on the register
-    while the configuration is switched [initial → next → initial] at
-    0.35 and 0.70 of the horizon — under a recovery scenario the
-    restart windows land {e during} the seal / install sequence. *)
-
 val run_reconfig_h :
   ?seed:int ->
   ?rate:float ->
-  ?op_timeout:float ->
   ?obs:Obs.t ->
   initial:Quorum.System.t ->
   next:Quorum.System.t ->
   name:string ->
   scenario ->
   reconfig_report * Reconfig.t
-(** {!run_reconfig}, additionally handing back the protocol instance
-    so its {!Reconfig.history} can feed
+(** One seeded reconfiguration run: a read/write mix (one write in
+    three) at [rate] (default 1) ops per time unit on the register
+    while the configuration is switched [initial → next → initial] at
+    0.35 and 0.70 of the horizon — under a recovery scenario the
+    restart windows land {e during} the seal / install sequence.  An
+    op times out after 25.  The protocol instance comes back too, so
+    its {!Reconfig.history} can feed
     {!Obs.Trace_analysis.audit_history}. *)
 
 type churn_mode =
@@ -343,29 +287,6 @@ type churn_report = {
   budget_hit : bool;
 }
 
-val run_churn :
-  ?seed:int ->
-  ?rate:float ->
-  ?op_timeout:float ->
-  ?rows:int ->
-  ?period:float ->
-  ?lease:float ->
-  ?margin:int ->
-  ?obs:Obs.t ->
-  mode:churn_mode ->
-  universe:int ->
-  scenario ->
-  churn_report
-(** One seeded availability-under-churn run: a membership-managed
-    h-triang register (initially [rows] rows, identity-placed on a
-    [universe]-process engine) serving a Poisson read/write mix while
-    the scenario's faults land.  Clients are drawn from the live set
-    at issue time, so [availability] measures the service, not the
-    workload generator.  [period] is the controller tick interval
-    (ignored for [Static]); [lease] the validity window for [Timed];
-    [margin] (default 6) the controller's spare-headroom hysteresis
-    (see {!Membership.create}). *)
-
 val run_churn_h :
   ?seed:int ->
   ?rate:float ->
@@ -373,14 +294,24 @@ val run_churn_h :
   ?rows:int ->
   ?period:float ->
   ?lease:float ->
-  ?margin:int ->
   ?obs:Obs.t ->
   mode:churn_mode ->
   universe:int ->
   scenario ->
   churn_report * Membership.t
-(** {!run_churn}, additionally handing back the membership controller
-    (and through it the register) for post-run inspection. *)
+(** One seeded availability-under-churn run: a membership-managed
+    h-triang register (initially [rows] (default 5) rows,
+    identity-placed on a [universe]-process engine) serving a Poisson
+    read/write mix at [rate] (default 2) ops per time unit, each op
+    timing out after [op_timeout] (default 30), while the scenario's
+    faults land.  Clients are drawn from the live set at issue time,
+    so [availability] measures the service, not the workload
+    generator.  [period] (default 8) is the controller tick interval
+    (ignored for [Static]); [lease] (default 8) the validity window
+    for [Timed].  The controller keeps a spare headroom of 6 (see
+    {!Membership.create}) and retries a stalled switch after 3.  The
+    membership controller comes back too (and through it the
+    register) for post-run inspection. *)
 
 val mutex_header : unit -> string
 val mutex_row : mutex_report -> string

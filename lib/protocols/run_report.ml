@@ -1,23 +1,6 @@
-module Engine = Sim.Engine
 module Ta = Obs.Trace_analysis
 
-type protocol = Mutex | Store | Reconfig | Throughput
-
-let protocol_name = function
-  | Mutex -> "mutex"
-  | Store -> "store"
-  | Reconfig -> "reconfig"
-  | Throughput -> "throughput"
-
-(* The pinned chaos seeds (bench chaos writes them into
-   BENCH_chaos.json, bench throughput into BENCH_throughput.json);
-   reports made with the defaults are replayed exactly by any other
-   tool using the same seed. *)
-let default_seed = function
-  | Mutex -> 41
-  | Store -> 42
-  | Reconfig -> 43
-  | Throughput -> 46
+type protocol = Experiment.protocol = Mutex | Store | Reconfig | Throughput
 
 type t = {
   protocol : protocol;
@@ -31,67 +14,26 @@ type t = {
   obs : Obs.t;
 }
 
-let run ?seed ?(horizon = 400.0) ?(trace_capacity = 1 lsl 19) ?(profile = true)
-    ?span_keep_1_in ?next ~protocol ~system ~scenario () =
-  let seed = match seed with Some s -> s | None -> default_seed protocol in
-  let next = Option.value next ~default:system in
-  let n =
-    match protocol with
-    | Mutex | Store | Throughput -> system.Quorum.System.n
-    | Reconfig -> max system.Quorum.System.n next.Quorum.System.n
+let run ?seed ?(horizon = Experiment.chaos_horizon ~fast:false)
+    ?(trace_capacity = 1 lsl 19) ?(profile = true) ?span_keep_1_in ?next
+    ~protocol ~system ~scenario () =
+  let seed = Option.value seed ~default:(Experiment.seed protocol) in
+  let cell = Experiment.cell ?next protocol system in
+  let s =
+    Chaos.scenario_of_label ~n:(Experiment.universe cell) ~horizon scenario
   in
-  let s = Chaos.scenario_of_label ~n ~horizon scenario in
   let obs = Obs.create ~trace_capacity ~profile ?span_keep_1_in () in
-  let summary, audit, name =
-    match protocol with
-    | Mutex ->
-        let r, _mx = Chaos.run_mutex_h ~seed ~obs ~system s in
-        ( Chaos.mutex_header () ^ "\n" ^ Chaos.mutex_row r,
-          None,
-          system.Quorum.System.name )
-    | Store ->
-        let r, store =
-          Chaos.run_store_h ~seed ~obs ~read_system:system
-            ~write_system:system ~name:system.Quorum.System.name s
-        in
-        ( Chaos.store_header () ^ "\n" ^ Chaos.store_row r,
-          Some
-            (Ta.audit_history ~trace:(Obs.trace obs) ~spans:(Obs.spans obs)
-               (Replicated_store.history store)),
-          system.Quorum.System.name )
-    | Throughput ->
-        let r, store =
-          Throughput.run_h ~seed ~obs ~read_system:system ~write_system:system
-            ~name:system.Quorum.System.name s
-        in
-        ( Throughput.header () ^ "\n" ^ Throughput.row r,
-          Some
-            (Ta.audit_history ~trace:(Obs.trace obs) ~spans:(Obs.spans obs)
-               (Replicated_store.history store)),
-          system.Quorum.System.name )
-    | Reconfig ->
-        let name =
-          system.Quorum.System.name ^ "->" ^ next.Quorum.System.name
-        in
-        let r, rc =
-          Chaos.run_reconfig_h ~seed ~obs ~initial:system ~next ~name s
-        in
-        ( Chaos.reconfig_header () ^ "\n" ^ Chaos.reconfig_row r,
-          Some
-            (Ta.audit_history ~trace:(Obs.trace obs) ~spans:(Obs.spans obs)
-               (Reconfig.history rc)),
-          name )
-  in
-  let profiles =
-    Ta.profile_ops ~trace:(Obs.trace obs) ~spans:(Obs.spans obs) ()
-  in
+  let o = Experiment.run ~seed ~obs cell s in
+  let trace = Obs.trace obs and spans = Obs.spans obs in
+  let audit = Option.map (Ta.audit_history ~trace ~spans) o.history in
+  let profiles = Ta.profile_ops ~trace ~spans () in
   {
     protocol;
-    system = name;
+    system = Experiment.name cell;
     scenario = s.Chaos.label;
     seed;
     horizon;
-    summary;
+    summary = Experiment.header protocol ^ "\n" ^ Experiment.row o.report;
     profiles;
     audit;
     obs;
@@ -249,7 +191,8 @@ let profile_section buf obs =
 let to_markdown t =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "# Chaos run report: %s / %s / %s\n\n"
-    (protocol_name t.protocol) t.system t.scenario;
+    (Experiment.protocol_name t.protocol)
+    t.system t.scenario;
   Printf.bprintf buf
     "Seed %d, horizon %g simulated time units.  The run is deterministic: \
      the same protocol, system, scenario and seed replay it exactly.\n\n"

@@ -10,13 +10,7 @@
     when events were evicted) and the full metrics registry.  Backs
     [quorumctl report] and the [bench latency] target. *)
 
-type protocol = Mutex | Store | Reconfig | Throughput
-
-val protocol_name : protocol -> string
-val default_seed : protocol -> int
-(** The pinned chaos seeds (mutex 41, store 42, reconfig 43,
-    throughput 46), shared with [bench chaos] / [bench throughput] so
-    reports and bench rows describe the same runs. *)
+type protocol = Experiment.protocol = Mutex | Store | Reconfig | Throughput
 
 type t = {
   protocol : protocol;
@@ -43,20 +37,17 @@ val run :
   scenario:string ->
   unit ->
   t
-(** Run one seeded chaos scenario (label as in
-    {!Chaos.scenario_of_label}; raises [Invalid_argument] on a
-    miss) and analyze it.  [seed] defaults to the protocol's pinned
-    seed, [horizon] to 400, [trace_capacity] to [2^19] events (big
-    enough that standard runs evict nothing), [next] (reconfig only)
-    to [system].  [profile] (default true) turns on the {!Obs.Prof}
-    engine self-profile, rendered as the report's "Engine profile"
-    section — profiling is behaviorally inert, so the simulated
-    results are unchanged by it.  [span_keep_1_in] installs the
-    deterministic span sampler (see {!Obs.create}); the trace-health
-    section then reports the sampling rate.  For [Store] and
-    [Throughput] the spec is used as both read and write system;
-    [Throughput] drives it closed-loop through sessions with the
-    default window, batch size and service cost (see
-    {!Throughput.run_h}) and its summary row is the throughput row. *)
+(** Run the protocol's {!Experiment.cell} on [system] (and [next],
+    reconfig only) through one seeded chaos scenario (label as in
+    {!Chaos.scenario_of_label}; raises [Invalid_argument] on a miss)
+    and analyze it.  [seed] and [horizon] default to the bench's pins
+    ({!Experiment.seed}, 400), [trace_capacity] to [2^19] events (big
+    enough that standard runs evict nothing).  [profile] (default
+    true) turns on the {!Obs.Prof} engine self-profile, rendered as the
+    report's "Engine profile" section — profiling is behaviorally
+    inert, so the simulated results are unchanged by it.
+    [span_keep_1_in] installs the deterministic span sampler (see
+    {!Obs.create}); the trace-health section then reports the sampling
+    rate. *)
 
 val to_markdown : t -> string

@@ -99,24 +99,20 @@ type report = {
    serves at most ~3.3 requests per time unit, and a node that sits in
    every quorum caps the whole system there.  per_batch below per_req
    is what batching amortizes. *)
-let default_service = Store.service ~per_req:0.3 ~per_batch:0.1 ()
+let service = Store.service ~per_req:0.3 ~per_batch:0.1 ()
 
-let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
-    ?(batch_delay = 0.25) ?(max_queue = 64) ?(read_fraction = 0.5) ?keys
-    ?(service = default_service) ?router ?obs ~read_system ~write_system
-    ~name scenario =
+let run_h ?(seed = 7) ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
+    ?(batch_delay = 0.25) ?(max_queue = 64) ?(read_fraction = 0.5) ?router
+    ?obs ~read_system ~write_system ~name scenario =
   let n = read_system.System.n in
-  let keys = match keys with Some k -> k | None -> 2 * n in
+  let keys = 2 * n in
   let horizon = scenario.Chaos.horizon in
   let rng = Rng.create seed in
   let network = Network.create ~loss:scenario.Chaos.plan.Chaos.loss () in
   let config =
-    match config with
-    | Some c -> c
-    | None ->
-        Client_config.(
-          default
-          |> with_durability (Chaos.durability_of_plan scenario.Chaos.plan))
+    Client_config.(
+      default
+      |> with_durability (Chaos.durability_of_plan scenario.Chaos.plan))
   in
   let store =
     Store.of_config ~config ?router ~service ~read_system ~write_system ()
@@ -236,20 +232,11 @@ let run_h ?(seed = 7) ?config ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
     },
     store )
 
-let run ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-    ?read_fraction ?keys ?service ?router ?obs ~read_system ~write_system
-    ~name scenario =
+let run_arm ?seed ?mode ?window ?max_queue arm scenario =
   fst
-    (run_h ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-       ?read_fraction ?keys ?service ?router ?obs ~read_system ~write_system
-       ~name scenario)
-
-let run_arm ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-    ?read_fraction ?keys ?service ?obs arm scenario =
-  run ?seed ?config ?mode ?window ?batch_size ?batch_delay ?max_queue
-    ?read_fraction ?keys ?service ?obs ?router:arm.router
-    ~read_system:arm.read_sys ~write_system:arm.write_sys ~name:arm.arm_label
-    scenario
+    (run_h ?seed ?mode ?window ?max_queue ?router:arm.router
+       ~read_system:arm.read_sys ~write_system:arm.write_sys
+       ~name:arm.arm_label scenario)
 
 (* --- Rendering ------------------------------------------------------- *)
 

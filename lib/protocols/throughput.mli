@@ -82,15 +82,12 @@ type report = {
 
 val run_h :
   ?seed:int ->
-  ?config:Client_config.t ->
   ?mode:mode ->
   ?window:int ->
   ?batch_size:int ->
   ?batch_delay:float ->
   ?max_queue:int ->
   ?read_fraction:float ->
-  ?keys:int ->
-  ?service:Replicated_store.service ->
   ?router:Shard_router.t ->
   ?obs:Obs.t ->
   read_system:Quorum.System.t ->
@@ -102,47 +99,17 @@ val run_h :
     batches of [batch_size] flushed after [batch_delay]), the
     scenario's faults applied, load driven to the scenario horizon
     and drained.  Defaults: seed 7, closed loop, window 4, batch 4,
-    delay 0.25, [max_queue] 64, 50/50 read mix over [2n] keys, the
-    standard service cost (per_req 0.3, per_batch 0.1 — pass
-    {!Replicated_store.no_service} for the historical zero-cost
-    model), durability from the scenario plan. *)
-
-val run :
-  ?seed:int ->
-  ?config:Client_config.t ->
-  ?mode:mode ->
-  ?window:int ->
-  ?batch_size:int ->
-  ?batch_delay:float ->
-  ?max_queue:int ->
-  ?read_fraction:float ->
-  ?keys:int ->
-  ?service:Replicated_store.service ->
-  ?router:Shard_router.t ->
-  ?obs:Obs.t ->
-  read_system:Quorum.System.t ->
-  write_system:Quorum.System.t ->
-  name:string ->
-  Chaos.scenario ->
-  report
-(** {!run_h} without the store handle. *)
+    delay 0.25, [max_queue] 64, 50/50 read mix.  Fixed: keys [2n],
+    the service cost per_req 0.3, per_batch 0.1, durability from the
+    scenario plan.  The performance ledger ([bench/e2e]) calls
+    [run_h] by name and may not change, so its name and labels stay;
+    {!Experiment} pins the bench's window, batch and delay. *)
 
 val run_arm :
-  ?seed:int ->
-  ?config:Client_config.t ->
-  ?mode:mode ->
-  ?window:int ->
-  ?batch_size:int ->
-  ?batch_delay:float ->
-  ?max_queue:int ->
-  ?read_fraction:float ->
-  ?keys:int ->
-  ?service:Replicated_store.service ->
-  ?obs:Obs.t ->
-  arm ->
-  Chaos.scenario ->
-  report
-(** {!run} with systems and router taken from the arm. *)
+  ?seed:int -> ?mode:mode -> ?window:int -> ?max_queue:int -> arm ->
+  Chaos.scenario -> report
+(** {!run_h} with systems and router taken from the arm and the default
+    batching and read mix, without the store handle. *)
 
 (** {2 Rendering} *)
 

@@ -190,9 +190,9 @@ let test_store_consistent_under_every_scenario () =
   let write_system = Core.Registry.build_exn "hgrid-write(3x3)" in
   List.iter
     (fun scenario ->
-      let r =
-        Protocols.Chaos.run_store ~seed:17 ~rate:1.0 ~read_system ~write_system
-          ~name:"hgrid-r/w(3x3)" scenario
+      let r, _ =
+        Protocols.Chaos.run_store_h ~seed:17 ~rate:1.0 ~read_system
+          ~write_system ~name:"hgrid-r/w(3x3)" scenario
       in
       check_int (scenario.Protocols.Chaos.label ^ ": no stale reads") 0
         r.Protocols.Chaos.stale_reads;
@@ -221,8 +221,8 @@ let test_store_loss_and_partition_acceptance () =
           };
       }
   in
-  let r =
-    Protocols.Chaos.run_store ~seed:19 ~rate:1.5 ~read_system:system
+  let r, _ =
+    Protocols.Chaos.run_store_h ~seed:19 ~rate:1.5 ~read_system:system
       ~write_system:system ~name:"majority(9)" scenario
   in
   check_int "no stale reads" 0 r.Protocols.Chaos.stale_reads;

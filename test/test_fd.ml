@@ -618,8 +618,8 @@ let test_churn_fd_mode_safe () =
         };
     }
   in
-  let r =
-    Chaos.run_churn ~seed:47 ~rows:5 ~period:8.0 ~mode:Chaos.Fd ~universe:30
+  let r, _ =
+    Chaos.run_churn_h ~seed:47 ~rows:5 ~period:8.0 ~mode:Chaos.Fd ~universe:30
       scenario
   in
   check_int "no stale reads under fd-driven membership" 0 r.Chaos.stale_reads;

@@ -292,8 +292,9 @@ let test_store_mix_follows_read_fraction () =
   let system = Registry.build_exn "majority(9)" in
   let scenario = List.hd (Protocols.Chaos.standard ~n:9 ~horizon:120.0) in
   let run w =
-    Protocols.Chaos.run_store ~seed:23 ~read_fraction:w.W.read_fraction
-      ~read_system:system ~write_system:system ~name:"majority(9)" scenario
+    fst
+      (Protocols.Chaos.run_store_h ~seed:23 ~read_fraction:w.W.read_fraction
+         ~read_system:system ~write_system:system ~name:"majority(9)" scenario)
   in
   let writes = run (ok_exn (W.make ~read_fraction:0.0 ())) in
   check "write-only mix completes no reads" true (writes.reads_ok = 0);

@@ -229,8 +229,8 @@ let test_store_consistent_under_recovery_scenarios () =
       in
       List.iter
         (fun scenario ->
-          let r =
-            Chaos.run_store ~seed:42 ~rate:1.0 ~read_system ~write_system
+          let r, _ =
+            Chaos.run_store_h ~seed:42 ~rate:1.0 ~read_system ~write_system
               ~name scenario
           in
           check_int
@@ -253,8 +253,8 @@ let test_reconfig_consistent_under_recovery_scenarios () =
   let next = Core.Registry.build_exn "htriang(10)" in
   List.iter
     (fun scenario ->
-      let r =
-        Chaos.run_reconfig ~seed:43 ~rate:1.0 ~initial ~next
+      let r, _ =
+        Chaos.run_reconfig_h ~seed:43 ~rate:1.0 ~initial ~next
           ~name:"majority->htriang" scenario
       in
       check_int
@@ -274,8 +274,13 @@ let test_recovery_scenarios_pinned_and_reproducible () =
     = [ "restart"; "amnesia"; "amnesia-maj" ]);
   let system = Core.Registry.build_exn "majority(9)" in
   let scenario = List.nth recovery_scenarios 2 in
-  let a = Chaos.run_store ~seed:42 ~read_system:system ~write_system:system ~name:"m" scenario in
-  let b = Chaos.run_store ~seed:42 ~read_system:system ~write_system:system ~name:"m" scenario in
+  let run () =
+    fst
+      (Chaos.run_store_h ~seed:42 ~read_system:system ~write_system:system
+         ~name:"m" scenario)
+  in
+  let a = run () in
+  let b = run () in
   check "same seed, same run" true (a = b);
   check_int "report carries the seed" 42 a.Chaos.seed
 
