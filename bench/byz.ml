@@ -56,14 +56,11 @@ let register_runs () =
   in
   List.iter
     (fun (label, system) ->
+      let engine = Engine.create ~seed:19 ~nodes:system.Quorum.System.n () in
       let store =
-        Protocols.Byz_store.create ~system ~f:1 ~byzantine:[ 1 ] ~timeout:60.0
+        Protocols.Byz_store.create engine ~system ~f:1 ~byzantine:[ 1 ]
+          ~timeout:60.0
       in
-      let engine =
-        Engine.create ~seed:19 ~nodes:system.Quorum.System.n
-          (Protocols.Byz_store.handlers store)
-      in
-      Protocols.Byz_store.bind store engine;
       List.iteri
         (fun k op ->
           let time = 4.0 *. float_of_int (k + 1) in

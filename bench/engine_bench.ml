@@ -40,8 +40,6 @@ module Durable = Sim.Durable
 module Network = Sim.Network
 module Fd = Sim.Failure_detector
 
-type wire = P of int Rpc.msg
-
 let seed = 48
 let n_nodes = 15
 let hops = 8
@@ -77,14 +75,16 @@ let run_once cfg ~profile =
   if not cfg.metrics_on then Obs.Metrics.set_enabled (Obs.metrics obs) false;
   let spans = Obs.spans obs in
   let use_spans = cfg.use_spans in
-  let rpc = Rpc.create ~wrap:(fun m -> P m) () in
   let dur =
     Durable.create ~obs ~nodes:n_nodes (Durable.config ~fsync_latency:0.4 ())
   in
-  let handlers =
+  let network = Network.create ~loss:0.02 () in
+  let e = Engine.create ~seed ~nodes:n_nodes ~network ~obs () in
+  let rpc = Rpc.create e () in
+  Engine.set_handlers e
     {
       Engine.on_message =
-        (fun e ~node ~src (P m) ->
+        (fun e ~node ~src m ->
           Rpc.on_message rpc ~node ~src m ~deliver:(fun ~src:_ remaining ->
               let now = Engine.now e in
               ignore (Durable.append dur ~node ~now remaining);
@@ -111,11 +111,7 @@ let run_once cfg ~profile =
         (fun e ~node ~amnesia ->
           if amnesia then
             ignore (Durable.replay dur ~node ~now:(Engine.now e)));
-    }
-  in
-  let network = Network.create ~loss:0.02 () in
-  let e = Engine.create ~seed ~nodes:n_nodes ~network ~obs handlers in
-  Rpc.bind rpc e;
+    };
   let n_ops = ops () in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
@@ -189,20 +185,17 @@ type heartbeats = { beats : int; beats_dt : float; words_per_beat : float }
 (* One pinned detector-only run: the beats sent, and the wall seconds
    and minor words of the drain. *)
 let run_heartbeats () =
-  let fd = Fd.create ~nodes:n_nodes () in
-  let handlers =
+  let network = Network.create ~loss:beat_loss () in
+  let obs = Obs.create ~trace_capacity:0 () in
+  let e = Engine.create ~seed ~nodes:n_nodes ~network ~obs () in
+  let fd = Fd.create e () in
+  Engine.set_handlers e
     {
       Engine.on_message = (fun _ ~node:_ ~src:_ () -> ());
       on_timer = (fun _ ~node ~tag -> ignore (Fd.on_timer fd ~node ~tag));
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
-    }
-  in
-  let network = Network.create ~loss:beat_loss () in
-  let obs = Obs.create ~trace_capacity:0 () in
-  let e = Engine.create ~seed ~nodes:n_nodes ~network ~obs handlers in
-  Fd.bind fd e;
-  Fd.start fd;
+    };
   (* Beat rounds are background events: one foreground event at the
      horizon keeps the run going until then. *)
   Engine.schedule e ~time:(beat_horizon ()) ignore;

@@ -63,16 +63,14 @@ let geo_simulation () =
       let rng = Rng.create 44 in
       let topology = three_clusters rng system.Quorum.System.n in
       let network = Topology.network ~base_latency:0.5 ~jitter:0.1 topology in
+      let engine =
+        Sim.Engine.create ~seed:45 ~nodes:system.Quorum.System.n ~network ()
+      in
       let mx =
-        Protocols.Mutex.of_config
+        Protocols.Mutex.of_config engine
           ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
           ~system ~cs_duration:0.5 ()
       in
-      let engine =
-        Sim.Engine.create ~seed:45 ~nodes:system.Quorum.System.n ~network
-          (Protocols.Mutex.handlers mx)
-      in
-      Protocols.Mutex.bind mx engine;
       Protocols.Workload.staggered_requests engine ~every:4.0 ~count:30
         (fun ~client -> Protocols.Mutex.request mx ~node:client);
       Sim.Engine.run engine;

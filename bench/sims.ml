@@ -16,16 +16,12 @@ let mutex_comparison () =
   List.iter
     (fun spec ->
       let system = Util.system spec in
+      let engine = Engine.create ~seed:101 ~nodes:system.Quorum.System.n () in
       let mx =
-        Protocols.Mutex.of_config
+        Protocols.Mutex.of_config engine
           ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
           ~system ~cs_duration:0.5 ()
       in
-      let engine =
-        Engine.create ~seed:101 ~nodes:system.Quorum.System.n
-          (Protocols.Mutex.handlers mx)
-      in
-      Protocols.Mutex.bind mx engine;
       Protocols.Workload.staggered_requests engine ~every:0.3 ~count:40
         (fun ~client -> Protocols.Mutex.request mx ~node:client);
       Engine.run engine;
@@ -56,18 +52,14 @@ let store_comparison () =
     "ok (retry=3)" "predicted" "stale";
   let run_store spec retries =
     let system = Util.system spec in
+    let engine = Engine.create ~seed:77 ~nodes:system.Quorum.System.n () in
     let store =
-      Protocols.Replicated_store.of_config
+      Protocols.Replicated_store.of_config engine
         ~config:
           Protocols.Client_config.(
             default |> with_timeout 30.0 |> with_retries retries)
         ~read_system:system ~write_system:system ()
     in
-    let engine =
-      Engine.create ~seed:77 ~nodes:system.Quorum.System.n
-        (Protocols.Replicated_store.handlers store)
-    in
-    Protocols.Replicated_store.bind store engine;
     Sim.Failure_injector.iid_faults engine ~rng:(Rng.create 13) ~p:0.15
       ~mean_downtime:15.0 ~horizon:600.0;
     let issued =
@@ -101,15 +93,12 @@ let store_comparison () =
     "(h-grid read/write split for the replicated-data setting of 4.1:)\n";
   let read_system = Util.system "hgrid-read(4x4)" in
   let write_system = Util.system "hgrid-write(4x4)" in
+  let engine = Engine.create ~seed:78 ~nodes:16 () in
   let store =
-    Protocols.Replicated_store.of_config
+    Protocols.Replicated_store.of_config engine
       ~config:Protocols.Client_config.(default |> with_timeout 30.0)
       ~read_system ~write_system ()
   in
-  let engine =
-    Engine.create ~seed:78 ~nodes:16 (Protocols.Replicated_store.handlers store)
-  in
-  Protocols.Replicated_store.bind store engine;
   let issued =
     Protocols.Workload.read_write_mix engine ~rng:(Rng.create 15) ~rate:1.0
       ~horizon:300.0 ~read_fraction:0.8 ~keys:4

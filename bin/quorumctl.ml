@@ -298,16 +298,14 @@ let simulate_cmd =
   in
   let run spec requests fault_p =
     with_system spec (fun system ->
+        let engine =
+          Sim.Engine.create ~seed:1 ~nodes:system.Quorum.System.n ()
+        in
         let mx =
-          Protocols.Mutex.of_config
+          Protocols.Mutex.of_config engine
             ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
             ~system ~cs_duration:1.0 ()
         in
-        let engine =
-          Sim.Engine.create ~seed:1 ~nodes:system.Quorum.System.n
-            (Protocols.Mutex.handlers mx)
-        in
-        Protocols.Mutex.bind mx engine;
         if fault_p > 0.0 then
           Sim.Failure_injector.iid_faults engine
             ~rng:(Quorum.Rng.create 2) ~p:fault_p ~mean_downtime:10.0

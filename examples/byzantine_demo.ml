@@ -23,12 +23,10 @@ let workload =
   @ List.init 30 (fun _ -> `Read)
 
 let run ~label ~system ~f ~byzantine =
-  let store = Protocols.Byz_store.create ~system ~f ~byzantine ~timeout:60.0 in
-  let engine =
-    Engine.create ~seed:23 ~nodes:system.Quorum.System.n
-      (Protocols.Byz_store.handlers store)
+  let engine = Engine.create ~seed:23 ~nodes:system.Quorum.System.n () in
+  let store =
+    Protocols.Byz_store.create engine ~system ~f ~byzantine ~timeout:60.0
   in
-  Protocols.Byz_store.bind store engine;
   let correct =
     List.filter
       (fun i -> not (List.mem i byzantine))

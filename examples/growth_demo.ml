@@ -28,14 +28,12 @@ let () =
       ("+ square-grid growth", t2);
       ("native h-triang(21)", t3);
     ];
-  let universe = 21 in
+  let engine = Engine.create ~seed:3 ~nodes:21 () in
   let rc =
-    Reconfig.of_config
+    Reconfig.of_config engine
       ~config:Protocols.Client_config.(default |> with_timeout 40.0)
-      ~initial:(Core.Htriang.system t0) ~universe ()
+      ~initial:(Core.Htriang.system t0) ()
   in
-  let engine = Engine.create ~seed:3 ~nodes:universe (Reconfig.handlers rc) in
-  Reconfig.bind rc engine;
   (* Continuous workload: 60 operations over 120 time units. *)
   for k = 0 to 59 do
     let time = 2.0 *. float_of_int (k + 1) in

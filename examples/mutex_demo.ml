@@ -23,9 +23,10 @@ let config = Protocols.Client_config.(default |> with_timeout 1000.0)
 
 let run ~label ~faults ~requests =
   let system = build_system "htriang(15)" in
-  let mx = Protocols.Mutex.of_config ~config ~system ~cs_duration:1.0 () in
-  let engine = Engine.create ~seed:7 ~nodes:15 (Protocols.Mutex.handlers mx) in
-  Protocols.Mutex.bind mx engine;
+  let engine = Engine.create ~seed:7 ~nodes:15 () in
+  let mx =
+    Protocols.Mutex.of_config engine ~config ~system ~cs_duration:1.0 ()
+  in
   Sim.Failure_injector.scripted engine faults;
   (* Closed-loop contention: every node keeps asking for the lock. *)
   Protocols.Workload.staggered_requests engine ~every:0.2 ~count:requests
@@ -62,9 +63,10 @@ let () =
   (* For contrast: the singleton coterie is a single point of failure;
      crash its only member and nothing can be served. *)
   let system = build_system "singleton(15)" in
-  let mx = Protocols.Mutex.of_config ~config ~system ~cs_duration:1.0 () in
-  let engine = Engine.create ~seed:8 ~nodes:15 (Protocols.Mutex.handlers mx) in
-  Protocols.Mutex.bind mx engine;
+  let engine = Engine.create ~seed:8 ~nodes:15 () in
+  let mx =
+    Protocols.Mutex.of_config engine ~config ~system ~cs_duration:1.0 ()
+  in
   Sim.Failure_injector.scripted engine [ (0.0, Sim.Failure_injector.Crash 0) ];
   Protocols.Workload.staggered_requests engine ~every:0.2 ~count:10
     (fun ~client -> Protocols.Mutex.request mx ~node:client);

@@ -23,12 +23,10 @@ let build_system spec =
       exit 1
 
 let run ~label ~read_system ~write_system =
-  let store = Protocols.Replicated_store.of_config ~read_system ~write_system () in
-  let n = read_system.Quorum.System.n in
-  let engine =
-    Engine.create ~seed:5 ~nodes:n (Protocols.Replicated_store.handlers store)
+  let engine = Engine.create ~seed:5 ~nodes:read_system.Quorum.System.n () in
+  let store =
+    Protocols.Replicated_store.of_config engine ~read_system ~write_system ()
   in
-  Protocols.Replicated_store.bind store engine;
   (* Transient crashes: every replica spends ~10% of its life down. *)
   Sim.Failure_injector.iid_faults engine ~rng:(Rng.create 3) ~p:0.10
     ~mean_downtime:8.0 ~horizon:500.0;

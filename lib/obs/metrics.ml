@@ -129,7 +129,6 @@ let create ?(prof = Prof.null) () =
   { families = Hashtbl.create 32; prof; on = ref true }
 
 let set_enabled t on = t.on := on
-let is_enabled t = !(t.on)
 
 let register t kind ?(help = "") ?(max_samples = 0) name =
   if max_samples < 0 then invalid_arg "Metrics: max_samples < 0";

@@ -44,8 +44,6 @@ val set_enabled : t -> bool -> unit
     the zero-overhead "no sink" mode for hot benchmark runs.
     Registration and reads are unaffected.  Default: enabled. *)
 
-val is_enabled : t -> bool
-
 (** {2 Registration} *)
 
 val counter : t -> ?help:string -> string -> counter
@@ -84,11 +82,12 @@ val observe : ?labels:labels -> histogram -> float -> unit
 
 (** {2 Labeled-cell handles}
 
-    A handle binds a family to one label set, once — at [bind] or
-    session creation — so a hot update skips what a labeled update does
-    every time: sort the label list, hash it and compare it against the
-    family's keys.  An update through a handle lands in exactly the cell
-    the same labeled update would, with the same value.
+    A handle binds a family to one label set, once — when a protocol
+    or a session is created — so a hot update skips what a labeled
+    update does every time: sort the label list, hash it and compare it
+    against the family's keys.  An update through a handle lands in
+    exactly the cell the same labeled update would, with the same
+    value.
 
     The cell is looked up (or created) on the handle's first update,
     not when the handle is made: a handle that is never updated, or

@@ -143,7 +143,7 @@ let leave t cat =
     end
   end
 
-let scope t cat f =
+let probe t cat f =
   enter t cat;
   match f () with
   | v ->
@@ -153,8 +153,6 @@ let scope t cat f =
       let bt = Printexc.get_raw_backtrace () in
       leave t cat;
       Printexc.raise_with_backtrace e bt
-
-let probe = scope
 
 type row = {
   category : category;

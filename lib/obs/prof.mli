@@ -78,9 +78,8 @@ val leave : t -> category -> unit
     run. *)
 
 val probe : t -> category -> (unit -> 'a) -> 'a
-val scope : t -> category -> (unit -> 'a) -> 'a
-(** [scope t cat f] runs [f] inside an [enter]/[leave] pair, leaving on
-    exceptions too.  [probe] is an alias. *)
+(** [probe t cat f] runs [f] inside an [enter]/[leave] pair, leaving on
+    exceptions too. *)
 
 (** {2 Reports} *)
 

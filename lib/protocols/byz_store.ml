@@ -25,7 +25,7 @@ type t = {
   f : int;
   byzantine : bool array;
   timeout : float;
-  mutable engine : msg Engine.t option;
+  engine : msg Engine.t;
   ops : (int, op) Hashtbl.t;
   mutable next_op : int;
   replicas : (int * int) array;  (** per replica (version, value) *)
@@ -40,45 +40,6 @@ type t = {
   mutable legitimate_values : int list;
   mutable committed : (float * int) list;  (** (commit time, version) *)
 }
-
-let create ~system ~f ~byzantine ~timeout =
-  let n = system.Quorum.System.n in
-  if f < 0 then invalid_arg "Byz_store.create: f < 0";
-  let byz = Array.make n false in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= n then invalid_arg "Byz_store.create: bad replica id";
-      byz.(i) <- true)
-    byzantine;
-  {
-    system;
-    f;
-    byzantine = byz;
-    timeout;
-    engine = None;
-    ops = Hashtbl.create 32;
-    next_op = 0;
-    replicas = Array.make n (0, 0);
-    reads_ok = 0;
-    writes_ok = 0;
-    timeouts = 0;
-    unavailable = 0;
-    fabricated_reads = 0;
-    stale_reads = 0;
-    inconclusive_reads = 0;
-    legitimate_values = [ 0 ];
-    committed = [];
-  }
-
-let engine_exn t =
-  match t.engine with
-  | Some e -> e
-  | None -> invalid_arg "Byz_store: bind the engine first"
-
-let bind t engine =
-  if Engine.nodes engine <> t.system.Quorum.System.n then
-    invalid_arg "Byz_store.bind: engine size mismatch";
-  t.engine <- Some engine
 
 let reads_ok t = t.reads_ok
 let writes_ok t = t.writes_ok
@@ -95,7 +56,7 @@ let committed_before t time =
     0 t.committed
 
 let start t ~client kind =
-  let engine = engine_exn t in
+  let engine = t.engine in
   if t.byzantine.(client) then
     invalid_arg "Byz_store: clients must be correct replicas";
   if not (Engine.is_live engine client) then
@@ -260,3 +221,38 @@ let handlers t : msg Engine.handlers =
           doomed);
     on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
   }
+
+let create engine ~system ~f ~byzantine ~timeout =
+  let n = system.Quorum.System.n in
+  if f < 0 then invalid_arg "Byz_store.create: f < 0";
+  let byz = Array.make n false in
+  List.iter
+    (fun i ->
+      if i < 0 || i >= n then invalid_arg "Byz_store.create: bad replica id";
+      byz.(i) <- true)
+    byzantine;
+  if Engine.nodes engine <> n then
+    invalid_arg "Byz_store.create: engine size mismatch";
+  let t =
+    {
+      system;
+      f;
+      byzantine = byz;
+      timeout;
+      engine;
+      ops = Hashtbl.create 32;
+      next_op = 0;
+      replicas = Array.make n (0, 0);
+      reads_ok = 0;
+      writes_ok = 0;
+      timeouts = 0;
+      unavailable = 0;
+      fabricated_reads = 0;
+      stale_reads = 0;
+      inconclusive_reads = 0;
+      legitimate_values = [ 0 ];
+      committed = [];
+    }
+  in
+  Engine.set_handlers engine (handlers t);
+  t

@@ -23,18 +23,18 @@ type t
 type msg
 
 val create :
+  msg Sim.Engine.t ->
   system:Quorum.System.t ->
   f:int ->
   byzantine:int list ->
   timeout:float ->
   t
-(** [byzantine] lists the compromised replica ids (their behaviour is
-    simulated inside the protocol handlers); [f] is the protocol's
-    vouching threshold parameter.  [List.length byzantine] may exceed
-    [f] to study over-budget attacks. *)
-
-val handlers : t -> msg Sim.Engine.handlers
-val bind : t -> msg Sim.Engine.t -> unit
+(** The register on [engine], whose node count must equal [system.n];
+    it installs its handlers there.  [byzantine] lists the compromised
+    replica ids (their behaviour is simulated inside the protocol
+    handlers); [f] is the protocol's vouching threshold parameter.
+    [List.length byzantine] may exceed [f] to study over-budget
+    attacks. *)
 
 val write : t -> client:int -> value:int -> unit
 (** Clients must be correct replicas (not in [byzantine]). *)

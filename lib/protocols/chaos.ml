@@ -313,11 +313,8 @@ let run_mutex ?(seed = 7) ?(rate = 0.4) ?obs ~system scenario =
       |> with_timeout acquire_timeout
       |> with_durability (durability_of_plan scenario.plan))
   in
-  let mx = Mutex.of_config ~config ~system ~cs_duration () in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs (Mutex.handlers mx)
-  in
-  Mutex.bind mx engine;
+  let engine = Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs () in
+  let mx = Mutex.of_config engine ~config ~system ~cs_duration () in
   apply engine ~rng scenario;
   let issued =
     Workload.poisson_ops engine ~rng ~rate ~horizon:scenario.horizon
@@ -386,12 +383,10 @@ let run_store_h ?(seed = 7) ?(rate = 2.0) ?(read_fraction = 0.7) ?obs
       |> with_retries retries
       |> with_durability (durability_of_plan scenario.plan))
   in
-  let store = Replicated_store.of_config ~config ~read_system ~write_system () in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs
-      (Replicated_store.handlers store)
+  let engine = Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs () in
+  let store =
+    Replicated_store.of_config engine ~config ~read_system ~write_system ()
   in
-  Replicated_store.bind store engine;
   apply engine ~rng scenario;
   let issued =
     Workload.read_write_mix engine ~rng ~rate ~horizon:scenario.horizon
@@ -480,14 +475,10 @@ let run_fd ?(seed = 7) ?(fd_timeout = 5.0) ?accrual ?(hedge = false)
       |> with_routing ~hedge ~degraded_reads
       |> with_durability (durability_of_plan scenario.plan))
   in
+  let engine = Engine.create ~seed:(seed + 1) ~nodes:n ~network () in
   let store =
-    Replicated_store.of_config ~config ~read_system ~write_system ()
+    Replicated_store.of_config engine ~config ~read_system ~write_system ()
   in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network
-      (Replicated_store.handlers store)
-  in
-  Replicated_store.bind store engine;
   apply engine ~rng scenario;
   let issued =
     Workload.read_write_mix engine ~rng ~rate:fd_rate
@@ -578,12 +569,10 @@ let run_reconfig_h ?(seed = 7) ?(rate = 1.0) ?obs ~initial ~next ~name
       |> with_timeout op_timeout
       |> with_durability (durability_of_plan scenario.plan))
   in
-  let rc = Reconfig.of_config ~config ~initial ~universe () in
   let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:universe ~network ?obs
-      (Reconfig.handlers rc)
+    Engine.create ~seed:(seed + 1) ~nodes:universe ~network ?obs ()
   in
-  Reconfig.bind rc engine;
+  let rc = Reconfig.of_config engine ~config ~initial () in
   apply engine ~rng scenario;
   (* Two switches, timed to overlap the scenario's fault windows. *)
   let switch_at frac target =
@@ -676,8 +665,11 @@ let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
   let rng = Rng.create seed in
   let network = Network.create ~loss:scenario.plan.loss () in
   let obs = match obs with Some o -> o | None -> Obs.create () in
+  let engine =
+    Engine.create ~seed:(seed + 1) ~nodes:universe ~network ~obs ()
+  in
   let ms =
-    Membership.create
+    Membership.create engine
       ~durability:(durability_of_plan scenario.plan)
       ?lease:
         (match mode with
@@ -687,19 +679,14 @@ let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
         (match mode with
         | Fd -> Membership.Fd { merged = true }
         | Static | Resize | Timed -> Membership.Omniscient)
-      ~switch_retry:3.0 ~margin ~rows ~universe ~timeout:op_timeout ()
+      ~switch_retry:3.0 ~margin ~rows ~timeout:op_timeout ()
   in
   let rc = Membership.reconfig ms in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:universe ~network ~obs
-      (Membership.handlers ms)
-  in
-  Membership.bind ms engine;
   apply engine ~rng scenario;
   (match mode with
   | Static -> ()
   | Resize | Timed | Fd ->
-      Membership.start ms engine ~period ~horizon:scenario.horizon);
+      Membership.start ms ~period ~horizon:scenario.horizon);
   let issued = ref 0 in
   let rec arm time =
     let next = time +. Rng.exponential rng ~mean:(1.0 /. rate) in

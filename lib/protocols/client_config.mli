@@ -1,17 +1,20 @@
 (** The one client-facing configuration record shared by every quorum
     protocol ({!Replicated_store}, {!Mutex}, {!Reconfig}): build one
     with {!default} and the [with_*] builders and hand it to the
-    protocol's [of_config], its only constructor.
+    protocol's [of_config], its only constructor, together with the
+    engine the protocol runs on.
 
     {[
       let cfg =
         Client_config.(
           default
-          |> with_rpc ~timeout:2.0
           |> with_durability (Sim.Durable.config ~fsync_latency:0.5 ())
           |> with_timeout 10.0)
       in
-      let store = Replicated_store.of_config ~config:cfg ~read_system ~write_system ()
+      let engine = Sim.Engine.create ~seed:1 ~nodes:read_system.n () in
+      let store =
+        Replicated_store.of_config engine ~config:cfg ~read_system
+          ~write_system ()
     ]}
 
     Not every field is meaningful to every protocol: only
@@ -22,9 +25,10 @@
     failure detector.  Each protocol's [.mli] states which fields it
     honours. *)
 
-type rpc = { timeout : float; backoff : float; attempts : int }
-(** Reliable-rpc retransmission: initial retransmit [timeout],
-    exponential [backoff] factor, dead-letter after [attempts]. *)
+val rpc_timeout : float
+(** The initial retransmit timeout (4.0) of the store's and the mutex's
+    reliable-rpc layer; the rest of its schedule is {!Sim.Rpc.create}'s
+    default, dead letters included (after 6 transmissions). *)
 
 type fd = { period : float; timeout : float; accrual : float option }
 (** Heartbeat failure detection: beat [period], suspicion [timeout].
@@ -53,7 +57,6 @@ type routing = {
     acked". *)
 
 type t = {
-  rpc : rpc;
   fd : fd;
   routing : routing;  (** the store's hedging + degraded-mode knobs *)
   durability : Sim.Durable.config;  (** write-ahead fsync model *)
@@ -62,13 +65,11 @@ type t = {
 }
 
 val default : t
-(** The values the protocols have always defaulted to: rpc
-    [{timeout = 4.0; backoff = 1.6; attempts = 6}], fd
+(** The values the protocols have always defaulted to: fd
     [{period = 1.0; timeout = 5.0; accrual = None}], routing all off
     ([{hedge = false; degraded_reads = false}]), instant durability,
     [timeout = 25.0], [retries = 2]. *)
 
-val with_rpc : ?timeout:float -> ?backoff:float -> ?attempts:int -> t -> t
 val with_fd : ?period:float -> ?timeout:float -> ?accrual:float -> t -> t
 
 val with_routing : ?hedge:bool -> ?degraded_reads:bool -> t -> t
@@ -81,9 +82,3 @@ val fd_mode : t -> Sim.Failure_detector.mode
 (** The {!Sim.Failure_detector.mode} this config implies:
     [Fixed_timeout fd.timeout] when [fd.accrual] is [None], else
     [Accrual] with the configured threshold. *)
-
-val validate : t -> (unit, string) result
-(** Range-check every field ([Error] with the first offending one);
-    the [of_config] entries call the underlying constructors directly,
-    which raise — validate first when the record comes from user
-    input. *)

@@ -4,12 +4,11 @@ module Htriang = Core.Htriang
 type view = Omniscient | Fd of { merged : bool }
 
 type t = {
+  engine : Reconfig.msg Sim.Engine.t;
   reconfig : Reconfig.t;
-  universe : int;
+  universe : int;  (* the engine's node count *)
   margin : int;
   view : view;
-  down_streak : int;
-  up_streak : int;
   eff_live : bool array;
       (* the controller's hysteresis-filtered liveness opinion *)
   streak : int array;  (* consecutive ticks disagreeing with eff_live *)
@@ -36,12 +35,15 @@ let remap_system ~universe (tri : Htriang.t) (place : int array) =
   let name = Printf.sprintf "h-triang(%d)/%d" tri.Htriang.n universe in
   System.embed ~name ~universe ~place (Htriang.system tri)
 
-let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
-    ?(view = Omniscient) ?fd ?(down_streak = 2) ?(up_streak = 1) ~rows
-    ~universe ~timeout () =
+(* Flap hysteresis of the [Fd] views: consecutive agreeing ticks before
+   a node is treated as newly dead, resp. revived. *)
+let down_streak = 2
+let up_streak = 1
+
+let create engine ?durability ?lease ?switch_retry ?(margin = 2)
+    ?(view = Omniscient) ~rows ~timeout () =
   if margin < 0 then invalid_arg "Membership.create: margin < 0";
-  if down_streak < 1 then invalid_arg "Membership.create: down_streak < 1";
-  if up_streak < 1 then invalid_arg "Membership.create: up_streak < 1";
+  let universe = Sim.Engine.nodes engine in
   let tri = Htriang.standard ~rows () in
   if tri.Htriang.n > universe then
     invalid_arg "Membership.create: universe smaller than the triangle";
@@ -53,22 +55,16 @@ let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
     | Some d -> Client_config.with_durability d config
     | None -> config
   in
-  let config =
-    match fd with
-    | Some f -> { config with Client_config.fd = f }
-    | None -> config
-  in
   let reconfig =
-    Reconfig.of_config ~config ~with_fd:(view <> Omniscient) ?lease ?skew
-      ?switch_retry ~initial ~universe ()
+    Reconfig.of_config engine ~config ~with_fd:(view <> Omniscient) ?lease
+      ?switch_retry ~initial ()
   in
   {
+    engine;
     reconfig;
     universe;
     margin;
     view;
-    down_streak;
-    up_streak;
     (* Presume everyone live until the detector says otherwise — the
        failure detector's own starting opinion. *)
     eff_live = Array.make universe true;
@@ -84,8 +80,6 @@ let create ?durability ?lease ?skew ?switch_retry ?(margin = 2)
   }
 
 let reconfig t = t.reconfig
-let handlers t = Reconfig.handlers t.reconfig
-let bind t engine = Reconfig.bind t.reconfig engine
 
 (* Adopt a committed proposal; drop one whose switch died without
    advancing the epoch. *)
@@ -128,13 +122,13 @@ let false_evictions t = t.false_evictions
    [down_streak] (resp. [up_streak]) consecutive ticks of
    disagreement, so a single missed heartbeat burst cannot trigger an
    eviction switch. *)
-let controller_view t engine =
+let controller_view t =
   match t.view with
-  | Omniscient -> Sim.Engine.live_set engine
+  | Omniscient -> Sim.Engine.live_set t.engine
   | Fd { merged } ->
       let observers =
         Array.to_list t.place
-        |> List.filter (Sim.Engine.is_live engine)
+        |> List.filter (Sim.Engine.is_live t.engine)
         |> List.sort_uniq compare
       in
       let raw_live p =
@@ -164,7 +158,7 @@ let controller_view t engine =
         if raw = t.eff_live.(p) then t.streak.(p) <- 0
         else begin
           t.streak.(p) <- t.streak.(p) + 1;
-          let needed = if t.eff_live.(p) then t.down_streak else t.up_streak in
+          let needed = if t.eff_live.(p) then down_streak else up_streak in
           if t.streak.(p) >= needed then begin
             t.eff_live.(p) <- raw;
             t.streak.(p) <- 0
@@ -203,11 +197,11 @@ let first_of (fs : (Htriang.t -> Htriang.t option) list) tri =
     (fun acc f -> match acc with Some _ -> acc | None -> f tri)
     None fs
 
-let tick t engine =
+let tick t =
   refresh t;
   if Reconfig.switch_in_flight t.reconfig then ()
   else
-    let live = controller_view t engine in
+    let live = controller_view t in
     let live_count = Bitset.cardinal live in
     let n = t.tri.Htriang.n in
     (* One structural step per tick, with hysteresis around the margin:
@@ -281,7 +275,7 @@ let tick t engine =
             (fun p ->
               if
                 (not (Array.exists (Int.equal p) place'))
-                && Sim.Engine.is_live engine p
+                && Sim.Engine.is_live t.engine p
                 && not (Bitset.mem live p)
               then t.false_evictions <- t.false_evictions + 1)
             t.place;
@@ -295,12 +289,11 @@ let tick t engine =
             else t.shrinks <- t.shrinks + 1
           else t.replacements <- t.replacements + 1
 
-let start t engine ~period ~horizon =
+let start t ~period ~horizon =
   if period <= 0.0 then invalid_arg "Membership.start: period <= 0";
   let rec arm time =
     if time < horizon then (
-      Sim.Engine.schedule ~background:true engine ~time (fun () ->
-          tick t engine);
+      Sim.Engine.schedule ~background:true t.engine ~time (fun () -> tick t);
       arm (time +. period))
   in
   arm period

@@ -40,10 +40,10 @@
     member's suspected-live view, or — [Fd {merged = true}] — a
     majority vote over every live member's view.  Flap hysteresis then
     gates every transition: a node is only treated as newly-dead after
-    [down_streak] consecutive agreeing ticks (resp. [up_streak] for
-    revival), so heartbeat-loss bursts do not immediately cost an
-    eviction switch.  A {e false} eviction (the oracle knew the victim
-    was live) is safe — epoch fencing makes the evicted node NACK
+    2 consecutive agreeing ticks (1 for revival), so heartbeat-loss
+    bursts do not immediately cost an eviction switch.  A {e false}
+    eviction (the oracle knew the victim was live) is safe — epoch
+    fencing makes the evicted node NACK
     stale-epoch operations, and it rejoins through a later placement
     once suspicion clears — but it costs a switch, so it is counted
     ({!false_evictions}) for the detector-accuracy benches. *)
@@ -56,22 +56,19 @@ type view = Omniscient | Fd of { merged : bool }
     or the quorum-merged majority of member views. *)
 
 val create :
+  Reconfig.msg Sim.Engine.t ->
   ?durability:Sim.Durable.config ->
   ?lease:float ->
-  ?skew:float ->
   ?switch_retry:float ->
   ?margin:int ->
   ?view:view ->
-  ?fd:Client_config.fd ->
-  ?down_streak:int ->
-  ?up_streak:int ->
   rows:int ->
-  universe:int ->
   timeout:float ->
   unit ->
   t
 (** A register over a standard [rows]-row triangle (n = rows(rows+1)/2)
-    placed identically on processes [0, n) of [universe] processes.
+    placed identically on processes [0, n) of the engine's processes
+    (the universe), built on [engine] with {!Reconfig.of_config}.
     [margin] (default 2) is the spare-headroom hysteresis: grow only
     when the live population exceeds the {e grown} size by at least
     [margin] (so the adopted triangle always keeps [margin] live
@@ -79,31 +76,24 @@ val create :
     falls below [margin/2].  The gap between the two thresholds
     prevents grow/shrink oscillation; under churn a generous margin
     keeps the replacement-switch duty cycle low.
-    [lease]/[skew]/[switch_retry]/[durability] and [timeout] are
-    passed through to {!Reconfig.of_config} ([lease] turns the
-    register timed).
+    [lease]/[switch_retry]/[durability] and [timeout] are passed
+    through to {!Reconfig.of_config} ([lease] turns the register
+    timed).
 
     [view] (default [Omniscient]) selects the controller's liveness
     source (see above); with [Fd _] the register is built with a
-    failure detector and [fd] (default {!Client_config.default}'s)
-    tunes its period / timeout / accrual threshold.  [down_streak]
-    (default 2) and [up_streak] (default 1) are the flap-hysteresis
-    tick counts; both are ignored in [Omniscient] mode. *)
+    failure detector tuned as {!Client_config.default}'s [fd]. *)
 
 val reconfig : t -> Reconfig.t
 (** The underlying register — reads, writes and all {!Reconfig}
     counters go through it. *)
 
-val handlers : t -> Reconfig.msg Sim.Engine.handlers
-val bind : t -> Reconfig.msg Sim.Engine.t -> unit
-
-val start :
-  t -> Reconfig.msg Sim.Engine.t -> period:float -> horizon:float -> unit
+val start : t -> period:float -> horizon:float -> unit
 (** Pre-schedule controller ticks at [period, 2*period, ...) up to
     [horizon] (background events — they never keep the run alive).
     Not calling [start] leaves the membership static. *)
 
-val tick : t -> Reconfig.msg Sim.Engine.t -> unit
+val tick : t -> unit
 (** One controller step (exposed for targeted tests): adopt any
     committed proposal, then — unless a switch is in flight — compare
     the adopted configuration against the live set and propose at most

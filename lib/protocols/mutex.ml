@@ -79,14 +79,13 @@ type t = {
   capacity : int;
   cs_duration : float;
   acquire_timeout : float;
-  rpc : (app, msg) Rpc.t;
+  engine : msg Engine.t;
+  rpc : app Rpc.t;
   fd : msg Failure_detector.t;
-  durability : Durable.config;
-  mutable dur : (int * int) Durable.t option;
+  dur : (int * int) Durable.t;
       (** durable log of tombstones [(ts, client)] per arbiter *)
-  mutable granted : req option Durable.cell option;
+  granted : req option Durable.cell;
       (** durable register of each arbiter's current grant *)
-  mutable engine : msg Engine.t option;
   mutable clock : int;  (** request timestamp source *)
   clients : client_phase array;
   pending : int array;  (** requests queued while the node was busy *)
@@ -101,79 +100,10 @@ type t = {
   mutable unavailable : int;
   mutable reselections : int;
   mutable abandoned : int;
-  mutable ins : instruments option;
+  ins : instruments;
 }
 
-let of_config ?(config = Client_config.default) ?(capacity = 1) ~system
-    ~cs_duration () =
-  if capacity < 1 then invalid_arg "Mutex.of_config: capacity >= 1";
-  if config.Client_config.timeout <= 0.0 then
-    invalid_arg "Mutex.of_config: acquire_timeout";
-  let n = system.Quorum.System.n in
-  {
-    system;
-    capacity;
-    cs_duration;
-    acquire_timeout = config.Client_config.timeout;
-    rpc =
-      Rpc.create ~timeout:config.Client_config.rpc.timeout
-        ~backoff:config.Client_config.rpc.backoff
-        ~max_attempts:config.Client_config.rpc.attempts
-        ~wrap:Fun.id
-        ();
-    fd =
-      Failure_detector.create ~period:config.Client_config.fd.period
-        ~timeout:config.Client_config.fd.timeout
-        ~mode:(Client_config.fd_mode config) ~nodes:n ();
-    durability = config.Client_config.durability;
-    dur = None;
-    granted = None;
-    engine = None;
-    clock = 0;
-    clients = Array.make n Idle;
-    pending = Array.make n 0;
-    arbiters =
-      Array.init n (fun _ ->
-          {
-            granted_to = None;
-            inquired = false;
-            probe_req = None;
-            queue = [];
-            tombstones = Hashtbl.create 8;
-            alive_floor = Array.make n 0;
-          });
-    probe_due = Array.make n infinity;
-    in_cs_count = 0;
-    max_concurrency = 0;
-    entries = 0;
-    violations = 0;
-    unavailable = 0;
-    reselections = 0;
-    abandoned = 0;
-    ins = None;
-  }
-
-let engine_exn t =
-  match t.engine with
-  | Some e -> e
-  | None -> invalid_arg "Mutex: bind the engine first"
-
-let spans_exn t = Obs.spans (Engine.obs (engine_exn t))
-
-let ins_exn t =
-  match t.ins with
-  | Some i -> i
-  | None -> invalid_arg "Mutex: bind the engine first"
-
-let dur_exn t =
-  match t.dur with
-  | Some d -> d
-  | None -> invalid_arg "Mutex: bind the engine first"
-
-let granted_cell_exn t =
-  match t.granted with
-  | Some c -> c
-  | None -> invalid_arg "Mutex: bind the engine first"
+let spans t = Obs.spans (Engine.obs t.engine)
 
 let entries t = t.entries
 let violations t = t.violations
@@ -181,7 +111,7 @@ let max_concurrency t = t.max_concurrency
 let unavailable t = t.unavailable
 let reselections t = t.reselections
 let abandoned t = t.abandoned
-let acquire_latency t = (ins_exn t).mx_latency
+let acquire_latency t = t.ins.mx_latency
 let dead_letters t = Rpc.dead_letters t.rpc
 let retransmissions t = Rpc.retransmissions t.rpc
 
@@ -208,10 +138,10 @@ let insert_sorted req queue =
 let arbiter_grant t ~arbiter_id a req =
   a.granted_to <- Some req;
   a.inquired <- false;
-  let engine = engine_exn t in
+  let engine = t.engine in
   let now = Engine.now engine in
   let durable_at =
-    Durable.set (granted_cell_exn t) ~node:arbiter_id ~now (Some req)
+    Durable.set t.granted ~node:arbiter_id ~now (Some req)
   in
   if durable_at <= now then rsend t ~src:arbiter_id ~dst:req.client (Grant req)
   else begin
@@ -221,7 +151,7 @@ let arbiter_grant t ~arbiter_id a req =
     let parent = Engine.span_ctx engine in
     let fspan =
       if parent >= 0 then
-        Span.start (spans_exn t) ~time:now ~node:arbiter_id ~parent
+        Span.start (spans t) ~time:now ~node:arbiter_id ~parent
           "mutex.fsync"
       else -1
     in
@@ -238,7 +168,7 @@ let arbiter_grant t ~arbiter_id a req =
           && still_current
         in
         if fspan >= 0 then
-          Span.finish (spans_exn t) ~time:durable_at
+          Span.finish (spans t) ~time:durable_at
             ~status:(if send then Span.Ok else Span.Error "superseded")
             fspan;
         if send then rsend t ~src:arbiter_id ~dst:req.client (Grant req))
@@ -247,8 +177,8 @@ let arbiter_grant t ~arbiter_id a req =
 let arbiter_clear_grant t ~arbiter_id a =
   a.granted_to <- None;
   ignore
-    (Durable.set (granted_cell_exn t) ~node:arbiter_id
-       ~now:(Engine.now (engine_exn t))
+    (Durable.set t.granted ~node:arbiter_id
+       ~now:(Engine.now t.engine)
        None)
 
 let arbiter_on_request t ~node:j req =
@@ -303,8 +233,8 @@ let arbiter_on_release t ~node:j req =
         (* Persisted fire-and-forget: losing a tombstone to a crash
            only risks a stuck grant, which the probe chain reclaims. *)
         ignore
-          (Durable.append (dur_exn t) ~node:j
-             ~now:(Engine.now (engine_exn t))
+          (Durable.append t.dur ~node:j
+             ~now:(Engine.now t.engine)
              (req.ts, req.client))
       end
 
@@ -327,23 +257,22 @@ let arbiter_on_yield t ~node:j req =
    that has moved past the request answers RELEASE, unsticking the
    arbiter.  Background, so probes never keep an otherwise-drained
    simulation alive. *)
-let schedule_probe t engine ~node =
+let schedule_probe t ~node =
   let delay = Failure_detector.timeout t.fd in
-  t.probe_due.(node) <- Engine.now engine +. delay;
-  Engine.set_timer engine ~background:true ~node ~delay ~tag:probe_tag
+  t.probe_due.(node) <- Engine.now t.engine +. delay;
+  Engine.set_timer t.engine ~background:true ~node ~delay ~tag:probe_tag
 
 let arbiter_probe t ~node =
-  let engine = engine_exn t in
   (* Only the chain matching [probe_due] survives; duplicates left over
      from crash/recovery races die here. *)
-  if Float.abs (Engine.now engine -. t.probe_due.(node)) <= 1e-6 then begin
+  if Float.abs (Engine.now t.engine -. t.probe_due.(node)) <= 1e-6 then begin
     let a = t.arbiters.(node) in
     (match (a.granted_to, a.probe_req) with
     | Some r, Some p when priority r p = 0 ->
         rsend t ~src:node ~dst:r.client (Inquire r)
     | _ -> ());
     a.probe_req <- a.granted_to;
-    schedule_probe t engine ~node
+    schedule_probe t ~node
   end
 
 let arbiter_on_alive t ~node:j ~client ~ts =
@@ -360,26 +289,26 @@ let arbiter_on_alive t ~node:j ~client ~ts =
 
 (* --- Client side -------------------------------------------------- *)
 
-let enter_cs t engine ~node (w : waiting) =
+let enter_cs t ~node (w : waiting) =
   t.clients.(node) <- In_cs { req = w.req; quorum = w.quorum };
   t.in_cs_count <- t.in_cs_count + 1;
   if t.in_cs_count > t.max_concurrency then
     t.max_concurrency <- t.in_cs_count;
-  let ins = ins_exn t in
+  let ins = t.ins in
   if t.in_cs_count > t.capacity then begin
     t.violations <- t.violations + 1;
     Metrics.incr ins.mx_violations
   end;
   t.entries <- t.entries + 1;
   Metrics.incr ins.mx_entries;
-  Metrics.observe ins.mx_latency (Engine.now engine -. w.started);
-  Span.finish (spans_exn t) ~time:(Engine.now engine) w.span;
+  Metrics.observe ins.mx_latency (Engine.now t.engine -. w.started);
+  Span.finish (spans t) ~time:(Engine.now t.engine) w.span;
   Trace.record
-    (Obs.trace (Engine.obs engine))
-    ~time:(Engine.now engine) ~node ~span:w.span ~label:"mutex.enter"
+    (Obs.trace (Engine.obs t.engine))
+    ~time:(Engine.now t.engine) ~node ~span:w.span ~label:"mutex.enter"
     Trace.Note;
   (* Leave after cs_duration: encoded as a timer tagged by ts. *)
-  Engine.set_timer engine ~node ~delay:t.cs_duration ~tag:w.req.ts
+  Engine.set_timer t.engine ~node ~delay:t.cs_duration ~tag:w.req.ts
 
 let client_answer_inquires t ~node w =
   (* Only yield when this request cannot currently win.  An INQUIRE can
@@ -405,7 +334,7 @@ let client_on_grant t ~node ~src req =
   | Waiting w when priority w.req req = 0 ->
       Bitset.add w.grants src;
       let all = List.for_all (fun j -> Bitset.mem w.grants j) w.quorum in
-      if all then enter_cs t (engine_exn t) ~node w
+      if all then enter_cs t ~node w
       else
         (* A pending inquire may have been waiting for this grant. *)
         client_answer_inquires t ~node w
@@ -444,19 +373,19 @@ let release_quorum t ~node req quorum =
 (* Issue a fresh request from [node], choosing the quorum among the
    nodes its failure detector currently trusts. *)
 let rec issue_request t ~node =
-  let engine = engine_exn t in
+  let engine = t.engine in
   let view = Failure_detector.view t.fd ~node in
   match t.system.Quorum.System.select (Engine.rng engine) ~live:view with
   | None ->
       t.unavailable <- t.unavailable + 1;
-      Metrics.incr (ins_exn t).mx_unavailable;
+      Metrics.incr t.ins.mx_unavailable;
       t.clients.(node) <- Idle
   | Some quorum_set ->
       t.clock <- t.clock + 1;
       let req = { ts = t.clock; client = node } in
       let quorum = Bitset.to_list quorum_set in
       let span =
-        Span.start (spans_exn t) ~time:(Engine.now engine) ~node
+        Span.start (spans t) ~time:(Engine.now engine) ~node
           "mutex.acquire"
       in
       t.clients.(node) <-
@@ -482,20 +411,19 @@ let rec issue_request t ~node =
 and abort_attempt t ~node w ~retry =
   release_quorum t ~node w.req w.quorum;
   t.clients.(node) <- Idle;
-  Span.finish (spans_exn t)
-    ~time:(Engine.now (engine_exn t))
+  Span.finish (spans t)
+    ~time:(Engine.now t.engine)
     ~status:(Span.Error (if retry then "reselect" else "abandoned"))
     w.span;
   if retry then begin
     t.reselections <- t.reselections + 1;
-    Metrics.incr (ins_exn t).mx_reselections
+    Metrics.incr t.ins.mx_reselections
       ~labels:[ ("node", string_of_int node) ];
     issue_request t ~node
   end
 
 let request t ~node =
-  let engine = engine_exn t in
-  if Engine.is_live engine node then
+  if Engine.is_live t.engine node then
     match t.clients.(node) with
     | Waiting _ | In_cs _ ->
         (* One outstanding request per node: queue and reissue after
@@ -516,10 +444,9 @@ let drain_pending t ~node =
 let client_watchdog t ~node ~ts =
   match t.clients.(node) with
   | Waiting w when w.req.ts = ts ->
-      let engine = engine_exn t in
-      if Engine.now engine -. w.started >= t.acquire_timeout then begin
+      if Engine.now t.engine -. w.started >= t.acquire_timeout then begin
         t.abandoned <- t.abandoned + 1;
-        Metrics.incr (ins_exn t).mx_abandoned;
+        Metrics.incr t.ins.mx_abandoned;
         abort_attempt t ~node w ~retry:false;
         drain_pending t ~node
       end
@@ -533,7 +460,7 @@ let client_watchdog t ~node ~ts =
         in
         if blocked then abort_attempt t ~node w ~retry:true
         else
-          Engine.set_timer engine ~node
+          Engine.set_timer t.engine ~node
             ~delay:(Failure_detector.timeout t.fd)
             ~tag:(ts + wd_offset)
       end
@@ -559,50 +486,6 @@ let on_dead_letter t ~src ~dst payload =
   | Grant _ | Inquire _ | Yield _ | Failed _ | Release _ | Alive _ -> ()
 
 (* --- Wiring ------------------------------------------------------- *)
-
-let bind t engine =
-  if Engine.nodes engine <> t.system.Quorum.System.n then
-    invalid_arg "Mutex.bind: engine size mismatch";
-  t.engine <- Some engine;
-  let m = Obs.metrics (Engine.obs engine) in
-  t.ins <-
-    Some
-      {
-        mx_entries =
-          Metrics.counter m ~help:"critical-section entries" "mutex.entries";
-        mx_violations =
-          Metrics.counter m ~help:"concurrent entries beyond capacity"
-            "mutex.violations";
-        mx_unavailable =
-          Metrics.counter m
-            ~help:"requests with no live quorum to select"
-            "mutex.unavailable";
-        mx_reselections =
-          Metrics.counter m
-            ~help:"attempts re-issued around suspected members, by node"
-            "mutex.reselections";
-        mx_abandoned =
-          Metrics.counter m ~help:"attempts given up at acquire_timeout"
-            "mutex.abandoned";
-        mx_latency =
-          Metrics.histogram m
-            ~help:"request-to-entry latency (simulated time)"
-            "mutex.acquire_latency";
-      };
-  let dur =
-    Durable.create ~obs:(Engine.obs engine) ~nodes:t.system.Quorum.System.n
-      t.durability
-  in
-  t.dur <- Some dur;
-  t.granted <- Some (Durable.cell dur ~name:"mutex.granted");
-  Rpc.bind t.rpc engine;
-  Rpc.set_dead_letter_handler t.rpc (fun ~src ~dst payload ->
-      on_dead_letter t ~src ~dst payload);
-  Failure_detector.bind t.fd engine;
-  Failure_detector.start t.fd;
-  for node = 0 to t.system.Quorum.System.n - 1 do
-    schedule_probe t engine ~node
-  done
 
 let dispatch_app t ~node ~src = function
   | Request req -> arbiter_on_request t ~node req
@@ -640,11 +523,11 @@ let handlers t : msg Engine.handlers =
            recovers — see [on_recover]).  The node's unacked sends die
            with it. *)
         Rpc.on_crash t.rpc ~node;
-        Durable.crash (dur_exn t) ~node ~now:(Engine.now engine);
+        Durable.crash t.dur ~node ~now:(Engine.now engine);
         (match t.clients.(node) with
         | In_cs _ -> t.in_cs_count <- t.in_cs_count - 1
         | Waiting w ->
-            Span.finish (spans_exn t) ~time:(Engine.now engine)
+            Span.finish (spans t) ~time:(Engine.now engine)
               ~status:(Span.Error "crash") w.span
         | Idle -> ());
         t.clients.(node) <- Idle;
@@ -661,7 +544,7 @@ let handlers t : msg Engine.handlers =
           let a = t.arbiters.(node) in
           let now = Engine.now engine in
           a.granted_to <-
-            (match Durable.durable_value (granted_cell_exn t) ~node ~now with
+            (match Durable.durable_value t.granted ~node ~now with
             | Some g -> g
             | None -> None);
           a.inquired <- false;
@@ -671,11 +554,11 @@ let handlers t : msg Engine.handlers =
           Hashtbl.reset a.tombstones;
           List.iter
             (fun tc -> Hashtbl.replace a.tombstones tc ())
-            (Durable.replay (dur_exn t) ~node ~now)
+            (Durable.replay t.dur ~node ~now)
         end;
         (* Crash dropped the node's timers: restart its probe chain
            (the due-time check retires any duplicate survivors). *)
-        schedule_probe t engine ~node;
+        schedule_probe t ~node;
         (* Announce the recovery: any grant or queued request of ours
            with an older timestamp is void (we lost the state that
            could have used it).  Reliable, to every arbiter. *)
@@ -686,3 +569,86 @@ let handlers t : msg Engine.handlers =
           else rsend t ~src:node ~dst:j (Alive { ts })
         done);
   }
+
+let make_instruments m =
+  {
+    mx_entries =
+      Metrics.counter m ~help:"critical-section entries" "mutex.entries";
+    mx_violations =
+      Metrics.counter m ~help:"concurrent entries beyond capacity"
+        "mutex.violations";
+    mx_unavailable =
+      Metrics.counter m ~help:"requests with no live quorum to select"
+        "mutex.unavailable";
+    mx_reselections =
+      Metrics.counter m
+        ~help:"attempts re-issued around suspected members, by node"
+        "mutex.reselections";
+    mx_abandoned =
+      Metrics.counter m ~help:"attempts given up at acquire_timeout"
+        "mutex.abandoned";
+    mx_latency =
+      Metrics.histogram m ~help:"request-to-entry latency (simulated time)"
+        "mutex.acquire_latency";
+  }
+
+let of_config engine ?(config = Client_config.default) ?(capacity = 1)
+    ~system ~cs_duration () =
+  if capacity < 1 then invalid_arg "Mutex.of_config: capacity >= 1";
+  if config.Client_config.timeout <= 0.0 then
+    invalid_arg "Mutex.of_config: acquire_timeout";
+  let n = system.Quorum.System.n in
+  if Engine.nodes engine <> n then
+    invalid_arg "Mutex.of_config: engine size mismatch";
+  let obs = Engine.obs engine in
+  let ins = make_instruments (Obs.metrics obs) in
+  let dur = Durable.create ~obs ~nodes:n config.Client_config.durability in
+  let granted = Durable.cell dur ~name:"mutex.granted" in
+  let rpc = Rpc.create engine ~timeout:Client_config.rpc_timeout () in
+  let fd =
+    Failure_detector.create engine ~period:config.Client_config.fd.period
+      ~timeout:config.Client_config.fd.timeout
+      ~mode:(Client_config.fd_mode config) ()
+  in
+  let t =
+    {
+      system;
+      capacity;
+      cs_duration;
+      acquire_timeout = config.Client_config.timeout;
+      engine;
+      rpc;
+      fd;
+      dur;
+      granted;
+      clock = 0;
+      clients = Array.make n Idle;
+      pending = Array.make n 0;
+      arbiters =
+        Array.init n (fun _ ->
+            {
+              granted_to = None;
+              inquired = false;
+              probe_req = None;
+              queue = [];
+              tombstones = Hashtbl.create 8;
+              alive_floor = Array.make n 0;
+            });
+      probe_due = Array.make n infinity;
+      in_cs_count = 0;
+      max_concurrency = 0;
+      entries = 0;
+      violations = 0;
+      unavailable = 0;
+      reselections = 0;
+      abandoned = 0;
+      ins;
+    }
+  in
+  Rpc.set_dead_letter_handler rpc (fun ~src ~dst payload ->
+      on_dead_letter t ~src ~dst payload);
+  for node = 0 to n - 1 do
+    schedule_probe t ~node
+  done;
+  Engine.set_handlers engine (handlers t);
+  t

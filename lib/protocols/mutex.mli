@@ -58,9 +58,8 @@
 
     Usage:
     {[
-      let mx = Mutex.of_config ~system ~cs_duration:1.0 () in
-      let engine = Engine.create ~seed ~nodes:system.n (Mutex.handlers mx) in
-      Mutex.bind mx engine;
+      let engine = Engine.create ~seed ~nodes:system.n () in
+      let mx = Mutex.of_config engine ~system ~cs_duration:1.0 () in
       Engine.schedule engine ~time:3.0 (fun () -> Mutex.request mx ~node:2);
       Engine.run engine
     ]} *)
@@ -69,16 +68,19 @@ type t
 type msg
 
 val of_config :
+  msg Sim.Engine.t ->
   ?config:Client_config.t ->
   ?capacity:int ->
   system:Quorum.System.t ->
   cs_duration:float ->
   unit ->
   t
-(** The constructor: client tunables live in the {!Client_config.t}
-    record (default {!Client_config.default}).  Honoured fields: [rpc] (the
-    reliable-delivery layer, see {!Sim.Rpc.create}), [fd] (the
-    failure detector, see {!Sim.Failure_detector.create}),
+(** The mutex on [engine], whose node count must equal [system.n].  It
+    installs its handlers on the engine and starts the heartbeat
+    traffic and the arbiters' probe chains.  Client tunables live in
+    the {!Client_config.t} record (default {!Client_config.default}).
+    Honoured fields: [fd] (the failure detector, see
+    {!Sim.Failure_detector.create}),
     [durability] (the arbiters' durable store — a non-zero fsync
     latency delays GRANTs, torn-tail mode corrupts the last in-flight
     tombstone on crash), and [timeout], read as the {e acquire}
@@ -91,13 +93,8 @@ val of_config :
 
     [capacity] (default 1) is the number of simultaneous critical
     sections the system is supposed to allow: 1 for a coterie, [k]
-    for a k-coterie (see [Systems.K_coterie]). *)
-
-val handlers : t -> msg Sim.Engine.handlers
-
-val bind : t -> msg Sim.Engine.t -> unit
-(** Must be called once, before the first request; the engine's node
-    count must equal [system.n].  Starts the heartbeat traffic. *)
+    for a k-coterie (see [Systems.K_coterie]).  The reliable-delivery
+    layer ({!Sim.Rpc}) retransmits after {!Client_config.rpc_timeout}. *)
 
 val request : t -> node:int -> unit
 (** Ask [node] to acquire the critical section now (queued if it is
@@ -133,5 +130,4 @@ val retransmissions : t -> int
 
 val acquire_latency : t -> Obs.Metrics.histogram
 (** Request-to-entry latency samples ([mutex.acquire_latency] in the
-    engine's metrics registry).  Raises [Invalid_argument] before
-    {!bind}: instruments live in the engine's {!Obs.t}. *)
+    engine's metrics registry). *)

@@ -25,6 +25,9 @@ let switch_tag = -2
 let unseal_tag = -3
 let renew_tag = -4
 
+(* Timed mode: the clock-skew budget added to every lease drain. *)
+let skew = 0.5
+
 type kind = Read_op | Write_op of int
 
 type phase = Version_phase | Install_phase
@@ -81,19 +84,17 @@ type switch = {
 }
 
 type t = {
-  universe : int;
+  engine : msg Engine.t;
+  universe : int;  (** the engine's node count *)
   timeout : float;
   switch_retry : float;
       (** coordinator retry-tick interval (default [timeout]) *)
   lease : float option;
       (** timed-quorum mode: replicas serve only under an unexpired
           lease; switches drain leases instead of sealing a quorum *)
-  skew : float;  (** clock-skew budget added to every lease drain *)
-  durability : Durable.config;
-  mutable dur : unit Durable.t option;
-  mutable cell : (int * bool * (int * int)) Durable.cell option;
+  dur : unit Durable.t;
+  cell : (int * bool * (int * int)) Durable.cell;
       (** per replica: (r_epoch, sealed, state) *)
-  mutable engine : msg Engine.t option;
   fd : msg Failure_detector.t option;
       (** per-node suspected-live views; [None] keeps the historical
           omniscient [Engine.live_set] selection *)
@@ -117,128 +118,26 @@ type t = {
   mutable history : Obs.Trace_analysis.hop list;  (** newest first *)
 }
 
-let of_config ?(config = Client_config.default) ?(with_fd = false) ?lease
-    ?(skew = 0.5) ?switch_retry ~initial ~universe () =
-  (* [durability] and [timeout] of the record always apply; [fd] only
-     when [with_fd] opts into the failure-detector layer (off by
-     default: no heartbeats, omniscient selection — bit-identical to
-     the historical register). *)
-  let durability = config.Client_config.durability in
-  let timeout = config.Client_config.timeout in
-  if initial.System.n > universe then
-    invalid_arg "Reconfig.of_config: configuration exceeds universe";
-  let switch_retry = Option.value switch_retry ~default:timeout in
-  if switch_retry <= 0.0 then invalid_arg "Reconfig.of_config: switch_retry";
-  (match lease with
-  | Some d when d <= 0.0 -> invalid_arg "Reconfig.of_config: lease"
-  | _ -> ());
-  if skew < 0.0 then invalid_arg "Reconfig.of_config: skew";
-  let fd =
-    if with_fd then
-      Some
-        (Failure_detector.create
-           ~period:config.Client_config.fd.Client_config.period
-           ~timeout:config.Client_config.fd.Client_config.timeout
-           ~mode:(Client_config.fd_mode config) ~nodes:universe ())
-    else None
-  in
-  {
-    universe;
-    timeout;
-    switch_retry;
-    lease;
-    skew;
-    durability;
-    dur = None;
-    cell = None;
-    engine = None;
-    fd;
-    configs = [ initial ];
-    epoch = 0;
-    replicas =
-      Array.init universe (fun _ ->
-          {
-            r_epoch = 0;
-            sealed = false;
-            state = (0, 0);
-            (* The first lease window opens at t = 0. *)
-            lease_until = (match lease with Some d -> d | None -> infinity);
-          });
-    ops = Hashtbl.create 32;
-    next_op = 0;
-    switch = None;
-    switch_gen = 0;
-    epoch_switches = 0;
-    refused_switches = 0;
-    lease_refusals = 0;
-    reads_ok = 0;
-    writes_ok = 0;
-    retries = 0;
-    failed = 0;
-    crash_kills = 0;
-    stale_reads = 0;
-    committed = [];
-    history = [];
-  }
-
-let engine_exn t =
-  match t.engine with
-  | Some e -> e
-  | None -> invalid_arg "Reconfig: bind the engine first"
-
-let bind t engine =
-  if Engine.nodes engine <> t.universe then
-    invalid_arg "Reconfig.bind: engine size mismatch";
-  t.engine <- Some engine;
-  let dur =
-    Durable.create ~obs:(Engine.obs engine) ~nodes:t.universe t.durability
-  in
-  t.dur <- Some dur;
-  t.cell <- Some (Durable.cell dur ~name:"reconfig.replica");
-  (match t.fd with
-  | Some fd ->
-      Failure_detector.bind fd engine;
-      Failure_detector.start fd
-  | None -> ());
-  (* Timed mode: every replica renews its own lease on a background
-     tick, well before expiry. *)
-  match t.lease with
-  | Some d ->
-      for node = 0 to t.universe - 1 do
-        Engine.set_timer engine ~background:true ~node ~delay:(d /. 3.0)
-          ~tag:renew_tag
-      done
-  | None -> ()
-
-let dur_exn t =
-  match t.dur with
-  | Some d -> d
-  | None -> invalid_arg "Reconfig: bind the engine first"
-
-let cell_exn t =
-  match t.cell with
-  | Some c -> c
-  | None -> invalid_arg "Reconfig: bind the engine first"
-
-let spans_exn t = Obs.spans (Engine.obs (engine_exn t))
+let spans t = Obs.spans (Engine.obs t.engine)
 let history t = List.rev t.history
 
 (* Persist a replica's whole durable image: epoch, seal flag, state. *)
 let persist t ~node =
   let r = t.replicas.(node) in
-  Durable.set (cell_exn t) ~node
-    ~now:(Engine.now (engine_exn t))
+  Durable.set t.cell ~node
+    ~now:(Engine.now t.engine)
     (r.r_epoch, r.sealed, r.state)
 
 (* Write-ahead reply: the durable image is fsynced before the message
    that makes it observable (write ack, seal ack, install ack) leaves,
    so no acknowledged transition is ever lost to an amnesiac crash. *)
-let reply_after_fsync t engine ~node ~dst msg =
+let reply_after_fsync t ~node ~dst msg =
   let durable_at = persist t ~node in
-  if durable_at <= Engine.now engine then Engine.send engine ~src:node ~dst msg
+  if durable_at <= Engine.now t.engine then
+    Engine.send t.engine ~src:node ~dst msg
   else
-    Durable.send_when_durable engine ~node ~durable_at ~span:"reconfig.fsync"
-      (fun () -> Engine.send engine ~src:node ~dst msg)
+    Durable.send_when_durable t.engine ~node ~durable_at ~span:"reconfig.fsync"
+      (fun () -> Engine.send t.engine ~src:node ~dst msg)
 
 let current_epoch t = t.epoch
 let epoch_switches t = t.epoch_switches
@@ -269,20 +168,20 @@ let committed_before t time =
 (* The set of nodes [node] believes live: its failure-detector view
    when the register carries one, the engine's omniscient live-set
    otherwise (the historical behaviour). *)
-let live_view t engine ~node =
+let live_view t ~node =
   match t.fd with
   | Some fd -> Failure_detector.view fd ~node
-  | None -> Engine.live_set engine
+  | None -> Engine.live_set t.engine
 
 (* Select a quorum of [system] among the members [node] believes live
    (spares beyond [system.n] idle). *)
-let select_live_quorum t engine ~node (system : System.t) =
-  let live = live_view t engine ~node in
+let select_live_quorum t ~node (system : System.t) =
+  let live = live_view t ~node in
   let members = Bitset.create system.System.n in
   for i = 0 to system.System.n - 1 do
     if Bitset.mem live i then Bitset.add members i
   done;
-  system.System.select (Engine.rng engine) ~live:members
+  system.System.select (Engine.rng t.engine) ~live:members
 
 (* --- Client side ---------------------------------------------------- *)
 
@@ -292,10 +191,10 @@ let select_live_quorum t engine ~node (system : System.t) =
    membership controller's next repair) is retried on the same backoff
    as a NACK; the per-op timer bounds the total wait. *)
 let rec launch t (op : op) =
-  let engine = engine_exn t in
+  let engine = t.engine in
   op.epoch <- t.epoch;
   let system = config_of_epoch t op.epoch in
-  match select_live_quorum t engine ~node:op.client system with
+  match select_live_quorum t ~node:op.client system with
   | None -> retry_later t op
   | Some quorum ->
       op.phase <- Version_phase;
@@ -318,9 +217,8 @@ let rec launch t (op : op) =
 and arm_progress_check t (op : op) =
   op.attempt <- op.attempt + 1;
   let attempt = op.attempt in
-  let engine = engine_exn t in
-  Engine.schedule engine
-    ~time:(Engine.now engine +. 4.0)
+  Engine.schedule t.engine
+    ~time:(Engine.now t.engine +. 4.0)
     (fun () ->
       match Hashtbl.find_opt t.ops op.id with
       | Some op' when op' == op && op.attempt = attempt && not op.nacked ->
@@ -334,21 +232,20 @@ and retry_later t (op : op) =
   if op.retries_left = 0 then begin
     Hashtbl.remove t.ops op.id;
     t.failed <- t.failed + 1;
-    Span.finish (spans_exn t)
-      ~time:(Engine.now (engine_exn t))
+    Span.finish (spans t)
+      ~time:(Engine.now t.engine)
       ~status:(Span.Error "exhausted") op.span
   end
   else begin
     op.retries_left <- op.retries_left - 1;
     t.retries <- t.retries + 1;
-    let engine = engine_exn t in
-    Engine.schedule engine
-      ~time:(Engine.now engine +. 3.0)
+    Engine.schedule t.engine
+      ~time:(Engine.now t.engine +. 3.0)
       (fun () -> if Hashtbl.mem t.ops op.id then launch t op)
   end
 
 let start t ~client kind =
-  let engine = engine_exn t in
+  let engine = t.engine in
   if not (Engine.is_live engine client) then t.failed <- t.failed + 1
   else begin
     let id = t.next_op in
@@ -371,7 +268,7 @@ let start t ~client kind =
       }
     in
     op.span <-
-      Span.start (spans_exn t) ~time:op.started ~node:client
+      Span.start (spans t) ~time:op.started ~node:client
         (match kind with
         | Read_op -> "reconfig.read"
         | Write_op _ -> "reconfig.write");
@@ -403,19 +300,19 @@ let record_hop t (op : op) ~now ~is_write version =
 let finish_read t (op : op) =
   Hashtbl.remove t.ops op.id;
   t.reads_ok <- t.reads_ok + 1;
-  let now = Engine.now (engine_exn t) in
-  Span.finish (spans_exn t) ~time:now op.span;
+  let now = Engine.now t.engine in
+  Span.finish (spans t) ~time:now op.span;
   record_hop t op ~now ~is_write:false (fst op.best);
   if fst op.best < committed_before t op.started then
     t.stale_reads <- t.stale_reads + 1
 
 let begin_install t (op : op) =
-  let engine = engine_exn t in
+  let engine = t.engine in
   match op.kind with
   | Read_op -> finish_read t op
   | Write_op value ->
       let system = config_of_epoch t op.epoch in
-      (match select_live_quorum t engine ~node:op.client system with
+      (match select_live_quorum t ~node:op.client system with
       | None -> retry_later t op
       | Some wq ->
           let version = fst op.best + 1 in
@@ -437,40 +334,39 @@ let begin_install t (op : op) =
 
 (* --- Reconfiguration -------------------------------------------------- *)
 
-let arm_switch_timer t engine ~coordinator =
-  Engine.set_timer engine ~background:true ~node:coordinator
+let arm_switch_timer t ~coordinator =
+  Engine.set_timer t.engine ~background:true ~node:coordinator
     ~delay:t.switch_retry ~tag:switch_tag
 
-let arm_unseal_timer t engine ~node =
+let arm_unseal_timer t ~node =
   (* Cadence only — the unseal tick re-arms while the sealing switch
      is alive, so safety never depends on this delay.  Tracking the
      coordinator's retry tick keeps orphaned seals (a crashed
      coordinator cannot re-announce) from refusing service long after
      their switch died. *)
-  Engine.set_timer engine ~background:true ~node
+  Engine.set_timer t.engine ~background:true ~node
     ~delay:(2.0 *. t.switch_retry) ~tag:unseal_tag
 
-let abandon_switch ?(reason = "abandoned") t engine sw =
+let abandon_switch ?(reason = "abandoned") t sw =
   (* Give up: drop the switch and re-announce the old epoch so sealed
      replicas reopen for service. *)
   t.switch <- None;
   t.refused_switches <- t.refused_switches + 1;
-  Span.finish (spans_exn t) ~time:(Engine.now engine)
+  Span.finish (spans t) ~time:(Engine.now t.engine)
     ~status:(Span.Error reason) sw.sw_span;
   for j = 0 to t.universe - 1 do
-    Engine.send engine ~src:sw.coordinator ~dst:j
+    Engine.send t.engine ~src:sw.coordinator ~dst:j
       (Announce { epoch = t.epoch })
   done
 
 let commit_switch t sw =
-  let engine = engine_exn t in
   t.configs <- sw.next_system :: t.configs;
   t.epoch <- sw.next_epoch;
   t.epoch_switches <- t.epoch_switches + 1;
   t.switch <- None;
-  Span.finish (spans_exn t) ~time:(Engine.now engine) sw.sw_span;
+  Span.finish (spans t) ~time:(Engine.now t.engine) sw.sw_span;
   for j = 0 to t.universe - 1 do
-    Engine.send engine ~src:sw.coordinator ~dst:j
+    Engine.send t.engine ~src:sw.coordinator ~dst:j
       (Announce { epoch = sw.next_epoch })
   done
 
@@ -484,21 +380,20 @@ let phase_retries = 5
    to every new member and commits as soon as the acked set contains a
    full new-system quorum, so individual stragglers never stall it. *)
 let begin_switch_install t sw =
-  let engine = engine_exn t in
   sw.installing <- true;
   sw.sw_retries <- phase_retries;
   let version, value = sw.seal_best in
   for j = 0 to sw.next_system.System.n - 1 do
-    Engine.send engine ~src:sw.coordinator ~dst:j
+    Engine.send t.engine ~src:sw.coordinator ~dst:j
       (Install_req { gen = sw.gen; epoch = sw.next_epoch; version; value })
   done
 
-let resend_unacked t engine sw =
+let resend_unacked t sw =
   if sw.installing then begin
     let version, value = sw.seal_best in
     for j = 0 to sw.next_system.System.n - 1 do
       if not (Bitset.mem sw.install_acked j) then
-        Engine.send engine ~src:sw.coordinator ~dst:j
+        Engine.send t.engine ~src:sw.coordinator ~dst:j
           (Install_req
              { gen = sw.gen; epoch = sw.next_epoch; version; value })
     done
@@ -507,7 +402,7 @@ let resend_unacked t engine sw =
     let old_system = config_of_epoch t t.epoch in
     for j = 0 to old_system.System.n - 1 do
       if not (Bitset.mem sw.seal_acked j) then
-        Engine.send engine ~src:sw.coordinator ~dst:j
+        Engine.send t.engine ~src:sw.coordinator ~dst:j
           (Seal_req { gen = sw.gen; epoch = t.epoch })
     done
 
@@ -515,9 +410,9 @@ let resend_unacked t engine sw =
    already gathered, would the seal still lack a structural quorum?
    If so, waiting the budget out cannot help (only a recovery could),
    and a timed switch may fall back to temporal overlap right away. *)
-let quorum_unreachable t engine sw =
+let quorum_unreachable t sw =
   let old_system = config_of_epoch t t.epoch in
-  let live = live_view t engine ~node:sw.coordinator in
+  let live = live_view t ~node:sw.coordinator in
   let reachable = Bitset.copy sw.seal_acked in
   for j = 0 to old_system.System.n - 1 do
     if Bitset.mem live j then Bitset.add reachable j
@@ -537,30 +432,29 @@ let quorum_unreachable t engine sw =
 let switch_tick t ~node =
   match t.switch with
   | Some sw when sw.coordinator = node ->
-      let engine = engine_exn t in
       if sw.timed && sw.draining then
         (* The drain deadline drives the next step; stay armed. *)
-        arm_switch_timer t engine ~coordinator:node
+        arm_switch_timer t ~coordinator:node
       else if
         sw.sw_retries = 0
-        || (sw.timed && (not sw.installing) && quorum_unreachable t engine sw)
+        || (sw.timed && (not sw.installing) && quorum_unreachable t sw)
       then
         if sw.timed && (not sw.installing) && sw.seal_acks > 0 then begin
           begin_switch_install t sw;
-          arm_switch_timer t engine ~coordinator:node
+          arm_switch_timer t ~coordinator:node
         end
-        else if sw.sw_retries = 0 then abandon_switch t engine sw
+        else if sw.sw_retries = 0 then abandon_switch t sw
         else begin
           (* Timed, no reports yet, old quorums unreachable: keep
              re-asking — a recovery may still bring a reporter back. *)
           sw.sw_retries <- sw.sw_retries - 1;
-          resend_unacked t engine sw;
-          arm_switch_timer t engine ~coordinator:node
+          resend_unacked t sw;
+          arm_switch_timer t ~coordinator:node
         end
       else begin
         sw.sw_retries <- sw.sw_retries - 1;
-        resend_unacked t engine sw;
-        arm_switch_timer t engine ~coordinator:node
+        resend_unacked t sw;
+        arm_switch_timer t ~coordinator:node
       end
   | Some _ | None -> ()
 
@@ -582,12 +476,11 @@ let renew_tick t ~node =
   match t.lease with
   | None -> ()
   | Some d ->
-      let engine = engine_exn t in
       let r = t.replicas.(node) in
       (match t.switch with
       | Some _ -> ()  (* withheld: let the lease drain *)
-      | None -> r.lease_until <- Engine.now engine +. d);
-      Engine.set_timer engine ~background:true ~node ~delay:(d /. 3.0)
+      | None -> r.lease_until <- Engine.now t.engine +. d);
+      Engine.set_timer t.engine ~background:true ~node ~delay:(d /. 3.0)
         ~tag:renew_tag
 
 let unseal_tick t ~node =
@@ -595,15 +488,15 @@ let unseal_tick t ~node =
   if r.sealed then
     match t.switch with
     | Some sw when sw.next_epoch = r.r_epoch + 1 ->
-        arm_unseal_timer t (engine_exn t) ~node
+        arm_unseal_timer t ~node
     | Some _ | None ->
         r.sealed <- false;
         ignore (persist t ~node)
 
-let seal_all t engine sw =
+let seal_all t sw =
   let old_system = config_of_epoch t t.epoch in
   for j = 0 to old_system.System.n - 1 do
-    Engine.send engine ~src:sw.coordinator ~dst:j
+    Engine.send t.engine ~src:sw.coordinator ~dst:j
       (Seal_req { gen = sw.gen; epoch = t.epoch })
   done
 
@@ -623,12 +516,11 @@ let drain_deadline t sw =
   | Some sw' when sw' == sw && not sw.installing ->
       sw.draining <- false;
       sw.sw_retries <- phase_retries;
-      seal_all t (engine_exn t) sw
+      seal_all t sw
   | Some _ | None -> ()
 
 let launch_switch t ~coordinator ~next_system ~timed =
-  let engine = engine_exn t in
-  let now = Engine.now engine in
+  let now = Engine.now t.engine in
   t.switch_gen <- t.switch_gen + 1;
   let sw =
     {
@@ -645,7 +537,7 @@ let launch_switch t ~coordinator ~next_system ~timed =
       draining = timed;
       sw_retries = phase_retries;
       sw_span =
-        Span.start (spans_exn t) ~time:now ~node:coordinator
+        Span.start (spans t) ~time:now ~node:coordinator
           "reconfig.switch";
     }
   in
@@ -655,11 +547,11 @@ let launch_switch t ~coordinator ~next_system ~timed =
        leases expire (renewals are withheld from now on). *)
     match t.lease with
     | Some d ->
-        Engine.schedule engine ~time:(now +. d +. t.skew) (fun () ->
+        Engine.schedule t.engine ~time:(now +. d +. skew) (fun () ->
             drain_deadline t sw)
     | None -> assert false)
-  else seal_all t engine sw;
-  arm_switch_timer t engine ~coordinator
+  else seal_all t sw;
+  arm_switch_timer t ~coordinator
 
 let reconfigure t ~coordinator next_system =
   if next_system.System.n > t.universe then
@@ -727,7 +619,7 @@ let handlers t : msg Engine.handlers =
               | Some (version, value) ->
                   if version > fst r.state then r.state <- (version, value);
                   let version, value = r.state in
-                  reply_after_fsync t engine ~node ~dst:src
+                  reply_after_fsync t ~node ~dst:src
                     (Op_rep { op; version; value })
               | None ->
                   let version, value = r.state in
@@ -755,7 +647,7 @@ let handlers t : msg Engine.handlers =
                         Hashtbl.remove t.ops op.id;
                         t.writes_ok <- t.writes_ok + 1;
                         let now = Engine.now engine in
-                        Span.finish (spans_exn t) ~time:now op.span;
+                        Span.finish (spans t) ~time:now op.span;
                         record_hop t op ~now ~is_write:true op.write_version;
                         t.committed <- (now, op.write_version) :: t.committed
                 end)
@@ -781,9 +673,9 @@ let handlers t : msg Engine.handlers =
               r.r_epoch <- epoch;
               r.sealed <- true;
               let version, value = r.state in
-              reply_after_fsync t engine ~node ~dst:src
+              reply_after_fsync t ~node ~dst:src
                 (Seal_ack { gen; epoch; version; value });
-              arm_unseal_timer t engine ~node
+              arm_unseal_timer t ~node
             end
         | Seal_ack { gen; epoch = _; version; value } ->
             (* Acks name the round that asked for them: a dead
@@ -801,7 +693,7 @@ let handlers t : msg Engine.handlers =
                again. *)
             let r = t.replicas.(node) in
             if version > fst r.state then r.state <- (version, value);
-            reply_after_fsync t engine ~node ~dst:src (Install_ack { gen })
+            reply_after_fsync t ~node ~dst:src (Install_ack { gen })
         | Install_ack { gen } ->
             (match t.switch with
             | Some sw when sw.gen = gen -> on_install_ack t sw ~src
@@ -844,19 +736,19 @@ let handlers t : msg Engine.handlers =
           | Some op ->
               Hashtbl.remove t.ops op.id;
               t.failed <- t.failed + 1;
-              Span.finish (spans_exn t) ~time:(Engine.now engine)
+              Span.finish (spans t) ~time:(Engine.now engine)
                 ~status:(Span.Error "timeout") op.span
           | None -> ());
     on_crash =
       (fun engine ~node ->
-        Durable.crash (dur_exn t) ~node ~now:(Engine.now engine);
+        Durable.crash t.dur ~node ~now:(Engine.now engine);
         (* A crashed coordinator takes its switch down with it; sealed
            replicas self-heal through their unseal tick. *)
         (match t.switch with
         | Some sw when sw.coordinator = node ->
             t.switch <- None;
             t.refused_switches <- t.refused_switches + 1;
-            Span.finish (spans_exn t)
+            Span.finish (spans t)
               ~time:(Engine.now engine)
               ~status:(Span.Error "crash") sw.sw_span
         | Some _ | None -> ());
@@ -870,7 +762,7 @@ let handlers t : msg Engine.handlers =
             Hashtbl.remove t.ops op.id;
             t.failed <- t.failed + 1;
             t.crash_kills <- t.crash_kills + 1;
-            Span.finish (spans_exn t)
+            Span.finish (spans t)
               ~time:(Engine.now engine)
               ~status:(Span.Error "crash") op.span)
           doomed);
@@ -884,7 +776,7 @@ let handlers t : msg Engine.handlers =
              from peers over the announce path. *)
           let r = t.replicas.(node) in
           let now = Engine.now engine in
-          (match Durable.durable_value (cell_exn t) ~node ~now with
+          (match Durable.durable_value t.cell ~node ~now with
           | Some (epoch, sealed, state) ->
               r.r_epoch <- epoch;
               r.sealed <- sealed;
@@ -911,7 +803,7 @@ let handlers t : msg Engine.handlers =
            The recovered node's lease restarts expired — it refuses
            service until the next renewal grant, which is withheld
            while any switch is in flight. *)
-        if t.replicas.(node).sealed then arm_unseal_timer t engine ~node;
+        if t.replicas.(node).sealed then arm_unseal_timer t ~node;
         match t.lease with
         | Some d ->
             t.replicas.(node).lease_until <- Engine.now engine;
@@ -919,3 +811,83 @@ let handlers t : msg Engine.handlers =
               ~tag:renew_tag
         | None -> ());
   }
+
+let of_config engine ?(config = Client_config.default) ?(with_fd = false)
+    ?lease ?switch_retry ~initial () =
+  (* [durability] and [timeout] of the record always apply; [fd] only
+     when [with_fd] opts into the failure-detector layer (off by
+     default: no heartbeats, omniscient selection — bit-identical to
+     the historical register). *)
+  let universe = Engine.nodes engine in
+  let timeout = config.Client_config.timeout in
+  if initial.System.n > universe then
+    invalid_arg "Reconfig.of_config: configuration exceeds universe";
+  let switch_retry = Option.value switch_retry ~default:timeout in
+  if switch_retry <= 0.0 then invalid_arg "Reconfig.of_config: switch_retry";
+  (match lease with
+  | Some d when d <= 0.0 -> invalid_arg "Reconfig.of_config: lease"
+  | _ -> ());
+  let dur =
+    Durable.create ~obs:(Engine.obs engine) ~nodes:universe
+      config.Client_config.durability
+  in
+  let cell = Durable.cell dur ~name:"reconfig.replica" in
+  let fd =
+    if with_fd then
+      Some
+        (Failure_detector.create engine
+           ~period:config.Client_config.fd.Client_config.period
+           ~timeout:config.Client_config.fd.Client_config.timeout
+           ~mode:(Client_config.fd_mode config) ())
+    else None
+  in
+  let t =
+    {
+      engine;
+      universe;
+      timeout;
+      switch_retry;
+      lease;
+      dur;
+      cell;
+      fd;
+      configs = [ initial ];
+      epoch = 0;
+      replicas =
+        Array.init universe (fun _ ->
+            {
+              r_epoch = 0;
+              sealed = false;
+              state = (0, 0);
+              (* The first lease window opens at t = 0. *)
+              lease_until =
+                (match lease with Some d -> d | None -> infinity);
+            });
+      ops = Hashtbl.create 32;
+      next_op = 0;
+      switch = None;
+      switch_gen = 0;
+      epoch_switches = 0;
+      refused_switches = 0;
+      lease_refusals = 0;
+      reads_ok = 0;
+      writes_ok = 0;
+      retries = 0;
+      failed = 0;
+      crash_kills = 0;
+      stale_reads = 0;
+      committed = [];
+      history = [];
+    }
+  in
+  (* Timed mode: every replica renews its own lease on a background
+     tick, well before expiry. *)
+  (match lease with
+  | Some d ->
+      for node = 0 to universe - 1 do
+        Engine.set_timer engine ~background:true ~node ~delay:(d /. 3.0)
+          ~tag:renew_tag
+      done
+  | None -> ());
+  Engine.set_handlers engine (handlers t);
+  t

@@ -55,15 +55,15 @@
     from the moment the switch launches, while members keep serving
     the old epoch until their individual leases expire — the switch
     drains the old configuration instead of sealing it.  After
-    [lease + skew] every lease granted before the switch started has
-    expired — no old-epoch quorum can still commit — and only then
-    are the old members asked to seal and report, so each report
-    reflects its member's final state including writes committed
-    during the drain.  The install fires once a structural quorum of
-    reports is in (freshness then guaranteed by intersection), or
-    best-effort when the retry budget runs out with at least one
-    report; a drain that gathered {e no} reports aborts instead of
-    installing blind (conservative refusal on clock-budget
+    [lease] plus a clock-skew margin of 0.5 every lease granted before
+    the switch started has expired — no old-epoch quorum can still
+    commit — and only then are the old members asked to seal and
+    report, so each report reflects its member's final state including
+    writes committed during the drain.  The install fires once a
+    structural quorum of reports is in (freshness then guaranteed by
+    intersection), or best-effort when the retry budget runs out with
+    at least one report; a drain that gathered {e no} reports aborts
+    instead of installing blind (conservative refusal on clock-budget
     exhaustion).
 
     {b Safety caveat}: timed overlap is {e temporal}, not structural.
@@ -85,19 +85,19 @@ type t
 type msg
 
 val of_config :
+  msg Sim.Engine.t ->
   ?config:Client_config.t ->
   ?with_fd:bool ->
   ?lease:float ->
-  ?skew:float ->
   ?switch_retry:float ->
   initial:Quorum.System.t ->
-  universe:int ->
   unit ->
   t
-(** The constructor.  Of the {!Client_config.t} record (default
+(** The register on [engine]; it installs its handlers there.  Of the
+    {!Client_config.t} record (default
     {!Client_config.default}) [durability] and [timeout] always apply
     and [fd] only with [with_fd] (below); the register has no rpc
-    layer of its own and ignores [rpc], [retries] and [routing].
+    layer of its own and ignores [retries] and [routing].
 
     [with_fd] (default [false]) attaches a {!Sim.Failure_detector}:
     every process heartbeats every other, and quorum selection and the
@@ -106,8 +106,8 @@ val of_config :
     Off, no heartbeats exist and the register is bit-identical to the
     historical omniscient one.
 
-    [universe] is the engine size and must accommodate every future
-    configuration ([initial.n <= universe]); processes beyond the
+    The engine's node count is the universe, which must accommodate
+    every configuration, [initial] included; processes beyond the
     current configuration's [n] are spares.  [durability] (default
     {!Sim.Durable.instant}) configures the replicas' durable store;
     a non-zero fsync latency delays write / seal / install acks.
@@ -115,8 +115,7 @@ val of_config :
     [lease] switches the register into timed-quorum mode (see above):
     replicas serve only under a validity window of [lease] time units
     and reconfigurations drain leases instead of sealing a structural
-    quorum.  [skew] (default 0.5) is the clock-uncertainty margin
-    added to the drain; both must be positive.
+    quorum; it must be positive.
 
     [switch_retry] (default [timeout]) is the coordinator's retry-tick
     interval: each tick re-sends the current phase's request to the
@@ -124,9 +123,6 @@ val of_config :
     phase), so a participant dying mid-switch is routed around instead
     of stalling the switch.  Smaller values make switches converge
     faster under churn at the cost of extra maintenance traffic. *)
-
-val handlers : t -> msg Sim.Engine.handlers
-val bind : t -> msg Sim.Engine.t -> unit
 
 val read : t -> client:int -> unit
 val write : t -> client:int -> value:int -> unit

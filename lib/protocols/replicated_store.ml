@@ -148,11 +148,10 @@ type t = {
   timeout : float;
   retries : int;
   routing : Client_config.routing;
-  durability : Durable.config;
-  rpc : (app, msg) Rpc.t;
+  engine : msg Engine.t;
+  rpc : app Rpc.t;
   fd : msg Failure_detector.t;
-  mutable engine : msg Engine.t option;
-  mutable dur : (int * int * int) Durable.t option;
+  dur : (int * int * int) Durable.t;
       (** write-ahead log of installed (key, version, value) records *)
   ops : (int, op) Hashtbl.t;
   mutable next_op : int;
@@ -190,84 +189,8 @@ type t = {
   committed : (int, (float * int) list) Hashtbl.t;
   mutable history : Obs.Trace_analysis.hop list;
       (** completed client ops, newest first — auditor input *)
-  mutable ins : instruments option;
+  ins : instruments;
 }
-
-let of_config ?(config = Client_config.default) ?router
-    ?(service = no_service) ~read_system ~write_system () =
-  let n = read_system.Quorum.System.n in
-  if write_system.Quorum.System.n <> n then
-    invalid_arg "Replicated_store.of_config: universe mismatch";
-  (match router with
-  | Some r when Shard_router.universe r <> n ->
-      invalid_arg "Replicated_store.of_config: router universe mismatch"
-  | Some _ | None -> ());
-  {
-    read_system;
-    write_system;
-    router;
-    serv = service;
-    timeout = config.Client_config.timeout;
-    retries = config.Client_config.retries;
-    routing = config.Client_config.routing;
-    durability = config.Client_config.durability;
-    rpc =
-      Rpc.create ~timeout:config.Client_config.rpc.Client_config.timeout
-        ~backoff:config.Client_config.rpc.Client_config.backoff
-        ~max_attempts:config.Client_config.rpc.Client_config.attempts
-        ~wrap:Fun.id
-        ();
-    fd =
-      Failure_detector.create
-        ~period:config.Client_config.fd.Client_config.period
-        ~timeout:config.Client_config.fd.Client_config.timeout
-        ~mode:(Client_config.fd_mode config) ~nodes:n ();
-    engine = None;
-    dur = None;
-    ops = Hashtbl.create 64;
-    next_op = 0;
-    next_session = 0;
-    replicas = Array.init n (fun _ -> Hashtbl.create 16);
-    rejoining = Array.make n false;
-    busy_until = Array.make n 0.0;
-    syncs = Array.make n None;
-    next_sync = 0;
-    reads_ok = 0;
-    writes_ok = 0;
-    unavailable = 0;
-    timeouts = 0;
-    retried = 0;
-    stale_reads = 0;
-    rejoins = 0;
-    refusals = 0;
-    batches = 0;
-    batched_ops = 0;
-    shed = 0;
-    hedges = 0;
-    degraded_writes = 0;
-    degraded = false;
-    lat_ring = Array.init n (fun _ -> Array.make 32 0.0);
-    lat_len = Array.make n 0;
-    lat_pos = Array.make n 0;
-    committed = Hashtbl.create 16;
-    history = [];
-    ins = None;
-  }
-
-let engine_exn t =
-  match t.engine with
-  | Some e -> e
-  | None -> invalid_arg "Replicated_store: bind the engine first"
-
-let ins_exn t =
-  match t.ins with
-  | Some i -> i
-  | None -> invalid_arg "Replicated_store: bind the engine first"
-
-let dur_exn t =
-  match t.dur with
-  | Some d -> d
-  | None -> invalid_arg "Replicated_store: bind the engine first"
 
 let reads_ok t = t.reads_ok
 let writes_ok t = t.writes_ok
@@ -288,12 +211,12 @@ let fd_stats t ~node = Failure_detector.stats t.fd ~node
 
 let replica_value t ~node ~key = Hashtbl.find_opt t.replicas.(node) key
 
-let log_length t ~node = Durable.log_length (dur_exn t) ~node
+let log_length t ~node = Durable.log_length t.dur ~node
 let dead_letters t = Rpc.dead_letters t.rpc
 let retransmissions t = Rpc.retransmissions t.rpc
-let op_latency t = (ins_exn t).st_latency
+let op_latency t = t.ins.st_latency
 let history t = List.rev t.history
-let spans_exn t = Obs.spans (Engine.obs (engine_exn t))
+let spans t = Obs.spans (Engine.obs t.engine)
 
 (* Per-key quorum systems: the router's subquorums when sharded, the
    globals otherwise. *)
@@ -311,7 +234,7 @@ let universe t = t.read_system.Quorum.System.n
 
 let mark_unavailable t =
   t.unavailable <- t.unavailable + 1;
-  Metrics.incr (ins_exn t).st_unavailable
+  Metrics.incr t.ins.st_unavailable
 
 let rsend t ~src ~dst m = Rpc.send t.rpc ~src ~dst m
 
@@ -367,7 +290,7 @@ let hedge_delay t waiting =
 let set_degraded t flag =
   if flag <> t.degraded then begin
     t.degraded <- flag;
-    Metrics.set (ins_exn t).st_degraded (if flag then 1.0 else 0.0)
+    Metrics.set t.ins.st_degraded (if flag then 1.0 else 0.0)
   end
 
 (* Arm one hedge check for the op's current attempt.  Only on the
@@ -377,9 +300,8 @@ let set_degraded t flag =
 let arm_hedge t (op : op) waiting =
   if t.routing.hedge && op.sess.batcher = None && not (Bitset.is_empty waiting)
   then begin
-    let engine = engine_exn t in
     op.hedge_armed <- op.deadline;
-    Engine.set_timer engine ~node:op.client ~delay:(hedge_delay t waiting)
+    Engine.set_timer t.engine ~node:op.client ~delay:(hedge_delay t waiting)
       ~tag:(hedge_offset + op.id)
   end
 
@@ -399,8 +321,8 @@ let committed_version_before t key time =
    view, not the omniscient live-set — and (re)enter the version
    phase. *)
 let rec launch_attempt t (op : op) =
-  let engine = engine_exn t in
-  let sp = spans_exn t in
+  let engine = t.engine in
+  let sp = spans t in
   let now = Engine.now engine in
   (* A relaunch supersedes the previous attempt's span. *)
   if op.attempt_span >= 0 then
@@ -421,7 +343,7 @@ let rec launch_attempt t (op : op) =
   in
   if degraded_refusal then begin
     t.degraded_writes <- t.degraded_writes + 1;
-    Metrics.incr (ins_exn t).st_degraded_writes;
+    Metrics.incr t.ins.st_degraded_writes;
     Hashtbl.remove t.ops op.id;
     Span.finish sp ~time:now ~status:(Span.Error "degraded") op.span;
     mark_unavailable t;
@@ -462,9 +384,8 @@ let rec launch_attempt t (op : op) =
 (* One client operation through a session: identical to the historical
    per-op path, plus session bookkeeping on completion. *)
 and start_session_op t s ?notify ~key kind =
-  let engine = engine_exn t in
   let client = s.ses_client in
-  if not (Engine.is_live engine client) then begin
+  if not (Engine.is_live t.engine client) then begin
     (* A dead client cannot submit: counted with the refused ops. *)
     mark_unavailable t;
     s.in_flight <- s.in_flight - 1;
@@ -482,7 +403,7 @@ and start_session_op t s ?notify ~key kind =
         client;
         key;
         kind;
-        started = Engine.now engine;
+        started = Engine.now t.engine;
         phase =
           Reading
             {
@@ -504,7 +425,7 @@ and start_session_op t s ?notify ~key kind =
       }
     in
     op.span <-
-      Span.start (spans_exn t) ~time:op.started ~node:client
+      Span.start (spans t) ~time:op.started ~node:client
         (match kind with
         | Read_op -> "store.read"
         | Write_op _ -> "store.write");
@@ -557,10 +478,9 @@ and session_pump t s =
 and finish t op outcome =
   op.done_ <- true;
   Hashtbl.remove t.ops op.id;
-  let engine = engine_exn t in
-  let ins = ins_exn t in
-  let now = Engine.now engine in
-  let sp = spans_exn t in
+  let ins = t.ins in
+  let now = Engine.now t.engine in
+  let sp = spans t in
   let close status =
     if op.attempt_span >= 0 then
       Span.finish sp ~time:now ~status op.attempt_span;
@@ -613,11 +533,10 @@ and finish t op outcome =
 (* The current attempt cannot complete (timeout or a dead-lettered
    request): retry on a fresh quorum or give up. *)
 and attempt_failed t (op : op) =
-  let engine = engine_exn t in
-  if op.retries_left > 0 && Engine.is_live engine op.client then begin
+  if op.retries_left > 0 && Engine.is_live t.engine op.client then begin
     op.retries_left <- op.retries_left - 1;
     t.retried <- t.retried + 1;
-    Metrics.incr (ins_exn t).st_retries;
+    Metrics.incr t.ins.st_retries;
     launch_attempt t op
   end
   else finish t op `Timeout
@@ -630,7 +549,7 @@ module Session = struct
 
   let create (t : store) ~client ?(window = 1) ?(batch_size = 1)
       ?(batch_delay = 0.0) ?(max_queue = max_int) () =
-    let engine = engine_exn t in
+    let engine = t.engine in
     let n = Engine.nodes engine in
     if client < 0 || client >= n then
       invalid_arg "Session.create: client out of range";
@@ -640,7 +559,7 @@ module Session = struct
     if max_queue < 0 then invalid_arg "Session.create: max_queue";
     let id = t.next_session in
     t.next_session <- id + 1;
-    let ins = ins_exn t in
+    let ins = t.ins in
     Metrics.incr ins.st_sessions;
     let batcher =
       if batch_size <= 1 then None
@@ -771,7 +690,7 @@ let on_version_rep t engine ~node op_id ~version ~value =
                    with
                   | None ->
                       Hashtbl.remove t.ops op.id;
-                      let sp = spans_exn t in
+                      let sp = spans t in
                       let now = Engine.now engine in
                       if op.attempt_span >= 0 then
                         Span.finish sp ~time:now
@@ -811,7 +730,7 @@ let on_write_ack t op_id ~node =
           if Bitset.mem w.targets node && not (Bitset.mem w.acked node)
           then begin
             record_latency t ~peer:node
-              (Engine.now (engine_exn t) -. op.last_send);
+              (Engine.now t.engine -. op.last_send);
             Bitset.add w.acked node;
             if Bitset.mem w.waiting_for node then
               Bitset.remove w.waiting_for node;
@@ -868,7 +787,7 @@ let on_hedge t op_id =
                 from := b + 1;
                 Bitset.add targets b;
                 t.hedges <- t.hedges + 1;
-                Metrics.incr (ins_exn t).st_hedges;
+                Metrics.incr t.ins.st_hedges;
                 rsend t ~src:op.client ~dst:b (payload ()))
           waiting
       end
@@ -900,7 +819,7 @@ let rejoin_read_system t ~node =
    is what re-establishes freshness before the replica can again count
    toward quorum intersection. *)
 let rec start_rejoin t ~node =
-  let engine = engine_exn t in
+  let engine = t.engine in
   t.rejoining.(node) <- true;
   match rejoin_read_system t ~node with
   | None ->
@@ -945,10 +864,10 @@ let on_sync_rep t ~node ~src ~sync entries =
         t.syncs.(node) <- None;
         t.rejoining.(node) <- false;
         t.rejoins <- t.rejoins + 1;
-        Metrics.incr (ins_exn t).st_rejoins;
+        Metrics.incr t.ins.st_rejoins;
         Obs.Trace.record
-          (Obs.trace (Engine.obs (engine_exn t)))
-          ~time:(Engine.now (engine_exn t))
+          (Obs.trace (Engine.obs t.engine))
+          ~time:(Engine.now t.engine)
           ~node ~label:"store.rejoin" Obs.Trace.Note
       end
   | Some _ | None -> ()
@@ -967,7 +886,7 @@ let on_recovering t ~node ~src op_id =
       in
       ignore node;
       if relevant then begin
-        let engine = engine_exn t in
+        let engine = t.engine in
         let attempt = op.deadline in
         Engine.schedule engine
           ~time:(Engine.now engine +. 1.0)
@@ -1005,7 +924,7 @@ let rec on_dead_letter t ~src ~dst payload =
       match t.syncs.(src) with
       | Some s when s.sync_id = sync && Bitset.mem s.sync_waiting dst ->
           t.syncs.(src) <- None;
-          if Engine.is_live (engine_exn t) src then start_rejoin t ~node:src
+          if Engine.is_live t.engine src then start_rejoin t ~node:src
       | Some _ | None -> ())
   | Version_rep _ | Write_ack _ | Recovering _ | Sync_rep _ | Batch_rep _ ->
       (* A reply we could not push back: the client's own timeout and
@@ -1013,88 +932,9 @@ let rec on_dead_letter t ~src ~dst payload =
          rejoin until its own dead letter fires). *)
       ()
 
-let bind t engine =
-  if Engine.nodes engine <> t.read_system.Quorum.System.n then
-    invalid_arg "Replicated_store.bind: engine size mismatch";
-  t.engine <- Some engine;
-  let m = Obs.metrics (Engine.obs engine) in
-  let latency =
-    Metrics.histogram m
-      ~help:"operation latency (simulated time), by op=read|write"
-      "store.op_latency"
-  in
-  t.ins <-
-    Some
-      {
-        st_reads_ok = Metrics.counter m ~help:"completed reads" "store.reads_ok";
-        st_writes_ok =
-          Metrics.counter m ~help:"completed writes" "store.writes_ok";
-        st_unavailable =
-          Metrics.counter m ~help:"operations refused for lack of a quorum"
-            "store.unavailable";
-        st_timeouts =
-          Metrics.counter m ~help:"operations failed after all retries"
-            "store.timeouts";
-        st_retries =
-          Metrics.counter m ~help:"attempts re-launched on a fresh quorum"
-            "store.retries";
-        st_stale =
-          Metrics.counter m ~help:"reads older than a prior committed write"
-            "store.stale_reads";
-        st_rejoins =
-          Metrics.counter m ~help:"completed amnesiac re-join syncs"
-            "store.rejoins";
-        st_refusals =
-          Metrics.counter m
-            ~help:"requests nacked by a replica still re-joining"
-            "store.rejoin_refusals";
-        st_latency = latency;
-        st_read_latency = Metrics.Handle.histogram latency [ ("op", "read") ];
-        st_write_latency =
-          Metrics.Handle.histogram latency [ ("op", "write") ];
-        st_sessions =
-          Metrics.counter m ~help:"client sessions opened" "store.sessions";
-        st_submitted =
-          Metrics.counter m ~help:"ops submitted through sessions, by client"
-            "store.session_submitted";
-        st_shed =
-          Metrics.counter m
-            ~help:"submissions shed by a full session backlog, by client"
-            "store.session_shed";
-        st_batches =
-          Metrics.counter m ~help:"Batch_req envelopes sent"
-            "store.batches";
-        st_batched =
-          Metrics.counter m ~help:"requests carried inside Batch_req"
-            "store.batched_ops";
-        st_backlog_peak =
-          Metrics.gauge m
-            ~help:"high-water session backlog depth, by client"
-            "store.session_backlog_peak";
-        st_hedges =
-          Metrics.counter m ~help:"hedge requests sent to backup replicas"
-            "store.hedges";
-        st_degraded_writes =
-          Metrics.counter m
-            ~help:"writes refused fast by the degraded read-only mode"
-            "store.degraded_writes";
-        st_degraded =
-          Metrics.gauge m ~help:"1 while in degraded read-only mode"
-            "store.degraded";
-      };
-  t.dur <-
-    Some
-      (Durable.create ~obs:(Engine.obs engine)
-         ~nodes:t.read_system.Quorum.System.n t.durability);
-  Rpc.bind t.rpc engine;
-  Rpc.set_dead_letter_handler t.rpc (fun ~src ~dst payload ->
-      on_dead_letter t ~src ~dst payload);
-  Failure_detector.bind t.fd engine;
-  Failure_detector.start t.fd
-
 let refuse t ~node ~src op =
   t.refusals <- t.refusals + 1;
-  Metrics.incr (ins_exn t).st_refusals;
+  Metrics.incr t.ins.st_refusals;
   rsend t ~src:node ~dst:src (Recovering { op })
 
 (* Replica service-time model: each request (or batch) occupies the
@@ -1139,7 +979,7 @@ let process_batch t engine ~node ~src ~now reqs =
         (function
           | Version_req { op; _ } | Write_req { op; _ } ->
               t.refusals <- t.refusals + 1;
-              Metrics.incr (ins_exn t).st_refusals;
+              Metrics.incr t.ins.st_refusals;
               Some (Recovering { op })
           | _ -> None)
         reqs
@@ -1162,7 +1002,7 @@ let process_batch t engine ~node ~src ~now reqs =
     | [] -> ()
     | records ->
         let durable_at =
-          Durable.append_batch (dur_exn t) ~node ~now records
+          Durable.append_batch t.dur ~node ~now records
         in
         if durable_at <= now then instant := !acks @ !instant
         else
@@ -1192,7 +1032,7 @@ let rec dispatch_app t engine ~node ~src = function
                can never be lost to a crash.  With zero fsync latency the
                ack is synchronous, exactly the old stable-storage model. *)
             let durable_at =
-              Durable.append (dur_exn t) ~node ~now (key, version, value)
+              Durable.append t.dur ~node ~now (key, version, value)
             in
             if durable_at <= now then
               rsend t ~src:node ~dst:src (Write_ack { op })
@@ -1248,7 +1088,7 @@ let handlers t : msg Engine.handlers =
       (fun engine ~node ->
         Rpc.on_crash t.rpc ~node;
         t.busy_until.(node) <- 0.0;
-        Durable.crash (dur_exn t) ~node ~now:(Engine.now engine);
+        Durable.crash t.dur ~node ~now:(Engine.now engine);
         t.syncs.(node) <- None;
         (* A crashed client's timers are dropped by the engine, so its
            in-flight operations would leak: abort them here. *)
@@ -1268,7 +1108,7 @@ let handlers t : msg Engine.handlers =
           Hashtbl.reset t.replicas.(node);
           List.iter
             (merge_record t.replicas.(node))
-            (Durable.replay (dur_exn t) ~node ~now:(Engine.now engine));
+            (Durable.replay t.dur ~node ~now:(Engine.now engine));
           start_rejoin t ~node
         end
         else if t.rejoining.(node) then
@@ -1276,3 +1116,133 @@ let handlers t : msg Engine.handlers =
              the sync round, start a fresh one. *)
           start_rejoin t ~node);
   }
+
+let make_instruments m =
+  let latency =
+    Metrics.histogram m
+      ~help:"operation latency (simulated time), by op=read|write"
+      "store.op_latency"
+  in
+  {
+    st_reads_ok = Metrics.counter m ~help:"completed reads" "store.reads_ok";
+    st_writes_ok = Metrics.counter m ~help:"completed writes" "store.writes_ok";
+    st_unavailable =
+      Metrics.counter m ~help:"operations refused for lack of a quorum"
+        "store.unavailable";
+    st_timeouts =
+      Metrics.counter m ~help:"operations failed after all retries"
+        "store.timeouts";
+    st_retries =
+      Metrics.counter m ~help:"attempts re-launched on a fresh quorum"
+        "store.retries";
+    st_stale =
+      Metrics.counter m ~help:"reads older than a prior committed write"
+        "store.stale_reads";
+    st_rejoins =
+      Metrics.counter m ~help:"completed amnesiac re-join syncs"
+        "store.rejoins";
+    st_refusals =
+      Metrics.counter m
+        ~help:"requests nacked by a replica still re-joining"
+        "store.rejoin_refusals";
+    st_latency = latency;
+    st_read_latency = Metrics.Handle.histogram latency [ ("op", "read") ];
+    st_write_latency = Metrics.Handle.histogram latency [ ("op", "write") ];
+    st_sessions =
+      Metrics.counter m ~help:"client sessions opened" "store.sessions";
+    st_submitted =
+      Metrics.counter m ~help:"ops submitted through sessions, by client"
+        "store.session_submitted";
+    st_shed =
+      Metrics.counter m
+        ~help:"submissions shed by a full session backlog, by client"
+        "store.session_shed";
+    st_batches =
+      Metrics.counter m ~help:"Batch_req envelopes sent" "store.batches";
+    st_batched =
+      Metrics.counter m ~help:"requests carried inside Batch_req"
+        "store.batched_ops";
+    st_backlog_peak =
+      Metrics.gauge m
+        ~help:"high-water session backlog depth, by client"
+        "store.session_backlog_peak";
+    st_hedges =
+      Metrics.counter m ~help:"hedge requests sent to backup replicas"
+        "store.hedges";
+    st_degraded_writes =
+      Metrics.counter m
+        ~help:"writes refused fast by the degraded read-only mode"
+        "store.degraded_writes";
+    st_degraded =
+      Metrics.gauge m ~help:"1 while in degraded read-only mode"
+        "store.degraded";
+  }
+
+let of_config engine ?(config = Client_config.default) ?router
+    ?(service = no_service) ~read_system ~write_system () =
+  let n = read_system.Quorum.System.n in
+  if write_system.Quorum.System.n <> n then
+    invalid_arg "Replicated_store.of_config: universe mismatch";
+  (match router with
+  | Some r when Shard_router.universe r <> n ->
+      invalid_arg "Replicated_store.of_config: router universe mismatch"
+  | Some _ | None -> ());
+  if Engine.nodes engine <> n then
+    invalid_arg "Replicated_store.of_config: engine size mismatch";
+  let obs = Engine.obs engine in
+  let ins = make_instruments (Obs.metrics obs) in
+  let dur = Durable.create ~obs ~nodes:n config.Client_config.durability in
+  let rpc = Rpc.create engine ~timeout:Client_config.rpc_timeout () in
+  let fd =
+    Failure_detector.create engine
+      ~period:config.Client_config.fd.Client_config.period
+      ~timeout:config.Client_config.fd.Client_config.timeout
+      ~mode:(Client_config.fd_mode config) ()
+  in
+  let t =
+    {
+      read_system;
+      write_system;
+      router;
+      serv = service;
+      timeout = config.Client_config.timeout;
+      retries = config.Client_config.retries;
+      routing = config.Client_config.routing;
+      engine;
+      rpc;
+      fd;
+      dur;
+      ops = Hashtbl.create 64;
+      next_op = 0;
+      next_session = 0;
+      replicas = Array.init n (fun _ -> Hashtbl.create 16);
+      rejoining = Array.make n false;
+      busy_until = Array.make n 0.0;
+      syncs = Array.make n None;
+      next_sync = 0;
+      reads_ok = 0;
+      writes_ok = 0;
+      unavailable = 0;
+      timeouts = 0;
+      retried = 0;
+      stale_reads = 0;
+      rejoins = 0;
+      refusals = 0;
+      batches = 0;
+      batched_ops = 0;
+      shed = 0;
+      hedges = 0;
+      degraded_writes = 0;
+      degraded = false;
+      lat_ring = Array.init n (fun _ -> Array.make 32 0.0);
+      lat_len = Array.make n 0;
+      lat_pos = Array.make n 0;
+      committed = Hashtbl.create 16;
+      history = [];
+      ins;
+    }
+  in
+  Rpc.set_dead_letter_handler rpc (fun ~src ~dst payload ->
+      on_dead_letter t ~src ~dst payload);
+  Engine.set_handlers engine (handlers t);
+  t

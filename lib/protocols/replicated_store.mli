@@ -88,6 +88,7 @@ val service : ?per_req:float -> ?per_batch:float -> unit -> service
 (** Raises [Invalid_argument] on negative costs. *)
 
 val of_config :
+  msg Sim.Engine.t ->
   ?config:Client_config.t ->
   ?router:Shard_router.t ->
   ?service:service ->
@@ -95,31 +96,30 @@ val of_config :
   write_system:Quorum.System.t ->
   unit ->
   t
-(** The primary constructor: all client-side tunables live in the
-    {!Client_config.t} record (default {!Client_config.default}; every
-    field is honoured — [timeout] is the per-attempt lifetime,
-    [retries] the quorum re-selections after a timeout).  Both systems
-    must span the same universe; a [router]'s universe must match
-    (its shard systems then drive every per-key quorum selection).
+(** The store on [engine], which must have one node per process of
+    the universe.  It installs its handlers on the engine, and its
+    failure detector starts heartbeating.  All client-side tunables
+    live in the {!Client_config.t} record (default
+    {!Client_config.default}; every field is honoured — [timeout] is
+    the per-attempt lifetime, [retries] the quorum re-selections after
+    a timeout).  Both systems must span the same universe; a
+    [router]'s universe must match (its shard systems then drive every
+    per-key quorum selection).
 
-    [config.retries] interacts with the rpc backoff: a single attempt
-    already survives transient loss via retransmission (up to
-    [rpc.attempts] sends spaced by [rpc.timeout] growing with
-    [rpc.backoff] — see {!Sim.Rpc.create}), so attempt-level retries
-    only matter when a quorum {e member} is down or cut off and a
-    different quorum must be chosen.  Keep [config.timeout]
-    comfortably above [config.rpc.timeout] so the rpc layer gets a
-    chance to push a message through before the whole attempt is
-    abandoned. *)
+    [config.retries] interacts with the rpc layer: a single attempt
+    already survives transient loss via retransmission.  Up to 6 sends
+    go out: the first retransmit follows after
+    {!Client_config.rpc_timeout} stretched by up to 30 % jitter, and
+    each later delay is a decorrelated draw in
+    [\[rpc_timeout, 3 * previous\]], capped at [32 * rpc_timeout] (see
+    {!Sim.Rpc.create}).  So attempt-level retries only matter when a
+    quorum {e member} is down or cut off and a different quorum must
+    be chosen.  Keep [config.timeout] comfortably above the rpc
+    timeout so the rpc layer gets a chance to push a message through
+    before the whole attempt is abandoned. *)
 
 val retried : t -> int
 (** Attempts that failed (timeout or dead-letter) and were retried. *)
-
-val handlers : t -> msg Sim.Engine.handlers
-
-val bind : t -> msg Sim.Engine.t -> unit
-(** Must be called once, before the first operation.  Starts the
-    heartbeat traffic. *)
 
 (** {2 Sessions} *)
 
@@ -152,8 +152,8 @@ module Session : sig
       [batch_delay] (default 0, meaning "end of the current simulated
       instant") bounds how long a partial batch may wait; [max_queue]
       (default unbounded) bounds the backlog beyond the window —
-      submissions past the bound are shed.  Requires a bound engine.
-      Raises [Invalid_argument] on out-of-range parameters. *)
+      submissions past the bound are shed.  Raises [Invalid_argument]
+      on out-of-range parameters. *)
 
   val submit :
     store -> t -> ?on_complete:(outcome -> unit) -> request -> bool
@@ -244,8 +244,7 @@ val retransmissions : t -> int
 
 val op_latency : t -> Obs.Metrics.histogram
 (** Completed-operation latency samples ([store.op_latency] in the
-    engine's metrics registry, split by the [op=read|write] label).
-    Raises [Invalid_argument] before [bind]. *)
+    engine's metrics registry, split by the [op=read|write] label). *)
 
 val history : t -> Obs.Trace_analysis.hop list
 (** Completed client operations in completion order, ready for
@@ -274,5 +273,4 @@ val replica_value : t -> node:int -> key:int -> (int * int) option
 
 val log_length : t -> node:int -> int
 (** Durable log records currently held for [node] (see
-    {!Sim.Durable.log_length}).  Raises [Invalid_argument] before
-    [bind]. *)
+    {!Sim.Durable.log_length}). *)

@@ -114,14 +114,11 @@ let run_h ?(seed = 7) ?(mode = Closed) ?(window = 4) ?(batch_size = 4)
       default
       |> with_durability (Chaos.durability_of_plan scenario.Chaos.plan))
   in
+  let engine = Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs () in
   let store =
-    Store.of_config ~config ?router ~service ~read_system ~write_system ()
+    Store.of_config engine ~config ?router ~service ~read_system ~write_system
+      ()
   in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network ?obs
-      (Store.handlers store)
-  in
-  Store.bind store engine;
   Chaos.apply engine ~rng scenario;
   let sessions =
     Array.init n (fun client ->

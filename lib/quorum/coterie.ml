@@ -68,9 +68,6 @@ let minimal_of_avail ~n avail_mask =
   done;
   List.rev !result
 
-let is_transversal quorums t =
-  List.for_all (fun q -> Bitset.intersects t q) quorums
-
 let is_non_dominated ~n avail_mask =
   if n > 30 then
     invalid_arg "Coterie.is_non_dominated: universe too large (n > 30)";

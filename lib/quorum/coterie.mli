@@ -30,9 +30,6 @@ val minimal_of_avail : n:int -> (int -> bool) -> Bitset.t list
     Guarded to [n <= 22]; larger constructions must enumerate
     structurally. *)
 
-val is_transversal : Bitset.t list -> Bitset.t -> bool
-(** [is_transversal quorums t]: [t] hits every quorum. *)
-
 val is_non_dominated : n:int -> (int -> bool) -> bool
 (** [is_non_dominated ~n avail_mask]: no coterie strictly dominates
     this one.  Garcia-Molina & Barbara: a coterie is dominated iff some

@@ -145,14 +145,6 @@ let embed ?name ~universe ~place base =
   in
   make ~name ~n:universe ~avail ?min_quorums ~select ()
 
-let quorum_of_live t live =
-  match t.min_quorums with
-  | Some quorums ->
-      List.find_opt (fun q -> Bitset.subset q live) (Lazy.force quorums)
-  | None ->
-      (* Fall back on the strategy with a fixed seed: deterministic. *)
-      t.select (Rng.create 0) ~live
-
 let shrink_select avail rng ~live =
   if not (avail live) then None
   else begin

@@ -62,7 +62,7 @@ val prepare : t -> unit
 (** Force the lazy quorum list (a no-op when absent) so the system can
     be shared across domains: concurrently forcing a [lazy] from two
     domains raises [CamlinternalLazy.Undefined], so call [prepare]
-    before handing [select] or [quorum_of_live] to a parallel driver.
+    before handing [select] to a parallel driver.
     Beware: for large constructions the quorum list may be huge —
     only prepare systems whose quorums you could afford to enumerate
     anyway (structural [select]s, e.g. h-triang's, never force it). *)
@@ -80,10 +80,6 @@ val embed : ?name:string -> universe:int -> place:int array -> t -> t
     {!Protocols.Membership} and {!Protocols.Shard_router}.  The
     default name is ["<base>/<universe>"].  Raises [Invalid_argument]
     on a malformed placement. *)
-
-val quorum_of_live : t -> Bitset.t -> Bitset.t option
-(** Deterministically find a quorum within [live] using the quorum
-    list; [None] when unavailable. *)
 
 val shrink_select :
   (Bitset.t -> bool) -> Rng.t -> live:Bitset.t -> Bitset.t option

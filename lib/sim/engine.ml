@@ -75,7 +75,7 @@ and 'msg t = {
   lat : Float.Array.t;  (** one cell: the latency [Network.draw] wrote *)
   net_rng : Rng.t;
   proto_rng : Rng.t;
-  handlers : 'msg handlers;
+  mutable handlers : 'msg handlers;
   obs : Obs.t;
   ring : Trace.t;
   ins : instruments;
@@ -109,6 +109,16 @@ and 'msg t = {
 
 type outcome = Drained | Reached_until | Budget_exhausted
 
+let unset _ = invalid_arg "Engine: no handlers installed"
+
+let no_handlers =
+  {
+    on_message = (fun t ~node:_ ~src:_ _ -> unset t);
+    on_timer = (fun t ~node:_ ~tag:_ -> unset t);
+    on_crash = (fun t ~node:_ -> unset t);
+    on_recover = (fun t ~node:_ ~amnesia:_ -> unset t);
+  }
+
 let make_instruments m =
   let dropped =
     Metrics.counter m
@@ -135,7 +145,7 @@ let make_instruments m =
       Metrics.Handle.counter recoveries [ ("amnesia", "false") ];
   }
 
-let create ~seed ~nodes ?network ?obs handlers =
+let create ~seed ~nodes ?network ?obs () =
   if nodes <= 0 then invalid_arg "Engine.create: nodes";
   let root = Rng.create seed in
   let obs = match obs with Some o -> o | None -> Obs.create () in
@@ -160,7 +170,7 @@ let create ~seed ~nodes ?network ?obs handlers =
     lat = Float.Array.make 1 0.0;
     net_rng = Rng.split root;
     proto_rng = Rng.split root;
-    handlers;
+    handlers = no_handlers;
     obs;
     ring = Obs.trace obs;
     ins = make_instruments (Obs.metrics obs);
@@ -195,6 +205,7 @@ let create ~seed ~nodes ?network ?obs handlers =
     up_seq = Array.make nodes (-1);
   }
 
+let set_handlers t handlers = t.handlers <- handlers
 let nodes t = t.n
 let now t = t.time
 let rng t = t.proto_rng

@@ -54,15 +54,19 @@ type 'msg handlers = {
     serve again. *)
 
 val create :
-  seed:int ->
-  nodes:int ->
-  ?network:Network.t ->
-  ?obs:Obs.t ->
-  'msg handlers ->
-  'msg t
-(** [?obs] is the observability sink shared by everything bound to this
+  seed:int -> nodes:int -> ?network:Network.t -> ?obs:Obs.t -> unit -> 'msg t
+(** [?obs] is the observability sink shared by everything built on this
     engine (rpc layer, failure detector, protocols); a fresh private
-    one is created when omitted, so instrumentation is always on. *)
+    one is created when omitted, so instrumentation is always on.
+
+    The engine starts with no handlers: the first message, timer, crash
+    or recovery it dispatches before {!set_handlers} raises
+    [Invalid_argument "Engine: no handlers installed"], so a forgotten
+    install fails loudly instead of dropping events.  A protocol's
+    constructor takes the engine and installs its own handlers. *)
+
+val set_handlers : 'msg t -> 'msg handlers -> unit
+(** Install the callbacks every later dispatch goes to. *)
 
 val obs : 'msg t -> Obs.t
 

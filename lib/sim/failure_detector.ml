@@ -32,13 +32,13 @@ type stats = {
   transitions : int;
 }
 
-type 'wire t = {
+type 'msg t = {
   period : float;
   timeout : float;
   mode : mode;
   n : int;
-  mutable engine : 'wire Engine.t option;
-  mutable ins : instruments option;
+  engine : 'msg Engine.t;
+  ins : instruments;
   last_heard : float array array;
       (** [last_heard.(i).(j)]: when [i] last heard from [j], as of the
           last [settle] of [i]. *)
@@ -69,9 +69,45 @@ type 'wire t = {
   s_trans : int array;
 }
 
-let create ?(period = 1.0) ?(timeout = 5.0) ?mode ~nodes () =
+let make_instruments engine =
+  let m = Obs.metrics (Engine.obs engine) in
+  let suspected =
+    Metrics.gauge m ~help:"peers currently suspected, sampled each beat period"
+      "fd.suspected"
+  in
+  {
+    f_beats = Metrics.counter m ~help:"heartbeats sent" "fd.beats_sent";
+    f_suspected =
+      Array.init (Engine.nodes engine) (fun i ->
+          Metrics.Handle.gauge suspected [ ("node", string_of_int i) ]);
+    f_false =
+      Metrics.counter m
+        ~help:"suspicion samples where the suspect was actually live"
+        "fd.false_suspicions";
+    f_fp =
+      Metrics.counter m ~help:"suspicion onsets whose target was actually live"
+        "fd.false_positives";
+    f_missed =
+      Metrics.counter m
+        ~help:
+          "beat samples where a peer dead beyond timeout+period was still \
+           unsuspected"
+        "fd.missed_suspicions";
+    f_trans =
+      Metrics.counter m ~help:"suspicion state changes (either way)"
+        "fd.transitions";
+    f_detect =
+      Metrics.histogram m ~help:"crash to first suspicion, per (observer, peer)"
+        "fd.detection_latency";
+  }
+
+let schedule_beat t ~node ~delay =
+  t.next_due.(node) <- Engine.now t.engine +. delay;
+  Engine.set_timer t.engine ~background:true ~node ~delay ~tag:fd_tag
+
+let create engine ?(period = 1.0) ?(timeout = 5.0) ?mode () =
   if period <= 0.0 then invalid_arg "Failure_detector.create: period";
-  if nodes <= 0 then invalid_arg "Failure_detector.create: nodes";
+  let nodes = Engine.nodes engine in
   let mode = Option.value mode ~default:(Fixed_timeout timeout) in
   let timeout =
     match mode with Fixed_timeout x -> x | Accrual _ -> timeout
@@ -89,104 +125,51 @@ let create ?(period = 1.0) ?(timeout = 5.0) ?mode ~nodes () =
           invalid_arg "Failure_detector.create: accrual min_samples";
         window
   in
-  {
-    period;
-    timeout;
-    mode;
-    n = nodes;
-    engine = None;
-    ins = None;
-    last_heard = Array.make_matrix nodes nodes 0.0;
-    next_due = Array.make nodes infinity;
-    ring =
-      (if window = 0 then [||]
-       else Array.init nodes (fun _ -> Array.make_matrix nodes window 0.0));
-    ring_len = Array.make_matrix nodes nodes 0;
-    ring_pos = Array.make_matrix nodes nodes 0;
-    ring_sum = Array.make_matrix nodes nodes 0.0;
-    seen_flips = 0;
-    was_live = Array.make nodes true;
-    down_since = Array.make nodes nan;
-    prev_suspected = Array.make_matrix nodes nodes false;
-    s_detections = Array.make nodes 0;
-    s_detect_sum = Array.make nodes 0.0;
-    s_detect_max = Array.make nodes 0.0;
-    s_fp = Array.make nodes 0;
-    s_missed = Array.make nodes 0;
-    s_trans = Array.make nodes 0;
-  }
-
-let engine_exn t =
-  match t.engine with
-  | Some e -> e
-  | None -> invalid_arg "Failure_detector: bind the engine first"
-
-let bind t engine =
-  if Engine.nodes engine <> t.n then
-    invalid_arg "Failure_detector.bind: engine size mismatch";
-  t.engine <- Some engine;
-  let m = Obs.metrics (Engine.obs engine) in
-  let suspected =
-    Metrics.gauge m ~help:"peers currently suspected, sampled each beat period"
-      "fd.suspected"
+  let t =
+    {
+      period;
+      timeout;
+      mode;
+      n = nodes;
+      engine;
+      ins = make_instruments engine;
+      (* Everyone starts presumed live. *)
+      last_heard = Array.make_matrix nodes nodes (Engine.now engine);
+      next_due = Array.make nodes infinity;
+      ring =
+        (if window = 0 then [||]
+         else Array.init nodes (fun _ -> Array.make_matrix nodes window 0.0));
+      ring_len = Array.make_matrix nodes nodes 0;
+      ring_pos = Array.make_matrix nodes nodes 0;
+      ring_sum = Array.make_matrix nodes nodes 0.0;
+      seen_flips = 0;
+      was_live = Array.make nodes true;
+      down_since = Array.make nodes nan;
+      prev_suspected = Array.make_matrix nodes nodes false;
+      s_detections = Array.make nodes 0;
+      s_detect_sum = Array.make nodes 0.0;
+      s_detect_max = Array.make nodes 0.0;
+      s_fp = Array.make nodes 0;
+      s_missed = Array.make nodes 0;
+      s_trans = Array.make nodes 0;
+    }
   in
-  t.ins <-
-    Some
-      {
-        f_beats = Metrics.counter m ~help:"heartbeats sent" "fd.beats_sent";
-        f_suspected =
-          Array.init t.n (fun i ->
-              Metrics.Handle.gauge suspected [ ("node", string_of_int i) ]);
-        f_false =
-          Metrics.counter m
-            ~help:"suspicion samples where the suspect was actually live"
-            "fd.false_suspicions";
-        f_fp =
-          Metrics.counter m
-            ~help:"suspicion onsets whose target was actually live"
-            "fd.false_positives";
-        f_missed =
-          Metrics.counter m
-            ~help:
-              "beat samples where a peer dead beyond timeout+period was \
-               still unsuspected"
-            "fd.missed_suspicions";
-        f_trans =
-          Metrics.counter m ~help:"suspicion state changes (either way)"
-            "fd.transitions";
-        f_detect =
-          Metrics.histogram m
-            ~help:"crash to first suspicion, per (observer, peer)"
-            "fd.detection_latency";
-      }
+  (* Stagger first beats so the whole system does not pulse at once. *)
+  for i = 0 to nodes - 1 do
+    let stagger = 0.25 +. (0.75 *. float_of_int i /. float_of_int nodes) in
+    schedule_beat t ~node:i ~delay:(period *. stagger)
+  done;
+  t
 
 let period t = t.period
 let timeout t = t.timeout
 let mode t = t.mode
 
-let schedule_beat t ~node ~delay =
-  let engine = engine_exn t in
-  t.next_due.(node) <- Engine.now engine +. delay;
-  Engine.set_timer engine ~background:true ~node ~delay ~tag:fd_tag
-
-let start t =
-  let engine = engine_exn t in
-  let now = Engine.now engine in
-  for i = 0 to t.n - 1 do
-    (* Everyone starts presumed live. *)
-    for j = 0 to t.n - 1 do
-      t.last_heard.(i).(j) <- now
-    done;
-    (* Stagger first beats so the whole system does not pulse at once. *)
-    schedule_beat t ~node:i
-      ~delay:(t.period *. (0.25 +. (0.75 *. float_of_int i /. float_of_int t.n)))
-  done
-
 (* Apply the heartbeats that have arrived at [node], earliest first,
    each as if handled at its arrival instant.  Every read of [node]'s
    opinions settles first. *)
-let settle t engine ~node =
-  let beats = Engine.take_beats engine ~node in
+let settle t ~node =
+  let beats = Engine.take_beats t.engine ~node in
   let times = beats.Engine.times and srcs = beats.Engine.srcs in
   for k = 0 to beats.Engine.count - 1 do
     let now = Float.Array.get times k and from = srcs.(k) in
@@ -219,9 +202,8 @@ let mean_interarrival t ~node j =
 let suspicion t ~node j =
   if j = node then 0.0
   else begin
-    let engine = engine_exn t in
-    settle t engine ~node;
-    let elapsed = Engine.now engine -. t.last_heard.(node).(j) in
+    settle t ~node;
+    let elapsed = Engine.now t.engine -. t.last_heard.(node).(j) in
     match t.mode with
     | Fixed_timeout timeout -> elapsed /. timeout
     | Accrual { threshold; min_samples; _ } ->
@@ -249,21 +231,21 @@ let suspects_settled t ~node ~now j =
 
 let suspects t ~node j =
   j <> node
-  &&
-  let engine = engine_exn t in
-  settle t engine ~node;
-  suspects_settled t ~node ~now:(Engine.now engine) j
+  && begin
+    settle t ~node;
+    suspects_settled t ~node ~now:(Engine.now t.engine) j
+  end
 
 (* The oracle's liveness mirror, [was_live], and its crash clock,
    [down_since]: the first sync after a crash stamps it, so it advances
    at beat granularity.  The engine is re-read only when some node's
    liveness has changed since the last sync. *)
-let sync_liveness t engine ~now =
-  let flips = Engine.liveness_changes engine in
+let sync_liveness t ~now =
+  let flips = Engine.liveness_changes t.engine in
   if flips <> t.seen_flips then begin
     t.seen_flips <- flips;
     for j = 0 to t.n - 1 do
-      let live = Engine.is_live engine j in
+      let live = Engine.is_live t.engine j in
       if live && not t.was_live.(j) then begin
         t.was_live.(j) <- true;
         t.down_since.(j) <- nan
@@ -284,8 +266,8 @@ let sync_liveness t engine ~now =
    for the detection-time vs accuracy tradeoffs the bench sweeps.  The
    counts of the round are added once, and only when positive, so no
    metric cell appears that per-peer updates would not have made. *)
-let sample_accuracy t engine ~node ~now =
-  settle t engine ~node;
+let sample_accuracy t ~node ~now =
+  settle t ~node;
   let prev = t.prev_suspected.(node) in
   let suspected = ref 0 and false_sus = ref 0 and trans = ref 0 in
   let fp = ref 0 and missed = ref 0 in
@@ -310,9 +292,7 @@ let sample_accuracy t engine ~node ~now =
               t.s_detect_sum.(node) <- t.s_detect_sum.(node) +. lat;
               if lat > t.s_detect_max.(node) then
                 t.s_detect_max.(node) <- lat;
-              match t.ins with
-              | Some ins -> Metrics.observe ins.f_detect lat
-              | None -> ()
+              Metrics.observe t.ins.f_detect lat
             end
           end
       end;
@@ -328,47 +308,40 @@ let sample_accuracy t engine ~node ~now =
   t.s_trans.(node) <- t.s_trans.(node) + !trans;
   t.s_fp.(node) <- t.s_fp.(node) + !fp;
   t.s_missed.(node) <- t.s_missed.(node) + !missed;
-  match t.ins with
-  | None -> ()
-  | Some ins ->
-      let add c k = if k > 0 then Metrics.incr ~by:k c in
-      add ins.f_false !false_sus;
-      add ins.f_trans !trans;
-      add ins.f_fp !fp;
-      add ins.f_missed !missed;
-      Metrics.Handle.set ins.f_suspected.(node) (float_of_int !suspected)
+  let add c k = if k > 0 then Metrics.incr ~by:k c in
+  add t.ins.f_false !false_sus;
+  add t.ins.f_trans !trans;
+  add t.ins.f_fp !fp;
+  add t.ins.f_missed !missed;
+  Metrics.Handle.set t.ins.f_suspected.(node) (float_of_int !suspected)
 
 let on_timer t ~node ~tag =
   if tag <> fd_tag then false
   else begin
-    let engine = engine_exn t in
-    let now = Engine.now engine in
+    let now = Engine.now t.engine in
     (* Drop duplicate chains left over from crash/recovery races. *)
     if abs_float (now -. t.next_due.(node)) <= eps then begin
-      sync_liveness t engine ~now;
+      sync_liveness t ~now;
       (* A dead observer runs no beat rounds of its own, so nothing
          settles it until it recovers: settle it as beats reach it, so
          its inbox stays bounded.  Settling before the round is settling
          between its beats: none of them has arrived when it returns. *)
       for dst = 0 to t.n - 1 do
-        if dst <> node && not t.was_live.(dst) then settle t engine ~node:dst
+        if dst <> node && not t.was_live.(dst) then settle t ~node:dst
       done;
-      Engine.beat_round engine ~src:node;
-      (match t.ins with
-      | Some ins when t.n > 1 -> Metrics.incr ~by:(t.n - 1) ins.f_beats
-      | Some _ | None -> ());
-      sample_accuracy t engine ~node ~now;
+      Engine.beat_round t.engine ~src:node;
+      if t.n > 1 then Metrics.incr ~by:(t.n - 1) t.ins.f_beats;
+      sample_accuracy t ~node ~now;
       schedule_beat t ~node ~delay:t.period
     end;
     true
   end
 
 let on_recover t ~node =
-  let engine = engine_exn t in
   (* Beats that arrived before the crash still count (the accrual ring
      outlives it); the reset below must come after them. *)
-  settle t engine ~node;
-  let now = Engine.now engine in
+  settle t ~node;
+  let now = Engine.now t.engine in
   (* Fresh start: the recovered node presumes everyone live again and
      resumes its own heartbeat chain. *)
   for j = 0 to t.n - 1 do
@@ -378,9 +351,8 @@ let on_recover t ~node =
   schedule_beat t ~node ~delay:(t.period *. 0.5)
 
 let view t ~node =
-  let engine = engine_exn t in
-  settle t engine ~node;
-  let now = Engine.now engine in
+  settle t ~node;
+  let now = Engine.now t.engine in
   let s = Bitset.create t.n in
   for j = 0 to t.n - 1 do
     if not (suspects_settled t ~node ~now j) then Bitset.add s j
@@ -388,9 +360,8 @@ let view t ~node =
   s
 
 let suspected_count t ~node =
-  let engine = engine_exn t in
-  settle t engine ~node;
-  let now = Engine.now engine in
+  settle t ~node;
+  let now = Engine.now t.engine in
   let c = ref 0 in
   for j = 0 to t.n - 1 do
     if suspects_settled t ~node ~now j then incr c

@@ -59,14 +59,14 @@
     sample ({!Engine.liveness_changes}), and the round's counts reach
     the metrics once each ([fd.beats_sent] and the accuracy counters,
     only when positive; [fd.suspected{node=..}] through a handle
-    bound at {!bind}).
+    made at {!create}).
 
     Wiring: route [on_timer] through {!on_timer} (tag [-1] is reserved)
     and call {!on_recover} from the engine's recovery handler so the
     node's heartbeat chain restarts and its stale opinions reset.
     Heartbeats never reach the protocol's [on_message]. *)
 
-type 'wire t
+type 'msg t
 
 type mode =
   | Fixed_timeout of float
@@ -77,45 +77,39 @@ type mode =
           fallback until [min_samples] of them exist *)
 
 val create :
-  ?period:float ->
-  ?timeout:float ->
-  ?mode:mode ->
-  nodes:int ->
-  unit ->
-  'wire t
-(** [period] defaults to 1.0, [timeout] to 5.0; [timeout] must exceed
-    [period] or everyone would flap between beats.  [mode] defaults to
+  'msg Engine.t -> ?period:float -> ?timeout:float -> ?mode:mode -> unit ->
+  'msg t
+(** A detector over every node of [engine], already heartbeating: every
+    node presumes every peer live as of now, and the nodes' first beat
+    rounds are staggered across the first [period].  [period] defaults
+    to 1.0, [timeout] to 5.0; [timeout] must exceed [period] or
+    everyone would flap between beats.  [mode] defaults to
     [Fixed_timeout timeout] — exactly the historical detector.  In
     [Accrual] mode [timeout] remains the cold-start fallback and the
     inter-arrival admission cap.  Raises [Invalid_argument] on a
     non-positive threshold, [window < 2] or [min_samples] outside
     [1..window]. *)
 
-val bind : 'wire t -> 'wire Engine.t -> unit
-val start : 'wire t -> unit
-(** Begin heartbeating (staggered across nodes).  Call once, after
-    {!bind}. *)
-
-val on_timer : 'wire t -> node:int -> tag:int -> bool
+val on_timer : 'msg t -> node:int -> tag:int -> bool
 (** Handle a heartbeat timer; [false] when [tag] is not the detector's
     (protocol should handle it). *)
 
-val on_recover : 'wire t -> node:int -> unit
+val on_recover : 'msg t -> node:int -> unit
 (** Restart the recovered node's heartbeat chain and reset its
     suspicions (it presumes everyone live until proven otherwise),
     after applying the beats that reached it before it crashed. *)
 
-val suspects : 'wire t -> node:int -> int -> bool
+val suspects : 'msg t -> node:int -> int -> bool
 (** [suspects t ~node j]: does [node] currently suspect [j]?  A node
     never suspects itself. *)
 
-val suspicion : 'wire t -> node:int -> int -> float
+val suspicion : 'msg t -> node:int -> int -> float
 (** The graded suspicion level of [j] as seen by [node], normalized so
     that [>= 1.0] coincides with {!suspects} (up to the strict/large
     comparison at exactly 1.0): [elapsed / timeout] in fixed mode,
     [phi / threshold] in accrual mode.  [0.0] for self. *)
 
-val view : 'wire t -> node:int -> Quorum.Bitset.t
+val view : 'msg t -> node:int -> Quorum.Bitset.t
 (** The suspected-live set from [node]'s perspective (includes
     [node]). *)
 
@@ -130,11 +124,11 @@ type stats = {
   transitions : int;  (** suspicion flips, either direction *)
 }
 
-val stats : 'wire t -> node:int -> stats
+val stats : 'msg t -> node:int -> stats
 (** Per-observer accuracy totals, measured against the engine's
     oracle at beat granularity. *)
 
-val suspected_count : 'wire t -> node:int -> int
-val period : 'wire t -> float
-val timeout : 'wire t -> float
-val mode : 'wire t -> mode
+val suspected_count : 'msg t -> node:int -> int
+val period : 'msg t -> float
+val timeout : 'msg t -> float
+val mode : 'msg t -> mode

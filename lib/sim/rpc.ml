@@ -27,17 +27,16 @@ type 'a inflight = {
   mutable rto : float;  (** delay before the next retransmission *)
 }
 
-type ('a, 'wire) t = {
+type 'a t = {
   timeout : float;
   backoff : float;
   jitter : float;
   cap : float;
   max_attempts : int;
-  wrap : 'a msg -> 'wire;
-  mutable engine : 'wire Engine.t option;
-  mutable ins : instruments option;
-  mutable prof : Prof.t;
-  mutable tracing : bool;  (** the engine's trace ring has capacity *)
+  engine : 'a msg Engine.t;
+  ins : instruments;
+  prof : Prof.t;
+  tracing : bool;  (** the engine's trace ring has capacity *)
   mutable next_seq : int;
   inflight : (int, 'a inflight) Hashtbl.t;  (** seq -> record *)
   mutable seen : Bitset.t;  (** seqs already delivered *)
@@ -47,55 +46,32 @@ type ('a, 'wire) t = {
   mutable on_dead_letter : src:int -> dst:int -> 'a -> unit;
 }
 
-let create ?(timeout = 2.0) ?(backoff = 1.6) ?(jitter = 0.3) ?cap
-    ?(max_attempts = 6) ~wrap () =
+let create engine ?(timeout = 2.0) ?(backoff = 1.6) ?(jitter = 0.3) ?cap
+    ?(max_attempts = 6) () =
   if timeout <= 0.0 then invalid_arg "Rpc.create: timeout";
   if backoff < 1.0 then invalid_arg "Rpc.create: backoff";
   if jitter < 0.0 then invalid_arg "Rpc.create: jitter";
   let cap = match cap with Some c -> c | None -> 32.0 *. timeout in
   if cap < timeout then invalid_arg "Rpc.create: cap";
   if max_attempts < 1 then invalid_arg "Rpc.create: max_attempts";
+  let obs = Engine.obs engine in
+  let m = Obs.metrics obs in
+  (* Retransmits and dead letters label by sender node. *)
+  let per_node f =
+    Array.init (Engine.nodes engine) (fun i ->
+        Metrics.Handle.counter f [ ("node", string_of_int i) ])
+  in
   {
     timeout;
     backoff;
     jitter;
     cap;
     max_attempts;
-    wrap;
-    engine = None;
-    ins = None;
-    prof = Prof.null;
-    tracing = false;
-    next_seq = 0;
-    inflight = Hashtbl.create 64;
-    seen = Bitset.create 256;
-    retransmissions = 0;
-    duplicates = 0;
-    dead = 0;
-    on_dead_letter = (fun ~src:_ ~dst:_ _ -> ());
-  }
-
-let engine_exn t =
-  match t.engine with
-  | Some e -> e
-  | None -> invalid_arg "Rpc: bind the engine first"
-
-let bind t engine =
-  t.engine <- Some engine;
-  t.prof <- Obs.prof (Engine.obs engine);
-  t.tracing <- Trace.capacity (Obs.trace (Engine.obs engine)) > 0;
-  let m = Obs.metrics (Engine.obs engine) in
-  (* Retransmits and dead letters label by sender node. *)
-  let per_node f =
-    Array.init (Engine.nodes engine) (fun i ->
-        Metrics.Handle.counter f [ ("node", string_of_int i) ])
-  in
-  t.ins <-
-    Some
+    engine;
+    ins =
       {
         i_sends =
-          Metrics.counter m ~help:"rpc sends (first transmissions)"
-            "rpc.sends";
+          Metrics.counter m ~help:"rpc sends (first transmissions)" "rpc.sends";
         i_retransmits =
           per_node
             (Metrics.counter m ~help:"rpc retransmissions, by sender node"
@@ -108,14 +84,19 @@ let bind t engine =
             (Metrics.counter m
                ~help:"messages abandoned after max_attempts, by sender node"
                "rpc.dead_letters");
-      }
+      };
+    prof = Obs.prof obs;
+    tracing = Trace.capacity (Obs.trace obs) > 0;
+    next_seq = 0;
+    inflight = Hashtbl.create 64;
+    seen = Bitset.create 256;
+    retransmissions = 0;
+    duplicates = 0;
+    dead = 0;
+    on_dead_letter = (fun ~src:_ ~dst:_ _ -> ());
+  }
 
 let set_dead_letter_handler t f = t.on_dead_letter <- f
-
-let ins_exn t =
-  match t.ins with
-  | Some i -> i
-  | None -> invalid_arg "Rpc: bind the engine first"
 
 (* Receiver-side dedup, grown on demand.  Seqs are dense from 0, so
    this stays one bit per rpc ever sent. *)
@@ -135,9 +116,9 @@ let duplicates_suppressed t = t.duplicates
 let dead_letters t = t.dead
 let inflight_count t = Hashtbl.length t.inflight
 
-let jittered t engine delay =
+let jittered t delay =
   if t.jitter = 0.0 then delay
-  else delay *. (1.0 +. (t.jitter *. Rng.float (Engine.rng engine)))
+  else delay *. (1.0 +. (t.jitter *. Rng.float (Engine.rng t.engine)))
 
 (* Decorrelated jitter (the AWS "decorrelated" scheme): the next
    retransmission delay is drawn uniformly from [timeout, 3 * prev],
@@ -156,29 +137,26 @@ let next_backoff t rng ~prev =
     min t.cap (t.timeout +. (Rng.float rng *. (hi -. t.timeout)))
 
 let send t ~src ~dst payload =
-  let engine = engine_exn t in
   Prof.enter t.prof Prof.Rpc;
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   Hashtbl.replace t.inflight seq
     { src; dst; payload; attempts = 1; rto = t.timeout };
-  Metrics.incr (ins_exn t).i_sends;
-  Engine.send engine ~src ~dst (t.wrap (Data { seq; payload }));
-  Engine.set_timer engine ~node:src
-    ~delay:(jittered t engine t.timeout)
+  Metrics.incr t.ins.i_sends;
+  Engine.send t.engine ~src ~dst (Data { seq; payload });
+  Engine.set_timer t.engine ~node:src ~delay:(jittered t t.timeout)
     ~tag:(tag_of_seq seq);
   Prof.leave t.prof Prof.Rpc
 
 let on_message t ~node ~src msg ~deliver =
-  let engine = engine_exn t in
   match msg with
   | Data { seq; payload } ->
       Prof.enter t.prof Prof.Rpc;
       (* Always (re-)ack: the previous ack may have been lost. *)
-      Engine.send engine ~src:node ~dst:src (t.wrap (Ack { seq }));
+      Engine.send t.engine ~src:node ~dst:src (Ack { seq });
       if already_seen t seq then begin
         t.duplicates <- t.duplicates + 1;
-        Metrics.incr (ins_exn t).i_duplicates;
+        Metrics.incr t.ins.i_duplicates;
         Prof.leave t.prof Prof.Rpc
       end
       else begin
@@ -204,35 +182,32 @@ let on_timer t ~node ~tag =
         if m.attempts >= t.max_attempts then begin
           Hashtbl.remove t.inflight seq;
           t.dead <- t.dead + 1;
-          Metrics.Handle.incr (ins_exn t).i_dead.(m.src);
-          if t.tracing then begin
-            let engine = engine_exn t in
+          Metrics.Handle.incr t.ins.i_dead.(m.src);
+          if t.tracing then
             Trace.record
-              (Obs.trace (Engine.obs engine))
-              ~time:(Engine.now engine) ~node:m.src ~peer:m.dst
-              ~span:(Engine.span_ctx engine) ~label:"rpc.dead_letter"
-              Trace.Note
-          end;
+              (Obs.trace (Engine.obs t.engine))
+              ~time:(Engine.now t.engine) ~node:m.src ~peer:m.dst
+              ~span:(Engine.span_ctx t.engine) ~label:"rpc.dead_letter"
+              Trace.Note;
           t.on_dead_letter ~src:m.src ~dst:m.dst m.payload
         end
         else begin
-          let engine = engine_exn t in
           m.attempts <- m.attempts + 1;
-          m.rto <- next_backoff t (Engine.rng engine) ~prev:m.rto;
+          m.rto <- next_backoff t (Engine.rng t.engine) ~prev:m.rto;
           t.retransmissions <- t.retransmissions + 1;
-          Metrics.Handle.incr (ins_exn t).i_retransmits.(node);
+          Metrics.Handle.incr t.ins.i_retransmits.(node);
           (* The Note marks the retransmission instant inside the op's
              span window, which is what lets the critical-path analysis
              attribute the ensuing wait to "retransmit", not "queueing". *)
           if t.tracing then
             Trace.record
-              (Obs.trace (Engine.obs engine))
-              ~time:(Engine.now engine) ~node ~peer:m.dst
-              ~span:(Engine.span_ctx engine) ~label:"rpc.retransmit"
+              (Obs.trace (Engine.obs t.engine))
+              ~time:(Engine.now t.engine) ~node ~peer:m.dst
+              ~span:(Engine.span_ctx t.engine) ~label:"rpc.retransmit"
               Trace.Note;
-          Engine.send engine ~src:node ~dst:m.dst
-            (t.wrap (Data { seq; payload = m.payload }));
-          Engine.set_timer engine ~node ~delay:m.rto ~tag
+          Engine.send t.engine ~src:node ~dst:m.dst
+            (Data { seq; payload = m.payload });
+          Engine.set_timer t.engine ~node ~delay:m.rto ~tag
         end);
     Prof.leave t.prof Prof.Rpc;
     true

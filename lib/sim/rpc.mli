@@ -10,9 +10,8 @@
     fires, letting the protocol treat the peer as unreachable and
     degrade gracefully (e.g. pick a different quorum).
 
-    The module is polymorphic in both the protocol payload ['a] and the
-    engine wire type ['wire]: protocols embed [Rpc.msg] into their wire
-    variant and pass the injection as [wrap].  Timer tags [<= -2] are
+    The module is polymorphic in the protocol payload ['a]; the engine
+    it is built on carries ['a msg] envelopes.  Timer tags [<= -2] are
     reserved for rpc retransmissions ([-1] belongs to
     {!Failure_detector}; protocol tags must be [>= 0]): route
     [on_timer] through {!on_timer} first and fall through to protocol
@@ -26,18 +25,20 @@
 
 type 'a msg = Data of { seq : int; payload : 'a } | Ack of { seq : int }
 
-type ('a, 'wire) t
+type 'a t
 
 val create :
+  'a msg Engine.t ->
   ?timeout:float ->
   ?backoff:float ->
   ?jitter:float ->
   ?cap:float ->
   ?max_attempts:int ->
-  wrap:('a msg -> 'wire) ->
   unit ->
-  ('a, 'wire) t
-(** [timeout] (default 2.0) is the initial retransmission timeout.
+  'a t
+(** The rpc layer of [engine]: its sends, timers and RNG draws go
+    through it, and its counters land in the engine's metrics.
+    [timeout] (default 2.0) is the initial retransmission timeout.
     Retry delays use decorrelated jitter: each is drawn uniformly from
     [\[timeout, 3 * previous\]] and clamped to [cap] (default
     [32 * timeout]), so retrying senders de-synchronize instead of
@@ -48,20 +49,18 @@ val create :
     must be >= 1) with no randomness at all.  [max_attempts] (default
     6) counts total transmissions including the first. *)
 
-val next_backoff : ('a, 'wire) t -> Quorum.Rng.t -> prev:float -> float
+val next_backoff : 'a t -> Quorum.Rng.t -> prev:float -> float
 (** The backoff schedule, exposed for property tests: the delay that
     follows a retry whose delay was [prev] — a decorrelated-jitter draw
     in [\[timeout, min cap (3 * prev)\]], or [min cap (prev * backoff)]
     when [jitter = 0]. *)
 
-val bind : ('a, 'wire) t -> 'wire Engine.t -> unit
-
-val send : ('a, 'wire) t -> src:int -> dst:int -> 'a -> unit
+val send : 'a t -> src:int -> dst:int -> 'a -> unit
 (** Reliable send; retransmits until acked, dead-letters after
     [max_attempts]. *)
 
 val on_message :
-  ('a, 'wire) t ->
+  'a t ->
   node:int ->
   src:int ->
   'a msg ->
@@ -70,17 +69,17 @@ val on_message :
 (** Feed a received rpc envelope in; [deliver] is invoked exactly once
     per distinct payload (duplicates are suppressed and re-acked). *)
 
-val on_timer : ('a, 'wire) t -> node:int -> tag:int -> bool
+val on_timer : 'a t -> node:int -> tag:int -> bool
 (** Handle a retransmission timer.  Returns [false] when [tag] is not
     an rpc tag (the protocol should then handle it itself). *)
 
-val on_crash : ('a, 'wire) t -> node:int -> unit
+val on_crash : 'a t -> node:int -> unit
 (** Drop the crashed node's unacked sends (volatile sender state). *)
 
 val set_dead_letter_handler :
-  ('a, 'wire) t -> (src:int -> dst:int -> 'a -> unit) -> unit
+  'a t -> (src:int -> dst:int -> 'a -> unit) -> unit
 
-val retransmissions : ('a, 'wire) t -> int
-val duplicates_suppressed : ('a, 'wire) t -> int
-val dead_letters : ('a, 'wire) t -> int
-val inflight_count : ('a, 'wire) t -> int
+val retransmissions : 'a t -> int
+val duplicates_suppressed : 'a t -> int
+val dead_letters : 'a t -> int
+val inflight_count : 'a t -> int

@@ -6,7 +6,6 @@ let is_prime q =
   let rec check d = d * d > q || (q mod d <> 0 && check (d + 1)) in
   check 2
 
-let exists_for_order = is_prime
 let universe_size ~order = (order * order) + order + 1
 
 (* Canonical projective points over GF(q): first non-zero coordinate

@@ -11,9 +11,6 @@
     Only prime orders are constructed (prime powers would need a field
     implementation; the paper never uses one). *)
 
-val exists_for_order : int -> bool
-(** True when the order is a prime this module can build. *)
-
 val system : ?name:string -> order:int -> unit -> Quorum.System.t
 (** [system ~order:q ()] over [n = q^2 + q + 1] points.  Raises if [q]
     is not prime. *)

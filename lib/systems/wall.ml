@@ -24,11 +24,6 @@ let element t ~row ~idx =
   if idx < 0 || idx >= t.widths.(row) then invalid_arg "Wall.element: bad idx";
   t.offsets.(row) + idx
 
-let row_of_element t e =
-  if e < 0 || e >= t.n then invalid_arg "Wall.row_of_element";
-  let rec find i = if e < t.offsets.(i) + t.widths.(i) then i else find (i + 1) in
-  find 0
-
 (* A base row is minimal-quorum-producing unless some strictly lower
    row has width 1: the single pick there would itself be a full row,
    so the quorum would contain (hence dominate over) a lower-based

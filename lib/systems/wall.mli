@@ -27,8 +27,6 @@ val layout : int array -> t
 val element : t -> row:int -> idx:int -> int
 (** Id of the [idx]-th element of [row] (both 0-based). *)
 
-val row_of_element : t -> int -> int
-
 val system : ?name:string -> int array -> Quorum.System.t
 (** [system widths] builds the wall quorum system.  Quorums are
     enumerated explicitly (their number is [sum_i prod_(j>i) w_j]);

@@ -110,12 +110,10 @@ let test_boost_monotone () =
 (* --- Byzantine register ---------------------------------------------- *)
 
 let run_store ~system ~f ~byzantine ~ops =
-  let store = Protocols.Byz_store.create ~system ~f ~byzantine ~timeout:60.0 in
-  let engine =
-    Engine.create ~seed:17 ~nodes:system.System.n
-      (Protocols.Byz_store.handlers store)
+  let engine = Engine.create ~seed:17 ~nodes:system.System.n () in
+  let store =
+    Protocols.Byz_store.create engine ~system ~f ~byzantine ~timeout:60.0
   in
-  Protocols.Byz_store.bind store engine;
   let correct_clients =
     List.filter
       (fun i -> not (List.mem i byzantine))

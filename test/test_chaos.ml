@@ -15,15 +15,15 @@ let check_int = Alcotest.(check int)
 (* --- Rpc: at-most-once, eventual delivery, dead letters ------------- *)
 
 (* A minimal Rpc-only node: payloads are ints, deliveries are logged. *)
-type rpc_wire = Env of int Rpc.msg
-
 let make_rpc_world ?(loss = 0.0) ?(seed = 3) ?(max_attempts = 6) ~nodes () =
   let delivered = ref [] in
-  let rpc = Rpc.create ~max_attempts ~wrap:(fun m -> Env m) () in
-  let handlers : rpc_wire Engine.handlers =
+  let network = Network.create ~loss () in
+  let engine = Engine.create ~seed ~nodes ~network () in
+  let rpc = Rpc.create engine ~max_attempts () in
+  Engine.set_handlers engine
     {
       on_message =
-        (fun _ ~node ~src (Env m) ->
+        (fun _ ~node ~src m ->
           Rpc.on_message rpc ~node ~src m ~deliver:(fun ~src payload ->
               delivered := (src, node, payload) :: !delivered));
       on_timer =
@@ -32,11 +32,7 @@ let make_rpc_world ?(loss = 0.0) ?(seed = 3) ?(max_attempts = 6) ~nodes () =
             Alcotest.fail "unexpected non-rpc timer");
       on_crash = (fun _ ~node -> Rpc.on_crash rpc ~node);
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-    }
-  in
-  let network = Network.create ~loss () in
-  let engine = Engine.create ~seed ~nodes ~network handlers in
-  Rpc.bind rpc engine;
+    };
   (rpc, engine, network, delivered)
 
 let test_rpc_delivery_under_loss () =
@@ -92,8 +88,9 @@ let test_rpc_dead_letter_on_partition () =
 (* --- Failure detector: completeness and eventual accuracy ----------- *)
 
 let make_fd_world ?(seed = 5) ~nodes () =
-  let fd = Fd.create ~period:1.0 ~timeout:4.0 ~nodes () in
-  let handlers : unit Engine.handlers =
+  let engine = Engine.create ~seed ~nodes () in
+  let fd = Fd.create engine ~period:1.0 ~timeout:4.0 () in
+  Engine.set_handlers engine
     {
       on_message = (fun _ ~node:_ ~src:_ () -> ());
       on_timer =
@@ -102,11 +99,7 @@ let make_fd_world ?(seed = 5) ~nodes () =
           ignore (Fd.on_timer fd ~node ~tag));
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
-    }
-  in
-  let engine = Engine.create ~seed ~nodes handlers in
-  Fd.bind fd engine;
-  Fd.start fd;
+    };
   (fd, engine)
 
 let test_fd_completeness_and_accuracy () =

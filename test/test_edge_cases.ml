@@ -51,7 +51,24 @@ let test_constructor_validation () =
   check "diamond too small" true
     (raises_invalid (fun () -> Systems.Diamond.system ~half_rows:1 ()));
   check "voting no votes" true
-    (raises_invalid (fun () -> Systems.Weighted_voting.system ~votes:[||] ()))
+    (raises_invalid (fun () -> Systems.Weighted_voting.system ~votes:[||] ()));
+  (* Protocols are built on an engine with one node per process. *)
+  let sys = Core.Registry.build_exn "majority(5)" in
+  let small () = Sim.Engine.create ~seed:0 ~nodes:4 () in
+  check "store on a wrong-size engine" true
+    (raises_invalid (fun () ->
+         Protocols.Replicated_store.of_config (small ()) ~read_system:sys
+           ~write_system:sys ()));
+  check "mutex on a wrong-size engine" true
+    (raises_invalid (fun () ->
+         Protocols.Mutex.of_config (small ()) ~system:sys ~cs_duration:1.0 ()));
+  check "byz store on a wrong-size engine" true
+    (raises_invalid (fun () ->
+         Protocols.Byz_store.create (small ()) ~system:sys ~f:1 ~byzantine:[]
+           ~timeout:1.0));
+  check "reconfig beyond the engine's nodes" true
+    (raises_invalid (fun () ->
+         Protocols.Reconfig.of_config (small ()) ~initial:sys ()))
 
 let test_analysis_guards () =
   let big = Systems.Majority.make 40 in
@@ -152,21 +169,18 @@ let test_stats_empty () =
     (raises_invalid (fun () -> Obs.Metrics.percentile h 1.5))
 
 let test_engine_validation () =
-  let handlers : unit Sim.Engine.handlers =
-    {
-      on_message = (fun _ ~node:_ ~src:_ _ -> ());
-      on_timer = (fun _ ~node:_ ~tag:_ -> ());
-      on_crash = (fun _ ~node:_ -> ());
-      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-    }
-  in
   check "zero nodes" true
-    (raises_invalid (fun () -> Sim.Engine.create ~seed:0 ~nodes:0 handlers));
-  let e = Sim.Engine.create ~seed:0 ~nodes:2 handlers in
+    (raises_invalid (fun () -> Sim.Engine.create ~seed:0 ~nodes:0 ()));
+  let e = Sim.Engine.create ~seed:0 ~nodes:2 () in
   check "bad node id" true
     (raises_invalid (fun () -> Sim.Engine.send e ~src:0 ~dst:5 ()));
   check "negative timer" true
-    (raises_invalid (fun () -> Sim.Engine.set_timer e ~node:0 ~delay:(-1.0) ~tag:0))
+    (raises_invalid (fun () ->
+         Sim.Engine.set_timer e ~node:0 ~delay:(-1.0) ~tag:0));
+  (* Nothing installed handlers: the first dispatched message raises. *)
+  Sim.Engine.send e ~src:0 ~dst:1 ();
+  check "no handlers installed" true
+    (raises_invalid (fun () -> Sim.Engine.run e))
 
 let test_growth_exhaustion () =
   (* A lone element has no 1x1 sub-grid or square grid to grow. *)

@@ -15,18 +15,15 @@ let check_int = Alcotest.(check int)
 
 let make_world ?(seed = 5) ?mode ?(period = 1.0) ?(timeout = 4.0) ?network
     ~nodes () =
-  let fd = Fd.create ~period ~timeout ?mode ~nodes () in
-  let handlers : unit Engine.handlers =
+  let engine = Engine.create ~seed ~nodes ?network () in
+  let fd = Fd.create engine ~period ~timeout ?mode () in
+  Engine.set_handlers engine
     {
       on_message = (fun _ ~node:_ ~src:_ () -> ());
       on_timer = (fun _ ~node ~tag -> ignore (Fd.on_timer fd ~node ~tag));
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
-    }
-  in
-  let engine = Engine.create ~seed ~nodes ?network handlers in
-  Fd.bind fd engine;
-  Fd.start fd;
+    };
   (fd, engine)
 
 (* Detection bound per mode.  Fixed timeout: [timeout] of silence plus
@@ -151,7 +148,8 @@ let suspicion_normalized =
 (* --- Accrual mode: unit tests ---------------------------------------- *)
 
 let test_accrual_create_validates () =
-  let mk mode = ignore (Fd.create ~mode ~nodes:3 ()) in
+  let engine = Engine.create ~seed:1 ~nodes:3 () in
+  let mk mode = ignore (Fd.create engine ~mode ()) in
   let raises f = try f (); false with Invalid_argument _ -> true in
   check "threshold must be positive" true
     (raises (fun () ->
@@ -164,7 +162,7 @@ let test_accrual_create_validates () =
          mk (Fd.Accrual { threshold = 1.0; window = 4; min_samples = 5 })));
   check "timeout must exceed period" true
     (raises (fun () ->
-         ignore (Fd.create ~period:2.0 ~timeout:1.0 ~nodes:3 ())))
+         ignore (Fd.create engine ~period:2.0 ~timeout:1.0 ())))
 
 let test_accrual_detects_and_heals () =
   let mode = Fd.Accrual { threshold = 1.5; window = 16; min_samples = 3 } in
@@ -202,7 +200,8 @@ let test_accrual_stats_measure_detection () =
 
 let test_mode_accessors () =
   let mode = Fd.Accrual { threshold = 2.0; window = 8; min_samples = 2 } in
-  let fd = Fd.create ~period:0.5 ~timeout:3.0 ~mode ~nodes:3 () in
+  let engine = Engine.create ~seed:1 ~nodes:3 () in
+  let fd = Fd.create engine ~period:0.5 ~timeout:3.0 ~mode () in
   check "mode is accrual" true (Fd.mode fd = mode);
   Alcotest.(check (float 1e-9)) "period" 0.5 (Fd.period fd);
   Alcotest.(check (float 1e-9)) "timeout kept as fallback" 3.0 (Fd.timeout fd)
@@ -472,9 +471,8 @@ let eager_world c =
           on_recover = (fun e ~node ~amnesia:_ -> Eager.on_recover r e ~node);
         }
       in
-      let engine =
-        Engine.create ~seed:c.d_seed ~nodes:c.d_nodes ~network handlers
-      in
+      let engine = Engine.create ~seed:c.d_seed ~nodes:c.d_nodes ~network () in
+      Engine.set_handlers engine handlers;
       Eager.start r engine;
       ( engine,
         fun ~node ->

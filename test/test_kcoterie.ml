@@ -81,15 +81,12 @@ let test_copies_select_spreads () =
 (* --- k-mutual exclusion ---------------------------------------------- *)
 
 let run_k_mutex ~capacity ~system ~requests =
+  let engine = Engine.create ~seed:13 ~nodes:system.System.n () in
   let mx =
-    Protocols.Mutex.of_config
+    Protocols.Mutex.of_config engine
       ~config:Protocols.Client_config.(default |> with_timeout 1000.0)
       ~capacity ~system ~cs_duration:5.0 ()
   in
-  let engine =
-    Engine.create ~seed:13 ~nodes:system.System.n (Protocols.Mutex.handlers mx)
-  in
-  Protocols.Mutex.bind mx engine;
   (* A burst of requests so concurrency can build up. *)
   Protocols.Workload.staggered_requests engine ~every:0.05 ~count:requests
     (fun ~client -> Protocols.Mutex.request mx ~node:client);

@@ -12,12 +12,8 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let setup ?margin ~rows ~universe () =
-  let ms = Membership.create ?margin ~rows ~universe ~timeout:30.0 () in
-  let engine =
-    Engine.create ~seed:5 ~nodes:universe (Membership.handlers ms)
-  in
-  Membership.bind ms engine;
-  (ms, engine)
+  let engine = Engine.create ~seed:5 ~nodes:universe () in
+  (Membership.create engine ?margin ~rows ~timeout:30.0 (), engine)
 
 let test_initial_placement () =
   let ms, _engine = setup ~rows:3 ~universe:12 () in
@@ -44,8 +40,8 @@ let test_single_death_tolerated () =
      controller from growing into the spares instead.) *)
   let ms, engine = setup ~margin:6 ~rows:3 ~universe:12 () in
   Engine.crash_at engine ~time:1.0 ~node:2;
-  Engine.schedule engine ~time:2.0 (fun () -> Membership.tick ms engine);
-  Engine.schedule engine ~time:10.0 (fun () -> Membership.tick ms engine);
+  Engine.schedule engine ~time:2.0 (fun () -> Membership.tick ms);
+  Engine.schedule engine ~time:10.0 (fun () -> Membership.tick ms);
   Engine.run engine;
   check_int "no proposal for a single death" 0 (Membership.proposals ms);
   check "register still available" true
@@ -58,8 +54,8 @@ let test_replace_dead_members () =
   let ms, engine = setup ~margin:6 ~rows:3 ~universe:12 () in
   Engine.crash_at engine ~time:1.0 ~node:1;
   Engine.crash_at engine ~time:1.0 ~node:4;
-  Engine.schedule engine ~time:2.0 (fun () -> Membership.tick ms engine);
-  Engine.schedule engine ~time:12.0 (fun () -> Membership.tick ms engine);
+  Engine.schedule engine ~time:2.0 (fun () -> Membership.tick ms);
+  Engine.schedule engine ~time:12.0 (fun () -> Membership.tick ms);
   Engine.run engine;
   check_int "one replacement" 1 (Membership.replacements ms);
   check_int "epoch advanced" 1
@@ -73,8 +69,8 @@ let test_grow_when_headroom () =
   (* Plenty of live spares: the controller applies one growth rule per
      adopted switch. *)
   let ms, engine = setup ~rows:2 ~universe:12 () in
-  Engine.schedule engine ~time:1.0 (fun () -> Membership.tick ms engine);
-  Engine.schedule engine ~time:10.0 (fun () -> Membership.tick ms engine);
+  Engine.schedule engine ~time:1.0 (fun () -> Membership.tick ms);
+  Engine.schedule engine ~time:10.0 (fun () -> Membership.tick ms);
   Engine.run engine;
   check "grew at least once" true (Membership.grows ms >= 1);
   check "triangle larger" true ((Membership.current_triangle ms).Htriang.n > 3)
@@ -89,8 +85,8 @@ let test_shrink_when_starved () =
   Engine.crash_at engine ~time:1.0 ~node:0;
   Engine.crash_at engine ~time:1.0 ~node:1;
   (* 4 live <= 6 members: shrink, adopt, then possibly shrink again. *)
-  Engine.schedule engine ~time:2.0 (fun () -> Membership.tick ms engine);
-  Engine.schedule engine ~time:12.0 (fun () -> Membership.tick ms engine);
+  Engine.schedule engine ~time:2.0 (fun () -> Membership.tick ms);
+  Engine.schedule engine ~time:12.0 (fun () -> Membership.tick ms);
   Engine.run engine;
   check "shrank" true (Membership.shrinks ms >= 1);
   check "triangle fits the survivors" true

@@ -254,7 +254,8 @@ let probe_handlers : msg Sim.Engine.handlers =
 
 let test_engine_traces_message_lifecycle () =
   let obs = Obs.create () in
-  let e = Sim.Engine.create ~seed:3 ~nodes:3 ~obs probe_handlers in
+  let e = Sim.Engine.create ~seed:3 ~nodes:3 ~obs () in
+  Sim.Engine.set_handlers e probe_handlers;
   Sim.Engine.send e ~src:0 ~dst:1 Ping;
   Sim.Engine.run e;
   let tr = Obs.trace obs in
@@ -274,7 +275,8 @@ let test_engine_deterministic_with_obs () =
   (* Observability must not perturb the RNG streams: a run with a trace
      attached is bit-identical to one without. *)
   let run obs =
-    let e = Sim.Engine.create ~seed:17 ~nodes:4 ?obs probe_handlers in
+    let e = Sim.Engine.create ~seed:17 ~nodes:4 ?obs () in
+    Sim.Engine.set_handlers e probe_handlers;
     Sim.Engine.send e ~src:0 ~dst:1 Ping;
     Sim.Engine.send e ~src:2 ~dst:3 Ping;
     Sim.Engine.run e;

@@ -12,14 +12,11 @@ let mutex_config = Protocols.Client_config.(default |> with_timeout 1000.0)
 
 let run_mutex ?(seed = 1) ?(requests = 30) ?(spacing = 0.1) ?faults spec =
   let system = Core.Registry.build_exn spec in
+  let engine = Engine.create ~seed ~nodes:system.Quorum.System.n () in
   let mx =
-    Protocols.Mutex.of_config ~config:mutex_config ~system ~cs_duration:0.8 ()
+    Protocols.Mutex.of_config engine ~config:mutex_config ~system
+      ~cs_duration:0.8 ()
   in
-  let engine =
-    Engine.create ~seed ~nodes:system.Quorum.System.n
-      (Protocols.Mutex.handlers mx)
-  in
-  Protocols.Mutex.bind mx engine;
   (match faults with
   | Some events -> Sim.Failure_injector.scripted engine events
   | None -> ());
@@ -59,11 +56,11 @@ let test_mutex_with_dead_nodes () =
     [ (0.0, Sim.Failure_injector.Crash 0); (0.0, Sim.Failure_injector.Crash 7) ]
   in
   let system = Core.Registry.build_exn "htriang(15)" in
+  let engine = Engine.create ~seed:4 ~nodes:15 () in
   let mx =
-    Protocols.Mutex.of_config ~config:mutex_config ~system ~cs_duration:0.5 ()
+    Protocols.Mutex.of_config engine ~config:mutex_config ~system
+      ~cs_duration:0.5 ()
   in
-  let engine = Engine.create ~seed:4 ~nodes:15 (Protocols.Mutex.handlers mx) in
-  Protocols.Mutex.bind mx engine;
   Sim.Failure_injector.scripted engine faults;
   (* Only live nodes request. *)
   List.iter
@@ -86,17 +83,11 @@ let test_mutex_waits_positive () =
 let make_store ?(seed = 11) spec_read spec_write =
   let read_system = Core.Registry.build_exn spec_read in
   let write_system = Core.Registry.build_exn spec_write in
-  let store =
-    Protocols.Replicated_store.of_config
+  let engine = Engine.create ~seed ~nodes:read_system.Quorum.System.n () in
+  ( Protocols.Replicated_store.of_config engine
       ~config:Protocols.Client_config.(default |> with_timeout 50.0)
-      ~read_system ~write_system ()
-  in
-  let engine =
-    Engine.create ~seed ~nodes:read_system.Quorum.System.n
-      (Protocols.Replicated_store.handlers store)
-  in
-  Protocols.Replicated_store.bind store engine;
-  (store, engine)
+      ~read_system ~write_system (),
+    engine )
 
 let test_store_basic_rw () =
   let store, engine = make_store "hgrid-read(4x4)" "hgrid-write(4x4)" in
@@ -187,16 +178,12 @@ let test_store_retries_improve_availability () =
      recover most mid-flight member crashes, consistency intact. *)
   let run retries =
     let read_system = Core.Registry.build_exn "htriang(15)" in
+    let engine = Engine.create ~seed:41 ~nodes:15 () in
     let store =
-      Protocols.Replicated_store.of_config
+      Protocols.Replicated_store.of_config engine
         ~config:Protocols.Client_config.(default |> with_retries retries)
         ~read_system ~write_system:read_system ()
     in
-    let engine =
-      Engine.create ~seed:41 ~nodes:15
-        (Protocols.Replicated_store.handlers store)
-    in
-    Protocols.Replicated_store.bind store engine;
     Sim.Failure_injector.iid_faults engine ~rng:(Rng.create 42) ~p:0.15
       ~mean_downtime:12.0 ~horizon:500.0;
     let n =
@@ -231,17 +218,13 @@ let test_store_partition_unavailability () =
      return inconsistent data. *)
   let read_system = Core.Registry.build_exn "majority(9)" in
   let write_system = Core.Registry.build_exn "majority(9)" in
+  let network = Sim.Network.create () in
+  let engine = Engine.create ~seed:31 ~nodes:9 ~network () in
   let store =
-    Protocols.Replicated_store.of_config
+    Protocols.Replicated_store.of_config engine
       ~config:Protocols.Client_config.(default |> with_timeout 20.0)
       ~read_system ~write_system ()
   in
-  let network = Sim.Network.create () in
-  let engine =
-    Engine.create ~seed:31 ~nodes:9 ~network
-      (Protocols.Replicated_store.handlers store)
-  in
-  Protocols.Replicated_store.bind store engine;
   Engine.schedule engine ~time:1.0 (fun () ->
       ignore (Sim.Network.partition network ~group_a:[ 0; 1 ]));
   Engine.schedule engine ~time:2.0 (fun () ->

@@ -10,10 +10,8 @@ let check_int = Alcotest.(check int)
 let config = Protocols.Client_config.(default |> with_timeout 40.0)
 
 let setup ~universe ~initial =
-  let rc = Reconfig.of_config ~config ~initial ~universe () in
-  let engine = Engine.create ~seed:31 ~nodes:universe (Reconfig.handlers rc) in
-  Reconfig.bind rc engine;
-  (rc, engine)
+  let engine = Engine.create ~seed:31 ~nodes:universe () in
+  (Reconfig.of_config engine ~config ~initial (), engine)
 
 let test_no_switch_sanity () =
   let initial = Core.Registry.build_exn "htriang(15)" in
@@ -144,11 +142,8 @@ let test_coordinator_crash_mid_switch () =
      and a fresh coordinator completes the resize afterwards — with
      the pre-crash write still visible in the new configuration. *)
   let initial = Core.Registry.build_exn "htriang(15)" in
-  let rc =
-    Reconfig.of_config ~config ~switch_retry:3.0 ~initial ~universe:21 ()
-  in
-  let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
-  Reconfig.bind rc engine;
+  let engine = Engine.create ~seed:31 ~nodes:21 () in
+  let rc = Reconfig.of_config engine ~config ~switch_retry:3.0 ~initial () in
   Engine.schedule engine ~time:1.0 (fun () ->
       Reconfig.write rc ~client:4 ~value:99);
   Engine.schedule engine ~time:10.0 (fun () ->
@@ -176,12 +171,10 @@ let test_timed_switch () =
      structural quorum — writes committed during the drain must still
      be visible after the install. *)
   let initial = Core.Registry.build_exn "htriang(15)" in
+  let engine = Engine.create ~seed:31 ~nodes:21 () in
   let rc =
-    Reconfig.of_config ~config ~lease:4.0 ~switch_retry:3.0 ~initial
-      ~universe:21 ()
+    Reconfig.of_config engine ~config ~lease:4.0 ~switch_retry:3.0 ~initial ()
   in
-  let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
-  Reconfig.bind rc engine;
   Engine.schedule engine ~time:1.0 (fun () ->
       Reconfig.write rc ~client:4 ~value:7);
   Engine.schedule engine ~time:10.0 (fun () ->
@@ -206,13 +199,12 @@ let test_shrink_ignores_straggler () =
      late reply to the old round then names a member outside the new
      round's set, and must be ignored rather than crash the run. *)
   let initial = Core.Registry.build_exn "htriang(21)" in
+  let engine = Engine.create ~seed:31 ~nodes:21 () in
   let rc =
-    Reconfig.of_config
+    Reconfig.of_config engine
       ~config:Protocols.Client_config.(default |> with_timeout 60.0)
-      ~initial ~universe:21 ()
+      ~initial ()
   in
-  let engine = Engine.create ~seed:31 ~nodes:21 (Reconfig.handlers rc) in
-  Reconfig.bind rc engine;
   Sim.Network.set_slowdown (Engine.network engine) ~node:20 3.0;
   Engine.schedule engine ~time:1.0 (fun () ->
       Reconfig.reconfigure rc ~coordinator:0

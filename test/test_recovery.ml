@@ -78,13 +78,16 @@ let torn_tail_replay_is_exact_prefix =
 
 type quiet = Never [@@warning "-37"]
 
-let quiet_handlers : quiet Engine.handlers =
-  {
-    on_message = (fun _ ~node:_ ~src:_ Never -> ());
-    on_timer = (fun _ ~node:_ ~tag:_ -> ());
-    on_crash = (fun _ ~node:_ -> ());
-    on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-  }
+let quiet_engine ~seed ~nodes =
+  let engine = Engine.create ~seed ~nodes () in
+  Engine.set_handlers engine
+    {
+      on_message = (fun _ ~node:_ ~src:_ Never -> ());
+      on_timer = (fun _ ~node:_ ~tag:_ -> ());
+      on_crash = (fun _ ~node:_ -> ());
+      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+    };
+  engine
 
 (* qcheck: every crash the iid process generates gets its matching
    recovery, even when the recovery lands past the horizon — no node is
@@ -93,7 +96,7 @@ let injector_recovers_past_horizon =
   QCheck.Test.make ~count:50 ~name:"iid_faults: every crash is recovered"
     QCheck.(triple (int_range 0 100_000) (float_range 0.05 0.6) bool)
     (fun (seed, p, amnesia) ->
-      let engine = Engine.create ~seed ~nodes:7 quiet_handlers in
+      let engine = quiet_engine ~seed ~nodes:7 in
       Injector.iid_faults ~amnesia engine
         ~rng:(Rng.create (seed + 1))
         ~p ~mean_downtime:5.0 ~horizon:50.0;
@@ -101,7 +104,7 @@ let injector_recovers_past_horizon =
       Quorum.Bitset.cardinal (Engine.live_set engine) = 7)
 
 let test_restarts_validation () =
-  let engine = Engine.create ~seed:1 ~nodes:3 quiet_handlers in
+  let engine = quiet_engine ~seed:1 ~nodes:3 in
   Alcotest.check_raises "negative window start rejected"
     (Invalid_argument "Failure_injector.restarts: window") (fun () ->
       Injector.restarts engine [ (-1.0, 2.0, [ 0 ]) ]);
@@ -116,17 +119,14 @@ let test_restarts_validation () =
 
 let test_amnesiac_replica_refuses_until_synced () =
   let system = Core.Registry.build_exn "majority(5)" in
+  let engine = Engine.create ~seed:101 ~nodes:5 () in
   let store =
-    Replicated_store.of_config
+    Replicated_store.of_config engine
       ~config:
         Protocols.Client_config.(
           default |> with_durability (Durable.config ~fsync_latency:0.5 ()))
       ~read_system:system ~write_system:system ()
   in
-  let engine =
-    Engine.create ~seed:101 ~nodes:5 (Replicated_store.handlers store)
-  in
-  Replicated_store.bind store engine;
   Engine.schedule engine ~time:1.0 (fun () ->
       Replicated_store.write store ~client:0 ~key:1 ~value:42);
   (* Two replicas lose their memory at once, well after the write
@@ -166,13 +166,11 @@ let test_amnesiac_replica_refuses_until_synced () =
 
 let test_plain_restart_needs_no_rejoin () =
   let system = Core.Registry.build_exn "majority(5)" in
+  let engine = Engine.create ~seed:103 ~nodes:5 () in
   let store =
-    Replicated_store.of_config ~read_system:system ~write_system:system ()
+    Replicated_store.of_config engine ~read_system:system ~write_system:system
+      ()
   in
-  let engine =
-    Engine.create ~seed:103 ~nodes:5 (Replicated_store.handlers store)
-  in
-  Replicated_store.bind store engine;
   Engine.schedule engine ~time:1.0 (fun () ->
       Replicated_store.write store ~client:0 ~key:1 ~value:7);
   Engine.crash_at engine ~time:20.0 ~node:4;

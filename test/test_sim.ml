@@ -213,6 +213,11 @@ let draw_matches_delay =
 
 type probe_msg = Ping | Pong
 
+let engine_with ?network ?obs ~seed ~nodes handlers =
+  let e = Engine.create ~seed ~nodes ?network ?obs () in
+  Engine.set_handlers e handlers;
+  e
+
 let probe_handlers log : probe_msg Engine.handlers =
   {
     on_message =
@@ -232,7 +237,7 @@ let probe_handlers log : probe_msg Engine.handlers =
 
 let test_engine_ping_pong () =
   let log = ref [] in
-  let e = Engine.create ~seed:5 ~nodes:3 (probe_handlers log) in
+  let e = engine_with ~seed:5 ~nodes:3 (probe_handlers log) in
   Engine.send e ~src:0 ~dst:1 Ping;
   Engine.run e;
   check_int "two deliveries" 2 (Engine.messages_delivered e);
@@ -242,7 +247,7 @@ let test_engine_ping_pong () =
 let test_engine_determinism () =
   let run () =
     let log = ref [] in
-    let e = Engine.create ~seed:9 ~nodes:4 (probe_handlers log) in
+    let e = engine_with ~seed:9 ~nodes:4 (probe_handlers log) in
     Engine.send e ~src:0 ~dst:1 Ping;
     Engine.send e ~src:2 ~dst:3 Ping;
     Engine.set_timer e ~node:0 ~delay:0.5 ~tag:7;
@@ -254,7 +259,7 @@ let test_engine_determinism () =
 
 let test_engine_crash_drops_messages () =
   let log = ref [] in
-  let e = Engine.create ~seed:6 ~nodes:2 (probe_handlers log) in
+  let e = engine_with ~seed:6 ~nodes:2 (probe_handlers log) in
   Engine.crash_at e ~time:0.0 ~node:1;
   Engine.schedule e ~time:1.0 (fun () -> Engine.send e ~src:0 ~dst:1 Ping);
   Engine.run e;
@@ -265,7 +270,7 @@ let test_engine_crash_drops_messages () =
 
 let test_engine_recover () =
   let log = ref [] in
-  let e = Engine.create ~seed:6 ~nodes:2 (probe_handlers log) in
+  let e = engine_with ~seed:6 ~nodes:2 (probe_handlers log) in
   Engine.crash_at e ~time:0.0 ~node:1;
   Engine.recover_at e ~time:5.0 ~node:1;
   Engine.schedule e ~time:6.0 (fun () -> Engine.send e ~src:0 ~dst:1 Ping);
@@ -289,7 +294,7 @@ let test_engine_crash_count () =
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     }
   in
-  let e = Engine.create ~seed:6 ~nodes:3 handlers in
+  let e = engine_with ~seed:6 ~nodes:3 handlers in
   check_int "none at start" 0 (Engine.crashes e ~node:1);
   Engine.crash_at e ~time:1.0 ~node:1;
   Engine.crash_at e ~time:2.0 ~node:1;
@@ -306,7 +311,7 @@ let test_engine_crash_count () =
 
 let test_engine_until () =
   let log = ref [] in
-  let e = Engine.create ~seed:1 ~nodes:1 (probe_handlers log) in
+  let e = engine_with ~seed:1 ~nodes:1 (probe_handlers log) in
   Engine.set_timer e ~node:0 ~delay:1.0 ~tag:1;
   Engine.set_timer e ~node:0 ~delay:10.0 ~tag:2;
   Engine.run ~until:5.0 e;
@@ -315,7 +320,7 @@ let test_engine_until () =
 
 let test_engine_live_set () =
   let log = ref [] in
-  let e = Engine.create ~seed:1 ~nodes:4 (probe_handlers log) in
+  let e = engine_with ~seed:1 ~nodes:4 (probe_handlers log) in
   Engine.crash_at e ~time:0.0 ~node:2;
   Engine.run e;
   let live = Engine.live_set e in
@@ -336,7 +341,7 @@ let test_engine_background_drains () =
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     }
   in
-  let e = Engine.create ~seed:2 ~nodes:1 handlers in
+  let e = engine_with ~seed:2 ~nodes:1 handlers in
   Engine.set_timer ~background:true e ~node:0 ~delay:1.0 ~tag:0;
   Engine.set_timer e ~node:0 ~delay:3.5 ~tag:1;
   (* foreground *)
@@ -359,7 +364,7 @@ let test_engine_budget_reported () =
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     }
   in
-  let e = Engine.create ~seed:2 ~nodes:1 handlers in
+  let e = engine_with ~seed:2 ~nodes:1 handlers in
   Engine.set_timer e ~node:0 ~delay:1.0 ~tag:0;
   let outcome = Engine.run_status ~max_events:100 e in
   check "budget exhausted" true (outcome = Engine.Budget_exhausted);
@@ -391,7 +396,7 @@ let timer_log ?(on_fire = fun _ ~node:_ ~tag:_ -> ()) () =
 
 let test_heap_order () =
   let log, handlers = timer_log () in
-  let e = Engine.create ~seed:1 ~nodes:1 handlers in
+  let e = engine_with ~seed:1 ~nodes:1 handlers in
   List.iter
     (fun d -> Engine.set_timer e ~node:0 ~delay:d ~tag:(int_of_float d))
     [ 3.0; 1.0; 2.0 ];
@@ -401,7 +406,7 @@ let test_heap_order () =
 
 let test_heap_fifo_ties () =
   let log, handlers = timer_log () in
-  let e = Engine.create ~seed:1 ~nodes:1 handlers in
+  let e = engine_with ~seed:1 ~nodes:1 handlers in
   List.iter
     (fun tag -> Engine.set_timer e ~node:0 ~delay:1.0 ~tag)
     [ 10; 20; 30 ];
@@ -418,7 +423,7 @@ let heap_sorts =
           ~on_fire:(fun e ~node:_ ~tag:_ -> times := Engine.now e :: !times)
           ()
       in
-      let e = Engine.create ~seed:1 ~nodes:1 handlers in
+      let e = engine_with ~seed:1 ~nodes:1 handlers in
       List.iter (fun delay -> Engine.set_timer e ~node:0 ~delay ~tag:0) delays;
       Engine.run e;
       let fired = List.rev !times in
@@ -506,7 +511,7 @@ let dispatch_follows_push_order =
         }
       in
       let network = Network.create ~base_latency:1.0 ~jitter:0.0 () in
-      let e = Engine.create ~seed:3 ~nodes:128 ~network handlers in
+      let e = engine_with ~seed:3 ~nodes:128 ~network handlers in
       List.iter (push e) plan;
       Engine.run e;
       List.rev !dispatched = List.map snd (List.sort compare !pushed))
@@ -533,7 +538,7 @@ let test_raise_leaves_queue_consistent () =
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     }
   in
-  let e = Engine.create ~seed:4 ~nodes:2 handlers in
+  let e = engine_with ~seed:4 ~nodes:2 handlers in
   Engine.set_timer ~background:true e ~node:1 ~delay:0.5 ~tag:0;
   for round = 1 to 100 do
     Engine.send e ~src:0 ~dst:1 (-round);
@@ -564,7 +569,7 @@ let test_span_ctx_rides_messages () =
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     }
   in
-  let e = Engine.create ~seed:5 ~nodes:4 handlers in
+  let e = engine_with ~seed:5 ~nodes:4 handlers in
   Engine.set_span_ctx e 7;
   Engine.send e ~src:0 ~dst:1 Ping;
   Engine.send ~background:true e ~src:0 ~dst:2 Pong;
@@ -605,7 +610,7 @@ let test_beat_draws_like_background_send () =
       }
     in
     let network = Network.create ~jitter () in
-    let e = Engine.create ~seed:17 ~nodes ~network handlers in
+    let e = engine_with ~seed:17 ~nodes ~network handlers in
     Engine.crash_at e ~time:2.5 ~node:3;
     for round = 0 to 5 do
       Engine.schedule e ~time:(float_of_int round) (fun () ->
@@ -668,7 +673,7 @@ let test_beat_draws_like_background_send () =
 let test_beat_reserves_its_seq () =
   let network = Network.create ~base_latency:1.0 ~jitter:0.0 () in
   let _, handlers = timer_log () in
-  let e = Engine.create ~seed:1 ~nodes:2 ~network handlers in
+  let e = engine_with ~seed:1 ~nodes:2 ~network handlers in
   let seen = ref [] in
   let probe () = seen := (Engine.take_beats e ~node:1).Engine.count :: !seen in
   Engine.schedule e ~time:1.0 probe;
@@ -682,7 +687,7 @@ let test_beat_reserves_its_seq () =
 let test_iid_faults_fraction () =
   (* Measure the down-fraction of a node across a long horizon. *)
   let log = ref [] in
-  let e = Engine.create ~seed:3 ~nodes:5 (probe_handlers log) in
+  let e = engine_with ~seed:3 ~nodes:5 (probe_handlers log) in
   Sim.Failure_injector.iid_faults e ~rng:(Rng.create 42) ~p:0.25
     ~mean_downtime:2.0 ~horizon:5000.0;
   (* Track downtime of node 0 through crash/recover events. *)
@@ -710,7 +715,7 @@ let test_iid_faults_fraction () =
 
 let test_scripted () =
   let log = ref [] in
-  let e = Engine.create ~seed:3 ~nodes:2 (probe_handlers log) in
+  let e = engine_with ~seed:3 ~nodes:2 (probe_handlers log) in
   Sim.Failure_injector.scripted e
     [ (1.0, Sim.Failure_injector.Crash 0); (2.0, Sim.Failure_injector.Recover 0) ];
   Engine.run e;
@@ -718,7 +723,7 @@ let test_scripted () =
 
 let test_crash_random_subset () =
   let log = ref [] in
-  let e = Engine.create ~seed:3 ~nodes:100 (probe_handlers log) in
+  let e = engine_with ~seed:3 ~nodes:100 (probe_handlers log) in
   Sim.Failure_injector.crash_random_subset e ~rng:(Rng.create 8) ~at:1.0
     ~p:0.3;
   Engine.run e;
@@ -731,8 +736,8 @@ let test_backoff_jitter_zero () =
   (* jitter = 0: the classic deterministic schedule, prev * backoff
      clamped to the cap — no RNG draw at all. *)
   let rpc =
-    Sim.Rpc.create ~timeout:2.0 ~backoff:2.0 ~jitter:0.0 ~cap:16.0
-      ~wrap:Fun.id ()
+    Sim.Rpc.create (Engine.create ~seed:1 ~nodes:1 ()) ~timeout:2.0
+      ~backoff:2.0 ~jitter:0.0 ~cap:16.0 ()
   in
   let rng = Rng.create 1 in
   let d1 = Sim.Rpc.next_backoff rpc rng ~prev:2.0 in
@@ -750,7 +755,8 @@ let backoff_within_bounds =
     QCheck.(pair (int_range 0 10_000) (float_range 2.0 40.0))
     (fun (seed, prev) ->
       let rpc =
-        Sim.Rpc.create ~timeout:2.0 ~jitter:0.3 ~cap:32.0 ~wrap:Fun.id ()
+        Sim.Rpc.create (Engine.create ~seed ~nodes:1 ()) ~timeout:2.0
+          ~jitter:0.3 ~cap:32.0 ()
       in
       let d = Sim.Rpc.next_backoff rpc (Rng.create seed) ~prev in
       d >= 2.0 && d <= Float.min 32.0 (3.0 *. prev))
@@ -759,7 +765,8 @@ let test_backoff_deterministic () =
   (* Same seed, same prev sequence -> identical delays: jittered runs
      stay exactly reproducible. *)
   let draw seed =
-    let rpc = Sim.Rpc.create ~timeout:2.0 ~jitter:0.3 ~wrap:Fun.id () in
+    let e = Engine.create ~seed ~nodes:1 () in
+    let rpc = Sim.Rpc.create e ~timeout:2.0 ~jitter:0.3 () in
     let rng = Rng.create seed in
     let rec go prev k acc =
       if k = 0 then List.rev acc
@@ -781,7 +788,7 @@ let test_backoff_deterministic () =
    span, and the fsync spans opened. *)
 let write_ahead ?(root = true) ?(call = 1.0) faults =
   let obs = Obs.create () in
-  let e = Engine.create ~seed:8 ~nodes:2 ~obs (probe_handlers (ref [])) in
+  let e = engine_with ~seed:8 ~nodes:2 ~obs (probe_handlers (ref [])) in
   let spans = Obs.spans obs in
   let sent = ref None and parent = ref (-1) in
   Engine.schedule e ~time:call (fun () ->

@@ -85,13 +85,10 @@ let run_session ~window ~batch_size ~sequential scenario ops =
   let config =
     Client_config.(default |> with_timeout 60.0 |> with_retries 8)
   in
+  let engine = Engine.create ~seed:(seed + 1) ~nodes:n ~network () in
   let store =
-    Store.of_config ~config ~read_system:system ~write_system:system ()
+    Store.of_config engine ~config ~read_system:system ~write_system:system ()
   in
-  let engine =
-    Engine.create ~seed:(seed + 1) ~nodes:n ~network (Store.handlers store)
-  in
-  Store.bind store engine;
   Chaos.apply engine ~rng scenario;
   let session =
     Session.create store ~client ~window ~batch_size ~batch_delay:0.5 ()
@@ -275,14 +272,12 @@ let test_router_rejects_bad_cuts () =
 let test_backlog_shed () =
   let system = test_system () in
   let n = system.Quorum.System.n in
-  let store =
-    Store.of_config ~read_system:system ~write_system:system ()
-  in
   let engine =
-    Engine.create ~seed:2 ~nodes:n ~network:(Network.create ())
-      (Store.handlers store)
+    Engine.create ~seed:2 ~nodes:n ~network:(Network.create ()) ()
   in
-  Store.bind store engine;
+  let store =
+    Store.of_config engine ~read_system:system ~write_system:system ()
+  in
   let s = Session.create store ~client:0 ~window:1 ~max_queue:2 () in
   let accepted = ref 0 in
   Engine.schedule engine ~time:0.0 (fun () ->
