@@ -1,4 +1,4 @@
-(* Raw engine speed: events/sec and allocations/event for the
+(* Raw engine speed: relay ops/sec and allocations/op for the
    Engine/Rpc/Durable hot path, per observability configuration, on a
    pinned seed (48).
 
@@ -27,12 +27,16 @@
    arrivals' filing and the per-round accuracy samples — as beats/sec
    and minor words per beat.
 
-   Everything lands in BENCH_engine.json.  With --gate FILE the rows
-   are compared against a committed baseline: allocations per event
-   (per beat) are deterministic for a given compiler and gated at
-   +10%; events/sec (beats/sec) is machine-dependent, so the gate uses
-   the ratio to an in-process calibration loop (events per calibration
-   op) and allows -15%. *)
+   Everything lands in BENCH_engine.json, with events/sec and
+   allocations/event beside the per-op figures.  The relay is gated per
+   op, not per event: cancelled timers are work the engine no longer
+   does, so a change that cancels more dispatches fewer events per op
+   and raises words per event while the op gets cheaper.  With --gate
+   FILE the rows are compared against a committed baseline:
+   allocations per op (per beat) are deterministic for a given
+   compiler and gated at +10%; ops/sec (beats/sec) is
+   machine-dependent, so the gate uses the ratio to an in-process
+   calibration loop (ops per calibration op) and allows -15%. *)
 
 module Engine = Sim.Engine
 module Rpc = Sim.Rpc
@@ -143,6 +147,7 @@ type measured = {
   sent : int;
   best_dt : float;
   words_per_event : float;
+  words_per_op : float;
 }
 
 let measure cfg =
@@ -173,6 +178,7 @@ let measure cfg =
     sent = !sent;
     best_dt = !best_dt;
     words_per_event = !words /. float_of_int (max 1 !events);
+    words_per_op = !words /. float_of_int (ops ());
   }
 
 (* --- Heartbeats ------------------------------------------------------ *)
@@ -242,12 +248,16 @@ let calibration () =
 
 let config_json ~calib m =
   let rate = float_of_int m.events /. m.best_dt in
+  let op_rate = float_of_int (ops ()) /. m.best_dt in
   Printf.sprintf
     "    {\"name\": %S, \"events\": %d, \"messages_sent\": %d, \
      \"seconds_best\": %.4f, \"events_per_sec\": %.0f, \
-     \"events_per_calib_op\": %.6f, \"minor_words_per_event\": %.2f}"
+     \"events_per_calib_op\": %.6f, \"minor_words_per_event\": %.2f, \
+     \"ops_per_calib_op\": %.6f, \"minor_words_per_op\": %.2f}"
     m.m_cfg.cname m.events m.sent m.best_dt rate (rate /. calib *. 1000.0)
     m.words_per_event
+    (op_rate /. calib *. 1000.0)
+    m.words_per_op
 
 let heartbeats_json ~calib h =
   let rate = float_of_int h.beats /. h.beats_dt in
@@ -329,7 +339,7 @@ let read_file path =
   s
 
 (* One gated row: its name in the baseline, its calibrated rate and
-   its words per unit (event or beat), with the baseline keys of
+   its words per unit (relay op or beat), with the baseline keys of
    both. *)
 type gated = {
   row : string;
@@ -390,7 +400,7 @@ let gate ~baseline_path rows =
 (* --- Driver --------------------------------------------------------- *)
 
 let run () =
-  Util.print_header "Engine hot-path bench (events/sec, allocations/event)";
+  Util.print_header "Engine hot-path bench (ops/sec, allocations/op)";
   Printf.printf
     "  seed %d, %d nodes, %d ops x %d hops, rpc relay + durable appends\n"
     seed n_nodes (ops ()) hops;
@@ -417,10 +427,11 @@ let run () =
   List.iter
     (fun m ->
       Printf.printf
-        "  %-14s %9d events  %12.0f events/sec  %8.2f minor words/event\n"
+        "  %-14s %9d events  %12.0f events/sec  %8.2f minor words/event  \
+         %8.1f minor words/op\n"
         m.m_cfg.cname m.events
         (float_of_int m.events /. m.best_dt)
-        m.words_per_event)
+        m.words_per_event m.words_per_op)
     measured;
   let hb = measure_heartbeats () in
   Printf.printf
@@ -489,10 +500,10 @@ let run () =
            (fun m ->
              {
                row = m.m_cfg.cname;
-               rel = per_calib_op m.events m.best_dt;
-               rel_key = "events_per_calib_op";
-               words = m.words_per_event;
-               words_key = "minor_words_per_event";
+               rel = per_calib_op (ops ()) m.best_dt;
+               rel_key = "ops_per_calib_op";
+               words = m.words_per_op;
+               words_key = "minor_words_per_op";
              })
            measured
         @ [

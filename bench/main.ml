@@ -18,8 +18,8 @@
    and writes BENCH_parallel.json).
    --gate FILE makes the engine target compare its measurements against
    the committed baseline (bench/BENCH_engine.baseline.json) and fail
-   on regression: events/sec (calibration-normalized) down more than
-   15% or minor words/event up more than 10%. *)
+   on regression: relay ops/sec (calibration-normalized) down more than
+   15% or minor words per relay op up more than 10%. *)
 
 let targets : (string * (unit -> unit)) list =
   [

@@ -18,7 +18,8 @@ let jobs = ref 1
 let gate : string option ref = ref None
 (* --gate FILE makes the engine target compare its measurements
    against a committed baseline JSON and exit non-zero on regression
-   (events/sec normalized by an in-process calibration loop). *)
+   (relay ops/sec normalized by an in-process calibration loop, words
+   per relay op). *)
 
 let the_pool : Exec.Pool.t option ref = ref None
 

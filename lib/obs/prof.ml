@@ -65,8 +65,9 @@ type t = {
   count : int array;  (* probes entered per category *)
   stack : int array;  (* enclosing category indices *)
   mutable depth : int;
-  mutable last_t : float;  (* boundary: wall clock at last probe edge *)
-  mutable last_w : float;  (* boundary: minor words at last probe edge *)
+  last : Float.Array.t;
+      (* boundary at the last probe edge: wall clock in cell 0, minor
+         words in cell 1 — unboxed, so an edge allocates nothing *)
   mutable truncated : int;  (* probes deeper than the stack *)
   mutable unbalanced : int;  (* leave without enter / category mismatch *)
 }
@@ -79,8 +80,7 @@ let create ?(enabled = false) () =
     count = Array.make n_categories 0;
     stack = Array.make stack_cap 0;
     depth = 0;
-    last_t = 0.0;
-    last_w = 0.0;
+    last = Float.Array.make 2 0.0;
     truncated = 0;
     unbalanced = 0;
   }
@@ -105,13 +105,19 @@ let set_enabled t on =
   t.depth <- 0;
   t.on <- on;
   if on then begin
-    t.last_t <- Unix.gettimeofday ();
-    t.last_w <- Gc.minor_words ()
+    Float.Array.set t.last 0 (Unix.gettimeofday ());
+    Float.Array.set t.last 1 (Gc.minor_words ())
   end
 
-let charge t i tn wn =
-  t.time.(i) <- t.time.(i) +. (tn -. t.last_t);
-  t.words.(i) <- t.words.(i) +. (wn -. t.last_w)
+(* Inlined so [tn] and [wn] stay unboxed from the clock reads into the
+   accumulators. *)
+let[@inline] charge t i tn wn =
+  t.time.(i) <- t.time.(i) +. (tn -. Float.Array.get t.last 0);
+  t.words.(i) <- t.words.(i) +. (wn -. Float.Array.get t.last 1)
+
+let[@inline] mark t tn wn =
+  Float.Array.set t.last 0 tn;
+  Float.Array.set t.last 1 wn
 
 let enter t cat =
   if t.on then begin
@@ -123,8 +129,7 @@ let enter t cat =
     else t.truncated <- t.truncated + 1;
     t.depth <- t.depth + 1;
     t.count.(i) <- t.count.(i) + 1;
-    t.last_t <- tn;
-    t.last_w <- wn
+    mark t tn wn
   end
 
 let leave t cat =
@@ -138,8 +143,7 @@ let leave t cat =
       let wn = Gc.minor_words () in
       charge t top tn wn;
       t.depth <- t.depth - 1;
-      t.last_t <- tn;
-      t.last_w <- wn
+      mark t tn wn
     end
   end
 

@@ -10,12 +10,11 @@
     category accumulates exclusive (self) time and the per-category
     shares of a {!report} sum to exactly the probed total.
 
-    The accumulators are flat [float array]s indexed by category — no
-    per-event closures or allocation on the probe fast path beyond the
-    clock reads themselves (a few boxed floats per probe, charged to the
-    enclosing category; negligible against typical hundreds of words per
-    simulated event).  A disabled profiler costs one load and branch per
-    probe edge.
+    The accumulators are flat [float array]s indexed by category and the
+    last probe edge's clock and word count sit in an unboxed
+    [Float.Array.t], so a probe edge allocates nothing: a category's
+    words are exactly what its code allocated.  A disabled profiler
+    costs one load and branch per probe edge.
 
     Profiling is {e behaviorally inert}: it reads clocks and counters
     but never touches simulation state or RNG streams, so pinned-seed

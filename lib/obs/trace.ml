@@ -60,8 +60,7 @@ let length t = min t.next_seq t.cap
 let dropped t = max 0 (t.next_seq - t.cap)
 let clear t = t.next_seq <- 0
 
-let record t ~time ~node ?(peer = -1) ?(msg_id = -1) ?(span = -1)
-    ?(label = "") kind =
+let record t ~time ~node ~peer ~msg_id ~span ~label kind =
   if t.cap > 0 then begin
     Prof.enter t.prof Prof.Trace;
     let seq = t.next_seq in

@@ -1,12 +1,12 @@
 (** Ring-buffered structured event trace with message-causality links.
 
     Every event carries a simulated timestamp, the node it happened on,
-    an optional peer node, an optional message id, an optional span id
-    (see {!Span}) and a free-form label.  Message ids are the causality
-    links: the event stream of a healthy run contains, for every
-    [Deliver] of message [m], an earlier [Send] of [m] — send → deliver
-    → (the ack's own send → deliver) chains are reconstructible from
-    the ids alone.  Span ids tie message events to the operation whose
+    a peer node, a message id, a span id (see {!Span}) and a free-form
+    label; the last four are [-1] or [""] when they do not apply.
+    Message ids are the causality links: the event stream of a healthy
+    run contains, for every [Deliver] of message [m], an earlier [Send]
+    of [m] — send → deliver → (the ack's own send → deliver) chains are
+    reconstructible from the ids alone.  Span ids tie message events to the operation whose
     causal context they were emitted under, which is what
     {!Trace_analysis} uses to rebuild per-operation critical paths.
 
@@ -46,12 +46,7 @@ val create :
 (** [capacity] (default 8192) is the ring size in events; [0] disables
     recording.  [on_drop] (default a no-op) is invoked once for every
     event that overwrites an older one.  [prof] (default {!Prof.null})
-    receives an [obs.trace] probe around every recorded event.
-
-    Note for zero-allocation call sites: supplying {!record}'s optional
-    arguments boxes them at the call regardless of capacity (the ring
-    itself allocates nothing), so hot paths that want a true no-op when
-    tracing is off should guard on [capacity t > 0] before calling. *)
+    receives an [obs.trace] probe around every recorded event. *)
 
 val capacity : t -> int
 
@@ -59,12 +54,15 @@ val record :
   t ->
   time:float ->
   node:int ->
-  ?peer:int ->
-  ?msg_id:int ->
-  ?span:int ->
-  ?label:string ->
+  peer:int ->
+  msg_id:int ->
+  span:int ->
+  label:string ->
   kind ->
   unit
+(** Append one event.  Every field is required — [-1] for a missing
+    peer, message id or span, [""] for no label — so a call passes its
+    arguments as they are and allocates nothing. *)
 
 val recorded : t -> int
 (** Total events ever recorded (including overwritten ones). *)

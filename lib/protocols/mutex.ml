@@ -305,8 +305,8 @@ let enter_cs t ~node (w : waiting) =
   Span.finish (spans t) ~time:(Engine.now t.engine) w.span;
   Trace.record
     (Obs.trace (Engine.obs t.engine))
-    ~time:(Engine.now t.engine) ~node ~span:w.span ~label:"mutex.enter"
-    Trace.Note;
+    ~time:(Engine.now t.engine) ~node ~peer:(-1) ~msg_id:(-1) ~span:w.span
+    ~label:"mutex.enter" Trace.Note;
   (* Leave after cs_duration: encoded as a timer tagged by ts. *)
   Engine.set_timer t.engine ~node ~delay:t.cs_duration ~tag:w.req.ts
 
@@ -373,9 +373,8 @@ let release_quorum t ~node req quorum =
 (* Issue a fresh request from [node], choosing the quorum among the
    nodes its failure detector currently trusts. *)
 let rec issue_request t ~node =
-  let engine = t.engine in
   let view = Failure_detector.view t.fd ~node in
-  match t.system.Quorum.System.select (Engine.rng engine) ~live:view with
+  match t.system.Quorum.System.select (Engine.rng t.engine) ~live:view with
   | None ->
       t.unavailable <- t.unavailable + 1;
       Metrics.incr t.ins.mx_unavailable;
@@ -385,7 +384,7 @@ let rec issue_request t ~node =
       let req = { ts = t.clock; client = node } in
       let quorum = Bitset.to_list quorum_set in
       let span =
-        Span.start (spans t) ~time:(Engine.now engine) ~node
+        Span.start (spans t) ~time:(Engine.now t.engine) ~node
           "mutex.acquire"
       in
       t.clients.(node) <-
@@ -396,12 +395,12 @@ let rec issue_request t ~node =
             grants = Bitset.create (Array.length t.clients);
             got_failed = false;
             pending_inquires = [];
-            started = Engine.now engine;
+            started = Engine.now t.engine;
             span;
           };
-      Engine.with_span_ctx engine span (fun () ->
+      Engine.with_span_ctx t.engine span (fun () ->
           List.iter (fun j -> rsend t ~src:node ~dst:j (Request req)) quorum;
-          Engine.set_timer engine ~node
+          Engine.set_timer t.engine ~node
             ~delay:(Failure_detector.timeout t.fd)
             ~tag:(req.ts + wd_offset))
 
@@ -497,11 +496,16 @@ let dispatch_app t ~node ~src = function
   | Alive { ts } -> arbiter_on_alive t ~node ~client:src ~ts
 
 let handlers t : msg Engine.handlers =
+  (* One delivery closure per node, built once. *)
+  let deliver =
+    Array.init (Array.length t.clients) (fun node ->
+        let deliver ~src payload = dispatch_app t ~node ~src payload in
+        deliver)
+  in
   {
     on_message =
       (fun _engine ~node ~src msg ->
-        Rpc.on_message t.rpc ~node ~src msg ~deliver:(fun ~src payload ->
-            dispatch_app t ~node ~src payload));
+        Rpc.on_message t.rpc ~node ~src msg ~deliver:deliver.(node));
     on_timer =
       (fun _engine ~node ~tag ->
         if Failure_detector.on_timer t.fd ~node ~tag then ()

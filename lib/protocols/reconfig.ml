@@ -191,7 +191,6 @@ let select_live_quorum t ~node (system : System.t) =
    membership controller's next repair) is retried on the same backoff
    as a NACK; the per-op timer bounds the total wait. *)
 let rec launch t (op : op) =
-  let engine = t.engine in
   op.epoch <- t.epoch;
   let system = config_of_epoch t op.epoch in
   match select_live_quorum t ~node:op.client system with
@@ -201,10 +200,10 @@ let rec launch t (op : op) =
       op.best <- (0, 0);
       op.nacked <- false;
       op.waiting_for <- Bitset.copy quorum;
-      Engine.with_span_ctx engine op.span (fun () ->
+      Engine.with_span_ctx t.engine op.span (fun () ->
           Bitset.iter
             (fun j ->
-              Engine.send engine ~src:op.client ~dst:j
+              Engine.send t.engine ~src:op.client ~dst:j
                 (Op_req { op = op.id; epoch = op.epoch; write = None }))
             quorum);
       arm_progress_check t op
@@ -307,7 +306,6 @@ let finish_read t (op : op) =
     t.stale_reads <- t.stale_reads + 1
 
 let begin_install t (op : op) =
-  let engine = t.engine in
   match op.kind with
   | Read_op -> finish_read t op
   | Write_op value ->
@@ -319,10 +317,10 @@ let begin_install t (op : op) =
           op.write_version <- version;
           op.phase <- Install_phase;
           op.waiting_for <- Bitset.copy wq;
-          Engine.with_span_ctx engine op.span (fun () ->
+          Engine.with_span_ctx t.engine op.span (fun () ->
               Bitset.iter
                 (fun j ->
-                  Engine.send engine ~src:op.client ~dst:j
+                  Engine.send t.engine ~src:op.client ~dst:j
                     (Op_req
                        {
                          op = op.id;

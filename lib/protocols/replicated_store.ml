@@ -85,8 +85,10 @@ type op = {
   mutable write_version : int;
   mutable retries_left : int;
   mutable deadline : float;
-      (** current attempt's timeout instant; earlier timer fires are
-          stale leftovers from a superseded attempt *)
+      (** current attempt's timeout instant; identifies the attempt *)
+  mutable attempt_timer : int;
+      (** {!Engine.timer} handle of the current attempt's timeout;
+          cancelled when the op ends or relaunches *)
   mutable done_ : bool;
   mutable span : int;  (** root span of the whole client operation *)
   mutable attempt_span : int;  (** span of the current quorum attempt *)
@@ -321,10 +323,10 @@ let committed_version_before t key time =
    view, not the omniscient live-set — and (re)enter the version
    phase. *)
 let rec launch_attempt t (op : op) =
-  let engine = t.engine in
   let sp = spans t in
-  let now = Engine.now engine in
-  (* A relaunch supersedes the previous attempt's span. *)
+  let now = Engine.now t.engine in
+  (* A relaunch supersedes the previous attempt's timeout and span. *)
+  Engine.cancel t.engine op.attempt_timer;
   if op.attempt_span >= 0 then
     Span.finish sp ~time:now ~status:(Span.Error "retry") op.attempt_span;
   let live = Failure_detector.view t.fd ~node:op.client in
@@ -351,7 +353,8 @@ let rec launch_attempt t (op : op) =
   end
   else
     match
-      (read_system_for t op.key).Quorum.System.select (Engine.rng engine) ~live
+      (read_system_for t op.key).Quorum.System.select (Engine.rng t.engine)
+        ~live
     with
     | None ->
         Hashtbl.remove t.ops op.id;
@@ -372,13 +375,14 @@ let rec launch_attempt t (op : op) =
         op.attempt_span <-
           Span.start sp ~time:now ~node:op.client ~parent:op.span
             "store.attempt";
-        Engine.with_span_ctx engine op.attempt_span (fun () ->
+        Engine.with_span_ctx t.engine op.attempt_span (fun () ->
             Bitset.iter
               (fun j ->
                 emit t op ~dst:j (Version_req { op = op.id; key = op.key }))
               quorum;
-            Engine.set_timer engine ~node:op.client ~delay:t.timeout
-              ~tag:op.id;
+            op.attempt_timer <-
+              Engine.timer t.engine ~node:op.client ~delay:t.timeout
+                ~tag:op.id;
             arm_hedge t op quorum)
 
 (* One client operation through a session: identical to the historical
@@ -415,6 +419,7 @@ and start_session_op t s ?notify ~key kind =
         write_version = 0;
         retries_left = t.retries;
         deadline = 0.0;
+        attempt_timer = -1;
         done_ = false;
         span = -1;
         attempt_span = -1;
@@ -478,6 +483,7 @@ and session_pump t s =
 and finish t op outcome =
   op.done_ <- true;
   Hashtbl.remove t.ops op.id;
+  Engine.cancel t.engine op.attempt_timer;
   let ins = t.ins in
   let now = Engine.now t.engine in
   let sp = spans t in
@@ -656,7 +662,7 @@ let write t ~client ~key ~value =
   let s = Session.create t ~client () in
   ignore (Session.submit t s (Put { key; value }) : bool)
 
-let on_version_rep t engine ~node op_id ~version ~value =
+let on_version_rep t ~node op_id ~version ~value =
   match Hashtbl.find_opt t.ops op_id with
   | None -> ()
   | Some op ->
@@ -668,7 +674,7 @@ let on_version_rep t engine ~node op_id ~version ~value =
              guard below is the historical membership test. *)
           if Bitset.mem r.targets node && not (Bitset.mem r.acked node)
           then begin
-            record_latency t ~peer:node (Engine.now engine -. op.last_send);
+            record_latency t ~peer:node (Engine.now t.engine -. op.last_send);
             Bitset.add r.acked node;
             if Bitset.mem r.waiting_for node then
               Bitset.remove r.waiting_for node;
@@ -686,12 +692,13 @@ let on_version_rep t engine ~node op_id ~version ~value =
                   let live = Failure_detector.view t.fd ~node:op.client in
                   (match
                      (write_system_for t op.key).Quorum.System.select
-                       (Engine.rng engine) ~live
+                       (Engine.rng t.engine) ~live
                    with
                   | None ->
                       Hashtbl.remove t.ops op.id;
+                      Engine.cancel t.engine op.attempt_timer;
                       let sp = spans t in
-                      let now = Engine.now engine in
+                      let now = Engine.now t.engine in
                       if op.attempt_span >= 0 then
                         Span.finish sp ~time:now
                           ~status:(Span.Error "unavailable") op.attempt_span;
@@ -709,7 +716,7 @@ let on_version_rep t engine ~node op_id ~version ~value =
                             targets = Bitset.copy wq;
                             acked = Bitset.create (universe t);
                           };
-                      op.last_send <- Engine.now engine;
+                      op.last_send <- Engine.now t.engine;
                       Bitset.iter
                         (fun j ->
                           emit t op ~dst:j
@@ -868,7 +875,8 @@ let on_sync_rep t ~node ~src ~sync entries =
         Obs.Trace.record
           (Obs.trace (Engine.obs t.engine))
           ~time:(Engine.now t.engine)
-          ~node ~label:"store.rejoin" Obs.Trace.Note
+          ~node ~peer:(-1) ~msg_id:(-1) ~span:(-1) ~label:"store.rejoin"
+          Obs.Trace.Note
       end
   | Some _ | None -> ()
 
@@ -943,7 +951,8 @@ let refuse t ~node ~src op =
    dispatch is synchronous — exactly the historical behaviour, no
    extra events.  This is what turns quorum-size differences into
    observable throughput: a node in every quorum saturates first. *)
-let with_service t engine ~node ~k process =
+let with_service t ~node ~k process =
+  let engine = t.engine in
   let cost =
     t.serv.per_batch +. (float_of_int k *. t.serv.per_req)
   in
@@ -972,7 +981,7 @@ let version_rep t ~node (op : int) key =
 (* Process a replica-side batch: version requests answer immediately,
    writes merge into the table and share one durable flush — one
    [append_batch], one fsync wait, one batched ack. *)
-let process_batch t engine ~node ~src ~now reqs =
+let process_batch t ~node ~src ~now reqs =
   if t.rejoining.(node) then begin
     let reps =
       List.filter_map
@@ -1007,7 +1016,7 @@ let process_batch t engine ~node ~src ~now reqs =
         if durable_at <= now then instant := !acks @ !instant
         else
           let reps = List.rev !acks in
-          Durable.send_when_durable engine ~node ~durable_at
+          Durable.send_when_durable t.engine ~node ~durable_at
             ~span:"store.fsync" (fun () ->
               rsend t ~src:node ~dst:src (Batch_rep { reps })));
     match List.rev !instant with
@@ -1015,15 +1024,15 @@ let process_batch t engine ~node ~src ~now reqs =
     | reps -> rsend t ~src:node ~dst:src (Batch_rep { reps })
   end
 
-let rec dispatch_app t engine ~node ~src = function
+let rec dispatch_app t ~node ~src = function
   | Version_req { op; key } ->
-      with_service t engine ~node ~k:1 (fun ~now:_ ->
+      with_service t ~node ~k:1 (fun ~now:_ ->
           if t.rejoining.(node) then refuse t ~node ~src op
           else rsend t ~src:node ~dst:src (version_rep t ~node op key))
   | Version_rep { op; version; value } ->
-      on_version_rep t engine ~node:src op ~version ~value
+      on_version_rep t ~node:src op ~version ~value
   | Write_req { op; key; version; value } ->
-      with_service t engine ~node ~k:1 (fun ~now ->
+      with_service t ~node ~k:1 (fun ~now ->
           if t.rejoining.(node) then refuse t ~node ~src op
           else begin
             merge_record t.replicas.(node) (key, version, value);
@@ -1037,7 +1046,7 @@ let rec dispatch_app t engine ~node ~src = function
             if durable_at <= now then
               rsend t ~src:node ~dst:src (Write_ack { op })
             else
-              Durable.send_when_durable engine ~node ~durable_at
+              Durable.send_when_durable t.engine ~node ~durable_at
                 ~span:"store.fsync" (fun () ->
                   rsend t ~src:node ~dst:src (Write_ack { op }))
           end)
@@ -1057,33 +1066,35 @@ let rec dispatch_app t engine ~node ~src = function
       rsend t ~src:node ~dst:src (Sync_rep { sync; entries })
   | Sync_rep { sync; entries } -> on_sync_rep t ~node ~src ~sync entries
   | Batch_req { reqs } ->
-      with_service t engine ~node ~k:(List.length reqs) (fun ~now ->
-          process_batch t engine ~node ~src ~now reqs)
+      with_service t ~node ~k:(List.length reqs) (fun ~now ->
+          process_batch t ~node ~src ~now reqs)
   | Batch_rep { reps } ->
       (* Unpack at the client: each inner reply dispatches exactly as
          if it had arrived bare. *)
-      List.iter (fun rep -> dispatch_app t engine ~node ~src rep) reps
+      List.iter (fun rep -> dispatch_app t ~node ~src rep) reps
 
 let handlers t : msg Engine.handlers =
+  (* One delivery closure per node, built once. *)
+  let deliver =
+    Array.init (universe t) (fun node ->
+        let deliver ~src payload = dispatch_app t ~node ~src payload in
+        deliver)
+  in
   {
     on_message =
-      (fun engine ~node ~src msg ->
-        Rpc.on_message t.rpc ~node ~src msg ~deliver:(fun ~src payload ->
-            dispatch_app t engine ~node ~src payload));
+      (fun _engine ~node ~src msg ->
+        Rpc.on_message t.rpc ~node ~src msg ~deliver:deliver.(node));
     on_timer =
-      (fun engine ~node ~tag ->
+      (fun _engine ~node ~tag ->
         if Failure_detector.on_timer t.fd ~node ~tag then ()
         else if Rpc.on_timer t.rpc ~node ~tag then ()
         else if tag >= hedge_offset then on_hedge t (tag - hedge_offset)
         else
+          (* Ending or relaunching an op cancels its attempt timer, so a
+             fire is always the current attempt's timeout. *)
           match Hashtbl.find_opt t.ops tag with
-          | Some op when not op.done_ ->
-              (* A dead-letter fail-over re-arms the attempt with a
-                 later deadline; the original timer still fires and
-                 must be ignored. *)
-              if Engine.now engine +. 1e-9 >= op.deadline then
-                attempt_failed t op
-          | Some _ | None -> ());
+          | Some op -> attempt_failed t op
+          | None -> ());
     on_crash =
       (fun engine ~node ->
         Rpc.on_crash t.rpc ~node;

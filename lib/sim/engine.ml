@@ -50,10 +50,12 @@ and instruments = {
 
 (* The event queue is an arena of struct-of-arrays slots under a 4-ary
    min-heap of slot ids ordered by [(time, seq)]; freed slots are
-   threaded through [a] as a free list.  Per kind, [a]/[b] hold
-   src/dst (deliver), node/tag (timer), node (crash) and node/amnesia
-   (recover); [ctxs] is the span context the handler runs under —
-   captured at send/arm/schedule time, -1 for background messages. *)
+   threaded through [a] as a free list, and [hpos] maps a queued slot
+   to its heap position (-1 when not queued) so {!cancel} can remove
+   it.  Per kind, [a]/[b] hold src/dst (deliver), node/tag (timer),
+   node (crash) and node/amnesia (recover); [ctxs] is the span context
+   the handler runs under — captured at send/arm/schedule time, -1 for
+   background messages. *)
 and 'msg t = {
   n : int;
   mutable times : Float.Array.t;
@@ -66,6 +68,7 @@ and 'msg t = {
   mutable msgs : 'msg array;  (** empty until the first send fills it *)
   mutable thunks : (unit -> unit) array;
   mutable heap : int array;  (** slot ids; the first [size] are queued *)
+  mutable hpos : int array;  (** slot -> heap position; -1 = not queued *)
   mutable size : int;
   mutable free : int;  (** head of the free-slot list; -1 = none *)
   mutable next_seq : int;
@@ -92,6 +95,12 @@ and 'msg t = {
   mutable foreground : int;  (** queued events that keep [run] alive *)
   mutable budget_hits : int;
   mutable flips : int;  (** crash and recovery transitions *)
+  (* The [(time, seq)] of the latest cancelled foreground event the
+     dispatch loop has not passed yet ([ghost_seq = -1]: none).  Had it
+     stayed queued it would have fired as a no-op and kept the run
+     alive until then, so a drain stops there (see [run_status]). *)
+  ghost_time : Float.Array.t;  (** one cell *)
+  mutable ghost_seq : int;
   (* Heartbeats (see [beat_round]).  The dispatch position is the [(time,
      seq)] of the event being dispatched, or of the last one between
      runs; a heartbeat counts as arrived once the position has passed
@@ -161,6 +170,7 @@ let create ~seed ~nodes ?network ?obs () =
     msgs = [||];
     thunks = [||];
     heap = [||];
+    hpos = [||];
     size = 0;
     free = -1;
     next_seq = 0;
@@ -187,6 +197,8 @@ let create ~seed ~nodes ?network ?obs () =
     foreground = 0;
     budget_hits = 0;
     flips = 0;
+    ghost_time = Float.Array.make 1 0.0;
+    ghost_seq = -1;
     inboxes =
       Array.init nodes (fun _ ->
           {
@@ -232,15 +244,24 @@ let with_span_ctx t ctx f =
 
 let note ?(label = "") t ~node =
   if t.tracing then
-    Trace.record t.ring ~time:t.time ~node ~span:t.ctx ~label Trace.Note
+    Trace.record t.ring ~time:t.time ~node ~peer:(-1) ~msg_id:(-1) ~span:t.ctx
+      ~label Trace.Note
 
 (* --- Arena and heap --------------------------------------------------- *)
+
+(* A timer handle packs the slot (low [slot_bits]) with the event's seq
+   shifted above it; it names the event only while the slot still holds
+   that seq. *)
+let slot_bits = 28
+let slot_mask = (1 lsl slot_bits) - 1
+let[@inline] handle t s = (t.seqs.(s) lsl slot_bits) lor s
 
 (* Double every slot array (the first call allocates them) and thread
    the new slots onto the empty free list, lowest first. *)
 let grow t =
   let cap = Array.length t.seqs in
   let cap' = max 64 (2 * cap) in
+  if cap' > slot_mask then failwith "Engine: event queue overflow";
   let extend a fill =
     let a' = Array.make cap' fill in
     Array.blit a 0 a' 0 cap;
@@ -256,6 +277,7 @@ let grow t =
   t.uids <- extend t.uids 0;
   t.ctxs <- extend t.ctxs 0;
   t.heap <- extend t.heap 0;
+  t.hpos <- extend t.hpos (-1);
   if Array.length t.msgs > 0 then t.msgs <- extend t.msgs t.msgs.(0);
   t.thunks <- extend t.thunks no_thunk;
   for s = cap' - 1 downto cap do
@@ -270,6 +292,7 @@ let alloc_slot t =
   s
 
 let free_slot t s =
+  t.hpos.(s) <- -1;
   t.a.(s) <- t.free;
   t.free <- s
 
@@ -277,22 +300,26 @@ let[@inline] before t i j =
   let ti = Float.Array.get t.times i and tj = Float.Array.get t.times j in
   ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
 
+let[@inline] place t s i =
+  t.heap.(i) <- s;
+  t.hpos.(s) <- i
+
 (* Move slot [s] up from heap position [i] to its place. *)
 let rec sift_up t s i =
-  if i = 0 then t.heap.(0) <- s
+  if i = 0 then place t s 0
   else
     let p = (i - 1) / 4 in
     let ps = t.heap.(p) in
     if before t s ps then begin
-      t.heap.(i) <- ps;
+      place t ps i;
       sift_up t s p
     end
-    else t.heap.(i) <- s
+    else place t s i
 
 (* Move slot [s] down from heap position [i] to its place. *)
 let rec sift_down t s i =
   let first = (4 * i) + 1 in
-  if first >= t.size then t.heap.(i) <- s
+  if first >= t.size then place t s i
   else begin
     let m = ref first in
     for c = first + 1 to min (first + 3) (t.size - 1) do
@@ -300,15 +327,21 @@ let rec sift_down t s i =
     done;
     let ms = t.heap.(!m) in
     if before t ms s then begin
-      t.heap.(i) <- ms;
+      place t ms i;
       sift_down t s !m
     end
-    else t.heap.(i) <- s
+    else place t s i
   end
 
-let remove_min t =
+(* Take heap position [i] out: the last entry fills the hole and moves
+   whichever way restores the order. *)
+let remove_at t i =
   t.size <- t.size - 1;
-  if t.size > 0 then sift_down t t.heap.(t.size) 0
+  if i < t.size then begin
+    let last = t.heap.(t.size) in
+    if i > 0 && before t last t.heap.((i - 1) / 4) then sift_up t last i
+    else sift_down t last i
+  end
 
 (* Inlined so [time] stays unboxed from the caller's arithmetic into
    the slot. *)
@@ -375,7 +408,7 @@ let send ?(background = false) t ~src ~dst msg =
         t.next_uid <- uid + 1;
         if t.tracing then
           Trace.record t.ring ~time:t.time ~node:src ~peer:dst ~msg_id:uid
-            ~span:t.ctx Trace.Send;
+            ~span:t.ctx ~label:"" Trace.Send;
         uid
       end
     in
@@ -395,12 +428,39 @@ let send ?(background = false) t ~src ~dst msg =
 let broadcast ?(background = false) t ~src ~dsts msg =
   List.iter (fun dst -> send ~background t ~src ~dst msg) dsts
 
-let set_timer ?(background = false) t ~node ~delay ~tag =
-  if node < 0 || node >= t.n then invalid_arg "Engine.set_timer: bad node";
+let timer ?(background = false) t ~node ~delay ~tag =
+  if node < 0 || node >= t.n then invalid_arg "Engine.timer: bad node";
   check_delay delay;
-  ignore
-    (push t ~time:(t.time +. delay) ~kind:k_timer ~background ~a:node ~b:tag
-       ~uid:(-1) ~ctx:t.ctx)
+  let s =
+    push t ~time:(t.time +. delay) ~kind:k_timer ~background ~a:node ~b:tag
+      ~uid:(-1) ~ctx:t.ctx
+  in
+  handle t s
+
+let set_timer ?background t ~node ~delay ~tag =
+  ignore (timer ?background t ~node ~delay ~tag)
+
+(* A cancelled foreground event leaves its [(time, seq)] behind as the
+   ghost when it is the latest one not yet passed. *)
+let[@inline] before_ghost t s =
+  let ts = Float.Array.get t.times s and tg = Float.Array.get t.ghost_time 0 in
+  ts < tg || (ts = tg && t.seqs.(s) < t.ghost_seq)
+
+let cancel t h =
+  let s = h land slot_mask in
+  if s < Array.length t.hpos && t.hpos.(s) >= 0 && handle t s = h then begin
+    Prof.enter t.prof Prof.Heap;
+    if t.meta.(s) land 1 = 0 then begin
+      t.foreground <- t.foreground - 1;
+      if t.ghost_seq < 0 || not (before_ghost t s) then begin
+        Float.Array.set t.ghost_time 0 (Float.Array.get t.times s);
+        t.ghost_seq <- t.seqs.(s)
+      end
+    end;
+    remove_at t t.hpos.(s);
+    free_slot t s;
+    Prof.leave t.prof Prof.Heap
+  end
 
 let crash_at t ~time ~node =
   check_time t time;
@@ -573,7 +633,7 @@ let deliver t ~background ~src ~dst ~uid ~ctx msg =
     Metrics.incr t.ins.m_delivered;
     if (not background) && t.tracing then
       Trace.record t.ring ~time:t.time ~node:dst ~peer:src ~msg_id:uid
-        ~span:ctx Trace.Deliver;
+        ~span:ctx ~label:"" Trace.Deliver;
     (* The handler runs under the sender's span context: replies it
        sends (and timers it arms) inherit the operation that caused
        this delivery. *)
@@ -611,7 +671,9 @@ let crash t ~node =
     Float.Array.set t.down_time node t.time;
     t.down_seq.(node) <- t.pos_seq;
     Metrics.incr t.ins.m_crashes;
-    if t.tracing then Trace.record t.ring ~time:t.time ~node Trace.Crash;
+    if t.tracing then
+      Trace.record t.ring ~time:t.time ~node ~peer:(-1) ~msg_id:(-1) ~span:(-1)
+        ~label:"" Trace.Crash;
     let saved = t.ctx in
     t.ctx <- -1;
     Prof.enter t.prof Prof.Dispatch_recovery;
@@ -630,9 +692,9 @@ let recover t ~node ~amnesia =
     Metrics.Handle.incr
       (if amnesia then t.ins.m_recover_amnesia else t.ins.m_recover_plain);
     if t.tracing then
-      if amnesia then
-        Trace.record t.ring ~time:t.time ~node ~label:"amnesia" Trace.Recover
-      else Trace.record t.ring ~time:t.time ~node Trace.Recover;
+      Trace.record t.ring ~time:t.time ~node ~peer:(-1) ~msg_id:(-1) ~span:(-1)
+        ~label:(if amnesia then "amnesia" else "")
+        Trace.Recover;
     let saved = t.ctx in
     t.ctx <- -1;
     Prof.enter t.prof Prof.Dispatch_recovery;
@@ -684,15 +746,22 @@ let run_status ?until ?(max_events = 10_000_000) t =
       t.budget_hits <- t.budget_hits + 1;
       Budget_exhausted
     end
-    else if t.foreground = 0 || t.size = 0 then begin
+    else if t.foreground = 0 && t.ghost_seq < 0 then begin
       (* Only background events (heartbeats, ...) remain: the
          simulation's real work has drained. *)
       clamp_until ();
       Drained
     end
     else
-      let s = t.heap.(0) in
-      let time = Float.Array.get t.times s in
+      (* With no foreground event queued, a pending ghost is where the
+         run drains: the background events before it still run. *)
+      let to_ghost =
+        t.foreground = 0 && (t.size = 0 || not (before_ghost t t.heap.(0)))
+      in
+      let time =
+        if to_ghost then Float.Array.get t.ghost_time 0
+        else Float.Array.get t.times t.heap.(0)
+      in
       let stop = match until with Some u -> time > u | None -> false in
       if stop then begin
         clamp_until ();
@@ -705,13 +774,23 @@ let run_status ?until ?(max_events = 10_000_000) t =
         | Some _ | None -> ());
         Reached_until
       end
+      else if to_ghost then begin
+        t.time <- time;
+        Float.Array.set t.pos_time 0 time;
+        t.pos_seq <- t.ghost_seq;
+        t.ghost_seq <- -1;
+        clamp_until ();
+        Drained
+      end
       else begin
+        let s = t.heap.(0) in
         Prof.enter t.prof Prof.Heap;
-        remove_min t;
+        remove_at t 0;
         Prof.leave t.prof Prof.Heap;
         t.time <- time;
         Float.Array.set t.pos_time 0 time;
         t.pos_seq <- t.seqs.(s);
+        if t.ghost_seq >= 0 && not (before_ghost t s) then t.ghost_seq <- -1;
         t.dispatched <- t.dispatched + 1;
         dispatch t s;
         loop (budget - 1)

@@ -135,6 +135,29 @@ val broadcast :
 
 val set_timer :
   ?background:bool -> 'msg t -> node:int -> delay:float -> tag:int -> unit
+(** [ignore (timer ...)]: a timer nobody will cancel. *)
+
+val timer :
+  ?background:bool -> 'msg t -> node:int -> delay:float -> tag:int -> int
+(** Arm a timer like {!set_timer} and return a handle that names this
+    one event, for {!cancel}. *)
+
+val cancel : 'msg t -> int -> unit
+(** Take the timer a handle names out of the queue in O(log n), so it
+    is never dispatched.  A handle whose event has already fired or
+    been cancelled names nothing any more: cancelling it does nothing,
+    even after its slot went to a newer event.
+
+    Cancelling changes nothing a run observes except the work it skips.
+    A cancelled foreground timer that had stayed queued would have been
+    dispatched as a no-op and kept {!run} alive until its instant, so
+    the engine remembers the [(time, push order)] of the latest such
+    timer the dispatch loop has not passed.  When only background
+    events remain, the run still dispatches those that come before it,
+    then moves the clock and the dispatch position (see {!take_beats})
+    to it and drains there — or stops at [until] if it lies beyond.
+    Cancelled events are not dispatched, so they do not count in
+    {!events_dispatched} or against [max_events]. *)
 
 val crash_at : 'msg t -> time:float -> node:int -> unit
 
@@ -224,8 +247,7 @@ val messages_dropped : 'msg t -> int
 val events_dispatched : 'msg t -> int
 (** Events popped off the queue and dispatched over this engine's
     lifetime (messages, timers, crashes, recoveries, thunks; not
-    heartbeats) — the denominator for events/sec and allocations/event
-    in [bench engine]. *)
+    heartbeats, not cancelled timers). *)
 
 val liveness_changes : 'msg t -> int
 (** Crash and recovery transitions so far, each of which changed one
@@ -240,10 +262,11 @@ type outcome =
 
 val run_status : ?until:float -> ?max_events:int -> 'msg t -> outcome
 (** Drain the event queue up to time [until] (default: until no
-    foreground event remains).  [max_events] (default 10 million)
-    counts dispatched events, heartbeats excluded, and guards against
-    runaway protocols — e.g. a retransmission loop that never gives
-    up; exhaustion is reported (and counted, see
+    foreground event remains, nor a cancelled one it would have waited
+    for; see {!cancel}).  [max_events] (default 10 million) counts
+    dispatched events, heartbeats and cancelled timers excluded, and
+    guards against runaway protocols — e.g. a retransmission loop that
+    never gives up; exhaustion is reported (and counted, see
     {!budget_exhaustions}) rather than raised. *)
 
 val run : ?until:float -> ?max_events:int -> 'msg t -> unit

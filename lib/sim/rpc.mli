@@ -21,39 +21,42 @@
     {!on_crash} from the engine's crash handler); receiver-side dedup
     state survives crashes, modelling sequence numbers on stable
     storage — so a message is never handed to [deliver] twice, even
-    across crash/recovery cycles. *)
+    across crash/recovery cycles.
 
-type 'a msg = Data of { seq : int; payload : 'a } | Ack of { seq : int }
+    An unacked send holds one slot of a pool that grows to the peak
+    number of unacked sends and reuses freed slots.  An ack, and
+    {!on_crash} for every send of the crashed node, cancels the send's
+    retransmit timer ({!Engine.cancel}), so no stale timer stays
+    queued. *)
+
+type 'a msg =
+  | Data of { seq : int; slot : int; payload : 'a }
+      (** [seq] numbers the send (dedup); [slot] is its sender-side pool
+          slot.  A retransmission resends the same envelope. *)
+  | Ack of { seq : int; slot : int }
+      (** echoes both: the sender finds the slot in O(1) and frees it
+          only if it still holds send [seq] *)
 
 type 'a t
 
 val create :
-  'a msg Engine.t ->
-  ?timeout:float ->
-  ?backoff:float ->
-  ?jitter:float ->
-  ?cap:float ->
-  ?max_attempts:int ->
-  unit ->
-  'a t
+  'a msg Engine.t -> ?timeout:float -> ?max_attempts:int -> unit -> 'a t
 (** The rpc layer of [engine]: its sends, timers and RNG draws go
     through it, and its counters land in the engine's metrics.
-    [timeout] (default 2.0) is the initial retransmission timeout.
-    Retry delays use decorrelated jitter: each is drawn uniformly from
-    [\[timeout, 3 * previous\]] and clamped to [cap] (default
-    [32 * timeout]), so retrying senders de-synchronize instead of
+    [timeout] (default 2.0) is the initial retransmission timeout; the
+    first retransmission waits [timeout * (1 + 0.3 u)] for a uniform
+    draw [u].  Later delays use decorrelated jitter: each is drawn
+    uniformly from [\[timeout, 3 * previous\]] and clamped to
+    [32 * timeout], so retrying senders de-synchronize instead of
     producing lockstep retransmit storms.  All draws come from the
-    engine's seeded RNG — fixed-seed runs stay deterministic.  With
-    [jitter = 0] (default 0.3) delays fall back to plain capped
-    exponential backoff ([previous * backoff], [backoff] default 1.6,
-    must be >= 1) with no randomness at all.  [max_attempts] (default
-    6) counts total transmissions including the first. *)
+    engine's seeded RNG — fixed-seed runs stay deterministic.
+    [max_attempts] (default 6) counts total transmissions including the
+    first. *)
 
 val next_backoff : 'a t -> Quorum.Rng.t -> prev:float -> float
 (** The backoff schedule, exposed for property tests: the delay that
     follows a retry whose delay was [prev] — a decorrelated-jitter draw
-    in [\[timeout, min cap (3 * prev)\]], or [min cap (prev * backoff)]
-    when [jitter = 0]. *)
+    in [\[timeout, min (32 * timeout) (3 * prev)\]]. *)
 
 val send : 'a t -> src:int -> dst:int -> 'a -> unit
 (** Reliable send; retransmits until acked, dead-letters after
@@ -74,7 +77,8 @@ val on_timer : 'a t -> node:int -> tag:int -> bool
     an rpc tag (the protocol should then handle it itself). *)
 
 val on_crash : 'a t -> node:int -> unit
-(** Drop the crashed node's unacked sends (volatile sender state). *)
+(** Drop the crashed node's unacked sends (volatile sender state) and
+    cancel their retransmit timers. *)
 
 val set_dead_letter_handler :
   'a t -> (src:int -> dst:int -> 'a -> unit) -> unit
@@ -83,3 +87,5 @@ val retransmissions : 'a t -> int
 val duplicates_suppressed : 'a t -> int
 val dead_letters : 'a t -> int
 val inflight_count : 'a t -> int
+(** Unacked sends: those not yet acked, dead-lettered or dropped by a
+    crash of their sender. *)

@@ -85,6 +85,30 @@ let test_rpc_dead_letter_on_partition () =
   check_int "counter agrees" 1 (Rpc.dead_letters rpc);
   check_int "no inflight state leaked" 0 (Rpc.inflight_count rpc)
 
+let test_rpc_stale_handle_after_down_send () =
+  (* A send issued from a down node keeps its unacked state, and its
+     retransmit timer fires while the node is still down, so no handler
+     runs and the state keeps the handle of an event that has left the
+     queue.  The events pushed next reuse that event's slot; when the
+     node recovers and crashes again, dropping the send must not take
+     any of them out of the queue. *)
+  let rpc, engine, _net, delivered = make_rpc_world ~nodes:2 () in
+  Engine.crash_at engine ~time:1.0 ~node:0;
+  Engine.schedule engine ~time:2.0 (fun () -> Rpc.send rpc ~src:0 ~dst:1 5);
+  let fired = ref 0 in
+  Engine.schedule engine ~time:5.0 (fun () ->
+      check_int "the down send is still unacked" 1 (Rpc.inflight_count rpc);
+      for i = 1 to 20 do
+        Engine.schedule engine ~time:(30.0 +. float_of_int i) (fun () ->
+            incr fired)
+      done);
+  Engine.recover_at engine ~time:10.0 ~node:0;
+  Engine.crash_at engine ~time:20.0 ~node:0;
+  Engine.run engine;
+  check_int "every other event dispatched" 20 !fired;
+  check_int "the crash dropped the send" 0 (Rpc.inflight_count rpc);
+  check_int "nothing delivered" 0 (List.length !delivered)
+
 (* --- Failure detector: completeness and eventual accuracy ----------- *)
 
 let make_fd_world ?(seed = 5) ~nodes () =
@@ -291,6 +315,8 @@ let () =
             test_rpc_no_duplicate_side_effects;
           Alcotest.test_case "dead letters" `Quick
             test_rpc_dead_letter_on_partition;
+          Alcotest.test_case "stale handle after a down send" `Quick
+            test_rpc_stale_handle_after_down_send;
           QCheck_alcotest.to_alcotest rpc_at_most_once;
         ] );
       ( "failure detector",

@@ -137,7 +137,8 @@ let test_snapshot_deterministic () =
 let test_trace_ring_eviction () =
   let t = T.create ~capacity:4 () in
   for i = 0 to 9 do
-    T.record t ~time:(float i) ~node:i T.Note
+    T.record t ~time:(float i) ~node:i ~peer:(-1) ~msg_id:(-1) ~span:(-1)
+      ~label:"" T.Note
   done;
   check_int "recorded counts everything" 10 (T.recorded t);
   check_int "length capped at capacity" 4 (T.length t);
@@ -151,17 +152,20 @@ let test_trace_ring_eviction () =
 
 let test_trace_capacity_zero_disables () =
   let t = T.create ~capacity:0 () in
-  T.record t ~time:1.0 ~node:0 T.Send;
+  T.record t ~time:1.0 ~node:0 ~peer:(-1) ~msg_id:(-1) ~span:(-1) ~label:""
+    T.Send;
   check_int "nothing recorded" 0 (T.recorded t);
   check_int "nothing held" 0 (T.length t)
 
 let test_causality_detects_orphan () =
   let t = T.create ~capacity:64 () in
-  T.record t ~time:0.0 ~node:0 ~peer:1 ~msg_id:1 T.Send;
-  T.record t ~time:1.0 ~node:1 ~peer:0 ~msg_id:1 T.Deliver;
+  T.record t ~time:0.0 ~node:0 ~peer:1 ~msg_id:1 ~span:(-1) ~label:"" T.Send;
+  T.record t ~time:1.0 ~node:1 ~peer:0 ~msg_id:1 ~span:(-1) ~label:""
+    T.Deliver;
   check "matched deliver passes" true (T.causality_violations t = []);
   (* A deliver whose send was never recorded is an orphan. *)
-  T.record t ~time:2.0 ~node:1 ~peer:0 ~msg_id:7 T.Deliver;
+  T.record t ~time:2.0 ~node:1 ~peer:0 ~msg_id:7 ~span:(-1) ~label:""
+    T.Deliver;
   let bad = T.causality_violations t in
   check_int "one orphan" 1 (List.length bad);
   check_int "orphan id" 7 (List.hd bad).T.msg_id
@@ -169,11 +173,15 @@ let test_causality_detects_orphan () =
 let test_full_ring_records_without_allocating () =
   let t = T.create ~capacity:8 () in
   for i = 0 to 7 do
-    T.record t ~time:(float i) ~node:i T.Note
+    T.record t ~time:(float i) ~node:i ~peer:(-1) ~msg_id:(-1) ~span:(-1)
+      ~label:"" T.Note
   done;
   let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    T.record t ~time:1.5 ~node:2 ~peer:3 ~msg_id:4 ~span:5 ~label:"x" T.Send
+  for i = 1 to 10_000 do
+    (* Arguments that vary with [i]: a constant would be preallocated
+       and hide any boxing at the call. *)
+    T.record t ~time:1.5 ~node:2 ~peer:i ~msg_id:(i + 1) ~span:(i + 2)
+      ~label:"x" T.Send
   done;
   let w1 = Gc.minor_words () in
   check_float "minor words while overwriting" 0.0 (w1 -. w0);
@@ -323,7 +331,8 @@ let test_sink_metrics_jsonl () =
 
 let test_sink_trace_csv_header () =
   let t = T.create ~capacity:8 () in
-  T.record t ~time:0.25 ~node:0 ~peer:1 ~msg_id:4 ~label:"x,\"y\"" T.Send;
+  T.record t ~time:0.25 ~node:0 ~peer:1 ~msg_id:4 ~span:(-1)
+    ~label:"x,\"y\"" T.Send;
   with_temp (fun path ->
       Obs.Sink.with_file path (fun oc -> Obs.Sink.trace_csv oc t);
       let out = slurp path in

@@ -59,6 +59,36 @@ let test_exclusive_attribution () =
   if r.P.total_minor_words > 0.0 then
     check "alloc shares sum to 1" true (abs_float (wsum -. 1.0) < 1e-6)
 
+(* A probe edge allocates nothing of its own: a probe around a function
+   that allocates nothing is charged 0 minor words, and one around a
+   function that allocates k words is charged exactly k. *)
+let test_probe_charges_exact_words () =
+  let p = P.create ~enabled:true () in
+  let words cat =
+    let rows = (P.report p).P.rows in
+    match List.find_opt (fun (row : P.row) -> row.P.category = cat) rows with
+    | Some row -> row.P.minor_words
+    | None -> Alcotest.fail ("no row for " ^ P.name cat)
+  in
+  let rec build n acc = if n = 0 then acc else build (n - 1) (n :: acc) in
+  let quiet () = ignore (Sys.opaque_identity (build 0 [])) in
+  (* 50 cons cells of 3 words each. *)
+  let noisy () = ignore (Sys.opaque_identity (build 50 [])) in
+  P.enter p P.Loop;
+  for _ = 1 to 100 do
+    P.enter p P.Heap;
+    quiet ();
+    P.leave p P.Heap;
+    P.enter p P.Rpc;
+    noisy ();
+    P.leave p P.Rpc
+  done;
+  P.leave p P.Loop;
+  Alcotest.(check (float 0.0)) "non-allocating probe" 0.0 (words P.Heap);
+  Alcotest.(check (float 0.0)) "150 words a probe" 15_000.0 (words P.Rpc);
+  Alcotest.(check (float 0.0)) "edges charge the parent nothing" 0.0
+    (words P.Loop)
+
 let test_unbalanced_leave_counted () =
   let p = P.create ~enabled:true () in
   P.enter p P.Rpc;
@@ -237,6 +267,8 @@ let () =
           Alcotest.test_case "null instance" `Quick test_null_is_disabled;
           Alcotest.test_case "exclusive attribution" `Quick
             test_exclusive_attribution;
+          Alcotest.test_case "exact words" `Quick
+            test_probe_charges_exact_words;
           Alcotest.test_case "unbalanced probes" `Quick
             test_unbalanced_leave_counted;
           Alcotest.test_case "exception safety" `Quick

@@ -91,8 +91,10 @@ let causality_wrap_safe =
         (fun i orphan ->
           let time = float_of_int i in
           if not orphan then
-            T.record t ~time ~node:0 ~peer:1 ~msg_id:i T.Send;
-          T.record t ~time ~node:1 ~peer:0 ~msg_id:i T.Deliver)
+            T.record t ~time ~node:0 ~peer:1 ~msg_id:i ~span:(-1) ~label:""
+              T.Send;
+          T.record t ~time ~node:1 ~peer:0 ~msg_id:i ~span:(-1) ~label:""
+            T.Deliver)
         ops;
       let orphans =
         List.filteri (fun _ o -> o) ops |> List.length
@@ -113,7 +115,8 @@ let test_dropped_counter_wired () =
   let obs = Obs.create ~trace_capacity:4 () in
   let tr = Obs.trace obs in
   for i = 0 to 9 do
-    T.record tr ~time:(float_of_int i) ~node:0 T.Note
+    T.record tr ~time:(float_of_int i) ~node:0 ~peer:(-1) ~msg_id:(-1)
+      ~span:(-1) ~label:"" T.Note
   done;
   check_int "ring dropped 6" 6 (T.dropped tr);
   let dropped = M.counter (Obs.metrics obs) "obs.trace.dropped" in
@@ -202,11 +205,14 @@ let test_audit_stale_read_witnessed () =
   let spans = S.create () in
   let trace = T.create ~capacity:64 () in
   let w = S.start spans ~time:0.0 ~node:1 "store.write" in
-  T.record trace ~time:0.5 ~node:1 ~peer:2 ~msg_id:10 ~span:w T.Send;
-  T.record trace ~time:1.0 ~node:2 ~peer:1 ~msg_id:10 ~span:w T.Deliver;
+  T.record trace ~time:0.5 ~node:1 ~peer:2 ~msg_id:10 ~span:w ~label:""
+    T.Send;
+  T.record trace ~time:1.0 ~node:2 ~peer:1 ~msg_id:10 ~span:w ~label:""
+    T.Deliver;
   S.finish spans ~time:2.0 w;
   let r = S.start spans ~time:3.0 ~node:3 "store.read" in
-  T.record trace ~time:3.5 ~node:3 ~peer:2 ~msg_id:11 ~span:r T.Send;
+  T.record trace ~time:3.5 ~node:3 ~peer:2 ~msg_id:11 ~span:r ~label:""
+    T.Send;
   S.finish spans ~time:4.0 r;
   let history =
     [
