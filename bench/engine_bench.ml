@@ -27,16 +27,24 @@
    arrivals' filing and the per-round accuracy samples — as beats/sec
    and minor words per beat.
 
+   Quorum selection is measured alone too, as one row per system:
+   majority(15), h-triang(15) and shard 0 of the sharded h-grid the
+   store runs at n = 15 (its read and write systems in turn), each
+   selecting over the same pinned stream of live sets, as selects/sec
+   and minor words per select.
+
    Everything lands in BENCH_engine.json, with events/sec and
    allocations/event beside the per-op figures.  The relay is gated per
    op, not per event: cancelled timers are work the engine no longer
    does, so a change that cancels more dispatches fewer events per op
    and raises words per event while the op gets cheaper.  With --gate
    FILE the rows are compared against a committed baseline:
-   allocations per op (per beat) are deterministic for a given
-   compiler and gated at +10%; ops/sec (beats/sec) is
+   allocations per op (per beat, per select) are deterministic for a
+   given compiler and gated at +10%; ops/sec (beats/sec) is
    machine-dependent, so the gate uses the ratio to an in-process
-   calibration loop (ops per calibration op) and allows -15%. *)
+   calibration loop (ops per calibration op) and allows -15%.  The
+   selection rows gate their words only: a select is too short for
+   its rate to hold a 15% bound on a shared host. *)
 
 module Engine = Sim.Engine
 module Rpc = Sim.Rpc
@@ -223,6 +231,78 @@ let measure_heartbeats () =
   done;
   { beats; beats_dt = !best; words_per_beat = words /. float_of_int beats }
 
+(* --- Selection --------------------------------------------------------- *)
+
+let select_lives = 64
+let selects () = if !Util.fast then 40_000 else 400_000
+
+(* The selectors each row runs in turn over the live-set stream. *)
+let select_rows () =
+  let shard =
+    match
+      Protocols.Shard_router.create ~family:Protocols.Shard_router.Hgrid
+        ~universe:n_nodes ~shards:(n_nodes / 4) ()
+    with
+    | Ok r -> r
+    | Error e -> failwith e
+  in
+  [
+    ("select majority(15)", [| Systems.Majority.make n_nodes |]);
+    ( "select h-triang(15)",
+      [| Core.Htriang.system (Core.Htriang.standard ~rows:5 ()) |] );
+    ( "select shard h-grid",
+      [|
+        Protocols.Shard_router.shard_read_system shard ~shard:0;
+        Protocols.Shard_router.shard_write_system shard ~shard:0;
+      |] );
+  ]
+
+type selection = {
+  sel_row : string;
+  sel_dt : float;
+  words_per_select : float;
+}
+
+(* A pinned stream of live sets: each node up with probability 0.9. *)
+let live_stream () =
+  let rng = Quorum.Rng.create seed in
+  Array.init select_lives (fun _ ->
+      Quorum.Bitset.random_subset rng ~n:n_nodes ~p:0.9)
+
+let run_selects systems lives =
+  let rng = Quorum.Rng.create seed in
+  let k = Array.length systems and count = selects () in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to count - 1 do
+    let s = systems.(i mod k) in
+    ignore
+      (Sys.opaque_identity
+         (s.Quorum.System.select rng ~live:lives.(i mod select_lives)))
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  (dt, Gc.minor_words () -. w0)
+
+let measure_selection () =
+  let lives = live_stream () in
+  let reps = if !Util.fast then 2 else 3 in
+  List.map
+    (fun (row, systems) ->
+      let dt, words = run_selects systems lives in
+      let best = ref dt in
+      for _ = 2 to reps do
+        let dt, w = run_selects systems lives in
+        (* Pinned: every rep allocates exactly the same. *)
+        assert (w = words);
+        if dt < !best then best := dt
+      done;
+      {
+        sel_row = row;
+        sel_dt = !best;
+        words_per_select = words /. float_of_int (selects ());
+      })
+    (select_rows ())
+
 (* Machine-speed yardstick: a fixed pure-OCaml mixing loop, so the
    committed events/sec baseline survives CI runners of a different
    speed as a ratio (events per calibration op). *)
@@ -269,6 +349,16 @@ let heartbeats_json ~calib h =
     n_nodes beat_loss (beat_horizon ()) h.beats h.beats_dt rate
     (rate /. calib *. 1000.0)
     h.words_per_beat
+
+let selection_json ~calib m =
+  let rate = float_of_int (selects ()) /. m.sel_dt in
+  Printf.sprintf
+    "    {\"name\": %S, \"lives\": %d, \"selects\": %d, \
+     \"seconds_best\": %.4f, \"selects_per_sec\": %.0f, \
+     \"selects_per_calib_op\": %.6f, \"minor_words_per_select\": %.2f}"
+    m.sel_row select_lives (selects ()) m.sel_dt rate
+    (rate /. calib *. 1000.0)
+    m.words_per_select
 
 let profile_json (r : Obs.Prof.report) =
   let rows =
@@ -338,13 +428,12 @@ let read_file path =
   close_in ic;
   s
 
-(* One gated row: its name in the baseline, its calibrated rate and
-   its words per unit (relay op or beat), with the baseline keys of
-   both. *)
+(* One gated row: its name in the baseline, its calibrated rate (when
+   gated) and its words per unit (relay op, beat or select), with the
+   baseline keys of both. *)
 type gated = {
   row : string;
-  rel : float;
-  rel_key : string;
+  rate : (float * string) option;
   words : float;
   words_key : string;
 }
@@ -371,22 +460,30 @@ let gate ~baseline_path rows =
   List.iter
     (fun g ->
       let anchor = Printf.sprintf "\"name\": %S" g.row in
-      let b_rel = scan_number baseline ~anchor ~key:g.rel_key in
+      let b_rate =
+        Option.map
+          (fun (rel, key) -> (rel, scan_number baseline ~anchor ~key))
+          g.rate
+      in
       let b_words = scan_number baseline ~anchor ~key:g.words_key in
-      match (b_rel, b_words) with
-      | None, _ | _, None ->
+      match (b_rate, b_words) with
+      | Some (_, None), _ | _, None ->
           Printf.eprintf "error: engine gate: row %s missing in baseline\n"
             g.row;
           failed := true
-      | Some b_rel, Some b_words ->
-          let rate_ok = g.rel >= b_rel *. (1.0 -. rate_tol) in
+      | _, Some b_words ->
+          let rate_ok, rate_col =
+            match b_rate with
+            | Some (rel, Some b_rel) ->
+                let ok = rel >= b_rel *. (1.0 -. rate_tol) in
+                ( ok,
+                  Printf.sprintf "per calib-op %8.3f vs %8.3f %s" rel b_rel
+                    (if ok then "ok  " else "FAIL") )
+            | Some (_, None) | None -> (true, String.make 38 ' ')
+          in
           let words_ok = g.words <= b_words *. (1.0 +. alloc_tol) in
-          Printf.printf
-            "    %-14s per calib-op %8.3f vs %8.3f %s   words %8.2f vs \
-             %8.2f %s\n"
-            g.row g.rel b_rel
-            (if rate_ok then "ok  " else "FAIL")
-            g.words b_words
+          Printf.printf "    %-20s %s   words %8.2f vs %8.2f %s\n" g.row
+            rate_col g.words b_words
             (if words_ok then "ok" else "FAIL");
           if not (rate_ok && words_ok) then failed := true)
     rows;
@@ -439,6 +536,14 @@ let run () =
     "heartbeats" hb.beats
     (float_of_int hb.beats /. hb.beats_dt)
     hb.words_per_beat;
+  let sel = measure_selection () in
+  List.iter
+    (fun m ->
+      Printf.printf "  %-20s %12.0f selects/sec  %8.2f minor words/select\n"
+        m.sel_row
+        (float_of_int (selects ()) /. m.sel_dt)
+        m.words_per_select)
+    sel;
   (* Profiled run: where do the full-trace run's time and words go? *)
   let prof_cfg = List.find (fun c -> c.cname = "full-trace") configs in
   let _e, obs, _dt, _dw = run_once prof_cfg ~profile:true in
@@ -484,11 +589,13 @@ let run () =
     \  \"calibration_ops_per_sec\": %.0f,\n\
     \  \"configs\": [\n%s\n  ],\n\
     \  \"heartbeats\": %s,\n\
+    \  \"selection\": [\n%s\n  ],\n\
      %s\n\
      }\n"
     seed n_nodes (ops ()) hops !Util.fast calib
     (String.concat ",\n" (List.map (config_json ~calib) measured))
     (heartbeats_json ~calib hb)
+    (String.concat ",\n" (List.map (selection_json ~calib) sel))
     (profile_json r);
   close_out oc;
   Printf.printf "\n  wrote BENCH_engine.json (seed %d)\n" seed;
@@ -500,19 +607,26 @@ let run () =
            (fun m ->
              {
                row = m.m_cfg.cname;
-               rel = per_calib_op (ops ()) m.best_dt;
-               rel_key = "ops_per_calib_op";
+               rate =
+                 Some (per_calib_op (ops ()) m.best_dt, "ops_per_calib_op");
                words = m.words_per_op;
                words_key = "minor_words_per_op";
              })
            measured
-        @ [
-            {
-              row = "heartbeats";
-              rel = per_calib_op hb.beats hb.beats_dt;
-              rel_key = "beats_per_calib_op";
-              words = hb.words_per_beat;
-              words_key = "minor_words_per_beat";
-            };
-          ])
+        @ {
+            row = "heartbeats";
+            rate =
+              Some (per_calib_op hb.beats hb.beats_dt, "beats_per_calib_op");
+            words = hb.words_per_beat;
+            words_key = "minor_words_per_beat";
+          }
+          :: List.map
+               (fun m ->
+                 {
+                   row = m.sel_row;
+                   rate = None;
+                   words = m.words_per_select;
+                   words_key = "minor_words_per_select";
+                 })
+               sel)
   | None -> ()

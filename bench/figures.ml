@@ -9,15 +9,17 @@ let figure1 () =
     "Figure 1: 3-level hierarchical grid with 16 processes and a read-write quorum";
   let g = Hgrid.of_dims [ (2, 2); (2, 2) ] in
   let rng = Quorum.Rng.create 2 in
-  let mem _ = true in
-  let line = Option.get (Hgrid.select_full_line rng mem g.Hgrid.shape) in
-  let cover = Option.get (Hgrid.select_row_cover rng mem g.Hgrid.shape) in
-  let quorum = Quorum.Bitset.of_list 16 (line @ cover) in
-  print_string (Hgrid.render ~quorum g);
+  let live = Quorum.Bitset.universe 16 in
+  let line = Quorum.Bitset.create 16 and cover = Quorum.Bitset.create 16 in
+  ignore (Hgrid.select_full_line rng ~live g.Hgrid.shape line : int);
+  ignore (Hgrid.select_cover rng ~live ~threshold:0 g.Hgrid.shape cover : bool);
+  print_string (Hgrid.render ~quorum:(Quorum.Bitset.union line cover) g);
+  let ids q =
+    String.concat "," (List.map string_of_int (Quorum.Bitset.to_list q))
+  in
   Printf.printf
     "(starred: a read-write quorum = full-line %s + row-cover %s)\n"
-    (String.concat "," (List.map string_of_int (List.sort compare line)))
-    (String.concat "," (List.map string_of_int (List.sort compare cover)))
+    (ids line) (ids cover)
 
 let figure2 () =
   Util.print_header

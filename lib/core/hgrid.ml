@@ -245,60 +245,147 @@ let partial_cover_quorums shape r =
 
 (* --- Selection --------------------------------------------------- *)
 
-let rec select_row_cover rng mem = function
-  | Leaf l -> if mem l.id then Some [ l.id ] else None
-  | Grid g ->
-      let pick_in_row row =
-        let order = Array.copy row in
-        Rng.shuffle_in_place rng order;
-        let rec try_cells i =
-          if i = Array.length order then None
-          else
-            match select_row_cover rng mem order.(i) with
-            | Some q -> Some q
-            | None -> try_cells (i + 1)
-        in
-        try_cells 0
-      in
-      let rec all_rows i acc =
-        if i = Array.length g.cells then Some acc
-        else
-          match pick_in_row g.cells.(i) with
-          | None -> None
-          | Some q -> all_rows (i + 1) (q @ acc)
-      in
-      all_rows 0 []
+(* The selectors write the quorum they pick straight into a bitset.
+   Their draws are pinned against reference selectors in
+   test/test_select.ml: a row-cover shuffles the cells of each row and
+   takes the first that covers, a full-line shuffles the rows and takes
+   the first that is full.  A failed attempt must leave nothing in the
+   bitset, so an attempt writes only where a structural check has shown
+   that it succeeds; elsewhere it makes the same draws without writing.
+   The checks are [row_cover_ok_at] and [full_line_ok] over the live
+   bitset, written without closures so that selecting allocates
+   nothing; [avail] keeps its own. *)
 
-let rec select_full_line rng mem = function
-  | Leaf l -> if mem l.id then Some [ l.id ] else None
+let rec covers live r = function
+  | Leaf l -> l.row < r || Bitset.mem live l.id
+  | Grid g -> g.row1 <= r || rows_covered live r g.cells 0
+
+and rows_covered live r rows i =
+  i = Array.length rows
+  || (row_covered live r rows.(i) 0 && rows_covered live r rows (i + 1))
+
+and row_covered live r row j =
+  j < Array.length row
+  && (covers live r row.(j) || row_covered live r row (j + 1))
+
+let rec lined live = function
+  | Leaf l -> Bitset.mem live l.id
+  | Grid g -> some_row_lined live g.cells 0
+
+and some_row_lined live rows i =
+  i < Array.length rows
+  && (row_lined live rows.(i) 0 || some_row_lined live rows (i + 1))
+
+and row_lined live row j =
+  j = Array.length row || (lined live row.(j) && row_lined live row (j + 1))
+
+(* A shuffled visiting order of [0, len): the permutation
+   [Rng.shuffle_in_place] applies to an array of [len], from the same
+   draws.  Up to 15 positions pack four bits each into an int, so the
+   rows of every construction here are ordered without allocating;
+   wider rows spill into an index array. *)
+let packed_max = 15
+
+let shuffle_packed rng len =
+  if len > packed_max then 0
+  else begin
+    let p = ref 0 in
+    for i = len - 1 downto 0 do
+      p := (!p lsl 4) lor i
+    done;
+    for i = len - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let si = 4 * i and sj = 4 * j in
+      let a = (!p lsr si) land 15 and b = (!p lsr sj) land 15 in
+      p :=
+        !p land lnot ((15 lsl si) lor (15 lsl sj)) lor (b lsl si) lor (a lsl sj)
+    done;
+    !p
+  end
+
+let shuffle_spill rng len =
+  if len <= packed_max then [||]
+  else begin
+    let order = Array.init len Fun.id in
+    Rng.shuffle_in_place rng order;
+    order
+  end
+
+let[@inline] order_at packed spill k =
+  if Array.length spill = 0 then (packed lsr (4 * k)) land 15 else spill.(k)
+
+(* One partial row-cover attempt at threshold [r]; true when it
+   succeeds.  Writes into [q] only when [write]. *)
+let rec cover rng live r ~write shape q =
+  match shape with
+  | Leaf l ->
+      l.row < r
+      || (Bitset.mem live l.id && (if write then Bitset.add q l.id; true))
+  | Grid g -> g.row1 <= r || cover_rows rng live r ~write g.cells 0 q
+
+and cover_rows rng live r ~write rows i q =
+  i = Array.length rows
+  || (let row = rows.(i) in
+      let len = Array.length row in
+      let packed = shuffle_packed rng len in
+      let spill = shuffle_spill rng len in
+      cover_cells rng live r ~write row packed spill 0 q)
+     && cover_rows rng live r ~write rows (i + 1) q
+
+and cover_cells rng live r ~write row packed spill k q =
+  k < Array.length row
+  && begin
+       let cell = row.(order_at packed spill k) in
+       cover rng live r ~write:(write && covers live r cell) cell q
+       || cover_cells rng live r ~write row packed spill (k + 1) q
+     end
+
+(* One full-line attempt: the topmost global row of the line, or [-1]
+   when it fails.  Writes into [q] only when [write]. *)
+let rec line rng live ~write shape q =
+  match shape with
+  | Leaf l ->
+      if Bitset.mem live l.id then begin
+        if write then Bitset.add q l.id;
+        l.row
+      end
+      else -1
   | Grid g ->
-      let try_row row =
-        let rec all j acc =
-          if j = Array.length row then Some acc
-          else
-            match select_full_line rng mem row.(j) with
-            | None -> None
-            | Some q -> all (j + 1) (q @ acc)
-        in
-        all 0 []
-      in
-      let order = Array.init (Array.length g.cells) (fun i -> i) in
-      Rng.shuffle_in_place rng order;
-      let rec try_rows i =
-        if i = Array.length order then None
-        else
-          match try_row g.cells.(order.(i)) with
-          | Some q -> Some q
-          | None -> try_rows (i + 1)
-      in
-      try_rows 0
+      let m = Array.length g.cells in
+      let packed = shuffle_packed rng m in
+      let spill = shuffle_spill rng m in
+      line_rows rng live ~write g.cells packed spill 0 q
+
+and line_rows rng live ~write rows packed spill k q =
+  if k = Array.length rows then -1
+  else begin
+    let row = rows.(order_at packed spill k) in
+    let top =
+      line_cells rng live ~write:(write && row_lined live row 0) row 0 max_int q
+    in
+    if top >= 0 then top
+    else line_rows rng live ~write rows packed spill (k + 1) q
+  end
+
+and line_cells rng live ~write row j top q =
+  if j = Array.length row then top
+  else begin
+    let t = line rng live ~write row.(j) q in
+    if t < 0 then -1 else line_cells rng live ~write row (j + 1) (min top t) q
+  end
+
+let select_cover rng ~live ~threshold shape q =
+  cover rng live threshold ~write:(covers live threshold shape) shape q
+
+let select_full_line rng ~live shape q =
+  line rng live ~write:(lined live shape) shape q
 
 (* --- Systems ----------------------------------------------------- *)
 
 let mem_of_live live i = Bitset.mem live i
 let mem_of_mask mask i = mask land (1 lsl i) <> 0
 
-let make_system ?name t ~default_name ~avail_fn ~quorums ~select_fn =
+let make_system ?name t ~default_name ~avail_fn ~quorums ~select_into =
   let name = match name with Some s -> s | None -> default_name in
   let avail live = avail_fn (mem_of_live live) in
   let avail_mask =
@@ -311,7 +398,8 @@ let make_system ?name t ~default_name ~avail_fn ~quorums ~select_fn =
       (Quorum.Coterie.minimize (List.map (Bitset.of_list t.n) (quorums ())))
   in
   let select rng ~live =
-    Option.map (Bitset.of_list t.n) (select_fn rng (mem_of_live live))
+    let q = Bitset.create t.n in
+    if select_into rng live q then Some q else None
   in
   System.make ~name ~n:t.n ~avail ?avail_mask ~min_quorums ~select ()
 
@@ -324,14 +412,15 @@ let read_system ?name t =
     ~default_name:(Printf.sprintf "h-grid-read(%s)" (dims_string t))
     ~avail_fn:(fun mem -> row_cover_ok mem t.shape)
     ~quorums:(fun () -> row_cover_quorums t.shape)
-    ~select_fn:(fun rng mem -> select_row_cover rng mem t.shape)
+    ~select_into:(fun rng live q ->
+      select_cover rng ~live ~threshold:0 t.shape q)
 
 let write_system ?name t =
   make_system ?name t
     ~default_name:(Printf.sprintf "h-grid-write(%s)" (dims_string t))
     ~avail_fn:(fun mem -> full_line_ok mem t.shape)
     ~quorums:(fun () -> full_line_quorums t.shape)
-    ~select_fn:(fun rng mem -> select_full_line rng mem t.shape)
+    ~select_into:(fun rng live q -> select_full_line rng ~live t.shape q >= 0)
 
 let rw_system ?name t =
   make_system ?name t
@@ -343,13 +432,10 @@ let rw_system ?name t =
         (fun line ->
           List.map (fun cover -> line @ cover) (row_cover_quorums t.shape))
         (full_line_quorums t.shape))
-    ~select_fn:(fun rng mem ->
-      match
-        ( select_full_line rng mem t.shape,
-          select_row_cover rng mem t.shape )
-      with
-      | Some l, Some c -> Some (l @ c)
-      | _ -> None)
+    ~select_into:(fun rng live q ->
+      (* The full-line draws first. *)
+      let top = select_full_line rng ~live t.shape q in
+      select_cover rng ~live ~threshold:0 t.shape q && top >= 0)
 
 (* --- Exact analysis ---------------------------------------------- *)
 

@@ -90,10 +90,32 @@ val full_lines_with_base : shape -> (int * int list) list
 val partial_cover_quorums : shape -> int -> int list list
 (** Row-covers restricted to global rows [>= r] (deduplicated). *)
 
-(** {1 Selection} *)
+(** {1 Selection}
 
-val select_row_cover : Quorum.Rng.t -> (int -> bool) -> shape -> int list option
-val select_full_line : Quorum.Rng.t -> (int -> bool) -> shape -> int list option
+    Both selectors add the quorum they pick to a caller-owned bitset
+    and allocate nothing, except an index array for the visiting order
+    of a row wider than 15 cells; on failure they add nothing.  Their draws are fixed: a
+    row-cover shuffles the cells of each row, in row order, and descends
+    into the first that covers; a full-line shuffles the rows and takes
+    the first that is full, descending into its cells in order. *)
+
+val select_cover :
+  Quorum.Rng.t ->
+  live:Quorum.Bitset.t ->
+  threshold:int ->
+  shape ->
+  Quorum.Bitset.t ->
+  bool
+(** [select_cover rng ~live ~threshold shape q] adds a live row-cover
+    restricted to global rows [>= threshold] to [q]: threshold [0] is
+    the full row-cover, a higher one the partial row-cover of section
+    4.2.  [false] when none is live. *)
+
+val select_full_line :
+  Quorum.Rng.t -> live:Quorum.Bitset.t -> shape -> Quorum.Bitset.t -> int
+(** [select_full_line rng ~live shape q] adds a live full-line to [q]
+    and returns its topmost global row, or returns [-1] when no
+    full-line is live. *)
 
 (** {1 Quorum systems} *)
 

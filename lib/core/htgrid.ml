@@ -22,56 +22,19 @@ let quorums (t : Hgrid.t) =
          |> List.map (fun cover -> Bitset.of_list t.n (line @ cover)))
   |> Quorum.Coterie.minimize
 
-let select_partial_cover rng mem r shape =
-  let rec go = function
-    | Hgrid.Leaf l ->
-        if l.row < r then Some []
-        else if mem l.id then Some [ l.id ]
-        else None
-    | Hgrid.Grid g ->
-        if g.row1 <= r then Some []
-        else begin
-          let pick_in_row row =
-            let order = Array.copy row in
-            Rng.shuffle_in_place rng order;
-            let rec try_cells i =
-              if i = Array.length order then None
-              else
-                match go order.(i) with
-                | Some q -> Some q
-                | None -> try_cells (i + 1)
-            in
-            try_cells 0
-          in
-          let rec all_rows i acc =
-            if i = Array.length g.cells then Some acc
-            else
-              match pick_in_row g.cells.(i) with
-              | None -> None
-              | Some q -> all_rows (i + 1) (q @ acc)
-          in
-          all_rows 0 []
-        end
-  in
-  go shape
-
 let select (t : Hgrid.t) rng ~live =
-  let mem = mem_of_live live in
-  match Hgrid.select_full_line rng mem t.shape with
-  | None -> None
-  | Some line ->
-      let base = List.fold_left (fun acc id -> min acc (id / t.global_cols)) max_int line in
-      (match select_partial_cover rng mem base t.shape with
-      | None ->
-          (* The chosen line's threshold has no live partial cover; the
-             guaranteed fallback is the full cover (threshold 0). *)
-          (match
-             ( Hgrid.full_line_max_base mem t.shape,
-               Hgrid.select_row_cover rng mem t.shape )
-           with
-          | Some _, Some cover -> Some (Bitset.of_list t.n (line @ cover))
-          | _ -> None)
-      | Some cover -> Some (Bitset.of_list t.n (line @ cover)))
+  let q = Bitset.create t.n in
+  let base = Hgrid.select_full_line rng ~live t.shape q in
+  if
+    base >= 0
+    && (Hgrid.select_cover rng ~live ~threshold:base t.shape q
+       (* The chosen line's threshold has no live partial cover.  The
+          full cover (threshold 0) needs more live rows, so it fails
+          too; it still runs, because its draws are part of the
+          stream every simulation replays. *)
+       || Hgrid.select_cover rng ~live ~threshold:0 t.shape q)
+  then Some q
+  else None
 
 let system ?name (t : Hgrid.t) =
   let name =
@@ -125,16 +88,23 @@ let flat_row_strategy (t : Hgrid.t) =
 
 (* The all-quorums variant: walk the hierarchy toward an intended base
    row, letting every full-line fragment slip to a lower local row with
-   probability epsilon. *)
+   probability epsilon.  A dead fragment fails the whole selection, so
+   the line is written straight into the result. *)
 let select_lower_line ~epsilon (t : Hgrid.t) rng ~live =
   if epsilon < 0.0 || epsilon > 1.0 then
     invalid_arg "Htgrid.select_lower_line: epsilon out of [0,1]";
-  let mem = mem_of_live live in
   let weights, _ = row_weights ~rows:t.global_rows ~cols:t.global_cols in
   let target = Rng.pick_weighted rng ~weights in
+  let q = Bitset.create t.n in
+  (* The fragment's topmost global row, or -1 when it is not live. *)
   let rec line_frag node target =
     match node with
-    | Hgrid.Leaf l -> if mem l.id then Some [ l.id ] else None
+    | Hgrid.Leaf l ->
+        if Bitset.mem live l.id then begin
+          Bitset.add q l.id;
+          l.row
+        end
+        else -1
     | Hgrid.Grid g ->
         let m = Array.length g.cells in
         let span = (g.row1 - g.row0) / m in
@@ -149,21 +119,15 @@ let select_lower_line ~epsilon (t : Hgrid.t) rng ~live =
           if band = intended then target
           else g.row0 + (band * span)
         in
-        let rec all j acc =
-          if j = Array.length row then Some acc
+        let rec all j top =
+          if j = Array.length row then top
           else
-            match line_frag row.(j) sub_target with
-            | None -> None
-            | Some q -> all (j + 1) (q @ acc)
+            let frag = line_frag row.(j) sub_target in
+            if frag < 0 then -1 else all (j + 1) (min top frag)
         in
-        all 0 []
+        all 0 max_int
   in
-  match line_frag t.shape target with
-  | None -> None
-  | Some line ->
-      let base =
-        List.fold_left (fun acc id -> min acc (id / t.global_cols)) max_int line
-      in
-      (match select_partial_cover rng mem base t.shape with
-      | None -> None
-      | Some cover -> Some (Bitset.of_list t.n (line @ cover)))
+  let base = line_frag t.shape target in
+  if base >= 0 && Hgrid.select_cover rng ~live ~threshold:base t.shape q then
+    Some q
+  else None

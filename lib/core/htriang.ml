@@ -175,61 +175,130 @@ let system_load t =
 
 (* --- Live-aware selection ---------------------------------------- *)
 
-let select_grid_cover rng mem grid =
-  let pick_row row =
-    let live = Array.of_list (List.filter mem (Array.to_list row)) in
-    if Array.length live = 0 then None else Some (Rng.pick rng live)
-  in
-  let rec go i acc =
-    if i = Array.length grid then Some acc
-    else
-      match pick_row grid.(i) with
-      | None -> None
-      | Some e -> go (i + 1) (e :: acc)
-  in
-  go 0 []
+(* The selector writes straight into the one bitset it returns; its
+   draws are pinned against a reference strategy in
+   test/test_select.ml.  Its structural checks are [avail_node]'s over
+   the live bitset, written without closures so that a selection
+   allocates only its result; [avail] keeps its own. *)
 
-let select_grid_line rng mem grid =
-  let full =
-    Array.to_list grid |> List.filter (fun row -> Array.for_all mem row)
-  in
-  match full with
-  | [] -> None
-  | _ -> Some (Array.to_list (Rng.pick rng (Array.of_list full)))
+let count_live live row =
+  let c = ref 0 in
+  for i = 0 to Array.length row - 1 do
+    if Bitset.mem live row.(i) then incr c
+  done;
+  !c
 
-let rec select_node rng mem = function
-  | Elem e -> if mem e then Some [ e ] else None
+let[@inline] row_full live row = count_live live row = Array.length row
+
+let count_full live grid =
+  let c = ref 0 in
+  for i = 0 to Array.length grid - 1 do
+    if row_full live grid.(i) then incr c
+  done;
+  !c
+
+let rec node_live live = function
+  | Elem e -> Bitset.mem live e
   | Split { t1; grid; t2 } ->
-      let a = avail_node mem t1 and b = avail_node mem t2 in
-      let rc = grid_cover_ok mem grid and fl = grid_line_ok mem grid in
-      let { w1; w2; w3; k = _ } = weights_of_split t1 grid t2 in
-      let methods =
-        List.filter
-          (fun (w, feasible, _) -> feasible && w > 0.0)
-          [
-            ((w1 : float), a && b, `M1);
-            (w2, a && rc, `M2);
-            (w3, b && fl, `M3);
-          ]
+      let a = node_live live t1 in
+      let b = node_live live t2 in
+      (a && b)
+      || (a && rows_covered live grid 0)
+      || (b && count_full live grid > 0)
+
+and rows_covered live grid i =
+  i = Array.length grid
+  || (count_live live grid.(i) > 0 && rows_covered live grid (i + 1))
+
+(* The [k]-th live element of [row], and the [k]-th fully live row of
+   [grid]: what [Rng.pick] returned from the filtered candidates. *)
+let rec nth_live live row k i =
+  if not (Bitset.mem live row.(i)) then nth_live live row k (i + 1)
+  else if k = 0 then row.(i)
+  else nth_live live row (k - 1) (i + 1)
+
+let rec nth_full live grid k i =
+  if not (row_full live grid.(i)) then nth_full live grid k (i + 1)
+  else if k = 0 then grid.(i)
+  else nth_full live grid (k - 1) (i + 1)
+
+(* A row-cover of a sub-grid: one uniform live element per row, rows in
+   order; a dead row fails without drawing for the rows after it. *)
+let rec pick_cover rng live grid i q =
+  i = Array.length grid
+  ||
+  let c = count_live live grid.(i) in
+  c > 0
+  && begin
+       Bitset.add q (nth_live live grid.(i) (Rng.int rng c) 0);
+       pick_cover rng live grid (i + 1) q
+     end
+
+(* A full-line of a sub-grid: one uniform fully live row. *)
+let pick_line rng live grid q =
+  let f = count_full live grid in
+  f > 0
+  && begin
+       let row = nth_full live grid (Rng.int rng f) 0 in
+       for i = 0 to Array.length row - 1 do
+         Bitset.add q row.(i)
+       done;
+       true
+     end
+
+(* Every failure propagates to the root (a split never tries a second
+   method), so a partial write never reaches a returned quorum; both
+   halves of a method still run, for their draws. *)
+let rec select_node rng live q = function
+  | Elem e -> Bitset.mem live e && (Bitset.add q e; true)
+  | Split { t1; grid; t2 } ->
+      let a = node_live live t1 and b = node_live live t2 in
+      let f1 = a && b
+      and f2 = a && rows_covered live grid 0
+      and f3 = b && count_full live grid > 0 in
+      (* [weights_of_split] inline, float operation for float
+         operation, so the weights stay unboxed. *)
+      let c1 = node_size t1 and c2 = node_size t2 in
+      let c3 = Array.fold_left (fun acc row -> acc + Array.length row) 0 grid in
+      let alpha = float_of_int c1 /. float_of_int (quorum_size t1) in
+      let beta = float_of_int c2 /. float_of_int (quorum_size t2) in
+      let q3l = float_of_int (Array.length grid.(0))
+      and q3r = float_of_int (Array.length grid) in
+      let k =
+        (q3r +. q3l) /. (float_of_int c3 +. (q3r *. beta) +. (q3l *. alpha))
       in
-      if methods = [] then None
+      let w1 = ((alpha +. beta) *. k) -. 1.0
+      and w2 = 1.0 -. (beta *. k)
+      and w3 = 1.0 -. (alpha *. k) in
+      (* A method is usable when feasible and of positive weight. *)
+      let u1 = f1 && w1 > 0.0
+      and u2 = f2 && w2 > 0.0
+      and u3 = f3 && w3 > 0.0 in
+      (u1 || u2 || u3)
+      &&
+      (* [Rng.pick_weighted] over the usable methods: the partial sums
+         of its scan (an unusable method adds 0.0, which changes no
+         sum), and the last usable method taken without a comparison. *)
+      let acc1 = 0.0 +. if u1 then w1 else 0.0 in
+      let acc2 = acc1 +. if u2 then w2 else 0.0 in
+      let total = acc2 +. if u3 then w3 else 0.0 in
+      let target = float_of_int (Rng.bits53 rng) *. 0x1.0p-53 *. total in
+      if u1 && ((not (u2 || u3)) || target < acc1) then begin
+        let ok2 = select_node rng live q t2 in
+        select_node rng live q t1 && ok2
+      end
+      else if u2 && ((not u3) || target < acc2) then begin
+        let ok = pick_cover rng live grid 0 q in
+        select_node rng live q t1 && ok
+      end
       else begin
-        let weights = Array.of_list (List.map (fun (w, _, _) -> w) methods) in
-        let _, _, m =
-          List.nth methods (Rng.pick_weighted rng ~weights)
-        in
-        let join x y =
-          match (x, y) with Some x, Some y -> Some (x @ y) | _ -> None
-        in
-        match m with
-        | `M1 -> join (select_node rng mem t1) (select_node rng mem t2)
-        | `M2 -> join (select_node rng mem t1) (select_grid_cover rng mem grid)
-        | `M3 -> join (select_node rng mem t2) (select_grid_line rng mem grid)
+        let ok = pick_line rng live grid q in
+        select_node rng live q t2 && ok
       end
 
 let select t rng ~live =
-  Option.map (Bitset.of_list t.n)
-    (select_node rng (Bitset.mem live) t.root)
+  let q = Bitset.create t.n in
+  if select_node rng live q t.root then Some q else None
 
 let system ?name t =
   let name =

@@ -75,8 +75,16 @@ val strategy_loads : t -> float array
 
 val select :
   t -> Quorum.Rng.t -> live:Quorum.Bitset.t -> Quorum.Bitset.t option
-(** Live-aware selection following the strategy weights, renormalized
-    over the methods that are available under [live]. *)
+(** Live-aware selection following the strategy weights: at each split
+    it draws one method among those that are feasible under [live]
+    {e and} have positive weight, in proportion to their weights, and
+    recurses.  A method of weight [<= 0] is never drawn, even when it
+    is the only feasible one, so on triangles reshaped by the growth
+    and shrink rules [select] can return [None] while [live] holds a
+    quorum (a shrunk 11-process triangle refuses 168 of the 19,460
+    selections of one ledger [chaos-mix] rep at seed 46).  A method
+    that fails below its split fails the whole selection.  Allocates
+    only the returned bitset. *)
 
 val system_load : t -> float
 (** The uniform load [k] of the strategy at the root. *)

@@ -44,6 +44,9 @@ type waiting = {
   mutable pending_inquires : int list;
   started : float;
   span : int;  (** root span of this acquisition attempt *)
+  mutable watchdog : int;
+      (** handle of the armed watchdog timer, cancelled when the attempt
+          ends (entry or abort) so it never fires as a no-op *)
 }
 
 type client_phase =
@@ -290,6 +293,7 @@ let arbiter_on_alive t ~node:j ~client ~ts =
 (* --- Client side -------------------------------------------------- *)
 
 let enter_cs t ~node (w : waiting) =
+  Engine.cancel t.engine w.watchdog;
   t.clients.(node) <- In_cs { req = w.req; quorum = w.quorum };
   t.in_cs_count <- t.in_cs_count + 1;
   if t.in_cs_count > t.max_concurrency then
@@ -387,27 +391,31 @@ let rec issue_request t ~node =
         Span.start (spans t) ~time:(Engine.now t.engine) ~node
           "mutex.acquire"
       in
-      t.clients.(node) <-
-        Waiting
-          {
-            req;
-            quorum;
-            grants = Bitset.create (Array.length t.clients);
-            got_failed = false;
-            pending_inquires = [];
-            started = Engine.now t.engine;
-            span;
-          };
+      let w =
+        {
+          req;
+          quorum;
+          grants = Bitset.create (Array.length t.clients);
+          got_failed = false;
+          pending_inquires = [];
+          started = Engine.now t.engine;
+          span;
+          watchdog = -1;
+        }
+      in
+      t.clients.(node) <- Waiting w;
       Engine.with_span_ctx t.engine span (fun () ->
           List.iter (fun j -> rsend t ~src:node ~dst:j (Request req)) quorum;
-          Engine.set_timer t.engine ~node
-            ~delay:(Failure_detector.timeout t.fd)
-            ~tag:(req.ts + wd_offset))
+          w.watchdog <-
+            Engine.timer t.engine ~node
+              ~delay:(Failure_detector.timeout t.fd)
+              ~tag:(req.ts + wd_offset))
 
 (* Abandon the current attempt (releasing any grants collected and any
    queue positions held) and, if [retry], immediately re-select an
    alternate quorum that avoids the nodes now suspected. *)
 and abort_attempt t ~node w ~retry =
+  Engine.cancel t.engine w.watchdog;
   release_quorum t ~node w.req w.quorum;
   t.clients.(node) <- Idle;
   Span.finish (spans t)
@@ -459,9 +467,10 @@ let client_watchdog t ~node ~ts =
         in
         if blocked then abort_attempt t ~node w ~retry:true
         else
-          Engine.set_timer t.engine ~node
-            ~delay:(Failure_detector.timeout t.fd)
-            ~tag:(ts + wd_offset)
+          w.watchdog <-
+            Engine.timer t.engine ~node
+              ~delay:(Failure_detector.timeout t.fd)
+              ~tag:(ts + wd_offset)
       end
   | Waiting _ | Idle | In_cs _ -> ()
 

@@ -49,6 +49,9 @@ type op = {
       (** bumped on every (re)send round — the progress check only
           fires for the attempt it was armed for *)
   mutable span : int;  (** root span of the whole client operation *)
+  mutable timeout_timer : int;
+      (** handle of the per-op timeout armed in [start]; an op that
+          leaves [ops] before it fires cancels it *)
 }
 
 type replica = {
@@ -120,6 +123,12 @@ type t = {
 
 let spans t = Obs.spans (Engine.obs t.engine)
 let history t = List.rev t.history
+
+(* An op that ends takes its timeout timer out of the queue, where it
+   would only fire to find no op. *)
+let remove_op t (op : op) =
+  Hashtbl.remove t.ops op.id;
+  Engine.cancel t.engine op.timeout_timer
 
 (* Persist a replica's whole durable image: epoch, seal flag, state. *)
 let persist t ~node =
@@ -229,7 +238,7 @@ and retry_later t (op : op) =
      quorum: back off and relaunch under the then-current
      configuration. *)
   if op.retries_left = 0 then begin
-    Hashtbl.remove t.ops op.id;
+    remove_op t op;
     t.failed <- t.failed + 1;
     Span.finish (spans t)
       ~time:(Engine.now t.engine)
@@ -264,6 +273,7 @@ let start t ~client kind =
         nacked = false;
         attempt = 0;
         span = -1;
+        timeout_timer = -1;
       }
     in
     op.span <-
@@ -274,8 +284,9 @@ let start t ~client kind =
     Hashtbl.add t.ops id op;
     launch t op;
     if Hashtbl.mem t.ops id then
-      Engine.with_span_ctx engine op.span (fun () ->
-          Engine.set_timer engine ~node:client ~delay:t.timeout ~tag:id)
+      op.timeout_timer <-
+        Engine.with_span_ctx engine op.span (fun () ->
+            Engine.timer engine ~node:client ~delay:t.timeout ~tag:id)
   end
 
 let read t ~client = start t ~client Read_op
@@ -297,7 +308,7 @@ let record_hop t (op : op) ~now ~is_write version =
     :: t.history
 
 let finish_read t (op : op) =
-  Hashtbl.remove t.ops op.id;
+  remove_op t op;
   t.reads_ok <- t.reads_ok + 1;
   let now = Engine.now t.engine in
   Span.finish (spans t) ~time:now op.span;
@@ -642,7 +653,7 @@ let handlers t : msg Engine.handlers =
                     match op.phase with
                     | Version_phase -> begin_install t op
                     | Install_phase ->
-                        Hashtbl.remove t.ops op.id;
+                        remove_op t op;
                         t.writes_ok <- t.writes_ok + 1;
                         let now = Engine.now engine in
                         Span.finish (spans t) ~time:now op.span;
@@ -757,7 +768,7 @@ let handlers t : msg Engine.handlers =
         in
         List.iter
           (fun op ->
-            Hashtbl.remove t.ops op.id;
+            remove_op t op;
             t.failed <- t.failed + 1;
             t.crash_kills <- t.crash_kills + 1;
             Span.finish (spans t)

@@ -366,7 +366,8 @@ let rec launch_attempt t (op : op) =
           Reading
             {
               waiting_for = Bitset.copy quorum;
-              targets = Bitset.copy quorum;
+              (* The selected quorum is ours: no second copy. *)
+              targets = quorum;
               acked = Bitset.create (universe t);
               best = (0, 0);
             };
@@ -713,7 +714,7 @@ let on_version_rep t ~node op_id ~version ~value =
                         Writing
                           {
                             waiting_for = Bitset.copy wq;
-                            targets = Bitset.copy wq;
+                            targets = wq;
                             acked = Bitset.create (universe t);
                           };
                       op.last_send <- Engine.now t.engine;

@@ -35,15 +35,16 @@ let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
+(* Rejection sampling to avoid modulo bias; top level, so a draw
+   builds no closure. *)
+let rec int_below t bound =
+  let r = bits t in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then int_below t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let rec loop () =
-    let r = bits t in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then loop () else v
-  in
-  loop ()
+  int_below t bound
 
 (* 53 random bits scaled to [0,1). *)
 let[@inline] float t = float_of_int (bits53 t) *. 0x1.0p-53

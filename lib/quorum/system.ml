@@ -124,14 +124,21 @@ let embed ?name ~universe ~place base =
     | Some s -> s
     | None -> Printf.sprintf "%s/%d" base.name universe
   in
+  (* Loops, not iterators: translating a live set or a quorum builds
+     no closure, so a selection allocates the logical live set, the
+     base's quorum and its physical image. *)
   let logical_live live =
-    let llive = Bitset.create base.n in
-    Array.iteri (fun l p -> if Bitset.mem live p then Bitset.add llive l) place;
+    let llive = Bitset.create k in
+    for l = 0 to k - 1 do
+      if Bitset.mem live place.(l) then Bitset.add llive l
+    done;
     llive
   in
   let physical q =
     let phys = Bitset.create universe in
-    Bitset.iter (fun l -> Bitset.add phys place.(l)) q;
+    for l = 0 to k - 1 do
+      if Bitset.mem q l then Bitset.add phys place.(l)
+    done;
     phys
   in
   let avail live = base.avail (logical_live live) in

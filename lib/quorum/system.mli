@@ -21,7 +21,15 @@ type t = {
       (** Minimal quorums (the coterie), when enumerable. *)
   select : Rng.t -> live:Bitset.t -> Bitset.t option;
       (** Pick a quorum of live processes, or [None] if unavailable.
-          Implements the construction's load-balancing strategy. *)
+          Implements the construction's load-balancing strategy.  The
+          returned bitset is fresh and belongs to the caller, who may
+          keep or mutate it.  The selectors the simulator runs
+          allocate only that result, with three exceptions: weighted
+          voting (majority) also allocates two arrays of the live
+          members, {!embed} the base system's live set and quorum, and
+          h-grid rows wider than 15 cells an index array.  Scratch is
+          per call, never shared, so one system's [select] is safe on
+          several domains at once (after {!prepare}). *)
 }
 
 val make :

@@ -237,10 +237,19 @@ let live_set t =
 let span_ctx t = t.ctx
 let set_span_ctx t ctx = t.ctx <- ctx
 
+(* An explicit re-raise rather than [Fun.protect], whose [~finally]
+   closure and handler cost a few words on every call. *)
 let with_span_ctx t ctx f =
   let saved = t.ctx in
   t.ctx <- ctx;
-  Fun.protect ~finally:(fun () -> t.ctx <- saved) f
+  match f () with
+  | v ->
+      t.ctx <- saved;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.ctx <- saved;
+      Printexc.raise_with_backtrace e bt
 
 let note ?(label = "") t ~node =
   if t.tracing then

@@ -10,6 +10,65 @@ let check votes =
   if total = 0 then invalid_arg "Weighted_voting: zero total votes";
   total
 
+(* [Array.sort (fun a b -> compare votes.(b) votes.(a))], the heap sort
+   of the standard library written out over process ids: the same
+   comparisons and moves, so tied processes land where [Array.sort] puts
+   them, but no closures and no exception per sift-down.  [before x y]
+   is that comparison's [cmp x y < 0]. *)
+let[@inline] before votes x y = votes.(x) > votes.(y)
+
+(* The child of heap node [i] that sorts last among the first [l]
+   slots, or [-1] when [i] has no child there. *)
+let maxson votes a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if before votes a.(i31) a.(i31 + 1) then i31 + 1 else i31 in
+    if before votes a.(x) a.(i31 + 2) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && before votes a.(i31) a.(i31 + 1) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickle votes a l i e =
+  let j = maxson votes a l i in
+  if j >= 0 && before votes e a.(j) then begin
+    a.(i) <- a.(j);
+    trickle votes a l j e
+  end
+  else a.(i) <- e
+
+let rec bubble votes a l i =
+  let j = maxson votes a l i in
+  if j < 0 then i
+  else begin
+    a.(i) <- a.(j);
+    bubble votes a l j
+  end
+
+let rec trickleup votes a i e =
+  let father = (i - 1) / 3 in
+  if before votes a.(father) e then begin
+    a.(i) <- a.(father);
+    if father > 0 then trickleup votes a father e else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let sort_by_votes votes a =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle votes a l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup votes a (bubble votes a i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let system ?name ~votes () =
   let total = check votes in
   let n = Array.length votes in
@@ -40,34 +99,38 @@ let system ?name ~votes () =
          Quorum.Coterie.minimal_of_avail ~n (Option.get avail_mask))
   in
   (* Greedy selection: highest-vote live processes first, then trimmed
-     to a minimal quorum. *)
+     to a minimal quorum.  Besides the quorum it returns, a call
+     allocates the shuffled live members and their by-votes copy. *)
   let select rng ~live =
-    let members = Bitset.to_list live in
-    let arr = Array.of_list members in
+    let arr = Array.make (Bitset.cardinal live) 0 in
+    let k = ref 0 in
+    for i = 0 to Bitset.capacity live - 1 do
+      if Bitset.mem live i then begin
+        arr.(!k) <- i;
+        incr k
+      end
+    done;
     Quorum.Rng.shuffle_in_place rng arr;
     let by_votes = Array.copy arr in
-    Array.sort (fun a b -> compare votes.(b) votes.(a)) by_votes;
+    sort_by_votes votes by_votes;
     let quorum = Bitset.create n in
-    let rec take i sum =
-      if enough sum then true
-      else if i = Array.length by_votes then false
-      else begin
-        Bitset.add quorum by_votes.(i);
-        take (i + 1) (sum + votes.(by_votes.(i)))
-      end
-    in
-    if not (take 0 0) then None
+    let sum = ref 0 and i = ref 0 in
+    while (not (enough !sum)) && !i < Array.length by_votes do
+      Bitset.add quorum by_votes.(!i);
+      sum := !sum + votes.(by_votes.(!i));
+      incr i
+    done;
+    if not (enough !sum) then None
     else begin
       (* Drop members that are not needed, in random order, to reach a
          minimal quorum. *)
-      let sum = ref (Bitset.fold (fun i acc -> acc + votes.(i)) quorum 0) in
-      Array.iter
-        (fun i ->
-          if Bitset.mem quorum i && enough (!sum - votes.(i)) then begin
-            Bitset.remove quorum i;
-            sum := !sum - votes.(i)
-          end)
-        arr;
+      for j = 0 to Array.length arr - 1 do
+        let i = arr.(j) in
+        if Bitset.mem quorum i && enough (!sum - votes.(i)) then begin
+          Bitset.remove quorum i;
+          sum := !sum - votes.(i)
+        end
+      done;
       Some quorum
     end
   in

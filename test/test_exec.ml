@@ -162,12 +162,48 @@ let exact_hetero_deterministic =
       | f0 :: rest -> List.for_all (( = ) f0) rest)
       && List.for_all (fun f -> abs_float (f -. oracle) < 1e-12) pooled)
 
+(* Every selector family the simulator runs, for the pooled selection
+   test: the specs above, weighted voting with uneven votes, even-n
+   majority, h-grid read / write / rw, and placements through
+   [System.embed] and [Shard_router]. *)
+let select_systems =
+  let spec name = (name, fun () -> Core.Registry.build_exn name) in
+  let shard read ~shard =
+    ( Printf.sprintf "shard %d %s" shard (if read then "read" else "write"),
+      fun () ->
+        match Protocols.Shard_router.create ~universe:15 ~shards:3 () with
+        | Error e -> failwith e
+        | Ok r ->
+            if read then Protocols.Shard_router.shard_read_system r ~shard
+            else Protocols.Shard_router.shard_write_system r ~shard )
+  in
+  Array.append
+    (Array.map spec det_specs)
+    [|
+      spec "voting(1-2-3-1-2-1)";
+      spec "majority(10)";
+      spec "hgrid-read(4x4)";
+      spec "hgrid-write(6x4)";
+      spec "hgrid(2x3)";
+      ( "embed htriang(6)/20",
+        fun () ->
+          System.embed ~universe:20 ~place:[| 3; 17; 5; 11; 0; 8 |]
+            (Core.Registry.build_exn "htriang(6)") );
+      shard true ~shard:1;
+      shard false ~shard:2;
+    |]
+
+let select_arb =
+  QCheck.make
+    ~print:(fun i -> fst select_systems.(i))
+    QCheck.Gen.(int_bound (Array.length select_systems - 1))
+
 let empirical_deterministic =
   QCheck.Test.make
-    ~name:"empirical_of_select: pooled loads independent of jobs" ~count:10
-    QCheck.(pair spec_arb (int_bound 10_000))
+    ~name:"empirical_of_select: pooled loads independent of jobs" ~count:24
+    QCheck.(pair select_arb (int_bound 10_000))
     (fun (i, seed) ->
-      let s = build i in
+      let s = snd select_systems.(i) () in
       (* Force any lazy quorum list before sharing select across
          domains (the documented contract). *)
       System.prepare s;
