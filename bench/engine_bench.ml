@@ -31,7 +31,12 @@
    majority(15), h-triang(15) and shard 0 of the sharded h-grid the
    store runs at n = 15 (its read and write systems in turn), each
    selecting over the same pinned stream of live sets, as selects/sec
-   and minor words per select.
+   and minor words per select.  So is the availability check, as one
+   row per system and path: the raw-mask path the exact 2^n scans call
+   on majority(24), grid-rw(4x6), h-T-grid(4x5) and h-triang(21), and
+   the live-bitset path the simulator calls on h-grid(4x4) and
+   h-triang(15), each over a pinned stream of live sets, as checks/sec
+   and minor words per check.
 
    Everything lands in BENCH_engine.json, with events/sec and
    allocations/event beside the per-op figures.  The relay is gated per
@@ -43,8 +48,9 @@
    given compiler and gated at +10%; ops/sec (beats/sec) is
    machine-dependent, so the gate uses the ratio to an in-process
    calibration loop (ops per calibration op) and allows -15%.  The
-   selection rows gate their words only: a select is too short for
-   its rate to hold a 15% bound on a shared host. *)
+   selection and availability rows gate their words only: a select or
+   a check is too short for its rate to hold a 15% bound on a shared
+   host. *)
 
 module Engine = Sim.Engine
 module Rpc = Sim.Rpc
@@ -303,6 +309,75 @@ let measure_selection () =
       })
     (select_rows ())
 
+(* --- Availability -------------------------------------------------- *)
+
+let avail_lives = 64
+let avail_checks () = if !Util.fast then 100_000 else 1_000_000
+
+type path = Mask | Live
+
+(* Each row's system and the path it checks. *)
+let avail_rows () =
+  List.map
+    (fun (row, path, spec) -> (row, path, Util.system spec))
+    [
+      ("avail_mask majority(24)", Mask, "majority(24)");
+      ("avail_mask grid-rw(4x6)", Mask, "grid-rw(4x6)");
+      ("avail_mask htgrid(4x5)", Mask, "htgrid(4x5)");
+      ("avail_mask htriang(21)", Mask, "htriang(21)");
+      ("avail h-grid(4x4)", Live, "hgrid(4x4)");
+      ("avail h-triang(15)", Live, "htriang(15)");
+    ]
+
+type availability = {
+  av_row : string;
+  av_dt : float;
+  words_per_check : float;
+}
+
+(* A pinned stream of live sets: each process up with probability 1/2,
+   the uniform live set of the exact scans. *)
+let avail_stream n =
+  let rng = Quorum.Rng.create seed in
+  Array.init avail_lives (fun _ -> Quorum.Bitset.random_subset rng ~n ~p:0.5)
+
+(* [f] over the stream [sets] (raw masks or bitsets). *)
+let run_checks f sets =
+  let count = avail_checks () in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to count - 1 do
+    ignore (Sys.opaque_identity (f sets.(i mod avail_lives)))
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  (dt, Gc.minor_words () -. w0)
+
+let measure_availability () =
+  let reps = if !Util.fast then 2 else 3 in
+  List.map
+    (fun (row, path, (s : Quorum.System.t)) ->
+      let lives = avail_stream s.Quorum.System.n in
+      let run () =
+        match (path, s.Quorum.System.avail_mask) with
+        | Mask, Some f -> run_checks f (Array.map Quorum.Bitset.to_mask lives)
+        | Mask, None -> failwith (row ^ ": no native mask path")
+        | Live, _ -> run_checks s.Quorum.System.avail lives
+      in
+      let dt, words = run () in
+      let best = ref dt in
+      for _ = 2 to reps do
+        let dt, w = run () in
+        (* Pinned: every rep allocates exactly the same. *)
+        assert (w = words);
+        if dt < !best then best := dt
+      done;
+      {
+        av_row = row;
+        av_dt = !best;
+        words_per_check = words /. float_of_int (avail_checks ());
+      })
+    (avail_rows ())
+
 (* Machine-speed yardstick: a fixed pure-OCaml mixing loop, so the
    committed events/sec baseline survives CI runners of a different
    speed as a ratio (events per calibration op). *)
@@ -359,6 +434,16 @@ let selection_json ~calib m =
     m.sel_row select_lives (selects ()) m.sel_dt rate
     (rate /. calib *. 1000.0)
     m.words_per_select
+
+let availability_json ~calib m =
+  let rate = float_of_int (avail_checks ()) /. m.av_dt in
+  Printf.sprintf
+    "    {\"name\": %S, \"lives\": %d, \"checks\": %d, \
+     \"seconds_best\": %.4f, \"checks_per_sec\": %.0f, \
+     \"checks_per_calib_op\": %.6f, \"minor_words_per_check\": %.2f}"
+    m.av_row avail_lives (avail_checks ()) m.av_dt rate
+    (rate /. calib *. 1000.0)
+    m.words_per_check
 
 let profile_json (r : Obs.Prof.report) =
   let rows =
@@ -429,8 +514,8 @@ let read_file path =
   s
 
 (* One gated row: its name in the baseline, its calibrated rate (when
-   gated) and its words per unit (relay op, beat or select), with the
-   baseline keys of both. *)
+   gated) and its words per unit (relay op, beat, select or check),
+   with the baseline keys of both. *)
 type gated = {
   row : string;
   rate : (float * string) option;
@@ -482,7 +567,7 @@ let gate ~baseline_path rows =
             | Some (_, None) | None -> (true, String.make 38 ' ')
           in
           let words_ok = g.words <= b_words *. (1.0 +. alloc_tol) in
-          Printf.printf "    %-20s %s   words %8.2f vs %8.2f %s\n" g.row
+          Printf.printf "    %-24s %s   words %8.2f vs %8.2f %s\n" g.row
             rate_col g.words b_words
             (if words_ok then "ok" else "FAIL");
           if not (rate_ok && words_ok) then failed := true)
@@ -544,6 +629,14 @@ let run () =
         (float_of_int (selects ()) /. m.sel_dt)
         m.words_per_select)
     sel;
+  let av = measure_availability () in
+  List.iter
+    (fun m ->
+      Printf.printf "  %-24s %12.0f checks/sec   %8.2f minor words/check\n"
+        m.av_row
+        (float_of_int (avail_checks ()) /. m.av_dt)
+        m.words_per_check)
+    av;
   (* Profiled run: where do the full-trace run's time and words go? *)
   let prof_cfg = List.find (fun c -> c.cname = "full-trace") configs in
   let _e, obs, _dt, _dw = run_once prof_cfg ~profile:true in
@@ -590,12 +683,14 @@ let run () =
     \  \"configs\": [\n%s\n  ],\n\
     \  \"heartbeats\": %s,\n\
     \  \"selection\": [\n%s\n  ],\n\
+    \  \"availability\": [\n%s\n  ],\n\
      %s\n\
      }\n"
     seed n_nodes (ops ()) hops !Util.fast calib
     (String.concat ",\n" (List.map (config_json ~calib) measured))
     (heartbeats_json ~calib hb)
     (String.concat ",\n" (List.map (selection_json ~calib) sel))
+    (String.concat ",\n" (List.map (availability_json ~calib) av))
     (profile_json r);
   close_out oc;
   Printf.printf "\n  wrote BENCH_engine.json (seed %d)\n" seed;
@@ -628,5 +723,14 @@ let run () =
                    words = m.words_per_select;
                    words_key = "minor_words_per_select";
                  })
-               sel)
+               sel
+        @ List.map
+            (fun m ->
+              {
+                row = m.av_row;
+                rate = None;
+                words = m.words_per_check;
+                words_key = "minor_words_per_check";
+              })
+            av)
   | None -> ()

@@ -157,48 +157,6 @@ let auto_2x2 ?(ceil_first = false) ~rows ~cols () =
     dims = [ (rows, cols) ];
   }
 
-(* --- Structural predicates ------------------------------------- *)
-
-let rec row_cover_ok mem = function
-  | Leaf l -> mem l.id
-  | Grid g ->
-      Array.for_all (fun row -> Array.exists (row_cover_ok mem) row) g.cells
-
-let rec full_line_ok mem = function
-  | Leaf l -> mem l.id
-  | Grid g ->
-      Array.exists (fun row -> Array.for_all (full_line_ok mem) row) g.cells
-
-let rec full_line_max_base mem = function
-  | Leaf l -> if mem l.id then Some l.row else None
-  | Grid g ->
-      (* A full-line of the grid combines full-lines of all cells of
-         one row; its topmost global row is the min over cells, which
-         each cell maximizes independently. *)
-      let row_candidate row =
-        Array.fold_left
-          (fun acc cell ->
-            match (acc, full_line_max_base mem cell) with
-            | None, _ | _, None -> None
-            | Some a, Some b -> Some (min a b))
-          (Some max_int) row
-      in
-      Array.fold_left
-        (fun best row ->
-          match (best, row_candidate row) with
-          | None, c -> c
-          | b, None -> b
-          | Some b, Some c -> Some (max b c))
-        None g.cells
-
-let rec row_cover_ok_at mem r = function
-  | Leaf l -> l.row < r || mem l.id
-  | Grid g ->
-      g.row1 <= r
-      || Array.for_all
-           (fun row -> Array.exists (row_cover_ok_at mem r) row)
-           g.cells
-
 (* --- Quorum enumeration ----------------------------------------- *)
 
 let rec row_cover_quorums = function
@@ -243,18 +201,13 @@ let partial_cover_quorums shape r =
   |> List.map (List.sort_uniq compare)
   |> List.sort_uniq compare
 
-(* --- Selection --------------------------------------------------- *)
+(* --- Structural checks ------------------------------------------- *)
 
-(* The selectors write the quorum they pick straight into a bitset.
-   Their draws are pinned against reference selectors in
-   test/test_select.ml: a row-cover shuffles the cells of each row and
-   takes the first that covers, a full-line shuffles the rows and takes
-   the first that is full.  A failed attempt must leave nothing in the
-   bitset, so an attempt writes only where a structural check has shown
-   that it succeeds; elsewhere it makes the same draws without writing.
-   The checks are [row_cover_ok_at] and [full_line_ok] over the live
-   bitset, written without closures so that selecting allocates
-   nothing; [avail] keeps its own. *)
+(* Closure-free, so that neither availability nor selection allocates;
+   each check over the live bitset has a copy over a raw mask, which
+   the exact 2^n scans call.  [covers live r]: some row-cover has all
+   its elements of global rows [>= r] live (threshold [0] is the full
+   row-cover); [lined live]: some full-line is live. *)
 
 let rec covers live r = function
   | Leaf l -> l.row < r || Bitset.mem live l.id
@@ -278,6 +231,82 @@ and some_row_lined live rows i =
 
 and row_lined live row j =
   j = Array.length row || (lined live row.(j) && row_lined live row (j + 1))
+
+(* The topmost global row of the lowest-sitting live full-line, or [-1]
+   when none is live.  A grid's rows are scanned from the bottom up and
+   the first lined one decides: every constructor lays a grid's rows
+   out top to bottom, so every cell of a row lies below every cell of
+   the rows above it, and a line in a lower row sits lower.  Within a
+   row the line's top is the highest of its cells' tops. *)
+let rec line_base live = function
+  | Leaf l -> if Bitset.mem live l.id then l.row else -1
+  | Grid g -> lowest_row_base live g.cells (Array.length g.cells - 1)
+
+and lowest_row_base live rows i =
+  if i < 0 then -1
+  else
+    let top = row_base live rows.(i) 0 max_int in
+    if top >= 0 then top else lowest_row_base live rows (i - 1)
+
+and row_base live row j top =
+  if j = Array.length row then top
+  else
+    let b = line_base live row.(j) in
+    if b < 0 then -1 else row_base live row (j + 1) (min top b)
+
+let[@inline] bit mask i = mask land (1 lsl i) <> 0
+
+let rec covers_mask mask r = function
+  | Leaf l -> l.row < r || bit mask l.id
+  | Grid g -> g.row1 <= r || rows_covered_mask mask r g.cells 0
+
+and rows_covered_mask mask r rows i =
+  i = Array.length rows
+  || (row_covered_mask mask r rows.(i) 0
+     && rows_covered_mask mask r rows (i + 1))
+
+and row_covered_mask mask r row j =
+  j < Array.length row
+  && (covers_mask mask r row.(j) || row_covered_mask mask r row (j + 1))
+
+let rec lined_mask mask = function
+  | Leaf l -> bit mask l.id
+  | Grid g -> some_row_lined_mask mask g.cells 0
+
+and some_row_lined_mask mask rows i =
+  i < Array.length rows
+  && (row_lined_mask mask rows.(i) 0 || some_row_lined_mask mask rows (i + 1))
+
+and row_lined_mask mask row j =
+  j = Array.length row
+  || (lined_mask mask row.(j) && row_lined_mask mask row (j + 1))
+
+let rec line_base_mask mask = function
+  | Leaf l -> if bit mask l.id then l.row else -1
+  | Grid g -> lowest_row_base_mask mask g.cells (Array.length g.cells - 1)
+
+and lowest_row_base_mask mask rows i =
+  if i < 0 then -1
+  else
+    let top = row_base_mask mask rows.(i) 0 max_int in
+    if top >= 0 then top else lowest_row_base_mask mask rows (i - 1)
+
+and row_base_mask mask row j top =
+  if j = Array.length row then top
+  else
+    let b = line_base_mask mask row.(j) in
+    if b < 0 then -1 else row_base_mask mask row (j + 1) (min top b)
+
+(* --- Selection --------------------------------------------------- *)
+
+(* The selectors write the quorum they pick straight into a bitset.
+   Their draws are pinned against reference selectors in
+   test/test_select.ml: a row-cover shuffles the cells of each row and
+   takes the first that covers, a full-line shuffles the rows and takes
+   the first that is full.  A failed attempt must leave nothing in the
+   bitset, so an attempt writes only where [covers] or [lined] has
+   shown that it succeeds; elsewhere it makes the same draws without
+   writing. *)
 
 (* A shuffled visiting order of [0, len): the permutation
    [Rng.shuffle_in_place] applies to an array of [len], from the same
@@ -382,16 +411,11 @@ let select_full_line rng ~live shape q =
 
 (* --- Systems ----------------------------------------------------- *)
 
-let mem_of_live live i = Bitset.mem live i
-let mem_of_mask mask i = mask land (1 lsl i) <> 0
-
-let make_system ?name t ~default_name ~avail_fn ~quorums ~select_into =
+let make_system ?name t ~default_name ~avail ~avail_mask ~quorums
+    ~select_into =
   let name = match name with Some s -> s | None -> default_name in
-  let avail live = avail_fn (mem_of_live live) in
   let avail_mask =
-    if t.n <= Bitset.bits_per_word then
-      Some (fun mask -> avail_fn (mem_of_mask mask))
-    else None
+    if t.n <= Bitset.bits_per_word then Some avail_mask else None
   in
   let min_quorums =
     lazy
@@ -410,7 +434,8 @@ let dims_string t =
 let read_system ?name t =
   make_system ?name t
     ~default_name:(Printf.sprintf "h-grid-read(%s)" (dims_string t))
-    ~avail_fn:(fun mem -> row_cover_ok mem t.shape)
+    ~avail:(fun live -> covers live 0 t.shape)
+    ~avail_mask:(fun mask -> covers_mask mask 0 t.shape)
     ~quorums:(fun () -> row_cover_quorums t.shape)
     ~select_into:(fun rng live q ->
       select_cover rng ~live ~threshold:0 t.shape q)
@@ -418,15 +443,17 @@ let read_system ?name t =
 let write_system ?name t =
   make_system ?name t
     ~default_name:(Printf.sprintf "h-grid-write(%s)" (dims_string t))
-    ~avail_fn:(fun mem -> full_line_ok mem t.shape)
+    ~avail:(fun live -> lined live t.shape)
+    ~avail_mask:(fun mask -> lined_mask mask t.shape)
     ~quorums:(fun () -> full_line_quorums t.shape)
     ~select_into:(fun rng live q -> select_full_line rng ~live t.shape q >= 0)
 
 let rw_system ?name t =
   make_system ?name t
     ~default_name:(Printf.sprintf "h-grid(%s)" (dims_string t))
-    ~avail_fn:(fun mem ->
-      row_cover_ok mem t.shape && full_line_ok mem t.shape)
+    ~avail:(fun live -> covers live 0 t.shape && lined live t.shape)
+    ~avail_mask:(fun mask ->
+      covers_mask mask 0 t.shape && lined_mask mask t.shape)
     ~quorums:(fun () ->
       List.concat_map
         (fun line ->

@@ -61,22 +61,34 @@ val auto_2x2 : ?ceil_first:bool -> rows:int -> cols:int -> unit -> t
     [ceil_first] (default false, which is what Table 1 matches) puts
     the larger half in the first row/column of each split. *)
 
-(** {1 Structural predicates}
+(** {1 Structural checks}
 
-    All take the membership function of the live set. *)
+    Closure-free: none allocates.  Each check over the live bitset has
+    a copy over a raw mask ([n <= 62]) for the exact 2^n scans.  The
+    systems below check availability with them: {!read_system} with
+    [covers live 0], {!write_system} with [lined], {!rw_system} with
+    both, and [Htgrid.system] with [covers live (line_base live)]. *)
 
-val row_cover_ok : (int -> bool) -> shape -> bool
-val full_line_ok : (int -> bool) -> shape -> bool
+val covers : Quorum.Bitset.t -> int -> shape -> bool
+(** [covers live r shape]: some hierarchical row-cover has all its
+    elements of global rows [>= r] live (elements above the threshold
+    are exempt — the partial row-cover of section 4.2; [r = 0] is the
+    full row-cover). *)
 
-val full_line_max_base : (int -> bool) -> shape -> int option
+val lined : Quorum.Bitset.t -> shape -> bool
+(** Some hierarchical full-line is live. *)
+
+val line_base : Quorum.Bitset.t -> shape -> int
 (** Greatest [r] such that some live full-line uses only elements of
     global rows [>= r] — i.e. the topmost row of the lowest-sitting
-    live full-line.  [None] when no full-line is live. *)
+    live full-line — or [-1] when no full-line is live. *)
 
-val row_cover_ok_at : (int -> bool) -> int -> shape -> bool
-(** [row_cover_ok_at mem r shape]: some hierarchical row-cover has all
-    its elements of global rows [>= r] live (elements above the
-    threshold are exempt — the partial row-cover of section 4.2). *)
+val covers_mask : int -> int -> shape -> bool
+val lined_mask : int -> shape -> bool
+
+val line_base_mask : int -> shape -> int
+(** [covers], [lined] and [line_base] over a raw mask of live
+    processes. *)
 
 (** {1 Quorum enumeration} *)
 

@@ -3,17 +3,17 @@ module System = Quorum.System
 module Rng = Quorum.Rng
 module Strategy = Quorum.Strategy
 
-let mem_of_live live i = Bitset.mem live i
-let mem_of_mask mask i = mask land (1 lsl i) <> 0
-
 (* Availability: the best (lowest-sitting) live full-line determines
    the largest usable threshold r*; by monotonicity of partial covers
    in the threshold, a T-grid quorum exists iff the threshold-r*
    partial cover is live. *)
-let avail_fn (t : Hgrid.t) mem =
-  match Hgrid.full_line_max_base mem t.shape with
-  | None -> false
-  | Some r -> Hgrid.row_cover_ok_at mem r t.shape
+let avail (t : Hgrid.t) live =
+  let r = Hgrid.line_base live t.shape in
+  r >= 0 && Hgrid.covers live r t.shape
+
+let avail_mask (t : Hgrid.t) mask =
+  let r = Hgrid.line_base_mask mask t.shape in
+  r >= 0 && Hgrid.covers_mask mask r t.shape
 
 let quorums (t : Hgrid.t) =
   Hgrid.full_lines_with_base t.shape
@@ -45,13 +45,10 @@ let system ?name (t : Hgrid.t) =
           (String.concat ","
              (List.map (fun (m, n) -> Printf.sprintf "%dx%d" m n) t.dims))
   in
-  let avail live = avail_fn t (mem_of_live live) in
   let avail_mask =
-    if t.n <= Bitset.bits_per_word then
-      Some (fun mask -> avail_fn t (mem_of_mask mask))
-    else None
+    if t.n <= Bitset.bits_per_word then Some (avail_mask t) else None
   in
-  System.make ~name ~n:t.n ~avail ?avail_mask
+  System.make ~name ~n:t.n ~avail:(avail t) ?avail_mask
     ~min_quorums:(lazy (quorums t))
     ~select:(select t) ()
 

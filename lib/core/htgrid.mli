@@ -23,8 +23,10 @@
 val system : ?name:string -> Hgrid.t -> Quorum.System.t
 (** Availability: there is a threshold row [r] with a live full-line
     sitting fully at global rows [>= r] and a live partial row-cover
-    for threshold [r] (two O(n) recursive passes).  Quorums are
-    enumerated as full-line x partial-cover unions, minimized. *)
+    for threshold [r] (two O(n) recursive passes, [Hgrid.line_base]
+    then [Hgrid.covers], or their mask copies; neither allocates).
+    Quorums are enumerated as full-line x partial-cover unions,
+    minimized. *)
 
 val quorums : Hgrid.t -> Quorum.Bitset.t list
 (** The minimal T-grid quorums. *)

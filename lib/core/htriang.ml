@@ -43,24 +43,6 @@ let standard ?(split = `Floor) ~rows () =
   in
   { root = build ~t1_rows ids; n = rows * (rows + 1) / 2; rows }
 
-(* --- Availability ------------------------------------------------ *)
-
-let grid_cover_ok mem grid =
-  Array.for_all (fun row -> Array.exists mem row) grid
-
-let grid_line_ok mem grid = Array.exists (fun row -> Array.for_all mem row) grid
-
-let rec avail_node mem = function
-  | Elem e -> mem e
-  | Split { t1; grid; t2 } ->
-      let a = avail_node mem t1 in
-      let b = avail_node mem t2 in
-      (a && b)
-      || (a && grid_cover_ok mem grid)
-      || (b && grid_line_ok mem grid)
-
-let avail t mem = avail_node mem t.root
-
 (* --- Quorum enumeration ------------------------------------------ *)
 
 let grid_covers grid =
@@ -177,9 +159,8 @@ let system_load t =
 
 (* The selector writes straight into the one bitset it returns; its
    draws are pinned against a reference strategy in
-   test/test_select.ml.  Its structural checks are [avail_node]'s over
-   the live bitset, written without closures so that a selection
-   allocates only its result; [avail] keeps its own. *)
+   test/test_select.ml.  Its feasibility checks are [avail]'s, so a
+   selection allocates only its result. *)
 
 let count_live live row =
   let c = ref 0 in
@@ -197,6 +178,30 @@ let count_full live grid =
   done;
   !c
 
+(* --- Availability ------------------------------------------------ *)
+
+(* A triangle is live when T1 and T2 are, T1 and a row-cover of its
+   sub-grid, or T2 and a full-line of it.  Two closure-free copies of
+   that check: [node_live] over the live bitset (it serves [avail] and
+   the selector) and [node_live_mask] over a raw mask (the 2^n
+   scans). *)
+
+let rec row_some_live live row j =
+  j < Array.length row
+  && (Bitset.mem live row.(j) || row_some_live live row (j + 1))
+
+let rec rows_covered live grid i =
+  i = Array.length grid
+  || (row_some_live live grid.(i) 0 && rows_covered live grid (i + 1))
+
+let rec row_all_live live row j =
+  j = Array.length row
+  || (Bitset.mem live row.(j) && row_all_live live row (j + 1))
+
+let rec some_row_full live grid i =
+  i < Array.length grid
+  && (row_all_live live grid.(i) 0 || some_row_full live grid (i + 1))
+
 let rec node_live live = function
   | Elem e -> Bitset.mem live e
   | Split { t1; grid; t2 } ->
@@ -204,11 +209,34 @@ let rec node_live live = function
       let b = node_live live t2 in
       (a && b)
       || (a && rows_covered live grid 0)
-      || (b && count_full live grid > 0)
+      || (b && some_row_full live grid 0)
 
-and rows_covered live grid i =
+let[@inline] bit mask e = mask land (1 lsl e) <> 0
+
+let rec row_some_bit mask row j =
+  j < Array.length row && (bit mask row.(j) || row_some_bit mask row (j + 1))
+
+let rec rows_covered_mask mask grid i =
   i = Array.length grid
-  || (count_live live grid.(i) > 0 && rows_covered live grid (i + 1))
+  || (row_some_bit mask grid.(i) 0 && rows_covered_mask mask grid (i + 1))
+
+let rec row_all_bits mask row j =
+  j = Array.length row || (bit mask row.(j) && row_all_bits mask row (j + 1))
+
+let rec some_row_full_mask mask grid i =
+  i < Array.length grid
+  && (row_all_bits mask grid.(i) 0 || some_row_full_mask mask grid (i + 1))
+
+let rec node_live_mask mask = function
+  | Elem e -> bit mask e
+  | Split { t1; grid; t2 } ->
+      let a = node_live_mask mask t1 in
+      let b = node_live_mask mask t2 in
+      (a && b)
+      || (a && rows_covered_mask mask grid 0)
+      || (b && some_row_full_mask mask grid 0)
+
+let avail t live = node_live live t.root
 
 (* The [k]-th live element of [row], and the [k]-th fully live row of
    [grid]: what [Rng.pick] returned from the filtered candidates. *)
@@ -255,7 +283,7 @@ let rec select_node rng live q = function
       let a = node_live live t1 and b = node_live live t2 in
       let f1 = a && b
       and f2 = a && rows_covered live grid 0
-      and f3 = b && count_full live grid > 0 in
+      and f3 = b && some_row_full live grid 0 in
       (* [weights_of_split] inline, float operation for float
          operation, so the weights stay unboxed. *)
       let c1 = node_size t1 and c2 = node_size t2 in
@@ -306,12 +334,10 @@ let system ?name t =
   in
   let avail_mask =
     if t.n <= Bitset.bits_per_word then
-      Some (fun mask -> avail_node (fun i -> mask land (1 lsl i) <> 0) t.root)
+      Some (fun mask -> node_live_mask mask t.root)
     else None
   in
-  System.make ~name ~n:t.n
-    ~avail:(fun live -> avail_node (Bitset.mem live) t.root)
-    ?avail_mask
+  System.make ~name ~n:t.n ~avail:(avail t) ?avail_mask
     ~min_quorums:(lazy (quorums t))
     ~select:(select t) ()
 

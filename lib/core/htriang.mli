@@ -38,7 +38,11 @@ val standard : ?split:[ `Floor | `Ceil ] -> rows:int -> unit -> t
     definition is [`Floor] (the default), [`Ceil] is the mirrored
     variant used for calibration. *)
 
-val avail : t -> (int -> bool) -> bool
+val avail : t -> Quorum.Bitset.t -> bool
+(** [avail t live]: [live] holds a quorum of [t].  This closure-free
+    check serves {!system}'s [avail] and {!select}'s feasibility tests
+    and allocates nothing; {!system}'s [avail_mask] is its copy over a
+    raw mask. *)
 
 val quorums : t -> Quorum.Bitset.t list
 (** All minimal quorums (they form an antichain by construction; for a

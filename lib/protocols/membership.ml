@@ -250,7 +250,11 @@ let tick t =
         0 t.place
     in
     let urgent () =
-      not (Htriang.avail t.tri (fun l -> Bitset.mem live t.place.(l)))
+      let logical = Bitset.create t.tri.Htriang.n in
+      for l = 0 to t.tri.Htriang.n - 1 do
+        if Bitset.mem live t.place.(l) then Bitset.add logical l
+      done;
+      not (Htriang.avail t.tri logical)
     in
     if (not structural) && (dead < 2 && not (dead = 1 && urgent ())) then ()
     else

@@ -50,21 +50,21 @@ let dominates c d =
        (List.length c = List.length d
        && List.for_all (fun q -> List.exists (Bitset.equal q) d) c)
 
+(* An available [mask] is minimal iff removing any single member
+   (from bit [b] on) breaks availability. *)
+let rec minimal avail_mask n mask b =
+  if b = n then true
+  else if mask land (1 lsl b) <> 0 && avail_mask (mask lxor (1 lsl b)) then
+    false
+  else minimal avail_mask n mask (b + 1)
+
 let minimal_of_avail ~n avail_mask =
   if n > 22 then
     invalid_arg "Coterie.minimal_of_avail: universe too large (n > 22)";
   let result = ref [] in
   for mask = 1 to (1 lsl n) - 1 do
-    if avail_mask mask then begin
-      (* Minimal iff removing any single member breaks availability. *)
-      let rec minimal b =
-        if b = n then true
-        else if mask land (1 lsl b) <> 0 && avail_mask (mask lxor (1 lsl b))
-        then false
-        else minimal (b + 1)
-      in
-      if minimal 0 then result := Bitset.of_mask ~n mask :: !result
-    end
+    if avail_mask mask && minimal avail_mask n mask 0 then
+      result := Bitset.of_mask ~n mask :: !result
   done;
   List.rev !result
 

@@ -39,6 +39,11 @@ let minimize quorums =
   in
   List.filter keep quorums
 
+(* Some quorum mask from [i] on lies within [live]. *)
+let rec some_mask_within masks live i =
+  i < Array.length masks
+  && (masks.(i) land live = masks.(i) || some_mask_within masks live (i + 1))
+
 let of_quorums ~name ~n quorums =
   List.iter
     (fun q ->
@@ -50,14 +55,7 @@ let of_quorums ~name ~n quorums =
   let avail_mask =
     if n <= Bitset.bits_per_word then begin
       let masks = Array.of_list (List.map Bitset.to_mask minimal) in
-      Some
-        (fun live ->
-          let rec loop i =
-            if i = Array.length masks then false
-            else if masks.(i) land live = masks.(i) then true
-            else loop (i + 1)
-          in
-          loop 0)
+      Some (fun live -> some_mask_within masks live 0)
     end
     else None
   in

@@ -13,10 +13,20 @@ type t = {
   name : string;  (** Human-readable identifier, e.g. ["h-triang(15)"]. *)
   n : int;  (** Universe size. *)
   avail : Bitset.t -> bool;
-      (** [avail live] is true when [live] contains some quorum. *)
+      (** [avail live] is true when [live] contains some quorum.  It
+          allocates nothing for the four families the simulator runs:
+          weighted voting (majority), h-grid, h-T-grid and h-triang;
+          {!embed} adds the translated live set. *)
   avail_mask : (int -> bool) option;
-      (** Allocation-free fast path over raw masks ([n <= 62]); used by
-          the exact 2^n enumeration. *)
+      (** The same check over a raw mask ([n <= 62]); the exact 2^n
+          enumeration calls it once per live set.  It allocates nothing
+          for weighted voting (majority), the flat grid, the wall
+          family (t-grid, triangle, cwlog, diamond, wall), {!of_quorums}
+          (singleton, fpp), thresholds, hqs, tree, Y, h-grid, h-T-grid
+          and h-triang.  Three still allocate on every call: Paths,
+          whose crossing search builds closures, and
+          [K_coterie.copies] and [Masking.boost], whose scan over the
+          copies is a closure. *)
   min_quorums : Bitset.t list Lazy.t option;
       (** Minimal quorums (the coterie), when enumerable. *)
   select : Rng.t -> live:Bitset.t -> Bitset.t option;

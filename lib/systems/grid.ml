@@ -38,6 +38,16 @@ let read_write_quorums ~rows ~cols =
   in
   List.concat_map quorums_of_base (List.init rows (fun i -> i))
 
+(* Over the row masks: every row meets the live set / some row lies in
+   it. *)
+let rec rows_met masks live i =
+  i = Array.length masks
+  || (live land masks.(i) <> 0 && rows_met masks live (i + 1))
+
+let rec some_row_full masks live i =
+  i < Array.length masks
+  && (live land masks.(i) = masks.(i) || some_row_full masks live (i + 1))
+
 let make_preds ~rows ~cols =
   let n = rows * cols in
   let row_mask row =
@@ -48,10 +58,8 @@ let make_preds ~rows ~cols =
     build 0 0
   in
   let masks = Array.init rows row_mask in
-  let cover_mask live =
-    Array.for_all (fun m -> live land m <> 0) masks
-  in
-  let line_mask live = Array.exists (fun m -> live land m = m) masks in
+  let cover_mask live = rows_met masks live 0 in
+  let line_mask live = some_row_full masks live 0 in
   let cover live =
     let row_nonempty row =
       let rec check col =

@@ -13,21 +13,25 @@ let quorum_size ~branching =
   check branching;
   List.fold_left (fun acc b -> acc * majority b) 1 branching
 
+let mask_mem mask i = mask land (1 lsl i) <> 0
+
 (* Subtrees at the same level span contiguous leaf ranges; [offset] is
-   the first leaf of the current subtree. *)
-let rec avail_range branching mem offset =
+   the first leaf of the current subtree.  [mem live] is [Bitset.mem]
+   or [mask_mem], top-level functions, so a check builds no closure. *)
+let rec avail_range branching mem live offset =
   match branching with
-  | [] -> mem offset
+  | [] -> mem live offset
   | b :: rest ->
-      let child_span = universe_size rest in
-      let rec count i ok =
-        if i = b then ok
-        else
-          count (i + 1)
-            (if avail_range rest mem (offset + (i * child_span)) then ok + 1
-             else ok)
-      in
-      count 0 0 >= majority b
+      live_children rest mem live offset (universe_size rest) b 0 0
+      >= majority b
+
+(* How many of the children [i, b) of a node, [span] leaves each, hold
+   a quorum, on top of [ok]. *)
+and live_children rest mem live offset span b i ok =
+  if i = b then ok
+  else
+    live_children rest mem live offset span b (i + 1)
+      (if avail_range rest mem live (offset + (i * span)) then ok + 1 else ok)
 
 let rec quorums_range branching n offset =
   match branching with
@@ -70,10 +74,10 @@ let system ?name ~branching () =
         Printf.sprintf "hqs(%s)"
           (String.concat "x" (List.map string_of_int branching))
   in
-  let avail live = avail_range branching (Bitset.mem live) 0 in
+  let avail live = avail_range branching Bitset.mem live 0 in
   let avail_mask =
     if n <= Bitset.bits_per_word then
-      Some (fun live -> avail_range branching (fun i -> live land (1 lsl i) <> 0) 0)
+      Some (fun live -> avail_range branching mask_mem live 0)
     else None
   in
   let min_quorums =

@@ -6,24 +6,28 @@ let size_of_height height =
   if height < 1 then invalid_arg "Tree_quorum: height must be >= 1";
   (1 lsl height) - 1
 
+let mask_mem mask i = mask land (1 lsl i) <> 0
+
+(* Node [v] of an [n]-node tree is live-rooted: [mem live] is
+   [Bitset.mem] or [mask_mem], top-level functions, so a check builds
+   no closure. *)
+let rec ok mem live n v =
+  let root = mem live v in
+  if (2 * v) + 1 >= n then root
+  else begin
+    let l = ok mem live n ((2 * v) + 1) and r = ok mem live n ((2 * v) + 2) in
+    (root && (l || r)) || (l && r)
+  end
+
 let system ?name ~height () =
   let n = size_of_height height in
   let name =
     match name with Some s -> s | None -> Printf.sprintf "tree(%d)" n
   in
   let is_leaf v = (2 * v) + 1 >= n in
-  let rec ok mem v =
-    let root = mem v in
-    if is_leaf v then root
-    else begin
-      let l = ok mem ((2 * v) + 1) and r = ok mem ((2 * v) + 2) in
-      (root && (l || r)) || (l && r)
-    end
-  in
-  let avail live = ok (Bitset.mem live) 0 in
+  let avail live = ok Bitset.mem live n 0 in
   let avail_mask =
-    if n <= Bitset.bits_per_word then
-      Some (fun live -> ok (fun i -> live land (1 lsl i) <> 0) 0)
+    if n <= Bitset.bits_per_word then Some (fun live -> ok mask_mem live n 0)
     else None
   in
   let rec quorums v =

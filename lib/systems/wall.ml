@@ -73,17 +73,17 @@ let row_mask t row =
   in
   build 0 0
 
+(* Bottom-up: [below_ok] tracks whether all rows strictly below row
+   [i] are non-empty. *)
+let rec scan_mask masks live i below_ok =
+  if i < 0 then false
+  else if below_ok && live land masks.(i) = masks.(i) then true
+  else scan_mask masks live (i - 1) (below_ok && live land masks.(i) <> 0)
+
 let make_avail_mask t =
   let d = Array.length t.widths in
   let masks = Array.init d (fun row -> row_mask t row) in
-  fun live ->
-    (* Bottom-up: track whether all rows strictly below are non-empty. *)
-    let rec scan i below_ok =
-      if i < 0 then false
-      else if below_ok && live land masks.(i) = masks.(i) then true
-      else scan (i - 1) (below_ok && live land masks.(i) <> 0)
-    in
-    scan (d - 1) true
+  fun live -> scan_mask masks live (d - 1) true
 
 let make_avail t =
   let d = Array.length t.widths in

@@ -69,6 +69,41 @@ let sort_by_votes votes a =
     a.(0) <- e
   end
 
+(* Vote classes of a universe of at most 62 processes: the mask of
+   each run of equal votes, in process order, with that vote.  One O(n)
+   pass; a majority has at most two runs. *)
+let vote_classes votes =
+  let n = Array.length votes in
+  let runs = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || votes.(i) <> votes.(i - 1) then incr runs
+  done;
+  let values = Array.make !runs 0 and masks = Array.make !runs 0 in
+  let c = ref (-1) in
+  for i = 0 to n - 1 do
+    if i = 0 || votes.(i) <> votes.(i - 1) then begin
+      incr c;
+      values.(!c) <- votes.(i)
+    end;
+    masks.(!c) <- masks.(!c) lor (1 lsl i)
+  done;
+  (values, masks)
+
+(* The votes of the live set [live]: one popcount per class. *)
+let mask_votes values masks live =
+  let sum = ref 0 in
+  for c = 0 to Array.length values - 1 do
+    sum := !sum + (values.(c) * Bitset.popcount (live land masks.(c)))
+  done;
+  !sum
+
+let live_votes votes live =
+  let sum = ref 0 in
+  for i = 0 to Array.length votes - 1 do
+    if Bitset.mem live i then sum := !sum + votes.(i)
+  done;
+  !sum
+
 let system ?name ~votes () =
   let total = check votes in
   let n = Array.length votes in
@@ -76,20 +111,15 @@ let system ?name ~votes () =
     match name with Some s -> s | None -> Printf.sprintf "voting(%d)" n
   in
   let enough sum = 2 * sum > total in
-  let avail live =
-    enough (Bitset.fold (fun i acc -> acc + votes.(i)) live 0)
-  in
-  let avail_mask =
-    if n <= Bitset.bits_per_word then
-      Some
-        (fun live ->
-          let rec sum i acc =
-            if i = n then acc
-            else if live land (1 lsl i) <> 0 then sum (i + 1) (acc + votes.(i))
-            else sum (i + 1) acc
-          in
-          enough (sum 0 0))
-    else None
+  (* Both checks allocate nothing: up to 62 processes the live set's
+     votes come from the class masks, beyond that bit by bit. *)
+  let avail, avail_mask =
+    if n <= Bitset.bits_per_word then begin
+      let values, masks = vote_classes votes in
+      let avail_mask live = enough (mask_votes values masks live) in
+      ((fun live -> avail_mask (Bitset.to_mask live)), Some avail_mask)
+    end
+    else ((fun live -> enough (live_votes votes live)), None)
   in
   let min_quorums =
     lazy

@@ -35,7 +35,45 @@ let side_sets rows =
   (left, right, bottom)
 
 (* Mask-based availability: grow components from live left-side seeds
-   by repeated dilation and test the three-side condition. *)
+   by repeated dilation and test the three-side condition.  [nbr.(e)]
+   is the neighbourhood mask of process [e]. *)
+type masks = { nbr : int array; left_m : int; right_m : int; bottom_m : int }
+
+(* The union of the neighbourhoods of the processes in [f]. *)
+let rec gather nbr f acc =
+  if f = 0 then acc
+  else begin
+    let bit = f land -f in
+    let i = Bitset.popcount (bit - 1) in
+    gather nbr (f lxor bit) (acc lor nbr.(i))
+  end
+
+(* Dilate a component to its fixpoint within [live]. *)
+let rec grow nbr live comp frontier =
+  if frontier = 0 then comp
+  else begin
+    let next = gather nbr frontier 0 land live land lnot comp in
+    grow nbr live (comp lor next) next
+  end
+
+let rec try_seeds m live seeds visited =
+  if seeds = 0 then false
+  else begin
+    let seed = seeds land -seeds in
+    let comp = grow m.nbr live seed seed in
+    if comp land m.right_m <> 0 && comp land m.bottom_m <> 0 then true
+    else begin
+      let visited = visited lor comp in
+      try_seeds m live (seeds land lnot visited) visited
+    end
+  end
+
+let avail_of_masks m live =
+  live land m.left_m <> 0
+  && live land m.right_m <> 0
+  && live land m.bottom_m <> 0
+  && try_seeds m live (live land m.left_m) 0
+
 let make_avail_mask rows =
   let n = universe_size ~rows in
   let nbr = Array.make n 0 in
@@ -48,43 +86,15 @@ let make_avail_mask rows =
     (coords rows);
   let mask_of = List.fold_left (fun acc e -> acc lor (1 lsl e)) 0 in
   let left, right, bottom = side_sets rows in
-  let left_m = mask_of left
-  and right_m = mask_of right
-  and bottom_m = mask_of bottom in
-  fun live ->
-    live land left_m <> 0
-    && live land right_m <> 0
-    && live land bottom_m <> 0
-    &&
-    let rec try_seeds seeds visited =
-      if seeds = 0 then false
-      else begin
-        let seed = seeds land -seeds in
-        (* Dilate the seed's component to its fixpoint within [live]. *)
-        let rec grow comp frontier =
-          if frontier = 0 then comp
-          else begin
-            let rec gather f acc =
-              if f = 0 then acc
-              else begin
-                let bit = f land -f in
-                let i = Bitset.popcount (bit - 1) in
-                gather (f lxor bit) (acc lor nbr.(i))
-              end
-            in
-            let next = gather frontier 0 land live land lnot comp in
-            grow (comp lor next) next
-          end
-        in
-        let comp = grow seed seed in
-        if comp land right_m <> 0 && comp land bottom_m <> 0 then true
-        else begin
-          let visited = visited lor comp in
-          try_seeds (seeds land lnot visited) visited
-        end
-      end
-    in
-    try_seeds (live land left_m) 0
+  let m =
+    {
+      nbr;
+      left_m = mask_of left;
+      right_m = mask_of right;
+      bottom_m = mask_of bottom;
+    }
+  in
+  avail_of_masks m
 
 let make_avail rows =
   let n = universe_size ~rows in

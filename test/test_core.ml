@@ -31,21 +31,21 @@ let test_hgrid_of_dims () =
 
 let test_hgrid_full_universe () =
   let g = Hgrid.of_dims [ (2, 2); (2, 2) ] in
-  let all _ = true in
-  check "row cover on full" true (Hgrid.row_cover_ok all g.Hgrid.shape);
-  check "full line on full" true (Hgrid.full_line_ok all g.Hgrid.shape);
-  let none _ = false in
-  check "no cover when empty" false (Hgrid.row_cover_ok none g.Hgrid.shape)
+  let all = Bitset.universe g.Hgrid.n in
+  check "row cover on full" true (Hgrid.covers all 0 g.Hgrid.shape);
+  check "full line on full" true (Hgrid.lined all g.Hgrid.shape);
+  let none = Bitset.create g.Hgrid.n in
+  check "no cover when empty" false (Hgrid.covers none 0 g.Hgrid.shape)
 
 let test_hgrid_flat_semantics () =
   let g = Hgrid.flat ~rows:3 ~cols:3 in
   (* Row cover = one element per global row. *)
-  let mem i = List.mem i [ 0; 4; 8 ] in
-  check "diagonal covers" true (Hgrid.row_cover_ok mem g.Hgrid.shape);
-  check "diagonal is no line" false (Hgrid.full_line_ok mem g.Hgrid.shape);
-  let row1 i = i >= 3 && i < 6 in
-  check "middle row is a line" true (Hgrid.full_line_ok row1 g.Hgrid.shape);
-  check "middle row is no cover" false (Hgrid.row_cover_ok row1 g.Hgrid.shape)
+  let diagonal = Bitset.of_list 9 [ 0; 4; 8 ] in
+  check "diagonal covers" true (Hgrid.covers diagonal 0 g.Hgrid.shape);
+  check "diagonal is no line" false (Hgrid.lined diagonal g.Hgrid.shape);
+  let row1 = Bitset.of_list 9 [ 3; 4; 5 ] in
+  check "middle row is a line" true (Hgrid.lined row1 g.Hgrid.shape);
+  check "middle row is no cover" false (Hgrid.covers row1 0 g.Hgrid.shape)
 
 let test_hgrid_quorum_counts () =
   let g = Hgrid.of_dims [ (2, 2); (2, 2) ] in
@@ -291,7 +291,7 @@ let test_htriang_avail_matches_quorums () =
   for mask = 0 to (1 lsl 10) - 1 do
     Bitset.blit_mask scratch mask;
     let expected = List.exists (fun q -> Bitset.subset q scratch) quorums in
-    let got = Htriang.avail t (fun i -> mask land (1 lsl i) <> 0) in
+    let got = Htriang.avail t scratch in
     if expected <> got then Alcotest.failf "avail mismatch at %d" mask
   done
 

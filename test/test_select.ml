@@ -1,4 +1,5 @@
-(* Reference oracles for the quorum selectors the simulator runs.
+(* Reference oracles for the quorum selectors the simulator runs, and
+   for the availability checks of the exact 2^n scans.
 
    The library's selectors write straight into the one bitset they
    return.  Each oracle below is a list-based selector that builds the
@@ -8,7 +9,14 @@
    live set from equal seeds, and requires the same [Bitset.t option]
    and the same RNG position afterwards: a rewrite that moves, adds or
    drops a single draw fails here, and so does one that evaluates two
-   sub-selections in the other order. *)
+   sub-selections in the other order.
+
+   The library's availability checks are closure-free loops, one over
+   the live bitset and one over a raw mask.  Their oracles are the
+   predicates they replaced, over the membership function of the live
+   set; the "avail" properties require [avail_mask m],
+   [avail (Bitset.of_mask ~n m)] and the oracle to agree on random
+   masks, and the "alloc" tests that neither check allocates. *)
 
 module Bitset = Quorum.Bitset
 module System = Quorum.System
@@ -52,6 +60,13 @@ let voting_oracle votes : select =
         arr;
       Some quorum
     end
+
+(* The availability test weighted voting had before its vote classes. *)
+let voting_avail votes mem =
+  let total = Array.fold_left ( + ) 0 votes in
+  let sum = ref 0 in
+  Array.iteri (fun i v -> if mem i then sum := !sum + v) votes;
+  2 * !sum > total
 
 (* [Systems.Majority]'s votes: one process holds two on even [n]. *)
 let majority_votes n =
@@ -158,6 +173,58 @@ end
 module Hgrid_oracle = struct
   open Hgrid
 
+  (* The structural predicates [Hgrid]'s systems used to check
+     availability with. *)
+  let rec row_cover_ok mem = function
+    | Leaf l -> mem l.id
+    | Grid g ->
+        Array.for_all (fun row -> Array.exists (row_cover_ok mem) row) g.cells
+
+  let rec full_line_ok mem = function
+    | Leaf l -> mem l.id
+    | Grid g ->
+        Array.exists (fun row -> Array.for_all (full_line_ok mem) row) g.cells
+
+  let rec full_line_max_base mem = function
+    | Leaf l -> if mem l.id then Some l.row else None
+    | Grid g ->
+        (* A full-line of the grid combines full-lines of all cells of
+           one row; its topmost global row is the min over cells, which
+           each cell maximizes independently. *)
+        let row_candidate row =
+          Array.fold_left
+            (fun acc cell ->
+              match (acc, full_line_max_base mem cell) with
+              | None, _ | _, None -> None
+              | Some a, Some b -> Some (min a b))
+            (Some max_int) row
+        in
+        Array.fold_left
+          (fun best row ->
+            match (best, row_candidate row) with
+            | None, c -> c
+            | b, None -> b
+            | Some b, Some c -> Some (max b c))
+          None g.cells
+
+  let rec row_cover_ok_at mem r = function
+    | Leaf l -> l.row < r || mem l.id
+    | Grid g ->
+        g.row1 <= r
+        || Array.for_all
+             (fun row -> Array.exists (row_cover_ok_at mem r) row)
+             g.cells
+
+  let mem_of_live live i = Bitset.mem live i
+  let mem_of_mask mask i = mask land (1 lsl i) <> 0
+
+  (* Each system's availability, as [make_system] built it. *)
+  let read_avail (t : Hgrid.t) mem = row_cover_ok mem t.shape
+  let write_avail (t : Hgrid.t) mem = full_line_ok mem t.shape
+
+  let rw_avail (t : Hgrid.t) mem =
+    row_cover_ok mem t.shape && full_line_ok mem t.shape
+
   let rec select_row_cover rng mem = function
     | Leaf l -> if mem l.id then Some [ l.id ] else None
     | Grid g ->
@@ -206,8 +273,6 @@ module Hgrid_oracle = struct
         in
         try_rows 0
 
-  let mem_of_live live i = Bitset.mem live i
-
   (* [make_system]'s select around each mode's [select_fn]. *)
   let of_select_fn (t : Hgrid.t) select_fn rng ~live =
     Option.map (Bitset.of_list t.n) (select_fn rng (mem_of_live live))
@@ -231,7 +296,17 @@ end
 (* --- Hierarchical T-grid ------------------------------------------ *)
 
 module Htgrid_oracle = struct
-  let mem_of_live live i = Bitset.mem live i
+  let mem_of_live = Hgrid_oracle.mem_of_live
+
+  (* The availability [Htgrid] checked before its closure-free base
+     scan: the best (lowest-sitting) live full-line determines the
+     largest usable threshold r*; by monotonicity of partial covers in
+     the threshold, a T-grid quorum exists iff the threshold-r* partial
+     cover is live. *)
+  let avail_fn (t : Hgrid.t) mem =
+    match Hgrid_oracle.full_line_max_base mem t.shape with
+    | None -> false
+    | Some r -> Hgrid_oracle.row_cover_ok_at mem r t.shape
 
   let select_partial_cover rng mem r shape =
     let rec go = function
@@ -281,7 +356,7 @@ module Htgrid_oracle = struct
             (* The chosen line's threshold has no live partial cover; the
                guaranteed fallback is the full cover (threshold 0). *)
             (match
-               ( Hgrid.full_line_max_base mem t.shape,
+               ( Hgrid_oracle.full_line_max_base mem t.shape,
                  Hgrid_oracle.select_row_cover rng mem t.shape )
              with
             | Some _, Some cover -> Some (Bitset.of_list t.n (line @ cover))
@@ -585,6 +660,198 @@ let shard_matches =
                (seed + shard + 100))
         (List.init shards Fun.id))
 
+(* --- Availability --------------------------------------------------- *)
+
+(* On 64 random live sets of one seed, [avail] agrees with the oracle
+   over the live bitset and [avail_mask] with the oracle over the raw
+   mask; a universe of at most 62 processes must have the mask path. *)
+let avail_agree (s : System.t) (oracle : (int -> bool) -> bool) seed =
+  let n = s.System.n in
+  let src = Rng.create seed in
+  let ok = ref true in
+  for _ = 1 to 64 do
+    let p = 0.3 +. (0.7 *. Rng.float src) in
+    let live = Bitset.random_subset src ~n ~p in
+    let expected = oracle (Hgrid_oracle.mem_of_live live) in
+    if s.System.avail live <> expected then ok := false;
+    match s.System.avail_mask with
+    | Some f ->
+        let m = Bitset.to_mask live in
+        if f m <> expected || oracle (Hgrid_oracle.mem_of_mask m) <> expected
+        then ok := false
+    | None -> if n <= Bitset.bits_per_word then ok := false
+  done;
+  !ok
+
+(* Zero votes included, and universes past 62 processes, where [avail]
+   sums votes bit by bit and there is no mask path. *)
+let voting_avail_matches =
+  QCheck.Test.make ~count:300 ~name:"weighted voting = oracle"
+    QCheck.(
+      pair seed_arb (array_of_size Gen.(int_range 1 70) (int_range 0 4)))
+    (fun (seed, votes) ->
+      QCheck.assume (Array.exists (fun v -> v > 0) votes);
+      avail_agree
+        (Systems.Weighted_voting.system ~votes ())
+        (voting_avail votes) seed)
+
+let majority_avail_matches =
+  QCheck.Test.make ~count:200 ~name:"majority (odd and even n) = oracle"
+    QCheck.(pair seed_arb (int_range 1 30))
+    (fun (seed, n) ->
+      avail_agree (Systems.Majority.make n)
+        (voting_avail (majority_votes n))
+        seed)
+
+let htriang_avail_matches =
+  QCheck.Test.make ~count:300 ~name:"h-triang (grown and shrunk) = oracle"
+    htriang_shape (fun (seed, (rows, ceil), ops) ->
+      let split = if ceil then `Ceil else `Floor in
+      let t =
+        List.fold_left apply_rule (Htriang.standard ~split ~rows ()) ops
+      in
+      avail_agree (Htriang.system t)
+        (fun mem -> Htriang_oracle.avail_node mem t.Htriang.root)
+        seed)
+
+(* [grid_shapes], the ledger's 4x5 and the n = 15 shapes of the
+   registry, and two more nested and block shapes. *)
+let avail_grid_shapes =
+  Array.append grid_shapes
+    [|
+      Hgrid.auto_2x2 ~rows:4 ~cols:5 ();
+      Hgrid.auto_2x2 ~rows:3 ~cols:5 ();
+      Hgrid.auto_2x2 ~rows:5 ~cols:3 ();
+      Hgrid.auto_2x2 ~ceil_first:true ~rows:7 ~cols:5 ();
+      Hgrid.of_dims [ (3, 1); (1, 3); (2, 2) ];
+      Hgrid.of_blocks ~row_parts:[ 2; 1; 3 ] ~col_parts:[ 3; 1 ];
+    |]
+
+let avail_grid_arb =
+  QCheck.(pair seed_arb (int_bound (Array.length avail_grid_shapes - 1)))
+
+let hgrid_avail_matches =
+  QCheck.Test.make ~count:300 ~name:"h-grid read/write/rw = oracle"
+    avail_grid_arb (fun (seed, i) ->
+      let g = avail_grid_shapes.(i) in
+      avail_agree (Hgrid.read_system g) (Hgrid_oracle.read_avail g) seed
+      && avail_agree (Hgrid.write_system g) (Hgrid_oracle.write_avail g)
+           (seed + 1)
+      && avail_agree (Hgrid.rw_system g) (Hgrid_oracle.rw_avail g) (seed + 2))
+
+let htgrid_avail_matches =
+  QCheck.Test.make ~count:300 ~name:"h-T-grid = oracle" avail_grid_arb
+    (fun (seed, i) ->
+      let g = avail_grid_shapes.(i) in
+      avail_agree (Htgrid.system g) (Htgrid_oracle.avail_fn g) seed)
+
+(* Every n = 15 instantiation of the catalogue and the ledger's four
+   scans: the mask and bitset paths against the family's oracle, or
+   against the quorum list for the families without one here. *)
+let scan_specs () =
+  List.concat_map snd (Registry.instantiations ~n:15)
+  @ [ "grid-rw(4x6)"; "majority(24)"; "htgrid(4x5)"; "htriang(21)" ]
+
+let list_oracle (s : System.t) =
+  let quorums =
+    Array.of_list (List.map Bitset.to_mask (System.quorums_exn s))
+  in
+  fun mem ->
+    let live = ref 0 in
+    for i = 0 to s.System.n - 1 do
+      if mem i then live := !live lor (1 lsl i)
+    done;
+    Array.exists (fun q -> q land !live = q) quorums
+
+let scan_oracle spec (s : System.t) =
+  let n = s.System.n in
+  let grid d =
+    Scanf.sscanf d "%dx%d" (fun rows cols -> Hgrid.auto_2x2 ~rows ~cols ())
+  in
+  match Registry.parse_spec spec with
+  | Ok ("majority", _) -> voting_avail (majority_votes n)
+  | Ok (("majority-plain" | "voting"), _) -> voting_avail (Array.make n 1)
+  | Ok ("htriang", _) ->
+      let t = Htriang.standard ~rows:(Systems.Triangle.rows_for n) () in
+      fun mem -> Htriang_oracle.avail_node mem t.Htriang.root
+  | Ok ("hgrid", [ d ]) -> Hgrid_oracle.rw_avail (grid d)
+  | Ok ("hgrid-read", [ d ]) -> Hgrid_oracle.read_avail (grid d)
+  | Ok ("hgrid-write", [ d ]) -> Hgrid_oracle.write_avail (grid d)
+  | Ok ("htgrid", [ d ]) -> Htgrid_oracle.avail_fn (grid d)
+  | _ -> list_oracle s
+
+let test_scan_specs () =
+  List.iteri
+    (fun i spec ->
+      let s = Registry.build_exn spec in
+      if not (avail_agree s (scan_oracle spec s) (1000 + i)) then
+        Alcotest.failf "%s: avail, avail_mask and oracle disagree" spec)
+    (scan_specs ())
+
+(* --- Allocation ----------------------------------------------------- *)
+
+(* 10,000 checks over a pinned stream of 64 live sets of every density
+   from 0.3 to 1.0. *)
+let alloc_lives n =
+  let src = Rng.create 48 in
+  Array.init 64 (fun i ->
+      Bitset.random_subset src ~n ~p:(0.3 +. (0.7 *. float_of_int i /. 63.0)))
+
+let mask_words (s : System.t) =
+  let f =
+    match s.System.avail_mask with
+    | Some f -> f
+    | None -> Alcotest.failf "%s: no mask path" s.System.name
+  in
+  let masks = Array.map Bitset.to_mask (alloc_lives s.System.n) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    ignore (Sys.opaque_identity (f masks.(i land 63)))
+  done;
+  Gc.minor_words () -. w0
+
+let live_words (s : System.t) =
+  let lives = alloc_lives s.System.n in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    ignore (Sys.opaque_identity (s.System.avail lives.(i land 63)))
+  done;
+  Gc.minor_words () -. w0
+
+let test_mask_alloc () =
+  List.iter
+    (fun spec ->
+      let s = Registry.build_exn spec in
+      Alcotest.(check (float 0.0)) (spec ^ " avail_mask") 0.0 (mask_words s))
+    (scan_specs ())
+
+(* The four families the simulator runs, in the shapes it runs them
+   (the store's shard h-grids included) and past the mask path's 62
+   processes. *)
+let test_live_alloc () =
+  let grown =
+    List.fold_left apply_rule (Htriang.standard ~rows:5 ()) [ 0; 2; 1; 5 ]
+  in
+  List.iter
+    (fun (s : System.t) ->
+      Alcotest.(check (float 0.0)) (s.System.name ^ " avail") 0.0 (live_words s))
+    [
+      Systems.Majority.make 15;
+      Systems.Majority.make 24;
+      Systems.Majority.make 70;
+      Systems.Weighted_voting.system ~votes:[| 1; 0; 2; 3; 1; 1; 4 |] ();
+      Hgrid.rw_system (Hgrid.auto_2x2 ~rows:4 ~cols:4 ());
+      Hgrid.read_system (Hgrid.auto_2x2 ~rows:2 ~cols:2 ());
+      Hgrid.write_system (Hgrid.auto_2x2 ~rows:2 ~cols:2 ());
+      Hgrid.rw_system (Hgrid.flat ~rows:2 ~cols:17);
+      Htgrid.system (Hgrid.auto_2x2 ~rows:4 ~cols:4 ());
+      Htgrid.system (Hgrid.auto_2x2 ~rows:4 ~cols:5 ());
+      Htgrid.system (Hgrid.of_blocks ~row_parts:[ 1; 2; 2 ] ~col_parts:[ 1; 2; 2 ]);
+      Htriang.system (Htriang.standard ~rows:5 ());
+      Htriang.system (Htriang.standard ~rows:6 ());
+      Htriang.system grown;
+    ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "select"
@@ -600,4 +867,20 @@ let () =
             embed_matches;
             shard_matches;
           ] );
+      ( "avail",
+        List.map qc
+          [
+            voting_avail_matches;
+            majority_avail_matches;
+            htriang_avail_matches;
+            hgrid_avail_matches;
+            htgrid_avail_matches;
+          ]
+        @ [ Alcotest.test_case "n = 15 and ledger scans" `Quick test_scan_specs ]
+      );
+      ( "alloc",
+        [
+          Alcotest.test_case "avail_mask: 0 words" `Quick test_mask_alloc;
+          Alcotest.test_case "avail: 0 words" `Quick test_live_alloc;
+        ] );
     ]
