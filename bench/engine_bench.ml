@@ -36,7 +36,9 @@
    on majority(24), grid-rw(4x6), h-T-grid(4x5) and h-triang(21), and
    the live-bitset path the simulator calls on h-grid(4x4) and
    h-triang(15), each over a pinned stream of live sets, as checks/sec
-   and minor words per check.
+   and minor words per check.  The exact 2^n scans of the first four
+   are counted too: with [avail_mask] wrapped in a counter, the
+   monotone walk's availability checks per live set.
 
    Everything lands in BENCH_engine.json, with events/sec and
    allocations/event beside the per-op figures.  The relay is gated per
@@ -50,7 +52,8 @@
    calibration loop (ops per calibration op) and allows -15%.  The
    selection and availability rows gate their words only: a select or
    a check is too short for its rate to hold a 15% bound on a shared
-   host. *)
+   host.  The scan rows gate their checks per live set, also
+   deterministic, at +10%. *)
 
 module Engine = Sim.Engine
 module Rpc = Sim.Rpc
@@ -378,6 +381,46 @@ let measure_availability () =
       })
     (avail_rows ())
 
+(* --- Exact-scan work -------------------------------------------------- *)
+
+(* The ledger's four 2^n scans, each row's [avail_mask] wrapped in a
+   counter: availability checks per live set of [Failure.exact_poly]'s
+   monotone walk (1 for a scan that checks every set). *)
+let scan_rows () =
+  List.map
+    (fun spec -> ("scan " ^ spec, Util.system spec))
+    [ "majority(24)"; "grid-rw(4x6)"; "htgrid(4x5)"; "htriang(21)" ]
+
+type scan = { sc_row : string; sc_dt : float; sets : int; checks : int }
+
+let measure_scans () =
+  List.map
+    (fun (row, (s : Quorum.System.t)) ->
+      let f = Quorum.System.avail_mask_exn s in
+      let checks = ref 0 in
+      let counted =
+        {
+          s with
+          Quorum.System.avail_mask =
+            Some
+              (fun m ->
+                incr checks;
+                f m);
+        }
+      in
+      let t0 = Unix.gettimeofday () in
+      ignore (Analysis.Failure.exact_poly counted : Quorum.Failure_poly.t);
+      let dt = Unix.gettimeofday () -. t0 in
+      {
+        sc_row = row;
+        sc_dt = dt;
+        sets = 1 lsl s.Quorum.System.n;
+        checks = !checks;
+      })
+    (scan_rows ())
+
+let checks_per_set m = float_of_int m.checks /. float_of_int m.sets
+
 (* Machine-speed yardstick: a fixed pure-OCaml mixing loop, so the
    committed events/sec baseline survives CI runners of a different
    speed as a ratio (events per calibration op). *)
@@ -444,6 +487,12 @@ let availability_json ~calib m =
     m.av_row avail_lives (avail_checks ()) m.av_dt rate
     (rate /. calib *. 1000.0)
     m.words_per_check
+
+let scan_json m =
+  Printf.sprintf
+    "    {\"name\": %S, \"sets\": %d, \"checks\": %d, \"seconds\": %.4f, \
+     \"checks_per_set\": %.4f}"
+    m.sc_row m.sets m.checks m.sc_dt (checks_per_set m)
 
 let profile_json (r : Obs.Prof.report) =
   let rows =
@@ -514,13 +563,15 @@ let read_file path =
   s
 
 (* One gated row: its name in the baseline, its calibrated rate (when
-   gated) and its words per unit (relay op, beat, select or check),
+   gated) and its deterministic amount (words per relay op, beat,
+   select or check, or checks per live set) with its column label,
    with the baseline keys of both. *)
 type gated = {
   row : string;
   rate : (float * string) option;
-  words : float;
-  words_key : string;
+  amount : float;
+  amount_key : string;
+  label : string;
 }
 
 let gate ~baseline_path rows =
@@ -540,7 +591,7 @@ let gate ~baseline_path rows =
   | _ -> ());
   let rate_tol = 0.15 and alloc_tol = 0.10 in
   let failed = ref false in
-  Printf.printf "\n  gate vs %s (rate -%.0f%%, allocs +%.0f%%):\n"
+  Printf.printf "\n  gate vs %s (rate -%.0f%%, words and checks +%.0f%%):\n"
     baseline_path (100.0 *. rate_tol) (100.0 *. alloc_tol);
   List.iter
     (fun g ->
@@ -550,13 +601,13 @@ let gate ~baseline_path rows =
           (fun (rel, key) -> (rel, scan_number baseline ~anchor ~key))
           g.rate
       in
-      let b_words = scan_number baseline ~anchor ~key:g.words_key in
-      match (b_rate, b_words) with
+      let b_amount = scan_number baseline ~anchor ~key:g.amount_key in
+      match (b_rate, b_amount) with
       | Some (_, None), _ | _, None ->
           Printf.eprintf "error: engine gate: row %s missing in baseline\n"
             g.row;
           failed := true
-      | _, Some b_words ->
+      | _, Some b_amount ->
           let rate_ok, rate_col =
             match b_rate with
             | Some (rel, Some b_rel) ->
@@ -566,11 +617,12 @@ let gate ~baseline_path rows =
                     (if ok then "ok  " else "FAIL") )
             | Some (_, None) | None -> (true, String.make 38 ' ')
           in
-          let words_ok = g.words <= b_words *. (1.0 +. alloc_tol) in
-          Printf.printf "    %-24s %s   words %8.2f vs %8.2f %s\n" g.row
-            rate_col g.words b_words
-            (if words_ok then "ok" else "FAIL");
-          if not (rate_ok && words_ok) then failed := true)
+          let amount_ok = g.amount <= b_amount *. (1.0 +. alloc_tol) in
+          let digits = if g.label = "words" then 2 else 4 in
+          Printf.printf "    %-24s %s   %-6s %8.*f vs %8.*f %s\n" g.row
+            rate_col g.label digits g.amount digits b_amount
+            (if amount_ok then "ok" else "FAIL");
+          if not (rate_ok && amount_ok) then failed := true)
     rows;
   if !failed then begin
     Printf.eprintf
@@ -637,6 +689,13 @@ let run () =
         (float_of_int (avail_checks ()) /. m.av_dt)
         m.words_per_check)
     av;
+  let scans = measure_scans () in
+  List.iter
+    (fun m ->
+      Printf.printf "  %-24s %12.4f checks/set   %8.2f ns/set\n" m.sc_row
+        (checks_per_set m)
+        (m.sc_dt *. 1e9 /. float_of_int m.sets))
+    scans;
   (* Profiled run: where do the full-trace run's time and words go? *)
   let prof_cfg = List.find (fun c -> c.cname = "full-trace") configs in
   let _e, obs, _dt, _dw = run_once prof_cfg ~profile:true in
@@ -684,6 +743,7 @@ let run () =
     \  \"heartbeats\": %s,\n\
     \  \"selection\": [\n%s\n  ],\n\
     \  \"availability\": [\n%s\n  ],\n\
+    \  \"scans\": [\n%s\n  ],\n\
      %s\n\
      }\n"
     seed n_nodes (ops ()) hops !Util.fast calib
@@ -691,6 +751,7 @@ let run () =
     (heartbeats_json ~calib hb)
     (String.concat ",\n" (List.map (selection_json ~calib) sel))
     (String.concat ",\n" (List.map (availability_json ~calib) av))
+    (String.concat ",\n" (List.map scan_json scans))
     (profile_json r);
   close_out oc;
   Printf.printf "\n  wrote BENCH_engine.json (seed %d)\n" seed;
@@ -704,24 +765,27 @@ let run () =
                row = m.m_cfg.cname;
                rate =
                  Some (per_calib_op (ops ()) m.best_dt, "ops_per_calib_op");
-               words = m.words_per_op;
-               words_key = "minor_words_per_op";
+               amount = m.words_per_op;
+               amount_key = "minor_words_per_op";
+               label = "words";
              })
            measured
         @ {
             row = "heartbeats";
             rate =
               Some (per_calib_op hb.beats hb.beats_dt, "beats_per_calib_op");
-            words = hb.words_per_beat;
-            words_key = "minor_words_per_beat";
+            amount = hb.words_per_beat;
+            amount_key = "minor_words_per_beat";
+            label = "words";
           }
           :: List.map
                (fun m ->
                  {
                    row = m.sel_row;
                    rate = None;
-                   words = m.words_per_select;
-                   words_key = "minor_words_per_select";
+                   amount = m.words_per_select;
+                   amount_key = "minor_words_per_select";
+                   label = "words";
                  })
                sel
         @ List.map
@@ -729,8 +793,19 @@ let run () =
               {
                 row = m.av_row;
                 rate = None;
-                words = m.words_per_check;
-                words_key = "minor_words_per_check";
+                amount = m.words_per_check;
+                amount_key = "minor_words_per_check";
+                label = "words";
               })
-            av)
+            av
+        @ List.map
+            (fun m ->
+              {
+                row = m.sc_row;
+                rate = None;
+                amount = checks_per_set m;
+                amount_key = "checks_per_set";
+                label = "checks";
+              })
+            scans)
   | None -> ()

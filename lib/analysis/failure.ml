@@ -1,6 +1,7 @@
 module Bitset = Quorum.Bitset
 module System = Quorum.System
 module Failure_poly = Quorum.Failure_poly
+module Coterie = Quorum.Coterie
 module Rng = Quorum.Rng
 module Pool = Exec.Pool
 
@@ -13,32 +14,40 @@ module Pool = Exec.Pool
 let prefix_bits ~n ~seq_bits = min 8 (max 0 (n - seq_bits))
 let mc_chunks = 64
 
-let count_fails ~n avail ~lo ~hi =
+(* Failing live sets of the subcube [base lor x], [x < 2^bits], by
+   cardinality.  The walk reports each all-failing subcube once, as its
+   fixed part's popcount [k] and free bit count [j]: it holds C(j, i)
+   failing sets of cardinality [k + i]. *)
+let count_fails ~n ~rows avail ~base ~bits =
   let counts = Array.make (n + 1) 0.0 in
-  for live = lo to hi - 1 do
-    if not (avail live) then begin
-      let k = Bitset.popcount live in
-      counts.(k) <- counts.(k) +. 1.0
-    end
-  done;
+  Coterie.walk avail ~base ~bits
+    ~fail:(fun j k ->
+      let row = rows.(j) in
+      for i = 0 to j do
+        counts.(k + i) <- counts.(k + i) +. row.(i)
+      done)
+    ~found:ignore;
   counts
 
 let exact_poly ?pool (s : System.t) =
   if s.n > 30 then
     invalid_arg "Failure.exact_poly: universe too large for enumeration";
   let avail = System.avail_mask_exn s in
+  let rows =
+    Array.init (s.n + 1) (fun j -> Array.init (j + 1) (Failure_poly.binomial j))
+  in
   let counts =
     match pool with
-    | None -> count_fails ~n:s.n avail ~lo:0 ~hi:(1 lsl s.n)
+    | None -> count_fails ~n:s.n ~rows avail ~base:0 ~bits:s.n
     | Some pool ->
-        (* Shard by live-set prefix: chunk [c] scans the masks whose
+        (* Shard by live-set prefix: chunk [c] walks the masks whose
            top [k] bits equal [c].  Counts are integer-valued floats
            (< 2^53), so summing them in any fixed order is exact. *)
         let k = prefix_bits ~n:s.n ~seq_bits:14 in
         let shift = s.n - k in
         Pool.map_reduce_chunks pool ~chunks:(1 lsl k)
           ~map:(fun c ->
-            count_fails ~n:s.n avail ~lo:(c lsl shift) ~hi:((c + 1) lsl shift))
+            count_fails ~n:s.n ~rows avail ~base:(c lsl shift) ~bits:shift)
           ~reduce:(fun a b -> Array.map2 ( +. ) a b)
   in
   Failure_poly.of_fail_counts ~n:s.n counts

@@ -77,6 +77,13 @@ let majority_masking ~n ~f =
     ~name:(Printf.sprintf "masking(%d,f=%d)" n f)
     ~n ~avail ?avail_mask ?min_quorums ~select ()
 
+(* Every copy from [i] on of the mask [live] is available: copy [i]
+   holds bits [i * bn] to [i * bn + bn - 1]. *)
+let rec every_copy base_mask ~bn ~k live i =
+  i = k
+  || (base_mask ((live lsr (i * bn)) land ((1 lsl bn) - 1))
+     && every_copy base_mask ~bn ~k live (i + 1))
+
 let boost ~k (base : System.t) =
   if k <= 0 then invalid_arg "Masking.boost: k <= 0";
   let bn = base.System.n in
@@ -89,22 +96,17 @@ let boost ~k (base : System.t) =
     done;
     s
   in
-  let avail live =
-    let rec all i = i = k || (base.System.avail (slice live i) && all (i + 1)) in
-    all 0
-  in
-  let avail_mask =
-    if n <= Bitset.bits_per_word && bn <= Bitset.bits_per_word then begin
+  let avail, avail_mask =
+    if n <= Bitset.bits_per_word then begin
       let base_mask = System.avail_mask_exn base in
-      let slice_mask = (1 lsl bn) - 1 in
-      Some
-        (fun live ->
-          let rec all i =
-            i = k || (base_mask ((live lsr (i * bn)) land slice_mask) && all (i + 1))
-          in
-          all 0)
+      let avail_mask live = every_copy base_mask ~bn ~k live 0 in
+      ((fun live -> avail_mask (Bitset.to_mask live)), Some avail_mask)
     end
-    else None
+    else
+      let rec all live i =
+        i = k || (base.System.avail (slice live i) && all live (i + 1))
+      in
+      ((fun live -> all live 0), None)
   in
   let min_quorums =
     match base.System.min_quorums with

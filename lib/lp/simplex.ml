@@ -7,90 +7,123 @@ type outcome =
    [rows.(r) . x_all = rhs.(r)] over the extended variable vector
    (structural variables, then slacks, then artificials), plus a basis
    map [basis.(r)] giving the variable currently basic in row [r].
-   Pivoting keeps rhs >= 0 (primal feasibility). *)
+   Pivoting keeps rhs >= 0 (primal feasibility).  [runs] is the pivot's
+   scratch, one per tableau, so solves on several domains share
+   nothing: the pivot row's nonzero columns as runs of consecutive
+   columns, run [i] from [runs.(2i)] up to, not including,
+   [runs.(2i+1)]. *)
 type tableau = {
   rows : float array array;
   rhs : float array;
   basis : int array;
   ncols : int;
+  runs : int array;
 }
 
+(* [row] -= [f] * [prow] over the runs [0 .. count-1] of [prow]'s
+   nonzero columns.  Every run lies within [0, ncols), the length of
+   every row, hence the unchecked accesses. *)
+let eliminate runs count prow row f =
+  for i = 0 to count - 1 do
+    for j = runs.(2 * i) to runs.((2 * i) + 1) - 1 do
+      Array.unsafe_set row j
+        (Array.unsafe_get row j -. (f *. Array.unsafe_get prow j))
+    done
+  done
+
+(* Pivot on [(row, col)]; returns the number of runs of nonzero columns
+   of the new pivot row, left in [t.runs].  Only those columns change
+   in the other rows: [x -. f *. 0.0] is [x] up to the sign of a zero,
+   and a zero's sign never reaches a comparison, a divisor or a
+   result.  Runs rather than single columns keep a dense pivot row as
+   cheap as a plain loop. *)
 let pivot t ~row ~col =
   let prow = t.rows.(row) in
   let d = prow.(col) in
+  let runs = t.runs in
+  let count = ref 0 and inside = ref false in
   for j = 0 to t.ncols - 1 do
-    prow.(j) <- prow.(j) /. d
+    let x = prow.(j) /. d in
+    prow.(j) <- x;
+    if x <> 0.0 then begin
+      if not !inside then begin
+        runs.(2 * !count) <- j;
+        inside := true
+      end
+    end
+    else if !inside then begin
+      runs.((2 * !count) + 1) <- j;
+      incr count;
+      inside := false
+    end
   done;
+  if !inside then begin
+    runs.((2 * !count) + 1) <- t.ncols;
+    incr count
+  end;
+  let count = !count in
   t.rhs.(row) <- t.rhs.(row) /. d;
-  Array.iteri
-    (fun r other ->
-      if r <> row then begin
-        let f = other.(col) in
-        if f <> 0.0 then begin
-          for j = 0 to t.ncols - 1 do
-            other.(j) <- other.(j) -. (f *. prow.(j))
-          done;
-          t.rhs.(r) <- t.rhs.(r) -. (f *. t.rhs.(row))
-        end
-      end)
-    t.rows;
-  t.basis.(row) <- col
+  for r = 0 to Array.length t.rows - 1 do
+    if r <> row then begin
+      let other = t.rows.(r) in
+      let f = other.(col) in
+      if f <> 0.0 then begin
+        eliminate runs count prow other f;
+        t.rhs.(r) <- t.rhs.(r) -. (f *. t.rhs.(row))
+      end
+    end
+  done;
+  t.basis.(row) <- col;
+  count
 
-(* Reduced costs for objective vector [obj] (length ncols) given the
-   current basis: z_j = obj_j - sum_r obj_basis(r) * rows(r)(j).  We keep
-   the objective row explicitly instead, updating it by pivoting, which
-   is what [run_phase] does via [cost] / [cost_rhs]. *)
-
-let run_phase ?(eps = 1e-9) t cost cost_rhs ~restrict =
-  (* [restrict j] = variable j may enter the basis. *)
+(* The objective row is kept explicitly and updated by pivoting:
+   [cost.(j)] is the reduced cost of column [j], [cost_rhs] minus the
+   objective value.  Columns from [enter_below] on (the artificials in
+   phase 2) never enter. *)
+let run_phase ?(eps = 1e-9) t cost cost_rhs ~enter_below =
   let m = Array.length t.rows in
   let rec iterate guard =
     if guard = 0 then failwith "Simplex: iteration limit exceeded";
     (* Bland's rule: entering variable = smallest index with negative
        reduced cost. *)
-    let entering =
-      let rec find j =
-        if j = t.ncols then None
-        else if restrict j && cost.(j) < -.eps then Some j
-        else find (j + 1)
-      in
-      find 0
-    in
-    match entering with
-    | None -> `Optimal
-    | Some col ->
-        (* Ratio test; Bland tie-break on the leaving basis index. *)
-        let leaving = ref (-1) in
-        let best = ref infinity in
-        for r = 0 to m - 1 do
-          let a = t.rows.(r).(col) in
-          if a > eps then begin
-            let ratio = t.rhs.(r) /. a in
-            if
-              ratio < !best -. eps
-              || (ratio < !best +. eps
-                 && !leaving >= 0
-                 && t.basis.(r) < t.basis.(!leaving))
-            then begin
-              best := ratio;
-              leaving := r
-            end
+    let col = ref 0 in
+    while !col < enter_below && not (cost.(!col) < -.eps) do
+      incr col
+    done;
+    if !col = enter_below then `Optimal
+    else begin
+      let col = !col in
+      (* Ratio test; Bland tie-break on the leaving basis index. *)
+      let leaving = ref (-1) in
+      let best = ref infinity in
+      for r = 0 to m - 1 do
+        let a = t.rows.(r).(col) in
+        if a > eps then begin
+          let ratio = t.rhs.(r) /. a in
+          if
+            ratio < !best -. eps
+            || (ratio < !best +. eps
+               && !leaving >= 0
+               && t.basis.(r) < t.basis.(!leaving))
+          then begin
+            best := ratio;
+            leaving := r
           end
-        done;
-        if !leaving < 0 then `Unbounded
-        else begin
-          let row = !leaving in
-          pivot t ~row ~col;
-          (* Update the objective row. *)
-          let f = cost.(col) in
-          if f <> 0.0 then begin
-            for j = 0 to t.ncols - 1 do
-              cost.(j) <- cost.(j) -. (f *. t.rows.(row).(j))
-            done;
-            cost_rhs := !cost_rhs -. (f *. t.rhs.(row))
-          end;
-          iterate (guard - 1)
         end
+      done;
+      if !leaving < 0 then `Unbounded
+      else begin
+        let row = !leaving in
+        let count = pivot t ~row ~col in
+        (* Update the objective row at the pivot row's nonzeros. *)
+        let f = cost.(col) in
+        if f <> 0.0 then begin
+          eliminate t.runs count t.rows.(row) cost f;
+          cost_rhs := !cost_rhs -. (f *. t.rhs.(row))
+        end;
+        iterate (guard - 1)
+      end
+    end
   in
   iterate 100_000
 
@@ -148,7 +181,8 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
       basis.(r) <- nvars + nslack + r
     end
   done;
-  let t = { rows; rhs; basis; ncols } in
+  (* At most ncols / 2 + 1 runs. *)
+  let t = { rows; rhs; basis; ncols; runs = Array.make (ncols + 2) 0 } in
   let is_artificial j = j >= nvars + nslack in
   (* Phase 1: minimize the sum of artificials.  Build its reduced-cost
      row by subtracting each artificial-basic row. *)
@@ -167,7 +201,7 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
   done;
   let phase1_feasible =
     if Array.exists (fun b -> b) art_needed then begin
-      match run_phase ~eps t cost1 cost1_rhs ~restrict:(fun _ -> true) with
+      match run_phase ~eps t cost1 cost1_rhs ~enter_below:ncols with
       | `Unbounded -> false (* cannot happen: phase-1 objective >= 0 *)
       | `Optimal ->
           (* Feasible iff the artificial sum reached zero. *)
@@ -184,7 +218,7 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
                   else find (j + 1)
                 in
                 match find 0 with
-                | Some col -> pivot t ~row:r ~col
+                | Some col -> ignore (pivot t ~row:r ~col : int)
                 | None -> () (* redundant row; harmless *)
               end
             done;
@@ -195,8 +229,10 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
   in
   if not phase1_feasible then Infeasible
   else begin
-    (* Phase 2: objective row for c, reduced against the basis. *)
-    let cost2 = Array.make ncols 0.0 in
+    (* Phase 2: objective row for c, reduced against the basis; it
+       reuses phase 1's row. *)
+    let cost2 = cost1 in
+    Array.fill cost2 0 ncols 0.0;
     let cost2_rhs = ref 0.0 in
     Array.blit c 0 cost2 0 nvars;
     for r = 0 to m - 1 do
@@ -211,8 +247,7 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
         end
       end
     done;
-    let restrict j = not (is_artificial j) in
-    match run_phase ~eps t cost2 cost2_rhs ~restrict with
+    match run_phase ~eps t cost2 cost2_rhs ~enter_below:(nvars + nslack) with
     | `Unbounded -> Unbounded
     | `Optimal ->
         let solution = Array.make nvars 0.0 in
@@ -220,9 +255,11 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
           let b = t.basis.(r) in
           if b >= 0 && b < nvars then solution.(b) <- t.rhs.(r)
         done;
-        let objective =
-          Array.fold_left ( +. ) 0.0 (Array.map2 ( *. ) c solution)
-        in
+        let objective = ref 0.0 in
+        for j = 0 to nvars - 1 do
+          objective := !objective +. (c.(j) *. solution.(j))
+        done;
+        let objective = !objective in
         Optimal { objective; solution }
   end
 

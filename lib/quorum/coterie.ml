@@ -50,6 +50,48 @@ let dominates c d =
        (List.length c = List.length d
        && List.for_all (fun q -> List.exists (Bitset.equal q) d) c)
 
+(* The monotone subcube walk.  A subcube is a fixed part [base] plus
+   any subset of the low [bits] bits (none of which [base] sets): its
+   bottom is [base], its top [base lor (2^bits - 1)].  Availability is
+   monotone, so a subcube whose top fails fails entirely, and one whose
+   bottom is available is available entirely.  Only a subcube with a
+   failing bottom and an available top is split, on its highest free
+   bit, without-bit half first; each half inherits one known end from
+   its parent, so one [avail] call per half decides or splits it.
+   Subcubes of at most [leaf_bits] free bits are scanned straight: near
+   the boundary the halves rarely decide, and a loop costs less than
+   the calls it would save.  [k] is the popcount of [base]. *)
+let leaf_bits = 3
+
+(* Popcount of a leaf's free part, a value below 8 (so [leaf_bits]
+   <= 3): a table of two bits per value. *)
+let low_popcount v = (0xE994 lsr (2 * v)) land 3
+
+let rec split avail ~fail ~found base bits k =
+  if bits <= leaf_bits then begin
+    let top = base lor ((1 lsl bits) - 1) in
+    fail 0 k;
+    for m = base + 1 to top - 1 do
+      if avail m then found m else fail 0 (k + low_popcount (m lxor base))
+    done;
+    found top
+  end
+  else begin
+    let bits = bits - 1 in
+    let half = 1 lsl bits in
+    if avail (base lor (half - 1)) then split avail ~fail ~found base bits k
+    else fail bits k;
+    let with_bit = base lor half in
+    if avail with_bit then found with_bit
+    else split avail ~fail ~found with_bit bits (k + 1)
+  end
+
+let walk avail ~base ~bits ~fail ~found =
+  let k = Bitset.popcount base in
+  if not (avail (base lor ((1 lsl bits) - 1))) then fail bits k
+  else if avail base then found base
+  else split avail ~fail ~found base bits k
+
 (* An available [mask] is minimal iff removing any single member
    (from bit [b] on) breaks availability. *)
 let rec minimal avail_mask n mask b =
@@ -58,14 +100,17 @@ let rec minimal avail_mask n mask b =
     false
   else minimal avail_mask n mask (b + 1)
 
+(* Within an all-available subcube only the bottom can be minimal, and
+   the walk visits subcubes in ascending mask order. *)
 let minimal_of_avail ~n avail_mask =
   if n > 22 then
     invalid_arg "Coterie.minimal_of_avail: universe too large (n > 22)";
   let result = ref [] in
-  for mask = 1 to (1 lsl n) - 1 do
-    if avail_mask mask && minimal avail_mask n mask 0 then
-      result := Bitset.of_mask ~n mask :: !result
-  done;
+  walk avail_mask ~base:0 ~bits:n
+    ~fail:(fun _ _ -> ())
+    ~found:(fun mask ->
+      if mask <> 0 && minimal avail_mask n mask 0 then
+        result := Bitset.of_mask ~n mask :: !result);
   List.rev !result
 
 let is_non_dominated ~n avail_mask =
@@ -84,17 +129,3 @@ let is_non_dominated ~n avail_mask =
     else scan (mask + 1)
   in
   scan 0
-
-let transversal_counts ~n avail_mask =
-  if n > 30 then
-    invalid_arg "Coterie.transversal_counts: universe too large (n > 30)";
-  let counts = Array.make (n + 1) 0.0 in
-  (* A dead-set D is a transversal iff the live-set U \ D is
-     unavailable; scan live-sets and bucket by dead cardinality. *)
-  for live = 0 to (1 lsl n) - 1 do
-    if not (avail_mask live) then begin
-      let dead = n - Bitset.popcount live in
-      counts.(dead) <- counts.(dead) +. 1.0
-    end
-  done;
-  counts

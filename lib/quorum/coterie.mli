@@ -4,8 +4,9 @@
     pairwise non-empty intersection; a coterie additionally is an
     antichain.  This module provides the checks used throughout the test
     suite (every construction must pass [all_intersect]) and the
-    classical structural notions: minimization, domination and
-    transversals (Proposition 3.1). *)
+    classical structural notions: minimization and domination, plus the
+    monotone subcube walk that the exact failure polynomial
+    (Proposition 3.1) and the minimal-quorum enumeration share. *)
 
 val all_intersect : Bitset.t list -> bool
 (** Pairwise intersection property over the list. *)
@@ -24,11 +25,34 @@ val dominates : Bitset.t list -> Bitset.t list -> bool
     Barbara): every quorum of [d] contains some quorum of [c], and
     [c <> d] as quorum sets. *)
 
+val walk :
+  (int -> bool) ->
+  base:int ->
+  bits:int ->
+  fail:(int -> int -> unit) ->
+  found:(int -> unit) ->
+  unit
+(** [walk avail_mask ~base ~bits ~fail ~found] partitions the subcube
+    of masks [base lor x], [x < 2^bits] ([base] has no bit below
+    [bits]), into subcubes on which the monotone predicate [avail_mask]
+    is constant, in ascending mask order.  An all-failing subcube with
+    [j] free low bits whose fixed part has [k] members is reported as
+    [fail j k] (it holds C(j, i) failing sets of [k + i] members); an
+    all-available one as [found b], its bottom [b], which is its only
+    possibly minimal mask.  Monotonicity decides a subcube from its
+    ends: its top fails, or its bottom is available.  Undecided
+    subcubes are split on their highest free bit, the without-bit half
+    first, and each half costs one [avail_mask] call; subcubes of at
+    most three free bits are scanned mask by mask.  A predicate that
+    is not monotone gets wrong answers. *)
+
 val minimal_of_avail : n:int -> (int -> bool) -> Bitset.t list
 (** [minimal_of_avail ~n avail_mask] enumerates the minimal quorums of
-    a monotone availability predicate by scanning all 2^n subsets.
-    Guarded to [n <= 22]; larger constructions must enumerate
-    structurally. *)
+    a monotone availability predicate in ascending mask order (the
+    column order of the load LPs built on them), by {!walk}ing the 2^n
+    subsets: only the bottom of an all-available subcube is tested for
+    minimality.  Guarded to [n <= 22]; larger constructions must
+    enumerate structurally. *)
 
 val is_non_dominated : n:int -> (int -> bool) -> bool
 (** [is_non_dominated ~n avail_mask]: no coterie strictly dominates
@@ -38,8 +62,3 @@ val is_non_dominated : n:int -> (int -> bool) -> bool
     least one side available — which is also why non-dominated systems
     have failure probability exactly 1/2 at p = 1/2.  Exact 2^(n-1)
     scan; guarded to [n <= 30]. *)
-
-val transversal_counts : n:int -> (int -> bool) -> float array
-(** [transversal_counts ~n avail_mask] is the [a_i] vector of
-    Proposition 3.1: [a.(i)] counts size-[i] dead-sets whose removal
-    kills every quorum.  Exact 2^n scan; guarded to [n <= 30]. *)

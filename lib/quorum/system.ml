@@ -51,13 +51,16 @@ let of_quorums ~name ~n quorums =
         invalid_arg "System.of_quorums: quorum universe mismatch")
     quorums;
   let minimal = minimize quorums in
-  let avail live = List.exists (fun q -> Bitset.subset q live) minimal in
-  let avail_mask =
+  (* Up to 62 processes both checks scan the quorum masks, which
+     allocates nothing. *)
+  let avail, avail_mask =
     if n <= Bitset.bits_per_word then begin
       let masks = Array.of_list (List.map Bitset.to_mask minimal) in
-      Some (fun live -> some_mask_within masks live 0)
+      ( (fun live -> some_mask_within masks (Bitset.to_mask live) 0),
+        Some (fun live -> some_mask_within masks live 0) )
     end
-    else None
+    else
+      ((fun live -> List.exists (fun q -> Bitset.subset q live) minimal), None)
   in
   make ~name ~n ~avail ?avail_mask ~min_quorums:(lazy minimal) ()
 

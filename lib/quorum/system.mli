@@ -14,19 +14,23 @@ type t = {
   n : int;  (** Universe size. *)
   avail : Bitset.t -> bool;
       (** [avail live] is true when [live] contains some quorum.  It
-          allocates nothing for the four families the simulator runs:
-          weighted voting (majority), h-grid, h-T-grid and h-triang;
-          {!embed} adds the translated live set. *)
+          must be monotone: adding live processes never makes an
+          available set unavailable.  The exact scans rely on it
+          ([Coterie.walk] decides whole subcubes of live sets from
+          their ends), and [test_scan] checks it for every catalogue
+          family up to 12 processes.  Up to 62 processes it allocates
+          nothing for the catalogue families, [K_coterie.copies] and
+          [Masking.boost] (most run their mask kernel through
+          {!Bitset.to_mask}); beyond that, for weighted voting, h-grid,
+          h-T-grid, h-triang and Paths.  {!embed} adds the translated
+          live set. *)
   avail_mask : (int -> bool) option;
-      (** The same check over a raw mask ([n <= 62]); the exact 2^n
-          enumeration calls it once per live set.  It allocates nothing
-          for weighted voting (majority), the flat grid, the wall
-          family (t-grid, triangle, cwlog, diamond, wall), {!of_quorums}
-          (singleton, fpp), thresholds, hqs, tree, Y, h-grid, h-T-grid
-          and h-triang.  Three still allocate on every call: Paths,
-          whose crossing search builds closures, and
-          [K_coterie.copies] and [Masking.boost], whose scan over the
-          copies is a closure. *)
+      (** The same check over a raw mask ([n <= 62]), equally monotone;
+          the exact 2^n scans call it.  Every construction that
+          provides one allocates nothing in it ([test_select]'s "alloc"
+          group checks each catalogue example, every 15-process
+          instantiation, Paths, [K_coterie.copies] and
+          [Masking.boost]). *)
   min_quorums : Bitset.t list Lazy.t option;
       (** Minimal quorums (the coterie), when enumerable. *)
   select : Rng.t -> live:Bitset.t -> Bitset.t option;

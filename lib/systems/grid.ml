@@ -102,7 +102,13 @@ let system ?name ~rows ~cols mode =
           (fun live -> cover_mask live && line_mask live),
           lazy (read_write_quorums ~rows ~cols) )
   in
-  let avail_mask = if n <= Bitset.bits_per_word then Some avail_mask else None in
+  (* Up to 62 processes both checks run the mask kernel, which
+     allocates nothing. *)
+  let avail, avail_mask =
+    if n <= Bitset.bits_per_word then
+      ((fun live -> avail_mask (Bitset.to_mask live)), Some avail_mask)
+    else (avail, None)
+  in
   let select rng ~live =
     let live_in_row row =
       List.filter (Bitset.mem live) (row_elements ~cols row)

@@ -60,6 +60,13 @@ let k_majority ~n ~k =
     ~name:(Printf.sprintf "k-majority(%d,k=%d)" n k)
     ~n ~avail ?avail_mask ?min_quorums ~select ()
 
+(* Some copy from [i] on of the mask [live] is available: copy [i]
+   holds bits [i * bn] to [i * bn + bn - 1]. *)
+let rec some_copy base_mask ~bn ~k live i =
+  i < k
+  && (base_mask ((live lsr (i * bn)) land ((1 lsl bn) - 1))
+     || some_copy base_mask ~bn ~k live (i + 1))
+
 let copies ~k (base : System.t) =
   if k < 1 then invalid_arg "K_coterie.copies: k >= 1 required";
   let bn = base.System.n in
@@ -71,23 +78,17 @@ let copies ~k (base : System.t) =
     done;
     s
   in
-  let avail live =
-    let rec any i = i < k && (base.System.avail (slice live i) || any (i + 1)) in
-    any 0
-  in
-  let avail_mask =
-    if n <= Bitset.bits_per_word && bn <= Bitset.bits_per_word then begin
+  let avail, avail_mask =
+    if n <= Bitset.bits_per_word then begin
       let base_mask = System.avail_mask_exn base in
-      let slice_mask = (1 lsl bn) - 1 in
-      Some
-        (fun live ->
-          let rec any i =
-            i < k
-            && (base_mask ((live lsr (i * bn)) land slice_mask) || any (i + 1))
-          in
-          any 0)
+      let avail_mask live = some_copy base_mask ~bn ~k live 0 in
+      ((fun live -> avail_mask (Bitset.to_mask live)), Some avail_mask)
     end
-    else None
+    else
+      let rec any live i =
+        i < k && (base.System.avail (slice live i) || any live (i + 1))
+      in
+      ((fun live -> any live 0), None)
   in
   let min_quorums =
     match base.System.min_quorums with

@@ -62,35 +62,46 @@ let dual_adjacency d =
   done;
   Array.map Array.of_list adj
 
-(* Reachability from [sources] to a vertex satisfying [is_target],
-   walking only edges whose label is live.  Scratch arrays are owned by
-   the caller so the enumeration hot loop does not allocate. *)
-let reaches adj ~visited ~stack ~edge_live ~sources ~is_target =
+(* Depth-first reachability from [sources] to a vertex satisfying
+   [is_target], walking only edges whose label is in [live].  Scratch
+   arrays are owned by the caller, and every helper takes what it
+   reads as an argument, so a search allocates nothing. *)
+let push visited stack top v =
+  if visited.(v) then top
+  else begin
+    visited.(v) <- true;
+    stack.(top) <- v;
+    top + 1
+  end
+
+let rec push_all visited stack top = function
+  | [] -> top
+  | v :: rest -> push_all visited stack (push visited stack top v) rest
+
+(* Push the neighbours of [v] across live edges, from adjacency entry
+   [i] on. *)
+let rec push_live adj live visited stack top v i =
+  if i = Array.length adj.(v) then top
+  else begin
+    let e, w = adj.(v).(i) in
+    let top = if Bitset.mem live e then push visited stack top w else top in
+    push_live adj live visited stack top v (i + 1)
+  end
+
+let rec search adj live visited stack top is_target =
+  top > 0
+  &&
+  let v = stack.(top - 1) in
+  is_target v
+  || search adj live visited stack
+       (push_live adj live visited stack (top - 1) v 0)
+       is_target
+
+let reaches adj ~visited ~stack ~live ~sources ~is_target =
   Array.fill visited 0 (Array.length visited) false;
-  let top = ref 0 in
-  let push v =
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      stack.(!top) <- v;
-      incr top
-    end
-  in
-  List.iter push sources;
-  let rec loop () =
-    if !top = 0 then false
-    else begin
-      decr top;
-      let v = stack.(!top) in
-      if is_target v then true
-      else begin
-        Array.iter
-          (fun (e, w) -> if edge_live e then push w)
-          adj.(v);
-        loop ()
-      end
-    end
-  in
-  loop ()
+  search adj live visited stack (push_all visited stack 0 sources) is_target
+
+let is_bottom v = v = 1
 
 let system ?name ~d () =
   check_d d;
@@ -103,38 +114,36 @@ let system ?name ~d () =
   let nv = Array.length primal and nf = Array.length dual in
   let left = List.init (d + 1) (fun r -> r * (d + 1)) in
   let is_right v = v mod (d + 1) = d in
-  let make_avail () =
-    (* Fresh DFS scratch per domain (not per system): these closures are
-       handed to the analysis layer, which may call them from several
-       pool domains at once.  Domain-local buffers keep the predicates
-       re-entrant without allocating on every call. *)
-    let scratch =
-      Domain.DLS.new_key (fun () ->
-          ( Array.make nv false,
-            Array.make nv 0,
-            Array.make nf false,
-            Array.make nf 0 ))
-    in
-    fun edge_live ->
-      let visited_v, stack_v, visited_f, stack_f = Domain.DLS.get scratch in
-      reaches primal ~visited:visited_v ~stack:stack_v ~edge_live
-        ~sources:left ~is_target:is_right
-      && reaches dual ~visited:visited_f ~stack:stack_f ~edge_live
-           ~sources:[ 0 ] ~is_target:(fun v -> v = 1)
+  (* One DFS scratch per domain (not per system): these checks are
+     handed to the analysis layer, which may call them from several
+     pool domains at once.  Domain-local buffers keep them re-entrant
+     without allocating on every call; the mask path copies its mask
+     into the domain's live set. *)
+  let scratch =
+    Domain.DLS.new_key (fun () ->
+        ( Array.make nv false,
+          Array.make nv 0,
+          Array.make nf false,
+          Array.make nf 0,
+          Bitset.create n ))
   in
-  let avail =
-    let check = make_avail () in
-    fun live -> check (Bitset.mem live)
+  let avail live =
+    let visited_v, stack_v, visited_f, stack_f, _ = Domain.DLS.get scratch in
+    reaches primal ~visited:visited_v ~stack:stack_v ~live ~sources:left
+      ~is_target:is_right
+    && reaches dual ~visited:visited_f ~stack:stack_f ~live ~sources:[ 0 ]
+         ~is_target:is_bottom
   in
   let avail_mask =
-    let check = make_avail () in
-    Some (fun live -> check (fun e -> live land (1 lsl e) <> 0))
+    if n <= Bitset.bits_per_word then
+      Some
+        (fun mask ->
+          let _, _, _, _, live = Domain.DLS.get scratch in
+          Bitset.blit_mask live mask;
+          avail live)
+    else None
   in
-  let shrink_avail =
-    let check = make_avail () in
-    fun live -> check (Bitset.mem live)
-  in
-  let select rng ~live = System.shrink_select shrink_avail rng ~live in
+  let select rng ~live = System.shrink_select avail rng ~live in
   let min_quorums =
     if n <= 22 then
       Some

@@ -150,10 +150,16 @@ let system ?name widths =
     | Some n -> n
     | None -> Printf.sprintf "wall(%d)" t.n
   in
-  let avail_mask =
-    if t.n <= Bitset.bits_per_word then Some (make_avail_mask t) else None
+  (* Up to 62 processes both checks run the mask kernel, which
+     allocates nothing. *)
+  let avail, avail_mask =
+    if t.n <= Bitset.bits_per_word then begin
+      let avail_mask = make_avail_mask t in
+      ((fun live -> avail_mask (Bitset.to_mask live)), Some avail_mask)
+    end
+    else (make_avail t, None)
   in
-  System.make ~name ~n:t.n ~avail:(make_avail t) ?avail_mask
+  System.make ~name ~n:t.n ~avail ?avail_mask
     ~min_quorums:(lazy (enumerate_quorums t))
     ~select:(make_select t) ()
 

@@ -145,9 +145,14 @@ let system ?name ~rows () =
   let name =
     match name with Some s -> s | None -> Printf.sprintf "y(%d)" n
   in
-  let avail = make_avail rows in
-  let avail_mask =
-    if n <= Bitset.bits_per_word then Some (make_avail_mask rows) else None
+  (* Up to 62 processes both checks run the mask kernel, which
+     allocates nothing. *)
+  let avail, avail_mask =
+    if n <= Bitset.bits_per_word then begin
+      let avail_mask = make_avail_mask rows in
+      ((fun live -> avail_mask (Bitset.to_mask live)), Some avail_mask)
+    end
+    else (make_avail rows, None)
   in
   let select rng ~live = System.shrink_select avail rng ~live in
   let min_quorums =

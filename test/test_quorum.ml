@@ -361,11 +361,11 @@ let test_minimal_of_avail_majority () =
 let test_transversal_counts_singleton () =
   (* Singleton {0} over 2 elements: fails iff 0 is dead.
      dead-sets hitting the quorum: {0} and {0,1}. *)
-  let avail mask = mask land 1 <> 0 in
-  let counts = Coterie.transversal_counts ~n:2 avail in
-  check_float "one 1-transversal" 1.0 counts.(1);
-  check_float "one 2-transversal" 1.0 counts.(2);
-  check_float "no 0-transversal" 0.0 counts.(0)
+  let s = Quorum.System.of_quorums ~name:"singleton" ~n:2 [ bs 2 [ 0 ] ] in
+  let a = Failure_poly.transversal_count (Analysis.Failure.exact_poly s) in
+  check_float "one 1-transversal" 1.0 (a 1);
+  check_float "one 2-transversal" 1.0 (a 2);
+  check_float "no 0-transversal" 0.0 (a 0)
 
 (* --- Strategy ------------------------------------------------------- *)
 

@@ -852,6 +852,36 @@ let test_live_alloc () =
       Htriang.system grown;
     ]
 
+(* Every other family, on both paths: each catalogue example and n = 15
+   instantiation (the grids, the wall family, Y, hqs, tree, fpp,
+   singleton, thresholds), whose bitset check runs its mask kernel up
+   to 62 processes, and the mask checks that used to build closures:
+   Paths' crossing search and the copy scans of [K_coterie.copies] and
+   [Masking.boost].  One check of each path runs first, so that the
+   domain's Paths scratch exists before counting. *)
+let test_catalogue_alloc () =
+  let base = Systems.Majority.make 5 in
+  List.iter
+    (fun (s : System.t) ->
+      ignore (s.System.avail (Bitset.create s.System.n));
+      Option.iter (fun f -> ignore (f 0)) s.System.avail_mask;
+      Alcotest.(check (float 0.0))
+        (s.System.name ^ " avail") 0.0 (live_words s);
+      Alcotest.(check (float 0.0))
+        (s.System.name ^ " avail_mask") 0.0 (mask_words s))
+    (List.map Registry.build_exn
+       (List.map (fun (e : Registry.entry) -> e.example) Registry.catalogue
+       @ List.concat_map snd (Registry.instantiations ~n:15)
+       @ [ "paths(2)"; "paths(3)"; "paths(5)" ])
+    @ [
+        Systems.K_coterie.copies ~k:2 base;
+        Systems.K_coterie.copies ~k:3
+          (Htriang.system (Htriang.standard ~rows:3 ()));
+        Byzantine.Masking.boost ~k:2 base;
+        Byzantine.Masking.boost ~k:3
+          (Systems.Grid.system ~rows:2 ~cols:2 Systems.Grid.Read_write);
+      ])
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "select"
@@ -882,5 +912,7 @@ let () =
         [
           Alcotest.test_case "avail_mask: 0 words" `Quick test_mask_alloc;
           Alcotest.test_case "avail: 0 words" `Quick test_live_alloc;
+          Alcotest.test_case "catalogue, copies, boost: 0 words" `Quick
+            test_catalogue_alloc;
         ] );
     ]
