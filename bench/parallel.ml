@@ -65,7 +65,9 @@ let measure ~metrics ~label ~same_as_seq work key =
 
 let exact_poly_case ~metrics =
   let spec = if !Util.fast then "grid-rw(4x4)" else "grid-rw(4x6)" in
-  let s = Util.system spec in
+  (* Without its availability counts, so that the pool walks the
+     masks. *)
+  let s = { (Util.system spec) with Quorum.System.avail_counts = None } in
   measure ~metrics
     ~label:(Printf.sprintf "exact_poly %s (2^%d)" spec s.Quorum.System.n)
     ~same_as_seq:true

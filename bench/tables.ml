@@ -127,20 +127,28 @@ type size_load = {
 
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)
 
-let exact_entry name system ~paper_min ~paper_max ~paper_load =
+(* [load] renders the load cell from the LP optimum, solved once. *)
+let exact_entry ?(load = fun lp -> pct lp) name system ~paper_min ~paper_max
+    ~paper_load =
   let stats = Analysis.Metrics.of_system system in
   let lp = Analysis.Load.optimal system in
   {
     name;
     min_size = Printf.sprintf "%d (paper %d)" stats.min_size paper_min;
     max_size = Printf.sprintf "%d (paper %d)" stats.max_size paper_max;
-    load = Printf.sprintf "%s (paper %s)" (pct lp.load) (pct paper_load);
+    load = Printf.sprintf "%s (paper %s)" (load lp.load) (pct paper_load);
   }
 
 (* Majority with an even universe: one 2-vote process, quorums of 14
    (with it) or 15 (without).  The optimal strategy mixes the two
    symmetric families; balancing gives load (n/2+1)/(n+1). *)
 let majority_even_load n = (float_of_int ((n / 2) + 1)) /. float_of_int (n + 1)
+
+(* CWlog's load cell: its tradeoff strategy's load beside the LP's. *)
+let cwlog_load ~n lp =
+  Printf.sprintf "%s tradeoff / %s LP"
+    (pct (Strategy.system_load (Systems.Cwlog.tradeoff_strategy ~n)))
+    (pct lp)
 
 let sampled_entry name system ~trials ~paper_min ~paper_max ~paper_load =
   let stats = Analysis.Metrics.sampled ~trials (Quorum.Rng.create 17) system in
@@ -181,20 +189,9 @@ let table4 () =
       exact_entry "HQS(15)"
         (Systems.Hqs.system ~branching:[ 5; 3 ] ())
         ~paper_min:6 ~paper_max:6 ~paper_load:0.40;
-      (let tradeoff = Systems.Cwlog.tradeoff_strategy ~n:14 in
-       let e =
-         exact_entry "CWlog(14)"
-           (Systems.Cwlog.system ~n:14 ())
-           ~paper_min:3 ~paper_max:6 ~paper_load:0.555
-       in
-       {
-         e with
-         load =
-           Printf.sprintf "%s tradeoff / %s LP (paper %s)"
-             (pct (Strategy.system_load tradeoff))
-             (pct (Analysis.Load.optimal (Systems.Cwlog.system ~n:14 ())).load)
-             (pct 0.555);
-       });
+      exact_entry "CWlog(14)"
+        (Systems.Cwlog.system ~n:14 ())
+        ~load:(cwlog_load ~n:14) ~paper_min:3 ~paper_max:6 ~paper_load:0.555;
       exact_entry "h-T-grid(16)" (Htgrid.system g16) ~paper_min:4 ~paper_max:7
         ~paper_load:0.365;
       exact_entry "Paths(12)"
@@ -228,20 +225,9 @@ let table4 () =
         load =
           Printf.sprintf "%s (paper %s)" (pct (8.0 /. 27.0)) (pct 0.296);
       };
-      (let tradeoff = Systems.Cwlog.tradeoff_strategy ~n:29 in
-       let e =
-         exact_entry "CWlog(29)"
-           (Systems.Cwlog.system ~n:29 ())
-           ~paper_min:4 ~paper_max:10 ~paper_load:0.437
-       in
-       {
-         e with
-         load =
-           Printf.sprintf "%s tradeoff / %s LP (paper %s)"
-             (pct (Strategy.system_load tradeoff))
-             (pct (Analysis.Load.optimal (Systems.Cwlog.system ~n:29 ())).load)
-             (pct 0.437);
-       });
+      exact_entry "CWlog(29)"
+        (Systems.Cwlog.system ~n:29 ())
+        ~load:(cwlog_load ~n:29) ~paper_min:4 ~paper_max:10 ~paper_load:0.437;
       exact_entry "h-T-grid(25)" (Htgrid.system g25) ~paper_min:5 ~paper_max:9
         ~paper_load:0.34;
       sampled_entry "Paths(24)"

@@ -29,26 +29,45 @@ let count_fails ~n ~rows avail ~base ~bits =
     ~found:ignore;
   counts
 
-let exact_poly ?pool (s : System.t) =
-  if s.n > 30 then
-    invalid_arg "Failure.exact_poly: universe too large for enumeration";
+(* A system that counts its available live sets fails on the rest:
+   C(n, k) - a_k of the live sets of [k] processes.  Both are integers
+   below 2^53, so the floats are the walk's, bit for bit. *)
+let counted_fails ~n avail_counts =
+  let a = avail_counts () in
+  if Array.length a <> n + 1 then
+    invalid_arg "Failure.exact_poly: avail_counts needs n+1 entries";
+  let all = Quorum.Int_poly.binomial n in
+  let fails = Array.make (n + 1) 0.0 in
+  for k = 0 to n do
+    fails.(k) <- float_of_int (all.(k) - a.(k))
+  done;
+  fails
+
+let walked_fails ?pool (s : System.t) =
   let avail = System.avail_mask_exn s in
   let rows =
     Array.init (s.n + 1) (fun j -> Array.init (j + 1) (Failure_poly.binomial j))
   in
+  match pool with
+  | None -> count_fails ~n:s.n ~rows avail ~base:0 ~bits:s.n
+  | Some pool ->
+      (* Shard by live-set prefix: chunk [c] walks the masks whose top
+         [k] bits equal [c].  Counts are integer-valued floats (< 2^53),
+         so summing them in any fixed order is exact. *)
+      let k = prefix_bits ~n:s.n ~seq_bits:14 in
+      let shift = s.n - k in
+      Pool.map_reduce_chunks pool ~chunks:(1 lsl k)
+        ~map:(fun c ->
+          count_fails ~n:s.n ~rows avail ~base:(c lsl shift) ~bits:shift)
+        ~reduce:(fun a b -> Array.map2 ( +. ) a b)
+
+let exact_poly ?pool (s : System.t) =
+  if s.n > 30 then
+    invalid_arg "Failure.exact_poly: universe too large for enumeration";
   let counts =
-    match pool with
-    | None -> count_fails ~n:s.n ~rows avail ~base:0 ~bits:s.n
-    | Some pool ->
-        (* Shard by live-set prefix: chunk [c] walks the masks whose
-           top [k] bits equal [c].  Counts are integer-valued floats
-           (< 2^53), so summing them in any fixed order is exact. *)
-        let k = prefix_bits ~n:s.n ~seq_bits:14 in
-        let shift = s.n - k in
-        Pool.map_reduce_chunks pool ~chunks:(1 lsl k)
-          ~map:(fun c ->
-            count_fails ~n:s.n ~rows avail ~base:(c lsl shift) ~bits:shift)
-          ~reduce:(fun a b -> Array.map2 ( +. ) a b)
+    match s.avail_counts with
+    | Some avail_counts -> counted_fails ~n:s.n avail_counts
+    | None -> walked_fails ?pool s
   in
   Failure_poly.of_fail_counts ~n:s.n counts
 

@@ -3,9 +3,10 @@
     Three routes, in decreasing exactness and increasing reach:
 
     - {!exact_poly}: count the failing live-sets of all 2^n by
-      cardinality through the system's mask fast-path, yielding the
-      full failure polynomial — exact, at most 2^n checks, practical to
-      n ~ 28-30 (every size the paper tabulates);
+      cardinality, yielding the full failure polynomial — from the
+      system's availability counts when it has them (no check at
+      all), else through its mask fast-path (at most 2^n checks,
+      practical to n ~ 28-30, every size the paper tabulates);
     - closed forms: the per-construction recursions live with their
       constructions ([Wall.failure_probability],
       [Hgrid.failure_probability], [Htriang.failure_probability], ...)
@@ -14,7 +15,8 @@
       95% confidence half-width, for universes beyond enumeration.
 
     {b Parallelism.}  Every route takes an optional [?pool]
-    ([Exec.Pool]): the 2^n scans shard by live-set prefix, the
+    ([Exec.Pool]): the 2^n scans shard by live-set prefix (a system
+    with availability counts leaves the pool unused), the
     samplers split one RNG stream per fixed chunk.  Chunking never
     depends on the pool's domain count, so a pooled result is
     bit-identical for jobs of 1, 2, 4, ...; {!exact_poly} (integer
@@ -23,18 +25,25 @@
     single-domain code path. *)
 
 val exact_poly : ?pool:Exec.Pool.t -> Quorum.System.t -> Quorum.Failure_poly.t
-(** Requires [n <= 30].  The scan is {!Quorum.Coterie.walk}: availability
-    is monotone, so a subcube of live sets (a fixed part plus any subset
+(** Requires [n <= 30].  A system with availability counts
+    ([avail_counts]: weighted voting and majority unless their votes
+    are huge, grid, h-grid, h-T-grid, h-triang) fails on the rest of
+    the live sets, C(n, k) - a_k of size [k]; nothing is scanned and
+    [pool] is unused.  Every
+    other system is scanned by {!Quorum.Coterie.walk}: availability is
+    monotone, so a subcube of live sets (a fixed part plus any subset
     of the low free bits) whose top fails fails entirely and adds one
     binomial row to the counts, and one whose bottom is available is
     skipped; only subcubes with a failing bottom and an available top
-    are split.  It checks 0.21 (grid-rw(4x6)) to 0.67 (majority(24)) of
-    the live sets, and the counts are the ones a set-by-set scan gives,
-    bit for bit.  With a pool, the mask range is sharded by live-set
-    prefix (up to 256 chunks), each chunk walked on its own; counts are
-    integer-valued floats, so the pooled result equals the sequential
-    one bit-for-bit.  A system whose [avail_mask] is not monotone gets
-    a wrong polynomial. *)
+    are split.  The walk checks 0.21 (grid-rw(4x6)) to 0.67
+    (majority(24)) of the live sets on the ledger's families with
+    their counts stripped.  Both routes give the counts a set-by-set
+    scan gives, bit for bit.  With a pool, the walk's mask range is
+    sharded by live-set prefix (up to 256 chunks), each chunk walked on
+    its own; counts are integer-valued floats, so the pooled result
+    equals the sequential one bit-for-bit.  A system whose
+    [avail_mask] is not monotone, or whose counts are not its scan's,
+    gets a wrong polynomial. *)
 
 val exact : ?pool:Exec.Pool.t -> Quorum.System.t -> p:float -> float
 (** [eval (exact_poly s) ~p] — prefer {!exact_poly} when sweeping

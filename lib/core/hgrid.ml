@@ -297,6 +297,114 @@ and row_base_mask mask row j top =
     let b = line_base_mask mask row.(j) in
     if b < 0 then -1 else row_base_mask mask row (j + 1) (min top b)
 
+(* --- Exact availability counts ------------------------------------ *)
+
+(* The live sets of a node by the two numbers the checks read: [b],
+   its [line_base] ([-1] when no full-line is live), and [c], the
+   least threshold at which it [covers] ([covers] is monotone in the
+   threshold).  Over a node spanning the global rows [row0, row0 +
+   rows), [b] is [-1] or one of those rows and [c] is [0] or in
+   [row0 + 1, row0 + rows], so a state is a pair of offsets in
+   [0, rows].  A law holds every state's count polynomial in one flat
+   array: entry [state * (size + 1) + k] counts the live sets of [k]
+   of the node's [size] processes in that state.  Cells share no
+   process, so two laws combine state pair by state pair, their
+   polynomials multiplied. *)
+
+type law = { row0 : int; rows : int; size : int; counts : int array }
+
+let states l = (l.rows + 1) * (l.rows + 1)
+
+let base l s =
+  let bi = s / (l.rows + 1) in
+  if bi = 0 then -1 else l.row0 + bi - 1
+
+let cover l s =
+  let ci = s mod (l.rows + 1) in
+  if ci = 0 then 0 else l.row0 + ci
+
+let state l b c =
+  ((if b < 0 then 0 else b - l.row0 + 1) * (l.rows + 1))
+  + if c = 0 then 0 else c - l.row0
+
+let empty ~row0 ~rows ~size =
+  {
+    row0;
+    rows;
+    size;
+    counts = Array.make ((rows + 1) * (rows + 1) * (size + 1)) 0;
+  }
+
+(* [beside]: [l1] and [l2] are cells of one row.  A line needs every
+   cell's ([-1] if one has none) and sits at the highest of their
+   tops; the row covers once one cell does.  Otherwise [l1] is the law
+   of a grid's lower rows and [l2] the row above them: the lowest
+   lined row gives the line base ([line_base]'s bottom-up scan), and
+   the grid covers once every row does. *)
+let combine ~beside l1 l2 =
+  let row0 = min l1.row0 l2.row0 in
+  let l =
+    empty ~row0
+      ~rows:(max (l1.row0 + l1.rows) (l2.row0 + l2.rows) - row0)
+      ~size:(l1.size + l2.size)
+  in
+  let w1 = l1.size + 1 and w2 = l2.size + 1 and w = l.size + 1 in
+  for s1 = 0 to states l1 - 1 do
+    for s2 = 0 to states l2 - 1 do
+      let b1 = base l1 s1 and b2 = base l2 s2 in
+      let c1 = cover l1 s1 and c2 = cover l2 s2 in
+      let s =
+        if beside then
+          state l (if b1 < 0 || b2 < 0 then -1 else min b1 b2) (min c1 c2)
+        else state l (if b1 >= 0 then b1 else b2) (max c1 c2)
+      in
+      for i = 0 to l1.size do
+        let x = l1.counts.((s1 * w1) + i) in
+        if x <> 0 then
+          for j = 0 to l2.size do
+            let k = (s * w) + i + j in
+            l.counts.(k) <- l.counts.(k) + (x * l2.counts.((s2 * w2) + j))
+          done
+      done
+    done
+  done;
+  l
+
+(* Every leaf's counts, offsets being relative to its row: live, it
+   is a line at its row and covers at every threshold (state (1, 0),
+   one set of one process); dead, it covers only past its row (state
+   (0, 1), the empty set).  Laws are never written once built, so the
+   leaves share this array. *)
+let leaf_counts = [| 0; 0; 1; 0; 0; 1; 0; 0 |]
+
+let rec law = function
+  | Leaf l -> { row0 = l.row; rows = 1; size = 1; counts = leaf_counts }
+  | Grid g ->
+      let row_law row =
+        let acc = ref (law row.(0)) in
+        for j = 1 to Array.length row - 1 do
+          acc := combine ~beside:true !acc (law row.(j))
+        done;
+        !acc
+      in
+      let m = Array.length g.cells in
+      let acc = ref (row_law g.cells.(m - 1)) in
+      for i = m - 2 downto 0 do
+        acc := combine ~beside:false !acc (row_law g.cells.(i))
+      done;
+      !acc
+
+let avail_counts t ok =
+  let l = law t.shape in
+  let counts = Array.make (t.n + 1) 0 in
+  for s = 0 to states l - 1 do
+    if ok ~base:(base l s) ~cover:(cover l s) then
+      for k = 0 to l.size do
+        counts.(k) <- counts.(k) + l.counts.((s * (l.size + 1)) + k)
+      done
+  done;
+  counts
+
 (* --- Selection --------------------------------------------------- *)
 
 (* The selectors write the quorum they pick straight into a bitset.
@@ -411,7 +519,7 @@ let select_full_line rng ~live shape q =
 
 (* --- Systems ----------------------------------------------------- *)
 
-let make_system ?name t ~default_name ~avail ~avail_mask ~quorums
+let make_system ?name t ~default_name ~avail ~avail_mask ~counted ~quorums
     ~select_into =
   let name = match name with Some s -> s | None -> default_name in
   let avail_mask =
@@ -425,7 +533,9 @@ let make_system ?name t ~default_name ~avail ~avail_mask ~quorums
     let q = Bitset.create t.n in
     if select_into rng live q then Some q else None
   in
-  System.make ~name ~n:t.n ~avail ?avail_mask ~min_quorums ~select ()
+  System.make ~name ~n:t.n ~avail ?avail_mask
+    ~avail_counts:(fun () -> avail_counts t counted)
+    ~min_quorums ~select ()
 
 let dims_string t =
   String.concat ","
@@ -436,6 +546,7 @@ let read_system ?name t =
     ~default_name:(Printf.sprintf "h-grid-read(%s)" (dims_string t))
     ~avail:(fun live -> covers live 0 t.shape)
     ~avail_mask:(fun mask -> covers_mask mask 0 t.shape)
+    ~counted:(fun ~base:_ ~cover -> cover = 0)
     ~quorums:(fun () -> row_cover_quorums t.shape)
     ~select_into:(fun rng live q ->
       select_cover rng ~live ~threshold:0 t.shape q)
@@ -445,6 +556,7 @@ let write_system ?name t =
     ~default_name:(Printf.sprintf "h-grid-write(%s)" (dims_string t))
     ~avail:(fun live -> lined live t.shape)
     ~avail_mask:(fun mask -> lined_mask mask t.shape)
+    ~counted:(fun ~base ~cover:_ -> base >= 0)
     ~quorums:(fun () -> full_line_quorums t.shape)
     ~select_into:(fun rng live q -> select_full_line rng ~live t.shape q >= 0)
 
@@ -454,6 +566,7 @@ let rw_system ?name t =
     ~avail:(fun live -> covers live 0 t.shape && lined live t.shape)
     ~avail_mask:(fun mask ->
       covers_mask mask 0 t.shape && lined_mask mask t.shape)
+    ~counted:(fun ~base ~cover -> base >= 0 && cover = 0)
     ~quorums:(fun () ->
       List.concat_map
         (fun line ->

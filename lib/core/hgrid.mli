@@ -90,6 +90,14 @@ val line_base_mask : int -> shape -> int
 (** [covers], [lined] and [line_base] over a raw mask of live
     processes. *)
 
+val avail_counts : t -> (base:int -> cover:int -> bool) -> int array
+(** [avail_counts t ok]: entry [k] counts the live sets of [k]
+    processes whose [line_base] [base] and least covering threshold
+    [cover] (the [r] from which [covers live r] holds) satisfy [ok].
+    One DP over the shape, each node's live sets counted per
+    [(base, cover)] state; it gives the exact availability counts of
+    the three systems below and of [Htgrid.system]. *)
+
 (** {1 Quorum enumeration} *)
 
 val row_cover_quorums : shape -> int list list

@@ -48,7 +48,11 @@ let system ?name (t : Hgrid.t) =
   let avail_mask =
     if t.n <= Bitset.bits_per_word then Some (avail_mask t) else None
   in
-  System.make ~name ~n:t.n ~avail:(avail t) ?avail_mask
+  (* [avail]'s test on the same two numbers. *)
+  let avail_counts () =
+    Hgrid.avail_counts t (fun ~base ~cover -> base >= 0 && cover <= base)
+  in
+  System.make ~name ~n:t.n ~avail:(avail t) ?avail_mask ~avail_counts
     ~min_quorums:(lazy (quorums t))
     ~select:(select t) ()
 

@@ -26,7 +26,9 @@ val system : ?name:string -> Hgrid.t -> Quorum.System.t
     for threshold [r] (two O(n) recursive passes, [Hgrid.line_base]
     then [Hgrid.covers], or their mask copies; neither allocates).
     Quorums are enumerated as full-line x partial-cover unions,
-    minimized. *)
+    minimized.  The exact availability counts are
+    [Hgrid.avail_counts] on [line_base >= 0] and a covering threshold
+    at most [line_base]: the same two numbers. *)
 
 val quorums : Hgrid.t -> Quorum.Bitset.t list
 (** The minimal T-grid quorums. *)

@@ -2,6 +2,7 @@ module Bitset = Quorum.Bitset
 module System = Quorum.System
 module Rng = Quorum.Rng
 module Combinat = Quorum.Combinat
+module Int_poly = Quorum.Int_poly
 
 type node =
   | Elem of int
@@ -328,6 +329,44 @@ let select t rng ~live =
   let q = Bitset.create t.n in
   if select_node rng live q t.root then Some q else None
 
+(* --- Exact availability counts -------------------------------------- *)
+
+(* Count polynomials (total, available) of a node's live sets.  A
+   split's parts share no process, so [avail_prob]'s inclusion-exclusion
+   ab + ar + bf - abr - abf carries over with each part a term leaves
+   out multiplied in as its total: with T_g the sub-grid's total,
+   R = prod((1+x)^m - 1) its row-covers and F = T_g - prod((1+x)^m - x^m)
+   its full-lines over its rows of m elements, the available count is
+   A·B·T_g + A·R·T_2 + B·F·T_1 - A·B·R - A·B·F.  A change to
+   [avail_prob] changes this too. *)
+let rec node_counts = function
+  | Elem _ -> (Int_poly.binomial 1, Int_poly.monomial 1)
+  | Split { t1; grid; t2 } ->
+      let open Int_poly in
+      let total1, a = node_counts t1 and total2, b = node_counts t2 in
+      let over_rows f =
+        Array.fold_left
+          (fun acc row -> mul acc (f (Array.length row)))
+          one grid
+      in
+      let total_g = over_rows binomial in
+      let r = over_rows (fun m -> sub (binomial m) one) in
+      let f =
+        sub total_g (over_rows (fun m -> sub (binomial m) (monomial m)))
+      in
+      let ab = mul a b in
+      ( mul total1 (mul total_g total2),
+        sub
+          (add (mul ab total_g)
+             (add (mul a (mul r total2)) (mul b (mul f total1))))
+          (add (mul ab r) (mul ab f)) )
+
+(* Universe ids outside the tree are spares, live or dead. *)
+let avail_counts t =
+  let _, avail = node_counts t.root in
+  let spare = t.n - node_size t.root in
+  Int_poly.coeffs ~n:t.n (Int_poly.mul avail (Int_poly.binomial spare))
+
 let system ?name t =
   let name =
     match name with Some s -> s | None -> Printf.sprintf "h-triang(%d)" t.n
@@ -338,6 +377,7 @@ let system ?name t =
     else None
   in
   System.make ~name ~n:t.n ~avail:(avail t) ?avail_mask
+    ~avail_counts:(fun () -> avail_counts t)
     ~min_quorums:(lazy (quorums t))
     ~select:(select t) ()
 

@@ -49,12 +49,17 @@ val quorums : t -> Quorum.Bitset.t list
     standard triangle all have size [rows]). *)
 
 val system : ?name:string -> t -> Quorum.System.t
+(** Its exact availability counts are {!failure_probability}'s
+    recursion over count polynomials: each term's missing parts enter
+    as their totals, and ids outside the tree as free spares. *)
 
 val failure_probability : t -> p:float -> float
 (** Exact: with [a, b] the sub-triangle availabilities and [r, f] the
     sub-grid row-cover / full-line probabilities,
     [A = ab + ar + bf - abr - abf] (the joint RC-and-FL term cancels in
-    the inclusion-exclusion). *)
+    the inclusion-exclusion).  {!system}'s availability counts restate
+    this recursion over count polynomials: a change to one changes the
+    other. *)
 
 val failure_probability_hetero : t -> p_of:(int -> float) -> float
 (** Same recursion with per-process crash probabilities. *)

@@ -31,6 +31,18 @@ type t = {
           group checks each catalogue example, every 15-process
           instantiation, Paths, [K_coterie.copies] and
           [Masking.boost]). *)
+  avail_counts : (unit -> int array) option;
+      (** Exact availability counts, [n + 1] entries: entry [k] is how
+          many live sets of [k] processes hold a quorum.  They must be
+          the counts a scan of every live set through [avail_mask]
+          gives, integer for integer; [test_scan] checks this against
+          the monotone walk and the set-by-set scan for every family
+          that provides them (weighted voting and majority, grid,
+          h-grid, h-T-grid, h-triang).  [Failure.exact_poly] uses them
+          instead of walking the 2^n live sets, and only it calls them
+          ([n <= 30]), so a family attaches them only where they cost
+          less than the walk (weighted voting leaves them off for huge
+          votes).  {!rename} keeps them; {!embed} drops them. *)
   min_quorums : Bitset.t list Lazy.t option;
       (** Minimal quorums (the coterie), when enumerable. *)
   select : Rng.t -> live:Bitset.t -> Bitset.t option;
@@ -51,6 +63,7 @@ val make :
   n:int ->
   avail:(Bitset.t -> bool) ->
   ?avail_mask:(int -> bool) ->
+  ?avail_counts:(unit -> int array) ->
   ?min_quorums:Bitset.t list Lazy.t ->
   ?select:(Rng.t -> live:Bitset.t -> Bitset.t option) ->
   unit ->
@@ -90,6 +103,7 @@ val prepare : t -> unit
     anyway (structural [select]s, e.g. h-triang's, never force it). *)
 
 val rename : t -> string -> t
+(** The same system under another name, availability counts included. *)
 
 val embed : ?name:string -> universe:int -> place:int array -> t -> t
 (** [embed ~universe ~place base] re-expresses [base] over a larger
@@ -100,8 +114,10 @@ val embed : ?name:string -> universe:int -> place:int array -> t -> t
     quorums are the base system's behaviour translated through the
     placement — this is the placement machinery behind
     {!Protocols.Membership} and {!Protocols.Shard_router}.  The
-    default name is ["<base>/<universe>"].  Raises [Invalid_argument]
-    on a malformed placement. *)
+    base's availability counts are dropped: an exact scan of the
+    embedded system walks its live sets.  The default name is
+    ["<base>/<universe>"].  Raises [Invalid_argument] on a malformed
+    placement. *)
 
 val shrink_select :
   (Bitset.t -> bool) -> Rng.t -> live:Bitset.t -> Bitset.t option

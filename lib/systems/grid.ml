@@ -84,6 +84,25 @@ let make_preds ~rows ~cols =
   in
   (n, cover, line, cover_mask, line_mask)
 
+(* Exact availability counts.  Rows share no process, so with
+   N = (1+x)^c - 1 (the row meets the live set) and F = x^c (the row
+   is fully live): read is N^r, write is every live set but those
+   with no full row, ((1+x)^c - x^c)^r, and read-write is the cover
+   without the covers that have no full row, N^r - (N - F)^r.  These
+   are [failure_probability_hetero]'s row formulas over counts; a
+   change to one changes the other. *)
+let avail_counts ~rows ~cols mode =
+  let module P = Quorum.Int_poly in
+  let row = P.binomial cols and full = P.monomial cols in
+  let met = P.sub row P.one in
+  let counts =
+    match mode with
+    | Read -> P.pow met rows
+    | Write -> P.sub (P.binomial (rows * cols)) (P.pow (P.sub row full) rows)
+    | Read_write -> P.sub (P.pow met rows) (P.pow (P.sub met full) rows)
+  in
+  P.coeffs ~n:(rows * cols) counts
+
 let system ?name ~rows ~cols mode =
   check ~rows ~cols;
   let n, cover, line, cover_mask, line_mask = make_preds ~rows ~cols in
@@ -142,7 +161,9 @@ let system ?name ~rows ~cols mode =
         | Some l, Some c -> Some (Bitset.of_list n (l @ c))
         | _ -> None)
   in
-  System.make ~name ~n ~avail ?avail_mask ~min_quorums ~select ()
+  System.make ~name ~n ~avail ?avail_mask
+    ~avail_counts:(fun () -> avail_counts ~rows ~cols mode)
+    ~min_quorums ~select ()
 
 let t_grid ?name ~rows ~cols () =
   check ~rows ~cols;

@@ -12,7 +12,9 @@
     which is exactly {!Wall.system} with equal widths; see {!t_grid}.
 
     All three modes admit closed-form failure probabilities because the
-    rows are independent ({!failure_probability}). *)
+    rows are independent ({!failure_probability}), and for the same
+    reason {!system} counts its available live sets of each size from
+    products of per-row polynomials. *)
 
 type mode = Read | Write | Read_write
 
@@ -28,7 +30,9 @@ val t_grid : ?name:string -> rows:int -> cols:int -> unit -> Quorum.System.t
 val failure_probability : rows:int -> cols:int -> mode -> p:float -> float
 (** Exact.  [Read_write] uses
     [1 - ((1-p^c)^r - (1-p^c-q^c)^r)]: the probability that some row is
-    fully live {e and} every row is non-empty. *)
+    fully live {e and} every row is non-empty.  {!system}'s
+    availability counts restate these row formulas over count
+    polynomials: a change to one changes the other. *)
 
 val failure_probability_hetero :
   rows:int -> cols:int -> mode -> p_of:(int -> float) -> float

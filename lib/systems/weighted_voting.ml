@@ -104,6 +104,33 @@ let live_votes votes live =
   done;
   !sum
 
+(* Exact availability counts: a DP over the processes on (live count,
+   live votes), votes capped at [need], the least available sum.
+   [dp.(k * (need + 1) + v)] counts the live sets of [k] of the
+   processes seen so far holding [v] votes ([need] or more when
+   [v = need]).  [k] runs downward, so a process extends each set
+   at most once.  It is [failure_probability_hetero]'s vote-sum
+   recursion over counts; a change to one changes the other. *)
+let avail_counts votes ~total =
+  let n = Array.length votes in
+  let need = (total / 2) + 1 in
+  let width = need + 1 in
+  let dp = Array.make ((n + 1) * width) 0 in
+  dp.(0) <- 1;
+  Array.iteri
+    (fun i w ->
+      for k = i downto 0 do
+        for v = need downto 0 do
+          let c = dp.((k * width) + v) in
+          if c <> 0 then begin
+            let j = ((k + 1) * width) + min need (v + w) in
+            dp.(j) <- dp.(j) + c
+          end
+        done
+      done)
+    votes;
+  Array.init (n + 1) (fun k -> dp.((k * width) + need))
+
 let system ?name ~votes () =
   let total = check votes in
   let n = Array.length votes in
@@ -164,7 +191,17 @@ let system ?name ~votes () =
       Some quorum
     end
   in
-  System.make ~name ~n ~avail ?avail_mask ~min_quorums ~select ()
+  (* The DP's table has (n + 1) * (need + 1) entries and grows with
+     the votes, not with [n]: the counts are attached only while it
+     holds at most 2^min(n, 20) of them, no more than the live sets the
+     walk visits and at most 8 MB, so a few huge votes walk instead. *)
+  let avail_counts =
+    if (total / 2) + 2 <= (1 lsl min n 20) / (n + 1) then
+      Some (fun () -> avail_counts votes ~total)
+    else None
+  in
+  System.make ~name ~n ~avail ?avail_mask ?avail_counts ~min_quorums ~select
+    ()
 
 let failure_probability_hetero ~votes ~p_of =
   let total = check votes in

@@ -117,6 +117,11 @@ let spec_arb =
 
 let build i = Core.Registry.build_exn det_specs.(i)
 
+(* Majority, grid, h-grid and h-triang count their available sets
+   from structure and leave the pool unused; without the counts,
+   [exact_poly] walks the masks on it. *)
+let walked i = { (build i) with System.avail_counts = None }
+
 let poly_counts s poly =
   List.init (s.System.n + 1) (Quorum.Failure_poly.fail_count poly)
 
@@ -124,7 +129,7 @@ let exact_poly_deterministic =
   QCheck.Test.make ~name:"exact_poly: pooled = sequential, any jobs"
     ~count:12 spec_arb
     (fun i ->
-      let s = build i in
+      let s = walked i in
       let oracle = poly_counts s (Failure.exact_poly s) in
       List.for_all
         (fun p -> poly_counts s (Failure.exact_poly ~pool:p s) = oracle)

@@ -3,7 +3,10 @@
    polynomial ([Failure.exact_poly]) and the minimal-quorum
    enumeration ([Coterie.minimal_of_avail]).  The walk is only right
    for monotone predicates, so every catalogue [avail_mask] is checked
-   to be monotone too. *)
+   to be monotone too.  The availability counts that weighted voting,
+   grid, h-grid, h-T-grid and h-triang derive from their structure
+   (and [exact_poly] uses instead of the walk) are checked against
+   both. *)
 
 module Bitset = Quorum.Bitset
 module System = Quorum.System
@@ -105,6 +108,277 @@ let exact_of_quorums =
   QCheck.Test.make ~count:300 ~name:"exact_poly = scan: of_quorums"
     (quorums_arb ~max_n:17) (fun q -> exact_matches (of_quorums q))
 
+(* --- Availability counts ------------------------------------------- *)
+
+let walked (s : System.t) = { s with System.avail_counts = None }
+
+(* [avail_counts] turned into fail counts, [exact_poly] on the system
+   and the walk without the counts agree bit for bit, and with the
+   set-by-set scan when [scan]. *)
+let counts_agree ?(scan = true) (s : System.t) =
+  let n = s.System.n in
+  let fails poly = Array.init (n + 1) (Failure_poly.fail_count poly) in
+  let same a b = Array.for_all2 same_float a b in
+  match s.System.avail_counts with
+  | None -> false
+  | Some counts ->
+      let counted =
+        Array.mapi
+          (fun k a -> Failure_poly.binomial n k -. float_of_int a)
+          (counts ())
+      in
+      let walk = fails (Analysis.Failure.exact_poly (walked s)) in
+      same counted walk
+      && same (fails (Analysis.Failure.exact_poly s)) walk
+      && ((not scan)
+         || same walk
+              (count_fails ~n (System.avail_mask_exn s) ~lo:0 ~hi:(1 lsl n)))
+
+let check_counts ?scan (s : System.t) =
+  if not (counts_agree ?scan s) then
+    Alcotest.failf "%s: avail_counts differ from the walk or the scan"
+      s.System.name
+
+(* The set-by-set scan up to this many processes, as in the "exact"
+   group; beyond, the walk alone (which that group checks against the
+   scan), since 2^20 sets of ~750 h-grid systems take ~15 s. *)
+let scan_max = 16
+
+let check_all systems =
+  List.iter
+    (fun (s : System.t) -> check_counts ~scan:(s.System.n <= scan_max) s)
+    systems
+
+(* Voting is counted while the DP's table, (n + 1) x (total / 2 + 2),
+   fits in 2^min(n, 20) entries; the rest walk. *)
+let counts_voting =
+  QCheck.Test.make ~count:200 ~name:"avail_counts = walk = scan: voting"
+    (voting_arb ~max_n:18) (fun votes ->
+      let s = voting votes in
+      let n = Array.length votes in
+      let total = Array.fold_left ( + ) 0 votes in
+      if (n + 1) * ((total / 2) + 2) <= 1 lsl min n 20 then counts_agree s
+      else Option.is_none s.System.avail_counts && exact_matches s)
+
+(* A few huge votes would make the DP's table huge (here 4 * 5 * 10^8
+   entries): such a system has no counts and walks its live sets. *)
+let test_counts_huge_vote () =
+  List.iter
+    (fun votes ->
+      let s = Systems.Weighted_voting.system ~votes () in
+      if Option.is_some s.System.avail_counts then
+        Alcotest.failf "%s: counted despite its votes" s.System.name;
+      if not (exact_matches s) then
+        Alcotest.failf "%s: exact_poly differs from the scan" s.System.name)
+    [
+      [| 1_000_000_000; 1; 1 |];
+      Array.init 12 (fun i -> if i = 0 then 1_000_000 else 1);
+    ]
+
+(* Every [rows x cols] with at most [cells] cells. *)
+let dims ~cells =
+  List.concat_map
+    (fun r -> List.init (cells / r) (fun c -> (r, c + 1)))
+    (List.init cells (fun r -> r + 1))
+
+let test_counts_grid () =
+  check_all
+    (List.concat_map
+       (fun (rows, cols) ->
+         List.map
+           (Systems.Grid.system ~rows ~cols)
+           Systems.Grid.[ Read; Write; Read_write ])
+       (dims ~cells:20))
+
+(* Every constructor's shapes, up to 20 cells: flat, uniform
+   multi-level, non-uniform blocks, the Table 1 halving (both ways)
+   and nested 2x2 levels. *)
+let hgrid_shapes () =
+  let open Core.Hgrid in
+  let by_dims ?(single = true) f =
+    List.filter_map
+      (fun (rows, cols) ->
+        if single || rows * cols > 1 then Some (f ~rows ~cols) else None)
+      (dims ~cells:20)
+  in
+  List.sort_uniq compare
+    (by_dims flat
+    @ by_dims (fun ~rows ~cols -> auto_2x2 ~rows ~cols ())
+    @ by_dims (fun ~rows ~cols -> auto_2x2 ~ceil_first:true ~rows ~cols ())
+    @ by_dims ~single:false preferred_2x2
+    @ List.map of_dims
+        [
+          [ (2, 2); (2, 2) ];
+          [ (2, 1); (2, 2) ];
+          [ (1, 2); (3, 3) ];
+          [ (3, 1); (2, 1); (1, 3) ];
+          [ (2, 2); (1, 2); (2, 1) ];
+          [ (5, 1); (1, 4) ];
+        ]
+    @ List.map
+        (fun (row_parts, col_parts) -> of_blocks ~row_parts ~col_parts)
+        [
+          ([ 1; 2 ], [ 2; 1 ]);
+          ([ 1; 2; 2 ], [ 1; 2 ]);
+          ([ 2; 2 ], [ 1; 2; 2 ]);
+          ([ 1; 3 ], [ 2; 2 ]);
+          ([ 3; 1 ], [ 1; 1; 1 ]);
+          ([ 1; 1; 1; 2 ], [ 3 ]);
+        ])
+
+let test_counts_hgrid () =
+  check_all
+    (List.concat_map
+       (fun t ->
+         Core.
+           [
+             Hgrid.read_system t;
+             Hgrid.write_system t;
+             Hgrid.rw_system t;
+             Htgrid.system t;
+           ])
+       (hgrid_shapes ()))
+
+(* Standard triangles of 1 to 6 rows, both splits, each rule of growth
+   and of shrinking applied once where it applies (up to 22 processes:
+   the walk of the 28-process square growth of 6 rows takes 18 s), and
+   a triangle grown twice then shrunk. *)
+let htriang_rules =
+  Core.Htriang.
+    [|
+      grow_unit_triangle;
+      grow_unit_grid;
+      grow_square_grid;
+      shrink_unit_triangle;
+      shrink_unit_grid;
+      shrink_square_grid;
+    |]
+
+let test_counts_htriang () =
+  let open Core.Htriang in
+  let rules = Array.to_list htriang_rules in
+  let triangles =
+    List.concat_map
+      (fun rows ->
+        List.concat_map
+          (fun split ->
+            let t = standard ~split ~rows () in
+            t
+            :: List.filter
+                 (fun (r : t) -> r.n <= 22)
+                 (List.filter_map (fun rule -> rule t) rules))
+          [ `Floor; `Ceil ])
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let reshaped =
+    Option.bind
+      (Option.bind (grow_unit_triangle (standard ~rows:4 ())) grow_square_grid)
+      shrink_unit_grid
+  in
+  check_all
+    (List.map system (Option.to_list reshaped @ triangles))
+
+(* Triangles of 1-5 rows reshaped by a random sequence of the six
+   rules, a step being skipped where its rule does not apply or would
+   pass 20 processes. *)
+let counts_htriang_random =
+  QCheck.Test.make ~count:200
+    ~name:"avail_counts = walk = scan: reshaped h-triang"
+    QCheck.(
+      triple (int_range 1 5) bool
+        (list_of_size Gen.(int_range 1 5) (int_bound 5)))
+    (fun (rows, ceil, steps) ->
+      let split = if ceil then `Ceil else `Floor in
+      let t =
+        List.fold_left
+          (fun t step ->
+            match htriang_rules.(step) t with
+            | Some (t' : Core.Htriang.t) when t'.n <= 20 -> t'
+            | _ -> t)
+          (Core.Htriang.standard ~split ~rows ())
+          steps
+      in
+      counts_agree ~scan:(t.n <= scan_max) (Core.Htriang.system t))
+
+(* Random block hierarchies (row parts summing to at most 4, column
+   parts to at most 5) and random uniform multi-level ones (at most 20
+   processes): all four systems of each. *)
+type hgrid_spec = Blocks of int list * int list | Levels of (int * int) list
+
+let hgrid_spec_arb =
+  let open QCheck.Gen in
+  (* The longest prefix of [l] whose running [op] of [size]s, from
+     [start], stays at most [max]: never empty, since every first
+     element fits. *)
+  let fit ~max ~start ~size ~op l =
+    let rec go acc = function
+      | x :: rest when op acc (size x) <= max -> x :: go (op acc (size x)) rest
+      | _ -> []
+    in
+    go start l
+  in
+  let parts max =
+    list_size (int_range 1 4) (int_range 1 3)
+    >|= fit ~max ~start:0 ~size:Fun.id ~op:( + )
+  in
+  let levels =
+    list_size (int_range 1 3) (pair (int_range 1 3) (int_range 1 3))
+    >|= fit ~max:20 ~start:1 ~size:(fun (m, n) -> m * n) ~op:( * )
+  in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  QCheck.make
+    ~print:(function
+      | Blocks (r, c) -> Printf.sprintf "of_blocks [%s] [%s]" (ints r) (ints c)
+      | Levels d ->
+          "of_dims "
+          ^ String.concat ";"
+              (List.map (fun (m, n) -> Printf.sprintf "%dx%d" m n) d))
+    (oneof
+       [
+         map2 (fun r c -> Blocks (r, c)) (parts 4) (parts 5);
+         map (fun d -> Levels d) levels;
+       ])
+
+let counts_hgrid_random =
+  QCheck.Test.make ~count:100
+    ~name:"avail_counts = walk = scan: random h-grid shapes" hgrid_spec_arb
+    (fun spec ->
+      let t =
+        match spec with
+        | Blocks (row_parts, col_parts) ->
+            Core.Hgrid.of_blocks ~row_parts ~col_parts
+        | Levels dims -> Core.Hgrid.of_dims dims
+      in
+      List.for_all
+        (counts_agree ~scan:(t.n <= scan_max))
+        Core.
+          [
+            Hgrid.read_system t;
+            Hgrid.write_system t;
+            Hgrid.rw_system t;
+            Htgrid.system t;
+          ])
+
+(* The ledger's four scans at full size, against the walk. *)
+let test_counts_ledger () =
+  List.iter
+    (fun spec -> check_counts ~scan:false (Registry.build_exn spec))
+    [ "majority(24)"; "grid-rw(4x6)"; "htgrid(4x5)"; "htriang(21)" ]
+
+let test_rename_embed () =
+  let s = Registry.build_exn "htriang(10)" in
+  let counts (s : System.t) =
+    Option.map (fun f -> f ()) s.System.avail_counts
+  in
+  Alcotest.(check (option (array int)))
+    "rename keeps the counts" (counts s)
+    (counts (System.rename s "renamed"));
+  Alcotest.(check bool)
+    "embed drops them" true
+    (Option.is_none
+       (System.embed ~universe:12 ~place:(Array.init 10 Fun.id) s)
+         .System.avail_counts)
+
 (* --- Minimal quorums ------------------------------------------------ *)
 
 let same_list a b =
@@ -171,4 +445,21 @@ let () =
         :: List.map qc [ minimal_voting; minimal_of_quorums ] );
       ( "monotone",
         [ Alcotest.test_case "catalogue n <= 12" `Quick test_monotone ] );
+      ( "counts",
+        [
+          qc counts_voting;
+          Alcotest.test_case "huge votes walk" `Quick test_counts_huge_vote;
+          Alcotest.test_case "grid read/write/rw, <= 20 cells" `Quick
+            test_counts_grid;
+          Alcotest.test_case "h-grid and h-T-grid shapes, <= 20 cells" `Quick
+            test_counts_hgrid;
+          qc counts_hgrid_random;
+          Alcotest.test_case "h-triang 1-6 rows, grown and shrunk" `Quick
+            test_counts_htriang;
+          qc counts_htriang_random;
+          Alcotest.test_case "ledger scans at full size = walk" `Quick
+            test_counts_ledger;
+          Alcotest.test_case "rename keeps, embed drops" `Quick
+            test_rename_embed;
+        ] );
     ]
