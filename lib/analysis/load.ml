@@ -3,9 +3,10 @@ module Strategy = Quorum.Strategy
 
 type result = { load : float; strategy : Strategy.t }
 
-let optimal_of_quorums ~n quorums =
-  let quorums = Array.of_list quorums in
-  let m = Array.length quorums in
+(* The LP over [m] quorums, [mem j i] telling whether quorum [j] holds
+   process [i]; [quorum j] builds quorum [j] for the strategy, which
+   keeps only the quorums of positive weight. *)
+let optimal_by ~n ~m ~mem ~quorum =
   if m = 0 then invalid_arg "Load.optimal_of_quorums: no quorums";
   (* Variables: w_1..w_m, t.  Minimize t. *)
   let nv = m + 1 in
@@ -14,9 +15,9 @@ let optimal_of_quorums ~n quorums =
   let a_ub =
     Array.init n (fun i ->
         let row = Array.make nv 0.0 in
-        Array.iteri
-          (fun j q -> if Bitset.mem q i then row.(j) <- 1.0)
-          quorums;
+        for j = 0 to m - 1 do
+          if mem j i then row.(j) <- 1.0
+        done;
         row.(m) <- -1.0;
         row)
   in
@@ -29,7 +30,7 @@ let optimal_of_quorums ~n quorums =
   | Lp.Simplex.Optimal { objective; solution } ->
       let kept = ref [] in
       Array.iteri
-        (fun j w -> if j < m && w > 1e-12 then kept := (quorums.(j), w) :: !kept)
+        (fun j w -> if j < m && w > 1e-12 then kept := (quorum j, w) :: !kept)
         solution;
       let kept = Array.of_list !kept in
       {
@@ -41,6 +42,17 @@ let optimal_of_quorums ~n quorums =
       (* Cannot happen: w = uniform, t = 1 is always feasible and
          t >= 1/n bounds the objective. *)
       failwith "Load.optimal_of_quorums: LP solver failed"
+
+let optimal_of_quorums ~n quorums =
+  let quorums = Array.of_list quorums in
+  optimal_by ~n ~m:(Array.length quorums)
+    ~mem:(fun j i -> Bitset.mem quorums.(j) i)
+    ~quorum:(Array.get quorums)
+
+let optimal_of_masks ~n masks =
+  optimal_by ~n ~m:(Array.length masks)
+    ~mem:(fun j i -> masks.(j) land (1 lsl i) <> 0)
+    ~quorum:(fun j -> Bitset.of_mask ~n masks.(j))
 
 let optimal (s : Quorum.System.t) =
   optimal_of_quorums ~n:s.n (Quorum.System.quorums_exn s)

@@ -28,6 +28,13 @@ val try_optimal : Quorum.System.t -> (result, string) Stdlib.result
 
 val optimal_of_quorums : n:int -> Quorum.Bitset.t list -> result
 
+val optimal_of_masks : n:int -> int array -> result
+(** {!optimal_of_quorums} on the quorums given as raw masks
+    ({!Quorum.Bitset.to_mask}, [n <= 62]), bit for bit: the same LP,
+    load and strategy, with only the strategy's quorums built as
+    bitsets.  [Optimizer.sweep] keeps its candidates' quorum lists in
+    this form. *)
+
 val lower_bounds : Quorum.System.t -> float * float
 (** [(c/n, 1/c)] with [c] the smallest quorum cardinality. *)
 

@@ -261,7 +261,14 @@ let thresh_read_r cand =
       | _ -> None)
   | _ -> None
 
-let evaluate ?(trials = 50_000) ?(seed = 47) ~workload cand =
+(* [Load.try_optimal] on a quorum list already enumerated, as masks. *)
+let lp_load ~n masks =
+  try Ok (Load.optimal_of_masks ~n masks)
+  with Invalid_argument msg | Failure msg -> Error msg
+
+(* [evaluate], with [load_lp] in place of [Load.try_optimal] for a
+   symmetric candidate that is not a threshold pair. *)
+let evaluate_with ~load_lp ~trials ~seed ~workload cand =
   match Registry.build cand.read_spec with
   | Error _ as e -> e
   | Ok rs -> (
@@ -297,7 +304,7 @@ let evaluate ?(trials = 50_000) ?(seed = 47) ~workload cand =
                           None )
                     | None -> (
                         if symmetric then
-                          match Load.try_optimal rs with
+                          match load_lp rs with
                           | Ok { Load.load; strategy } ->
                               ( load,
                                 Strategy.average_quorum_size strategy,
@@ -375,6 +382,31 @@ let evaluate ?(trials = 50_000) ?(seed = 47) ~workload cand =
                       witness )
                 with Invalid_argument msg | Failure msg -> Error msg)))
 
+let evaluate ?(trials = 50_000) ?(seed = 47) ~workload cand =
+  evaluate_with ~load_lp:Load.try_optimal ~trials ~seed ~workload cand
+
+(* The universe size and ordered quorum list of a candidate whose load
+   is the plain LP: symmetric, not a threshold pair, and enumerable
+   over at most 62 processes.  The list is kept as one mask per quorum,
+   equal exactly when the lists are, so that a sweep can hold every
+   candidate's list at once: majority(15)'s 6,435 quorums take 6,435
+   words instead of about 51,000.  [None] leaves the candidate to its
+   own [Load.try_optimal]. *)
+let lp_key cand =
+  if cand.read_spec <> cand.write_spec || thresh_read_r cand <> None then None
+  else
+    match Registry.build cand.read_spec with
+    | Ok s when s.System.n <= Bitset.bits_per_word -> (
+        let n = s.System.n in
+        match System.quorums s with
+        | Ok quorums when List.for_all (fun q -> Bitset.capacity q = n) quorums
+          ->
+            let masks = Array.make (List.length quorums) 0 in
+            List.iteri (fun j q -> masks.(j) <- Bitset.to_mask q) quorums;
+            Some (n, masks)
+        | Ok _ | Error _ -> None)
+    | Ok _ | Error _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* The sweep                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -390,20 +422,53 @@ let sweep ?pool ?(trials = 50_000) ?(seed = 47) ?candidates:cand_list ~workload
       if cand_list = [] then Error "Optimizer.sweep: no candidates"
       else begin
         let arr = Array.of_list cand_list in
-        (* One chunk per candidate; each chunk derives its own seed from
-           the candidate index and builds its systems fresh, so pooled
-           runs are bit-identical for any domain count.  Chunk bodies
-           never touch [pool] (nested submission is rejected). *)
+        (* Three batches of chunks, each chunk writing only its own
+           slot, so pooled runs are bit-identical for any domain count.
+           Chunk bodies never touch [pool] (nested submission is
+           rejected). *)
+        let batch chunks f =
+          match pool with
+          | Some pool -> Exec.Pool.map_chunks pool ~chunks f
+          | None -> Array.init chunks f
+        in
+        (* Candidates with equal LPs share one solve: the LP is a
+           function of the universe size and the ordered quorum list
+           (Bland's rule takes the lowest column), not of the workload.
+           Groups are numbered in candidate order. *)
+        let keys = batch (Array.length arr) (fun i -> lp_key arr.(i)) in
+        let groups = Hashtbl.create 16 and reps = ref [] in
+        let group_of =
+          Array.map
+            (Option.map (fun key ->
+                 match Hashtbl.find_opt groups key with
+                 | Some g -> g
+                 | None ->
+                     let g = Hashtbl.length groups in
+                     Hashtbl.add groups key g;
+                     reps := key :: !reps;
+                     g))
+            keys
+        in
+        let reps = Array.of_list (List.rev !reps) in
+        let loads =
+          batch (Array.length reps) (fun g ->
+              let n, masks = reps.(g) in
+              lp_load ~n masks)
+        in
+        (* One chunk per candidate; each derives its own seed from its
+           index and builds its systems fresh, reading its group's LP
+           result. *)
         let eval i =
           let c = arr.(i) in
-          (c, evaluate ~trials ~seed:(seed + (997 * i)) ~workload c)
+          let load_lp rs =
+            match group_of.(i) with
+            | Some g -> loads.(g)
+            | None -> Load.try_optimal rs
+          in
+          let seed = seed + (997 * i) in
+          (c, evaluate_with ~load_lp ~trials ~seed ~workload c)
         in
-        let results =
-          match pool with
-          | Some pool ->
-              Exec.Pool.map_chunks pool ~chunks:(Array.length arr) eval
-          | None -> Array.init (Array.length arr) eval
-        in
+        let results = batch (Array.length arr) eval in
         let errors = ref [] and unresilient = ref [] and ok = ref [] in
         Array.iter
           (fun ((c : candidate), res) ->

@@ -22,11 +22,29 @@
     crash set that breaks its resilience target, or the error that
     stopped its evaluation.
 
-    {b Determinism.}  The sweep shards one chunk per candidate on an
-    {!Exec.Pool}; every candidate derives its RNG seed from the sweep
-    seed and its own index, builds its systems fresh inside its chunk
-    (no shared lazies), and never touches the pool from inside a chunk
-    — so the report is bit-identical for any [--jobs]. *)
+    {b Shared load LPs.}  A symmetric candidate's load LP depends on
+    its universe size and ordered quorum list only (Bland's rule takes
+    the lowest column), not on the workload.  So before it evaluates
+    anything, the sweep groups those candidates by [(n, quorum list)],
+    compared structurally (a matching quorum count is not enough), and
+    solves the LP once per group ({!Load.optimal_of_masks}: the lists
+    are held as one mask per quorum, so candidates over more than 62
+    processes solve their own).  Each member is then evaluated as
+    {!evaluate} evaluates it alone, with its group's result in place of
+    its own {!Load.try_optimal}: a group whose LP fails hands every
+    member the same [Error], and each falls back to its empirical
+    strategy as it would alone.  Threshold pairs keep their closed
+    form, and mixed read/write LPs, which depend on the read fraction,
+    are not shared.  Nothing is kept between sweeps.
+
+    {b Determinism.}  The sweep runs three batches on an {!Exec.Pool}:
+    one chunk per candidate to enumerate its quorum list, one per
+    group to solve its LP, and one per candidate to evaluate it.  Every
+    candidate derives its RNG seed from the sweep seed and its own
+    index and builds its systems fresh inside its chunk (no shared
+    lazies); LP results are shared read-only within a group; and no
+    chunk touches the pool — so the report is bit-identical for any
+    [--jobs], and to the candidates evaluated one by one. *)
 
 type source =
   | Lp  (** LP-optimal strategy (plain or mixed read/write) *)
@@ -119,8 +137,10 @@ val sweep :
   unit ->
   (report, string) result
 (** Run the full sweep (defaults: [trials = 50_000], [seed = 47], the
-    {!candidates} of [n]).  With [~pool], one chunk per candidate;
-    the report is bit-identical for any pool size.  [Error] only when
+    {!candidates} of [n]).  Candidate [i] gets what
+    [evaluate ~trials ~seed:(seed + 997 * i)] gives it alone.  With
+    [~pool], the three batches above run as pool chunks; the report is
+    bit-identical for any pool size.  [Error] only when
     the workload itself does not validate at [n] or the candidate set
     is empty — per-candidate failures are collected in
     [report.errors]. *)

@@ -7,17 +7,26 @@ type outcome =
    [rows.(r) . x_all = rhs.(r)] over the extended variable vector
    (structural variables, then slacks, then artificials), plus a basis
    map [basis.(r)] giving the variable currently basic in row [r].
-   Pivoting keeps rhs >= 0 (primal feasibility).  [runs] is the pivot's
-   scratch, one per tableau, so solves on several domains share
-   nothing: the pivot row's nonzero columns as runs of consecutive
-   columns, run [i] from [runs.(2i)] up to, not including,
-   [runs.(2i+1)]. *)
+   Pivoting keeps rhs >= 0 (primal feasibility).  The last row,
+   [rows.(m)] with [m = Array.length basis], is the objective row:
+   [rows.(m).(j)] is the reduced cost of column [j] and [rhs.(m)] minus
+   the objective value; it is pivoted like the others but never leaves
+   or enters the basis.
+
+   [runs], [targets] and [factors] are the pivot's scratch, one set per
+   tableau, so solves on several domains share nothing and a pivot
+   allocates nothing: the pivot row's nonzero columns as runs of
+   consecutive columns, run [i] from [runs.(2i)] up to, not including,
+   [runs.(2i+1)]; and the rows that the pivot eliminates with their
+   factors. *)
 type tableau = {
   rows : float array array;
   rhs : float array;
   basis : int array;
   ncols : int;
   runs : int array;
+  targets : float array array;
+  factors : float array;
 }
 
 (* [row] -= [f] * [prow] over the runs [0 .. count-1] of [prow]'s
@@ -31,12 +40,43 @@ let eliminate runs count prow row f =
     done
   done
 
-(* Pivot on [(row, col)]; returns the number of runs of nonzero columns
-   of the new pivot row, left in [t.runs].  Only those columns change
-   in the other rows: [x -. f *. 0.0] is [x] up to the sign of a zero,
-   and a zero's sign never reaches a comparison, a divisor or a
-   result.  Runs rather than single columns keep a dense pivot row as
-   cheap as a plain loop. *)
+(* [eliminate] on [targets.(k)] with [factors.(k)] for every [k < nt],
+   four rows per pass over the runs, which loads each pivot-row entry
+   once for the four; the last [nt mod 4] rows go one at a time.  Each
+   entry still computes [x -. f *. p] once, so the rows come out as
+   one-row passes leave them, bit for bit. *)
+let eliminate_rows runs count prow targets factors nt =
+  let k = ref 0 in
+  while !k + 4 <= nt do
+    let k0 = !k in
+    let r0 = Array.unsafe_get targets k0
+    and r1 = Array.unsafe_get targets (k0 + 1)
+    and r2 = Array.unsafe_get targets (k0 + 2)
+    and r3 = Array.unsafe_get targets (k0 + 3) in
+    let f0 = Array.unsafe_get factors k0
+    and f1 = Array.unsafe_get factors (k0 + 1)
+    and f2 = Array.unsafe_get factors (k0 + 2)
+    and f3 = Array.unsafe_get factors (k0 + 3) in
+    for i = 0 to count - 1 do
+      for j = runs.(2 * i) to runs.((2 * i) + 1) - 1 do
+        let p = Array.unsafe_get prow j in
+        Array.unsafe_set r0 j (Array.unsafe_get r0 j -. (f0 *. p));
+        Array.unsafe_set r1 j (Array.unsafe_get r1 j -. (f1 *. p));
+        Array.unsafe_set r2 j (Array.unsafe_get r2 j -. (f2 *. p));
+        Array.unsafe_set r3 j (Array.unsafe_get r3 j -. (f3 *. p))
+      done
+    done;
+    k := k0 + 4
+  done;
+  for k = !k to nt - 1 do
+    eliminate runs count prow targets.(k) factors.(k)
+  done
+
+(* Pivot on [(row, col)], the objective row included.  Only the pivot
+   row's nonzero columns change in the other rows: [x -. f *. 0.0] is
+   [x] up to the sign of a zero, and a zero's sign never reaches a
+   comparison, a divisor or a result.  Runs rather than single columns
+   keep a dense pivot row as cheap as a plain loop. *)
 let pivot t ~row ~col =
   let prow = t.rows.(row) in
   let d = prow.(col) in
@@ -61,27 +101,28 @@ let pivot t ~row ~col =
     runs.((2 * !count) + 1) <- t.ncols;
     incr count
   end;
-  let count = !count in
   t.rhs.(row) <- t.rhs.(row) /. d;
+  let nt = ref 0 in
   for r = 0 to Array.length t.rows - 1 do
     if r <> row then begin
       let other = t.rows.(r) in
       let f = other.(col) in
       if f <> 0.0 then begin
-        eliminate runs count prow other f;
+        t.targets.(!nt) <- other;
+        t.factors.(!nt) <- f;
+        incr nt;
         t.rhs.(r) <- t.rhs.(r) -. (f *. t.rhs.(row))
       end
     end
   done;
-  t.basis.(row) <- col;
-  count
+  eliminate_rows runs !count prow t.targets t.factors !nt;
+  t.basis.(row) <- col
 
-(* The objective row is kept explicitly and updated by pivoting:
-   [cost.(j)] is the reduced cost of column [j], [cost_rhs] minus the
-   objective value.  Columns from [enter_below] on (the artificials in
-   phase 2) never enter. *)
-let run_phase ?(eps = 1e-9) t cost cost_rhs ~enter_below =
-  let m = Array.length t.rows in
+(* Columns from [enter_below] on (the artificials in phase 2) never
+   enter. *)
+let run_phase ?(eps = 1e-9) t ~enter_below =
+  let m = Array.length t.basis in
+  let cost = t.rows.(m) in
   let rec iterate guard =
     if guard = 0 then failwith "Simplex: iteration limit exceeded";
     (* Bland's rule: entering variable = smallest index with negative
@@ -113,14 +154,7 @@ let run_phase ?(eps = 1e-9) t cost cost_rhs ~enter_below =
       done;
       if !leaving < 0 then `Unbounded
       else begin
-        let row = !leaving in
-        let count = pivot t ~row ~col in
-        (* Update the objective row at the pivot row's nonzeros. *)
-        let f = cost.(col) in
-        if f <> 0.0 then begin
-          eliminate t.runs count t.rows.(row) cost f;
-          cost_rhs := !cost_rhs -. (f *. t.rhs.(row))
-        end;
+        pivot t ~row:!leaving ~col;
         iterate (guard - 1)
       end
     end
@@ -144,8 +178,8 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
      per row; unused ones get a zero column). *)
   let nslack = n_ub in
   let ncols = nvars + nslack + m in
-  let rows = Array.make_matrix m ncols 0.0 in
-  let rhs = Array.make m 0.0 in
+  let rows = Array.make_matrix (m + 1) ncols 0.0 in
+  let rhs = Array.make (m + 1) 0.0 in
   let basis = Array.make m (-1) in
   let art_needed = Array.make m false in
   for r = 0 to n_ub - 1 do
@@ -181,35 +215,46 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
       basis.(r) <- nvars + nslack + r
     end
   done;
-  (* At most ncols / 2 + 1 runs. *)
-  let t = { rows; rhs; basis; ncols; runs = Array.make (ncols + 2) 0 } in
+  (* At most ncols / 2 + 1 runs, and at most m rows besides the pivot
+     row. *)
+  let t =
+    {
+      rows;
+      rhs;
+      basis;
+      ncols;
+      runs = Array.make (ncols + 2) 0;
+      targets = Array.make m [||];
+      factors = Array.make m 0.0;
+    }
+  in
   let is_artificial j = j >= nvars + nslack in
   (* Phase 1: minimize the sum of artificials.  Build its reduced-cost
      row by subtracting each artificial-basic row. *)
-  let cost1 = Array.make ncols 0.0 in
-  let cost1_rhs = ref 0.0 in
+  let cost = rows.(m) in
   for j = nvars + nslack to ncols - 1 do
-    cost1.(j) <- 1.0
+    cost.(j) <- 1.0
   done;
   for r = 0 to m - 1 do
     if art_needed.(r) then begin
       for j = 0 to ncols - 1 do
-        cost1.(j) <- cost1.(j) -. rows.(r).(j)
+        cost.(j) <- cost.(j) -. rows.(r).(j)
       done;
-      cost1_rhs := !cost1_rhs -. rhs.(r)
+      rhs.(m) <- rhs.(m) -. rhs.(r)
     end
   done;
   let phase1_feasible =
     if Array.exists (fun b -> b) art_needed then begin
-      match run_phase ~eps t cost1 cost1_rhs ~enter_below:ncols with
+      match run_phase ~eps t ~enter_below:ncols with
       | `Unbounded -> false (* cannot happen: phase-1 objective >= 0 *)
       | `Optimal ->
           (* Feasible iff the artificial sum reached zero. *)
-          let value = -. !cost1_rhs in
+          let value = -.rhs.(m) in
           if value > 1e-7 then false
           else begin
             (* Drive any artificial still basic (at zero) out of the
-               basis where possible. *)
+               basis where possible.  These pivots also update the
+               phase-1 objective row, which phase 2 overwrites. *)
             for r = 0 to m - 1 do
               if is_artificial t.basis.(r) then begin
                 let rec find j =
@@ -218,7 +263,7 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
                   else find (j + 1)
                 in
                 match find 0 with
-                | Some col -> ignore (pivot t ~row:r ~col : int)
+                | Some col -> pivot t ~row:r ~col
                 | None -> () (* redundant row; harmless *)
               end
             done;
@@ -229,25 +274,24 @@ let solve ?(eps = 1e-9) ~c ?(a_ub = [||]) ?(b_ub = [||]) ?(a_eq = [||])
   in
   if not phase1_feasible then Infeasible
   else begin
-    (* Phase 2: objective row for c, reduced against the basis; it
-       reuses phase 1's row. *)
-    let cost2 = cost1 in
-    Array.fill cost2 0 ncols 0.0;
-    let cost2_rhs = ref 0.0 in
-    Array.blit c 0 cost2 0 nvars;
+    (* Phase 2: objective row for c, reduced against the basis, in
+       place of phase 1's. *)
+    Array.fill cost 0 ncols 0.0;
+    rhs.(m) <- 0.0;
+    Array.blit c 0 cost 0 nvars;
     for r = 0 to m - 1 do
       let b = t.basis.(r) in
       if b >= 0 && b < ncols then begin
-        let f = cost2.(b) in
+        let f = cost.(b) in
         if f <> 0.0 then begin
           for j = 0 to ncols - 1 do
-            cost2.(j) <- cost2.(j) -. (f *. t.rows.(r).(j))
+            cost.(j) <- cost.(j) -. (f *. t.rows.(r).(j))
           done;
-          cost2_rhs := !cost2_rhs -. (f *. t.rhs.(r))
+          rhs.(m) <- rhs.(m) -. (f *. t.rhs.(r))
         end
       end
     done;
-    match run_phase ~eps t cost2 cost2_rhs ~enter_below:(nvars + nslack) with
+    match run_phase ~eps t ~enter_below:(nvars + nslack) with
     | `Unbounded -> Unbounded
     | `Optimal ->
         let solution = Array.make nvars 0.0 in

@@ -10,14 +10,19 @@
     anti-cycling rule, explicit infeasible / unbounded outcomes, and a
     certified basic solution.
 
-    A pivot collects the pivot row's nonzero columns once and updates
-    the other rows and the objective row at those columns only; load
-    LP pivot rows are about 40 % zeros.  This is exact: [x -. f *. 0.0]
+    A pivot collects the pivot row's nonzero columns once, as runs of
+    consecutive columns, and the other rows with a nonzero pivot-column
+    entry, the objective row among them; it then eliminates those rows
+    in groups of four, one pass over the runs per group, so each
+    pivot-row entry is loaded once per group (the last one to three
+    rows go singly).  Load LP pivot rows are about 40 % zeros.  This is
+    exact: every entry still computes [x -. f *. p] once, [x -. f *. 0.0]
     is [x] up to the sign of a zero, and a zero's sign never reaches a
     comparison, a divisor or a result, so the pivot sequence, the
-    objective and the solution are the ones a dense pivot gives, bit
-    for bit.  The index scratch belongs to each solve's tableau, so
-    solves on several domains share nothing. *)
+    objective and the solution are the ones a dense one-row-at-a-time
+    pivot gives, bit for bit.  The scratch belongs to each solve's
+    tableau, so solves on several domains share nothing and a pivot
+    allocates nothing. *)
 
 type outcome =
   | Optimal of { objective : float; solution : float array }

@@ -434,6 +434,53 @@ let random_lps_alike =
     QCheck.(pair (int_bound 1_000_000) (int_bound 3))
     (fun (seed, style) -> solves_alike (random_lp seed style))
 
+(* A random LP with 8-24 constraint rows in [random_lp]'s entry styles,
+   with its repeated rows and zero entries: a pivot eliminates the
+   rows with a nonzero pivot-column entry, the objective row among
+   them, four at a time, so here two or more full groups of four run,
+   and so does every tail of 0-3 rows left after them. *)
+let random_tall_lp seed style =
+  let rng = Quorum.Rng.create seed in
+  let int lo hi = lo + Quorum.Rng.int rng (hi - lo + 1) in
+  let entry () =
+    if Quorum.Rng.float rng < 0.4 then 0.0
+    else
+      match style with
+      | 0 -> 1.0
+      | 1 -> float_of_int (int (-3) 3)
+      | 2 -> float_of_int (int (-16) 16) /. 8.0
+      | _ -> (4.0 *. Quorum.Rng.float rng) -. 2.0
+  in
+  let nvars = int 1 12 in
+  let rows k =
+    let rows = Array.make k [||] in
+    for r = 0 to k - 1 do
+      rows.(r) <-
+        (if r > 0 && Quorum.Rng.float rng < 0.2 then Array.copy rows.(r - 1)
+         else Array.init nvars (fun _ -> entry ()))
+    done;
+    rows
+  in
+  let rhs k =
+    Array.init k (fun _ ->
+        if Quorum.Rng.float rng < 0.2 then 0.0 else entry () *. 3.0)
+  in
+  let m = int 8 24 in
+  let n_eq = int 0 3 in
+  let n_ub = m - n_eq in
+  {
+    c = Array.init nvars (fun _ -> entry ());
+    a_ub = rows n_ub;
+    b_ub = rhs n_ub;
+    a_eq = rows n_eq;
+    b_eq = rhs n_eq;
+  }
+
+let random_tall_lps_alike =
+  QCheck.Test.make ~name:"random LPs of 8-24 rows = dense simplex" ~count:1000
+    QCheck.(pair (int_bound 1_000_000) (int_bound 3))
+    (fun (seed, style) -> solves_alike (random_tall_lp seed style))
+
 (* The random LPs above reach all three outcomes. *)
 let test_random_outcomes () =
   let seen = Array.make 3 false in
@@ -544,5 +591,6 @@ let () =
             test_random_outcomes;
           Alcotest.test_case "n = 15 load LPs" `Quick test_load_lps;
           Alcotest.test_case "n = 15 mixed LPs" `Quick test_mixed_lps;
+          QCheck_alcotest.to_alcotest random_tall_lps_alike;
         ] );
     ]

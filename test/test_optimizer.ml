@@ -1,8 +1,9 @@
 (* Workload optimizer suite: the unified Analysis.Workload record, the
    programmatic Registry instantiation catalogue, the thresh family,
    the mixed read/write load LP, Pareto frontier soundness and
-   completeness (qcheck against brute force), and bit-identical pooled
-   sweeps for jobs 1, 2 and 4. *)
+   completeness (qcheck against brute force), bit-identical pooled
+   sweeps for jobs 1, 2 and 4, and sweeps that share load LPs equal to
+   their candidates evaluated alone. *)
 
 module W = Analysis.Workload
 module O = Analysis.Optimizer
@@ -286,6 +287,72 @@ let test_sweep_jobs_deterministic () =
             (O.render reference) (O.render r)))
     [ 1; 2; 4 ]
 
+(* --- Shared LPs: a sweep equals its candidates evaluated alone ------- *)
+
+(* A sweep solves each distinct load LP once and hands the result to
+   every candidate with that LP.  Every point, witness and error must
+   be the one [evaluate] gives the candidate alone, with the seed the
+   sweep derives for it.  At n = 9 and 12, candidates with different
+   quorum lists have equal quorum counts (majority(12) and
+   majority-plain(12), hqs(3-3) and grid-rw(3x3)); the ring topology
+   makes rtt read the shared strategies. *)
+let test_sweep_equals_alone () =
+  let seed = 47 and trials = 2_000 in
+  List.iter
+    (fun (n, fr) ->
+      let w =
+        ok_exn
+          (W.make
+             ~latency:(W.Topology (Sim.Topology.ring ~n ~radius:1.0))
+             ~read_fraction:fr ())
+      in
+      let cands = O.candidates ~n in
+      let alone =
+        List.mapi
+          (fun i (c : O.candidate) ->
+            let seed = seed + (997 * i) in
+            (c.O.label, O.evaluate ~trials ~seed ~workload:w c))
+          cands
+      in
+      let points =
+        List.filter_map
+          (function _, Ok (p, None) -> Some p | _ -> None)
+          alone
+      in
+      let unresilient =
+        List.filter_map
+          (function
+            | _, Ok (p, Some crash) ->
+                Some
+                  ( p,
+                    Printf.sprintf "not %d-resilient: fails crash set %s"
+                      w.W.resilience crash )
+            | _ -> None)
+          alone
+      in
+      let errors =
+        List.filter_map (function l, Error e -> Some (l, e) | _ -> None) alone
+      in
+      let by_label =
+        List.sort (fun (a : O.point) b -> compare a.O.label b.O.label)
+      in
+      let run pool =
+        let r = ok_exn (O.sweep ?pool ~trials ~seed ~workload:w ~n ()) in
+        let what =
+          Printf.sprintf "n=%d fr=%g jobs=%s" n fr
+            (match pool with
+            | None -> "seq"
+            | Some p -> string_of_int (Exec.Pool.jobs p))
+        in
+        let swept = r.O.frontier @ List.map fst r.O.dominated in
+        check (what ^ ": points") true (by_label swept = by_label points);
+        check (what ^ ": witnesses") true (r.O.unresilient = unresilient);
+        check (what ^ ": errors") true (r.O.errors = errors)
+      in
+      run None;
+      Exec.Pool.with_pool ~name:"test" ~jobs:2 (fun pool -> run (Some pool)))
+    [ (9, 0.5); (9, 0.9); (12, 0.5); (12, 0.9); (15, 0.5); (15, 0.9) ]
+
 (* --- Protocols: a workload's read fraction drives the store mix ------ *)
 
 let test_store_mix_follows_read_fraction () =
@@ -345,6 +412,8 @@ let () =
             test_frontier_matches_brute_force_fixture;
           Alcotest.test_case "jobs 1/2/4 bit-identical" `Quick
             test_sweep_jobs_deterministic;
+          Alcotest.test_case "sweep = candidates evaluated alone" `Quick
+            test_sweep_equals_alone;
         ] );
       ( "protocols",
         [
