@@ -197,11 +197,16 @@ let fp_cmd =
                 let exact = system.Quorum.System.n <= 26 in
                 Printf.printf "%s (%s)\n" system.Quorum.System.name
                   (if exact then "exact enumeration" else "Monte Carlo");
+                (* One exact polynomial serves every p. *)
+                let poly = lazy (Analysis.Failure.exact_poly ?pool system) in
                 List.iter
                   (fun p ->
                     let fp =
-                      Analysis.Failure.failure_probability ?pool
-                        ~mc_trials:trials system ~p
+                      if exact then
+                        Quorum.Failure_poly.eval (Lazy.force poly) ~p
+                      else
+                        Analysis.Failure.failure_probability ?pool
+                          ~mc_trials:trials system ~p
                     in
                     Printf.printf "  F(%.3f) = %.6f\n" p fp)
                   ps))

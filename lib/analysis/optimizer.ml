@@ -390,12 +390,16 @@ let evaluate ?(trials = 50_000) ?(seed = 47) ~workload cand =
    over at most 62 processes.  The list is kept as one mask per quorum,
    equal exactly when the lists are, so that a sweep can hold every
    candidate's list at once: majority(15)'s 6,435 quorums take 6,435
-   words instead of about 51,000.  [None] leaves the candidate to its
-   own [Load.try_optimal]. *)
+   words instead of about 51,000.  A system that lists its masks
+   directly ([min_masks]: weighted voting) builds no bitset list at
+   all.  [None] leaves the candidate to its own [Load.try_optimal]. *)
 let lp_key cand =
   if cand.read_spec <> cand.write_spec || thresh_read_r cand <> None then None
   else
     match Registry.build cand.read_spec with
+    | Ok { System.n; min_masks = Some masks; _ } when n <= Bitset.bits_per_word
+      ->
+        Some (n, masks ())
     | Ok s when s.System.n <= Bitset.bits_per_word -> (
         let n = s.System.n in
         match System.quorums s with

@@ -9,16 +9,24 @@
     (Proposition 3.1) and the minimal-quorum enumeration share. *)
 
 val all_intersect : Bitset.t list -> bool
-(** Pairwise intersection property over the list. *)
+(** Pairwise intersection property over the list.  Quadratic; over
+    one universe of at most 62 processes it compares masks. *)
 
 val is_antichain : Bitset.t list -> bool
-(** No quorum strictly contains another (and no duplicates). *)
+(** No quorum strictly contains another (and no duplicates).
+    Quadratic; over one universe of at most 62 processes it compares
+    masks. *)
 
 val is_coterie : Bitset.t list -> bool
 (** [all_intersect && is_antichain] and non-empty. *)
 
 val minimize : Bitset.t list -> Bitset.t list
-(** Drop dominated quorums and duplicates, keeping first occurrences. *)
+(** Drop dominated quorums and duplicates, keeping first occurrences:
+    the result is the minimal quorums in input order, the very values
+    given.  Callers build load LPs on the list, whose column order
+    Bland's rule depends on, so the order is part of the contract.
+    Quadratic in the list's length; over one universe of at most 62
+    processes it compares [Bitset.to_mask] values. *)
 
 val dominates : Bitset.t list -> Bitset.t list -> bool
 (** [dominates c d]: coterie [c] dominates [d] (Garcia-Molina &

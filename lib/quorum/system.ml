@@ -5,6 +5,7 @@ type t = {
   avail_mask : (int -> bool) option;
   avail_counts : (unit -> int array) option;
   min_quorums : Bitset.t list Lazy.t option;
+  min_masks : (unit -> int array) option;
   select : Rng.t -> live:Bitset.t -> Bitset.t option;
 }
 
@@ -22,13 +23,14 @@ let default_select min_quorums name rng ~live =
       | [] -> None
       | _ -> Some (Bitset.copy (Rng.pick rng (Array.of_list candidates))))
 
-let make ~name ~n ~avail ?avail_mask ?avail_counts ?min_quorums ?select () =
+let make ~name ~n ~avail ?avail_mask ?avail_counts ?min_quorums ?min_masks
+    ?select () =
   let select =
     match select with
     | Some f -> f
     | None -> default_select min_quorums name
   in
-  { name; n; avail; avail_mask; avail_counts; min_quorums; select }
+  { name; n; avail; avail_mask; avail_counts; min_quorums; min_masks; select }
 
 (* Drop quorums that contain another quorum, yielding a coterie. *)
 let minimize quorums =
@@ -106,8 +108,9 @@ let rename t name = { t with name }
    array: logical element [l] of [base] lives at physical process
    [place.(l)].  Everything — availability, selection, the quorum list —
    is the base system's behaviour translated through [place]; processes
-   outside the image are permanent spares.  The availability counts are
-   dropped, so an exact scan of an embedded system walks its masks. *)
+   outside the image are permanent spares.  The availability counts and
+   the quorum masks are dropped, so an exact scan of an embedded system
+   walks its masks. *)
 let embed ?name ~universe ~place base =
   let k = Array.length place in
   if k <> base.n then invalid_arg "System.embed: placement size mismatch";

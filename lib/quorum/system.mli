@@ -37,14 +37,35 @@ type t = {
           the counts a scan of every live set through [avail_mask]
           gives, integer for integer; [test_scan] checks this against
           the monotone walk and the set-by-set scan for every family
-          that provides them (weighted voting and majority, grid,
-          h-grid, h-T-grid, h-triang).  [Failure.exact_poly] uses them
+          that provides them: weighted voting and majority, grid,
+          h-grid, h-T-grid, h-triang, HQS, the tree protocol, walls
+          (CWlog, triangle, diamond and the flat T-grid among them),
+          thresholds and the singleton.  Of the catalogue, Y, Paths
+          and FPP have none: their availability is not built from
+          parts that share no process.  [Failure.exact_poly] uses them
           instead of walking the 2^n live sets, and only it calls them
           ([n <= 30]), so a family attaches them only where they cost
           less than the walk (weighted voting leaves them off for huge
           votes).  {!rename} keeps them; {!embed} drops them. *)
   min_quorums : Bitset.t list Lazy.t option;
-      (** Minimal quorums (the coterie), when enumerable. *)
+      (** Minimal quorums (the coterie), when enumerable.  Their order
+          is part of the contract: the load LP takes one column per
+          quorum in list order and Bland's rule picks the lowest
+          column, so a reordered list can change an optimal strategy
+          (and, at equal optimal load, its quorum sizes and RTT) even
+          where the load stays.  A change to how a family lists its
+          quorums must keep the order; weighted voting's and the
+          families built on [Coterie.minimal_of_avail] list them in
+          ascending mask order. *)
+  min_masks : (unit -> int array) option;
+      (** The same minimal quorums as raw masks ([n <= 62]), in the
+          same order, for a construction that lists them without
+          building a bitset per quorum (weighted voting and majority
+          up to 22 processes).  [Optimizer.sweep] keys its shared load
+          LPs on them: majority(15)'s 6,435 quorums then take one
+          array instead of 51,480 words of bitsets and list cells.
+          Each call returns a fresh array; it never raises.  {!rename}
+          keeps them; {!embed} drops them. *)
   select : Rng.t -> live:Bitset.t -> Bitset.t option;
       (** Pick a quorum of live processes, or [None] if unavailable.
           Implements the construction's load-balancing strategy.  The
@@ -65,6 +86,7 @@ val make :
   ?avail_mask:(int -> bool) ->
   ?avail_counts:(unit -> int array) ->
   ?min_quorums:Bitset.t list Lazy.t ->
+  ?min_masks:(unit -> int array) ->
   ?select:(Rng.t -> live:Bitset.t -> Bitset.t option) ->
   unit ->
   t
@@ -114,9 +136,9 @@ val embed : ?name:string -> universe:int -> place:int array -> t -> t
     quorums are the base system's behaviour translated through the
     placement — this is the placement machinery behind
     {!Protocols.Membership} and {!Protocols.Shard_router}.  The
-    base's availability counts are dropped: an exact scan of the
-    embedded system walks its live sets.  The default name is
-    ["<base>/<universe>"].  Raises [Invalid_argument] on a malformed
+    base's availability counts and quorum masks are dropped: an exact
+    scan of the embedded system walks its live sets.  The default name
+    is ["<base>/<universe>"].  Raises [Invalid_argument] on a malformed
     placement. *)
 
 val shrink_select :

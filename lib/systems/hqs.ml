@@ -64,6 +64,35 @@ let rec select_range branching rng live offset =
       in
       gather 0 0 []
 
+(* Exact availability counts: [failure_probability_hetero]'s
+   recursion over count polynomials.  A node's children share no
+   process and have one shape per level, so with (T, A) a child's
+   total and available counts, [at_least]'s DP over the children runs
+   on polynomials: dist.(k) counts the live sets of the children seen
+   so far with exactly [k] of them available, each child moving a set
+   up with A or keeping it with T - A.  A leaf is (1 + x, x).  A change
+   to the float recursion changes this too. *)
+let avail_counts ~branching =
+  let open Quorum.Int_poly in
+  let node b (total, avail) =
+    let dead = sub total avail in
+    let dist = Array.make (b + 1) [||] in
+    dist.(0) <- one;
+    for i = 0 to b - 1 do
+      for k = i + 1 downto 1 do
+        dist.(k) <- add (mul dist.(k) dead) (mul dist.(k - 1) avail)
+      done;
+      dist.(0) <- mul dist.(0) dead
+    done;
+    let at_least = ref [||] in
+    for k = majority b to b do
+      at_least := add !at_least dist.(k)
+    done;
+    (pow total b, !at_least)
+  in
+  let _, avail = List.fold_right node branching (binomial 1, monomial 1) in
+  coeffs ~n:(universe_size branching) avail
+
 let system ?name ~branching () =
   check branching;
   let n = universe_size branching in
@@ -86,7 +115,9 @@ let system ?name ~branching () =
   let select rng ~live =
     Option.map (Bitset.of_list n) (select_range branching rng live 0)
   in
-  System.make ~name ~n ~avail ?avail_mask ~min_quorums ~select ()
+  System.make ~name ~n ~avail ?avail_mask
+    ~avail_counts:(fun () -> avail_counts ~branching)
+    ~min_quorums ~select ()
 
 let failure_probability_hetero ~branching ~p_of =
   check branching;

@@ -11,7 +11,10 @@
 
 val system : ?name:string -> branching:int list -> unit -> Quorum.System.t
 (** [system ~branching:\[b1; ...; bk\] ()] over [n = b1 * ... * bk]
-    leaves.  All [b_i >= 1]. *)
+    leaves.  All [b_i >= 1].  Its exact availability counts restate
+    {!failure_probability_hetero}'s at-least-a-majority-of-children
+    recursion over count polynomials: a change to one changes the
+    other. *)
 
 val quorum_size : branching:int list -> int
 

@@ -5,4 +5,5 @@
 
 val make : int -> Quorum.System.t
 (** [make n] has the single quorum [{0}] over a universe of [n]
-    processes. *)
+    processes.  Its exact availability counts are x (1+x)^(n-1): the
+    live sets that hold process 0. *)

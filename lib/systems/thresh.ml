@@ -38,6 +38,12 @@ let select ~r rng ~live =
     Some q
   end
 
+(* Exact availability counts: the binomial tail that
+   [failure_probability_hetero] sums, all C(n, k) live sets of k >= r
+   processes. *)
+let avail_counts ~n ~r =
+  Array.mapi (fun k c -> if k >= r then c else 0) (Quorum.Int_poly.binomial n)
+
 let system ?name ~n ~r () =
   if n <= 0 || r < 1 || r > n then
     invalid_arg "Thresh.system: need 1 <= r <= n";
@@ -45,11 +51,12 @@ let system ?name ~n ~r () =
     match name with Some s -> s | None -> Printf.sprintf "thresh(%d-%d)" n r
   in
   let avail live = Bitset.cardinal live >= r in
+  let avail_counts () = avail_counts ~n ~r in
   if n <= 62 then
     Quorum.System.make ~name ~n ~avail
       ~avail_mask:(fun mask -> Bitset.popcount mask >= r)
-      ~min_quorums:(min_quorums ~n ~r) ~select:(select ~r) ()
-  else Quorum.System.make ~name ~n ~avail ~select:(select ~r) ()
+      ~avail_counts ~min_quorums:(min_quorums ~n ~r) ~select:(select ~r) ()
+  else Quorum.System.make ~name ~n ~avail ~avail_counts ~select:(select ~r) ()
 
 let failure_probability_hetero ~n ~r ~p_of =
   (* dp.(k) = P(exactly k of the processes seen so far are live). *)

@@ -18,7 +18,9 @@ val system : ?name:string -> n:int -> r:int -> unit -> Quorum.System.t
     enumerates the [C(n, r)] subsets lazily (forcing refuses beyond
     200_000 quorums — {!Quorum.System.quorums} turns that into an
     [Error]); selection picks a uniform random [r]-subset of the live
-    set without forcing the enumeration. *)
+    set without forcing the enumeration.  Its exact availability counts
+    are the binomial tail: all C(n, k) live sets of [k >= r]
+    processes. *)
 
 val quorum_count : n:int -> r:int -> int
 (** [C(n, r)]. *)

@@ -19,6 +19,27 @@ let rec ok mem live n v =
     (root && (l || r)) || (l && r)
   end
 
+(* Exact availability counts: [failure_probability_hetero]'s recursion
+   over count polynomials.  The two subtrees of a node share no process
+   and have one shape, so with (T, A) a child's total and available
+   counts and U = T - A, a live root needs either child, T^2 - U^2,
+   and a dead root both, A^2: the node is available on
+   x (T^2 - U^2) + A^2 of its (1 + x) T^2 live sets.  A leaf is
+   (1 + x, x).  A change to the float recursion changes this too. *)
+let avail_counts ~height =
+  let open Quorum.Int_poly in
+  let root = monomial 1 in
+  let rec up h (total, avail) =
+    if h = height then coeffs ~n:(size_of_height height) avail
+    else begin
+      let dead = sub total avail and both = mul total total in
+      up (h + 1)
+        ( mul (binomial 1) both,
+          add (mul root (sub both (mul dead dead))) (mul avail avail) )
+    end
+  in
+  up 1 (binomial 1, root)
+
 let system ?name ~height () =
   let n = size_of_height height in
   let name =
@@ -66,7 +87,9 @@ let system ?name ~height () =
   let select rng ~live =
     Option.map (Bitset.of_list n) (select_at rng live 0)
   in
-  System.make ~name ~n ~avail ?avail_mask ~min_quorums ~select ()
+  System.make ~name ~n ~avail ?avail_mask
+    ~avail_counts:(fun () -> avail_counts ~height)
+    ~min_quorums ~select ()
 
 let failure_probability_hetero ~height ~p_of =
   let n = size_of_height height in

@@ -9,7 +9,12 @@
 
 val system : ?name:string -> height:int -> unit -> Quorum.System.t
 (** [system ~height ()] over [n = 2^height - 1] processes, ids in
-    level order (root 0, children of [i] at [2i+1], [2i+2]). *)
+    level order (root 0, children of [i] at [2i+1], [2i+2]).  Its exact
+    availability counts restate {!failure_probability_hetero}'s
+    recursion over count polynomials: with (T, A) a subtree's total
+    and available counts and U = T - A, a node is available on
+    x (T^2 - U^2) + A^2 of its live sets; a change to one changes the
+    other. *)
 
 val failure_probability : height:int -> p:float -> float
 (** Exact: [P(ok v) = q * P(ok_l or ok_r) + (1-q) * P(ok_l) P(ok_r)]

@@ -143,6 +143,28 @@ let make_select t =
         fill (base + 1);
         Some quorum
 
+(* Exact availability counts: [failure_probability_hetero]'s four-state
+   row DP over count polynomials.  Rows share no process, so a row of
+   [w] elements is full on x^w of its live sets, non-empty on
+   (1+x)^w - 1 and empty on one; each state counts the live sets of the
+   row suffix in it.  A change to the float DP changes this too. *)
+let avail_counts t =
+  let open Quorum.Int_poly in
+  let rec scan i (sn, s, xn, x) =
+    if i < 0 then coeffs ~n:t.n (add sn s)
+    else begin
+      let full = monomial t.widths.(i) in
+      let nonempty = sub (binomial t.widths.(i)) one in
+      let partial = sub nonempty full in
+      let sn' = add (mul full (add sn xn)) (mul partial sn) in
+      let s' = add (add sn s) (add (mul partial s) (mul full s)) in
+      let xn' = mul partial xn in
+      let x' = add (add xn x) (add (mul partial x) (mul full x)) in
+      scan (i - 1) (sn', s', xn', x')
+    end
+  in
+  scan (Array.length t.widths - 1) ([||], [||], one, [||])
+
 let system ?name widths =
   let t = layout widths in
   let name =
@@ -160,6 +182,7 @@ let system ?name widths =
     else (make_avail t, None)
   in
   System.make ~name ~n:t.n ~avail ?avail_mask
+    ~avail_counts:(fun () -> avail_counts t)
     ~min_quorums:(lazy (enumerate_quorums t))
     ~select:(make_select t) ()
 

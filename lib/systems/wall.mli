@@ -31,7 +31,10 @@ val system : ?name:string -> int array -> Quorum.System.t
 (** [system widths] builds the wall quorum system.  Quorums are
     enumerated explicitly (their number is [sum_i prod_(j>i) w_j]);
     selection picks a usable base row uniformly and live elements below
-    uniformly. *)
+    uniformly.  Its exact availability counts run
+    {!failure_probability_hetero}'s four-state row DP over count
+    polynomials (so CWlog, triangles, diamonds and flat T-grids have
+    them too): a change to one changes the other. *)
 
 val quorum_count : int array -> int
 (** Number of minimal quorums of the wall. *)

@@ -131,6 +131,38 @@ let avail_counts votes ~total =
     votes;
   Array.init (n + 1) (fun k -> dp.((k * width) + need))
 
+(* The minimal quorums' masks in descending order, by a depth-first
+   pass over the votes instead of a walk over the live sets.  It
+   decides the processes from the highest index down, absent before
+   present, so branches end in ascending mask order.  [present] holds
+   the decided processes kept, [sum] their votes and [least] the
+   smallest of them; processes [0 .. i-1] are undecided and
+   [below.(i)] is their votes.  A branch stops once [present] holds a
+   majority: every set under it contains [present], so only [present]
+   can be minimal, and is exactly when dropping its smallest vote
+   loses the majority.  It also stops once the undecided votes cannot
+   make one. *)
+let minimal_masks_rev votes ~total =
+  let n = Array.length votes in
+  let below = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    below.(i + 1) <- below.(i) + votes.(i)
+  done;
+  let enough sum = 2 * sum > total in
+  let found = ref [] in
+  let rec decide i present sum least =
+    if enough sum then begin
+      if not (enough (sum - least)) then found := present :: !found
+    end
+    else if i > 0 && enough (sum + below.(i)) then begin
+      let j = i - 1 in
+      decide j present sum least;
+      decide j (present lor (1 lsl j)) (sum + votes.(j)) (min least votes.(j))
+    end
+  in
+  decide n 0 0 max_int;
+  !found
+
 let system ?name ~votes () =
   let total = check votes in
   let n = Array.length votes in
@@ -152,8 +184,12 @@ let system ?name ~votes () =
     lazy
       (if n > 22 then
          invalid_arg "Weighted_voting: quorum enumeration capped at n=22"
-       else
-         Quorum.Coterie.minimal_of_avail ~n (Option.get avail_mask))
+       else List.rev_map (Bitset.of_mask ~n) (minimal_masks_rev votes ~total))
+  in
+  let min_masks =
+    if n > 22 then None
+    else
+      Some (fun () -> Array.of_list (List.rev (minimal_masks_rev votes ~total)))
   in
   (* Greedy selection: highest-vote live processes first, then trimmed
      to a minimal quorum.  Besides the quorum it returns, a call
@@ -200,8 +236,8 @@ let system ?name ~votes () =
       Some (fun () -> avail_counts votes ~total)
     else None
   in
-  System.make ~name ~n ~avail ?avail_mask ?avail_counts ~min_quorums ~select
-    ()
+  System.make ~name ~n ~avail ?avail_mask ?avail_counts ~min_quorums
+    ?min_masks ~select ()
 
 let failure_probability_hetero ~votes ~p_of =
   let total = check votes in

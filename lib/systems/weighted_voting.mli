@@ -7,8 +7,12 @@
 
 val system : ?name:string -> votes:int array -> unit -> Quorum.System.t
 (** Quorums = sets with [2 * votes(S) > total].  Minimal quorums are
-    enumerated lazily (guarded to universes of at most 22 processes);
-    availability itself works at any size.  The exact availability
+    enumerated lazily (guarded to universes of at most 22 processes)
+    by a depth-first pass over the votes that stops a branch once it
+    holds a majority or can no longer reach one, in ascending mask
+    order, the order [Coterie.minimal_of_avail] gives (the load LP
+    depends on it); the same pass gives their masks ([min_masks]).
+    Availability itself works at any size.  The exact availability
     counts come from a DP over the processes on (live count, live
     votes), votes capped at the least available sum [total / 2 + 1];
     its table of [(n + 1) * (total / 2 + 2)] entries must fit in

@@ -4,9 +4,12 @@
    enumeration ([Coterie.minimal_of_avail]).  The walk is only right
    for monotone predicates, so every catalogue [avail_mask] is checked
    to be monotone too.  The availability counts that weighted voting,
-   grid, h-grid, h-T-grid and h-triang derive from their structure
-   (and [exact_poly] uses instead of the walk) are checked against
-   both. *)
+   grid, h-grid, h-T-grid, h-triang, HQS, the tree protocol, walls,
+   thresholds and the singleton derive from their structure (and
+   [exact_poly] uses instead of the walk) are checked against both,
+   weighted voting's direct quorum enumeration against
+   [minimal_of_avail], and [Coterie.minimize]'s mask loop against the
+   list loop it runs beside. *)
 
 module Bitset = Quorum.Bitset
 module System = Quorum.System
@@ -40,6 +43,46 @@ let old_minimal_of_avail ~n avail_mask =
       result := Bitset.of_mask ~n mask :: !result
   done;
   List.rev !result
+
+(* [Coterie.all_intersect] and [is_antichain] before their mask
+   loops. *)
+let old_all_intersect quorums =
+  let rec loop = function
+    | [] -> true
+    | q :: rest ->
+        List.for_all (fun r -> Bitset.intersects q r) rest && loop rest
+  in
+  loop quorums
+
+let old_is_antichain quorums =
+  let rec loop = function
+    | [] -> true
+    | q :: rest ->
+        List.for_all
+          (fun r -> (not (Bitset.subset q r)) && not (Bitset.subset r q))
+          rest
+        && loop rest
+  in
+  loop quorums
+
+(* [Coterie.minimize] before its mask loop. *)
+let old_minimize quorums =
+  let rec loop kept = function
+    | [] -> List.rev kept
+    | q :: rest ->
+        let dominated_by r = Bitset.subset r q in
+        if List.exists dominated_by kept || List.exists dominated_by rest
+        then loop kept rest
+        else loop (q :: kept) rest
+  in
+  let dedup =
+    List.fold_left
+      (fun acc q ->
+        if List.exists (Bitset.equal q) acc then acc else q :: acc)
+      [] quorums
+    |> List.rev
+  in
+  loop [] dedup
 
 (* --- Systems -------------------------------------------------------- *)
 
@@ -305,18 +348,18 @@ let counts_htriang_random =
    processes): all four systems of each. *)
 type hgrid_spec = Blocks of int list * int list | Levels of (int * int) list
 
+(* The longest prefix of [l] whose running [op] of [size]s, from
+   [start], stays at most [max]: never empty when every first element
+   fits, as it does in each generator below. *)
+let fit ~max ~start ~size ~op l =
+  let rec go acc = function
+    | x :: rest when op acc (size x) <= max -> x :: go (op acc (size x)) rest
+    | _ -> []
+  in
+  go start l
+
 let hgrid_spec_arb =
   let open QCheck.Gen in
-  (* The longest prefix of [l] whose running [op] of [size]s, from
-     [start], stays at most [max]: never empty, since every first
-     element fits. *)
-  let fit ~max ~start ~size ~op l =
-    let rec go acc = function
-      | x :: rest when op acc (size x) <= max -> x :: go (op acc (size x)) rest
-      | _ -> []
-    in
-    go start l
-  in
   let parts max =
     list_size (int_range 1 4) (int_range 1 3)
     >|= fit ~max ~start:0 ~size:Fun.id ~op:( + )
@@ -377,7 +420,127 @@ let test_rename_embed () =
     "embed drops them" true
     (Option.is_none
        (System.embed ~universe:12 ~place:(Array.init 10 Fun.id) s)
-         .System.avail_counts)
+         .System.avail_counts);
+  (* The same for weighted voting's quorum masks. *)
+  let v = Registry.build_exn "majority(7)" in
+  let masks (s : System.t) = Option.map (fun f -> f ()) s.System.min_masks in
+  Alcotest.(check (option (array int)))
+    "rename keeps the masks" (masks v)
+    (masks (System.rename v "renamed"));
+  Alcotest.(check bool)
+    "embed drops them" true
+    (Option.is_none
+       (System.embed ~universe:9 ~place:(Array.init 7 Fun.id) v)
+         .System.min_masks)
+
+(* HQS trees of 1-4 levels of 1-5 children, at most 20 leaves. *)
+let counts_hqs =
+  QCheck.Test.make ~count:200 ~name:"avail_counts = walk = scan: hqs"
+    QCheck.(
+      make
+        ~print:(fun b -> String.concat "-" (List.map string_of_int b))
+        Gen.(
+          list_size (int_range 1 4) (int_range 1 5)
+          >|= fit ~max:20 ~start:1 ~size:Fun.id ~op:( * )))
+    (fun branching ->
+      let s = Systems.Hqs.system ~branching () in
+      counts_agree ~scan:(s.System.n <= scan_max) s)
+
+let test_counts_tree () =
+  check_all
+    (List.map
+       (fun height -> Systems.Tree_quorum.system ~height ())
+       [ 1; 2; 3; 4 ])
+
+(* The wall families at every size up to 20 processes: triangles,
+   CWlog, diamonds and flat T-grids, plus a few hand-made walls. *)
+let test_counts_wall_families () =
+  check_all
+    (List.map (fun rows -> Systems.Triangle.system ~rows ()) [ 1; 2; 3; 4; 5 ]
+    @ List.init 20 (fun i -> Systems.Cwlog.system ~n:(i + 1) ())
+    @ List.map
+        (fun half_rows -> Systems.Diamond.system ~half_rows ())
+        [ 2; 3; 4 ]
+    @ List.map
+        (fun (rows, cols) -> Systems.Grid.t_grid ~rows ~cols ())
+        (dims ~cells:20)
+    @ List.map Systems.Wall.system
+        [ [| 1; 2; 2; 3 |]; [| 2; 1; 4; 2 |]; [| 5 |]; [| 1; 1; 1 |] ])
+
+(* Walls of 1-8 rows of 1-5 elements, at most 20 processes. *)
+let counts_wall_random =
+  QCheck.Test.make ~count:200 ~name:"avail_counts = walk = scan: random walls"
+    QCheck.(
+      make
+        ~print:(fun w ->
+          String.concat "-" (Array.to_list (Array.map string_of_int w)))
+        Gen.(
+          list_size (int_range 1 8) (int_range 1 5)
+          >|= fun l ->
+          Array.of_list (fit ~max:20 ~start:0 ~size:Fun.id ~op:( + ) l)))
+    (fun widths ->
+      let s = Systems.Wall.system widths in
+      counts_agree ~scan:(s.System.n <= scan_max) s)
+
+let test_counts_thresh () =
+  check_all
+    (List.concat_map
+       (fun n -> List.init n (fun i -> Systems.Thresh.system ~n ~r:(i + 1) ()))
+       (List.init 20 (fun i -> i + 1)))
+
+let test_counts_singleton () =
+  check_all (List.init 20 (fun i -> Systems.Singleton.make (i + 1)))
+
+(* Every family an optimizer sweep instantiates counts its live sets,
+   except Y, Paths and FPP, whose availability is not built from parts
+   that share no process: their exact polynomials walk. *)
+let walking_families = [ "y"; "paths"; "fpp" ]
+
+let sweep_specs ~n =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (c : Analysis.Optimizer.candidate) -> [ c.read_spec; c.write_spec ])
+       (Analysis.Optimizer.candidates ~n))
+
+let walks spec =
+  match Registry.parse_spec spec with
+  | Ok (family, _) -> List.mem family walking_families
+  | Error msg -> Alcotest.fail msg
+
+let test_sweep_families_counted () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun spec ->
+          if
+            (not (walks spec))
+            && Option.is_none (Registry.build_exn spec).System.avail_counts
+          then Alcotest.failf "%s: no availability counts" spec)
+        (sweep_specs ~n))
+    [ 9; 12; 13; 15; 16; 20; 21; 24 ]
+
+(* At n = 15, [exact_poly] makes no availability check on any sweep
+   candidate but y(15): a counting [avail_mask] sees no call. *)
+let test_sweep_checks_nothing () =
+  List.iter
+    (fun spec ->
+      let s = Registry.build_exn spec in
+      let calls = ref 0 in
+      let avail = System.avail_mask_exn s in
+      let counted =
+        {
+          s with
+          System.avail_mask =
+            Some
+              (fun mask ->
+                incr calls;
+                avail mask);
+        }
+      in
+      ignore (Analysis.Failure.exact_poly counted : Failure_poly.t);
+      if walks spec <> (!calls > 0) then
+        Alcotest.failf "%s: %d availability checks" spec !calls)
+    (sweep_specs ~n:15)
 
 (* --- Minimal quorums ------------------------------------------------ *)
 
@@ -408,6 +571,74 @@ let minimal_of_quorums =
     (quorums_arb ~max_n:14) (fun q ->
       let s = of_quorums q in
       minimal_matches ~n:s.System.n (Option.get s.System.avail_mask))
+
+(* Weighted voting lists its minimal quorums by a pass over the votes,
+   not by [minimal_of_avail]: the same list in the same order (the
+   load LP's column order), and the same masks in [min_masks], on up
+   to 16 processes with zero votes and, in about a third of the cases,
+   one huge vote. *)
+let voting_quorums =
+  QCheck.Test.make ~count:300
+    ~name:"weighted voting quorums = minimal_of_avail"
+    QCheck.(pair (voting_arb ~max_n:16) (int_bound 47))
+    (fun (votes, huge) ->
+      let n = Array.length votes in
+      let votes =
+        if huge mod 3 <> 0 then votes
+        else
+          Array.mapi
+            (fun i v -> if i = huge / 3 mod n then 1_000_000 else v)
+            votes
+      in
+      let s = voting votes in
+      let quorums = System.quorums_exn s in
+      same_list quorums
+        (Coterie.minimal_of_avail ~n (Option.get s.System.avail_mask))
+      && Array.to_list (Option.get s.System.min_masks ())
+         = List.map Bitset.to_mask quorums)
+
+(* --- Minimize -------------------------------------------------------- *)
+
+(* Random quorum lists over 1-70 processes (the mask loops run up to
+   62, the list loops beyond): [k] random quorums, each followed in
+   turn by a duplicate, a superset or nothing, the whole shuffled. *)
+let quorum_list_arb =
+  QCheck.(triple (int_range 1 70) (int_range 0 12) (int_bound 100_000))
+
+let quorum_list (n, k, seed) =
+  let rng = Rng.create seed in
+  let base =
+    List.init k (fun _ -> Bitset.random_subset rng ~n ~p:(Rng.float rng))
+  in
+  let grown q =
+    match Rng.int rng 3 with
+    | 0 -> [ q; Bitset.copy q ]
+    | 1 -> [ q; Bitset.union q (Bitset.random_subset rng ~n ~p:0.3) ]
+    | _ -> [ q ]
+  in
+  let quorums = Array.of_list (List.concat_map grown base) in
+  Rng.shuffle_in_place rng quorums;
+  Array.to_list quorums
+
+(* The same occurrences must be kept, in the same order. *)
+let minimize_mask_loop =
+  QCheck.Test.make ~count:500 ~name:"minimize = list loop" quorum_list_arb
+    (fun spec ->
+      let quorums = quorum_list spec in
+      let kept = Coterie.minimize quorums and oracle = old_minimize quorums in
+      List.length kept = List.length oracle && List.for_all2 ( == ) kept oracle)
+
+(* Also on the minimized lists, which are antichains and, at high
+   density, often intersecting. *)
+let pair_checks_mask_loop =
+  QCheck.Test.make ~count:500 ~name:"all_intersect, is_antichain = list loops"
+    quorum_list_arb (fun spec ->
+      List.for_all
+        (fun quorums ->
+          Coterie.all_intersect quorums = old_all_intersect quorums
+          && Coterie.is_antichain quorums = old_is_antichain quorums)
+        (let quorums = quorum_list spec in
+         [ quorums; old_minimize quorums ]))
 
 (* --- Monotonicity --------------------------------------------------- *)
 
@@ -442,7 +673,7 @@ let () =
       ( "minimal",
         Alcotest.test_case "catalogue n <= 14 = scan" `Quick
           test_minimal_catalogue
-        :: List.map qc [ minimal_voting; minimal_of_quorums ] );
+        :: List.map qc [ minimal_voting; minimal_of_quorums; voting_quorums ] );
       ( "monotone",
         [ Alcotest.test_case "catalogue n <= 12" `Quick test_monotone ] );
       ( "counts",
@@ -461,5 +692,19 @@ let () =
             test_counts_ledger;
           Alcotest.test_case "rename keeps, embed drops" `Quick
             test_rename_embed;
+          qc counts_hqs;
+          Alcotest.test_case "tree heights 1-4" `Quick test_counts_tree;
+          Alcotest.test_case "triangle, cwlog, diamond, tgrid, walls" `Quick
+            test_counts_wall_families;
+          qc counts_wall_random;
+          Alcotest.test_case "every thresh(n-r), n <= 20" `Quick
+            test_counts_thresh;
+          Alcotest.test_case "singleton(n), n <= 20" `Quick
+            test_counts_singleton;
+          Alcotest.test_case "sweep families counted but y, paths, fpp" `Quick
+            test_sweep_families_counted;
+          Alcotest.test_case "n = 15 sweep: no check but y(15)" `Quick
+            test_sweep_checks_nothing;
         ] );
+      ("minimize", [ qc minimize_mask_loop; qc pair_checks_mask_loop ]);
     ]

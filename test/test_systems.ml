@@ -175,8 +175,9 @@ let test_fp_boundaries () =
 
 (* --- Closed forms vs enumeration ----------------------------------- *)
 
-(* Without the availability counts weighted voting and grid derive
-   from their structure, so that the live sets are walked. *)
+(* Without the availability counts that most families derive from
+   their structure (the same recursions as their closed forms), so
+   that the live sets are walked. *)
 let enum_fp (s : System.t) p =
   Analysis.Failure.exact { s with System.avail_counts = None } ~p
 
