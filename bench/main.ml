@@ -13,8 +13,9 @@
    --metrics makes the chaos target dump the full per-scenario metrics
    registry (rpc, failure-detector and protocol instruments) after each
    report row.
-   --jobs N runs the analysis hot paths on an N-domain pool; results
-   are identical for any N (the parallel target reports the speedups
+   --jobs N runs the analysis hot paths on an N-domain pool; they run
+   the same chunks without one, so results are identical for any N,
+   1 included (the parallel target checks this, reports the speedups
    and writes BENCH_parallel.json).
    --gate FILE makes the engine target compare its measurements against
    the committed baseline (bench/BENCH_engine.baseline.json) and fail

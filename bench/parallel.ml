@@ -1,21 +1,18 @@
-(* Parallel-analysis benchmark: run each analysis hot path
-   sequentially (no pool) and on pools of 1, 2 and 4 domains, check
-   that every pooled result is identical whatever the domain count,
-   report the wall-clock speedups, and write the measurements to
-   BENCH_parallel.json.
+(* Parallel-analysis benchmark: run each analysis hot path without a
+   pool and on pools of 1, 2 and 4 domains, check that every pooled
+   result equals the sequential one, report the wall-clock speedups,
+   and write the measurements to BENCH_parallel.json.
 
-   The workloads are the drivers the tentpole parallelised:
-     - exact_poly: the 2^n live-set scan (Proposition 3.1);
-     - monte_carlo: availability sampling with split RNG streams;
-     - empirical:   strategy-load sampling on h-triang(105) (quorums
-                    are never enumerated — selection is structural);
+   The workloads:
+     - exact_poly:  the 2^n live-set walk (Proposition 3.1);
+     - monte_carlo: availability sampling, in trial ranges that each
+                    start from an advanced copy of one stream;
      - chaos:       the full mutex scenario grid, one run per task.
 
    Speedups only materialise with multiple cores; the JSON records
    [cores] so a 1-core container's ~1.0x is read for what it is. *)
 
 module Failure = Analysis.Failure
-module Strategy = Quorum.Strategy
 module Rng = Quorum.Rng
 module Pool = Exec.Pool
 module C = Protocols.Chaos
@@ -25,9 +22,9 @@ let jobs_list = [ 1; 2; 4 ]
 
 type case = {
   label : string;
-  seq_s : float;  (* no pool: the legacy sequential code path *)
+  seq_s : float;  (* no pool *)
   pooled_s : (int * float) list;  (* jobs -> wall-clock seconds *)
-  agree : bool;  (* pooled results identical across jobs_list *)
+  agree : bool;  (* every pooled result equals the sequential one *)
 }
 
 let time f =
@@ -36,8 +33,8 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 (* Run [work] without a pool, then under each jobs count; [key] maps a
-   result to a comparable summary (pooled runs must agree exactly). *)
-let measure ~metrics ~label ~same_as_seq work key =
+   result to a comparable summary (every run must agree exactly). *)
+let measure ~metrics ~label work key =
   let seq_r, seq_s = time (fun () -> work None) in
   let pooled =
     List.map
@@ -48,14 +45,7 @@ let measure ~metrics ~label ~same_as_seq work key =
             (jobs, r, s)))
       jobs_list
   in
-  let keys = List.map (fun (_, r, _) -> key r) pooled in
-  let agree =
-    match keys with
-    | [] -> true
-    | k0 :: rest ->
-        List.for_all (( = ) k0) rest
-        && ((not same_as_seq) || k0 = key seq_r)
-  in
+  let agree = List.for_all (fun (_, r, _) -> key r = key seq_r) pooled in
   {
     label;
     seq_s;
@@ -70,7 +60,6 @@ let exact_poly_case ~metrics =
   let s = { (Util.system spec) with Quorum.System.avail_counts = None } in
   measure ~metrics
     ~label:(Printf.sprintf "exact_poly %s (2^%d)" spec s.Quorum.System.n)
-    ~same_as_seq:true
     (fun pool -> Failure.exact_poly ?pool s)
     (fun poly ->
       List.init (s.Quorum.System.n + 1) (Quorum.Failure_poly.fail_count poly))
@@ -80,22 +69,14 @@ let monte_carlo_case ~metrics =
   let trials = if !Util.fast then 100_000 else 1_000_000 in
   measure ~metrics
     ~label:(Printf.sprintf "monte_carlo htriang(28) (%d trials)" trials)
-    ~same_as_seq:false (* pooled sampling uses split streams *)
     (fun pool ->
-      Failure.monte_carlo ?pool ~trials (Rng.create 7) s ~p:0.2)
-    (fun (est : Failure.estimate) -> [ est.mean; est.half_width ])
-
-let empirical_case ~metrics =
-  let s = Util.system "htriang(105)" in
-  let trials = if !Util.fast then 20_000 else 100_000 in
-  measure ~metrics
-    ~label:(Printf.sprintf "empirical htriang(105) (%d trials)" trials)
-    ~same_as_seq:false
-    (fun pool ->
-      Strategy.empirical_of_select ?pool ~n:s.Quorum.System.n ~trials
-        (Rng.create 9) s.Quorum.System.select)
-    (fun (e : Strategy.empirical) ->
-      (Array.to_list e.loads, e.max_load, e.avg_size, e.misses))
+      let rng = Rng.create 7 in
+      let est = Failure.monte_carlo ?pool ~trials rng s ~p:0.2 in
+      (est, Rng.bits64 rng))
+    (fun ((est : Failure.estimate), next) ->
+      (* The caller's stream must end where the sequential loop leaves
+         it: compare the draw after the call too. *)
+      (est.mean, est.half_width, next))
 
 let chaos_case ~metrics =
   let horizon = if !Util.fast then 100.0 else 400.0 in
@@ -113,7 +94,6 @@ let chaos_case ~metrics =
   in
   measure ~metrics
     ~label:(Printf.sprintf "chaos mutex sweep (%d runs)" (List.length tasks))
-    ~same_as_seq:true
     (fun pool -> Pool.map ?pool (fun task -> task ()) tasks)
     Fun.id
 
@@ -166,7 +146,6 @@ let run () =
     [
       exact_poly_case ~metrics;
       monte_carlo_case ~metrics;
-      empirical_case ~metrics;
       chaos_case ~metrics;
     ]
   in

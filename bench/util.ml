@@ -13,8 +13,9 @@ let metrics = ref false
 
 let jobs = ref 1
 (* --jobs N runs the analysis hot paths (exact enumerations, Monte
-   Carlo, chaos sweeps) on an N-domain pool.  Results are identical
-   for any value; 1 keeps the sequential code paths. *)
+   Carlo, chaos sweeps) on an N-domain pool.  A pool changes only
+   where their chunks run, so results are identical for any value; 1
+   runs the same chunks inline. *)
 
 let gate : string option ref = ref None
 (* --gate FILE makes the engine target compare its measurements
@@ -25,7 +26,7 @@ let gate : string option ref = ref None
 let the_pool : Exec.Pool.t option ref = ref None
 
 (* The shared bench pool, created on first use once --jobs is known.
-   [None] when --jobs <= 1 so callers fall back to sequential code. *)
+   [None] when --jobs <= 1: no domain to spawn. *)
 let pool () =
   if !jobs <= 1 then None
   else

@@ -89,8 +89,8 @@ let quorums_or_die system = ok_or_die (Quorum.System.quorums system)
 
 let jobs_arg =
   let doc =
-    "Worker domains for the analysis pool (1 = the sequential code path; \
-     results are identical for any value)."
+    "Worker domains for the analysis pool (1 = no pool; the pool changes \
+     only where the work runs, so results are identical for any value)."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

@@ -5,11 +5,12 @@ module Coterie = Quorum.Coterie
 module Rng = Quorum.Rng
 module Pool = Exec.Pool
 
-(* Chunk counts for the parallel paths are chosen from the problem
-   alone (never from the pool's domain count), so results are
-   bit-identical for any number of domains: the 2^n scans shard by
-   live-set prefix (the high [k] mask bits), the sampling estimators
-   use a fixed 64-way split with one RNG stream per chunk. *)
+(* Every estimator runs one chunked code path, and [?pool] decides
+   only where the chunks run ([Pool.init]).  The chunks are chosen from
+   the problem alone and combined in a fixed order, so a result is the
+   same without a pool and on any number of domains, bit for bit: the
+   2^n scans chunk by live-set prefix (the high [k] mask bits), the
+   samplers by trial range. *)
 
 let prefix_bits ~n ~seq_bits = min 8 (max 0 (n - seq_bits))
 let mc_chunks = 64
@@ -43,23 +44,19 @@ let counted_fails ~n avail_counts =
   done;
   fails
 
+(* Chunk [c] walks the masks whose top [k] bits equal [c].  Counts are
+   integer-valued floats (< 2^53), so the chunks' sum is the counts of
+   one walk over every mask. *)
 let walked_fails ?pool (s : System.t) =
   let avail = System.avail_mask_exn s in
   let rows =
     Array.init (s.n + 1) (fun j -> Array.init (j + 1) (Failure_poly.binomial j))
   in
-  match pool with
-  | None -> count_fails ~n:s.n ~rows avail ~base:0 ~bits:s.n
-  | Some pool ->
-      (* Shard by live-set prefix: chunk [c] walks the masks whose top
-         [k] bits equal [c].  Counts are integer-valued floats (< 2^53),
-         so summing them in any fixed order is exact. *)
-      let k = prefix_bits ~n:s.n ~seq_bits:14 in
-      let shift = s.n - k in
-      Pool.map_reduce_chunks pool ~chunks:(1 lsl k)
-        ~map:(fun c ->
-          count_fails ~n:s.n ~rows avail ~base:(c lsl shift) ~bits:shift)
-        ~reduce:(fun a b -> Array.map2 ( +. ) a b)
+  let k = prefix_bits ~n:s.n ~seq_bits:14 in
+  let shift = s.n - k in
+  Pool.init ?pool (1 lsl k) (fun c ->
+      count_fails ~n:s.n ~rows avail ~base:(c lsl shift) ~bits:shift)
+  |> Pool.reduce_tree (Array.map2 ( +. ))
 
 let exact_poly ?pool (s : System.t) =
   if s.n > 30 then
@@ -82,7 +79,12 @@ let estimate_of ~failures ~trials =
   in
   { mean; half_width; trials }
 
-let mc_count_failures rng (s : System.t) ~p_of ~trials =
+(* Trials [first, first + trials) of the one-stream sampler.  A trial
+   draws one Bernoulli, one step, per process, so trial [first] starts
+   [first * n] steps into [rng]'s stream; [rng] itself is only read. *)
+let mc_count_failures rng (s : System.t) ~p_of ~first ~trials =
+  let rng = Rng.copy rng in
+  Rng.advance rng (first * s.n);
   let live = Bitset.create s.n in
   let failures = ref 0 in
   for _ = 1 to trials do
@@ -94,25 +96,18 @@ let mc_count_failures rng (s : System.t) ~p_of ~trials =
   done;
   !failures
 
-(* Shared sampler: the sequential path consumes [rng] directly
-   (bit-compatible with the pre-pool implementation); the pooled path
-   splits one stream per chunk, in chunk order, so the estimate is
-   identical for any domain count. *)
+(* The trials in [mc_chunks] consecutive ranges.  Failure counts are
+   integers, so the estimate is the one-stream loop's, and [rng] ends
+   where that loop leaves it: [trials * n] steps on. *)
 let mc_estimate ?pool ~trials rng (s : System.t) ~p_of =
+  let first c = c * trials / mc_chunks in
   let failures =
-    match pool with
-    | None -> mc_count_failures rng s ~p_of ~trials
-    | Some pool ->
-        let rngs = Array.init mc_chunks (fun _ -> Rng.split rng) in
-        let share c =
-          (trials / mc_chunks) + (if c < trials mod mc_chunks then 1 else 0)
-        in
-        let parts =
-          Pool.map_chunks pool ~chunks:mc_chunks (fun c ->
-              mc_count_failures rngs.(c) s ~p_of ~trials:(share c))
-        in
-        Array.fold_left ( + ) 0 parts
+    Pool.init ?pool mc_chunks (fun c ->
+        mc_count_failures rng s ~p_of ~first:(first c)
+          ~trials:(first (c + 1) - first c))
+    |> Array.fold_left ( + ) 0
   in
+  Rng.advance rng (trials * s.n);
   estimate_of ~failures ~trials
 
 let monte_carlo ?pool ?(trials = 100_000) rng (s : System.t) ~p =
@@ -137,23 +132,25 @@ let exact_hetero ?pool (s : System.t) ~p_of =
   if s.n > 26 then
     invalid_arg "Failure.exact_hetero: universe too large for enumeration";
   let avail = System.avail_mask_exn s in
-  match pool with
-  | None -> hetero_walk s avail ~p_of ~from:0 ~mask:0 ~prob:1.0
-  | Some pool ->
-      (* Shard on the liveness of the first [k] processes; chunk [c]'s
-         bit [i] decides process [i].  The per-chunk sums are combined
-         by a deterministic tree reduction, so the floating-point
-         result does not depend on the domain count. *)
-      let k = prefix_bits ~n:s.n ~seq_bits:12 in
-      Pool.map_reduce_chunks pool ~chunks:(1 lsl k)
-        ~map:(fun c ->
-          let prob = ref 1.0 in
-          for i = 0 to k - 1 do
-            let p = p_of i in
-            prob := !prob *. (if c land (1 lsl i) <> 0 then 1.0 -. p else p)
-          done;
-          hetero_walk s avail ~p_of ~from:k ~mask:c ~prob:!prob)
-        ~reduce:( +. )
+  (* Chunk [c] decides the first [k] processes, process 0 on its top
+     bit (set: live), and walks the rest.  In index order the chunks
+     are the depth-first walk's subtrees at depth [k], dead branch
+     first, so [reduce_tree] over the 2^k of them adds as that walk
+     adds, and each prefix probability multiplies in its order: the
+     sum is one walk's, bit for bit. *)
+  let k = prefix_bits ~n:s.n ~seq_bits:12 in
+  Pool.init ?pool (1 lsl k) (fun c ->
+      let mask = ref 0 and prob = ref 1.0 in
+      for i = 0 to k - 1 do
+        let p = p_of i in
+        if c land (1 lsl (k - 1 - i)) <> 0 then begin
+          mask := !mask lor (1 lsl i);
+          prob := !prob *. (1.0 -. p)
+        end
+        else prob := !prob *. p
+      done;
+      hetero_walk s avail ~p_of ~from:k ~mask:!mask ~prob:!prob)
+  |> Pool.reduce_tree ( +. )
 
 let monte_carlo_hetero ?pool ?(trials = 100_000) rng (s : System.t) ~p_of =
   if trials <= 0 then invalid_arg "Failure.monte_carlo_hetero: trials";

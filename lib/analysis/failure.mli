@@ -15,33 +15,32 @@
       95% confidence half-width, for universes beyond enumeration.
 
     {b Parallelism.}  Every route takes an optional [?pool]
-    ([Exec.Pool]): the 2^n scans shard by live-set prefix (a system
-    with availability counts leaves the pool unused), the
-    samplers split one RNG stream per fixed chunk.  Chunking never
-    depends on the pool's domain count, so a pooled result is
-    bit-identical for jobs of 1, 2, 4, ...; {!exact_poly} (integer
-    counting) and the samplers at [jobs = 1] moreover match the
-    sequential route exactly.  Omitting [?pool] keeps the original
-    single-domain code path. *)
+    ([Exec.Pool]) that decides only where its work runs: each
+    estimator has one code path, which splits the work into chunks
+    chosen from the problem alone (the 2^n scans by live-set prefix,
+    the samplers by trial range) and combines them in a fixed order.
+    Without a pool the same chunks run in order on the calling
+    domain.  So every result is the same without a pool and with a
+    pool of any size, bit for bit.  A system with availability counts
+    leaves the pool unused. *)
 
 val exact_poly : ?pool:Exec.Pool.t -> Quorum.System.t -> Quorum.Failure_poly.t
 (** Requires [n <= 30].  A system with availability counts
     ([avail_counts]: weighted voting and majority unless their votes
-    are huge, grid, h-grid, h-T-grid, h-triang) fails on the rest of
-    the live sets, C(n, k) - a_k of size [k]; nothing is scanned and
-    [pool] is unused.  Every
-    other system is scanned by {!Quorum.Coterie.walk}: availability is
-    monotone, so a subcube of live sets (a fixed part plus any subset
-    of the low free bits) whose top fails fails entirely and adds one
-    binomial row to the counts, and one whose bottom is available is
-    skipped; only subcubes with a failing bottom and an available top
-    are split.  The walk checks 0.21 (grid-rw(4x6)) to 0.67
-    (majority(24)) of the live sets on the ledger's families with
-    their counts stripped.  Both routes give the counts a set-by-set
-    scan gives, bit for bit.  With a pool, the walk's mask range is
-    sharded by live-set prefix (up to 256 chunks), each chunk walked on
-    its own; counts are integer-valued floats, so the pooled result
-    equals the sequential one bit-for-bit.  A system whose
+    are huge, grid, h-grid, h-T-grid, h-triang, HQS, the tree
+    protocol, walls, thresholds and the singleton) fails on the rest
+    of the live sets, C(n, k) - a_k of size [k]; nothing is scanned
+    and [pool] is unused.  Every other system is scanned by
+    {!Quorum.Coterie.walk}: availability is monotone, so a subcube of
+    live sets (a fixed part plus any subset of the low free bits)
+    whose top fails fails entirely and adds one binomial row to the
+    counts, and one whose bottom is available is skipped; only
+    subcubes with a failing bottom and an available top are split.
+    The walk checks 0.21 (grid-rw(4x6)) to 0.67 (majority(24)) of the
+    live sets on the ledger's families with their counts stripped.
+    Above 14 processes it runs in up to 256 chunks, one per value of
+    the live set's top bits, pool or not.  Both routes give the counts
+    a set-by-set scan gives, bit for bit.  A system whose
     [avail_mask] is not monotone, or whose counts are not its scan's,
     gets a wrong polynomial. *)
 
@@ -59,11 +58,12 @@ val monte_carlo :
   Quorum.System.t ->
   p:float ->
   estimate
-(** Default 100_000 trials.  With a pool the trials are split into 64
-    fixed chunks, each consuming its own stream split off [rng] in
-    chunk order — the estimate is the same for any domain count (but
-    differs from the unpooled single-stream estimate, which is kept
-    bit-compatible with the pre-pool implementation). *)
+(** Default 100_000 trials.  Each trial draws one {!Quorum.Rng.bernoulli}
+    per process, in process order, from [rng]'s stream, and [rng] ends
+    [trials * n] draws on.  The trials run in 64 consecutive ranges,
+    each from a copy of [rng] advanced to its first trial
+    ({!Quorum.Rng.advance}), so the estimate is the same with or
+    without a pool. *)
 
 val failure_probability :
   ?pool:Exec.Pool.t ->
@@ -86,11 +86,11 @@ val failure_probability :
 val exact_hetero :
   ?pool:Exec.Pool.t -> Quorum.System.t -> p_of:(int -> float) -> float
 (** Exact by depth-first enumeration of live-sets with their
-    probabilities; requires [n <= 26].  With a pool the DFS is sharded
-    on the liveness of the first processes and the per-chunk sums are
-    combined by a deterministic tree reduction: pooled results are
-    identical across domain counts (though the summation order — and
-    hence the last ulp — may differ from the unpooled DFS). *)
+    probabilities; requires [n <= 26].  Above 12 processes the walk
+    runs in up to 256 chunks, one per liveness of the first processes,
+    pool or not, and a balanced tree adds the chunk sums in the order
+    the depth-first walk adds them: the result does not depend on the
+    pool, bit for bit. *)
 
 val monte_carlo_hetero :
   ?pool:Exec.Pool.t ->
@@ -99,6 +99,8 @@ val monte_carlo_hetero :
   Quorum.System.t ->
   p_of:(int -> float) ->
   estimate
+(** {!monte_carlo} with process [i] crashing with probability
+    [p_of i]; the same draws, chunks and guarantee. *)
 
 (** {1 Unified workload entry point}
 

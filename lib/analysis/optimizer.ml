@@ -430,16 +430,13 @@ let sweep ?pool ?(trials = 50_000) ?(seed = 47) ?candidates:cand_list ~workload
            slot, so pooled runs are bit-identical for any domain count.
            Chunk bodies never touch [pool] (nested submission is
            rejected). *)
-        let batch chunks f =
-          match pool with
-          | Some pool -> Exec.Pool.map_chunks pool ~chunks f
-          | None -> Array.init chunks f
-        in
         (* Candidates with equal LPs share one solve: the LP is a
            function of the universe size and the ordered quorum list
            (Bland's rule takes the lowest column), not of the workload.
            Groups are numbered in candidate order. *)
-        let keys = batch (Array.length arr) (fun i -> lp_key arr.(i)) in
+        let keys =
+          Exec.Pool.init ?pool (Array.length arr) (fun i -> lp_key arr.(i))
+        in
         let groups = Hashtbl.create 16 and reps = ref [] in
         let group_of =
           Array.map
@@ -455,7 +452,7 @@ let sweep ?pool ?(trials = 50_000) ?(seed = 47) ?candidates:cand_list ~workload
         in
         let reps = Array.of_list (List.rev !reps) in
         let loads =
-          batch (Array.length reps) (fun g ->
+          Exec.Pool.init ?pool (Array.length reps) (fun g ->
               let n, masks = reps.(g) in
               lp_load ~n masks)
         in
@@ -472,7 +469,7 @@ let sweep ?pool ?(trials = 50_000) ?(seed = 47) ?candidates:cand_list ~workload
           let seed = seed + (997 * i) in
           (c, evaluate_with ~load_lp ~trials ~seed ~workload c)
         in
-        let results = batch (Array.length arr) eval in
+        let results = Exec.Pool.init ?pool (Array.length arr) eval in
         let errors = ref [] and unresilient = ref [] and ok = ref [] in
         Array.iter
           (fun ((c : candidate), res) ->

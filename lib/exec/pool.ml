@@ -188,6 +188,9 @@ let map_chunks t ~chunks f =
 
 let map_array t f a = map_chunks t ~chunks:(Array.length a) (fun i -> f a.(i))
 
+let init ?pool n f =
+  match pool with None -> Array.init n f | Some t -> map_chunks t ~chunks:n f
+
 let map ?pool f xs =
   match pool with
   | None -> List.map f xs
@@ -211,7 +214,3 @@ let reduce_tree f a =
     end
   in
   level a n
-
-let map_reduce_chunks t ~chunks ~map ~reduce =
-  if chunks < 1 then invalid_arg "Pool.map_reduce_chunks: chunks must be >= 1";
-  reduce_tree reduce (map_chunks t ~chunks map)

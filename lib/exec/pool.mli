@@ -13,9 +13,10 @@
     (never from [jobs]), every chunk writes only its own slot, and
     reductions combine the chunk results in a fixed order
     ({!reduce_tree} is a balanced binary tree over the chunk indices).
-    All the analysis drivers in [lib/analysis] and [lib/quorum] follow
-    this contract, which is what makes their output bit-identical for
-    [jobs] of 1, 2 and 4.
+    The analyses in [lib/analysis] follow this contract and run the
+    same chunks without a pool ({!init}), which is what makes their
+    output the same with no pool and with [jobs] of 1, 2 and 4, bit
+    for bit.
 
     {b Exceptions.}  If chunks raise, the batch still runs to
     completion and the exception of the {e lowest-numbered} failing
@@ -30,8 +31,8 @@
     {b Thread safety of chunk bodies.}  The pool runs chunk bodies
     concurrently; they must not share mutable state (per-chunk RNG
     streams, per-chunk scratch).  Beware hidden sharing through [lazy]
-    values: force them before submitting (see
-    [Quorum.System.prepare]). *)
+    values: concurrently forcing one from two domains raises
+    [CamlinternalLazy.Undefined], so force them before submitting. *)
 
 type t
 
@@ -88,6 +89,12 @@ val map_chunks : t -> chunks:int -> (int -> 'a) -> 'a array
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** One chunk per element. *)
 
+val init : ?pool:t -> int -> (int -> 'a) -> 'a array
+(** [Array.init n f], its elements computed as chunks on [pool] when
+    one is given; the array is the same either way.  This is how an
+    analysis keeps one code path with or without a pool: the pool
+    decides only where the chunks run. *)
+
 val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** In-order map: {!map_array} on [pool], plain [List.map] without
     one; the result is the same either way. *)
@@ -98,8 +105,3 @@ val reduce_tree : ('a -> 'a -> 'a) -> 'a array -> 'a
     [f (f (f a b) (f c d)) e].  The shape depends only on the array
     length, so float reductions are reproducible across domain counts.
     Raises [Invalid_argument] on an empty array. *)
-
-val map_reduce_chunks :
-  t -> chunks:int -> map:(int -> 'a) -> reduce:('a -> 'a -> 'a) -> 'a
-(** [reduce_tree reduce (map_chunks t ~chunks map)]; [chunks] must be
-    >= 1. *)

@@ -97,8 +97,8 @@ type cell =
       batch : int;
     }
 (** One run, minus its seed and scenario.  Systems carry lazy quorum
-    lists (see {!Quorum.System.prepare}), so a pooled sweep builds each
-    cell inside its own task. *)
+    lists, which two domains must not force at once, so a pooled sweep
+    builds each cell inside its own task. *)
 
 val cell :
   ?next:Quorum.System.t -> ?read_fraction:float -> protocol ->

@@ -30,6 +30,11 @@ let[@inline] bits64 t =
 
 let split t = of_state (mix64 (bits64 t))
 
+(* Each step adds [gamma], so [k] steps add [k * gamma] (mod 2^64). *)
+let advance t k =
+  if k < 0 then invalid_arg "Rng.advance: negative step count";
+  set64u t 0 (Int64.add (get64u t 0) (Int64.mul (Int64.of_int k) gamma))
+
 (* Top 62 bits as a non-negative OCaml int. *)
 let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 

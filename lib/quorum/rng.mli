@@ -33,6 +33,15 @@ val split : t -> t
     independent of the remainder of [t]'s stream, advancing [t] once.
     Use it to give sub-components their own reproducible streams. *)
 
+val advance : t -> int -> unit
+(** [advance t k] moves [t] to where [k] single-step draws would leave
+    it, in constant time.  {!bits64}, {!bits53}, {!float}, {!bool},
+    {!bernoulli}, {!exponential} and {!pick_weighted} are one step
+    each; {!int}, {!pick} and {!shuffle_in_place} reject and redraw,
+    so they take a varying number.  A sampler that draws a fixed
+    number of steps per trial can therefore start any trial from an
+    advanced {!copy} of its stream.  [k] must be non-negative. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

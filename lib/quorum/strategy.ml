@@ -49,17 +49,16 @@ type empirical = {
   trials : int;
 }
 
-(* One chunk of the empirical estimate: all counters are integers, so
-   merging chunk results in index order is exact regardless of how the
-   chunks were scheduled. *)
-type chunk_counts = {
-  hits : int array;
-  size_sum : int;
-  miss_count : int;
-  success_count : int;
-}
-
-let empirical_chunk ~n ~trials rng live select =
+let empirical_of_select ?live ~n ~trials rng select =
+  if trials <= 0 then invalid_arg "Strategy.empirical_of_select: trials";
+  let live =
+    match live with
+    | None -> Bitset.universe n
+    | Some l ->
+        if Bitset.capacity l <> n then
+          invalid_arg "Strategy.empirical_of_select: live universe mismatch";
+        l
+  in
   let hits = Array.make n 0 in
   let size_sum = ref 0 in
   let misses = ref 0 in
@@ -72,66 +71,12 @@ let empirical_chunk ~n ~trials rng live select =
         size_sum := !size_sum + Bitset.cardinal q;
         Bitset.iter (fun i -> hits.(i) <- hits.(i) + 1) q
   done;
-  {
-    hits;
-    size_sum = !size_sum;
-    miss_count = !misses;
-    success_count = !successes;
-  }
-
-(* Fixed chunk count for the parallel path: it must depend only on the
-   problem, never on the pool's domain count, so the split-off RNG
-   streams (and hence the result) are identical for any [jobs]. *)
-let empirical_chunks = 64
-
-let empirical_of_select ?pool ?live ~n ~trials rng select =
-  if trials <= 0 then invalid_arg "Strategy.empirical_of_select: trials";
-  let live =
-    match live with
-    | None -> Bitset.universe n
-    | Some l ->
-        if Bitset.capacity l <> n then
-          invalid_arg "Strategy.empirical_of_select: live universe mismatch";
-        l
-  in
-  let totals =
-    match pool with
-    | None -> empirical_chunk ~n ~trials rng live select
-    | Some pool ->
-        (* Split one RNG stream per chunk up front, in chunk order, so
-           the streams do not depend on execution interleaving. *)
-        let rngs = Array.init empirical_chunks (fun _ -> Rng.split rng) in
-        let share c =
-          (trials / empirical_chunks)
-          + (if c < trials mod empirical_chunks then 1 else 0)
-        in
-        let parts =
-          Exec.Pool.map_chunks pool ~chunks:empirical_chunks (fun c ->
-              empirical_chunk ~n ~trials:(share c) rngs.(c) live select)
-        in
-        Array.fold_left
-          (fun acc part ->
-            Array.iteri (fun i h -> acc.hits.(i) <- acc.hits.(i) + h) part.hits;
-            {
-              acc with
-              size_sum = acc.size_sum + part.size_sum;
-              miss_count = acc.miss_count + part.miss_count;
-              success_count = acc.success_count + part.success_count;
-            })
-          {
-            hits = Array.make n 0;
-            size_sum = 0;
-            miss_count = 0;
-            success_count = 0;
-          }
-          parts
-  in
-  let denom = float_of_int (max 1 totals.success_count) in
-  let loads = Array.map (fun h -> float_of_int h /. denom) totals.hits in
+  let denom = float_of_int (max 1 !successes) in
+  let loads = Array.map (fun h -> float_of_int h /. denom) hits in
   {
     loads;
     max_load = Array.fold_left max 0.0 loads;
-    avg_size = float_of_int totals.size_sum /. denom;
-    misses = totals.miss_count;
+    avg_size = float_of_int !size_sum /. denom;
+    misses = !misses;
     trials;
   }

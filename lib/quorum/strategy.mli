@@ -40,7 +40,6 @@ type empirical = {
 }
 
 val empirical_of_select :
-  ?pool:Exec.Pool.t ->
   ?live:Bitset.t ->
   n:int ->
   trials:int ->
@@ -51,11 +50,7 @@ val empirical_of_select :
     times against [live] (default: the fully-live universe, the
     paper's setting; pass a partial [live] to measure strategy load
     under failures — selections returning [None] count as [misses]).
-
-    With [~pool] the trials are sharded over the pool's domains in 64
-    fixed chunks, each with its own RNG stream split off [rng] by
-    chunk index — the result is bit-identical whatever the pool's
-    domain count.  The parallel path invokes [select] concurrently, so
-    the closure must be safe for concurrent use (structural selectors
-    are; a selector that forces a shared lazy quorum list needs
-    [System.prepare] first). *)
+    The selections draw from [rng] one after another.  A selection
+    takes a varying number of draws, so no trial's stream position is
+    known before the ones ahead of it have run: the sampling is
+    sequential. *)

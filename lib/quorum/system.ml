@@ -97,11 +97,6 @@ let quorums_exn t =
   | Ok q -> q
   | Error msg -> invalid_arg ("System.quorums_exn: " ^ msg)
 
-let prepare t =
-  match t.min_quorums with
-  | Some q -> ignore (Lazy.force q : Bitset.t list)
-  | None -> ()
-
 let rename t name = { t with name }
 
 (* Re-express a small system over a larger universe through a placement

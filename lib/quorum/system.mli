@@ -75,8 +75,7 @@ type t = {
           voting (majority) also allocates two arrays of the live
           members, {!embed} the base system's live set and quorum, and
           h-grid rows wider than 15 cells an index array.  Scratch is
-          per call, never shared, so one system's [select] is safe on
-          several domains at once (after {!prepare}). *)
+          per call, never shared between calls. *)
 }
 
 val make :
@@ -104,7 +103,7 @@ val avail_mask_exn : t -> int -> bool
     bitset when the construction did not provide one.  Requires
     [n <= 62].  The scratch is domain-local, so the derived closure is
     safe to share across the domains of a parallel scan (each domain
-    gets its own scratch; see [Exec.Pool]). *)
+    gets its own scratch). *)
 
 val quorums : t -> (Bitset.t list, string) result
 (** Force [min_quorums]; [Error] when the construction does not
@@ -114,15 +113,6 @@ val quorums_exn : t -> Bitset.t list
 (** CLI/test convenience over {!quorums}; raises [Invalid_argument]
     when the construction does not enumerate.  Library, bench and
     example code should match on {!quorums} instead. *)
-
-val prepare : t -> unit
-(** Force the lazy quorum list (a no-op when absent) so the system can
-    be shared across domains: concurrently forcing a [lazy] from two
-    domains raises [CamlinternalLazy.Undefined], so call [prepare]
-    before handing [select] to a parallel driver.
-    Beware: for large constructions the quorum list may be huge —
-    only prepare systems whose quorums you could afford to enumerate
-    anyway (structural [select]s, e.g. h-triang's, never force it). *)
 
 val rename : t -> string -> t
 (** The same system under another name, availability counts included. *)

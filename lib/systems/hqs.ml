@@ -13,6 +13,20 @@ let quorum_size ~branching =
   check branching;
   List.fold_left (fun acc b -> acc * majority b) 1 branching
 
+(* [quorums_range]'s list length: a node takes each of the C(b, m)
+   sets of m = majority b children, with any quorum of each. *)
+let quorum_count ~branching =
+  check branching;
+  let node b children =
+    let m = majority b in
+    let acc = ref (Quorum.Failure_poly.binomial b m) in
+    for _ = 1 to m do
+      acc := !acc *. children
+    done;
+    !acc
+  in
+  List.fold_right node branching 1.0
+
 let mask_mem mask i = mask land (1 lsl i) <> 0
 
 (* Subtrees at the same level span contiguous leaf ranges; [offset] is
@@ -110,7 +124,13 @@ let system ?name ~branching () =
     else None
   in
   let min_quorums =
-    lazy (List.map (Bitset.of_list n) (quorums_range branching n 0))
+    lazy
+      (let count = quorum_count ~branching in
+       if count > float_of_int Thresh.enumeration_cap then
+         invalid_arg
+           (Printf.sprintf "Hqs: %.0f quorums exceed the enumeration cap"
+              count)
+       else List.map (Bitset.of_list n) (quorums_range branching n 0))
   in
   let select rng ~live =
     Option.map (Bitset.of_list n) (select_range branching rng live 0)

@@ -18,6 +18,15 @@ val system : ?name:string -> branching:int list -> unit -> Quorum.System.t
 
 val quorum_size : branching:int list -> int
 
+val quorum_count : branching:int list -> float
+(** How many minimal quorums the system lists: C(b, m) times the
+    subtree's count to the power m, with m = b/2 + 1, from the top
+    level down.  A float, exact below 2^53 and never overflowing.  Past
+    {!Thresh.enumeration_cap} the system refuses to list them: forcing
+    [min_quorums] raises [Invalid_argument] before building any
+    quorum, and {!Quorum.System.quorums} turns that into an
+    [Error]. *)
+
 val failure_probability : branching:int list -> p:float -> float
 (** Exact: recursive majority-of-children survival recursion. *)
 

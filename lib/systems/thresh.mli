@@ -25,6 +25,9 @@ val system : ?name:string -> n:int -> r:int -> unit -> Quorum.System.t
 val quorum_count : n:int -> r:int -> int
 (** [C(n, r)]. *)
 
+val enumeration_cap : int
+(** 200_000: the most quorums a threshold or HQS system lists. *)
+
 val failure_probability_hetero : n:int -> r:int -> p_of:(int -> float) -> float
 (** Exact Poisson-binomial tail: the probability that fewer than [r]
     processes are live, in [O(n^2)] — no enumeration, any [n]. *)

@@ -1,13 +1,13 @@
 (* Tests for the domain pool (lib/exec) and the determinism contract
-   of every parallel analysis path: pooled results must be identical
-   for jobs = 1, 2 and 4, and — where promised — equal to the original
-   sequential code path bit for bit. *)
+   of every parallel analysis path: a pool changes only where the work
+   runs, so every pooled result, for jobs = 1, 2 and 4, equals the
+   result without a pool bit for bit, and that one equals the
+   one-stream or depth-first loop it replaced. *)
 
 module Pool = Exec.Pool
 module Bitset = Quorum.Bitset
 module System = Quorum.System
 module Rng = Quorum.Rng
-module Strategy = Quorum.Strategy
 module Failure = Analysis.Failure
 
 let check = Alcotest.(check bool)
@@ -135,121 +135,135 @@ let exact_poly_deterministic =
         (fun p -> poly_counts s (Failure.exact_poly ~pool:p s) = oracle)
         (Lazy.force pools))
 
+(* The one-stream sampler every Monte-Carlo estimate must equal: one
+   Bernoulli draw per process per trial, all from [rng]. *)
+let one_stream_failures rng (s : System.t) ~p_of ~trials =
+  let live = Bitset.create s.System.n in
+  let failures = ref 0 in
+  for _ = 1 to trials do
+    Bitset.clear live;
+    for i = 0 to s.System.n - 1 do
+      if not (Rng.bernoulli rng (p_of i)) then Bitset.add live i
+    done;
+    if not (s.System.avail live) then incr failures
+  done;
+  !failures
+
+(* An estimate with the draw that follows it: equal pairs mean equal
+   estimates and the caller's stream left at the same place. *)
+let with_next rng f =
+  let (e : Failure.estimate) = f rng in
+  ((e.mean, e.half_width, e.trials), Rng.bits64 rng)
+
+let mc_matches_one_stream ~seed ~trials s ~p_of estimate =
+  let oracle =
+    let rng = Rng.create seed in
+    let failures = one_stream_failures rng s ~p_of ~trials in
+    let mean = float_of_int failures /. float_of_int trials in
+    ( (mean, 1.96 *. sqrt (mean *. (1.0 -. mean) /. float_of_int trials), trials),
+      Rng.bits64 rng )
+  in
+  let run pool = with_next (Rng.create seed) (estimate ?pool) in
+  run None = oracle
+  && List.for_all (fun p -> run (Some p) = oracle) (Lazy.force pools)
+
 let monte_carlo_deterministic =
-  QCheck.Test.make ~name:"monte_carlo: pooled estimate independent of jobs"
+  QCheck.Test.make
+    ~name:"monte_carlo: pooled estimate independent of the pool, stream \
+           included"
     ~count:12
-    QCheck.(pair spec_arb (int_bound 10_000))
-    (fun (i, seed) ->
+    QCheck.(triple spec_arb (int_bound 10_000) (int_range 1 3_000))
+    (fun (i, seed, trials) ->
       let s = build i in
-      let est p =
-        Failure.monte_carlo ?pool:p ~trials:4_096 (Rng.create seed) s ~p:0.3
-      in
-      match List.map (fun p -> est (Some p)) (Lazy.force pools) with
-      | [] -> true
-      | e0 :: rest -> List.for_all (( = ) e0) rest)
+      mc_matches_one_stream ~seed ~trials s
+        ~p_of:(fun _ -> 0.3)
+        (fun ?pool rng -> Failure.monte_carlo ?pool ~trials rng s ~p:0.3))
+
+let monte_carlo_hetero_deterministic =
+  QCheck.Test.make
+    ~name:"monte_carlo_hetero: pooled = sequential, stream included"
+    ~count:12
+    QCheck.(triple spec_arb (int_bound 10_000) (int_range 1 3_000))
+    (fun (i, seed, trials) ->
+      let s = build i in
+      let rng = Rng.create (seed + 1) in
+      let p = Array.init s.System.n (fun _ -> 0.9 *. Rng.float rng) in
+      let p_of i = p.(i) in
+      mc_matches_one_stream ~seed ~trials s ~p_of (fun ?pool rng ->
+          Failure.monte_carlo_hetero ?pool ~trials rng s ~p_of))
+
+(* Above 12 processes [exact_hetero] runs in chunks, so these cover the
+   chunked sum: 13 to 18 processes. *)
+let hetero_specs =
+  [|
+    "majority(15)";
+    "majority(17)";
+    "htriang(15)";
+    "y(15)";
+    "hqs(3-5)";
+    "grid-rw(4x4)";
+    "htgrid(4x4)";
+    "wall(1-2-3-4-5)";
+    "paths(2)";
+    "tree(15)";
+    "hgrid(3x6)";
+  |]
+
+(* The depth-first walk every [exact_hetero] result must equal. *)
+let dfs_oracle (s : System.t) ~p_of =
+  let avail = System.avail_mask_exn s in
+  let rec walk i mask prob =
+    if prob = 0.0 then 0.0
+    else if i = s.System.n then if avail mask then 0.0 else prob
+    else
+      let p = p_of i in
+      walk (i + 1) mask (prob *. p)
+      +. walk (i + 1) (mask lor (1 lsl i)) (prob *. (1.0 -. p))
+  in
+  walk 0 0 1.0
 
 let exact_hetero_deterministic =
-  QCheck.Test.make ~name:"exact_hetero: pooled independent of jobs, ~= DFS"
-    ~count:8
-    QCheck.(pair spec_arb (int_bound 10_000))
+  QCheck.Test.make
+    ~name:"exact_hetero: pooled independent of the pool, = DFS bit for bit"
+    ~count:24
+    QCheck.(
+      pair
+        (make
+           ~print:(fun i -> hetero_specs.(i))
+           Gen.(int_bound (Array.length hetero_specs - 1)))
+        (int_bound 10_000))
     (fun (i, seed) ->
-      let s = build i in
+      let s = Core.Registry.build_exn hetero_specs.(i) in
       let rng = Rng.create seed in
       let p = Array.init s.System.n (fun _ -> 0.9 *. Rng.float rng) in
       let p_of i = p.(i) in
-      let oracle = Failure.exact_hetero s ~p_of in
-      let pooled =
-        List.map (fun p -> Failure.exact_hetero ~pool:p s ~p_of)
-          (Lazy.force pools)
-      in
-      (match pooled with
-      | [] -> true
-      | f0 :: rest -> List.for_all (( = ) f0) rest)
-      && List.for_all (fun f -> abs_float (f -. oracle) < 1e-12) pooled)
-
-(* Every selector family the simulator runs, for the pooled selection
-   test: the specs above, weighted voting with uneven votes, even-n
-   majority, h-grid read / write / rw, and placements through
-   [System.embed] and [Shard_router]. *)
-let select_systems =
-  let spec name = (name, fun () -> Core.Registry.build_exn name) in
-  let shard read ~shard =
-    ( Printf.sprintf "shard %d %s" shard (if read then "read" else "write"),
-      fun () ->
-        match Protocols.Shard_router.create ~universe:15 ~shards:3 () with
-        | Error e -> failwith e
-        | Ok r ->
-            if read then Protocols.Shard_router.shard_read_system r ~shard
-            else Protocols.Shard_router.shard_write_system r ~shard )
-  in
-  Array.append
-    (Array.map spec det_specs)
-    [|
-      spec "voting(1-2-3-1-2-1)";
-      spec "majority(10)";
-      spec "hgrid-read(4x4)";
-      spec "hgrid-write(6x4)";
-      spec "hgrid(2x3)";
-      ( "embed htriang(6)/20",
-        fun () ->
-          System.embed ~universe:20 ~place:[| 3; 17; 5; 11; 0; 8 |]
-            (Core.Registry.build_exn "htriang(6)") );
-      shard true ~shard:1;
-      shard false ~shard:2;
-    |]
-
-let select_arb =
-  QCheck.make
-    ~print:(fun i -> fst select_systems.(i))
-    QCheck.Gen.(int_bound (Array.length select_systems - 1))
-
-let empirical_deterministic =
-  QCheck.Test.make
-    ~name:"empirical_of_select: pooled loads independent of jobs" ~count:24
-    QCheck.(pair select_arb (int_bound 10_000))
-    (fun (i, seed) ->
-      let s = snd select_systems.(i) () in
-      (* Force any lazy quorum list before sharing select across
-         domains (the documented contract). *)
-      System.prepare s;
-      let run p =
-        Strategy.empirical_of_select ?pool:p ~n:s.System.n ~trials:2_000
-          (Rng.create seed) s.System.select
-      in
-      match List.map (fun p -> run (Some p)) (Lazy.force pools) with
-      | [] -> true
-      | e0 :: rest ->
-          List.for_all
-            (fun (e : Strategy.empirical) ->
-              e.loads = e0.loads && e.max_load = e0.max_load
-              && e.avg_size = e0.avg_size
-              && e.misses = e0.misses)
-            rest)
+      let oracle = Int64.bits_of_float (dfs_oracle s ~p_of) in
+      let bits pool = Int64.bits_of_float (Failure.exact_hetero ?pool s ~p_of) in
+      bits None = oracle
+      && List.for_all (fun p -> bits (Some p) = oracle) (Lazy.force pools))
 
 let test_empirical_live () =
   (* ?live: selections respect the live set, so a dead element carries
      zero load, and the default (no ~live) is the fully-live universe. *)
   let s = Core.Registry.build_exn "htriang(10)" in
-  System.prepare s;
   let live = Bitset.universe s.System.n in
   Bitset.remove live 0;
-  with_pools (fun p ->
-      let e =
-        Strategy.empirical_of_select ~pool:p ~live ~n:s.System.n
-          ~trials:2_000 (Rng.create 5) s.System.select
-      in
-      check "dead element unloaded" true (e.Strategy.loads.(0) = 0.0);
-      check_int "no misses" 0 e.Strategy.misses);
+  let e =
+    Quorum.Strategy.empirical_of_select ~live ~n:s.System.n ~trials:2_000
+      (Rng.create 5) s.System.select
+  in
+  check "dead element unloaded" true (e.Quorum.Strategy.loads.(0) = 0.0);
+  check_int "no misses" 0 e.Quorum.Strategy.misses;
   let default_e =
-    Strategy.empirical_of_select ~n:s.System.n ~trials:500 (Rng.create 6)
-      s.System.select
+    Quorum.Strategy.empirical_of_select ~n:s.System.n ~trials:500
+      (Rng.create 6) s.System.select
   in
   let universe_e =
-    Strategy.empirical_of_select ~live:(Bitset.universe s.System.n)
+    Quorum.Strategy.empirical_of_select ~live:(Bitset.universe s.System.n)
       ~n:s.System.n ~trials:500 (Rng.create 6) s.System.select
   in
   check "default live = universe" true
-    (default_e.Strategy.loads = universe_e.Strategy.loads)
+    (default_e.Quorum.Strategy.loads = universe_e.Quorum.Strategy.loads)
 
 let test_shutdown_pools () = List.iter Pool.shutdown (Lazy.force pools)
 
@@ -276,8 +290,8 @@ let () =
         [
           qc exact_poly_deterministic;
           qc monte_carlo_deterministic;
+          qc monte_carlo_hetero_deterministic;
           qc exact_hetero_deterministic;
-          qc empirical_deterministic;
           Alcotest.test_case "empirical ?live" `Quick test_empirical_live;
           Alcotest.test_case "shutdown shared pools" `Quick
             test_shutdown_pools;

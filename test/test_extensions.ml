@@ -4,8 +4,68 @@
 module Bitset = Quorum.Bitset
 module System = Quorum.System
 module Coterie = Quorum.Coterie
-module Compose = Quorum.Compose
 module Rng = Quorum.Rng
+
+(* Neilsen & Mizuno's coterie join and its iterated form, on explicit
+   quorum lists: the oracle that shows HQS is majority-of-majorities.
+   [join ~at] replaces outer element [at] by an inner coterie: quorums
+   avoiding it survive, quorums through it take any inner quorum in its
+   place; the outer ids above [at] shift down and the inner ones follow
+   at [n1 - 1].  [compose] replaces every outer element [e] by the
+   coterie [inner_of e], the inner universes laid out in outer-element
+   order. *)
+module Compose = struct
+  let join ~at ~n1 outer ~n2 inner =
+    let n = n1 - 1 + n2 in
+    let outer_id e = if e < at then e else e - 1 in
+    let inner_id e = n1 - 1 + e in
+    let quorums =
+      List.concat_map
+        (fun q ->
+          let kept =
+            Bitset.fold
+              (fun e acc -> if e = at then acc else outer_id e :: acc)
+              q []
+          in
+          if not (Bitset.mem q at) then [ Bitset.of_list n kept ]
+          else
+            List.map
+              (fun iq ->
+                Bitset.of_list n (kept @ List.map inner_id (Bitset.to_list iq)))
+              inner)
+        outer
+    in
+    (n, quorums)
+
+  let compose ~n1 outer inner_of =
+    let inners = Array.init n1 inner_of in
+    let offsets = Array.make n1 0 in
+    let total = ref 0 in
+    Array.iteri
+      (fun e (n2, _) ->
+        offsets.(e) <- !total;
+        total := !total + n2)
+      inners;
+    let n = !total in
+    let inner_quorums_of e =
+      List.map
+        (fun q -> List.map (fun i -> offsets.(e) + i) (Bitset.to_list q))
+        (snd inners.(e))
+    in
+    let quorums =
+      List.concat_map
+        (fun q ->
+          Bitset.to_list q
+          |> List.map inner_quorums_of
+          |> Quorum.Combinat.product
+          |> List.map (fun parts -> Bitset.of_list n (List.concat parts)))
+        outer
+    in
+    (n, quorums)
+
+  let compose_uniform ~n1 outer ~n2 inner =
+    compose ~n1 outer (fun _ -> (n2, inner))
+end
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

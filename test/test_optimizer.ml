@@ -205,6 +205,22 @@ let test_evaluate_majority () =
   | _, Some wit -> check "witness names a crash set" true (String.length wit > 0)
   | _, None -> Alcotest.fail "singleton cannot be 1-resilient"
 
+(* hqs(4-4-4) would list 67,108,864 quorums: the count refuses it
+   before building any, so the optimizer measures its selection
+   strategy instead of running out of memory. *)
+let test_evaluate_hqs_past_cap () =
+  let s = ok_exn (Registry.build "hqs(4-4-4)") in
+  let t0 = Sys.time () in
+  check "quorums refused" true (is_error (System.quorums s));
+  check "refused within a second" true (Sys.time () -. t0 < 1.0);
+  let w = ok_exn (W.make ~read_fraction:0.5 ()) in
+  let cand =
+    { O.label = "hqs(4-4-4)"; read_spec = "hqs(4-4-4)";
+      write_spec = "hqs(4-4-4)" }
+  in
+  let pt, _ = ok_exn (O.evaluate ~trials:2_000 ~workload:w cand) in
+  check "empirical point" true (pt.O.source = O.Empirical)
+
 (* --- Pareto: qcheck soundness + brute-force completeness ------------- *)
 
 let frontier_sound_and_complete =
@@ -407,6 +423,8 @@ let () =
         [
           Alcotest.test_case "evaluate majority(15)" `Quick
             test_evaluate_majority;
+          Alcotest.test_case "hqs(4-4-4) past the cap: empirical" `Quick
+            test_evaluate_hqs_past_cap;
           QCheck_alcotest.to_alcotest frontier_sound_and_complete;
           Alcotest.test_case "frontier = brute force on fixture" `Quick
             test_frontier_matches_brute_force_fixture;

@@ -210,6 +210,7 @@ type rng_op =
   | Exponential of float
   | Split
   | Copy
+  | Advance of int
 
 let print_rng_op = function
   | Bits64 -> "bits64"
@@ -221,6 +222,7 @@ let print_rng_op = function
   | Exponential m -> Printf.sprintf "exponential %h" m
   | Split -> "split"
   | Copy -> "copy"
+  | Advance k -> Printf.sprintf "advance %d" k
 
 (* Each draw's result as the bits of an [int64], so floats compare
    bit for bit. *)
@@ -233,6 +235,7 @@ let rng_matches_reference =
         map (fun b -> Int b) (oneof [ int_range 1 10; int_range 1 max_int ]);
         map (fun p -> Bernoulli p) (float_range 0.0 1.0);
         map (fun m -> Exponential m) (float_range 0.0 10.0);
+        map (fun k -> Advance k) (int_range 0 300);
       ]
   in
   let gen = pair int (list_size (int_range 0 60) op) in
@@ -264,6 +267,13 @@ let rng_matches_reference =
             let c = Rng.copy r and cm = Ref_rng.copy m in
             let x = Rng.bits64 c in
             if x <> Ref_rng.bits64 cm then (x, Int64.lognot x) else (x, x)
+        | Advance k ->
+            (* [k] single-step draws, then the next one. *)
+            Rng.advance r k;
+            for _ = 1 to k do
+              ignore (Ref_rng.bits64 m)
+            done;
+            (Rng.bits64 r, Ref_rng.bits64 m)
       in
       List.for_all (fun o -> let a, b = step o in a = b) ops
       && Rng.bits64 r = Ref_rng.bits64 m)

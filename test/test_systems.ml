@@ -322,6 +322,37 @@ let test_wall_quorum_count () =
     (2 * 3 * 4 + 3 * 4 + 4 + 1)
     (Systems.Wall.quorum_count [| 1; 2; 3; 4 |])
 
+(* The count comes from the branching alone; every HQS tree an
+   optimizer sweep instantiates up to 30 processes lists exactly that
+   many quorums, all under the enumeration cap. *)
+let test_hqs_quorum_count () =
+  let checked = ref 0 in
+  for n = 9 to 30 do
+    List.iter
+      (fun ((e : Core.Registry.entry), specs) ->
+        if e.Core.Registry.family = "hqs" then
+          List.iter
+            (fun spec ->
+              let branching =
+                String.sub spec 4 (String.length spec - 5)
+                |> String.split_on_char '-' |> List.map int_of_string
+              in
+              let listed =
+                List.length
+                  (System.quorums_exn (Core.Registry.build_exn spec))
+              in
+              check (spec ^ " count") true
+                (Systems.Hqs.quorum_count ~branching = float_of_int listed);
+              check (spec ^ " under the cap") true
+                (listed <= Systems.Thresh.enumeration_cap);
+              incr checked)
+            specs)
+      (Core.Registry.instantiations ~n)
+  done;
+  check_int "hqs specs up to n = 30" 26 !checked;
+  check "hqs(4-4-4) count" true
+    (Systems.Hqs.quorum_count ~branching:[ 4; 4; 4 ] = 67_108_864.0)
+
 let test_triangle_sizes () =
   let s = Systems.Triangle.system ~rows:5 () in
   let stats = Analysis.Metrics.of_system s in
@@ -420,6 +451,7 @@ let () =
           Alcotest.test_case "cwlog shape" `Quick test_cwlog_shape;
           Alcotest.test_case "fpp plane" `Quick test_fpp_shape;
           Alcotest.test_case "wall quorum count" `Quick test_wall_quorum_count;
+          Alcotest.test_case "hqs quorum count" `Quick test_hqs_quorum_count;
           Alcotest.test_case "triangle sizes" `Quick test_triangle_sizes;
           Alcotest.test_case "paths structure" `Quick test_paths_structure;
           Alcotest.test_case "y structure" `Quick test_y_structure;
