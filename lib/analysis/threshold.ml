@@ -6,7 +6,7 @@ let improves ~family ~levels:(small, large) p =
      the supercritical region). *)
   fl < 0.9 *. fs || (fl <= fs && fl < 1e-12)
 
-let bisect ?(iters = 30) ~supercritical ~low ~high () =
+let bisect ~supercritical ~low ~high () =
   if not (low < high) then invalid_arg "Threshold.bisect: bounds";
   if not (supercritical low) then low
   else begin
@@ -17,9 +17,8 @@ let bisect ?(iters = 30) ~supercritical ~low ~high () =
         if supercritical mid then go mid hi (i - 1) else go lo mid (i - 1)
       end
     in
-    go low high iters
+    go low high 30
   end
 
-let critical_p ?iters ~family ~levels () =
-  bisect ?iters ~supercritical:(improves ~family ~levels) ~low:0.01 ~high:0.5
-    ()
+let critical_p ~family ~levels () =
+  bisect ~supercritical:(improves ~family ~levels) ~low:0.01 ~high:0.5 ()

@@ -21,17 +21,11 @@ val improves : family:(int -> p:float -> float) -> levels:int * int ->
     values have underflowed to ~0 (deep supercritical). *)
 
 val bisect :
-  ?iters:int ->
-  supercritical:(float -> bool) ->
-  low:float ->
-  high:float ->
-  unit ->
-  float
-(** Largest [p] (within [2^-iters * (high - low)]) such that
-    [supercritical p]; assumes monotonicity.  [iters] defaults to 30.
+  supercritical:(float -> bool) -> low:float -> high:float -> unit -> float
+(** Largest [p] (within [2^-30 * (high - low)]) such that
+    [supercritical p]; assumes monotonicity.
     [low] must be supercritical; returns [low] if even it is not. *)
 
 val critical_p :
-  ?iters:int -> family:(int -> p:float -> float) -> levels:int * int ->
-  unit -> float
+  family:(int -> p:float -> float) -> levels:int * int -> unit -> float
 (** [bisect] over [improves]. *)

@@ -91,16 +91,6 @@ let trace_csv oc tr =
         (Trace.kind_name e.kind) e.node e.peer e.msg_id e.span
         (csv_field e.label))
 
-let spans_jsonl oc sp =
-  Span.iter sp (fun (s : Span.span) ->
-      Printf.fprintf oc
-        "{\"id\":%d,\"parent\":%d,\"root\":%d,\"node\":%d,\"name\":%s,\
-         \"start\":%s,\"end\":%s,\"status\":%s}\n"
-        s.id s.parent s.root s.node (json_string s.name)
-        (fl s.start_time)
-        (if Span.is_open s then "null" else fl s.end_time)
-        (json_string (Span.status_name s.status)))
-
 (* Prometheus text exposition format, version 0.0.4.  Counters get the
    conventional [_total] suffix; exact-sample histograms are closest to
    Prometheus summaries (pre-computed quantiles), so that is how they

@@ -19,9 +19,5 @@ val metrics_prometheus : out_channel -> Metrics.t -> unit
 val trace_jsonl : out_channel -> Trace.t -> unit
 val trace_csv : out_channel -> Trace.t -> unit
 
-val spans_jsonl : out_channel -> Span.t -> unit
-(** One span per line; open spans serialize with ["end":null] and
-    status ["open"]. *)
-
 val with_file : string -> (out_channel -> unit) -> unit
 (** Open [path] for writing, run the sink, close (also on raise). *)

@@ -13,16 +13,34 @@ type span = {
   node : int;
   name : string;
   start_time : float;
-  mutable end_time : float;
-  mutable status : status;
+  end_time : float;
+  status : status;
 }
 
-let dummy =
-  { id = -1; parent = -1; root = -1; node = -1; name = "";
-    start_time = 0.0; end_time = nan; status = Open }
+(* A run keeps every span, so spans are stored by column, in chunks of
+   [chunk_size]: seven words a span, no allocation per start or finish,
+   and growth by one chunk without copying. *)
+let chunk_bits = 10
+let chunk_size = 1 lsl chunk_bits
+
+type chunk = {
+  parents : int array;
+  roots : int array;
+  nodes : int array;
+  names : string array;
+  starts : Float.Array.t;
+  ends : Float.Array.t;  (** [nan] while open *)
+  statuses : status array;
+}
+
+let new_chunk () =
+  let ints () = Array.make chunk_size 0 in
+  { parents = ints (); roots = ints (); nodes = ints ();
+    names = Array.make chunk_size ""; starts = Float.Array.make chunk_size 0.0;
+    ends = Float.Array.make chunk_size nan; statuses = Array.make chunk_size Open }
 
 type t = {
-  mutable data : span array;
+  mutable chunks : chunk array;
   mutable len : int;
   prof : Prof.t;
   (* Root sampling: keep 1 in [keep_1_in] root spans (1 = all, 0 = none);
@@ -37,16 +55,23 @@ type t = {
 let sampled_out = -2
 
 let create ?(prof = Prof.null) () =
-  { data = [||]; len = 0; prof; keep_1_in = 1; sample_seed = 0;
+  { chunks = [||]; len = 0; prof; keep_1_in = 1; sample_seed = 0;
     roots_seen = 0; roots_kept = 0 }
 
 let count t = t.len
-let get t id = if id >= 0 && id < t.len then Some t.data.(id) else None
+let chunk_of t id = t.chunks.(id lsr chunk_bits)
+let slot id = id land (chunk_size - 1)
 
-let get_exn t id =
-  match get t id with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Span.get_exn: unknown span %d" id)
+let span_at t id =
+  let c = chunk_of t id and i = slot id in
+  { id; parent = c.parents.(i); root = c.roots.(i); node = c.nodes.(i);
+    name = c.names.(i); start_time = Float.Array.get c.starts i;
+    end_time = Float.Array.get c.ends i; status = c.statuses.(i) }
+
+let known t id = id >= 0 && id < t.len
+let get t id = if known t id then Some (span_at t id) else None
+let unknown id = invalid_arg (Printf.sprintf "Span.get_exn: unknown span %d" id)
+let get_exn t id = if known t id then span_at t id else unknown id
 
 let set_sampler t ~seed ~keep_1_in =
   if keep_1_in < 0 then invalid_arg "Span.set_sampler: keep_1_in < 0";
@@ -99,28 +124,27 @@ let start t ~time ~node ?(parent = -1) name =
       in
       if sampled_root then sampled_out
       else begin
+        let id = t.len in
         let root =
           if parent < 0 then begin
             t.roots_kept <- t.roots_kept + 1;
-            t.len
+            id
           end
-          else
-            match get t parent with
-            | Some p -> p.root
-            | None -> invalid_arg "Span.start: unknown parent"
+          else if known t parent then (chunk_of t parent).roots.(slot parent)
+          else invalid_arg "Span.start: unknown parent"
         in
-        let s =
-          { id = t.len; parent; root; node; name; start_time = time;
-            end_time = nan; status = Open }
-        in
-        if t.len = Array.length t.data then begin
-          let grown = Array.make (max 16 (2 * t.len)) dummy in
-          Array.blit t.data 0 grown 0 t.len;
-          t.data <- grown
-        end;
-        t.data.(t.len) <- s;
-        t.len <- t.len + 1;
-        s.id
+        if id lsr chunk_bits = Array.length t.chunks then
+          t.chunks <- Array.append t.chunks [| new_chunk () |];
+        let c = chunk_of t id and i = slot id in
+        c.parents.(i) <- parent;
+        c.roots.(i) <- root;
+        c.nodes.(i) <- node;
+        c.names.(i) <- name;
+        Float.Array.set c.starts i time;
+        Float.Array.set c.ends i nan;
+        c.statuses.(i) <- Open;
+        t.len <- id + 1;
+        id
       end
     in
     Prof.leave t.prof Prof.Span;
@@ -135,46 +159,33 @@ let finish t ~time ?(status = Ok) id =
   if id <= sampled_out then ()  (* whole tree was sampled out *)
   else begin
     Prof.enter t.prof Prof.Span;
-    let s = get_exn t id in
+    if not (known t id) then unknown id;
+    let c = chunk_of t id and i = slot id in
     (* First close wins: a watchdog and a late reply may both try to end
        the same span, and the earlier verdict is the operation's truth. *)
-    if is_open s then begin
-      if time < s.start_time then invalid_arg "Span.finish: time before start";
-      s.end_time <- time;
-      s.status <- status
+    if c.statuses.(i) = Open then begin
+      if time < Float.Array.get c.starts i then
+        invalid_arg "Span.finish: time before start";
+      Float.Array.set c.ends i time;
+      c.statuses.(i) <- status
     end;
     Prof.leave t.prof Prof.Span
   end
 
 let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
+  for id = 0 to t.len - 1 do
+    f (span_at t id)
   done
 
-let to_list t =
+let filter t keep =
   let acc = ref [] in
-  iter t (fun s -> acc := s :: !acc);
+  iter t (fun s -> if keep s then acc := s :: !acc);
   List.rev !acc
 
-let roots t =
-  let acc = ref [] in
-  iter t (fun s -> if s.parent < 0 then acc := s :: !acc);
-  List.rev !acc
-
-let children t id =
-  let acc = ref [] in
-  iter t (fun s -> if s.parent = id then acc := s :: !acc);
-  List.rev !acc
-
-let open_count t =
-  let n = ref 0 in
-  iter t (fun s -> if is_open s then incr n);
-  !n
-
-let clear t =
-  t.len <- 0;
-  t.roots_seen <- 0;
-  t.roots_kept <- 0
+let to_list t = filter t (fun _ -> true)
+let roots t = filter t (fun s -> s.parent < 0)
+let children t id = filter t (fun s -> s.parent = id)
+let open_count t = List.length (filter t is_open)
 
 let validate t =
   let faults = ref [] in

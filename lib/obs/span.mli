@@ -32,9 +32,11 @@ type span = {
   node : int;  (** node the spanned work ran on *)
   name : string;  (** e.g. ["store.write"], ["rpc.attempt"], ["fsync"] *)
   start_time : float;
-  mutable end_time : float;  (** [nan] while open *)
-  mutable status : status;
+  end_time : float;  (** [nan] while open *)
+  status : status;
 }
+(** A snapshot: {!get} and {!iter} build it from the collector's
+    columns, so a later {!finish} does not change it. *)
 
 type t
 (** A span collector; one per run, owned by {!Obs.t}. *)
@@ -107,7 +109,6 @@ val iter : t -> (span -> unit) -> unit
 val to_list : t -> span list
 val roots : t -> span list
 val children : t -> int -> span list
-val clear : t -> unit
 
 val validate : t -> string list
 (** Well-formedness report; [[]] is the pass verdict.  Checks that

@@ -30,8 +30,8 @@ type op_profile = {
   complete : bool;
 }
 
-let default_is_fsync name =
-  (* Matches "fsync" anywhere in the span name ("fsync", "store.fsync"). *)
+(* An fsync span has "fsync" anywhere in its name ("fsync", "store.fsync"). *)
+let is_fsync name =
   let n = String.length name and m = 5 in
   let rec at i =
     i + m <= n && (String.sub name i m = "fsync" || at (i + 1))
@@ -175,7 +175,7 @@ let profile_root ~fsync_by_node (root : Span.span) events =
     complete = !complete;
   }
 
-let profile_ops ?(is_fsync = default_is_fsync) ~trace ~spans () =
+let profile_ops ~trace ~spans () =
   let buckets = bucket_events ~trace ~spans in
   (* Per root: fsync intervals grouped by node, merged. *)
   let fsync_raw = Hashtbl.create 32 in
@@ -347,91 +347,116 @@ let witness_events ?trace ?spans hops =
         List.rev !acc
   | _ -> []
 
+let indices (hs : hop array) keep =
+  let count = Array.fold_left (fun n h -> if keep h then n + 1 else n) 0 hs in
+  let out = Array.make count 0 and n = ref 0 in
+  Array.iteri
+    (fun i h ->
+      if keep h then begin
+        out.(!n) <- i;
+        incr n
+      end)
+    hs;
+  out
+
+(* Each guarantee is one rule: a read must observe at least the best
+   version among the hops of its group that finished strictly before
+   it started: the highest, and of equal versions the first in [hs]
+   (which [audit_history] orders by start).  Groups are the classes
+   of [group], an order on hop indices.  The hops satisfying [member]
+   are sorted by group, then finish time, with a running best per
+   group, so [missed r] is one binary search: the index of the hop
+   read [r] should have observed when it observed less, else -1. *)
+let rule (hs : hop array) ~member ~group =
+  let by = indices hs member in
+  Array.sort
+    (fun i j ->
+      match group i j with
+      | 0 -> Float.compare hs.(i).finished hs.(j).finished
+      | c -> c)
+    by;
+  let best = Array.copy by in
+  for k = 1 to Array.length by - 1 do
+    if group by.(k) by.(k - 1) = 0 then
+      let b = best.(k - 1) and i = by.(k) in
+      let vb = hs.(b).version and vi = hs.(i).version in
+      best.(k) <- (if vi > vb || (vi = vb && i < b) then i else b)
+  done;
+  fun r ->
+    let t = hs.(r).started in
+    let lo = ref 0 and hi = ref (Array.length by) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let c = group by.(mid) r in
+      if c < 0 || (c = 0 && hs.(by.(mid)).finished < t) then lo := mid + 1
+      else hi := mid
+    done;
+    if !lo = 0 then -1
+    else
+      let e = best.(!lo - 1) in
+      if group e r = 0 && hs.(r).version < hs.(e).version then e else -1
+
+let by_key (hs : hop array) i j = compare hs.(i).key hs.(j).key
+let stale_rule hs = rule hs ~member:(fun h -> h.is_write) ~group:(by_key hs)
+
+let stale_reads hops =
+  let hs = Array.of_list hops in
+  let missed = stale_rule hs and n = ref 0 in
+  Array.iteri (fun i h -> if (not h.is_write) && missed i >= 0 then incr n) hs;
+  !n
+
 let audit_history ?trace ?spans hops =
-  let hops = List.sort (fun a b -> compare a.started b.started) hops in
-  let reads = List.filter (fun h -> not h.is_write) hops in
-  let writes = List.filter (fun h -> h.is_write) hops in
-  let violations = ref [] in
-  let add check detail offending expected =
-    violations :=
-      {
-        check;
-        detail;
-        offending;
-        expected;
-        witness =
-          witness_events ?trace ?spans
-            (offending :: Option.to_list expected);
-      }
-      :: !violations
+  let by_start a b = Float.compare a.started b.started in
+  let hs = Array.of_list (List.stable_sort by_start hops) in
+  let reads = indices hs (fun h -> not h.is_write) in
+  let by_session i j =
+    match compare hs.(i).client hs.(j).client with
+    | 0 -> by_key hs i j
+    | c -> c
   in
-  (* Latest write on [key] that durably finished before [t] — any read
-     starting after that point must observe at least its version. *)
-  let last_write_before ?client key t =
-    List.fold_left
-      (fun best w ->
-        if
-          w.key = key && w.finished < t
-          && (match client with None -> true | Some c -> w.client = c)
-        then
-          match best with
-          | Some b when b.version >= w.version -> best
-          | _ -> Some w
-        else best)
-      None writes
+  let stale = stale_rule hs
+  and own_writes = rule hs ~member:(fun h -> h.is_write) ~group:by_session
+  and own_reads =
+    rule hs ~member:(fun h -> not h.is_write) ~group:by_session
   in
-  List.iter
-    (fun r ->
-      (match last_write_before r.key r.started with
-      | Some w when r.version < w.version ->
-          add "stale-read"
-            (Printf.sprintf
-               "read of key %d by client %d returned version %d, but \
-                version %d committed at t=%g, before the read started at \
-                t=%g"
-               r.key r.client r.version w.version w.finished r.started)
-            r (Some w)
-      | _ -> ());
-      match last_write_before ~client:r.client r.key r.started with
-      | Some w when r.version < w.version ->
-          add "read-your-writes"
-            (Printf.sprintf
-               "client %d read version %d of key %d after its own write \
-                of version %d finished at t=%g"
-               r.client r.version r.key w.version w.finished)
-            r (Some w)
-      | _ -> ())
+  let found = ref [] in
+  let flag check missed detail i =
+    match missed i with
+    | -1 -> ()
+    | e ->
+        let r = hs.(i) and e = hs.(e) in
+        let detail = detail r e and expected = Some e in
+        let witness = witness_events ?trace ?spans [ r; e ] in
+        found := { check; detail; offending = r; expected; witness } :: !found
+  in
+  (* Reads in start order, a read's stale-read before its
+     read-your-writes; then every monotonic-reads violation. *)
+  Array.iter
+    (fun i ->
+      flag "stale-read" stale
+        (fun r w ->
+          Printf.sprintf
+            "read of key %d by client %d returned version %d, but version \
+             %d committed at t=%g, before the read started at t=%g"
+            r.key r.client r.version w.version w.finished r.started)
+        i;
+      flag "read-your-writes" own_writes
+        (fun r w ->
+          Printf.sprintf
+            "client %d read version %d of key %d after its own write of \
+             version %d finished at t=%g"
+            r.client r.version r.key w.version w.finished)
+        i)
     reads;
-  (* Monotonic reads: per (client, key), a read must not observe an
-     older version than any same-client read that finished before it
-     started.  Overlapping reads are unordered and never flagged. *)
-  List.iter
-    (fun r ->
-      let prior =
-        List.fold_left
-          (fun best r' ->
-            if
-              r'.client = r.client && r'.key = r.key
-              && r'.finished < r.started
-            then
-              match best with
-              | Some b when b.version >= r'.version -> best
-              | _ -> Some r'
-            else best)
-          None reads
-      in
-      match prior with
-      | Some p when r.version < p.version ->
-          add "monotonic-reads"
-            (Printf.sprintf
-               "client %d observed version %d of key %d at t=%g after \
-                observing version %d at t=%g"
-               r.client r.version r.key r.started p.version p.finished)
-            r (Some p)
-      | _ -> ())
+  Array.iter
+    (flag "monotonic-reads" own_reads (fun r p ->
+         Printf.sprintf
+           "client %d observed version %d of key %d at t=%g after observing \
+            version %d at t=%g"
+           r.client r.version r.key r.started p.version p.finished))
     reads;
   {
-    reads = List.length reads;
-    writes = List.length writes;
-    violations = List.rev !violations;
+    reads = Array.length reads;
+    writes = Array.length hs - Array.length reads;
+    violations = List.rev !found;
   }

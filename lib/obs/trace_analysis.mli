@@ -40,13 +40,10 @@ type op_profile = {
           unexplained remainder is attributed to queueing *)
 }
 
-val profile_ops :
-  ?is_fsync:(string -> bool) -> trace:Trace.t -> spans:Span.t -> unit ->
-  op_profile list
+val profile_ops : trace:Trace.t -> spans:Span.t -> unit -> op_profile list
 (** One profile per {e finished} root span (open roots — operations
-    still running when the run stopped — are skipped).  [is_fsync]
-    decides which span names count as fsync time (default: name
-    contains ["fsync"]). *)
+    still running when the run stopped — are skipped).  Fsync time is
+    that of spans whose name contains ["fsync"]. *)
 
 val events_of_op : trace:Trace.t -> spans:Span.t -> int -> Trace.event list
 (** All surviving trace events of the operation rooted at the given
@@ -93,11 +90,15 @@ val span_window_total : spans:Span.t -> name:string -> float
 (** {2 History auditor}
 
     Protocols record one {!hop} per completed client operation; the
-    auditor replays the history and checks session guarantees.  All
-    checks use strict real-time order ([finished < started]) — an
-    operation concurrent with a write may legitimately return either
-    version, so overlapping pairs are never flagged and the auditor
-    cannot false-positive on a linearizable history. *)
+    auditor replays the history and checks session guarantees, each
+    one rule: a read must observe at least the highest version among
+    the hops of a set that finished strictly before it started
+    ([finished < started]).  Overlapping pairs are never flagged, so
+    the auditor cannot false-positive on a linearizable history; and
+    simulated instants do not order events, so a write finishing at
+    the instant a read starts is concurrent with it.  Each set is
+    sorted by finish time with a running maximum version, so a read
+    costs one binary search: O(n log n) for n hops. *)
 
 type hop = {
   client : int;  (** issuing client/node *)
@@ -122,14 +123,19 @@ type violation = {
 
 type audit = { reads : int; writes : int; violations : violation list }
 
+val stale_reads : hop list -> int
+(** How many {e stale-read} violations {!audit_history} reports,
+    without building them; the list's order does not matter. *)
+
 val audit_history : ?trace:Trace.t -> ?spans:Span.t -> hop list -> audit
-(** Checks every read against three guarantees: {e stale-read} (a read
-    must observe at least the largest version whose write finished
-    before the read started), {e read-your-writes} (same, restricted
-    to the reader's own writes) and {e monotonic-reads} (a client's
-    non-overlapping reads of a key must observe non-decreasing
-    versions).  Pass [trace]/[spans] to attach witnessing event chains
-    to violations. *)
+(** Checks every read against three guarantees, whose sets are every
+    write to its key ({e stale-read}), the reader's own writes to it
+    ({e read-your-writes}) and the reader's own reads of it
+    ({e monotonic-reads}).  Violations come in the reads' start order,
+    stale-read before read-your-writes, then every monotonic-reads
+    one; [expected] is the earliest-started of the highest-version
+    hops.  Pass [trace]/[spans] to attach witnessing event chains to
+    violations. *)
 
 val passed : audit -> bool
 val verdict : audit -> string

@@ -677,7 +677,7 @@ let run_churn_h ?(seed = 7) ?(rate = 2.0) ?(op_timeout = 30.0) ?(rows = 5)
         | Static | Resize | Fd -> None)
       ~view:
         (match mode with
-        | Fd -> Membership.Fd { merged = true }
+        | Fd -> Membership.Fd
         | Static | Resize | Timed -> Membership.Omniscient)
       ~switch_retry:3.0 ~margin ~rows ~timeout:op_timeout ()
   in

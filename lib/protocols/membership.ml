@@ -1,7 +1,7 @@
 open Quorum
 module Htriang = Core.Htriang
 
-type view = Omniscient | Fd of { merged : bool }
+type view = Omniscient | Fd
 
 type t = {
   engine : Reconfig.msg Sim.Engine.t;
@@ -114,8 +114,7 @@ let false_evictions t = t.false_evictions
 
 (* The liveness opinion a tick acts on.  [Omniscient] is the engine's
    oracle (the historical controller, bit-identical).  [Fd] reads the
-   failure detector through the register's member views: either the
-   lowest-indexed live member's own view, or — [merged] — a majority
+   failure detector through the register's member views: a majority
    vote over every live member's view (a falsely-suspected node must
    fool half the observers to be evicted).  The raw opinion then runs
    through flap hysteresis: a node's effective state only flips after
@@ -125,32 +124,22 @@ let false_evictions t = t.false_evictions
 let controller_view t =
   match t.view with
   | Omniscient -> Sim.Engine.live_set t.engine
-  | Fd { merged } ->
+  | Fd ->
+      (* Placements are distinct processes: one vote each, from a
+         view taken once per tick. *)
       let observers =
-        Array.to_list t.place
-        |> List.filter (Sim.Engine.is_live t.engine)
-        |> List.sort_uniq compare
+        List.filter (Sim.Engine.is_live t.engine) (Array.to_list t.place)
+      in
+      let views =
+        List.filter_map (fun o -> Reconfig.fd_view t.reconfig ~node:o) observers
       in
       let raw_live p =
-        match observers with
-        | [] ->
-            (* No live member to consult: hold every opinion. *)
-            t.eff_live.(p)
-        | first :: _ ->
-            if merged then begin
-              let yes = ref 0 in
-              List.iter
-                (fun o ->
-                  match Reconfig.fd_view t.reconfig ~node:o with
-                  | Some v when Bitset.mem v p -> incr yes
-                  | Some _ | None -> ())
-                observers;
-              2 * !yes > List.length observers
-            end
-            else
-              (match Reconfig.fd_view t.reconfig ~node:first with
-              | Some v -> Bitset.mem v p
-              | None -> t.eff_live.(p))
+        if observers = [] then
+          (* No live member to consult: hold every opinion. *)
+          t.eff_live.(p)
+        else
+          let yes = List.filter (fun v -> Bitset.mem v p) views in
+          2 * List.length yes > List.length observers
       in
       let out = Bitset.create t.universe in
       for p = 0 to t.universe - 1 do

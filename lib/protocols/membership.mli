@@ -34,11 +34,10 @@
     {2 Failure-detector-driven views}
 
     The historical controller reads the engine's omniscient live-set.
-    With [view = Fd _] it instead consults the register's
+    With [view = Fd] it instead consults the register's
     {!Sim.Failure_detector} (enabled through {!Reconfig.of_config}'s
-    [with_fd]): the raw opinion is either the lowest-indexed live
-    member's suspected-live view, or — [Fd {merged = true}] — a
-    majority vote over every live member's view.  Flap hysteresis then
+    [with_fd]): the raw opinion is a majority vote over every live
+    member's suspected-live view.  Flap hysteresis then
     gates every transition: a node is only treated as newly-dead after
     2 consecutive agreeing ticks (1 for revival), so heartbeat-loss
     bursts do not immediately cost an eviction switch.  A {e false}
@@ -50,10 +49,10 @@
 
 type t
 
-type view = Omniscient | Fd of { merged : bool }
+type view = Omniscient | Fd
 (** Where the controller's liveness opinion comes from: the engine
-    oracle (historical, default), one member's failure-detector view,
-    or the quorum-merged majority of member views. *)
+    oracle (historical, default) or the quorum-merged majority of the
+    members' failure-detector views. *)
 
 val create :
   Reconfig.msg Sim.Engine.t ->
@@ -81,7 +80,7 @@ val create :
     timed).
 
     [view] (default [Omniscient]) selects the controller's liveness
-    source (see above); with [Fd _] the register is built with a
+    source (see above); with [Fd] the register is built with a
     failure detector tuned as {!Client_config.default}'s [fd]. *)
 
 val reconfig : t -> Reconfig.t

@@ -116,8 +116,6 @@ type t = {
   mutable retries : int;
   mutable failed : int;
   mutable crash_kills : int;
-  mutable stale_reads : int;
-  mutable committed : (float * int) list;
   mutable history : Obs.Trace_analysis.hop list;  (** newest first *)
 }
 
@@ -159,7 +157,7 @@ let writes_ok t = t.writes_ok
 let retries t = t.retries
 let failed t = t.failed
 let client_crash_kills t = t.crash_kills
-let stale_reads t = t.stale_reads
+let stale_reads t = Obs.Trace_analysis.stale_reads t.history
 
 let fd_view t ~node =
   Option.map (fun fd -> Failure_detector.view fd ~node) t.fd
@@ -168,11 +166,6 @@ let config_of_epoch t epoch =
   (* configs is newest-first. *)
   let from_newest = List.length t.configs - 1 - epoch in
   List.nth t.configs from_newest
-
-let committed_before t time =
-  List.fold_left
-    (fun acc (ct, v) -> if ct <= time then max acc v else acc)
-    0 t.committed
 
 (* The set of nodes [node] believes live: its failure-detector view
    when the register carries one, the engine's omniscient live-set
@@ -312,9 +305,7 @@ let finish_read t (op : op) =
   t.reads_ok <- t.reads_ok + 1;
   let now = Engine.now t.engine in
   Span.finish (spans t) ~time:now op.span;
-  record_hop t op ~now ~is_write:false (fst op.best);
-  if fst op.best < committed_before t op.started then
-    t.stale_reads <- t.stale_reads + 1
+  record_hop t op ~now ~is_write:false (fst op.best)
 
 let begin_install t (op : op) =
   match op.kind with
@@ -657,8 +648,7 @@ let handlers t : msg Engine.handlers =
                         t.writes_ok <- t.writes_ok + 1;
                         let now = Engine.now engine in
                         Span.finish (spans t) ~time:now op.span;
-                        record_hop t op ~now ~is_write:true op.write_version;
-                        t.committed <- (now, op.write_version) :: t.committed
+                        record_hop t op ~now ~is_write:true op.write_version
                 end)
         | Op_nack { op = op_id; epoch = _ } ->
             (match Hashtbl.find_opt t.ops op_id with
@@ -884,8 +874,6 @@ let of_config engine ?(config = Client_config.default) ?(with_fd = false)
       retries = 0;
       failed = 0;
       crash_kills = 0;
-      stale_reads = 0;
-      committed = [];
       history = [];
     }
   in

@@ -21,10 +21,10 @@
       resume service.
 
     Clients tag operations with their epoch; replicas NACK mismatched
-    epochs and clients retry under the announced configuration.  The
-    consistency monitor checks that no read — before, during or after
-    any number of reconfigurations — misses a write completed before it
-    started.
+    epochs and clients retry under the announced configuration.
+    {!stale_reads} audits the history: no read — before, during or
+    after any number of reconfigurations — may miss a write completed
+    before it started.
 
     {2 Crash recovery}
 
@@ -162,7 +162,8 @@ val client_crash_kills : t -> int
 
 val stale_reads : t -> int
 (** Must be 0: reads never miss writes committed before they started,
-    across reconfigurations. *)
+    across reconfigurations: the auditor's count
+    ({!Obs.Trace_analysis.stale_reads}) over {!history}. *)
 
 val fd_view : t -> node:int -> Quorum.Bitset.t option
 (** [node]'s suspected-live view, [None] without [with_fd].  This is

@@ -108,7 +108,6 @@ type instruments = {
   st_unavailable : Metrics.counter;
   st_timeouts : Metrics.counter;
   st_retries : Metrics.counter;
-  st_stale : Metrics.counter;
   st_rejoins : Metrics.counter;
   st_refusals : Metrics.counter;
   st_latency : Metrics.histogram;
@@ -170,7 +169,6 @@ type t = {
   mutable unavailable : int;
   mutable timeouts : int;
   mutable retried : int;
-  mutable stale_reads : int;
   mutable rejoins : int;
   mutable refusals : int;
   mutable batches : int;
@@ -186,9 +184,6 @@ type t = {
   lat_ring : float array array;
   lat_len : int array;
   lat_pos : int array;
-  (* Consistency monitor: per key, the (commit time, version) history
-     of completed writes, newest first. *)
-  committed : (int, (float * int) list) Hashtbl.t;
   mutable history : Obs.Trace_analysis.hop list;
       (** completed client ops, newest first — auditor input *)
   ins : instruments;
@@ -199,7 +194,7 @@ let writes_ok t = t.writes_ok
 let unavailable t = t.unavailable
 let timeouts t = t.timeouts
 let retried t = t.retried
-let stale_reads t = t.stale_reads
+let stale_reads t = Obs.Trace_analysis.stale_reads t.history
 let rejoins t = t.rejoins
 let rejoin_refusals t = t.refusals
 let rejoining t ~node = t.rejoining.(node)
@@ -306,18 +301,6 @@ let arm_hedge t (op : op) waiting =
     Engine.set_timer t.engine ~node:op.client ~delay:(hedge_delay t waiting)
       ~tag:(hedge_offset + op.id)
   end
-
-(* Highest version whose write completed no later than [time]: a read
-   that starts afterwards must not return anything older (writes still
-   in flight when the read started may or may not be visible). *)
-let committed_version_before t key time =
-  match Hashtbl.find_opt t.committed key with
-  | None -> 0
-  | Some history ->
-      List.fold_left
-        (fun acc (commit_time, version) ->
-          if commit_time <= time then max acc version else acc)
-        0 history
 
 (* Select a fresh read quorum — from the client's failure-detector
    view, not the omniscient live-set — and (re)enter the version
@@ -513,10 +496,6 @@ and finish t op outcome =
       Metrics.Handle.observe ins.st_read_latency (now -. op.started);
       close Span.Ok;
       record_hop ~is_write:false version;
-      if version < committed_version_before t op.key op.started then begin
-        t.stale_reads <- t.stale_reads + 1;
-        Metrics.incr ins.st_stale
-      end;
       session_completed t op (Read_done { version; value })
   | `Write_done version ->
       t.writes_ok <- t.writes_ok + 1;
@@ -524,12 +503,6 @@ and finish t op outcome =
       Metrics.Handle.observe ins.st_write_latency (now -. op.started);
       close Span.Ok;
       record_hop ~is_write:true version;
-      let history =
-        match Hashtbl.find_opt t.committed op.key with
-        | Some h -> h
-        | None -> []
-      in
-      Hashtbl.replace t.committed op.key ((now, version) :: history);
       session_completed t op (Write_done { version })
   | `Timeout ->
       t.timeouts <- t.timeouts + 1;
@@ -1147,9 +1120,6 @@ let make_instruments m =
     st_retries =
       Metrics.counter m ~help:"attempts re-launched on a fresh quorum"
         "store.retries";
-    st_stale =
-      Metrics.counter m ~help:"reads older than a prior committed write"
-        "store.stale_reads";
     st_rejoins =
       Metrics.counter m ~help:"completed amnesiac re-join syncs"
         "store.rejoins";
@@ -1237,7 +1207,6 @@ let of_config engine ?(config = Client_config.default) ?router
       unavailable = 0;
       timeouts = 0;
       retried = 0;
-      stale_reads = 0;
       rejoins = 0;
       refusals = 0;
       batches = 0;
@@ -1249,7 +1218,6 @@ let of_config engine ?(config = Client_config.default) ?router
       lat_ring = Array.init n (fun _ -> Array.make 32 0.0);
       lat_len = Array.make n 0;
       lat_pos = Array.make n 0;
-      committed = Hashtbl.create 16;
       history = [];
       ins;
     }

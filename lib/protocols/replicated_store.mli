@@ -20,10 +20,10 @@
     freshly selected quorum immediately instead of waiting out the
     attempt timeout.
 
-    Consistency is monitored: each completed read must return a version
+    Consistency is audited: each completed read must return a version
     at least as high as any write completed before it started
     (regular-register semantics under the intersection property);
-    violations are surfaced through {!stale_reads}.
+    {!stale_reads} counts the violations in the store's {!history}.
 
     {2 Sessions, pipelining and batching}
 
@@ -192,7 +192,8 @@ val unavailable : t -> int
 val timeouts : t -> int
 val stale_reads : t -> int
 (** Completed reads that returned a version older than a write that
-    finished before the read began — must be 0. *)
+    finished before the read began — must be 0: the auditor's count
+    ({!Obs.Trace_analysis.stale_reads}) over {!history}. *)
 
 val batches : t -> int
 (** [Batch_req] envelopes sent across all sessions. *)

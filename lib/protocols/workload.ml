@@ -24,23 +24,21 @@ let open_loop engine ~rng ~rate ~horizon issue =
   List.iter (fun time -> Engine.schedule engine ~time issue) times;
   List.length times
 
-let closed_loop engine ~stations ~per_station ~horizon ?(retry_delay = 1.0)
-    issue =
+let closed_loop engine ~stations ~per_station ~horizon issue =
   if stations <= 0 || per_station <= 0 then
     invalid_arg "Workload.closed_loop: stations/per_station";
-  if horizon <= 0.0 || retry_delay <= 0.0 then
-    invalid_arg "Workload.closed_loop: horizon/retry_delay";
+  if horizon <= 0.0 then invalid_arg "Workload.closed_loop: horizon";
   (* Each station keeps [per_station] ops in flight: a completed op
-     immediately spawns its successor, a failed one backs off by
-     [retry_delay] (breaking the synchronous resubmit loop a
-     persistent quorum outage would otherwise spin on). *)
+     immediately spawns its successor, a failed one backs off by one
+     time unit (breaking the synchronous resubmit loop a persistent
+     quorum outage would otherwise spin on). *)
   let rec pump ~station =
     if Engine.now engine < horizon then
       issue ~station ~complete:(fun ~ok ->
           if ok then pump ~station
           else
             Engine.schedule engine
-              ~time:(Engine.now engine +. retry_delay)
+              ~time:(Engine.now engine +. 1.0)
               (fun () -> pump ~station))
   in
   for s = 0 to stations - 1 do

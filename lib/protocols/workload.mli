@@ -30,14 +30,13 @@ val closed_loop :
   stations:int ->
   per_station:int ->
   horizon:float ->
-  ?retry_delay:float ->
   (station:int -> complete:(ok:bool -> unit) -> unit) ->
   unit
 (** Closed-loop load: each of [stations] keeps [per_station]
     operations permanently in flight until [horizon] — [issue] must
     start one operation and call [complete] exactly once when it
     finishes.  [~ok:true] immediately issues the successor;
-    [~ok:false] backs off by [retry_delay] (default 1.0) first, so a
+    [~ok:false] backs off by one time unit first, so a
     persistent outage cannot spin the simulation at one instant.
     This measures {e capacity}: completions per time unit at full
     pipeline occupancy.  Raises [Invalid_argument] on non-positive

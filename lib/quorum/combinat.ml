@@ -36,8 +36,14 @@ let choose_count n k =
   if k < 0 || k > n then 0
   else begin
     let k = min k (n - k) in
+    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+    (* i divides acc * (n - k + i); dividing first keeps every product
+       at most the next binomial, which fits for n <= 62. *)
     let rec loop i acc =
-      if i > k then acc else loop (i + 1) (acc * (n - k + i) / i)
+      if i > k then acc
+      else
+        let g = gcd acc i in
+        loop (i + 1) (acc / g * ((n - k + i) / (i / g)))
     in
     loop 1 1
   end

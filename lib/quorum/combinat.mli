@@ -14,5 +14,5 @@ val product : 'a list list -> 'a list list
     [product [] = [[]]]. *)
 
 val choose_count : int -> int -> int
-(** Exact C(n, k) as an int; raises on overflow-prone inputs
-    (n > 62). *)
+(** Exact C(n, k) for every n <= 62 (no intermediate product exceeds
+    the result); raises on n > 62. *)

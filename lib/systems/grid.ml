@@ -111,15 +111,20 @@ let system ?name ~rows ~cols mode =
     | Some s -> s
     | None -> Printf.sprintf "grid-%s(%dx%d)" (mode_string mode) rows cols
   in
-  let avail, avail_mask, min_quorums =
+  (* cols^rows row-covers, rows lines, rows * cols^(rows - 1) pairs. *)
+  let r = float_of_int rows and c = float_of_int cols in
+  let avail, avail_mask, count, quorums =
     match mode with
-    | Read ->
-        (cover, cover_mask, lazy (row_cover_quorums ~rows ~cols))
-    | Write -> (line, line_mask, lazy (full_line_quorums ~rows ~cols))
+    | Read -> (cover, cover_mask, (fun () -> Float.pow c r), row_cover_quorums)
+    | Write -> (line, line_mask, (fun () -> r), full_line_quorums)
     | Read_write ->
         ( (fun live -> cover live && line live),
           (fun live -> cover_mask live && line_mask live),
-          lazy (read_write_quorums ~rows ~cols) )
+          (fun () -> r *. Float.pow c (r -. 1.0)),
+          read_write_quorums )
+  in
+  let min_quorums =
+    Thresh.capped ~name:"Grid" count (fun () -> quorums ~rows ~cols)
   in
   (* Up to 62 processes both checks run the mask kernel, which
      allocates nothing. *)

@@ -124,13 +124,9 @@ let system ?name ~branching () =
     else None
   in
   let min_quorums =
-    lazy
-      (let count = quorum_count ~branching in
-       if count > float_of_int Thresh.enumeration_cap then
-         invalid_arg
-           (Printf.sprintf "Hqs: %.0f quorums exceed the enumeration cap"
-              count)
-       else List.map (Bitset.of_list n) (quorums_range branching n 0))
+    Thresh.capped ~name:"Hqs"
+      (fun () -> quorum_count ~branching)
+      (fun () -> List.map (Bitset.of_list n) (quorums_range branching n 0))
   in
   let select rng ~live =
     Option.map (Bitset.of_list n) (select_range branching rng live 0)

@@ -1,24 +1,26 @@
 module Bitset = Quorum.Bitset
 module Rng = Quorum.Rng
 
-let quorum_count ~n ~r = Quorum.Combinat.choose_count n r
-
 let enumeration_cap = 200_000
 
-let min_quorums ~n ~r =
+let capped ~name count build =
   lazy
-    (if n > 62 then
-       invalid_arg "Thresh: universe too large to enumerate quorums"
-     else if quorum_count ~n ~r > enumeration_cap then
+    (let count = count () in
+     if count > float_of_int enumeration_cap then
        invalid_arg
-         (Printf.sprintf "Thresh: C(%d,%d) quorums exceed the enumeration cap"
-            n r)
-     else begin
-       let acc = ref [] in
-       Quorum.Combinat.iter_ksubset_masks ~n ~k:r (fun mask ->
-           acc := Bitset.of_mask ~n mask :: !acc);
-       List.rev !acc
-     end)
+         (Printf.sprintf "%s: %.0f quorums exceed the enumeration cap" name
+            count)
+     else build ())
+
+(* Only systems of at most 62 processes list their quorums. *)
+let min_quorums ~n ~r =
+  capped ~name:"Thresh"
+    (fun () -> float_of_int (Quorum.Combinat.choose_count n r))
+    (fun () ->
+      let acc = ref [] in
+      Quorum.Combinat.iter_ksubset_masks ~n ~k:r (fun mask ->
+          acc := Bitset.of_mask ~n mask :: !acc);
+      List.rev !acc)
 
 (* Uniform random r-subset of the live set: a partial Fisher-Yates over
    the live elements.  Structural — never forces the enumeration. *)

@@ -22,11 +22,16 @@ val system : ?name:string -> n:int -> r:int -> unit -> Quorum.System.t
     are the binomial tail: all C(n, k) live sets of [k >= r]
     processes. *)
 
-val quorum_count : n:int -> r:int -> int
-(** [C(n, r)]. *)
-
 val enumeration_cap : int
-(** 200_000: the most quorums a threshold or HQS system lists. *)
+(** 200_000: the most quorums a threshold, HQS, wall or grid system
+    lists. *)
+
+val capped :
+  name:string -> (unit -> float) -> (unit -> Quorum.Bitset.t list) ->
+  Quorum.Bitset.t list Lazy.t
+(** [capped ~name count build] is a [min_quorums]: forcing it counts,
+    then past {!enumeration_cap} raises [Invalid_argument] before
+    [build] runs. *)
 
 val failure_probability_hetero : n:int -> r:int -> p_of:(int -> float) -> float
 (** Exact Poisson-binomial tail: the probability that fewer than [r]

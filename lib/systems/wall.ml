@@ -38,10 +38,13 @@ let minimal_bases widths =
   in
   collect (d - 1) false []
 
+(* In floats: wide walls overflow an int. *)
 let quorum_count widths =
   let d = Array.length widths in
-  let rec below i = if i >= d then 1 else widths.(i) * below (i + 1) in
-  List.fold_left (fun acc base -> acc + below (base + 1)) 0
+  let rec below i =
+    if i >= d then 1.0 else float_of_int widths.(i) *. below (i + 1)
+  in
+  List.fold_left (fun acc base -> acc +. below (base + 1)) 0.0
     (minimal_bases widths)
 
 (* All minimal quorums: for each usable base row, the full row joined
@@ -183,7 +186,10 @@ let system ?name widths =
   in
   System.make ~name ~n:t.n ~avail ?avail_mask
     ~avail_counts:(fun () -> avail_counts t)
-    ~min_quorums:(lazy (enumerate_quorums t))
+    ~min_quorums:
+      (Thresh.capped ~name:"Wall"
+         (fun () -> quorum_count t.widths)
+         (fun () -> enumerate_quorums t))
     ~select:(make_select t) ()
 
 let failure_probability_hetero ~widths ~p_of =

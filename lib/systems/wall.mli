@@ -29,15 +29,17 @@ val element : t -> row:int -> idx:int -> int
 
 val system : ?name:string -> int array -> Quorum.System.t
 (** [system widths] builds the wall quorum system.  Quorums are
-    enumerated explicitly (their number is [sum_i prod_(j>i) w_j]);
+    enumerated explicitly, refused past {!Thresh.enumeration_cap}
+    before any is built ({!quorum_count} counts them);
     selection picks a usable base row uniformly and live elements below
     uniformly.  Its exact availability counts run
     {!failure_probability_hetero}'s four-state row DP over count
     polynomials (so CWlog, triangles, diamonds and flat T-grids have
     them too): a change to one changes the other. *)
 
-val quorum_count : int array -> int
-(** Number of minimal quorums of the wall. *)
+val quorum_count : int array -> float
+(** Number of minimal quorums of the wall, as a float (exact below
+    2^53, never overflowing). *)
 
 val failure_probability : widths:int array -> p:float -> float
 (** Exact failure probability by the row DP: scan rows bottom-up

@@ -402,7 +402,14 @@ let test_htriang_growth_chain () =
    intermediate step — the invariant the online resize controller
    (Protocols.Membership) relies on when it applies one rule per epoch
    switch.  Rules that do not apply (no growth/shrink site) are
-   skipped, exactly as the controller skips them. *)
+   skipped, exactly as the controller skips them.
+
+   Each listed quorum q is checked against the monotone [avail]: q is
+   available, its complement is not, and neither is q minus any one
+   element.  That implies the list is a coterie (a disjoint pair would
+   put one quorum inside the other's complement, a nested pair the
+   smaller inside the larger minus some element) in time linear in
+   the list, where the pairwise checks were quadratic. *)
 let htriang_rules_keep_coterie =
   QCheck.Test.make ~count:50
     ~name:"random grow/shrink sequences preserve the coterie"
@@ -422,8 +429,18 @@ let htriang_rules_keep_coterie =
         match rule t with None -> t | Some t' -> t'
       in
       let sound t =
-        let qs = Htriang.quorums t in
-        Coterie.all_intersect qs && Coterie.is_antichain qs
+        let avail = Htriang.avail t in
+        let without q e =
+          let q' = Bitset.copy q in
+          Bitset.remove q' e;
+          q'
+        in
+        List.for_all
+          (fun q ->
+            avail q
+            && (not (avail (Bitset.complement q)))
+            && Bitset.for_all (fun e -> not (avail (without q e))) q)
+          (Htriang.quorums t)
       in
       let rec go t = function
         | [] -> true

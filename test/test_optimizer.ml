@@ -205,21 +205,23 @@ let test_evaluate_majority () =
   | _, Some wit -> check "witness names a crash set" true (String.length wit > 0)
   | _, None -> Alcotest.fail "singleton cannot be 1-resilient"
 
-(* hqs(4-4-4) would list 67,108,864 quorums: the count refuses it
-   before building any, so the optimizer measures its selection
-   strategy instead of running out of memory. *)
-let test_evaluate_hqs_past_cap () =
-  let s = ok_exn (Registry.build "hqs(4-4-4)") in
-  let t0 = Sys.time () in
-  check "quorums refused" true (is_error (System.quorums s));
-  check "refused within a second" true (Sys.time () -. t0 < 1.0);
+(* hqs(4-4-4) would list 67,108,864 quorums, cwlog(64) 4,975,274,656,
+   grid-rw(8x8) 16,777,216 and grid-rw(16x4) 17,179,869,184: the count
+   refuses each before building any quorum, so the optimizer measures
+   its selection strategy instead of running out of memory. *)
+let test_evaluate_past_cap specs () =
   let w = ok_exn (W.make ~read_fraction:0.5 ()) in
-  let cand =
-    { O.label = "hqs(4-4-4)"; read_spec = "hqs(4-4-4)";
-      write_spec = "hqs(4-4-4)" }
-  in
-  let pt, _ = ok_exn (O.evaluate ~trials:2_000 ~workload:w cand) in
-  check "empirical point" true (pt.O.source = O.Empirical)
+  List.iter
+    (fun spec ->
+      let s = ok_exn (Registry.build spec) in
+      let t0 = Sys.time () in
+      check (spec ^ ": quorums refused") true (is_error (System.quorums s));
+      check (spec ^ ": refused within a second") true
+        (Sys.time () -. t0 < 1.0);
+      let cand = { O.label = spec; read_spec = spec; write_spec = spec } in
+      let pt, _ = ok_exn (O.evaluate ~trials:2_000 ~workload:w cand) in
+      check (spec ^ ": empirical point") true (pt.O.source = O.Empirical))
+    specs
 
 (* --- Pareto: qcheck soundness + brute-force completeness ------------- *)
 
@@ -424,7 +426,10 @@ let () =
           Alcotest.test_case "evaluate majority(15)" `Quick
             test_evaluate_majority;
           Alcotest.test_case "hqs(4-4-4) past the cap: empirical" `Quick
-            test_evaluate_hqs_past_cap;
+            (test_evaluate_past_cap [ "hqs(4-4-4)" ]);
+          Alcotest.test_case "walls and grids past the cap: empirical" `Quick
+            (test_evaluate_past_cap
+               [ "cwlog(64)"; "grid-rw(8x8)"; "grid-rw(16x4)" ]);
           QCheck_alcotest.to_alcotest frontier_sound_and_complete;
           Alcotest.test_case "frontier = brute force on fixture" `Quick
             test_frontier_matches_brute_force_fixture;

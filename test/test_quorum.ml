@@ -329,7 +329,26 @@ let test_product () =
 let test_choose_count () =
   check_int "C(28,14)" 40116600 (Combinat.choose_count 28 14);
   check_int "C(6,0)" 1 (Combinat.choose_count 6 0);
-  check_int "C(6,7)" 0 (Combinat.choose_count 6 7)
+  check_int "C(6,7)" 0 (Combinat.choose_count 6 7);
+  check_int "C(61,30)" 232_714_176_627_630_544 (Combinat.choose_count 61 30);
+  (* Every C(n, k) up to n = 62 against Pascal's triangle by addition. *)
+  let row = ref [| 1 |] in
+  for n = 1 to 62 do
+    let prev = !row in
+    row := Array.init (n + 1) (fun k ->
+      (if k > 0 then prev.(k - 1) else 0) + if k < n then prev.(k) else 0);
+    Array.iteri
+      (fun k c ->
+        check_int (Printf.sprintf "C(%d,%d)" n k) c (Combinat.choose_count n k))
+      !row
+  done;
+  (* thresh(61-30)'s count used to wrap negative and slip under the
+     enumeration cap. *)
+  let thresh = Systems.Thresh.system ~n:61 ~r:30 () in
+  let t0 = Sys.time () in
+  check "thresh(61-30) quorums refused" true
+    (Result.is_error (Quorum.System.quorums thresh));
+  check "refused within a second" true (Sys.time () -. t0 < 1.0)
 
 (* --- Coterie -------------------------------------------------------- *)
 

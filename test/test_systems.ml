@@ -316,11 +316,21 @@ let test_fpp_shape () =
   pairs quorums
 
 let test_wall_quorum_count () =
-  check_int "wall quorum count" (Systems.Wall.quorum_count [| 1; 2; 3 |])
-    (List.length (System.quorums_exn (Systems.Wall.system [| 1; 2; 3 |])));
-  check_int "triangle(4 rows) count"
-    (2 * 3 * 4 + 3 * 4 + 4 + 1)
-    (Systems.Wall.quorum_count [| 1; 2; 3; 4 |])
+  let listed widths =
+    float_of_int (List.length (System.quorums_exn (Systems.Wall.system widths)))
+  in
+  check "wall quorum count" true
+    (Systems.Wall.quorum_count [| 1; 2; 3 |] = listed [| 1; 2; 3 |]);
+  check "triangle(4 rows) count" true
+    (Systems.Wall.quorum_count [| 1; 2; 3; 4 |]
+    = float_of_int ((2 * 3 * 4) + (3 * 4) + 4 + 1));
+  for n = 1 to 29 do
+    let widths = Systems.Cwlog.widths_for n in
+    check (Printf.sprintf "cwlog(%d) count" n) true
+      (Systems.Wall.quorum_count widths = listed widths)
+  done;
+  check "cwlog(29): Table 4's 38,869" true
+    (Systems.Wall.quorum_count (Systems.Cwlog.widths_for 29) = 38_869.0)
 
 (* The count comes from the branching alone; every HQS tree an
    optimizer sweep instantiates up to 30 processes lists exactly that

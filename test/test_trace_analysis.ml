@@ -275,6 +275,187 @@ let test_audit_session_guarantees () =
   in
   check "concurrent read not flagged" true (Ta.passed overlap)
 
+(* The auditor as it was first written: every read folds over every
+   write (resp. read), so it is quadratic in the history.  Kept as the
+   oracle for the sorted-prefix auditor (without witnesses, which
+   depend only on the offending and expected hops). *)
+let quadratic_audit hops =
+  let hops =
+    List.sort (fun a b -> compare a.Ta.started b.Ta.started) hops
+  in
+  let reads = List.filter (fun h -> not h.Ta.is_write) hops in
+  let writes = List.filter (fun h -> h.Ta.is_write) hops in
+  let violations = ref [] in
+  let add check detail offending expected =
+    violations :=
+      { Ta.check; detail; offending; expected; witness = [] } :: !violations
+  in
+  let last_write_before ?client key t =
+    List.fold_left
+      (fun best (w : Ta.hop) ->
+        if
+          w.key = key && w.finished < t
+          && match client with None -> true | Some c -> w.client = c
+        then
+          match best with
+          | Some (b : Ta.hop) when b.version >= w.version -> best
+          | _ -> Some w
+        else best)
+      None writes
+  in
+  List.iter
+    (fun (r : Ta.hop) ->
+      (match last_write_before r.key r.started with
+      | Some w when r.version < w.version ->
+          add "stale-read"
+            (Printf.sprintf
+               "read of key %d by client %d returned version %d, but \
+                version %d committed at t=%g, before the read started at \
+                t=%g"
+               r.key r.client r.version w.version w.finished r.started)
+            r (Some w)
+      | _ -> ());
+      match last_write_before ~client:r.client r.key r.started with
+      | Some w when r.version < w.version ->
+          add "read-your-writes"
+            (Printf.sprintf
+               "client %d read version %d of key %d after its own write \
+                of version %d finished at t=%g"
+               r.client r.version r.key w.version w.finished)
+            r (Some w)
+      | _ -> ())
+    reads;
+  List.iter
+    (fun (r : Ta.hop) ->
+      let prior =
+        List.fold_left
+          (fun best (r' : Ta.hop) ->
+            if
+              r'.client = r.client && r'.key = r.key
+              && r'.finished < r.started
+            then
+              match best with
+              | Some (b : Ta.hop) when b.version >= r'.version -> best
+              | _ -> Some r'
+            else best)
+          None reads
+      in
+      match prior with
+      | Some p when r.version < p.version ->
+          add "monotonic-reads"
+            (Printf.sprintf
+               "client %d observed version %d of key %d at t=%g after \
+                observing version %d at t=%g"
+               r.client r.version r.key r.started p.version p.finished)
+            r (Some p)
+      | _ -> ())
+    reads;
+  {
+    Ta.reads = List.length reads;
+    writes = List.length writes;
+    violations = List.rev !violations;
+  }
+
+let stale_violations (a : Ta.audit) =
+  List.length
+    (List.filter (fun (v : Ta.violation) -> v.Ta.check = "stale-read")
+       a.Ta.violations)
+
+(* Few keys and clients, integer times and versions 0-4, so finishes
+   tie with starts, versions repeat and every rule fires. *)
+let history_gen =
+  let open QCheck.Gen in
+  let hop =
+    map
+      (fun ((client, key, is_write), (version, started, length)) ->
+        hop ~client ~key ~is_write ~version (float_of_int started)
+          (float_of_int (started + length)))
+      (pair
+         (triple (int_bound 2) (int_bound 2) bool)
+         (triple (int_bound 4) (int_bound 20) (int_bound 5)))
+  in
+  list_size (int_bound 40) hop
+
+let show_history hops =
+  String.concat "; "
+    (List.map
+       (fun (h : Ta.hop) ->
+         Printf.sprintf "%c c%d k%d v%d %g-%g"
+           (if h.Ta.is_write then 'W' else 'R')
+           h.Ta.client h.Ta.key h.Ta.version h.Ta.started h.Ta.finished)
+       hops)
+
+let auditor_matches_oracle =
+  QCheck.Test.make ~count:1000
+    ~name:"auditor = quadratic oracle on random histories"
+    (QCheck.make ~print:show_history history_gen)
+    (fun hops ->
+      let audit = Ta.audit_history hops in
+      audit = quadratic_audit hops
+      && Ta.stale_reads hops = stale_violations audit
+      && Ta.stale_reads (List.rev hops) = stale_violations audit)
+
+let test_audit_boundary () =
+  (* A write that finishes at the instant a read starts is concurrent
+     with it: only a read starting later must see it. *)
+  let write = hop ~client:1 ~is_write:true ~version:1 0.0 2.0 in
+  let at = hop ~client:2 ~is_write:false ~version:0 2.0 3.0 in
+  let after = hop ~client:3 ~is_write:false ~version:0 2.5 3.0 in
+  check "read starting at the finish passes" true
+    (Ta.passed (Ta.audit_history [ write; at ]));
+  check_int "and is not counted" 0 (Ta.stale_reads [ write; at ]);
+  check_int "a later read is" 1 (Ta.stale_reads [ write; at; after ]);
+  check_int "one stale-read violation" 1
+    (stale_violations (Ta.audit_history [ write; at; after ]))
+
+let singletons n elements =
+  List.map (fun e -> Quorum.Bitset.of_list n [ e ]) elements
+
+let test_store_disjoint_quorums_stale () =
+  (* Reads from {0}, writes to {1}: no read ever sees a write. *)
+  let module Store = Protocols.Replicated_store in
+  let read_system =
+    Quorum.System.of_quorums ~name:"read {0}" ~n:2 (singletons 2 [ 0 ])
+  in
+  let write_system =
+    Quorum.System.of_quorums ~name:"write {1}" ~n:2 (singletons 2 [ 1 ])
+  in
+  let engine = Sim.Engine.create ~seed:3 ~nodes:2 () in
+  let store = Store.of_config engine ~read_system ~write_system () in
+  Sim.Engine.schedule engine ~time:1.0 (fun () ->
+      Store.write store ~client:0 ~key:4 ~value:9);
+  List.iteri
+    (fun client time ->
+      Sim.Engine.schedule engine ~time (fun () ->
+          Store.read store ~client:(client mod 2) ~key:4))
+    [ 20.0; 40.0; 60.0 ];
+  Sim.Engine.run engine;
+  check_int "all reads completed" 3 (Store.reads_ok store);
+  check_int "every read is stale" 3 (Store.stale_reads store);
+  check_int "the auditor agrees" 3
+    (stale_violations (Ta.audit_history (Store.history store)))
+
+let test_register_disjoint_quorums_stale () =
+  (* Two disjoint singleton quorums: a read that picks the other
+     replica than the last write misses it. *)
+  let module Rc = Protocols.Reconfig in
+  let initial =
+    Quorum.System.of_quorums ~name:"{0} or {1}" ~n:2 (singletons 2 [ 0; 1 ])
+  in
+  let engine = Sim.Engine.create ~seed:5 ~nodes:2 () in
+  let rc = Rc.of_config engine ~initial () in
+  for i = 0 to 19 do
+    let time = 10.0 *. float_of_int i in
+    Sim.Engine.schedule engine ~time (fun () ->
+        if i mod 4 = 0 then Rc.write rc ~client:(i mod 2) ~value:i
+        else Rc.read rc ~client:(i mod 2))
+  done;
+  Sim.Engine.run engine;
+  let stale = Rc.stale_reads rc in
+  check "some read is stale" true (stale > 0);
+  check_int "the auditor agrees" stale
+    (stale_violations (Ta.audit_history (Rc.history rc)))
+
 (* --- Prometheus / diff / reservoir ----------------------------------- *)
 
 let render_to_string emit =
@@ -439,6 +620,13 @@ let () =
             test_audit_stale_read_witnessed;
           Alcotest.test_case "session guarantees" `Quick
             test_audit_session_guarantees;
+          Alcotest.test_case "finish at a read's start is concurrent" `Quick
+            test_audit_boundary;
+          QCheck_alcotest.to_alcotest auditor_matches_oracle;
+          Alcotest.test_case "store over disjoint quorums" `Quick
+            test_store_disjoint_quorums_stale;
+          Alcotest.test_case "register over disjoint quorums" `Quick
+            test_register_disjoint_quorums_stale;
         ] );
       ( "exporters",
         [
