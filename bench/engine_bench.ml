@@ -125,8 +125,6 @@ let run_once cfg ~profile =
                   (remaining - 1)
               else if use_spans && ctx <> -1 then
                 Obs.Span.finish spans ~time:now ctx));
-      on_timer =
-        (fun _e ~node ~tag -> ignore (Rpc.on_timer rpc ~node ~tag));
       on_crash =
         (fun e ~node ->
           Rpc.on_crash rpc ~node;
@@ -250,7 +248,6 @@ let run_heartbeats () =
   Engine.set_handlers e
     {
       Engine.on_message = (fun _ ~node:_ ~src:_ () -> ());
-      on_timer = (fun _ ~node ~tag -> ignore (Fd.on_timer fd ~node ~tag));
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
     };

@@ -28,7 +28,7 @@ type category =
   | Loop  (** engine run loop bookkeeping: peeks, budget, drain checks *)
   | Heap  (** event-queue pushes and pops *)
   | Dispatch_msg  (** [on_message] handler bodies *)
-  | Dispatch_timer  (** [on_timer] handler bodies *)
+  | Dispatch_timer  (** timer callbacks ([Engine.timer]) *)
   | Dispatch_recovery  (** [on_crash] / [on_recover] handler bodies *)
   | Thunk  (** scheduled thunks (workload injection) *)
   | Rpc  (** reliable-rpc bookkeeping: acks, retransmit arming *)

@@ -34,11 +34,10 @@ type t = {
   mutable timeouts : int;
   mutable unavailable : int;
   mutable fabricated_reads : int;
-  mutable stale_reads : int;
   mutable inconclusive_reads : int;
-  (* Monitors: every value ever written, and the committed history. *)
   mutable legitimate_values : int list;
-  mutable committed : (float * int) list;  (** (commit time, version) *)
+      (** every value ever written: the integrity monitor *)
+  mutable history : Obs.Trace_analysis.hop list;  (** newest first *)
 }
 
 let reads_ok t = t.reads_ok
@@ -46,14 +45,23 @@ let writes_ok t = t.writes_ok
 let timeouts t = t.timeouts
 let unavailable t = t.unavailable
 let fabricated_reads t = t.fabricated_reads
-let stale_reads t = t.stale_reads
 let inconclusive_reads t = t.inconclusive_reads
+let history t = List.rev t.history
+let stale_reads t = Obs.Trace_analysis.stale_reads t.history
 
-let committed_before t time =
-  List.fold_left
-    (fun acc (commit_time, version) ->
-      if commit_time <= time then max acc version else acc)
-    0 t.committed
+(* The register has a single logical cell: hops use key 0. *)
+let record_hop t op ~is_write version =
+  t.history <-
+    {
+      Obs.Trace_analysis.client = op.client;
+      key = 0;
+      is_write;
+      version;
+      started = op.started;
+      finished = Engine.now t.engine;
+      span = -1;
+    }
+    :: t.history
 
 let start t ~client kind =
   let engine = t.engine in
@@ -84,7 +92,12 @@ let start t ~client kind =
         Bitset.iter
           (fun j -> Engine.send engine ~src:client ~dst:j (Read_req { op = id }))
           quorum;
-        Engine.set_timer engine ~node:client ~delay:t.timeout ~tag:id
+        ignore
+          (Engine.timer engine ~node:client ~delay:t.timeout (fun () ->
+               if Hashtbl.mem t.ops id then begin
+                 Hashtbl.remove t.ops id;
+                 t.timeouts <- t.timeouts + 1
+               end))
   end
 
 let write t ~client ~value =
@@ -124,14 +137,24 @@ let finish_read t op =
   in
   if not (List.mem value t.legitimate_values) then
     t.fabricated_reads <- t.fabricated_reads + 1;
-  if version < committed_before t op.started then
-    t.stale_reads <- t.stale_reads + 1
+  record_hop t op ~is_write:false version
+
+(* The (f + 1)-th highest version among the replies, 0 when fewer than
+   f + 1 replied.  At most f of them lie, so a correct replica holds at
+   least this version, and over an f-masking system at least f + 1
+   correct members of the intersection hold the last completed
+   write's: one more than this is newer than every completed write. *)
+let version_floor t op =
+  let versions = List.map (fun (_, version, _) -> version) op.replies in
+  match List.nth_opt (List.sort (fun a b -> compare b a) versions) t.f with
+  | Some v -> v
+  | None -> 0
 
 let begin_install t engine op value =
   let version =
     match vouched_result t op with
     | Some (v, _) -> v + 1
-    | None -> 1 + committed_before t (Engine.now engine)
+    | None -> version_floor t op + 1
   in
   let live = Engine.live_set engine in
   match t.system.Quorum.System.select (Engine.rng engine) ~live with
@@ -195,18 +218,10 @@ let handlers t : msg Engine.handlers =
                   if Bitset.is_empty op.waiting_for then begin
                     Hashtbl.remove t.ops op.id;
                     t.writes_ok <- t.writes_ok + 1;
-                    t.committed <-
-                      (Engine.now engine, op.write_version) :: t.committed
+                    record_hop t op ~is_write:true op.write_version
                   end
                 end
             | Some _ -> ()));
-    on_timer =
-      (fun _engine ~node:_ ~tag ->
-        match Hashtbl.find_opt t.ops tag with
-        | Some op ->
-            Hashtbl.remove t.ops op.id;
-            t.timeouts <- t.timeouts + 1
-        | None -> ());
     on_crash =
       (fun _ ~node ->
         let doomed =
@@ -248,10 +263,9 @@ let create engine ~system ~f ~byzantine ~timeout =
       timeouts = 0;
       unavailable = 0;
       fabricated_reads = 0;
-      stale_reads = 0;
       inconclusive_reads = 0;
       legitimate_values = [ 0 ];
-      committed = [];
+      history = [];
     }
   in
   Engine.set_handlers engine (handlers t);

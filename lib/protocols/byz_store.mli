@@ -13,6 +13,13 @@
     fabricated pair can gather at most [f] vouchers, so it is never
     accepted.
 
+    A write takes one more than the version its read quorum vouches
+    for.  When no pair has [f + 1] vouchers it takes one more than the
+    [(f + 1)]-th highest version among the replies (0 when fewer than
+    [f + 1] replied): at most [f] replies lie, and over an [f]-masking
+    system at least [f + 1] correct members of the intersection hold
+    the last completed write's version, so the new version exceeds it.
+
     Over a merely crash-tolerant system (e.g. plain majority, where
     intersections can be a single replica) the same protocol loses
     writes: the read statistics expose this ({!stale_reads} grows),
@@ -53,7 +60,13 @@ val fabricated_reads : t -> int
 
 val stale_reads : t -> int
 (** Reads that missed a write completed before they started — must be
-    0 over an [f]-masking system with at most [f] Byzantine replicas. *)
+    0 over an [f]-masking system with at most [f] Byzantine replicas.
+    This is {!Obs.Trace_analysis.stale_reads} over {!history}: a write
+    that finishes at the instant a read starts is concurrent with it. *)
+
+val history : t -> Obs.Trace_analysis.hop list
+(** One hop per completed operation, oldest first, on key 0: a write's
+    installed version, or the version a read returned. *)
 
 val inconclusive_reads : t -> int
 (** Reads where no (version, value) pair reached [f + 1] vouchers (the

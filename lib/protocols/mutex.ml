@@ -30,12 +30,6 @@ type app =
 
 type msg = app Rpc.msg
 
-(* Timer tags: [-1] heartbeats, [<= -2] rpc retransmissions,
-   [ts] critical-section exit, [ts + wd_offset] the waiting watchdog,
-   [probe_tag] the arbiter's stale-grant probe. *)
-let wd_offset = 0x2000_0000
-let probe_tag = 0x4000_0000
-
 type waiting = {
   req : req;
   quorum : int list;
@@ -93,9 +87,12 @@ type t = {
   clients : client_phase array;
   pending : int array;  (** requests queued while the node was busy *)
   arbiters : arbiter array;
-  probe_due : float array;
-      (** fire time of each node's one legitimate probe chain (stale
-          chains left over from crash/recovery races are dropped) *)
+  probe : (unit -> unit) array;
+      (** per node: its probe tick's timer callback, built at creation *)
+  probe_timer : int array;
+      (** per node: the {!Engine.timer} handle of its pending probe
+          tick; a recovery cancels it before restarting the chain, so a
+          node never runs two chains *)
   mutable in_cs_count : int;
   mutable max_concurrency : int;
   mutable entries : int;
@@ -261,22 +258,19 @@ let arbiter_on_yield t ~node:j req =
    arbiter.  Background, so probes never keep an otherwise-drained
    simulation alive. *)
 let schedule_probe t ~node =
-  let delay = Failure_detector.timeout t.fd in
-  t.probe_due.(node) <- Engine.now t.engine +. delay;
-  Engine.set_timer t.engine ~background:true ~node ~delay ~tag:probe_tag
+  t.probe_timer.(node) <-
+    Engine.timer t.engine ~background:true ~node
+      ~delay:(Failure_detector.timeout t.fd)
+      t.probe.(node)
 
 let arbiter_probe t ~node =
-  (* Only the chain matching [probe_due] survives; duplicates left over
-     from crash/recovery races die here. *)
-  if Float.abs (Engine.now t.engine -. t.probe_due.(node)) <= 1e-6 then begin
-    let a = t.arbiters.(node) in
-    (match (a.granted_to, a.probe_req) with
-    | Some r, Some p when priority r p = 0 ->
-        rsend t ~src:node ~dst:r.client (Inquire r)
-    | _ -> ());
-    a.probe_req <- a.granted_to;
-    schedule_probe t ~node
-  end
+  let a = t.arbiters.(node) in
+  (match (a.granted_to, a.probe_req) with
+  | Some r, Some p when priority r p = 0 ->
+      rsend t ~src:node ~dst:r.client (Inquire r)
+  | _ -> ());
+  a.probe_req <- a.granted_to;
+  schedule_probe t ~node
 
 let arbiter_on_alive t ~node:j ~client ~ts =
   let a = t.arbiters.(j) in
@@ -291,28 +285,6 @@ let arbiter_on_alive t ~node:j ~client ~ts =
   | Some _ | None -> ()
 
 (* --- Client side -------------------------------------------------- *)
-
-let enter_cs t ~node (w : waiting) =
-  Engine.cancel t.engine w.watchdog;
-  t.clients.(node) <- In_cs { req = w.req; quorum = w.quorum };
-  t.in_cs_count <- t.in_cs_count + 1;
-  if t.in_cs_count > t.max_concurrency then
-    t.max_concurrency <- t.in_cs_count;
-  let ins = t.ins in
-  if t.in_cs_count > t.capacity then begin
-    t.violations <- t.violations + 1;
-    Metrics.incr ins.mx_violations
-  end;
-  t.entries <- t.entries + 1;
-  Metrics.incr ins.mx_entries;
-  Metrics.observe ins.mx_latency (Engine.now t.engine -. w.started);
-  Span.finish (spans t) ~time:(Engine.now t.engine) w.span;
-  Trace.record
-    (Obs.trace (Engine.obs t.engine))
-    ~time:(Engine.now t.engine) ~node ~peer:(-1) ~msg_id:(-1) ~span:w.span
-    ~label:"mutex.enter" Trace.Note;
-  (* Leave after cs_duration: encoded as a timer tagged by ts. *)
-  Engine.set_timer t.engine ~node ~delay:t.cs_duration ~tag:w.req.ts
 
 let client_answer_inquires t ~node w =
   (* Only yield when this request cannot currently win.  An INQUIRE can
@@ -332,20 +304,6 @@ let client_answer_inquires t ~node w =
     in
     w.pending_inquires <- still_pending
   end
-
-let client_on_grant t ~node ~src req =
-  match t.clients.(node) with
-  | Waiting w when priority w.req req = 0 ->
-      Bitset.add w.grants src;
-      let all = List.for_all (fun j -> Bitset.mem w.grants j) w.quorum in
-      if all then enter_cs t ~node w
-      else
-        (* A pending inquire may have been waiting for this grant. *)
-        client_answer_inquires t ~node w
-  | Waiting _ | Idle | In_cs _ ->
-      (* A grant for an attempt we already abandoned; the Release we
-         sent when abandoning it frees the arbiter. *)
-      ()
 
 let client_on_inquire t ~node ~src req =
   match t.clients.(node) with
@@ -406,10 +364,11 @@ let rec issue_request t ~node =
       t.clients.(node) <- Waiting w;
       Engine.with_span_ctx t.engine span (fun () ->
           List.iter (fun j -> rsend t ~src:node ~dst:j (Request req)) quorum;
+          let ts = req.ts in
           w.watchdog <-
             Engine.timer t.engine ~node
               ~delay:(Failure_detector.timeout t.fd)
-              ~tag:(req.ts + wd_offset))
+              (fun () -> client_watchdog t ~node ~ts))
 
 (* Abandon the current attempt (releasing any grants collected and any
    queue positions held) and, if [retry], immediately re-select an
@@ -429,7 +388,7 @@ and abort_attempt t ~node w ~retry =
     issue_request t ~node
   end
 
-let request t ~node =
+and request t ~node =
   if Engine.is_live t.engine node then
     match t.clients.(node) with
     | Waiting _ | In_cs _ ->
@@ -438,7 +397,7 @@ let request t ~node =
         t.pending.(node) <- t.pending.(node) + 1
     | Idle -> issue_request t ~node
 
-let drain_pending t ~node =
+and drain_pending t ~node =
   if t.pending.(node) > 0 then begin
     t.pending.(node) <- t.pending.(node) - 1;
     request t ~node
@@ -448,7 +407,7 @@ let drain_pending t ~node =
    request is outstanding.  If a quorum member that has not granted yet
    has become suspect, the attempt cannot complete — re-select around
    it.  Attempts older than [acquire_timeout] are abandoned outright. *)
-let client_watchdog t ~node ~ts =
+and client_watchdog t ~node ~ts =
   match t.clients.(node) with
   | Waiting w when w.req.ts = ts ->
       if Engine.now t.engine -. w.started >= t.acquire_timeout then begin
@@ -470,7 +429,7 @@ let client_watchdog t ~node ~ts =
           w.watchdog <-
             Engine.timer t.engine ~node
               ~delay:(Failure_detector.timeout t.fd)
-              ~tag:(ts + wd_offset)
+              (fun () -> client_watchdog t ~node ~ts)
       end
   | Waiting _ | Idle | In_cs _ -> ()
 
@@ -478,6 +437,49 @@ let exit_cs t ~node req quorum =
   t.clients.(node) <- Idle;
   t.in_cs_count <- t.in_cs_count - 1;
   release_quorum t ~node req quorum
+
+let enter_cs t ~node (w : waiting) =
+  Engine.cancel t.engine w.watchdog;
+  t.clients.(node) <- In_cs { req = w.req; quorum = w.quorum };
+  t.in_cs_count <- t.in_cs_count + 1;
+  if t.in_cs_count > t.max_concurrency then
+    t.max_concurrency <- t.in_cs_count;
+  let ins = t.ins in
+  if t.in_cs_count > t.capacity then begin
+    t.violations <- t.violations + 1;
+    Metrics.incr ins.mx_violations
+  end;
+  t.entries <- t.entries + 1;
+  Metrics.incr ins.mx_entries;
+  Metrics.observe ins.mx_latency (Engine.now t.engine -. w.started);
+  Span.finish (spans t) ~time:(Engine.now t.engine) w.span;
+  Trace.record
+    (Obs.trace (Engine.obs t.engine))
+    ~time:(Engine.now t.engine) ~node ~peer:(-1) ~msg_id:(-1) ~span:w.span
+    ~label:"mutex.enter" Trace.Note;
+  (* Leave after cs_duration, unless a crash ended this entry first. *)
+  let ts = w.req.ts in
+  ignore
+    (Engine.timer t.engine ~node ~delay:t.cs_duration (fun () ->
+         match t.clients.(node) with
+         | In_cs { req; quorum } when req.ts = ts ->
+             exit_cs t ~node req quorum;
+             drain_pending t ~node
+         | In_cs _ | Waiting _ | Idle -> ()))
+
+let client_on_grant t ~node ~src req =
+  match t.clients.(node) with
+  | Waiting w when priority w.req req = 0 ->
+      Bitset.add w.grants src;
+      let all = List.for_all (fun j -> Bitset.mem w.grants j) w.quorum in
+      if all then enter_cs t ~node w
+      else
+        (* A pending inquire may have been waiting for this grant. *)
+        client_answer_inquires t ~node w
+  | Waiting _ | Idle | In_cs _ ->
+      (* A grant for an attempt we already abandoned; the Release we
+         sent when abandoning it frees the arbiter. *)
+      ()
 
 let on_dead_letter t ~src ~dst payload =
   (* The rpc layer gave up on [dst].  Only an unanswered Request can
@@ -515,19 +517,6 @@ let handlers t : msg Engine.handlers =
     on_message =
       (fun _engine ~node ~src msg ->
         Rpc.on_message t.rpc ~node ~src msg ~deliver:deliver.(node));
-    on_timer =
-      (fun _engine ~node ~tag ->
-        if Failure_detector.on_timer t.fd ~node ~tag then ()
-        else if Rpc.on_timer t.rpc ~node ~tag then ()
-        else if tag = probe_tag then arbiter_probe t ~node
-        else if tag >= wd_offset then
-          client_watchdog t ~node ~ts:(tag - wd_offset)
-        else
-          match t.clients.(node) with
-          | In_cs { req; quorum } when req.ts = tag ->
-              exit_cs t ~node req quorum;
-              drain_pending t ~node
-          | In_cs _ | Waiting _ | Idle -> ());
     on_crash =
       (fun engine ~node ->
         (* Volatile client state is lost; the arbiter's grant register
@@ -569,8 +558,9 @@ let handlers t : msg Engine.handlers =
             (fun tc -> Hashtbl.replace a.tombstones tc ())
             (Durable.replay t.dur ~node ~now)
         end;
-        (* Crash dropped the node's timers: restart its probe chain
-           (the due-time check retires any duplicate survivors). *)
+        (* Restart the probe chain, in place of a pre-crash tick still
+           queued. *)
+        Engine.cancel engine t.probe_timer.(node);
         schedule_probe t ~node;
         (* Announce the recovery: any grant or queued request of ours
            with an older timestamp is void (we lost the state that
@@ -647,7 +637,8 @@ let of_config engine ?(config = Client_config.default) ?(capacity = 1)
               tombstones = Hashtbl.create 8;
               alive_floor = Array.make n 0;
             });
-      probe_due = Array.make n infinity;
+      probe = Array.make n ignore;
+      probe_timer = Array.make n (-1);
       in_cs_count = 0;
       max_concurrency = 0;
       entries = 0;
@@ -661,6 +652,7 @@ let of_config engine ?(config = Client_config.default) ?(capacity = 1)
   Rpc.set_dead_letter_handler rpc (fun ~src ~dst payload ->
       on_dead_letter t ~src ~dst payload);
   for node = 0 to n - 1 do
+    t.probe.(node) <- (fun () -> arbiter_probe t ~node);
     schedule_probe t ~node
   done;
   Engine.set_handlers engine (handlers t);

@@ -18,13 +18,6 @@ type msg =
   | Epoch_req  (** an amnesiac replica asking peers for their epoch *)
   | Epoch_rep of { epoch : int }
 
-(* Timer tags: op ids are >= 0; tag -1 is the failure detector's; the
-   coordinator's switch-retry tick, the replicas' unseal self-heal tick
-   and the timed-mode lease-renewal tick use reserved negatives. *)
-let switch_tag = -2
-let unseal_tag = -3
-let renew_tag = -4
-
 (* Timed mode: the clock-skew budget added to every lease drain. *)
 let skew = 0.5
 
@@ -45,13 +38,13 @@ type op = {
   mutable phase : phase;
   mutable retries_left : int;
   mutable nacked : bool;
-  mutable attempt : int;
-      (** bumped on every (re)send round — the progress check only
-          fires for the attempt it was armed for *)
   mutable span : int;  (** root span of the whole client operation *)
   mutable timeout_timer : int;
       (** handle of the per-op timeout armed in [start]; an op that
           leaves [ops] before it fires cancels it *)
+  mutable progress_timer : int;
+      (** handle of the current round's progress check; the next
+          round, a NACK or the op's end cancels it *)
 }
 
 type replica = {
@@ -117,16 +110,27 @@ type t = {
   mutable failed : int;
   mutable crash_kills : int;
   mutable history : Obs.Trace_analysis.hop list;  (** newest first *)
+  ticks : ticks array;  (** per node, built at creation *)
+}
+
+(* A node's periodic ticks, as timer callbacks: the coordinator's
+   switch retry, a sealed replica's self-heal, a timed replica's lease
+   renewal. *)
+and ticks = {
+  switch_tick : unit -> unit;
+  unseal_tick : unit -> unit;
+  renew_tick : unit -> unit;
 }
 
 let spans t = Obs.spans (Engine.obs t.engine)
 let history t = List.rev t.history
 
-(* An op that ends takes its timeout timer out of the queue, where it
-   would only fire to find no op. *)
+(* An op that ends takes its timers out of the queue, where they would
+   only fire to find no op. *)
 let remove_op t (op : op) =
   Hashtbl.remove t.ops op.id;
-  Engine.cancel t.engine op.timeout_timer
+  Engine.cancel t.engine op.timeout_timer;
+  Engine.cancel t.engine op.progress_timer
 
 (* Persist a replica's whole durable image: epoch, seal flag, state. *)
 let persist t ~node =
@@ -211,20 +215,17 @@ let rec launch t (op : op) =
       arm_progress_check t op
 
 (* A round of requests can be silently swallowed (message loss, a
-   replica dying before replying): if the attempt armed here is still
-   the current one — no reply completed the phase, no NACK scheduled a
-   relaunch — give up on it and retry.  The delay clears a healthy
-   round trip, so the check only fires for genuinely stuck rounds. *)
+   replica dying before replying): if the round armed here is still the
+   current one when the check fires — no reply completed the phase, no
+   NACK scheduled a relaunch, the op has not ended, each of which
+   cancels the check — give up on it and retry.  The delay clears a
+   healthy round trip, so the check only fires for genuinely stuck
+   rounds. *)
 and arm_progress_check t (op : op) =
-  op.attempt <- op.attempt + 1;
-  let attempt = op.attempt in
-  Engine.schedule t.engine
-    ~time:(Engine.now t.engine +. 4.0)
-    (fun () ->
-      match Hashtbl.find_opt t.ops op.id with
-      | Some op' when op' == op && op.attempt = attempt && not op.nacked ->
-          retry_later t op
-      | Some _ | None -> ())
+  Engine.cancel t.engine op.progress_timer;
+  op.progress_timer <-
+    Engine.timer t.engine ~node:op.client ~delay:4.0 (fun () ->
+        retry_later t op)
 
 and retry_later t (op : op) =
   (* NACKed (sealed replica, expired lease, stale epoch) or no live
@@ -264,9 +265,9 @@ let start t ~client kind =
         phase = Version_phase;
         retries_left = 12;
         nacked = false;
-        attempt = 0;
         span = -1;
         timeout_timer = -1;
+        progress_timer = -1;
       }
     in
     op.span <-
@@ -279,7 +280,11 @@ let start t ~client kind =
     if Hashtbl.mem t.ops id then
       op.timeout_timer <-
         Engine.with_span_ctx engine op.span (fun () ->
-            Engine.timer engine ~node:client ~delay:t.timeout ~tag:id)
+            Engine.timer engine ~node:client ~delay:t.timeout (fun () ->
+                remove_op t op;
+                t.failed <- t.failed + 1;
+                Span.finish (spans t) ~time:(Engine.now engine)
+                  ~status:(Span.Error "timeout") op.span))
   end
 
 let read t ~client = start t ~client Read_op
@@ -334,9 +339,12 @@ let begin_install t (op : op) =
 
 (* --- Reconfiguration -------------------------------------------------- *)
 
+let arm_tick t ~node ~delay tick =
+  ignore (Engine.timer t.engine ~background:true ~node ~delay tick)
+
 let arm_switch_timer t ~coordinator =
-  Engine.set_timer t.engine ~background:true ~node:coordinator
-    ~delay:t.switch_retry ~tag:switch_tag
+  arm_tick t ~node:coordinator ~delay:t.switch_retry
+    t.ticks.(coordinator).switch_tick
 
 let arm_unseal_timer t ~node =
   (* Cadence only — the unseal tick re-arms while the sealing switch
@@ -344,8 +352,7 @@ let arm_unseal_timer t ~node =
      coordinator's retry tick keeps orphaned seals (a crashed
      coordinator cannot re-announce) from refusing service long after
      their switch died. *)
-  Engine.set_timer t.engine ~background:true ~node
-    ~delay:(2.0 *. t.switch_retry) ~tag:unseal_tag
+  arm_tick t ~node ~delay:(2.0 *. t.switch_retry) t.ticks.(node).unseal_tick
 
 let abandon_switch ?(reason = "abandoned") t sw =
   (* Give up: drop the switch and re-announce the old epoch so sealed
@@ -480,8 +487,7 @@ let renew_tick t ~node =
       (match t.switch with
       | Some _ -> ()  (* withheld: let the lease drain *)
       | None -> r.lease_until <- Engine.now t.engine +. d);
-      Engine.set_timer t.engine ~background:true ~node ~delay:(d /. 3.0)
-        ~tag:renew_tag
+      arm_tick t ~node ~delay:(d /. 3.0) t.ticks.(node).renew_tick
 
 let unseal_tick t ~node =
   let r = t.replicas.(node) in
@@ -656,6 +662,7 @@ let handlers t : msg Engine.handlers =
             | Some op ->
                 if not op.nacked then begin
                   op.nacked <- true;
+                  Engine.cancel engine op.progress_timer;
                   retry_later t op
                 end)
         | Seal_req { gen; epoch } ->
@@ -720,24 +727,6 @@ let handlers t : msg Engine.handlers =
               r.sealed <- false;
               ignore (persist t ~node)
             end);
-    on_timer =
-      (fun engine ~node ~tag ->
-        if
-          match t.fd with
-          | Some fd -> Failure_detector.on_timer fd ~node ~tag
-          | None -> false
-        then ()
-        else if tag = switch_tag then switch_tick t ~node
-        else if tag = unseal_tag then unseal_tick t ~node
-        else if tag = renew_tag then renew_tick t ~node
-        else
-          match Hashtbl.find_opt t.ops tag with
-          | Some op ->
-              Hashtbl.remove t.ops op.id;
-              t.failed <- t.failed + 1;
-              Span.finish (spans t) ~time:(Engine.now engine)
-                ~status:(Span.Error "timeout") op.span
-          | None -> ());
     on_crash =
       (fun engine ~node ->
         Durable.crash t.dur ~node ~now:(Engine.now engine);
@@ -806,8 +795,7 @@ let handlers t : msg Engine.handlers =
         match t.lease with
         | Some d ->
             t.replicas.(node).lease_until <- Engine.now engine;
-            Engine.set_timer engine ~background:true ~node ~delay:(d /. 3.0)
-              ~tag:renew_tag
+            arm_tick t ~node ~delay:(d /. 3.0) t.ticks.(node).renew_tick
         | None -> ());
   }
 
@@ -875,15 +863,25 @@ let of_config engine ?(config = Client_config.default) ?(with_fd = false)
       failed = 0;
       crash_kills = 0;
       history = [];
+      ticks =
+        Array.make universe
+          { switch_tick = ignore; unseal_tick = ignore; renew_tick = ignore };
     }
   in
+  for node = 0 to universe - 1 do
+    t.ticks.(node) <-
+      {
+        switch_tick = (fun () -> switch_tick t ~node);
+        unseal_tick = (fun () -> unseal_tick t ~node);
+        renew_tick = (fun () -> renew_tick t ~node);
+      }
+  done;
   (* Timed mode: every replica renews its own lease on a background
      tick, well before expiry. *)
   (match lease with
   | Some d ->
       for node = 0 to universe - 1 do
-        Engine.set_timer engine ~background:true ~node ~delay:(d /. 3.0)
-          ~tag:renew_tag
+        arm_tick t ~node ~delay:(d /. 3.0) t.ticks.(node).renew_tick
       done
   | None -> ());
   Engine.set_handlers engine (handlers t);

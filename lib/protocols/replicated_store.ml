@@ -95,9 +95,6 @@ type op = {
   mutable last_send : float;
       (** when this op last fanned requests out — the base of the
           per-peer latency samples its replies contribute *)
-  mutable hedge_armed : float;
-      (** the [deadline] of the attempt whose hedge timer is pending;
-          a fire against a superseded attempt is ignored *)
   sess : session;
   notify : (outcome -> unit) option;
 }
@@ -245,9 +242,6 @@ let emit t (op : op) ~dst payload =
 
 (* --- Suspicion-aware routing: hedging + degraded mode --------------- *)
 
-(* Hedge timers live in their own tag space above the op-id tags. *)
-let hedge_offset = 0x1000_0000
-
 (* A straggler is hedged after the worst [straggler_quantile] of the
    awaited members' recent reply latencies, never before
    [min_hedge_delay] (the cold-start guard while samples accumulate). *)
@@ -290,16 +284,67 @@ let set_degraded t flag =
     Metrics.set t.ins.st_degraded (if flag then 1.0 else 0.0)
   end
 
-(* Arm one hedge check for the op's current attempt.  Only on the
+(* A hedge timer fired for an op still in flight: every member of its
+   current phase still unheard-from gets its request duplicated to a
+   distinct backup replica drawn from the client's unsuspected view.
+   Replicas are idempotent (max-version merge, acked-set dedup at the
+   client), so duplicates cost messages, never safety. *)
+let on_hedge t op_id =
+  match Hashtbl.find_opt t.ops op_id with
+  | Some op ->
+      let waiting, targets =
+        match op.phase with
+        | Reading r -> (r.waiting_for, r.targets)
+        | Writing w -> (w.waiting_for, w.targets)
+      in
+      if not (Bitset.is_empty waiting) then begin
+        let view = Failure_detector.view t.fd ~node:op.client in
+        let n = universe t in
+        let payload () =
+          match (op.phase, op.kind) with
+          | Reading _, _ -> Version_req { op = op.id; key = op.key }
+          | Writing _, Write_op v ->
+              Write_req
+                {
+                  op = op.id;
+                  key = op.key;
+                  version = op.write_version;
+                  value = v;
+                }
+          | Writing _, Read_op -> assert false
+        in
+        let from = ref 0 in
+        Bitset.iter
+          (fun _straggler ->
+            let rec find j =
+              if j >= n then None
+              else if Bitset.mem view j && not (Bitset.mem targets j) then
+                Some j
+              else find (j + 1)
+            in
+            match find !from with
+            | None -> ()
+            | Some b ->
+                from := b + 1;
+                Bitset.add targets b;
+                t.hedges <- t.hedges + 1;
+                Metrics.incr t.ins.st_hedges;
+                rsend t ~src:op.client ~dst:b (payload ()))
+          waiting
+      end
+  | None -> ()
+
+(* Arm one hedge check for the op's current phase.  Only on the
    unbatched path: a hedged Batch_req would duplicate every rider.
    With [routing.hedge] off this is never called, so no timer is
    scheduled and runs stay bit-identical to the pre-hedging store. *)
 let arm_hedge t (op : op) waiting =
   if t.routing.hedge && op.sess.batcher = None && not (Bitset.is_empty waiting)
   then begin
-    op.hedge_armed <- op.deadline;
-    Engine.set_timer t.engine ~node:op.client ~delay:(hedge_delay t waiting)
-      ~tag:(hedge_offset + op.id)
+    let id = op.id in
+    ignore
+      (Engine.timer t.engine ~node:op.client ~delay:(hedge_delay t waiting)
+         (fun () -> on_hedge t id))
   end
 
 (* Select a fresh read quorum — from the client's failure-detector
@@ -364,9 +409,11 @@ let rec launch_attempt t (op : op) =
               (fun j ->
                 emit t op ~dst:j (Version_req { op = op.id; key = op.key }))
               quorum;
+            (* Ending or relaunching the op cancels this timer, so a
+               fire is always the current attempt's timeout. *)
             op.attempt_timer <-
               Engine.timer t.engine ~node:op.client ~delay:t.timeout
-                ~tag:op.id;
+                (fun () -> attempt_failed t op);
             arm_hedge t op quorum)
 
 (* One client operation through a session: identical to the historical
@@ -408,7 +455,6 @@ and start_session_op t s ?notify ~key kind =
         span = -1;
         attempt_span = -1;
         last_send = 0.0;
-        hedge_armed = neg_infinity;
         sess = s;
         notify;
       }
@@ -724,56 +770,6 @@ let on_write_ack t op_id ~node =
           end
       | Reading _ -> ())
 
-(* The hedge timer fired for an attempt that is still the current one:
-   every member still unheard-from gets its request duplicated to a
-   distinct backup replica drawn from the client's unsuspected view.
-   Replicas are idempotent (max-version merge, acked-set dedup at the
-   client), so duplicates cost messages, never safety. *)
-let on_hedge t op_id =
-  match Hashtbl.find_opt t.ops op_id with
-  | Some op when (not op.done_) && op.hedge_armed = op.deadline ->
-      let waiting, targets =
-        match op.phase with
-        | Reading r -> (r.waiting_for, r.targets)
-        | Writing w -> (w.waiting_for, w.targets)
-      in
-      if not (Bitset.is_empty waiting) then begin
-        let view = Failure_detector.view t.fd ~node:op.client in
-        let n = universe t in
-        let payload () =
-          match (op.phase, op.kind) with
-          | Reading _, _ -> Version_req { op = op.id; key = op.key }
-          | Writing _, Write_op v ->
-              Write_req
-                {
-                  op = op.id;
-                  key = op.key;
-                  version = op.write_version;
-                  value = v;
-                }
-          | Writing _, Read_op -> assert false
-        in
-        let from = ref 0 in
-        Bitset.iter
-          (fun _straggler ->
-            let rec find j =
-              if j >= n then None
-              else if Bitset.mem view j && not (Bitset.mem targets j) then
-                Some j
-              else find (j + 1)
-            in
-            match find !from with
-            | None -> ()
-            | Some b ->
-                from := b + 1;
-                Bitset.add targets b;
-                t.hedges <- t.hedges + 1;
-                Metrics.incr t.ins.st_hedges;
-                rsend t ~src:op.client ~dst:b (payload ()))
-          waiting
-      end
-  | Some _ | None -> ()
-
 (* --- Re-join protocol ---------------------------------------------- *)
 
 (* Merge a (key, version, value) record into a replica table, newest
@@ -1058,17 +1054,6 @@ let handlers t : msg Engine.handlers =
     on_message =
       (fun _engine ~node ~src msg ->
         Rpc.on_message t.rpc ~node ~src msg ~deliver:deliver.(node));
-    on_timer =
-      (fun _engine ~node ~tag ->
-        if Failure_detector.on_timer t.fd ~node ~tag then ()
-        else if Rpc.on_timer t.rpc ~node ~tag then ()
-        else if tag >= hedge_offset then on_hedge t (tag - hedge_offset)
-        else
-          (* Ending or relaunching an op cancels its attempt timer, so a
-             fire is always the current attempt's timeout. *)
-          match Hashtbl.find_opt t.ops tag with
-          | Some op -> attempt_failed t op
-          | None -> ());
     on_crash =
       (fun engine ~node ->
         Rpc.on_crash t.rpc ~node;

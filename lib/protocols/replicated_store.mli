@@ -206,10 +206,12 @@ val shed : t -> int
 
 (** {2 Suspicion-aware routing}
 
-    With [config.routing.hedge] on (see {!Client_config.routing}), an
-    unbatched attempt arms one hedge timer at the worst 0.9 quantile
-    of the recent reply latencies of its quorum's members, never
-    earlier than 2.0 time units; when it fires, every member still unheard-from has its request duplicated
+    With [config.routing.hedge] on (see {!Client_config.routing}),
+    each phase of an unbatched attempt arms one hedge timer at the
+    worst 0.9 quantile of the recent reply latencies of its quorum's
+    members, never earlier than 2.0 time units; when one fires while
+    the op is in flight, every member of the op's current phase still
+    unheard-from has its request duplicated
     to a distinct backup replica from the client's unsuspected view,
     and the attempt completes as soon as the {e acked} set contains a
     full quorum of the phase's system — replicas are idempotent and

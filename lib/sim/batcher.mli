@@ -8,9 +8,10 @@
     batch at the same simulated instant.
 
     The module is engine-agnostic: callers supply a [schedule] closure
-    (normally [Sim.Engine.schedule] at [now + delay]).  Timers are
-    plain scheduled thunks retired by a per-buffer generation counter,
-    so no timer tags are consumed. *)
+    (normally [Sim.Engine.schedule] at [now + delay]).  Its flush
+    timers are plain scheduled thunks, which cannot be cancelled: a
+    per-buffer generation counter turns the thunk of a buffer that was
+    already flushed by size into a no-op. *)
 
 type 'a t
 

@@ -32,7 +32,6 @@ type beats = {
 
 type 'msg handlers = {
   on_message : 'msg t -> node:int -> src:int -> 'msg -> unit;
-  on_timer : 'msg t -> node:int -> tag:int -> unit;
   on_crash : 'msg t -> node:int -> unit;
   on_recover : 'msg t -> node:int -> amnesia:bool -> unit;
 }
@@ -52,10 +51,11 @@ and instruments = {
    min-heap of slot ids ordered by [(time, seq)]; freed slots are
    threaded through [a] as a free list, and [hpos] maps a queued slot
    to its heap position (-1 when not queued) so {!cancel} can remove
-   it.  Per kind, [a]/[b] hold src/dst (deliver), node/tag (timer),
-   node (crash) and node/amnesia (recover); [ctxs] is the span context
-   the handler runs under — captured at send/arm/schedule time, -1 for
-   background messages. *)
+   it.  Per kind, [a]/[b] hold src/dst (deliver), node (timer), node
+   (crash) and node/amnesia (recover); [thunks] holds the callback of a
+   timer or a scheduled thunk; [ctxs] is the span context the handler
+   runs under — captured at send/arm/schedule time, -1 for background
+   messages. *)
 and 'msg t = {
   n : int;
   mutable times : Float.Array.t;
@@ -123,7 +123,6 @@ let unset _ = invalid_arg "Engine: no handlers installed"
 let no_handlers =
   {
     on_message = (fun t ~node:_ ~src:_ _ -> unset t);
-    on_timer = (fun t ~node:_ ~tag:_ -> unset t);
     on_crash = (fun t ~node:_ -> unset t);
     on_recover = (fun t ~node:_ ~amnesia:_ -> unset t);
   }
@@ -231,7 +230,7 @@ let live_set t =
   Array.iteri (fun i alive -> if alive then Bitset.add s i) t.live;
   s
 
-(* Span context: an ambient span id that send/set_timer/schedule capture
+(* Span context: an ambient span id that send/timer/schedule capture
    and dispatch restores around handlers, so causality crosses both the
    network and the event queue without protocols threading it by hand. *)
 let span_ctx t = t.ctx
@@ -250,11 +249,6 @@ let with_span_ctx t ctx f =
       let bt = Printexc.get_raw_backtrace () in
       t.ctx <- saved;
       Printexc.raise_with_backtrace e bt
-
-let note ?(label = "") t ~node =
-  if t.tracing then
-    Trace.record t.ring ~time:t.time ~node ~peer:(-1) ~msg_id:(-1) ~span:t.ctx
-      ~label Trace.Note
 
 (* --- Arena and heap --------------------------------------------------- *)
 
@@ -434,20 +428,15 @@ let send ?(background = false) t ~src ~dst msg =
     end
   end
 
-let broadcast ?(background = false) t ~src ~dsts msg =
-  List.iter (fun dst -> send ~background t ~src ~dst msg) dsts
-
-let timer ?(background = false) t ~node ~delay ~tag =
+let timer ?(background = false) t ~node ~delay f =
   if node < 0 || node >= t.n then invalid_arg "Engine.timer: bad node";
   check_delay delay;
   let s =
-    push t ~time:(t.time +. delay) ~kind:k_timer ~background ~a:node ~b:tag
+    push t ~time:(t.time +. delay) ~kind:k_timer ~background ~a:node ~b:0
       ~uid:(-1) ~ctx:t.ctx
   in
+  t.thunks.(s) <- f;
   handle t s
-
-let set_timer ?background t ~node ~delay ~tag =
-  ignore (timer ?background t ~node ~delay ~tag)
 
 (* A cancelled foreground event leaves its [(time, seq)] behind as the
    ghost when it is the latest one not yet passed. *)
@@ -467,6 +456,8 @@ let cancel t h =
       end
     end;
     remove_at t t.hpos.(s);
+    (* Release the callback now, not when the slot is reused. *)
+    t.thunks.(s) <- no_thunk;
     free_slot t s;
     Prof.leave t.prof Prof.Heap
   end
@@ -661,17 +652,6 @@ let deliver t ~background ~src ~dst ~uid ~ctx msg =
         ~span:ctx ~label:"dead_dst" Trace.Drop
   end
 
-let fire_timer t ~node ~tag ~ctx =
-  if t.live.(node) then begin
-    let saved = t.ctx in
-    t.ctx <- ctx;
-    Prof.enter t.prof Prof.Dispatch_timer;
-    (try t.handlers.on_timer t ~node ~tag
-     with e -> reraise t Prof.Dispatch_timer saved e);
-    t.ctx <- saved;
-    Prof.leave t.prof Prof.Dispatch_timer
-  end
-
 let crash t ~node =
   if t.live.(node) then begin
     t.live.(node) <- false;
@@ -713,13 +693,14 @@ let recover t ~node ~amnesia =
     Prof.leave t.prof Prof.Dispatch_recovery
   end
 
-let run_thunk t f ~ctx =
+(* A scheduled thunk, or a timer's callback, charged to [cat]. *)
+let run_thunk t cat f ~ctx =
   let saved = t.ctx in
   t.ctx <- ctx;
-  Prof.enter t.prof Prof.Thunk;
-  (try f () with e -> reraise t Prof.Thunk saved e);
+  Prof.enter t.prof cat;
+  (try f () with e -> reraise t cat saved e);
   t.ctx <- saved;
-  Prof.leave t.prof Prof.Thunk
+  Prof.leave t.prof cat
 
 (* The slot is read out and freed before its handler runs, so a handler
    that raises leaves the arena consistent and pushes made from inside
@@ -733,16 +714,16 @@ let dispatch t s =
     free_slot t s;
     deliver t ~background ~src:a ~dst:b ~uid ~ctx msg
   end
-  else if kind = k_thunk then begin
+  else if kind = k_thunk || kind = k_timer then begin
     let f = t.thunks.(s) in
     t.thunks.(s) <- no_thunk;
     free_slot t s;
-    run_thunk t f ~ctx
+    if kind = k_thunk then run_thunk t Prof.Thunk f ~ctx
+    else if t.live.(a) then run_thunk t Prof.Dispatch_timer f ~ctx
   end
   else begin
     free_slot t s;
-    if kind = k_timer then fire_timer t ~node:a ~tag:b ~ctx
-    else if kind = k_crash then crash t ~node:a
+    if kind = k_crash then crash t ~node:a
     else recover t ~node:a ~amnesia:(b = 1)
   end
 

@@ -38,12 +38,12 @@ type 'msg t
 
 type 'msg handlers = {
   on_message : 'msg t -> node:int -> src:int -> 'msg -> unit;
-  on_timer : 'msg t -> node:int -> tag:int -> unit;
   on_crash : 'msg t -> node:int -> unit;
   on_recover : 'msg t -> node:int -> amnesia:bool -> unit;
 }
-(** Protocol callbacks.  [on_message]/[on_timer] are only invoked for
-    live destination nodes.
+(** Protocol callbacks.  [on_message] is only invoked for live
+    destination nodes.  Timers are not here: each one carries its own
+    callback (see {!timer}).
 
     Recovery is an explicit, adversarial event: [on_recover] tells the
     protocol {e how} the node came back.  With [amnesia = false] the
@@ -59,8 +59,8 @@ val create :
     engine (rpc layer, failure detector, protocols); a fresh private
     one is created when omitted, so instrumentation is always on.
 
-    The engine starts with no handlers: the first message, timer, crash
-    or recovery it dispatches before {!set_handlers} raises
+    The engine starts with no handlers: the first message, crash or
+    recovery it dispatches before {!set_handlers} raises
     [Invalid_argument "Engine: no handlers installed"], so a forgotten
     install fails loudly instead of dropping events.  A protocol's
     constructor takes the engine and installs its own handlers. *)
@@ -74,12 +74,13 @@ val obs : 'msg t -> Obs.t
 
     The engine carries an {e ambient span context}: the id of the
     {!Obs.Span} the currently-running work belongs to (-1 when none).
-    {!send}, {!set_timer} and {!schedule} capture the ambient context
-    into the events they enqueue, and dispatch restores it around the
-    corresponding handler — so when a replica's [on_message] fires, it
-    runs under the span of the client operation whose message it is
-    handling, and any replies it sends (or retransmit timers it arms,
-    or fsync completions it schedules) are causally tagged in turn.
+    {!send}, {!timer} and {!schedule} capture the ambient context into
+    the events they enqueue, and dispatch restores it around the
+    corresponding handler or callback — so when a replica's
+    [on_message] fires, it runs under the span of the client operation
+    whose message it is handling, and any replies it sends (or
+    retransmit timers it arms, or fsync completions it schedules) are
+    causally tagged in turn.
     Trace events recorded by the engine carry the context in
     {!Obs.Trace.event.span}.
 
@@ -97,10 +98,6 @@ val set_span_ctx : 'msg t -> int -> unit
 val with_span_ctx : 'msg t -> int -> (unit -> 'a) -> 'a
 (** Run a thunk under a given context, restoring the previous one
     afterwards (also on raise). *)
-
-val note : ?label:string -> 'msg t -> node:int -> unit
-(** Append a {!Obs.Trace.Note} event at the current simulated time,
-    tagged with the ambient span context (e.g. ["rpc.retransmit"]). *)
 
 val nodes : 'msg t -> int
 val now : 'msg t -> float
@@ -130,17 +127,22 @@ val send : ?background:bool -> 'msg t -> src:int -> dst:int -> 'msg -> unit
     the source is dead now, or the destination is dead at delivery
     time.  Self-sends are delivered with zero latency. *)
 
-val broadcast :
-  ?background:bool -> 'msg t -> src:int -> dsts:int list -> 'msg -> unit
-
-val set_timer :
-  ?background:bool -> 'msg t -> node:int -> delay:float -> tag:int -> unit
-(** [ignore (timer ...)]: a timer nobody will cancel. *)
-
 val timer :
-  ?background:bool -> 'msg t -> node:int -> delay:float -> tag:int -> int
-(** Arm a timer like {!set_timer} and return a handle that names this
-    one event, for {!cancel}. *)
+  ?background:bool ->
+  'msg t ->
+  node:int ->
+  delay:float ->
+  (unit -> unit) ->
+  int
+(** [timer t ~node ~delay f] runs [f] on [node] after [delay] and
+    returns a handle that names this one event, for {!cancel}.  [f]
+    runs only if [node] is live when the timer fires (a crash drops the
+    node's timers; a timer armed before a crash still runs if the node
+    has recovered by then), under the span context that was ambient
+    when the timer was armed, and is profiled as
+    {!Obs.Prof.Dispatch_timer}.  The engine holds [f] only while the
+    timer is queued: firing or cancelling it lets go of the closure.
+    Raises [Invalid_argument] on a bad node or a negative delay. *)
 
 val cancel : 'msg t -> int -> unit
 (** Take the timer a handle names out of the queue in O(log n), so it

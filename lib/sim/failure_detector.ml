@@ -1,9 +1,6 @@
 module Bitset = Quorum.Bitset
 module Metrics = Obs.Metrics
 
-let fd_tag = -1
-let eps = 1e-9
-
 (* log10 e: the accrual suspicion level of an exponential inter-arrival
    model, phi = -log10 P(next beat still pending) = log10(e) * elapsed
    / mean_interarrival. *)
@@ -42,10 +39,12 @@ type 'msg t = {
   last_heard : float array array;
       (** [last_heard.(i).(j)]: when [i] last heard from [j], as of the
           last [settle] of [i]. *)
-  next_due : float array;
-      (** the one legitimate heartbeat chain per node; stale chains
-          (pre-crash timers still in the queue) are dropped by
-          comparing fire time against this. *)
+  beat : (unit -> unit) array;
+      (** per node: its beat round's timer callback, built at [create] *)
+  beat_timer : int array;
+      (** per node: the {!Engine.timer} handle of its pending beat round;
+          a recovery cancels it before restarting the chain, so a node
+          never runs two chains *)
   (* Accrual state: per (observer, peer) ring of recent inter-arrival
      times with a running sum, so the mean is O(1) per suspicion
      query.  Allocated only in [Accrual] mode. *)
@@ -102,64 +101,8 @@ let make_instruments engine =
   }
 
 let schedule_beat t ~node ~delay =
-  t.next_due.(node) <- Engine.now t.engine +. delay;
-  Engine.set_timer t.engine ~background:true ~node ~delay ~tag:fd_tag
-
-let create engine ?(period = 1.0) ?(timeout = 5.0) ?mode () =
-  if period <= 0.0 then invalid_arg "Failure_detector.create: period";
-  let nodes = Engine.nodes engine in
-  let mode = Option.value mode ~default:(Fixed_timeout timeout) in
-  let timeout =
-    match mode with Fixed_timeout x -> x | Accrual _ -> timeout
-  in
-  if timeout <= period then
-    invalid_arg "Failure_detector.create: timeout must exceed period";
-  let window =
-    match mode with
-    | Fixed_timeout _ -> 0
-    | Accrual { threshold; window; min_samples } ->
-        if threshold <= 0.0 then
-          invalid_arg "Failure_detector.create: accrual threshold";
-        if window < 2 then invalid_arg "Failure_detector.create: accrual window";
-        if min_samples < 1 || min_samples > window then
-          invalid_arg "Failure_detector.create: accrual min_samples";
-        window
-  in
-  let t =
-    {
-      period;
-      timeout;
-      mode;
-      n = nodes;
-      engine;
-      ins = make_instruments engine;
-      (* Everyone starts presumed live. *)
-      last_heard = Array.make_matrix nodes nodes (Engine.now engine);
-      next_due = Array.make nodes infinity;
-      ring =
-        (if window = 0 then [||]
-         else Array.init nodes (fun _ -> Array.make_matrix nodes window 0.0));
-      ring_len = Array.make_matrix nodes nodes 0;
-      ring_pos = Array.make_matrix nodes nodes 0;
-      ring_sum = Array.make_matrix nodes nodes 0.0;
-      seen_flips = 0;
-      was_live = Array.make nodes true;
-      down_since = Array.make nodes nan;
-      prev_suspected = Array.make_matrix nodes nodes false;
-      s_detections = Array.make nodes 0;
-      s_detect_sum = Array.make nodes 0.0;
-      s_detect_max = Array.make nodes 0.0;
-      s_fp = Array.make nodes 0;
-      s_missed = Array.make nodes 0;
-      s_trans = Array.make nodes 0;
-    }
-  in
-  (* Stagger first beats so the whole system does not pulse at once. *)
-  for i = 0 to nodes - 1 do
-    let stagger = 0.25 +. (0.75 *. float_of_int i /. float_of_int nodes) in
-    schedule_beat t ~node:i ~delay:(period *. stagger)
-  done;
-  t
+  t.beat_timer.(node) <-
+    Engine.timer t.engine ~background:true ~node ~delay t.beat.(node)
 
 let period t = t.period
 let timeout t = t.timeout
@@ -315,27 +258,81 @@ let sample_accuracy t ~node ~now =
   add t.ins.f_missed !missed;
   Metrics.Handle.set t.ins.f_suspected.(node) (float_of_int !suspected)
 
-let on_timer t ~node ~tag =
-  if tag <> fd_tag then false
-  else begin
-    let now = Engine.now t.engine in
-    (* Drop duplicate chains left over from crash/recovery races. *)
-    if abs_float (now -. t.next_due.(node)) <= eps then begin
-      sync_liveness t ~now;
-      (* A dead observer runs no beat rounds of its own, so nothing
-         settles it until it recovers: settle it as beats reach it, so
-         its inbox stays bounded.  Settling before the round is settling
-         between its beats: none of them has arrived when it returns. *)
-      for dst = 0 to t.n - 1 do
-        if dst <> node && not t.was_live.(dst) then settle t ~node:dst
-      done;
-      Engine.beat_round t.engine ~src:node;
-      if t.n > 1 then Metrics.incr ~by:(t.n - 1) t.ins.f_beats;
-      sample_accuracy t ~node ~now;
-      schedule_beat t ~node ~delay:t.period
-    end;
-    true
-  end
+(* One beat round of [node]: its timer fired, so it is live. *)
+let beat t ~node =
+  let now = Engine.now t.engine in
+  sync_liveness t ~now;
+  (* A dead observer runs no beat rounds of its own, so nothing settles
+     it until it recovers: settle it as beats reach it, so its inbox
+     stays bounded.  Settling before the round is settling between its
+     beats: none of them has arrived when it returns. *)
+  for dst = 0 to t.n - 1 do
+    if dst <> node && not t.was_live.(dst) then settle t ~node:dst
+  done;
+  Engine.beat_round t.engine ~src:node;
+  if t.n > 1 then Metrics.incr ~by:(t.n - 1) t.ins.f_beats;
+  sample_accuracy t ~node ~now;
+  schedule_beat t ~node ~delay:t.period
+
+let create engine ?(period = 1.0) ?(timeout = 5.0) ?mode () =
+  if period <= 0.0 then invalid_arg "Failure_detector.create: period";
+  let nodes = Engine.nodes engine in
+  let mode = Option.value mode ~default:(Fixed_timeout timeout) in
+  let timeout =
+    match mode with Fixed_timeout x -> x | Accrual _ -> timeout
+  in
+  if timeout <= period then
+    invalid_arg "Failure_detector.create: timeout must exceed period";
+  let window =
+    match mode with
+    | Fixed_timeout _ -> 0
+    | Accrual { threshold; window; min_samples } ->
+        if threshold <= 0.0 then
+          invalid_arg "Failure_detector.create: accrual threshold";
+        if window < 2 then invalid_arg "Failure_detector.create: accrual window";
+        if min_samples < 1 || min_samples > window then
+          invalid_arg "Failure_detector.create: accrual min_samples";
+        window
+  in
+  let t =
+    {
+      period;
+      timeout;
+      mode;
+      n = nodes;
+      engine;
+      ins = make_instruments engine;
+      (* Everyone starts presumed live. *)
+      last_heard = Array.make_matrix nodes nodes (Engine.now engine);
+      beat = Array.make nodes ignore;
+      beat_timer = Array.make nodes (-1);
+      ring =
+        (if window = 0 then [||]
+         else Array.init nodes (fun _ -> Array.make_matrix nodes window 0.0));
+      ring_len = Array.make_matrix nodes nodes 0;
+      ring_pos = Array.make_matrix nodes nodes 0;
+      ring_sum = Array.make_matrix nodes nodes 0.0;
+      seen_flips = 0;
+      was_live = Array.make nodes true;
+      down_since = Array.make nodes nan;
+      prev_suspected = Array.make_matrix nodes nodes false;
+      s_detections = Array.make nodes 0;
+      s_detect_sum = Array.make nodes 0.0;
+      s_detect_max = Array.make nodes 0.0;
+      s_fp = Array.make nodes 0;
+      s_missed = Array.make nodes 0;
+      s_trans = Array.make nodes 0;
+    }
+  in
+  for node = 0 to nodes - 1 do
+    t.beat.(node) <- (fun () -> beat t ~node)
+  done;
+  (* Stagger first beats so the whole system does not pulse at once. *)
+  for i = 0 to nodes - 1 do
+    let stagger = 0.25 +. (0.75 *. float_of_int i /. float_of_int nodes) in
+    schedule_beat t ~node:i ~delay:(period *. stagger)
+  done;
+  t
 
 let on_recover t ~node =
   (* Beats that arrived before the crash still count (the accrual ring
@@ -343,11 +340,13 @@ let on_recover t ~node =
   settle t ~node;
   let now = Engine.now t.engine in
   (* Fresh start: the recovered node presumes everyone live again and
-     resumes its own heartbeat chain. *)
+     resumes its own heartbeat chain, in place of a pre-crash round
+     still queued. *)
   for j = 0 to t.n - 1 do
     t.last_heard.(node).(j) <- now;
     t.prev_suspected.(node).(j) <- false
   done;
+  Engine.cancel t.engine t.beat_timer.(node);
   schedule_beat t ~node ~delay:(t.period *. 0.5)
 
 let view t ~node =

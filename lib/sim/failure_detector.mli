@@ -61,10 +61,11 @@
     only when positive; [fd.suspected{node=..}] through a handle
     made at {!create}).
 
-    Wiring: route [on_timer] through {!on_timer} (tag [-1] is reserved)
-    and call {!on_recover} from the engine's recovery handler so the
-    node's heartbeat chain restarts and its stale opinions reset.
-    Heartbeats never reach the protocol's [on_message]. *)
+    The beat rounds' timers carry their own callbacks, one per node,
+    built at {!create}.  Call {!on_recover} from the engine's recovery
+    handler so the node's heartbeat chain restarts and its stale
+    opinions reset.  Heartbeats never reach the protocol's
+    [on_message]. *)
 
 type 'msg t
 
@@ -90,14 +91,12 @@ val create :
     non-positive threshold, [window < 2] or [min_samples] outside
     [1..window]. *)
 
-val on_timer : 'msg t -> node:int -> tag:int -> bool
-(** Handle a heartbeat timer; [false] when [tag] is not the detector's
-    (protocol should handle it). *)
-
 val on_recover : 'msg t -> node:int -> unit
 (** Restart the recovered node's heartbeat chain and reset its
     suspicions (it presumes everyone live until proven otherwise),
-    after applying the beats that reached it before it crashed. *)
+    after applying the beats that reached it before it crashed.  A
+    beat round armed before the crash and still queued is cancelled,
+    so the node runs one chain. *)
 
 val suspects : 'msg t -> node:int -> int -> bool
 (** [suspects t ~node j]: does [node] currently suspect [j]?  A node

@@ -15,12 +15,6 @@ type instruments = {
   i_dead : Metrics.counter Metrics.Handle.t array;  (** [node=i] *)
 }
 
-(* Timer-tag namespace: tag = -slot - 2, so every rpc tag is <= -2.
-   Tag -1 belongs to Failure_detector; protocol tags are >= 0. *)
-let tag_of_slot slot = -slot - 2
-let slot_of_tag tag = -tag - 2
-let owns_tag tag = tag <= -2
-
 (* The first retransmission waits [timeout * (1 + jitter * u)]; later
    delays are capped at [cap_timeouts * timeout]. *)
 let jitter = 0.3
@@ -31,9 +25,9 @@ let cap_timeouts = 32.0
 let vacant = Ack { seq = -1; slot = -1 }
 
 (* Unacked sends live in a pool of slots, one column per field; the
-   slot rides in the envelope and names the retransmit timer, so an ack
-   or a timer finds its send in O(1).  A free slot has seq -1 and is
-   threaded through [dsts] as a free list. *)
+   slot rides in the envelope and is bound into the slot's retransmit
+   callback, so an ack or a timer finds its send in O(1).  A free slot
+   has seq -1 and is threaded through [dsts] as a free list. *)
 type 'a t = {
   timeout : float;
   cap : float;
@@ -50,6 +44,8 @@ type 'a t = {
   mutable attempts : int array;  (** transmissions performed so far *)
   mutable rtos : Float.Array.t;  (** delay before the next retransmission *)
   mutable timers : int array;  (** retransmit timer's {!Engine.timer} handle *)
+  mutable retransmit : (unit -> unit) array;
+      (** the slot's retransmit callback, built once when the pool grows *)
   mutable envs : 'a msg array;  (** the [Data] envelope, resent as is *)
   mutable free : int;  (** head of the free list; -1 = none *)
   mutable live : int;  (** unacked sends *)
@@ -102,6 +98,7 @@ let create engine ?(timeout = 2.0) ?(max_attempts = 6) () =
     attempts = [||];
     rtos = Float.Array.create 0;
     timers = [||];
+    retransmit = [||];
     envs = [||];
     free = -1;
     live = 0;
@@ -132,10 +129,73 @@ let duplicates_suppressed t = t.duplicates
 let dead_letters t = t.dead
 let inflight_count t = t.live
 
-(* --- Pool ------------------------------------------------------------- *)
+(* --- Pool and retransmission ------------------------------------------ *)
+
+let release t s =
+  t.seqs.(s) <- -1;
+  t.envs.(s) <- vacant;
+  t.dsts.(s) <- t.free;
+  t.free <- s;
+  t.live <- t.live - 1
+
+let jittered t =
+  t.timeout *. (1.0 +. (jitter *. Rng.float (Engine.rng t.engine)))
+
+(* Decorrelated jitter (the AWS "decorrelated" scheme): the next
+   retransmission delay is drawn uniformly from [timeout, 3 * prev],
+   clamped to [cap].  Consecutive retries de-synchronize instead of
+   marching in lockstep, so a burst of senders cut off by the same
+   fault does not produce a synchronized retransmit storm when the
+   fault clears — which matters under churn, where a storm can stall a
+   reconfiguration's seal round. *)
+let next_backoff t rng ~prev =
+  let hi = 3.0 *. prev in
+  min t.cap (t.timeout +. (Rng.float rng *. (hi -. t.timeout)))
+
+(* The retransmit timer of [slot] fired: resend, or dead-letter the
+   send after [max_attempts].  Acks and crashes cancel the timer of the
+   send they end, so a timer that fires always finds its send in the
+   slot. *)
+let expire t slot =
+  Prof.enter t.prof Prof.Rpc;
+  let node = t.srcs.(slot) and dst = t.dsts.(slot) in
+  if t.attempts.(slot) >= t.max_attempts then begin
+    let env = t.envs.(slot) in
+    release t slot;
+    t.dead <- t.dead + 1;
+    Metrics.Handle.incr t.ins.i_dead.(node);
+    if t.tracing then
+      Trace.record t.ring ~time:(Engine.now t.engine) ~node ~peer:dst
+        ~msg_id:(-1) ~span:(Engine.span_ctx t.engine)
+        ~label:"rpc.dead_letter" Trace.Note;
+    match env with
+    | Data { payload; _ } -> t.on_dead_letter ~src:node ~dst payload
+    | Ack _ -> assert false
+  end
+  else begin
+    t.attempts.(slot) <- t.attempts.(slot) + 1;
+    let rto =
+      next_backoff t (Engine.rng t.engine) ~prev:(Float.Array.get t.rtos slot)
+    in
+    Float.Array.set t.rtos slot rto;
+    t.retransmissions <- t.retransmissions + 1;
+    Metrics.Handle.incr t.ins.i_retransmits.(node);
+    (* The Note marks the retransmission instant inside the op's
+       span window, which is what lets the critical-path analysis
+       attribute the ensuing wait to "retransmit", not "queueing". *)
+    if t.tracing then
+      Trace.record t.ring ~time:(Engine.now t.engine) ~node ~peer:dst
+        ~msg_id:(-1) ~span:(Engine.span_ctx t.engine)
+        ~label:"rpc.retransmit" Trace.Note;
+    Engine.send t.engine ~src:node ~dst t.envs.(slot);
+    t.timers.(slot) <-
+      Engine.timer t.engine ~node ~delay:rto t.retransmit.(slot)
+  end;
+  Prof.leave t.prof Prof.Rpc
 
 (* Double every column and thread the new slots onto the empty free
-   list, lowest first. *)
+   list, lowest first.  Each new slot gets its retransmit callback
+   here, so arming a timer allocates nothing. *)
 let grow t =
   let cap = Array.length t.seqs in
   let cap' = max 64 (2 * cap) in
@@ -152,6 +212,10 @@ let grow t =
   Float.Array.blit t.rtos 0 rtos 0 cap;
   t.rtos <- rtos;
   t.timers <- extend t.timers (-1);
+  t.retransmit <- extend t.retransmit ignore;
+  for s = cap to cap' - 1 do
+    t.retransmit.(s) <- (fun () -> expire t s)
+  done;
   t.envs <- extend t.envs vacant;
   for s = cap' - 1 downto cap do
     t.dsts.(s) <- t.free;
@@ -165,28 +229,7 @@ let alloc t =
   t.live <- t.live + 1;
   s
 
-let release t s =
-  t.seqs.(s) <- -1;
-  t.envs.(s) <- vacant;
-  t.dsts.(s) <- t.free;
-  t.free <- s;
-  t.live <- t.live - 1
-
 (* --- Protocol ---------------------------------------------------------- *)
-
-let jittered t =
-  t.timeout *. (1.0 +. (jitter *. Rng.float (Engine.rng t.engine)))
-
-(* Decorrelated jitter (the AWS "decorrelated" scheme): the next
-   retransmission delay is drawn uniformly from [timeout, 3 * prev],
-   clamped to [cap].  Consecutive retries de-synchronize instead of
-   marching in lockstep, so a burst of senders cut off by the same
-   fault does not produce a synchronized retransmit storm when the
-   fault clears — which matters under churn, where a storm can stall a
-   reconfiguration's seal round. *)
-let next_backoff t rng ~prev =
-  let hi = 3.0 *. prev in
-  min t.cap (t.timeout +. (Rng.float rng *. (hi -. t.timeout)))
 
 let send t ~src ~dst payload =
   Prof.enter t.prof Prof.Rpc;
@@ -203,8 +246,7 @@ let send t ~src ~dst payload =
   Metrics.incr t.ins.i_sends;
   Engine.send t.engine ~src ~dst env;
   t.timers.(slot) <-
-    Engine.timer t.engine ~node:src ~delay:(jittered t)
-      ~tag:(tag_of_slot slot);
+    Engine.timer t.engine ~node:src ~delay:(jittered t) t.retransmit.(slot);
   Prof.leave t.prof Prof.Rpc
 
 let on_message t ~node ~src msg ~deliver =
@@ -234,50 +276,6 @@ let on_message t ~node ~src msg ~deliver =
         release t slot
       end;
       Prof.leave t.prof Prof.Rpc
-
-(* Acks and crashes cancel the timer of the send they end, so a timer
-   that fires always finds its send in the slot. *)
-let on_timer t ~node ~tag =
-  if not (owns_tag tag) then false
-  else begin
-    Prof.enter t.prof Prof.Rpc;
-    let slot = slot_of_tag tag in
-    let dst = t.dsts.(slot) in
-    if t.attempts.(slot) >= t.max_attempts then begin
-      let src = t.srcs.(slot) and env = t.envs.(slot) in
-      release t slot;
-      t.dead <- t.dead + 1;
-      Metrics.Handle.incr t.ins.i_dead.(src);
-      if t.tracing then
-        Trace.record t.ring ~time:(Engine.now t.engine) ~node:src ~peer:dst
-          ~msg_id:(-1) ~span:(Engine.span_ctx t.engine)
-          ~label:"rpc.dead_letter" Trace.Note;
-      match env with
-      | Data { payload; _ } -> t.on_dead_letter ~src ~dst payload
-      | Ack _ -> assert false
-    end
-    else begin
-      t.attempts.(slot) <- t.attempts.(slot) + 1;
-      let rto =
-        next_backoff t (Engine.rng t.engine)
-          ~prev:(Float.Array.get t.rtos slot)
-      in
-      Float.Array.set t.rtos slot rto;
-      t.retransmissions <- t.retransmissions + 1;
-      Metrics.Handle.incr t.ins.i_retransmits.(node);
-      (* The Note marks the retransmission instant inside the op's
-         span window, which is what lets the critical-path analysis
-         attribute the ensuing wait to "retransmit", not "queueing". *)
-      if t.tracing then
-        Trace.record t.ring ~time:(Engine.now t.engine) ~node ~peer:dst
-          ~msg_id:(-1) ~span:(Engine.span_ctx t.engine)
-          ~label:"rpc.retransmit" Trace.Note;
-      Engine.send t.engine ~src:node ~dst t.envs.(slot);
-      t.timers.(slot) <- Engine.timer t.engine ~node ~delay:rto ~tag
-    end;
-    Prof.leave t.prof Prof.Rpc;
-    true
-  end
 
 let on_crash t ~node =
   (* Volatile sender state: a crashed node forgets its unacked sends.

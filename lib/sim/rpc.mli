@@ -11,11 +11,10 @@
     degrade gracefully (e.g. pick a different quorum).
 
     The module is polymorphic in the protocol payload ['a]; the engine
-    it is built on carries ['a msg] envelopes.  Timer tags [<= -2] are
-    reserved for rpc retransmissions ([-1] belongs to
-    {!Failure_detector}; protocol tags must be [>= 0]): route
-    [on_timer] through {!on_timer} first and fall through to protocol
-    timers only when it returns [false].
+    it is built on carries ['a msg] envelopes.  Retransmit timers carry
+    their own callbacks ({!Engine.timer}), one per pool slot, built
+    when the pool grows, so arming one allocates nothing and a protocol
+    routes no timer to this module.
 
     Crash semantics: a crashed sender forgets its unacked sends (call
     {!on_crash} from the engine's crash handler); receiver-side dedup
@@ -71,10 +70,6 @@ val on_message :
   unit
 (** Feed a received rpc envelope in; [deliver] is invoked exactly once
     per distinct payload (duplicates are suppressed and re-acked). *)
-
-val on_timer : 'a t -> node:int -> tag:int -> bool
-(** Handle a retransmission timer.  Returns [false] when [tag] is not
-    an rpc tag (the protocol should then handle it itself). *)
 
 val on_crash : 'a t -> node:int -> unit
 (** Drop the crashed node's unacked sends (volatile sender state) and

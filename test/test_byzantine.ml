@@ -191,6 +191,61 @@ let test_byz_store_over_budget () =
   check "over budget: fabricated reads appear" true
     (Protocols.Byz_store.fabricated_reads store > 0)
 
+(* The write fallback, driven on purpose: f = 1 over majority(5) with
+   replica 4 lying.  Crashes steer every quorum.  W1 installs version 1
+   on {0, 1, 2}; W2 reads {2, 3, 4}, which meets W1's quorum in replica
+   2 alone, so no reply pair has f + 1 = 2 vouchers and W2 takes one
+   more than the second-highest reply; a final read of {0, 1, 2} is
+   outvoted by W1's two replicas.  Majority is not 1-masking, so that
+   read is stale, and the store counts what the auditor counts. *)
+let test_byz_store_write_fallback () =
+  let system = Systems.Majority.make 5 in
+  let engine = Engine.create ~seed:17 ~nodes:5 () in
+  let store =
+    Protocols.Byz_store.create engine ~system ~f:1 ~byzantine:[ 4 ]
+      ~timeout:60.0
+  in
+  let only_live live =
+    let time = Engine.now engine in
+    for j = 0 to 4 do
+      if List.mem j live then Engine.recover_at engine ~time ~node:j
+      else Engine.crash_at engine ~time ~node:j
+    done
+  in
+  let at time f = Engine.schedule engine ~time f in
+  only_live [ 0; 1; 2 ];
+  at 1.0 (fun () -> Protocols.Byz_store.write store ~client:0 ~value:11);
+  at 20.0 (fun () -> only_live [ 2; 3; 4 ]);
+  at 30.0 (fun () -> Protocols.Byz_store.write store ~client:2 ~value:22);
+  at 50.0 (fun () -> only_live [ 0; 1; 2 ]);
+  at 60.0 (fun () -> Protocols.Byz_store.read store ~client:0);
+  Engine.run engine;
+  let hops = Protocols.Byz_store.history store in
+  let writes = List.filter (fun h -> h.Obs.Trace_analysis.is_write) hops in
+  check_int "both writes done" 2 (List.length writes);
+  check "W2 took one more than the second-highest reply" true
+    (List.map (fun h -> h.Obs.Trace_analysis.version) writes = [ 1; 2 ]);
+  List.iter
+    (fun (w : Obs.Trace_analysis.hop) ->
+      List.iter
+        (fun (e : Obs.Trace_analysis.hop) ->
+          if e.finished < w.started then
+            check "installed above every completed write" true
+              (w.version > e.version))
+        writes)
+    writes;
+  let audited =
+    List.length
+      (List.filter
+         (fun v -> v.Obs.Trace_analysis.check = "stale-read")
+         (Obs.Trace_analysis.audit_history hops).violations)
+  in
+  check_int "the read is stale" 1 (Protocols.Byz_store.stale_reads store);
+  check_int "the auditor's count" audited
+    (Protocols.Byz_store.stale_reads store);
+  check_int "no fabricated reads" 0
+    (Protocols.Byz_store.fabricated_reads store)
+
 let () =
   Alcotest.run "byzantine"
     [
@@ -218,5 +273,7 @@ let () =
           Alcotest.test_case "weak system loses updates" `Quick
             test_byz_store_weak_system_unsafe;
           Alcotest.test_case "over budget" `Quick test_byz_store_over_budget;
+          Alcotest.test_case "write fallback" `Quick
+            test_byz_store_write_fallback;
         ] );
     ]

@@ -26,10 +26,6 @@ let make_rpc_world ?(loss = 0.0) ?(seed = 3) ?(max_attempts = 6) ~nodes () =
         (fun _ ~node ~src m ->
           Rpc.on_message rpc ~node ~src m ~deliver:(fun ~src payload ->
               delivered := (src, node, payload) :: !delivered));
-      on_timer =
-        (fun _ ~node ~tag ->
-          if not (Rpc.on_timer rpc ~node ~tag) then
-            Alcotest.fail "unexpected non-rpc timer");
       on_crash = (fun _ ~node -> Rpc.on_crash rpc ~node);
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     };
@@ -117,10 +113,6 @@ let make_fd_world ?(seed = 5) ~nodes () =
   Engine.set_handlers engine
     {
       on_message = (fun _ ~node:_ ~src:_ () -> ());
-      on_timer =
-        (fun _ ~node ~tag ->
-          (* non-fd tags are the tests' keep-alive timers *)
-          ignore (Fd.on_timer fd ~node ~tag));
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
     };
@@ -144,7 +136,7 @@ let test_fd_completeness_and_accuracy () =
       check "recovered node trusted again" false (Fd.suspects fd ~node:0 3);
       check_int "nobody suspected" 0 (Fd.suspected_count fd ~node:0));
   (* a foreground timer keeps the run alive to t=35 *)
-  Engine.set_timer engine ~node:0 ~delay:35.0 ~tag:0;
+  ignore (Engine.timer engine ~node:0 ~delay:35.0 ignore);
   Engine.run engine
 
 let test_fd_partition_suspicion_heals () =
@@ -163,7 +155,7 @@ let test_fd_partition_suspicion_heals () =
   at 22.0 (fun () ->
       check "suspicion clears after heal" false (Fd.suspects fd ~node:0 4);
       check "reverse clears too" false (Fd.suspects fd ~node:4 0));
-  Engine.set_timer engine ~node:0 ~delay:23.0 ~tag:0;
+  ignore (Engine.timer engine ~node:0 ~delay:23.0 ignore);
   Engine.run engine
 
 (* --- Protocols under chaos scenarios -------------------------------- *)

@@ -176,7 +176,7 @@ let test_engine_validation () =
     (raises_invalid (fun () -> Sim.Engine.send e ~src:0 ~dst:5 ()));
   check "negative timer" true
     (raises_invalid (fun () ->
-         Sim.Engine.set_timer e ~node:0 ~delay:(-1.0) ~tag:0));
+         Sim.Engine.timer e ~node:0 ~delay:(-1.0) ignore));
   (* Nothing installed handlers: the first dispatched message raises. *)
   Sim.Engine.send e ~src:0 ~dst:1 ();
   check "no handlers installed" true

@@ -20,7 +20,6 @@ let make_world ?(seed = 5) ?mode ?(period = 1.0) ?(timeout = 4.0) ?network
   Engine.set_handlers engine
     {
       on_message = (fun _ ~node:_ ~src:_ () -> ());
-      on_timer = (fun _ ~node ~tag -> ignore (Fd.on_timer fd ~node ~tag));
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node ~amnesia:_ -> Fd.on_recover fd ~node);
     };
@@ -98,7 +97,7 @@ let fd_contract =
       Engine.schedule engine ~time:trust_by (fun () ->
           each_observer (fun i -> not (Fd.suspects fd ~node:i victim)));
       let keeper = (victim + 1) mod nodes in
-      Engine.set_timer engine ~node:keeper ~delay:(trust_by +. 1.0) ~tag:0;
+      ignore (Engine.timer engine ~node:keeper ~delay:(trust_by +. 1.0) ignore);
       Engine.run engine;
       !ok)
 
@@ -140,8 +139,8 @@ let suspicion_normalized =
         ~time:(crash_time +. detect_bound ~period ~timeout tau)
         probe;
       let keeper = (victim + 1) mod nodes in
-      Engine.set_timer engine ~node:keeper
-        ~delay:(crash_time +. 30.0) ~tag:0;
+      ignore
+        (Engine.timer engine ~node:keeper ~delay:(crash_time +. 30.0) ignore);
       Engine.run engine;
       !ok)
 
@@ -182,14 +181,14 @@ let test_accrual_detects_and_heals () =
   Engine.schedule engine ~time:35.0 (fun () ->
       check "trusted again after recovery" false (Fd.suspects fd ~node:0 2);
       check_int "nobody suspected" 0 (Fd.suspected_count fd ~node:0));
-  Engine.set_timer engine ~node:0 ~delay:36.0 ~tag:0;
+  ignore (Engine.timer engine ~node:0 ~delay:36.0 ignore);
   Engine.run engine
 
 let test_accrual_stats_measure_detection () =
   let mode = Fd.Accrual { threshold = 1.5; window = 16; min_samples = 3 } in
   let fd, engine = make_world ~mode ~timeout:6.0 ~nodes:5 () in
   Engine.crash_at engine ~time:12.0 ~node:2;
-  Engine.set_timer engine ~node:0 ~delay:30.0 ~tag:0;
+  ignore (Engine.timer engine ~node:0 ~delay:30.0 ignore);
   Engine.run engine;
   let st = Fd.stats fd ~node:0 in
   check_int "one detection at node 0" 1 st.Fd.detections;
@@ -246,9 +245,19 @@ module Eager = struct
       ring_sum = Array.make_matrix nodes nodes 0.0;
     }
 
-  let schedule_beat t engine ~node ~delay =
+  let rec schedule_beat t engine ~node ~delay =
     t.next_due.(node) <- Engine.now engine +. delay;
-    Engine.set_timer engine ~background:true ~node ~delay ~tag:(-1)
+    ignore
+      (Engine.timer engine ~background:true ~node ~delay (fun () ->
+           beat t engine ~node))
+
+  and beat t engine ~node =
+    if abs_float (Engine.now engine -. t.next_due.(node)) <= 1e-9 then begin
+      for dst = 0 to t.n - 1 do
+        if dst <> node then Engine.send ~background:true engine ~src:node ~dst Beat
+      done;
+      schedule_beat t engine ~node ~delay:t.period
+    end
 
   let start t engine =
     for i = 0 to t.n - 1 do
@@ -256,14 +265,6 @@ module Eager = struct
         ~delay:
           (t.period *. (0.25 +. (0.75 *. float_of_int i /. float_of_int t.n)))
     done
-
-  let on_timer t engine ~node =
-    if abs_float (Engine.now engine -. t.next_due.(node)) <= 1e-9 then begin
-      for dst = 0 to t.n - 1 do
-        if dst <> node then Engine.send ~background:true engine ~src:node ~dst Beat
-      done;
-      schedule_beat t engine ~node ~delay:t.period
-    end
 
   let heard t engine ~node ~from =
     let now = Engine.now engine in
@@ -440,7 +441,7 @@ let diff_world c ~install =
           at b (fun () -> Sim.Network.set_slowdown net ~node:i 0.0))
     c.d_faults;
   List.iter (fun t -> at t probe) c.d_probes;
-  Engine.set_timer engine ~node:0 ~delay:26.0 ~tag:0;
+  ignore (Engine.timer engine ~node:0 ~delay:26.0 ignore);
   Engine.run ~until:c.d_split engine;
   probe ();
   Engine.run engine;
@@ -465,8 +466,6 @@ let eager_world c =
         {
           on_message =
             (fun e ~node ~src Eager.Beat -> Eager.heard r e ~node ~from:src);
-          on_timer =
-            (fun e ~node ~tag -> if tag = -1 then Eager.on_timer r e ~node);
           on_crash = (fun _ ~node:_ -> ());
           on_recover = (fun e ~node ~amnesia:_ -> Eager.on_recover r e ~node);
         }
@@ -499,7 +498,7 @@ let lazy_matches_eager =
 let exact_world ?(nodes = 3) ?(latency = 1.0) () =
   let network = Sim.Network.create ~base_latency:latency ~jitter:0.0 () in
   let fd, engine = make_world ~network ~timeout:4.0 ~nodes () in
-  Engine.set_timer engine ~node:0 ~delay:100.0 ~tag:0;
+  ignore (Engine.timer engine ~node:0 ~delay:100.0 ignore);
   (fd, engine)
 
 let check_float = Alcotest.(check (float 1e-12))
@@ -552,7 +551,7 @@ let test_dead_observer_bounded () =
   let nodes = 5 in
   let _fd, engine = make_world ~nodes () in
   Engine.crash_at engine ~time:2.0 ~node:1;
-  Engine.set_timer engine ~node:0 ~delay:300.0 ~tag:0;
+  ignore (Engine.timer engine ~node:0 ~delay:300.0 ignore);
   Engine.run engine;
   let pending = Engine.beats_pending engine ~node:1 in
   check

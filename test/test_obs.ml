@@ -255,7 +255,6 @@ let probe_handlers : msg Sim.Engine.handlers =
         match m with
         | Ping -> Sim.Engine.send engine ~src:node ~dst:src Pong
         | Pong -> ());
-    on_timer = (fun _ ~node:_ ~tag:_ -> ());
     on_crash = (fun _ ~node:_ -> ());
     on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
   }

@@ -83,7 +83,6 @@ let quiet_engine ~seed ~nodes =
   Engine.set_handlers engine
     {
       on_message = (fun _ ~node:_ ~src:_ Never -> ());
-      on_timer = (fun _ ~node:_ ~tag:_ -> ());
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     };

@@ -226,14 +226,17 @@ let probe_handlers log : probe_msg Engine.handlers =
         match msg with
         | Ping -> Engine.send engine ~src:node ~dst:src Pong
         | Pong -> ());
-    on_timer =
-      (fun engine ~node ~tag ->
-        log := (Engine.now engine, `Timer (node, tag)) :: !log);
     on_crash = (fun engine ~node -> log := (Engine.now engine, `Crash node) :: !log);
     on_recover =
       (fun engine ~node ~amnesia:_ ->
         log := (Engine.now engine, `Recover node) :: !log);
   }
+
+(* A timer on [node] whose callback logs [`Timer (node, tag)]. *)
+let probe_timer log e ~node ~delay tag =
+  ignore
+    (Engine.timer e ~node ~delay (fun () ->
+         log := (Engine.now e, `Timer (node, tag)) :: !log))
 
 let test_engine_ping_pong () =
   let log = ref [] in
@@ -250,7 +253,7 @@ let test_engine_determinism () =
     let e = engine_with ~seed:9 ~nodes:4 (probe_handlers log) in
     Engine.send e ~src:0 ~dst:1 Ping;
     Engine.send e ~src:2 ~dst:3 Ping;
-    Engine.set_timer e ~node:0 ~delay:0.5 ~tag:7;
+    probe_timer log e ~node:0 ~delay:0.5 7;
     Engine.run e;
     (!log, Engine.now e)
   in
@@ -288,7 +291,6 @@ let test_engine_crash_count () =
   let handlers : probe_msg Engine.handlers =
     {
       on_message = (fun _ ~node:_ ~src:_ _ -> ());
-      on_timer = (fun _ ~node:_ ~tag:_ -> ());
       on_crash =
         (fun e ~node -> seen := (node, Engine.crashes e ~node) :: !seen);
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
@@ -312,8 +314,8 @@ let test_engine_crash_count () =
 let test_engine_until () =
   let log = ref [] in
   let e = engine_with ~seed:1 ~nodes:1 (probe_handlers log) in
-  Engine.set_timer e ~node:0 ~delay:1.0 ~tag:1;
-  Engine.set_timer e ~node:0 ~delay:10.0 ~tag:2;
+  probe_timer log e ~node:0 ~delay:1.0 1;
+  probe_timer log e ~node:0 ~delay:10.0 2;
   Engine.run ~until:5.0 e;
   check_int "only first timer" 1 (List.length !log);
   Alcotest.(check (float 1e-9)) "clock clamped" 5.0 (Engine.now e)
@@ -327,24 +329,25 @@ let test_engine_live_set () =
   check "2 dead" false (Quorum.Bitset.mem live 2);
   check_int "3 live" 3 (Quorum.Bitset.cardinal live)
 
+(* Handlers for runs whose events are all timers and thunks. *)
+let quiet : probe_msg Engine.handlers =
+  {
+    on_message = (fun _ ~node:_ ~src:_ _ -> ());
+    on_crash = (fun _ ~node:_ -> ());
+    on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
+  }
+
 let test_engine_background_drains () =
   (* A perpetual background timer chain must not keep [run] alive. *)
   let fired = ref 0 in
-  let handlers : probe_msg Engine.handlers =
-    {
-      on_message = (fun _ ~node:_ ~src:_ _ -> ());
-      on_timer =
-        (fun e ~node ~tag ->
-          incr fired;
-          Engine.set_timer ~background:true e ~node ~delay:1.0 ~tag);
-      on_crash = (fun _ ~node:_ -> ());
-      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-    }
+  let e = engine_with ~seed:2 ~nodes:1 quiet in
+  let rec beat () =
+    incr fired;
+    ignore (Engine.timer ~background:true e ~node:0 ~delay:1.0 beat)
   in
-  let e = engine_with ~seed:2 ~nodes:1 handlers in
-  Engine.set_timer ~background:true e ~node:0 ~delay:1.0 ~tag:0;
-  Engine.set_timer e ~node:0 ~delay:3.5 ~tag:1;
+  ignore (Engine.timer ~background:true e ~node:0 ~delay:1.0 beat);
   (* foreground *)
+  ignore (Engine.timer e ~node:0 ~delay:3.5 (fun () -> incr fired));
   let outcome = Engine.run_status e in
   check "drained" true (outcome = Engine.Drained);
   (* Background beats at 1,2,3 ran while foreground work remained, plus
@@ -355,17 +358,9 @@ let test_engine_background_drains () =
 let test_engine_budget_reported () =
   (* A self-perpetuating foreground timer never drains: the event
      budget must trip, be reported, and be counted. *)
-  let handlers : probe_msg Engine.handlers =
-    {
-      on_message = (fun _ ~node:_ ~src:_ _ -> ());
-      on_timer =
-        (fun e ~node ~tag -> Engine.set_timer e ~node ~delay:1.0 ~tag);
-      on_crash = (fun _ ~node:_ -> ());
-      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-    }
-  in
-  let e = engine_with ~seed:2 ~nodes:1 handlers in
-  Engine.set_timer e ~node:0 ~delay:1.0 ~tag:0;
+  let e = engine_with ~seed:2 ~nodes:1 quiet in
+  let rec again () = ignore (Engine.timer e ~node:0 ~delay:1.0 again) in
+  again ();
   let outcome = Engine.run_status ~max_events:100 e in
   check "budget exhausted" true (outcome = Engine.Budget_exhausted);
   check_int "exhaustion counted" 1 (Engine.budget_exhaustions e);
@@ -378,38 +373,30 @@ let test_engine_budget_reported () =
 
 (* --- Event queue ------------------------------------------------------ *)
 
-(* Timers whose handler logs its tag; [on_fire] runs after the log. *)
-let timer_log ?(on_fire = fun _ ~node:_ ~tag:_ -> ()) () =
+(* Timers on node 0 whose callback logs their tag, then runs
+   [on_fire]. *)
+let timer_log ?(on_fire = fun _ -> ()) () =
   let log = ref [] in
-  let handlers : probe_msg Engine.handlers =
-    {
-      on_message = (fun _ ~node:_ ~src:_ _ -> ());
-      on_timer =
-        (fun e ~node ~tag ->
-          log := tag :: !log;
-          on_fire e ~node ~tag);
-      on_crash = (fun _ ~node:_ -> ());
-      on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-    }
+  let arm e ~delay tag =
+    ignore
+      (Engine.timer e ~node:0 ~delay (fun () ->
+           log := tag :: !log;
+           on_fire e))
   in
-  (log, handlers)
+  (log, arm)
 
 let test_heap_order () =
-  let log, handlers = timer_log () in
-  let e = engine_with ~seed:1 ~nodes:1 handlers in
-  List.iter
-    (fun d -> Engine.set_timer e ~node:0 ~delay:d ~tag:(int_of_float d))
-    [ 3.0; 1.0; 2.0 ];
+  let log, arm = timer_log () in
+  let e = engine_with ~seed:1 ~nodes:1 quiet in
+  List.iter (fun d -> arm e ~delay:d (int_of_float d)) [ 3.0; 1.0; 2.0 ];
   check "drained" true (Engine.run_status e = Engine.Drained);
   check "earliest first" true (List.rev !log = [ 1; 2; 3 ]);
   check_int "nothing left" 3 (Engine.events_dispatched e)
 
 let test_heap_fifo_ties () =
-  let log, handlers = timer_log () in
-  let e = engine_with ~seed:1 ~nodes:1 handlers in
-  List.iter
-    (fun tag -> Engine.set_timer e ~node:0 ~delay:1.0 ~tag)
-    [ 10; 20; 30 ];
+  let log, arm = timer_log () in
+  let e = engine_with ~seed:1 ~nodes:1 quiet in
+  List.iter (arm e ~delay:1.0) [ 10; 20; 30 ];
   Engine.run e;
   check "ties in push order" true (List.rev !log = [ 10; 20; 30 ])
 
@@ -418,13 +405,11 @@ let heap_sorts =
     QCheck.(list (float_bound_inclusive 100.0))
     (fun delays ->
       let times = ref [] in
-      let _, handlers =
-        timer_log
-          ~on_fire:(fun e ~node:_ ~tag:_ -> times := Engine.now e :: !times)
-          ()
+      let _, arm =
+        timer_log ~on_fire:(fun e -> times := Engine.now e :: !times) ()
       in
-      let e = engine_with ~seed:1 ~nodes:1 handlers in
-      List.iter (fun delay -> Engine.set_timer e ~node:0 ~delay ~tag:0) delays;
+      let e = engine_with ~seed:1 ~nodes:1 quiet in
+      List.iter (fun delay -> arm e ~delay 0) delays;
       Engine.run e;
       let fired = List.rev !times in
       List.length fired = List.length delays
@@ -485,7 +470,9 @@ let dispatch_follows_push_order =
               Engine.send e ~src:s ~dst:d id;
               at (if s = d then 0 else 1)
           | Timer (n, d) ->
-              Engine.set_timer e ~node:n ~delay:(float_of_int d) ~tag:id;
+              ignore
+                (Engine.timer e ~node:n ~delay:(float_of_int d) (fun () ->
+                     fire e id));
               at d
           | Sched d ->
               Engine.schedule e ~time:(at d) (fun () -> fire e id);
@@ -505,7 +492,6 @@ let dispatch_follows_push_order =
       let handlers : int Engine.handlers =
         {
           on_message = (fun e ~node:_ ~src:_ id -> fire e id);
-          on_timer = (fun e ~node:_ ~tag -> fire e tag);
           on_crash = (fun e ~node -> fire e (Hashtbl.find crash_ids node));
           on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
         }
@@ -568,10 +554,14 @@ let cancel_is_a_noop_timer =
           let at d = Engine.now e +. float_of_int d in
           match op with
           | Arm (d, background) ->
-              Engine.set_timer ~background e ~node:0 ~delay:(float_of_int d)
-                ~tag:id
+              ignore
+                (Engine.timer ~background e ~node:0 ~delay:(float_of_int d)
+                   (fun () -> fire e id))
           | Doomed (d, c, background) ->
-              let h = Engine.timer e ~node:0 ~delay:(float_of_int d) ~tag:id in
+              let h =
+                Engine.timer e ~node:0 ~delay:(float_of_int d) (fun () ->
+                    if not (Hashtbl.mem cancelled id) then fire e id)
+              in
               Engine.schedule ~background e ~time:(at c) (fun () ->
                   log := (-id - 1, Engine.now e) :: !log;
                   if cancel then Engine.cancel e h
@@ -584,17 +574,7 @@ let cancel_is_a_noop_timer =
           log := (id, Engine.now e) :: !log;
           List.iter (fun op -> push e (op, [])) (Hashtbl.find children id)
         in
-        let handlers : unit Engine.handlers =
-          {
-            on_message = (fun _ ~node:_ ~src:_ () -> ());
-            on_timer =
-              (fun e ~node:_ ~tag ->
-                if not (Hashtbl.mem cancelled tag) then fire e tag);
-            on_crash = (fun _ ~node:_ -> ());
-            on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
-          }
-        in
-        let e = engine_with ~seed:7 ~nodes:4 handlers in
+        let e = engine_with ~seed:7 ~nodes:4 quiet in
         List.iter (push e) plan;
         let phase until =
           let outcome =
@@ -615,6 +595,52 @@ let cancel_is_a_noop_timer =
       in
       world ~cancel:true = world ~cancel:false)
 
+(* A timer runs only if its node is live when it fires: a crash before
+   the instant drops it, and a recovery in between brings it back. *)
+let test_timer_needs_live_node () =
+  let e = engine_with ~seed:1 ~nodes:3 quiet in
+  let fired = ref [] in
+  let arm node =
+    ignore (Engine.timer e ~node ~delay:5.0 (fun () -> fired := node :: !fired))
+  in
+  List.iter arm [ 0; 1; 2 ];
+  Engine.crash_at e ~time:1.0 ~node:1;
+  Engine.crash_at e ~time:1.0 ~node:2;
+  Engine.recover_at e ~time:2.0 ~node:2;
+  Engine.run e;
+  check "down at the instant: dropped; recovered by then: runs" true
+    (List.sort compare !fired = [ 0; 2 ]);
+  check_int "three timers, two crashes, one recovery" 6
+    (Engine.events_dispatched e)
+
+(* The engine holds a timer's callback only while the timer is queued:
+   firing or cancelling it lets go of the closure, so what it captures
+   (a store attempt holds its op) is not kept alive until the slot is
+   reused. *)
+let test_timer_releases_callback () =
+  let e = engine_with ~seed:1 ~nodes:1 quiet in
+  (* Not inlined, so no local of this frame holds the closure. *)
+  let[@inline never] arm delay =
+    let captured = ref 0 in
+    let f () = incr captured in
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some f);
+    (w, Engine.timer e ~node:0 ~delay f)
+  in
+  let fired = arm 1.0 and cancelled = arm 3.0 and held = arm 10.0 in
+  Engine.cancel e (snd cancelled);
+  Engine.run ~until:2.5 e;
+  (* The slots of the fired and cancelled timers stay free: nothing has
+     been armed since. *)
+  Gc.full_major ();
+  check "a queued timer's callback is kept" true (Weak.check (fst held) 0);
+  check "a fired timer's callback is dropped" false (Weak.check (fst fired) 0);
+  check "a cancelled timer's callback is dropped" false
+    (Weak.check (fst cancelled) 0);
+  (* The engine, and with it the queued callback, stays reachable up to
+     here. *)
+  Engine.cancel e (snd held)
+
 let test_raise_leaves_queue_consistent () =
   (* A raising handler escapes [run]; the next [run] picks up where it
      left off: the raiser's slot is free, events it pushed before
@@ -630,15 +656,15 @@ let test_raise_leaves_queue_consistent () =
             Engine.send e ~src:node ~dst:0 (-v);
             raise Exit
           end);
-      on_timer =
-        (fun e ~node ~tag ->
-          Engine.set_timer ~background:true e ~node ~delay:1.0 ~tag);
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     }
   in
   let e = engine_with ~seed:4 ~nodes:2 handlers in
-  Engine.set_timer ~background:true e ~node:1 ~delay:0.5 ~tag:0;
+  let rec beat () =
+    ignore (Engine.timer ~background:true e ~node:1 ~delay:1.0 beat)
+  in
+  ignore (Engine.timer ~background:true e ~node:1 ~delay:0.5 beat);
   for round = 1 to 100 do
     Engine.send e ~src:0 ~dst:1 (-round);
     check "handler raise escapes run" true
@@ -662,8 +688,6 @@ let test_span_ctx_rides_messages () =
           match msg with
           | Ping -> Engine.send e ~src:node ~dst:src Pong
           | Pong -> ());
-      on_timer =
-        (fun e ~node ~tag:_ -> seen := (node, Engine.span_ctx e) :: !seen);
       on_crash = (fun _ ~node:_ -> ());
       on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
     }
@@ -672,7 +696,9 @@ let test_span_ctx_rides_messages () =
   Engine.set_span_ctx e 7;
   Engine.send e ~src:0 ~dst:1 Ping;
   Engine.send ~background:true e ~src:0 ~dst:2 Pong;
-  Engine.set_timer e ~node:3 ~delay:0.1 ~tag:0;
+  ignore
+    (Engine.timer e ~node:3 ~delay:0.1 (fun () ->
+         seen := (3, Engine.span_ctx e) :: !seen));
   Engine.set_span_ctx e (-1);
   Engine.run e;
   let ctx_at node = List.assoc node !seen in
@@ -703,7 +729,6 @@ let test_beat_draws_like_background_send () =
             match msg with
             | Pong -> beats := (node, Engine.now e, src) :: !beats
             | Ping -> pings := Engine.now e :: !pings);
-        on_timer = (fun _ ~node:_ ~tag:_ -> ());
         on_crash = (fun _ ~node:_ -> ());
         on_recover = (fun _ ~node:_ ~amnesia:_ -> ());
       }
@@ -771,8 +796,7 @@ let test_beat_draws_like_background_send () =
    before the arrival, the one pushed after runs after it. *)
 let test_beat_reserves_its_seq () =
   let network = Network.create ~base_latency:1.0 ~jitter:0.0 () in
-  let _, handlers = timer_log () in
-  let e = engine_with ~seed:1 ~nodes:2 ~network handlers in
+  let e = engine_with ~seed:1 ~nodes:2 ~network quiet in
   let seen = ref [] in
   let probe () = seen := (Engine.take_beats e ~node:1).Engine.count :: !seen in
   Engine.schedule e ~time:1.0 probe;
@@ -968,6 +992,10 @@ let () =
             test_engine_budget_reported;
           QCheck_alcotest.to_alcotest dispatch_follows_push_order;
           QCheck_alcotest.to_alcotest cancel_is_a_noop_timer;
+          Alcotest.test_case "timer needs a live node" `Quick
+            test_timer_needs_live_node;
+          Alcotest.test_case "timer releases its callback" `Quick
+            test_timer_releases_callback;
           Alcotest.test_case "raising handler" `Quick
             test_raise_leaves_queue_consistent;
           Alcotest.test_case "span context in flight" `Quick
